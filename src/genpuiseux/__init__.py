@@ -47,8 +47,6 @@ from .groups import (
     GroupElement,
     QuadValue,
     cmp,
-    group_add,
-    group_scale,
     membership,
 )
 from .keypoly import (

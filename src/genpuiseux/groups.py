@@ -9,8 +9,10 @@ floats.  The char exponent p tags which p-power denominators are meaningful
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 
 from .errors import MembershipFailed, ParseError, ScaleOutsideGroup
 
@@ -29,33 +31,11 @@ class QuadValue:
         self.b = b
         self.d = int(d)
 
-    def __add__(self, other):
-        return QuadValue(self.a + other.a, self.b + other.b, max(self.d, other.d))
-
     def __sub__(self, other):
         return QuadValue(self.a - other.a, self.b - other.b, max(self.d, other.d))
 
-    def scale(self, q):
-        q = Fraction(q)
-        return QuadValue(self.a * q, self.b * q, self.d)
-
     def sign(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 against b^2*d exactly; the larger square wins
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            return 0
-        if lhs > rhs:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return _quad_sign(self.a, self.b, self.d)
 
     def is_zero(self):
         return self.a == 0 and self.b == 0
@@ -75,6 +55,25 @@ class QuadValue:
         return f"{self.a}+{self.b}*sqrt({self.d})"
 
 
+def _quad_sign(a, b, d):
+    """Exact sign of a + b*sqrt(d) for rationals a, b and a positive integer d."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # mixed signs: compare a^2 against b^2*d exactly; the larger square wins
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        return 0
+    if lhs > rhs:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
+
+
 def _padic_val(n, p):
     """Exponent of p in the positive integer n."""
     v = 0
@@ -89,6 +88,8 @@ class GroupDescriptor:
 
     def __init__(self, weights, char_exponent=1, sqrt_disc=1):
         self.sqrt_disc = int(sqrt_disc)
+        if self.sqrt_disc < 1:
+            raise ValueError("sqrt_disc must be a positive integer")
         ws = []
         for w in weights:
             if isinstance(w, QuadValue):
@@ -109,6 +110,10 @@ class GroupDescriptor:
                 raise ValueError("weights must be positive")
         if not self._independent():
             raise ValueError("weights are Z-linearly dependent")
+        # An element's order key is its value sum(c_j * w_j): one Fraction
+        # when every weight is rational, else the pair (a, b) of a + b*sqrt(d).
+        self._wa = tuple(w.a for w in ws)
+        self._wb = None if all(w.b == 0 for w in ws) else tuple(w.b for w in ws)
 
     def _independent(self):
         # Sum n_j (a_j + b_j sqrt d) = 0 forces the rational and sqrt parts to
@@ -145,26 +150,41 @@ class GroupDescriptor:
 
     # -- order ----------------------------------------------------------------
 
+    def _key_of(self, coords):
+        a = sum(map(mul, coords, self._wa))
+        if self._wb is None:
+            return a
+        return a, sum(map(mul, coords, self._wb))
+
     def value_of(self, elem):
-        total = QuadValue(0, 0, self.sqrt_disc)
-        for c, w in zip(elem.coords, self.weights):
-            total = total + w.scale(c)
-        return total
+        k = elem._order_key()
+        if self._wb is None:
+            return QuadValue(k, 0, self.sqrt_disc)
+        return QuadValue(k[0], k[1], self.sqrt_disc)
 
     def compare(self, a, b):
         if a is INF:
             return 0 if b is INF else 1
         if b is INF:
             return -1
-        diff = QuadValue(0, 0, self.sqrt_disc)
-        for ca, cb, w in zip(a.coords, b.coords, self.weights):
-            diff = diff + w.scale(ca - cb)
-        return diff.sign()
+        ka, kb = a._order_key(), b._order_key()
+        if self._wb is None:
+            return (ka > kb) - (ka < kb)
+        return _quad_sign(ka[0] - kb[0], ka[1] - kb[1], self.sqrt_disc)
 
     def sort_key(self):
+        """Key function that sorts this descriptor's elements in exact order.
+
+        Fetch it once per sort: with rational weights it returns each
+        element's cached Fraction key, otherwise it compares cached keys.
+        """
+        if self._wb is None:
+            return GroupElement._order_key
         return cmp_to_key(self.compare)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, GroupDescriptor)
                 and self.weights == other.weights
                 and self.char_exponent == other.char_exponent
@@ -179,20 +199,25 @@ class GroupDescriptor:
 
 
 def _is_square(n):
-    r = int(n ** 0.5)
-    while r * r < n:
-        r += 1
+    r = math.isqrt(n)
     return r * r == n
 
 
 class GroupElement:
     """Rational coordinate vector over a descriptor's weights."""
 
-    __slots__ = ("descriptor", "coords")
+    __slots__ = ("descriptor", "coords", "_key")
 
     def __init__(self, descriptor, coords):
         self.descriptor = descriptor
         self.coords = coords
+        self._key = None
+
+    def _order_key(self):
+        """The exact order key, computed on first use and then cached."""
+        if self._key is None:
+            self._key = self.descriptor._key_of(self.coords)
+        return self._key
 
     @property
     def pdenom(self):
@@ -201,10 +226,6 @@ class GroupElement:
         if p == 1:
             return 0
         return max((_padic_val(c.denominator, p) for c in self.coords), default=0)
-
-    def canonicalize(self):
-        """Canonical form is maintained eagerly; re-canonicalizing is identity."""
-        return self
 
     def real_value(self):
         return self.descriptor.value_of(self)
@@ -220,7 +241,7 @@ class GroupElement:
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):
-        if self.descriptor != other.descriptor:
+        if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:
             raise ValueError("group elements over different descriptors")
 
     def __add__(self, other):
@@ -288,9 +309,13 @@ class GroupElement:
     def __eq__(self, other):
         if other is INF:
             return False
-        return (isinstance(other, GroupElement)
-                and self.descriptor == other.descriptor
-                and self.cmp(other) == 0)
+        # GroupDescriptor rejects Q-linearly dependent weights, so the value
+        # sum(c_j * w_j) determines the coordinates: two elements over one
+        # descriptor are equal exactly when their coordinate tuples are, which
+        # also keeps equality consistent with __hash__.
+        return (isinstance(other, GroupElement) and self.coords == other.coords
+                and (self.descriptor is other.descriptor
+                     or self.descriptor == other.descriptor))
 
     def __hash__(self):
         return hash(self.coords)
@@ -368,14 +393,6 @@ def cmp(a, b):
     if b is INF:
         return -1
     return a.cmp(b)
-
-
-def group_add(a, b):
-    return a + b
-
-
-def group_scale(a, q):
-    return a.scale(q)
 
 
 def gmin(*elems):

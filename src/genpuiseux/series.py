@@ -155,7 +155,8 @@ class GenSeries:
         for g, c in terms:
             merged[g] = merged[g] + c if g in merged else c
         cleaned = [(g, c) for (g, c) in merged.items() if not ring.c_is_zero(c)]
-        cleaned.sort(key=lambda t: ring.descriptor.sort_key()(t[0]))
+        gkey = ring.descriptor.sort_key()
+        cleaned.sort(key=lambda t: gkey(t[0]))
         cleaned = [t for t in cleaned if self._raw_known(t[0])]
         self._raw = tuple(cleaned)
         self._norm = None
@@ -510,7 +511,8 @@ def _carry_normalize(s):
         if horizon is not None:
             hbound = rep_elem + e0.scale_unchecked(horizon)
             prec, closed = _prec_min((prec, closed), (hbound, False))
-    out.sort(key=lambda t: desc.sort_key()(t[0]))
+    gkey = desc.sort_key()
+    out.sort(key=lambda t: gkey(t[0]))
     keep = []
     for g, c in out:
         if prec is INF:

@@ -1,0 +1,52 @@
+"""The benchmark's golden outputs, replayed as tier-1 tests.
+
+Every expand op of the ``expand-t``, ``expand-p`` and ``expand-sqrt2``
+workloads runs at its problem's smaller budget, and its exit code and
+``--format records`` output must equal ``bench/goldens/<workload>.json``
+byte for byte.  This keeps the output contract in the fast suite; the
+benchmark itself checks every budget.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+from genpuiseux import cli
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+EXPAND_WORKLOADS = ("expand-t", "expand-p", "expand-sqrt2")
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(BENCH, "workloads.py"))
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _cases():
+    wl = _load_workloads()
+    smaller = {}
+    for name in EXPAND_WORKLOADS:
+        workload = wl.WORKLOADS[name]
+        smaller.update({(name, p.name): p.budgets[0] for p in workload.problems})
+        for op in wl.all_ops(workload):
+            if op.budget == smaller[(name, op.problem)]:
+                yield pytest.param(name, op, id=f"{name}:{op.key}")
+
+
+def _golden(name, key):
+    with open(os.path.join(BENCH, "goldens", f"{name}.json")) as fh:
+        return json.load(fh)[key]
+
+
+@pytest.mark.parametrize("name,op", list(_cases()))
+def test_expand_matches_golden(name, op):
+    code, out, _ = cli.cmd_expand(cli.parse_problem(op.text), fmt="records",
+                                  budget=op.budget)
+    assert {"code": code, "out": out} == _golden(name, op.key)

@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpuiseux.errors import ScaleOutsideGroup
 from genpuiseux.groups import (
     INF,
     GroupDescriptor,
     GroupElement,
+    _is_square,
     cmp,
+    gmax,
+    gmin,
     membership,
 )
 
@@ -135,9 +141,10 @@ def test_canonical_form_idempotent():
     rng = random.Random(13)
     d = GroupDescriptor([1], char_exponent=2)
     for _ in range(100):
-        a = d.element([Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 5) * rng.choice([1, 3, 5]))])
-        assert a.canonicalize() == a
-        assert a.canonicalize().pdenom == a.pdenom
+        q = Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 5) * rng.choice([1, 3, 5]))
+        a = d.element([q])
+        assert d.element(list(a.coords)) == a
+        assert a.pdenom == (q.denominator & -q.denominator).bit_length() - 1
 
 
 def test_pdenom_tracks_p_part_of_denominator():
@@ -153,6 +160,19 @@ def test_weights_must_be_independent():
     with pytest.raises(ValueError):
         GroupDescriptor([(1, 0), (2, 0)], sqrt_disc=2)
     GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2)  # fine
+
+
+def test_is_square_exact_on_huge_discriminants():
+    assert _is_square(10 ** 400)
+    assert not _is_square(10 ** 400 + 1)
+    d = GroupDescriptor([1, (0, 1)], sqrt_disc=10 ** 400 + 1)
+    assert cmp(d.element([0, 1]), d.element([10 ** 200, 0])) == 1
+    with pytest.raises(ValueError):
+        GroupDescriptor([1, (0, 1)], sqrt_disc=10 ** 400)  # sqrt(d) = 10**200
+    with pytest.raises(ValueError):
+        GroupDescriptor([1, (0, 1)], sqrt_disc=9)
+    with pytest.raises(ValueError):
+        GroupDescriptor([1], sqrt_disc=-2)
 
 
 def test_weights_must_be_positive():
@@ -175,3 +195,100 @@ def test_text_roundtrip():
     for coords in ([Fraction(3, 2), Fraction(-1, 4)], [0, 1], [2, 0]):
         a = d.element(coords)
         assert GroupElement.parse(d, a.to_text()) == a
+
+
+# -- independent order oracle -------------------------------------------------
+#
+# The reference value of an element is sum(c_j * w_j) = A + B*sqrt(d), summed
+# here from the coordinates and the weights as given, and its sign is decided
+# here by squaring.  The reference never calls into the engine's order code.
+
+ORACLE_CASES = [
+    # (weights as (a, b) pairs meaning a + b*sqrt(d), char exponent, d)
+    ([(Fraction(3, 2), 0)], 1, 1),
+    ([(Fraction(2, 3), 0)], 2, 1),
+    ([(1, 0)], 3, 1),
+    ([(1, 0), (0, 1)], 1, 2),
+    ([(1, 0), (Fraction(1, 2), Fraction(1, 2))], 1, 5),  # 1 and the golden ratio
+]
+
+
+def _reference(weights, d, coords):
+    a = sum(Fraction(c) * Fraction(w[0]) for c, w in zip(coords, weights))
+    b = sum(Fraction(c) * Fraction(w[1]) for c, w in zip(coords, weights))
+    return a, b, d
+
+
+def _reference_sign(a, b, d):
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa or sb
+    if sa == 0:
+        return sb
+    # opposite signs: the term with the larger square decides
+    diff = a * a - b * b * d
+    return sa if diff > 0 else (sb if diff < 0 else 0)
+
+
+def _reference_cmp(x, y):
+    return _reference_sign(x[0] - y[0], x[1] - y[1], x[2])
+
+
+@st.composite
+def _oracle_descriptor(draw):
+    weights, p, d = draw(st.sampled_from(ORACLE_CASES))
+    desc = GroupDescriptor(weights, char_exponent=p, sqrt_disc=d)
+    if p == 1:
+        coord = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    else:
+        coord = st.builds(lambda n, k: Fraction(n, p ** k),
+                          st.integers(-60, 60), st.integers(0, 4))
+    vector = st.lists(coord, min_size=desc.rank, max_size=desc.rank)
+    return desc, weights, vector
+
+
+@st.composite
+def _element_pairs(draw):
+    desc, weights, vector = draw(_oracle_descriptor())
+    ca = draw(vector)
+    cb = list(ca) if draw(st.booleans()) else draw(vector)
+    return desc, weights, ca, cb
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_pairs())
+def test_order_matches_independent_oracle(case):
+    desc, weights, ca, cb = case
+    d = desc.sqrt_disc
+    ra, rb = _reference(weights, d, ca), _reference(weights, d, cb)
+    # a twin descriptor: equal to desc but a different object
+    twin = GroupDescriptor(weights, char_exponent=desc.char_exponent, sqrt_disc=d)
+    a, b = desc.element(ca), twin.element(cb)
+    want = _reference_cmp(ra, rb)
+    assert cmp(a, b) == want
+    assert cmp(b, a) == -want
+    assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert (a == b) == (want == 0) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert desc.value_of(a).a == ra[0] and desc.value_of(a).b == ra[1]
+    assert cmp(a, INF) == -1 and cmp(INF, a) == 1 and cmp(INF, INF) == 0
+    low, high = (a, b) if want <= 0 else (b, a)
+    assert gmin(a, b) is low and gmax(b, a) is (high if want else b)
+    assert gmin(a, INF, None) is a and gmin(INF, b) is b
+    assert gmax(a, INF) is INF and gmax(None, b) is b
+    assert gmin(INF) is INF and gmin(None) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sort_key_matches_independent_oracle(data):
+    desc, weights, vector = data.draw(_oracle_descriptor())
+    pool = data.draw(st.lists(vector, min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=14))
+    elems = [desc.element(c) for c in picks]
+    ref = {id(e): _reference(weights, desc.sqrt_disc, e.coords) for e in elems}
+    want = sorted(elems, key=cmp_to_key(
+        lambda x, y: _reference_cmp(ref[id(x)], ref[id(y)])))
+    got = sorted(elems, key=desc.sort_key())
+    assert [e.coords for e in got] == [e.coords for e in want]
