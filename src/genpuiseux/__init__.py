@@ -22,7 +22,6 @@ from .embed import (
     is_partial_development,
     limit_step,
     monomial_embedding,
-    monomial_val,
     mu_beta_val,
     residual_equation,
     step,
@@ -57,7 +56,6 @@ from .keypoly import (
     epsilon_invariants,
     extend_chain,
     first_exponent,
-    hasse_derivative,
     initial_chain,
     standard_expansion,
     truncated_val,

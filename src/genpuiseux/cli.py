@@ -328,21 +328,12 @@ def run_expand(spec, budget_override=None, prec_override=None):
 
 def cmd_expand(spec, fmt="text", trace_path=None, budget=None, prec=None):
     res = run_expand(spec, budget, prec)
-    lines = []
     if fmt == "records":
-        for r in res.trace:
-            rec = (f"beta={r['beta']} coeff={r['coeff']} i_beta={r['i_beta']} "
-                   f"beta_plus={r['beta_plus']} branch={r['branch']}")
-            if "note" in r:
-                rec += f" note={r['note']}"
-            lines.append(rec)
-        lines.append(f"result={res.series.to_text()} status={res.status}")
+        lines = res.trace_lines()
         for ln in res.chain.report().splitlines():
             lines.append(f"chain {ln}")
     else:
-        lines.append(f"series: {res.series.to_text()}")
-        lines.append(f"status: {res.status}")
-        lines.append("chain:")
+        lines = [f"series: {res.series.to_text()}", f"status: {res.status}", "chain:"]
         for ln in res.chain.report().splitlines():
             lines.append(f"  {ln}")
         lines.append("trace:")

@@ -14,6 +14,7 @@ digit-0 section.  residue/lift are exact sections of each other.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -681,12 +682,7 @@ def _q_sqrt_in_tower(tower, c):
         if q < 0:
             return None
         num, den = q.numerator, q.denominator
-        rn = int(num ** 0.5)
-        while rn * rn < num:
-            rn += 1
-        rd = int(den ** 0.5)
-        while rd * rd < den:
-            rd += 1
+        rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn == num and rd * rd == den:
             return Fraction(rn, rd)
         return None

@@ -11,6 +11,7 @@ to a registered closed-form limit pattern and resume past it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from .keypoly import (
     extend_chain,
     group_text,
     initial_chain,
+    taylor_at,
     truncated_val,
 )
 from .series import GenSeries
@@ -62,8 +64,6 @@ class MPoly:
         return not self.terms
 
     def hasse_derivative(self, var_index, m):
-        import math
-
         out = {}
         for exps, c in self.terms.items():
             k = exps[var_index]
@@ -125,10 +125,6 @@ class MPoly:
                     part = part * (embeddings[self.variables[j]] ** e)
             acc = acc + part
         return acc
-
-
-def monomial_val(f, values):
-    return f.monomial_val(values)
 
 
 def monomial_embedding(ring, names):
@@ -213,6 +209,8 @@ class PuiseuxState:
     lower: dict = field(default_factory=dict)
     lower_rank: int = None  # weights spanned by the lower stage (default all)
     note: str = ""
+    # (partial, F, [(D^l F)(partial)]); read only while both objects match
+    taylor: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def i_beta(self):
@@ -228,8 +226,44 @@ class PuiseuxState:
             return self.partial
         return GenSeries(self.ring, list(self.partial._raw), prec, False)
 
+    def taylor_vector(self):
+        """((D^l F)(partial))_{l=0..deg F}, evaluated at most once per partial.
+
+        A vector carried from another partial or F (say after a
+        ``dataclasses.replace``) is never read: it is evaluated afresh.
+        """
+        t = self.taylor
+        if t is None or t[0] is not self.partial or t[1] is not self.F:
+            t = self.taylor = (self.partial, self.F, taylor_at(self.F, self.partial))
+        return t[2]
+
     def eval_at_partial(self, poly):
+        if poly == self.F:
+            return self.taylor_vector()[0]
         return poly.eval(self.partial)
+
+    def shifts_taylor(self):
+        """Whether adding a term updates the Taylor vector by monomial shifts.
+
+        Only exact t-adic data qualify: there every series is canonical, so
+        the shifted vector equals the evaluated one term for term.  p-adic
+        carries, limit partials and finite-precision F are evaluated.
+        """
+        return (self.ring.mode == "t" and isinstance(self.partial, GenSeries)
+                and self.partial.prec is INF
+                and all(c.prec is INF for c in self.F.coeffs))
+
+    def with_term(self, a):
+        """The state whose partial gained a*t^beta, with its Taylor vector."""
+        if isinstance(self.partial, LimitPartial):
+            partial = self.partial.add_term(self.beta, a)
+        else:
+            partial = self.partial + self.ring.monomial(self.beta, a)
+        taylor = None
+        if self.shifts_taylor():
+            taylor = (partial, self.F, _shift_taylor(
+                self.taylor_vector(), self.ring, self.beta, a))
+        return replace(self, partial=partial, taylor=taylor)
 
     def with_tower(self, tower):
         if tower == self.ring.tower:
@@ -240,8 +274,35 @@ class PuiseuxState:
         part2 = (self.partial.coerce(ring2) if isinstance(self.partial, LimitPartial)
                  else self.partial.coerce(ring2))
         lower2 = {k: v.coerce(ring2) for k, v in self.lower.items()}
-        return replace(self, ring=ring2, F=self.F.coerce(ring2), chain=chain2,
-                       partial=part2, lower=lower2)
+        F2 = self.F.coerce(ring2)
+        taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])
+        return replace(self, ring=ring2, F=F2, chain=chain2, partial=part2,
+                       lower=lower2, taylor=taylor2)
+
+
+def _shift_taylor(vec, ring, beta, a):
+    """The Taylor vector at s + a*t^beta from the one at s.
+
+    (D^l F)(s + m) = sum over k >= l of C(k, l) (D^k F)(s) m^(k-l); with m
+    the monomial a*t^beta each product is an exponent shift by (k-l)*beta
+    and a coefficient scale, so no series product is formed.
+    """
+    d = len(vec) - 1
+    shifts = [beta.scale_unchecked(j) for j in range(d + 1)]
+    powers = [ring.c_one()]
+    for _ in range(d):
+        powers.append(powers[-1] * a)
+    out = []
+    for l in range(d + 1):
+        terms = list(vec[l]._raw)
+        for k in range(l + 1, d + 1):
+            c = ring.c_from_int(math.comb(k, l)) * powers[k - l]
+            if c.is_zero():
+                continue
+            g_shift = shifts[k - l]
+            terms.extend((g + g_shift, h * c) for g, h in vec[k]._raw)
+        out.append(GenSeries(ring, terms))
+    return out
 
 
 def init_state(F, ring, lower=None, chain=None, lower_rank=None):
@@ -296,16 +357,8 @@ def residual_equation(state):
     if sol is None:
         raise MembershipFailed("exponent outside the current rational span")
 
-    F = state.F
-    taylor = {}
-    for l in range(0, F.degree() + 1):
-        dF = F if l == 0 else F.hasse_derivative(l)
-        if dF.is_zero():
-            continue
-        ev = state.eval_at_partial(dF)
-        if ev.is_exact_zero():
-            continue
-        taylor[l] = ev
+    taylor = {l: ev for l, ev in enumerate(state.taylor_vector())
+              if not ev.is_exact_zero()}
 
     level = None
     vals = {}
@@ -339,9 +392,7 @@ def residual_equation(state):
 
 def _relation_decoration(state, sol, gens):
     """Integer relation lambda*beta-level = sum(lambda_j beta_j) + nu(d)."""
-    lam = 1
-    for q in sol:
-        lam = lam * q.denominator // _gcd(lam, q.denominator)
+    lam = math.lcm(*(q.denominator for q in sol))
     desc = state.ring.descriptor
     lam_coeffs = tuple(int(q * lam) for q in sol[desc.rank:])
     d_val = None
@@ -349,12 +400,6 @@ def _relation_decoration(state, sol, gens):
         piece = desc.basis(j).scale_unchecked(sol[j] * lam)
         d_val = piece if d_val is None else d_val + piece
     return lam, lam_coeffs, d_val
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- partial development predicate ------------------------------------------------------
@@ -455,20 +500,12 @@ def _record(state, coeff_text, beta_plus, branch, note=""):
     return state.trace + (rec,)
 
 
-def _add_to_partial(state, a):
-    mono = state.ring.monomial(state.beta, a)
-    if isinstance(state.partial, LimitPartial):
-        return state.partial.add_term(state.beta, a)
-    return state.partial + mono
-
-
 def step(state):
     """One recursion step: solve the residue equation, lift, advance."""
     if state.status != RUNNING:
         return state
 
-    ev0 = state.eval_at_partial(state.F)
-    if ev0.is_exact_zero():
+    if state.eval_at_partial(state.F).is_exact_zero():
         return replace(state, status=COMPLETE)
 
     try:
@@ -476,13 +513,12 @@ def step(state):
     except MembershipFailed:
         # terminal branch: the exponent left the span, append a unit term
         one = state.ring.c_one()
-        partial = _add_to_partial(state, one)
         note = ""
         if state.chain.entries[-1].beta is not INF:
             note = "terminal-or-budget-ambiguous"
         trace = _record(state, state.ring.c_residue(one).to_text(), INF,
                         "TERMINAL", note)
-        return replace(state, partial=partial, status=COMPLETE, trace=trace,
+        return replace(state.with_term(one), status=COMPLETE, trace=trace,
                        emitted=state.emitted + ((state.beta, one),))
 
     try:
@@ -497,10 +533,9 @@ def step(state):
     a = state.ring.c_lift(root)
 
     emitted = state.emitted
-    if root.is_zero():
-        new_partial = state.partial
-    else:
-        new_partial = _add_to_partial(state, a)
+    moved = state
+    if not root.is_zero():
+        moved = state.with_term(a)
         emitted = emitted + ((state.beta, a),)
 
     coeff_text = root.to_text()
@@ -512,24 +547,24 @@ def step(state):
 
     if boundary:
         try:
-            chain = extend_chain(chain, state.F, new_partial)
+            chain = extend_chain(chain, state.F, moved.partial,
+                                 moved.eval_at_partial(state.F))
         except (ChainComplete, ValuationIndeterminate):
             # stage data exhausted at the working precision: an honest stop
             trace = _record(state, coeff_text, state.beta, "STEP",
                             note="stage-data-exhausted-at-precision")
-            return replace(state, partial=new_partial, status=BUDGET,
-                           trace=trace, emitted=emitted)
+            return replace(moved, status=BUDGET, trace=trace, emitted=emitted)
         i_plus = len(chain)
         new_entry = chain.entry(i_plus)
         # the advance is capped by the new threshold but driven by the value
         # the new stage polynomial actually attains at the current partial
-        q_eval = new_entry.poly.eval(new_partial)
+        q_eval = moved.eval_at_partial(new_entry.poly)
         beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
         eps_tilde = _epsilon_for_value(chain, i_plus, beta_tilde)
         beta_plus = gmin(eps_tilde, new_entry.epsilon)
     else:
         i_plus = i_b
-        q_eval = chain.entry(i_b).poly.eval(new_partial)
+        q_eval = moved.eval_at_partial(chain.entry(i_b).poly)
         beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
         if beta_tilde is INF:
             eps_tilde = INF
@@ -549,8 +584,8 @@ def step(state):
             f"{group_text(state.beta)}")
 
     trace = _record(state, coeff_text, beta_plus, "STEP")
-    new_state = replace(state, partial=new_partial, beta=beta_plus, chain=chain,
-                        trace=trace, emitted=emitted)
+    new_state = replace(moved, beta=beta_plus, chain=chain, trace=trace,
+                        emitted=emitted)
     if beta_plus is INF:
         new_state = replace(new_state, status=COMPLETE)
     return new_state
@@ -715,11 +750,8 @@ def mu_beta_val(f, state):
     beta = state.beta
     best = None
     attain = []
-    for k in range(0, f.degree() + 1):
-        dk = f if k == 0 else f.hasse_derivative(k)
-        if dk.is_zero():
-            continue
-        ev = state.eval_at_partial(dk)
+    vec = state.taylor_vector() if f == state.F else taylor_at(f, state.partial)
+    for k, ev in enumerate(vec):
         if ev.is_exact_zero():
             continue
         tot = ev.val() + beta.scale_unchecked(k)

@@ -41,10 +41,6 @@ class ChainComplete(EngineError):
     """The key-polynomial chain already computes the valuation of the input."""
 
 
-class ResidualNotSolvable(EngineError):
-    """The residual equation has no root in any permitted coefficient tower."""
-
-
 class ChainExhausted(EngineError):
     """A stage index points past the computed key-polynomial chain."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     ChainComplete,
@@ -135,6 +136,8 @@ class ValPoly:
     def __eq__(self, other):
         if not isinstance(other, ValPoly):
             return NotImplemented
+        if self is other:
+            return True
         if len(self.coeffs) != len(other.coeffs):
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
@@ -170,8 +173,17 @@ class ValPoly:
         return f"ValPoly({self.to_text()})"
 
 
-def hasse_derivative(f, m):
-    return f.hasse_derivative(m)
+def taylor_at(P, s):
+    """The Taylor vector ((D^l P)(s))_{l=0..deg P}, each entry by Horner.
+
+    s is a series or any point with an ``eval_valpoly`` method; a vanishing
+    Hasse derivative contributes an exact zero without an evaluation.
+    """
+    out = [P.eval(s)]
+    for l in range(1, P.degree() + 1):
+        dP = P.hasse_derivative(l)
+        out.append(s.ring.zero() if dP.is_zero() else dP.eval(s))
+    return out
 
 
 def group_text(g):
@@ -328,7 +340,7 @@ def epsilon_invariants(chain, i):
                 if entry.beta is INF:
                     cand = INF
                 else:
-                    cand = (entry.beta - dv).scale_unchecked(_inv_ppow(p, b))
+                    cand = (entry.beta - dv).scale_unchecked(Fraction(1, m))
                 if best is None or cmp(cand, best) > 0:
                     best = cand
                     best_b = b
@@ -338,11 +350,6 @@ def epsilon_invariants(chain, i):
     if best is None:
         raise ZeroPolynomial("all divided derivatives vanish")
     return best_b, best
-
-
-def _inv_ppow(p, b):
-    from fractions import Fraction
-    return Fraction(1, p ** b)
 
 
 def first_exponent(F):
@@ -357,15 +364,10 @@ def first_exponent(F):
         c = F.coeff(j)
         if not c.terms and c.prec is INF:
             continue
-        slope = c.val().scale_unchecked(_inv_frac(d - j))
+        slope = c.val().scale_unchecked(Fraction(1, d - j))
         if best is None or cmp(slope, best) < 0:
             best = slope
     return best
-
-
-def _inv_frac(n):
-    from fractions import Fraction
-    return Fraction(1, n)
 
 
 def initial_chain(ring, F, var="y"):
@@ -452,12 +454,13 @@ def _monomial_ratio(num, den, chain, i):
     return out
 
 
-def extend_chain(chain, F, partial):
+def extend_chain(chain, F, partial, f_at_partial=None):
     """MacLane-style augmentation of the chain from the defining polynomial.
 
     partial: the current exact partial root (supports .eval of ValPoly)
-    through which pinned leading coefficients are read.  Returns the new
-    chain; raises ChainComplete when the chain already computes nu(F).
+    through which pinned leading coefficients are read; f_at_partial, when
+    given, is F evaluated there.  Returns the new chain; raises
+    ChainComplete when the chain already computes nu(F).
     """
     ring = chain.ring
     i = len(chain)
@@ -468,7 +471,7 @@ def extend_chain(chain, F, partial):
 
     if last.poly == F:
         # refresh the defining-polynomial entry against the longer partial
-        ev = F.eval(partial)
+        ev = F.eval(partial) if f_at_partial is None else f_at_partial
         beta = INF if ev.is_exact_zero() else ev.val()
         return _append_with_invariants(chain, F, beta, alpha=1)
 
@@ -512,7 +515,7 @@ def extend_chain(chain, F, partial):
     q_new = (last.poly ** delta) + ratio * ring.const(lifted)
 
     if q_new == F:
-        ev = F.eval(partial)
+        ev = F.eval(partial) if f_at_partial is None else f_at_partial
         beta = INF if ev.is_exact_zero() else ev.val()
         return _append_with_invariants(chain, F, beta, alpha=delta)
 
@@ -533,7 +536,7 @@ def extend_chain(chain, F, partial):
             vj = poly_value(cs_new[j], chain, i)
             if vj is INF:
                 continue
-            cand = (v0 - vj).scale_unchecked(_inv_frac(j))
+            cand = (v0 - vj).scale_unchecked(Fraction(1, j))
             if beta is None or cmp(cand, beta) < 0:
                 beta = cand
         if beta is None:
@@ -568,8 +571,7 @@ def derivative_min_check(h, chain, i, root):
     beta = entry.epsilon
     lhs, _ = truncated_val(h, chain, i)
 
-    def true_val(f):
-        ev = f.eval(root)
+    def true_val(ev):
         if ev.is_exact_zero():
             return INF
         try:
@@ -579,12 +581,13 @@ def derivative_min_check(h, chain, i, root):
 
     mid = None
     rhs = None
+    at_root = taylor_at(h, root)
     for a in range(0, h.degree() + 1):
         da = h if a == 0 else h.hasse_derivative(a)
         if da.is_zero():
             continue
         shift = beta.scale_unchecked(a) if beta is not INF else INF
-        tv = true_val(da)
+        tv = true_val(at_root[a])
         if tv is not INF and shift is not INF:
             mid = gmin(mid, tv + shift)
         uv, _ = truncated_val(da, chain, i)

@@ -8,6 +8,7 @@ from genpuiseux.coeff import (
     FieldTower,
     WittElem,
     WittRing,
+    _q_sqrt_in_tower,
     adjoin_root,
     coeff_to_fraction,
     factor_poly,
@@ -48,6 +49,23 @@ def test_adjoin_sqrt2_over_q():
     t2, root = adjoin_root(t, coeffs)
     assert t2.height == 1
     assert (root * root) == CoeffElem.from_int(t2, 2)
+
+
+# a float square root overshoots K, and 10**400 overflows a float
+K = 248289021900363196427360330
+
+
+@pytest.mark.parametrize("q,root", [
+    (Fraction(K * K), K), (Fraction(10**400), 10**200),
+    (Fraction(9, K * K), Fraction(3, K)), (Fraction(4, 9), Fraction(2, 3)),
+    (Fraction(K * K + 1), None), (Fraction(10**400 + 1), None),
+    (Fraction(2), None), (Fraction(-4), None)],
+    ids=["overshoot", "huge", "overshoot-den", "small", "overshoot-non-square",
+         "huge-non-square", "two", "negative"])
+def test_rational_sqrt_exact(q, root):
+    t = FieldTower.rationals()
+    expected = None if root is None else CoeffElem(t, Fraction(root))
+    assert _q_sqrt_in_tower(t, q) == expected
 
 
 def test_adjoin_determinism():

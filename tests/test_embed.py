@@ -1,17 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from genpuiseux import cli, embed
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, coeff_to_fraction
 from genpuiseux.errors import UnsupportedLimitPattern
 from genpuiseux.groups import INF, GroupDescriptor, cmp
-from genpuiseux.keypoly import ValPoly, truncated_val
+from genpuiseux.keypoly import ValPoly, taylor_at, truncated_val
 from genpuiseux.series import GenSeries, SeriesRing
 from genpuiseux.embed import (
     BUDGET,
     COMPLETE,
     COMPLETE_TRANSCENDENTAL,
+    RUNNING,
     MPoly,
     expand,
     init_state,
@@ -508,3 +511,67 @@ def test_wild_char3_exponent_recursion():
     eps = [x.epsilon.rational_value() for x in res.chain.entries
            if x.epsilon is not INF]
     assert eps == sorted(eps) and len(set(eps)) == len(eps)
+
+
+# -- the carried Taylor vector -----------------------------------------------------------
+
+# problem text, steps taken, residue tower height reached
+CARRIED = {
+    "as-f2": ("char 2\npoly y^2 + t*y + t\n", 24, 0),  # the chain grows every step
+    "cube-q": ("char 0\npoly y^3 - t - t^2\n", 12, 1),  # moves into Q(w)
+    "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n", 16, 1),  # moves into F9
+    "r2-q": ("char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
+             "poly y^2 - t - u2\n", 16, 0),
+}
+
+
+def _spec_state(text):
+    spec = cli.parse_problem(text)
+    ring = cli.build_ring(spec)
+    F, emb = cli.build_valpoly(spec, ring)
+    return init_state(F, ring, lower=emb)
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_carried_taylor_vector_matches_horner(name, monkeypatch):
+    text, steps, height = CARRIED[name]
+    evaluations = []
+
+    def counted(P, s):
+        evaluations.append(s)
+        return taylor_at(P, s)
+
+    monkeypatch.setattr(embed, "taylor_at", counted)
+    state = _spec_state(text)
+    for _ in range(steps):
+        assert state.status == RUNNING
+        state = step(state)
+        partial, F, carried = state.taylor
+        assert partial is state.partial and F is state.F
+        horner = taylor_at(state.F, state.partial)
+        assert carried == horner
+        assert [h.to_text() for h in carried] == [h.to_text() for h in horner]
+    # only the zero partial was evaluated; every later vector is a shift
+    assert len(evaluations) == 1 and evaluations[0].is_exact_zero()
+    assert len(state.emitted) >= steps // 2
+    assert state.ring.tower.height == height
+
+
+def test_taylor_shift_only_on_exact_t_adic_data():
+    assert _spec_state(CARRIED["as-f2"][0]).shifts_taylor()
+    assert not _spec_state("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n").shifts_taylor()
+    R = tring(0)
+    inexact = GenSeries(R, [(g(R, 1), CoeffElem.from_int(R.tower, -1))], g(R, 4))
+    assert not init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R).shifts_taylor()
+
+
+def test_swapped_partial_never_reads_a_stale_vector():
+    state = _spec_state(CARRIED["cube-q"][0])
+    for _ in range(3):
+        state = step(state)
+    stale = state.taylor_vector()
+    other = state.partial + state.ring.monomial(state.beta, 1)
+    swapped = replace(state, partial=other)
+    assert swapped.eval_at_partial(swapped.F) == swapped.F.eval(other)
+    assert swapped.eval_at_partial(swapped.F) != stale[0]
+    assert swapped.taylor_vector() == taylor_at(swapped.F, other)
