@@ -52,8 +52,8 @@ from .keypoly import (
     ChainEntry,
     KeyPolyChain,
     ValPoly,
+    chain_entry,
     derivative_min_check,
-    epsilon_invariants,
     extend_chain,
     first_exponent,
     initial_chain,

@@ -18,7 +18,7 @@ from .embed import expand
 from .errors import EngineError, ParseError
 from .groups import INF, GroupDescriptor, cmp
 from .keypoly import ValPoly, derivative_min_check, group_text
-from .series import GenSeries, SeriesRing, _coeff_from_fraction
+from .series import GenSeries, SeriesRing, _coeff_from_fraction, _Scanner
 from .truncalg import (
     integral_dependence,
     multi_product_truncation,
@@ -146,62 +146,13 @@ def build_ring(spec):
 # -- polynomial expression parsing ----------------------------------------------------
 
 
-class _ExprScanner:
-    def __init__(self, text, lineno=None):
-        self.text = text
-        self.pos = 0
-        self.lineno = lineno
-
-    def error(self, msg):
-        raise ParseError(msg, line=self.lineno, col=self.pos + 1)
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch):
-        self.skip()
-        if not self.text.startswith(ch, self.pos):
-            self.error(f"expected {ch!r}")
-        self.pos += len(ch)
-
-    def ident(self):
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a name")
-        return self.text[start:self.pos]
-
-    def number(self):
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            save = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = save
-        return Fraction(self.text[start:self.pos])
-
-
 def parse_poly(text, variables, lineno=None):
     """Multivariate polynomial expression over named variables.
 
     Grammar: sum of products of powers; +, -, *, ^, parentheses, rational
     literals.  Returns a dict exps -> Fraction.
     """
-    sc = _ExprScanner(text, lineno)
+    sc = _Scanner(text, lineno)
     zero = tuple([0] * len(variables))
 
     def combine(a, b, mul=False):
@@ -281,8 +232,7 @@ def parse_poly(text, variables, lineno=None):
         return acc
 
     out = expr()
-    sc.skip()
-    if sc.pos != len(sc.text):
+    if not sc.at_end():
         sc.error("trailing input")
     return out
 
@@ -587,7 +537,7 @@ def cmd_arith(text):
 
 
 def _eval_series_expr(ring, env, text, lineno):
-    sc = _ExprScanner(text, lineno)
+    sc = _Scanner(text, lineno)
 
     def atom():
         ch = sc.peek()
@@ -617,15 +567,14 @@ def _eval_series_expr(ring, env, text, lineno):
     def addexpr_or_number():
         # numbers in argument position mean exponents
         save = sc.pos
-        ch = sc.peek()
-        if ch.isdigit() or ch == "-":
-            neg = ch == "-"
-            if neg:
-                sc.take("-")
+        neg = sc.peek() == "-"
+        if neg:
+            sc.take("-")
+        if sc.peek().isdigit():
             q = sc.number()
             if sc.peek() in (",", ")"):
                 return -q if neg else q
-            sc.pos = save
+        sc.pos = save
         return addexpr()
 
     def power():
@@ -638,6 +587,8 @@ def _eval_series_expr(ring, env, text, lineno):
                 sc.take(")")
             else:
                 n = sc.number()
+            if n < 0:
+                sc.error("powers must be non-negative")
             if n.denominator == 1:
                 base = base ** int(n)
             else:
@@ -675,8 +626,7 @@ def _eval_series_expr(ring, env, text, lineno):
         return acc
 
     out = addexpr()
-    sc.skip()
-    if sc.pos != len(sc.text):
+    if not sc.at_end():
         sc.error("trailing input")
     return out
 

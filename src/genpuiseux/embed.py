@@ -33,7 +33,6 @@ from .keypoly import (
     group_text,
     initial_chain,
     taylor_at,
-    truncated_val,
 )
 from .series import GenSeries
 
@@ -73,7 +72,7 @@ class MPoly:
             newe[var_index] = k - m
             binom = math.comb(k, m)
             prev = out.get(tuple(newe))
-            scaled = c * binom if not isinstance(c, int) else c * binom
+            scaled = c * binom
             out[tuple(newe)] = prev + scaled if prev is not None else scaled
         return MPoly(self.variables, out)
 
@@ -271,8 +270,7 @@ class PuiseuxState:
         ring2 = self.ring.with_tower(tower)
         chain2 = KeyPolyChain(ring2, [
             replace(e, poly=e.poly.coerce(ring2)) for e in self.chain.entries])
-        part2 = (self.partial.coerce(ring2) if isinstance(self.partial, LimitPartial)
-                 else self.partial.coerce(ring2))
+        part2 = self.partial.coerce(ring2)
         lower2 = {k: v.coerce(ring2) for k, v in self.lower.items()}
         F2 = self.F.coerce(ring2)
         taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])
@@ -433,55 +431,13 @@ def is_partial_development(state):
         ok = ok and good
     if i_b <= len(chain) and state.beta is not INF:
         e = chain.entry(i_b)
-        bound = _min_derivative_level(chain, i_b, state.beta)
+        bound = e.min_level(state.beta)
         ev = state.eval_at_partial(e.poly)
         lb = ev.val_lower_bound()
-        good = bound is None or lb is INF or cmp(lb, bound) >= 0
+        good = lb is INF or cmp(lb, bound) >= 0
         report.append((i_b, "boundary-inequality", good))
         ok = ok and good
     return ok, report
-
-
-def _min_derivative_level(chain, i, beta):
-    """min over p-power orders of nu(dQ) + p^q * beta for the stage polynomial."""
-    q_poly = chain.entry(i).poly
-    p = chain.ring.descriptor.char_exponent
-    best = None
-    b = 0
-    while p ** b <= q_poly.degree():
-        m = p ** b
-        dq = q_poly.hasse_derivative(m)
-        if not dq.is_zero():
-            dv, _ = truncated_val(dq, chain, max(i - 1, 1))
-            if dv is not INF:
-                best = gmin(best, dv + beta.scale_unchecked(m))
-        if p == 1:
-            break
-        b += 1
-    return best
-
-
-def _epsilon_for_value(chain, i, beta_tilde):
-    """max over p-power orders of (beta_tilde - nu(dQ_i)) / p^q."""
-    if beta_tilde is INF:
-        return INF
-    q_poly = chain.entry(i).poly
-    p = chain.ring.descriptor.char_exponent
-    best = None
-    b = 0
-    while p ** b <= q_poly.degree():
-        m = p ** b
-        dq = q_poly.hasse_derivative(m)
-        if not dq.is_zero():
-            dv, _ = truncated_val(dq, chain, max(i - 1, 1))
-            if dv is not INF:
-                cand = (beta_tilde - dv).scale_unchecked(Fraction(1, m))
-                if best is None or cmp(cand, best) > 0:
-                    best = cand
-        if p == 1:
-            break
-        b += 1
-    return best
 
 
 # -- the recursion step -------------------------------------------------------------------
@@ -554,23 +510,21 @@ def step(state):
             trace = _record(state, coeff_text, state.beta, "STEP",
                             note="stage-data-exhausted-at-precision")
             return replace(moved, status=BUDGET, trace=trace, emitted=emitted)
-        i_plus = len(chain)
-        new_entry = chain.entry(i_plus)
+        new_entry = chain.entry(len(chain))
         # the advance is capped by the new threshold but driven by the value
         # the new stage polynomial actually attains at the current partial
         q_eval = moved.eval_at_partial(new_entry.poly)
         beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
-        eps_tilde = _epsilon_for_value(chain, i_plus, beta_tilde)
+        eps_tilde = new_entry.epsilon_for(beta_tilde)[1]
         beta_plus = gmin(eps_tilde, new_entry.epsilon)
     else:
-        i_plus = i_b
         q_eval = moved.eval_at_partial(chain.entry(i_b).poly)
         beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
         if beta_tilde is INF:
             eps_tilde = INF
             beta_plus = INF
         else:
-            eps_tilde = _epsilon_for_value(chain, i_b, beta_tilde)
+            eps_tilde = chain.entry(i_b).epsilon_for(beta_tilde)[1]
             cap = chain.entry(i_b).epsilon
             beta_plus = gmin(eps_tilde, cap)
 

@@ -3,8 +3,9 @@ valuations, the epsilon invariants, and MacLane-style chain extension.
 
 A chain entry holds a monic polynomial over the lower-stage series field
 together with its assigned value beta, the derivative order realizing the
-epsilon invariant, epsilon itself, and the degree ratio to the previous
-entry.  The valuation oracle is pullback along the partial root series being
+epsilon invariant, epsilon itself, the degree ratio to the previous entry,
+and the values of its p-power Hasse derivatives, computed once when the
+entry is built.  The valuation oracle is pullback along the partial root series being
 constructed; entry values are assigned from Newton polygons of the defining
 polynomial and cross-checked against evaluation whenever it is determinate.
 """
@@ -86,6 +87,8 @@ class ValPoly:
         return ValPoly(self.ring, out, self.var)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("polynomial powers need a non-negative exponent")
         out = ValPoly(self.ring, [self.ring.one()], self.var)
         base = self
         while n:
@@ -203,6 +206,55 @@ class ChainEntry:
     b_order: int
     epsilon: object  # GroupElement or INF
     alpha: int
+    # ((b, nu(D_{p^b} poly)), ...) over the p-power orders p^b <= deg poly
+    # whose derivative is non-zero with a finite value; see chain_entry
+    levels: tuple
+
+    def epsilon_for(self, value):
+        """(b, max over the levels of (value - v) / p^b): the first b wins ties
+        and an INF value gives (first b, INF)."""
+        p = self.poly.ring.descriptor.char_exponent
+        return _max_drop(self.levels, p, value)
+
+    def min_level(self, beta):
+        """min over the levels of v + p^b * beta."""
+        p = self.poly.ring.descriptor.char_exponent
+        best = None
+        for b, v in self.levels:
+            best = gmin(best, v + beta.scale_unchecked(p ** b))
+        return best
+
+
+def _max_drop(levels, p, value):
+    best_b, best = None, None
+    for b, v in levels:
+        cand = INF if value is INF else (value - v).scale_unchecked(Fraction(1, p ** b))
+        if best is None or cmp(cand, best) > 0:
+            best_b, best = b, cand
+    return best_b, best
+
+
+def chain_entry(below, poly, beta, alpha):
+    """The entry for key polynomial poly on top of the chain ``below``.
+
+    Its levels are the values nu(D_{p^b} poly), p^b <= deg poly, read
+    through the stages of ``below``; b_order and epsilon are the largest
+    drop (beta - level) / p^b over them.
+    """
+    p = below.ring.descriptor.char_exponent
+    levels = []
+    b = 0
+    while p ** b <= poly.degree():
+        v = _value_below(poly.hasse_derivative(p ** b), below, len(below) + 1)
+        if v is not INF:
+            levels.append((b, v))
+        if p == 1:
+            break
+        b += 1
+    if not levels:
+        raise ZeroPolynomial("all divided derivatives vanish")
+    b, eps = _max_drop(levels, p, beta)
+    return ChainEntry(poly, beta, b, eps, alpha, tuple(levels))
 
 
 class KeyPolyChain:
@@ -217,6 +269,8 @@ class KeyPolyChain:
 
     def entry(self, i):
         """1-based entry access."""
+        if i < 1:
+            raise IndexError(f"chain entries are numbered from 1, not {i}")
         return self.entries[i - 1]
 
     def epsilons(self):
@@ -322,36 +376,6 @@ def truncated_val(f, chain, i):
     return best, s_set
 
 
-def epsilon_invariants(chain, i):
-    """(b_i, epsilon_i): least derivative order maximizing the value drop."""
-    entry = chain.entry(i)
-    q = entry.poly
-    p = chain.ring.descriptor.char_exponent
-    d = q.degree()
-    best = None
-    best_b = None
-    b = 0
-    while p ** b <= d:
-        m = p ** b
-        dq = q.hasse_derivative(m)
-        if not dq.is_zero():
-            dv = _value_below(dq, chain, i) if dq.degree() < d else poly_value(dq, chain, i)
-            if dv is not INF:
-                if entry.beta is INF:
-                    cand = INF
-                else:
-                    cand = (entry.beta - dv).scale_unchecked(Fraction(1, m))
-                if best is None or cmp(cand, best) > 0:
-                    best = cand
-                    best_b = b
-        if p == 1:
-            break
-        b += 1
-    if best is None:
-        raise ZeroPolynomial("all divided derivatives vanish")
-    return best_b, best
-
-
 def first_exponent(F):
     """First Newton-polygon slope of a monic polynomial: the root's valuation."""
     d = F.degree()
@@ -372,11 +396,8 @@ def first_exponent(F):
 
 def initial_chain(ring, F, var="y"):
     """The chain start: the bare variable with the polygon's first slope."""
-    beta1 = first_exponent(F)
     q1 = ValPoly.variable(ring, var)
-    chain = KeyPolyChain(ring, [ChainEntry(q1, beta1, 0, beta1, 1)])
-    b, eps = epsilon_invariants(chain, 1)
-    return KeyPolyChain(ring, [ChainEntry(q1, beta1, b, eps, 1)])
+    return _append_with_invariants(KeyPolyChain(ring), q1, first_exponent(F), 1)
 
 
 def leading_standard_monomial(c, chain, i):
@@ -442,12 +463,7 @@ def _monomial_ratio(num, den, chain, i):
     ge_n, cn = ns.leading_term()
     ge_d, cd = ds.leading_term()
     diff = ge_n - ge_d
-    ring = ns.ring
-    if ring.mode == "p":
-        inv_cd = cd.inv()
-    else:
-        inv_cd = cd.inv()
-    out = ValPoly.const(ring.monomial(diff, cn * inv_cd), num.var)
+    out = ValPoly.const(ns.ring.monomial(diff, cn * cd.inv()), num.var)
     for qk, e in factors:
         if e:
             out = out * (qk ** e)
@@ -550,15 +566,12 @@ def extend_chain(chain, F, partial, f_at_partial=None):
 
 
 def _append_with_invariants(chain, q_new, beta, alpha):
-    tmp = chain.appended(ChainEntry(q_new, beta, 0, beta, alpha))
-    b, eps = epsilon_invariants(tmp, len(tmp))
-    new = chain.appended(ChainEntry(q_new, beta, b, eps, alpha))
-    prev_eps = chain.entries[-1].epsilon if chain.entries else None
-    if prev_eps is not None and eps is not INF and prev_eps is not INF:
-        if cmp(eps, prev_eps) <= 0:
-            raise EngineInvariantViolation(
-                "epsilon sequence failed to increase strictly")
-    return new
+    entry = chain_entry(chain, q_new, beta, alpha)
+    prev_eps = chain.entries[-1].epsilon if chain.entries else INF
+    if (entry.epsilon is not INF and prev_eps is not INF
+            and cmp(entry.epsilon, prev_eps) <= 0):
+        raise EngineInvariantViolation("epsilon sequence failed to increase strictly")
+    return chain.appended(entry)
 
 
 def derivative_min_check(h, chain, i, root):

@@ -311,6 +311,8 @@ class GenSeries:
                          prec, closed)
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("series powers need a non-negative exponent")
         out = self.ring.one()
         base = self
         while n:
@@ -596,12 +598,19 @@ def eval_poly(coeffs, s):
 
 
 class _Scanner:
-    def __init__(self, text):
+    """Tokens of the series, polynomial and expression grammars."""
+
+    def __init__(self, text, lineno=None):
         self.text = text
         self.pos = 0
+        self.lineno = lineno
+
+    def error(self, msg, col=None):
+        raise ParseError(msg, line=self.lineno,
+                         col=(self.pos if col is None else col) + 1)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self):
@@ -611,7 +620,7 @@ class _Scanner:
     def take(self, ch):
         self.skip_ws()
         if not self.text.startswith(ch, self.pos):
-            raise ParseError(f"expected {ch!r}", col=self.pos + 1)
+            self.error(f"expected {ch!r}")
         self.pos += len(ch)
 
     def at_end(self):
@@ -619,6 +628,7 @@ class _Scanner:
         return self.pos >= len(self.text)
 
     def number(self):
+        """A rational literal with an optional leading minus sign."""
         self.skip_ws()
         start = self.pos
         if self.peek() == "-":
@@ -632,8 +642,8 @@ class _Scanner:
         frag = self.text[start:self.pos]
         try:
             return Fraction(frag)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad number {frag!r}", col=start + 1) from exc
+        except (ValueError, ZeroDivisionError):
+            self.error(f"bad number {frag!r}", col=start)
 
     def ident(self):
         self.skip_ws()
@@ -642,7 +652,7 @@ class _Scanner:
                                              or self.text[self.pos] == "_"):
             self.pos += 1
         if start == self.pos:
-            raise ParseError("expected identifier", col=start + 1)
+            self.error("expected a name")
         return self.text[start:self.pos]
 
 
@@ -665,7 +675,7 @@ def parse_series(ring, text):
                 sc.take("-")
                 sign = -1
             else:
-                raise ParseError("expected + or -", col=sc.pos + 1)
+                sc.error("expected + or -")
         else:
             sign = 1
             if sc.peek() == "-":
@@ -677,7 +687,7 @@ def parse_series(ring, text):
             opener = sc.peek()
             closer = {"(": ")", "[": "]"}.get(opener)
             if closer is None:
-                raise ParseError("expected ( or [ after O", col=sc.pos + 1)
+                sc.error("expected ( or [ after O")
             sc.take(opener)
             prec = _parse_exponent_body(ring, sc)
             sc.take(closer)
@@ -688,7 +698,7 @@ def parse_series(ring, text):
             coeff = -coeff
         terms.append((gamma, coeff))
     if not sc.at_end():
-        raise ParseError("trailing input", col=sc.pos + 1)
+        sc.error("trailing input")
     return GenSeries(ring, terms, prec, closed)
 
 

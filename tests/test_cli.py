@@ -100,6 +100,33 @@ def test_parse_poly_expressions():
     assert got == {(0, 2): 1, (1, 1): 1, (1, 0): 1}
 
 
+def test_negative_exponents_are_parse_errors(tmp_path, capsys):
+    with pytest.raises(ParseError, match="exponents must be non-negative integers"):
+        parse_poly("y^2 + y + t^-1", ["t", "y"])
+    spec = write(tmp_path, "neg.spec", "char 0\npoly y^2 + y + t^-1\n")
+    assert main(["expand", spec]) == 2
+    assert "exponents must be non-negative integers" in capsys.readouterr().err
+    # a negative power never reaches the series power loop
+    for power in ("t^-1", "t^(-1)", "t^(-1/2)"):
+        with pytest.raises(ParseError, match="powers must be non-negative at line 2"):
+            cmd_arith(f"char 0\nlet a = {power}\nprint a\n")
+    arith = write(tmp_path, "neg.arith", "char 0\nlet a = t^-1\n")
+    assert main(["arith", arith]) == 2
+    assert "powers must be non-negative" in capsys.readouterr().err
+
+
+def test_expression_literals_and_signed_arguments():
+    out = cmd_arith("char 0\nprint trunc_open(-t + t^2, 2)\n"
+                    "print trunc_open(1 + t, - 1)\nprint t^(1/2)\n")
+    assert out.splitlines() == ["-t + O(t^2)", "O(t^-1)", "t^(1/2)"]
+    with pytest.raises(ParseError, match="bad number '3/0' at line 2, col 1"):
+        cmd_arith("char 0\nprint 3/0\n")
+    with pytest.raises(ParseError, match="bad number ''"):
+        cmd_arith("char 0\nprint t^\n")
+    with pytest.raises(ParseError, match="bad number ''"):
+        parse_poly("y^", ["t", "y"])
+
+
 def test_cmd_expand_classical():
     spec = parse_problem(CLASSICAL)
     code, out, res = cmd_expand(spec)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -269,9 +270,9 @@ def test_terminal_branch_outside_span():
     R = SeriesRing.equichar(desc, FieldTower.rationals())
     y = ValPoly.variable(R)
     sqrt2 = desc.basis(1)
-    from genpuiseux.keypoly import ChainEntry, KeyPolyChain
+    from genpuiseux.keypoly import KeyPolyChain, chain_entry
 
-    chain = KeyPolyChain(R, [ChainEntry(y, sqrt2, 0, sqrt2, 1)])
+    chain = KeyPolyChain(R, [chain_entry(KeyPolyChain(R), y, sqrt2, 1)])
     F = ValPoly(R, [-1 * R.monomial(desc.element([0, 2])), R.zero(), R.one()])
     st = init_state(F, R, chain=chain, lower_rank=1)
     assert st.beta == sqrt2
@@ -575,3 +576,65 @@ def test_swapped_partial_never_reads_a_stale_vector():
     assert swapped.eval_at_partial(swapped.F) == swapped.F.eval(other)
     assert swapped.eval_at_partial(swapped.F) != stale[0]
     assert swapped.taylor_vector() == taylor_at(swapped.F, other)
+
+
+# -- the derivative-level table of a chain entry ------------------------------------------
+
+# problem text, term budget, residue tower height reached
+LEVELS = {
+    "as-f2": ("char 2\npoly y^2 + t*y + t\n", 12, 0),  # the chain grows every step
+    "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n", 8, 1),  # coerced into F9
+    "cube-q": ("char 0\npoly y^3 - t - t^2\n", 6, 1),  # moves into Q(w)
+    "p5": ("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n", 8, 0),  # p-adic
+    "r2-f2": ("char 2\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
+              "poly y^2 + t*y + u2\n", 8, 0),  # weights in Q(sqrt 2)
+}
+
+
+def _levels_by_hand(chain, i):
+    """(b, nu(D_{p^b} Q_i)) from the Hasse derivatives, read through stage i - 1."""
+    q = chain.entry(i).poly
+    p = chain.ring.descriptor.char_exponent
+    orders = [1] if p == 1 else [p ** b for b in range(q.degree()) if p ** b <= q.degree()]
+    out = []
+    for b, m in enumerate(orders):
+        dq = q.hasse_derivative(m)
+        if dq.is_zero():
+            continue
+        v, _ = truncated_val(dq, chain, i - 1)
+        if v is not INF:
+            out.append((b, v))
+    return out
+
+
+def _largest_drop(levels, p, value):
+    drops = [(b, INF if value is INF else (value - v).scale_unchecked(Fraction(1, p ** b)))
+             for b, v in levels]
+    top = max((d for _, d in drops), key=cmp_to_key(cmp))
+    return min(b for b, d in drops if cmp(d, top) == 0), top
+
+
+@pytest.mark.parametrize("name", sorted(LEVELS))
+def test_chain_levels_match_derivatives(name):
+    text, budget, height = LEVELS[name]
+    spec = cli.parse_problem(text)
+    ring = cli.build_ring(spec)
+    F, emb = cli.build_valpoly(spec, ring)
+    res = expand(F, ring, max_terms=budget, lower=emb)
+    chain = res.chain
+    p = ring.descriptor.char_exponent
+    assert chain.ring.tower.height == height
+    assert len(chain) >= 3
+    for i, e in enumerate(chain.entries, start=1):
+        levels = _levels_by_hand(chain, i)
+        assert list(e.levels) == levels, (i, e.poly.to_text())
+        b, eps = _largest_drop(levels, p, e.beta)
+        assert e.b_order == b and (eps is INF and e.epsilon is INF or e.epsilon == eps)
+        assert e.epsilon_for(e.beta) == (e.b_order, e.epsilon)
+        assert e.epsilon_for(INF) == (levels[0][0], INF)
+        if e.beta is not INF:
+            later = e.beta + ring.descriptor.from_rational(Fraction(1, 3))
+            assert e.epsilon_for(later) == _largest_drop(levels, p, later)
+            low = min((v + e.beta.scale_unchecked(p ** b) for b, v in levels),
+                      key=cmp_to_key(cmp))
+            assert e.min_level(e.beta) == low

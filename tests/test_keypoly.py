@@ -8,11 +8,10 @@ from genpuiseux.coeff import CoeffElem, FieldTower
 from genpuiseux.errors import ChainComplete
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
-    ChainEntry,
     KeyPolyChain,
     ValPoly,
+    chain_entry,
     derivative_min_check,
-    epsilon_invariants,
     extend_chain,
     first_exponent,
     initial_chain,
@@ -50,15 +49,11 @@ def artin_schreier_F(R):
 
 
 def explicit_chain(R, *spec):
-    entries = []
+    chain = KeyPolyChain(R)
     for q, beta in spec:
-        entries.append(ChainEntry(q, beta, 0, beta, 1))
-        chain = KeyPolyChain(R, entries)
-        b, eps = epsilon_invariants(chain, len(entries))
-        entries[-1] = ChainEntry(q, beta, b, eps,
-                                 1 if len(entries) == 1 else
-                                 q.degree() // entries[-2].poly.degree())
-    return KeyPolyChain(R, entries)
+        alpha = q.degree() // chain.entries[-1].poly.degree() if chain.entries else 1
+        chain = chain.appended(chain_entry(chain, q, beta, alpha))
+    return chain
 
 
 # -- Hasse derivatives ---------------------------------------------------------
@@ -103,6 +98,29 @@ def test_hasse_composition_law():
                             c.is_exact_zero() or not c.terms for c in rhs.coeffs)
                     else:
                         assert lhs == rhs
+
+
+def test_negative_polynomial_power_raises():
+    R = tring()
+    y = ValPoly.variable(R)
+    with pytest.raises(ValueError):
+        y ** -1
+    assert (y + ValPoly.const(R.one())) ** 0 == ValPoly.const(R.one())
+    assert (y ** 3).degree() == 3
+
+
+# -- chains ------------------------------------------------------------------------
+
+
+def test_chain_entries_are_numbered_from_one():
+    R = tring(2)
+    chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(1, 2))))
+    chain = extend_chain(chain, artin_schreier_F(R), t_pow(R, Fraction(1, 2)))
+    assert chain.entry(1) is chain.entries[0]
+    assert chain.entry(2) is chain.entries[1]
+    for i in (0, -1, 3):
+        with pytest.raises(IndexError):
+            chain.entry(i)
 
 
 # -- standard expansions ----------------------------------------------------------
@@ -194,17 +212,17 @@ def test_epsilon_char0_example():
     R = tring()
     chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(3, 2))),
                            (classical_F(R), g(R, 3)))
-    b, eps = epsilon_invariants(chain, 2)
-    assert b == 0
-    assert eps == g(R, Fraction(3, 2))
+    e = chain.entry(2)
+    assert e.b_order == 0
+    assert e.epsilon == g(R, Fraction(3, 2))
 
 
 def test_epsilon_char2_variable():
     R = tring(2)
     chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(1, 2))))
-    b, eps = epsilon_invariants(chain, 1)
-    assert b == 0
-    assert eps == g(R, Fraction(1, 2))
+    e = chain.entry(1)
+    assert e.b_order == 0
+    assert e.epsilon == g(R, Fraction(1, 2))
 
 
 def test_epsilon_monotone_on_computed_chain():

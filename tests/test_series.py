@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, adjoin_root
-from genpuiseux.errors import NonUnit, PrecisionExceeded, ValuationIndeterminate
+from genpuiseux.errors import NonUnit, ParseError, PrecisionExceeded, ValuationIndeterminate
 from genpuiseux.groups import INF, GroupDescriptor
 from genpuiseux.series import GenSeries, SeriesRing, eval_poly, parse_series
 
@@ -110,6 +110,18 @@ def test_mul_classic():
     gg = one - t_pow(R, 1)
     prod = f * gg
     assert prod == one - t_pow(R, 2)
+
+
+def test_negative_power_raises():
+    # n >> 1 never reaches 0 for n < 0, so the square-and-multiply loop must refuse
+    for R in (tring(), pring(5)):
+        s = R.one() + R.uniformizer()
+        with pytest.raises(ValueError):
+            R.uniformizer() ** -1
+        with pytest.raises(ValueError):
+            s ** -3
+        assert s ** 0 == R.one()
+        assert s ** 2 == s * s
 
 
 def test_inv_geometric():
@@ -337,6 +349,16 @@ def test_irrational_exponent_text_roundtrip():
     text = f.to_text()
     assert "g1" in text and "g2" in text
     assert parse_series(R, text) == f
+
+
+def test_parse_series_whitespace_and_bad_numbers():
+    R = tring()
+    f = R.one() + t_pow(R, Fraction(1, 2), 3)
+    assert parse_series(R, "1 +\t3*t^(1/2)") == f
+    assert parse_series(R, "1\u00a0+ 3*t^(1/2)") == f
+    with pytest.raises(ParseError) as err:
+        parse_series(R, "1 + 3/0*t")
+    assert "bad number '3/0'" in str(err.value)
 
 
 def test_padic_arithmetic_crosschecks_witt():
