@@ -209,8 +209,9 @@ class FieldTower:
         while n:
             if n & 1:
                 out = self.rep_mul(out, base, level)
-            base = self.rep_mul(base, base, level)
             n >>= 1
+            if n:
+                base = self.rep_mul(base, base, level)
         return out
 
     def rep_lift(self, x, from_level, to_level):

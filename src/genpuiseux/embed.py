@@ -210,10 +210,16 @@ class PuiseuxState:
     note: str = ""
     # (partial, F, [(D^l F)(partial)]); read only while both objects match
     taylor: tuple = field(default=None, compare=False, repr=False)
+    # (chain, beta, chain.index_for(beta)); read only while both objects match
+    stage: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def i_beta(self):
-        return self.chain.index_for(self.beta)
+        """The stage index of beta, computed at most once per chain and beta."""
+        s = self.stage
+        if s is None or s[0] is not self.chain or s[1] is not self.beta:
+            s = self.stage = (self.chain, self.beta, self.chain.index_for(self.beta))
+        return s[2]
 
     def partial_series(self, prec=None):
         prec = self.beta if prec is None else prec

@@ -60,6 +60,11 @@ class ValPoly:
         if self.is_zero():
             return False
         lead = self.coeffs[-1]
+        # a lead written as exactly 1 needs no carried normal form
+        raw = lead._raw
+        if (lead._raw_prec is INF and len(raw) == 1 and raw[0][0].is_zero()
+                and raw[0][1] == self.ring.c_one()):
+            return True
         return lead == self.ring.one()
 
     def __add__(self, other):
@@ -94,8 +99,9 @@ class ValPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c):
@@ -242,17 +248,22 @@ def chain_entry(below, poly, beta, alpha):
     drop (beta - level) / p^b over them.
     """
     p = below.ring.descriptor.char_exponent
-    levels = []
-    b = 0
-    while p ** b <= poly.degree():
-        v = _value_below(poly.hasse_derivative(p ** b), below, len(below) + 1)
-        if v is not INF:
-            levels.append((b, v))
-        if p == 1:
-            break
-        b += 1
-    if not levels:
-        raise ZeroPolynomial("all divided derivatives vanish")
+    if below.entries and poly == below.entries[-1].poly:
+        # a re-pinned polynomial: its derivatives have degree below deg poly,
+        # so they are read at the same stages as for the entry it repeats
+        levels = below.entries[-1].levels
+    else:
+        levels = []
+        b = 0
+        while p ** b <= poly.degree():
+            v = _value_below(poly.hasse_derivative(p ** b), below, len(below) + 1)
+            if v is not INF:
+                levels.append((b, v))
+            if p == 1:
+                break
+            b += 1
+        if not levels:
+            raise ZeroPolynomial("all divided derivatives vanish")
     b, eps = _max_drop(levels, p, beta)
     return ChainEntry(poly, beta, b, eps, alpha, tuple(levels))
 
@@ -339,12 +350,22 @@ def poly_value(f, chain, i):
 
 
 def _value_below(c, chain, i):
-    """Value of an expansion coefficient (degree < deg Q_i)."""
+    """Value of an expansion coefficient (degree < deg Q_i).
+
+    A stage whose polynomial has degree above deg c expands c as [c] and
+    passes its value down unchanged, so the value is read at the highest
+    stage k < i with deg Q_k <= deg c; with none, ``chain.entry(0)`` raises
+    IndexError.
+    """
     if c.is_zero():
         return INF
-    if c.degree() == 0:
+    d = c.degree()
+    if d == 0:
         return c.coeffs[0].val()
-    return truncated_val(c, chain, i - 1)[0]
+    k = i - 1
+    while k >= 1 and chain.entries[k - 1].poly.degree() > d:
+        k -= 1
+    return truncated_val(c, chain, k)[0]
 
 
 def truncated_val(f, chain, i):

@@ -318,8 +318,9 @@ class GenSeries:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inv(self, prec=None):
@@ -825,13 +826,13 @@ def _parse_coeff_factor(ring, sc):
     power = 1
     if sc.peek() == "^":
         sc.take("^")
-        power = int(sc.number())
+        start = sc.pos
+        power = sc.number()
+        if power < 0 or power.denominator != 1:
+            sc.error("generator powers must be non-negative integers", col=start)
     tower = ring.tower
     for k in range(tower.height):
         if tower.stages[k][0] == name:
-            g = CoeffElem.generator(tower, k)
-            out = g
-            for _ in range(power - 1):
-                out = out * g
+            out = CoeffElem.generator(tower, k) ** int(power)
             return ring.c_lift(out) if ring.mode == "p" else out
     raise ParseError(f"unknown generator {name!r}", col=sc.pos)

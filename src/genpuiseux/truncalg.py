@@ -309,10 +309,12 @@ def integral_dependence(beta, state):
     from zero).
     """
     chain = state.chain
-    i_stage = chain.index_for(beta if beta is not INF else state.beta)
-    if beta is INF:
-        i_stage = len(chain) if chain.entries[-1].epsilon is INF else \
-            chain.index_for(state.beta)
+    if beta is not INF:
+        i_stage = chain.index_for(beta)
+    elif chain.entries[-1].epsilon is INF:
+        i_stage = len(chain)
+    else:
+        i_stage = state.i_beta
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
     q_poly = chain.entry(i_stage).poly

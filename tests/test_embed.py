@@ -9,7 +9,13 @@ from genpuiseux import cli, embed
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, coeff_to_fraction
 from genpuiseux.errors import UnsupportedLimitPattern
 from genpuiseux.groups import INF, GroupDescriptor, cmp
-from genpuiseux.keypoly import ValPoly, taylor_at, truncated_val
+from genpuiseux.keypoly import (
+    KeyPolyChain,
+    ValPoly,
+    standard_expansion,
+    taylor_at,
+    truncated_val,
+)
 from genpuiseux.series import GenSeries, SeriesRing
 from genpuiseux.embed import (
     BUDGET,
@@ -566,6 +572,28 @@ def test_taylor_shift_only_on_exact_t_adic_data():
     assert not init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R).shifts_taylor()
 
 
+def test_replaced_chain_or_beta_never_reads_a_stale_stage(monkeypatch):
+    state = _spec_state(CARRIED["cube-q"][0])
+    for _ in range(3):
+        state = step(state)
+    calls = []
+    plain = KeyPolyChain.index_for
+
+    def counted(chain, beta):
+        calls.append(beta)
+        return plain(chain, beta)
+
+    monkeypatch.setattr(KeyPolyChain, "index_for", counted)
+    assert state.i_beta == state.i_beta == len(state.chain) == 4
+    assert len(calls) == 1  # computed once per chain and beta
+    shorter = KeyPolyChain(state.ring, state.chain.entries[:2])
+    swapped = replace(state, chain=shorter)
+    assert swapped.i_beta == shorter.index_for(state.beta) == 3
+    lowered = replace(swapped, beta=shorter.entry(1).epsilon)
+    assert lowered.i_beta == 1
+    assert state.i_beta == 4
+
+
 def test_swapped_partial_never_reads_a_stale_vector():
     state = _spec_state(CARRIED["cube-q"][0])
     for _ in range(3):
@@ -638,3 +666,62 @@ def test_chain_levels_match_derivatives(name):
             low = min((v + e.beta.scale_unchecked(p ** b) for b, v in levels),
                       key=cmp_to_key(cmp))
             assert e.min_level(e.beta) == low
+
+
+# -- values read at the stage the degree selects ------------------------------------------
+
+# problem text, term budget, whether the chain re-pins a polynomial
+STAGES = {
+    "as-f2": ("char 2\npoly y^2 + t*y + t\n", 24, True),
+    "cube-q": ("char 0\npoly y^3 - t - t^2\n", 12, True),  # moves into Q(w)
+    "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n", 16, True),  # moves into F9
+    "p5": ("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n", 16, False),
+    "r2-q": ("char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
+             "poly y^2 - t - u2\n", 16, True),
+}
+
+
+def _one_stage_val(f, chain, i):
+    """The truncated value through stages <= i, passed down one stage at a time."""
+    if f.is_zero():
+        return INF
+    if f.degree() == 0:
+        return f.coeffs[0].val()
+    beta = chain.entry(i).beta
+    best = None
+    for j, c in enumerate(standard_expansion(f, chain, i)):
+        cv = _one_stage_val(c, chain, i - 1)
+        if cv is INF:
+            continue
+        total = cv if j == 0 else (INF if beta is INF else beta.scale_unchecked(j) + cv)
+        if total is not INF and (best is None or cmp(total, best) < 0):
+            best = total
+    return INF if best is None else best
+
+
+@pytest.mark.parametrize("name", sorted(STAGES))
+def test_stage_selected_values_match_one_stage_recursion(name):
+    text, budget, repins = STAGES[name]
+    spec = cli.parse_problem(text)
+    ring = cli.build_ring(spec)
+    F, emb = cli.build_valpoly(spec, ring)
+    res = expand(F, ring, max_terms=budget, lower=emb)
+    chain, F = res.chain, res.state.F
+    p = ring.descriptor.char_exponent
+    entries = chain.entries
+    assert any(b.poly == a.poly for a, b in zip(entries, entries[1:])) == repins
+    for i, e in enumerate(entries, start=1):
+        d = e.poly.degree()
+        orders = [1] if p == 1 else [p ** b for b in range(d) if p ** b <= d]
+        levels = []
+        for b, m in enumerate(orders):
+            v = _one_stage_val(e.poly.hasse_derivative(m), chain, i - 1)
+            if v is not INF:
+                levels.append((b, v))
+        assert list(e.levels) == levels, (i, e.poly.to_text())
+        b, eps = _largest_drop(levels, p, e.beta)
+        assert e.b_order == b and (eps is INF and e.epsilon is INF or e.epsilon == eps)
+        for h in [F] + [F.hasse_derivative(m) for m in range(1, F.degree() + 1)]:
+            want = _one_stage_val(h, chain, i)
+            got = truncated_val(h, chain, i)[0]
+            assert got is INF and want is INF or got == want, (i, h.to_text())

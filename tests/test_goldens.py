@@ -3,9 +3,12 @@
 Every expand op of the ``expand-t``, ``expand-p`` and ``expand-sqrt2``
 workloads runs at each budget of its problem (n and 2n), and its exit code
 and ``--format records`` output must equal
-``bench/goldens/<workload>.json`` byte for byte.  This keeps the whole
-expand output contract in the fast suite; the ``verify`` goldens are left
-to the benchmark.
+``bench/goldens/<workload>.json`` byte for byte.  The ``verify`` ops run
+for spec seeds 0-7 at both budgets of all four problems, and their exit
+code and check lines must equal ``bench/goldens/verify.json``; the known
+``check=min status=FAIL`` lines of that set are part of the golden.  This
+keeps the whole expand output contract and a slice of the verify contract
+in the fast suite; the other verify seeds are left to the benchmark.
 """
 
 import importlib.util
@@ -19,6 +22,7 @@ from genpuiseux import cli
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 EXPAND_WORKLOADS = ("expand-t", "expand-p", "expand-sqrt2")
+VERIFY_SEEDS = range(8)
 
 
 def _load_workloads():
@@ -37,6 +41,13 @@ def _cases():
             yield pytest.param(name, op, id=f"{name}:{op.key}")
 
 
+def _verify_cases():
+    wl = _load_workloads()
+    for op in wl.all_ops(wl.WORKLOADS["verify"]):
+        if op.spec_seed in VERIFY_SEEDS:
+            yield pytest.param(op, id=f"verify:{op.key}")
+
+
 def _golden(name, key):
     with open(os.path.join(BENCH, "goldens", f"{name}.json")) as fh:
         return json.load(fh)[key]
@@ -47,3 +58,9 @@ def test_expand_matches_golden(name, op):
     code, out, _ = cli.cmd_expand(cli.parse_problem(op.text), fmt="records",
                                   budget=op.budget)
     assert {"code": code, "out": out} == _golden(name, op.key)
+
+
+@pytest.mark.parametrize("op", list(_verify_cases()))
+def test_verify_matches_golden(op):
+    code, out = cli.cmd_verify(cli.parse_problem(op.text))
+    assert {"code": code, "out": out} == _golden("verify", op.key)

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from genpuiseux.coeff import CoeffElem, FieldTower
+from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, adjoin_root
 from genpuiseux.errors import ChainComplete
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
+    ChainEntry,
     KeyPolyChain,
     ValPoly,
     chain_entry,
@@ -109,6 +110,62 @@ def test_negative_polynomial_power_raises():
     assert (y ** 3).degree() == 3
 
 
+def test_is_monic_reads_the_lead_exactly():
+    R = tring()
+    one = R.one()
+    assert poly(R, t_pow(R, 1), one).is_monic()
+    for lead in (t_pow(R, 1), R.const(2),
+                 GenSeries(R, [(g(R, 0), R.c_one())], g(R, 3))):
+        assert not poly(R, one, lead).is_monic(), lead
+    # over Z_5 with 6 digits: 6 is 1 + 5, and 6 - p carries to 1 + O(p^6)
+    desc = GroupDescriptor([1], char_exponent=5)
+    P = SeriesRing.mixed(desc, WittRing(FieldTower.prime_field(5), 6))
+    assert poly(P, P.const(6), P.const(1 + 5 ** 6)).is_monic()
+    carried = GenSeries(P, [(g(P, 0), P.witt.from_int(6)), (g(P, 1), P.witt.from_int(-1))])
+    for lead in (P.const(6), carried):
+        assert not poly(P, P.one(), lead).is_monic(), lead
+
+
+def _power_cases():
+    """name -> (x, 1, x*y, x**n, the class and method that form each product)."""
+    R = tring()
+    base = FieldTower.prime_field(2)
+    f4, w = adjoin_root(base, [CoeffElem.from_int(base, 1)] * 3)
+    return {
+        "valpoly": (poly(R, t_pow(R, 1), R.one()), ValPoly.const(R.one()),
+                    ValPoly.__mul__, ValPoly.__pow__, ValPoly, "__mul__"),
+        "series": (R.one() + t_pow(R, Fraction(1, 2), 3), R.one(),
+                   GenSeries.__mul__, GenSeries.__pow__, GenSeries, "__mul__"),
+        "rep_pow": (w.rep, f4.rep_one(), f4.rep_mul, f4.rep_pow, FieldTower, "rep_mul"),
+    }
+
+
+@pytest.mark.parametrize("name", ["valpoly", "series", "rep_pow"])
+def test_binary_power_squares_only_while_bits_remain(name, monkeypatch):
+    P, one, mul, power, cls, method = _power_cases()[name]
+    expected = [one]
+    for _ in range(8):
+        expected.append(mul(expected[-1], P))
+    plain = getattr(cls, method)
+    products = []
+
+    def counted(self, *args):
+        if cls is not FieldTower:
+            products.append((self, args[0]))
+        elif len(args) < 3 or args[2] == self.height:  # deeper levels are the recursion
+            products.append(args[:2])
+        return plain(self, *args)
+
+    monkeypatch.setattr(cls, method, counted)
+    for n in range(9):
+        products.clear()
+        assert power(P, n) == expected[n], n
+        # one product per set bit and one squaring per bit after the first
+        assert len(products) == bin(n).count("1") + max(n.bit_length() - 1, 0), n
+        if n == 1:
+            assert not any(x is P and y is P for x, y in products)
+
+
 # -- chains ------------------------------------------------------------------------
 
 
@@ -121,6 +178,20 @@ def test_chain_entries_are_numbered_from_one():
     for i in (0, -1, 3):
         with pytest.raises(IndexError):
             chain.entry(i)
+
+
+def test_values_never_read_below_stage_one():
+    # Q_1 of degree 2: a linear polynomial has no stage to be read at
+    R = tring()
+    q = poly(R, -1 * t_pow(R, 3), R.zero(), R.one())  # y^2 - t^3
+    y_t = poly(R, t_pow(R, 1), R.one())  # y + t
+    with pytest.raises(IndexError):
+        chain_entry(KeyPolyChain(R), q, g(R, Fraction(3, 2)), 1)
+    top = ChainEntry(q, g(R, 3), 0, g(R, 2), 1, ((0, g(R, 1)),))
+    for n in (1, 2):  # Q_1 alone, and Q_1 re-pinned as Q_2
+        chain = KeyPolyChain(R, [top] * n)
+        with pytest.raises(IndexError):
+            truncated_val(y_t, chain, n)
 
 
 # -- standard expansions ----------------------------------------------------------

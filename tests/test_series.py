@@ -361,6 +361,21 @@ def test_parse_series_whitespace_and_bad_numbers():
     assert "bad number '3/0'" in str(err.value)
 
 
+def test_parse_generator_powers():
+    base = FieldTower.prime_field(2)
+    f4, w = adjoin_root(base, [CoeffElem.from_int(base, 1)] * 3)  # w^2 + w + 1 = 0
+    R = SeriesRing.equichar(GroupDescriptor([1], char_exponent=2), f4)
+    t = t_pow(R, 1)
+    assert parse_series(R, "(w^0)*t") == t
+    assert parse_series(R, "(w^1)*t") == t.scale(w)
+    assert parse_series(R, "(w^2)*t") == t.scale(w + CoeffElem.one(f4))
+    assert parse_series(R, "(w^3)*t") == t
+    for bad in ("(w^-1)*t", "(w^3/2)*t", "(w^-2/3)*t"):
+        with pytest.raises(ParseError) as err:
+            parse_series(R, bad)
+        assert "generator powers must be non-negative integers" in str(err.value)
+
+
 def test_padic_arithmetic_crosschecks_witt():
     # add/mul of normalized Z-supported series agree with WittElem arithmetic
     rng = random.Random(97)
