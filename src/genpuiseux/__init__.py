@@ -60,7 +60,7 @@ from .keypoly import (
     standard_expansion,
     truncated_val,
 )
-from .series import GenSeries, SeriesRing, eval_poly, normalize_pseries, parse_series
+from .series import GenSeries, SeriesRing, eval_poly, parse_series
 from .truncalg import (
     TruncationDecomposition,
     integral_dependence,

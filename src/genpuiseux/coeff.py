@@ -10,6 +10,10 @@ WittRing realizes the complete local ring with residue field a finite tower
 at working precision N: the same nested representation with integer leaves
 mod p^N, the stage minimal polynomials lifted coefficientwise through the
 digit-0 section.  residue/lift are exact sections of each other.
+
+One nested arithmetic serves both: FieldTower reduces leaves mod its
+leaf_mod, which is p over F_p, None (exact) over Q, p^N in a WittRing, and
+None again for the exact integer leaves of the p-adic carry.
 """
 
 from __future__ import annotations
@@ -32,6 +36,13 @@ class FieldTower:
         self.base = base
         self.stages = tuple(stages)  # (name, minpoly full tuple incl leading 1)
         self.allow_extensions = allow_extensions
+        self.leaf_mod = base[1] if base[0] == 'F' else None
+
+    def _over_leaves(self, modulus):
+        """The same stages with leaves mod `modulus` (exact integers if None)."""
+        view = FieldTower(self.base, self.stages, self.allow_extensions)
+        view.leaf_mod = modulus
+        return view
 
     @classmethod
     def prime_field(cls, p):
@@ -67,7 +78,7 @@ class FieldTower:
 
     def __eq__(self, other):
         return (isinstance(other, FieldTower) and self.base == other.base
-                and self.stages == other.stages)
+                and self.stages == other.stages and self.leaf_mod == other.leaf_mod)
 
     def __hash__(self):
         return hash((self.base, self.stages))
@@ -78,15 +89,12 @@ class FieldTower:
             name += f"[{nm}]"
         return f"<tower {name}>"
 
-    def describe(self):
-        base = f"F{self.base[1]}" if self.base[0] == 'F' else "Q"
-        parts = [base]
-        for k, (nm, mp) in enumerate(self.stages):
-            sub = FieldTower(self.base, self.stages[:k], self.allow_extensions)
-            parts.append(f"{nm}: " + _poly_text(sub, list(mp), "X"))
-        return "; ".join(parts)
-
     # -- representations -------------------------------------------------------
+    #
+    # A rep at level L > 0 is the coefficient tuple, over level L - 1, of a
+    # polynomial in the stage-L generator; a polynomial over level L is thus a
+    # rep at level L + 1 before reduction, and rep_add / rep_sub at level
+    # L + 1 are polynomial sum and difference (they never read a stage).
 
     def rep_zero(self, level=None):
         level = self.height if level is None else level
@@ -95,49 +103,35 @@ class FieldTower:
         return ()
 
     def rep_one(self, level=None):
-        level = self.height if level is None else level
-        if level == 0:
-            return 1 if self.base[0] == 'F' else Fraction(1)
-        lower = self.rep_one(level - 1)
-        return (lower,)
+        return self.rep_from_int(1, level)
 
     def rep_from_int(self, n, level=None):
         level = self.height if level is None else level
-        if level == 0:
-            if self.base[0] == 'F':
-                return n % self.base[1]
-            return Fraction(n)
-        lower = self.rep_from_int(n, level - 1)
-        return (lower,) if not self.rep_is_zero(lower, level - 1) else ()
+        if self.leaf_mod is not None:
+            n %= self.leaf_mod
+        elif self.base[0] == 'Q':
+            n = Fraction(n)
+        return self.rep_lift(n, 0, level)
 
     def rep_is_zero(self, x, level=None):
-        level = self.height if level is None else level
-        return x == 0 if level == 0 else x == ()
-
-    def _trim(self, coeffs, level):
-        while coeffs and self.rep_is_zero(coeffs[-1], level):
-            coeffs.pop()
-        return tuple(coeffs)
+        return not x  # a zero leaf or the empty tuple, at any level
 
     def rep_add(self, x, y, level=None):
         level = self.height if level is None else level
         if level == 0:
-            if self.base[0] == 'F':
-                return (x + y) % self.base[1]
-            return x + y
-        n = max(len(x), len(y))
-        z = self.rep_zero(level - 1)
-        out = [self.rep_add(x[i] if i < len(x) else z,
-                            y[i] if i < len(y) else z, level - 1)
-               for i in range(n)]
-        return self._trim(out, level - 1)
+            m = self.leaf_mod
+            return x + y if m is None else (x + y) % m
+        if len(x) < len(y):
+            x, y = y, x
+        out = [self.rep_add(a, b, level - 1) for a, b in zip(x, y)]
+        out.extend(x[len(y):])
+        return tuple(_trim(out))
 
     def rep_neg(self, x, level=None):
         level = self.height if level is None else level
         if level == 0:
-            if self.base[0] == 'F':
-                return (-x) % self.base[1]
-            return -x
+            m = self.leaf_mod
+            return -x if m is None else -x % m
         return tuple(self.rep_neg(c, level - 1) for c in x)
 
     def rep_sub(self, x, y, level=None):
@@ -147,33 +141,24 @@ class FieldTower:
     def rep_mul(self, x, y, level=None):
         level = self.height if level is None else level
         if level == 0:
-            if self.base[0] == 'F':
-                return (x * y) % self.base[1]
-            return x * y
-        if x == () or y == ():
-            return ()
-        z = self.rep_zero(level - 1)
-        out = [z] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i + j] = self.rep_add(out[i + j],
-                                          self.rep_mul(xi, yj, level - 1), level - 1)
-        return self._reduce(out, level)
+            m = self.leaf_mod
+            return x * y if m is None else x * y % m
+        return self._reduce(_pmul(self, x, y, level - 1), level)
 
     def _reduce(self, coeffs, level):
-        """Reduce a coefficient list modulo the stage-level minimal polynomial."""
-        mp = list(self.stages[level - 1][1])
+        """Reduce a coefficient list (consumed) modulo the stage-level minimal polynomial."""
+        mp = self.stages[level - 1][1]
         d = len(mp) - 1
-        coeffs = list(coeffs)
+        below = level - 1
         while len(coeffs) > d:
             lead = coeffs.pop()
-            if self.rep_is_zero(lead, level - 1):
+            if not lead:
                 continue
+            k = len(coeffs) - d
             for i in range(d):
-                t = self.rep_mul(lead, mp[i], level - 1)
-                coeffs[len(coeffs) - d + i] = self.rep_sub(
-                    coeffs[len(coeffs) - d + i], t, level - 1)
-        return self._trim(coeffs, level - 1)
+                coeffs[k + i] = self.rep_sub(coeffs[k + i],
+                                             self.rep_mul(lead, mp[i], below), below)
+        return tuple(_trim(coeffs))
 
     def rep_scalar(self, x, n, level=None):
         """Multiply by an integer scalar."""
@@ -185,17 +170,16 @@ class FieldTower:
         if self.rep_is_zero(x, level):
             raise DivisionByZero("inverse of zero")
         if level == 0:
-            if self.base[0] == 'F':
-                return pow(x, -1, self.base[1])
-            return Fraction(1) / x
+            if self.leaf_mod is None:
+                return Fraction(1) / x
+            return pow(x, -1, self.leaf_mod)
         # extended Euclid of x against the stage minimal polynomial
-        mp = list(self.stages[level - 1][1])
-        r0, r1 = mp, list(x)
-        s0, s1 = [], [self.rep_one(level - 1)]
-        while _pdeg(self, r1, level - 1) > 0:
+        r0, r1 = self.stages[level - 1][1], x
+        s0, s1 = (), (self.rep_one(level - 1),)
+        while len(r1) > 1:
             q, r = _pdivmod(self, r0, r1, level - 1)
             r0, r1 = r1, r
-            s0, s1 = s1, _psub(self, s0, _pmul(self, q, s1, level - 1), level - 1)
+            s0, s1 = s1, self.rep_sub(s0, _pmul(self, q, s1, level - 1), level)
         if not r1:
             raise DivisionByZero("element not invertible (non-trivial gcd)")
         c = self.rep_inv(r1[0], level - 1)
@@ -203,6 +187,8 @@ class FieldTower:
         return self._reduce(out, level)
 
     def rep_pow(self, x, n, level=None):
+        if n < 0:
+            raise ValueError("tower powers need a non-negative exponent")
         level = self.height if level is None else level
         out = self.rep_one(level)
         base = x
@@ -253,7 +239,7 @@ class FieldTower:
             outs = [()]
             for _ in range(d):
                 outs = [t + (c,) for t in outs for c in lower]
-            return [self._trim(list(t), level - 1) for t in outs]
+            return [tuple(_trim(list(t))) for t in outs]
 
         seen = sorted(set(enum(self.height)), key=lambda r: self.rep_key(r))
         return seen
@@ -272,62 +258,47 @@ class FieldTower:
 
 # -- polynomial helpers over a tower (coefficient lists of reps, ascending) ------
 
-def _pdeg(tower, f, level):
-    return len(f) - 1
 
-
-def _ptrim(tower, f, level):
-    f = list(f)
-    while f and tower.rep_is_zero(f[-1], level):
-        f.pop()
-    return f
-
-
-def _padd(tower, f, g, level):
-    n = max(len(f), len(g))
-    z = tower.rep_zero(level)
-    out = [tower.rep_add(f[i] if i < len(f) else z,
-                         g[i] if i < len(g) else z, level) for i in range(n)]
-    return _ptrim(tower, out, level)
-
-
-def _psub(tower, f, g, level):
-    return _padd(tower, f, [tower.rep_neg(c, level) for c in g], level)
+def _trim(coeffs):
+    """Drop trailing zero reps (the falsy ones) from a list, in place; returns it."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def _pmul(tower, f, g, level):
+    """Product of polynomials over `level`: a level + 1 product before reduction."""
     if not f or not g:
         return []
-    z = tower.rep_zero(level)
-    out = [z] * (len(f) + len(g) - 1)
+    out = [tower.rep_zero(level)] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
+        if not fi:
+            continue
         for j, gj in enumerate(g):
             out[i + j] = tower.rep_add(out[i + j], tower.rep_mul(fi, gj, level), level)
-    return _ptrim(tower, out, level)
+    return _trim(out)
 
 
 def _pdivmod(tower, f, g, level):
-    g = _ptrim(tower, g, level)
+    g = _trim(list(g))
     if not g:
         raise DivisionByZero("polynomial division by zero")
     inv_lead = tower.rep_inv(g[-1], level)
     q = [tower.rep_zero(level)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    while len(r) >= len(g) and _ptrim(tower, r, level):
-        r = _ptrim(tower, r, level)
-        if len(r) < len(g):
-            break
+    r = _trim(list(f))
+    while len(r) >= len(g):
         c = tower.rep_mul(r[-1], inv_lead, level)
         k = len(r) - len(g)
         q[k] = tower.rep_add(q[k], c, level)
         for i, gi in enumerate(g):
             r[k + i] = tower.rep_sub(r[k + i], tower.rep_mul(c, gi, level), level)
         r.pop()
-    return _ptrim(tower, q, level), _ptrim(tower, r, level)
+        _trim(r)
+    return _trim(q), r
 
 
 def _pmonic(tower, f, level):
-    f = _ptrim(tower, f, level)
+    f = _trim(list(f))
     if not f:
         return f
     inv = tower.rep_inv(f[-1], level)
@@ -335,7 +306,7 @@ def _pmonic(tower, f, level):
 
 
 def _pgcd(tower, f, g, level):
-    f, g = _ptrim(tower, f, level), _ptrim(tower, g, level)
+    f, g = _trim(list(f)), _trim(list(g))
     while g:
         f, g = g, _pdivmod(tower, f, g, level)[1]
     return _pmonic(tower, f, level)
@@ -353,8 +324,7 @@ def _ppowmod(tower, f, n, mod, level):
 
 
 def _pderiv(tower, f, level):
-    out = [tower.rep_scalar(c, i, level) for i, c in enumerate(f)][1:]
-    return _ptrim(tower, out, level)
+    return _trim([tower.rep_scalar(c, i, level) for i, c in enumerate(f)][1:])
 
 
 def _peval(tower, f, x, level):
@@ -422,7 +392,7 @@ def _distinct_degree(tower, f, level):
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         h = _ppowmod(tower, h, q, f, level)
-        g = _pgcd(tower, _psub(tower, h, x, level), f, level)
+        g = _pgcd(tower, tower.rep_sub(h, x, level + 1), f, level)
         if len(g) > 1:
             out.append((g, d))
             f = _pdivmod(tower, f, g, level)[0]
@@ -463,11 +433,11 @@ def _equal_degree_split(tower, f, d, level):
             acc = list(h)
             for _ in range(e * d - 1):
                 t = _ppowmod(tower, t, 2, f, level)
-                acc = _padd(tower, acc, t, level)
+                acc = tower.rep_add(acc, t, level + 1)
             g = _pgcd(tower, acc, f, level)
         else:
             w = _ppowmod(tower, h, (q ** d - 1) // 2, f, level)
-            g = _pgcd(tower, _psub(tower, w, [tower.rep_one(level)], level), f, level)
+            g = _pgcd(tower, tower.rep_sub(w, [tower.rep_one(level)], level + 1), f, level)
         if 0 < len(g) - 1 < len(f) - 1:
             left = _equal_degree_split(tower, g, d, level)
             right = _equal_degree_split(tower, _pdivmod(tower, f, g, level)[0], d, level)
@@ -483,7 +453,7 @@ def factor_poly(tower, coeffs):
     """
     level = tower.height
     f = [c.rep for c in coeffs]
-    f = _ptrim(tower, f, level)
+    f = _trim(f)
     if len(f) <= 1:
         raise ValueError("cannot factor a constant")
     unit = CoeffElem(tower, f[-1])
@@ -731,7 +701,7 @@ def coeff_to_fraction(c):
 def _q_roots_in_tower(tower, coeffs):
     """Roots of a poly over a Q tower found without extending it."""
     level = tower.height
-    f = _ptrim(tower, [c.rep for c in coeffs], level)
+    f = _trim([c.rep for c in coeffs])
     if len(f) == 2:
         root = tower.rep_neg(tower.rep_mul(f[0], tower.rep_inv(f[1], level), level), level)
         return [CoeffElem(tower, root)]
@@ -778,7 +748,7 @@ def adjoin_root(tower, coeffs):
     canonically least irreducible factor is adjoined.
     """
     level = tower.height
-    f = _ptrim(tower, [c.rep for c in coeffs], level)
+    f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
         raise ValueError("adjoin_root needs a non-constant polynomial")
 
@@ -825,7 +795,7 @@ def solve_in_closure(tower, coeffs):
     Returns (new_tower, [(root, multiplicity)]), roots canonically ordered.
     """
     level = tower.height
-    f = _ptrim(tower, [c.rep for c in coeffs], level)
+    f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
         raise ValueError("solve_in_closure needs a non-constant polynomial")
 
@@ -883,26 +853,22 @@ def solve_in_closure(tower, coeffs):
         cur = [CoeffElem(cur_t, cur_t.coerce_rep(c.rep, c.tower)) for c in cur]
 
 
-def _poly_text(tower, reps, var):
-    terms = []
-    for i in range(len(reps) - 1, -1, -1):
-        c = reps[i]
-        if tower.rep_is_zero(c, tower.height):
-            continue
-        ct = _rep_text(tower, c, tower.height)
-        if i == 0:
-            terms.append(ct)
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            terms.append(v if ct == "1" else f"{ct}*{v}")
-    return " + ".join(terms) if terms else "0"
-
-
 # -- Witt-style finite-precision p-adics -------------------------------------------
 
 
+def map_leaves(rep, level, fn):
+    """The rep with fn applied to each leaf, trailing zeros trimmed."""
+    if level == 0:
+        return fn(rep)
+    return tuple(_trim([map_leaves(c, level - 1, fn) for c in rep]))
+
+
 class WittRing:
-    """(Z/p^N)-realization of the complete local ring with a given residue tower."""
+    """(Z/p^N)-realization of the complete local ring with a given residue tower.
+
+    Elements use the tower's reps with integer leaves mod p^N; the stage
+    minimal polynomials are read as lifted through the digit-0 section.
+    """
 
     def __init__(self, tower, precision):
         if tower.base[0] != 'F':
@@ -911,30 +877,17 @@ class WittRing:
         self.p = tower.base[1]
         self.precision = int(precision)
         self.modulus = self.p ** self.precision
-
-    def _map_leaves(self, rep, level, fn):
-        if level == 0:
-            return fn(rep)
-        lst = [self._map_leaves(c, level - 1, fn) for c in rep]
-        while lst and _witt_rep_is_zero(lst[-1], level - 1):
-            lst.pop()
-        return tuple(lst)
+        self.arith = tower._over_leaves(self.modulus)
+        self.exact = tower._over_leaves(None)  # exact integer leaves, for carrying
 
     def zero(self):
         return WittElem(self, self.tower.rep_zero())
 
     def one(self):
-        return WittElem(self, self._from_int_rep(1))
-
-    def _from_int_rep(self, n):
-        n %= self.modulus
-        rep = n
-        for _ in range(self.tower.height):
-            rep = (rep,) if not (rep == 0 or rep == ()) else ()
-        return rep
+        return self.from_int(1)
 
     def from_int(self, n):
-        return WittElem(self, self._from_int_rep(n))
+        return WittElem(self, self.arith.rep_from_int(n))
 
     def lift(self, c):
         """Digit-0 section of the residue map (exact)."""
@@ -946,8 +899,8 @@ class WittRing:
         return WittElem(self, c.rep)
 
     def residue(self, w):
-        rep = self._map_leaves(w.rep, self.tower.height, lambda x: x % self.p)
-        return CoeffElem(self.tower, rep)
+        p = self.p
+        return CoeffElem(self.tower, map_leaves(w.rep, self.tower.height, lambda x: x % p))
 
     def coerce(self, w):
         if w.ring is self or w.ring == self:
@@ -962,56 +915,6 @@ class WittRing:
 
     def __hash__(self):
         return hash((self.tower, self.precision))
-
-    # modular nested arithmetic: same tower shape, integer leaves mod p^N
-
-    def _add(self, x, y, level):
-        if level == 0:
-            return (x + y) % self.modulus
-        n = max(len(x), len(y))
-        z = 0 if level - 1 == 0 else ()
-        out = [self._add(x[i] if i < len(x) else (0 if level == 1 else ()),
-                         y[i] if i < len(y) else (0 if level == 1 else ()), level - 1)
-               for i in range(n)]
-        while out and _witt_rep_is_zero(out[-1], level - 1):
-            out.pop()
-        return tuple(out)
-
-    def _neg(self, x, level):
-        if level == 0:
-            return (-x) % self.modulus
-        return tuple(self._neg(c, level - 1) for c in x)
-
-    def _mul(self, x, y, level):
-        if level == 0:
-            return (x * y) % self.modulus
-        if x == () or y == ():
-            return ()
-        out = [0 if level == 1 else ()] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                out[i + j] = self._add(out[i + j], self._mul(xi, yj, level - 1), level - 1)
-        return self._reduce(out, level)
-
-    def _reduce(self, coeffs, level):
-        mp = self.tower.stages[level - 1][1]  # digit-0 lifted verbatim
-        d = len(mp) - 1
-        coeffs = list(coeffs)
-        while len(coeffs) > d:
-            lead = coeffs.pop()
-            if _witt_rep_is_zero(lead, level - 1):
-                continue
-            for i in range(d):
-                t = self._mul(lead, mp[i], level - 1)
-                coeffs[len(coeffs) - d + i] = self._add(
-                    coeffs[len(coeffs) - d + i], self._neg(t, level - 1), level - 1)
-        while coeffs and _witt_rep_is_zero(coeffs[-1], level - 1):
-            coeffs.pop()
-        return tuple(coeffs)
-
-
-def _witt_rep_is_zero(rep, level):
-    return rep == 0 if level == 0 else rep == ()
 
 
 class WittElem:
@@ -1033,25 +936,24 @@ class WittElem:
         return other.ring.coerce(self), other
 
     def is_zero(self):
-        return _witt_rep_is_zero(self.rep, self.ring.tower.height)
+        return self.ring.tower.rep_is_zero(self.rep)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return WittElem(a.ring, a.ring._add(a.rep, b.rep, a.ring.tower.height))
+        return WittElem(a.ring, a.ring.arith.rep_add(a.rep, b.rep))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return WittElem(a.ring, a.ring._add(a.rep, a.ring._neg(b.rep, a.ring.tower.height),
-                                            a.ring.tower.height))
+        return WittElem(a.ring, a.ring.arith.rep_sub(a.rep, b.rep))
 
     def __neg__(self):
-        return WittElem(self.ring, self.ring._neg(self.rep, self.ring.tower.height))
+        return WittElem(self.ring, self.ring.arith.rep_neg(self.rep))
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        return WittElem(a.ring, a.ring._mul(a.rep, b.rep, a.ring.tower.height))
+        return WittElem(a.ring, a.ring.arith.rep_mul(a.rep, b.rep))
 
     __rmul__ = __mul__
 
@@ -1060,11 +962,11 @@ class WittElem:
 
     def digits(self):
         """Canonical digit list [d0, ..., d_{N-1}] of residue-tower elements."""
-        out = []
-        for m in range(self.ring.precision):
-            rep = self.ring._map_leaves(self.rep, self.ring.tower.height,
-                                        lambda x, m=m: (x // self.ring.p ** m) % self.ring.p)
-            out.append(CoeffElem(self.ring.tower, rep))
+        ring, p, height = self.ring, self.ring.p, self.ring.tower.height
+        out, rep = [], self.rep
+        for _ in range(ring.precision):
+            out.append(CoeffElem(ring.tower, map_leaves(rep, height, lambda x: x % p)))
+            rep = map_leaves(rep, height, lambda x: x // p)
         return out
 
     @classmethod

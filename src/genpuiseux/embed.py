@@ -59,23 +59,6 @@ class MPoly:
             cleaned[tuple(exps)] = c
         self.terms = dict(cleaned)
 
-    def is_zero(self):
-        return not self.terms
-
-    def hasse_derivative(self, var_index, m):
-        out = {}
-        for exps, c in self.terms.items():
-            k = exps[var_index]
-            if k < m:
-                continue
-            newe = list(exps)
-            newe[var_index] = k - m
-            binom = math.comb(k, m)
-            prev = out.get(tuple(newe))
-            scaled = c * binom
-            out[tuple(newe)] = prev + scaled if prev is not None else scaled
-        return MPoly(self.variables, out)
-
     def monomial_val(self, values):
         """Least weighted degree over the support; values: one per variable."""
         if not self.terms:
@@ -113,17 +96,6 @@ class MPoly:
         top = max(coeffs) if coeffs else 0
         return ValPoly(ring, [coeffs.get(k, ring.zero()) for k in range(top + 1)],
                        main)
-
-    def eval(self, ring, embeddings):
-        acc = ring.zero()
-        for exps, c in self.terms.items():
-            part = ring.const(ring.c_from_int(c) if isinstance(c, int)
-                              else ring.coerce_coeff(c))
-            for j, e in enumerate(exps):
-                if e:
-                    part = part * (embeddings[self.variables[j]] ** e)
-            acc = acc + part
-        return acc
 
 
 def monomial_embedding(ring, names):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul
 
-from .errors import MembershipFailed, ParseError, ScaleOutsideGroup
+from .errors import ParseError, ScaleOutsideGroup
 
 
 class QuadValue:
@@ -477,10 +477,3 @@ def membership(a, gens):
     rhs = [a.coords[i] for i in range(desc.rank)]
     sol = solve_rational(rows, rhs)
     return tuple(sol) if sol is not None else None
-
-
-def require_membership(a, gens):
-    sol = membership(a, gens)
-    if sol is None:
-        raise MembershipFailed(f"{a.to_text()} outside the span of the given generators")
-    return sol

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coeff import CoeffElem, WittElem, WittRing
+from .coeff import CoeffElem, WittElem, WittRing, map_leaves
 from .errors import (
     NonUnit,
     ParseError,
@@ -53,9 +53,6 @@ class SeriesRing:
     def c_from_int(self, n):
         return self.witt.from_int(n) if self.mode == "p" else CoeffElem.from_int(self.tower, n)
 
-    def c_is_zero(self, c):
-        return c.is_zero()
-
     def c_residue(self, c):
         """The residue-field image of a coefficient."""
         return c.residue() if self.mode == "p" else c
@@ -91,9 +88,6 @@ class SeriesRing:
         return hash((self.descriptor, self.mode, self.tower))
 
     # constructors
-
-    def series(self, terms, prec=INF, closed=False):
-        return GenSeries(self, terms, prec, closed)
 
     def zero(self, prec=INF, closed=False):
         return GenSeries(self, [], prec, closed)
@@ -154,7 +148,7 @@ class GenSeries:
         merged = {}
         for g, c in terms:
             merged[g] = merged[g] + c if g in merged else c
-        cleaned = [(g, c) for (g, c) in merged.items() if not ring.c_is_zero(c)]
+        cleaned = [(g, c) for (g, c) in merged.items() if not c.is_zero()]
         gkey = ring.descriptor.sort_key()
         cleaned.sort(key=lambda t: gkey(t[0]))
         cleaned = [t for t in cleaned if self._raw_known(t[0])]
@@ -303,12 +297,6 @@ class GenSeries:
             n = self.ring.coerce_coeff(n)
         return GenSeries(self.ring, [(g, c * n) for g, c in self._raw],
                          self._raw_prec, self._raw_closed)
-
-    def shift(self, gamma):
-        """Multiply by the monomial at exponent gamma."""
-        prec, closed = _prec_shift((self._raw_prec, self._raw_closed), gamma)
-        return GenSeries(self.ring, [(g + gamma, c) for g, c in self._raw],
-                         prec, closed)
 
     def __pow__(self, n):
         if n < 0:
@@ -474,6 +462,8 @@ def _carry_normalize(s):
     e0 = desc.basis(0)
     n_digits = ring.witt.precision
     p = ring.witt.p
+    tower, exact = ring.tower, ring.witt.exact
+    height = tower.height
     classes = {}
     order = []
     for g, c in s._raw:
@@ -492,24 +482,25 @@ def _carry_normalize(s):
         entries = classes[key]
         rep_elem = desc.element(list(key))
         offsets = [n for n, _ in entries]
-        multi = [n for n, c in entries if not _is_single_digit(c, p)]
+        multi = [n for n, c in entries if c.residue().rep != c.rep]
         if not multi and len(set(offsets)) == len(offsets):
             for n, c in entries:
                 out.append((rep_elem + e0.scale_unchecked(n), c))
             continue
         n_min = min(offsets)
         horizon = min((n + n_digits) for n in multi) if multi else None
-        tower = ring.tower
-        acc = _int_accumulate(ring, entries, n_min)
-        top = max((leaf.bit_length() for leaf in _leaves(acc) if leaf), default=0)
+        # sum_i c_i p^(n_i - n_min) with exact integer leaves, then its digits
+        acc = exact.rep_zero()
+        for n, c in entries:
+            f = p ** (n - n_min)
+            acc = exact.rep_add(acc, map_leaves(c.rep, height, lambda x: x * f))
         m = 0
-        while p ** m <= 2 ** top:
-            if horizon is not None and n_min + m >= horizon:
-                break
-            digit = _extract_digit(tower, acc, p, m)
+        while not exact.rep_is_zero(acc) and (horizon is None or n_min + m < horizon):
+            digit = map_leaves(acc, height, lambda x: x % p)
             if not tower.rep_is_zero(digit):
                 out.append((rep_elem + e0.scale_unchecked(n_min + m),
                             ring.witt.lift(CoeffElem(tower, digit))))
+            acc = map_leaves(acc, height, lambda x: x // p)
             m += 1
         if horizon is not None:
             hbound = rep_elem + e0.scale_unchecked(horizon)
@@ -525,65 +516,6 @@ def _carry_normalize(s):
             if sgn < 0 or (sgn == 0 and closed):
                 keep.append((g, c))
     return tuple(keep), prec, closed
-
-
-def _is_single_digit(w, p):
-    return all(leaf < p for leaf in _leaves(w.rep))
-
-
-def _leaves(rep):
-    if isinstance(rep, tuple):
-        for c in rep:
-            yield from _leaves(c)
-    else:
-        yield rep
-
-
-def _int_accumulate(ring, entries, n_min):
-    """Exact integer-leaf accumulation of sum_i c_i p^(n_i - n_min)."""
-    tower = ring.tower
-    p = ring.witt.p
-
-    def scaled(rep, level, f):
-        if level == 0:
-            return rep * f
-        return tuple(scaled(c, level - 1, f) for c in rep)
-
-    def add(x, y, level):
-        if level == 0:
-            return x + y
-        n = max(len(x), len(y))
-        zero = 0 if level == 1 else ()
-        out = [add(x[i] if i < len(x) else zero,
-                   y[i] if i < len(y) else zero, level - 1) for i in range(n)]
-        return tuple(out)
-
-    acc = tower.rep_zero()
-    lvl = tower.height
-    if lvl == 0:
-        acc = 0
-    for n, c in entries:
-        acc = add(acc, scaled(c.rep, lvl, p ** (n - n_min)), lvl)
-    return acc
-
-
-def _extract_digit(tower, acc, p, m):
-    def walk(rep, level):
-        if level == 0:
-            return (rep // p ** m) % p
-        out = [walk(c, level - 1) for c in rep]
-        while out and tower.rep_is_zero(out[-1], level - 1):
-            out.pop()
-        return tuple(out)
-
-    return walk(acc, tower.height)
-
-
-def normalize_pseries(f):
-    """Canonical carried representative of a p-mode series.  Idempotent."""
-    if f.ring.mode != "p":
-        raise ValueError("carried normal form only applies to p-mode series")
-    return f.normalize()
 
 
 def eval_poly(coeffs, s):

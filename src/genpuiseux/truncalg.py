@@ -294,12 +294,6 @@ class IntegralDependence:
     residual_val: object  # GroupElement or INF
     lam: object
 
-    def relation_text(self):
-        parts = [f"({self.constant.to_text()})"]
-        for b in sorted(self.monomials):
-            parts.append(f"({self.monomials[b].to_text()})*X^{b}")
-        return " + ".join(parts)
-
 
 def integral_dependence(beta, state):
     """The explicit monic-up-to-unit relation killing the partial development.

@@ -211,10 +211,65 @@ def test_witt_over_extended_tower():
     lw = ring.lift(w)
     # the lifted generator satisfies the lifted minimal polynomial exactly
     val = lw * lw + lw + ring.one()
-    digs = val.digits()
-    assert not digs[0].is_zero() or True  # value is 2*(w+1)-ish, but residue must vanish
+    assert val.is_zero()
     assert val.residue().is_zero()
     assert ring.residue(lw) == w
+
+
+def test_witt_products_match_integers_mod_pN():
+    # height 0: Witt arithmetic is Z/p^N, checked against Python ints
+    rng = random.Random(41)
+    for p, N in ((2, 5), (3, 4), (5, 3), (7, 2)):
+        ring = WittRing(fp(p), N)
+        mod = p ** N
+        for _ in range(200):
+            a, b = rng.randrange(-mod, 2 * mod), rng.randrange(-mod, 2 * mod)
+            wa, wb = ring.from_int(a), ring.from_int(b)
+            for got, want in ((wa * wb, a * b), (wa + wb, a + b), (wa - wb, a - b),
+                              (-wa, -a)):
+                assert got.rep == want % mod
+                assert [coeff_to_int(d) for d in got.digits()] == [
+                    (want % mod) // p ** m % p for m in range(N)]
+
+
+def test_witt_residue_is_a_homomorphism_over_a_height_two_tower():
+    # F2 < F4 = F2[w] < F16 = F4[w2]: residue maps Witt +, -, * onto the tower's own
+    t4, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
+    t16, w2 = adjoin_root(t4, [w, CoeffElem.one(t4), CoeffElem.one(t4)])
+    assert t16.height == 2
+    ring = WittRing(t16, 4)
+    universe = [CoeffElem(t16, r) for r in t16.enumerate_elements()]
+    assert len(universe) == 16
+    rng = random.Random(43)
+
+    def draw():
+        return WittElem.from_digits(ring, [rng.choice(universe) for _ in range(4)])
+
+    for _ in range(60):
+        x, y = draw(), draw()
+        rx, ry = x.residue(), y.residue()
+        assert (x + y).residue() == rx + ry
+        assert (x - y).residue() == rx - ry
+        assert (x * y).residue() == rx * ry
+        assert (-x).residue() == -rx
+        assert WittElem.from_digits(ring, x.digits()) == x
+        if x.is_unit():
+            assert x * x.inv() == ring.one()
+    # the lifted generators satisfy their lifted minimal polynomials exactly
+    lw, lw2 = ring.lift(CoeffElem(t16, t16.coerce_rep(w.rep, t4))), ring.lift(w2)
+    assert (lw * lw + lw + 1).is_zero()
+    assert (lw2 * lw2 + lw2 + lw).is_zero()
+
+
+@pytest.mark.parametrize("tower", [fp(3), adjoin_root(fp(2), elems(fp(2), 1, 1, 1))[0]],
+                         ids=["F3", "F4"])
+def test_negative_powers_raise(tower):
+    x = CoeffElem.from_int(tower, 2) if tower.char == 3 else CoeffElem.generator(tower)
+    with pytest.raises(ValueError):
+        x ** -1
+    with pytest.raises(ValueError):
+        tower.rep_pow(x.rep, -3)
+    assert x ** 0 == CoeffElem.one(tower)
 
 
 def test_coeff_text_form():

@@ -177,36 +177,55 @@ def test_normalize_idempotent_random():
 
 
 def test_normalize_agrees_with_integer_arithmetic():
-    from genpuiseux.coeff import coeff_to_fraction
-
+    # Each coefficient is a vector of integer leaves (one over F3, two over
+    # F4 = F2[w]); carrying acts leaf by leaf, so every leaf of the carried
+    # series must spell the integer sum of that leaf's column in base p.
     rng = random.Random(29)
-    p, N = 3, 6
-    R = pring(p, prec=N)
-    for _ in range(1000):
-        pairs = [(rng.randint(0, 4), rng.randrange(1, p ** N)) for _ in range(rng.randint(1, 4))]
-        # duplicate exponents merge mod p^N before carrying, mirroring the ring
-        merged = {}
-        for n, c in pairs:
-            merged[n] = (merged.get(n, 0) + c) % p ** N
-        merged = {n: c for n, c in merged.items() if c}
-        total = sum(c * p ** n for n, c in merged.items())
-        terms = [(g(R, n), R.witt.from_int(c)) for n, c in pairs]
-        f = GenSeries(R, terms)
-        digits = []
-        for e, c in f.terms:
-            q = e.rational_value()
-            assert q.denominator == 1
-            val = int(coeff_to_fraction(c.digits()[0]))
-            assert 0 < val < p
-            digits.append((int(q), val))
-        rebuilt = sum(d * p ** n for n, d in digits)
-        multi = [n for n, c in merged.items() if c >= p]
-        if multi:
-            horizon = min(n + N for n in multi)
-            assert f.prec is not INF and f.prec.rational_value() == horizon
-            assert rebuilt == total % p ** horizon
-        else:
-            assert rebuilt == total
+    N = 6
+    t4, w = adjoin_root(FieldTower.prime_field(2), [CoeffElem.from_int(
+        FieldTower.prime_field(2), 1)] * 3)
+    for p, R, rounds in ((3, pring(3, prec=N), 1000),
+                         (2, SeriesRing.mixed(GroupDescriptor([1], char_exponent=2),
+                                              WittRing(t4, N)), 400)):
+        basis = [R.witt.one()] if R.tower.height == 0 else [R.witt.one(), R.witt.lift(w)]
+        width = len(basis)
+
+        def leaves(rep):
+            rep = rep if isinstance(rep, tuple) else (rep,)
+            return list(rep) + [0] * (width - len(rep))
+
+        for _ in range(rounds):
+            # single-digit leaves too: a single-digit lowest term puts the
+            # horizon more than N above it, so digits past N must survive
+            pairs = [(rng.randint(0, 4), [rng.randrange(rng.choice((p, p ** N)))
+                                          for _ in range(width)])
+                     for _ in range(rng.randint(1, 4))]
+            # duplicate exponents merge mod p^N before carrying, mirroring the ring
+            merged = {}
+            for n, cs in pairs:
+                old = merged.get(n, [0] * width)
+                merged[n] = [(a + b) % p ** N for a, b in zip(old, cs)]
+            merged = {n: cs for n, cs in merged.items() if any(cs)}
+            totals = [sum(cs[i] * p ** n for n, cs in merged.items()) for i in range(width)]
+            terms = [(g(R, n), sum((R.witt.from_int(c) * b for c, b in zip(cs, basis)),
+                                   R.witt.zero())) for n, cs in pairs]
+            f = GenSeries(R, terms).normalize()
+            rebuilt = [0] * width
+            for e, c in f.terms:
+                q = e.rational_value()
+                assert q.denominator == 1
+                digit = leaves(c.rep)
+                assert all(0 <= d < p for d in digit) and any(digit)
+                for i, d in enumerate(digit):
+                    rebuilt[i] += d * p ** int(q)
+            multi = [n for n, cs in merged.items() if max(cs) >= p]
+            if multi:
+                horizon = min(n + N for n in multi)
+                assert f.prec is not INF and f.prec.rational_value() == horizon
+                assert rebuilt == [t % p ** horizon for t in totals]
+            else:
+                assert f.prec is INF
+                assert rebuilt == totals
 
 
 def test_leading_term_law():
@@ -390,6 +409,9 @@ def test_padic_arithmetic_crosschecks_witt():
             total += int(coeff_to_fraction(c.digits()[0])) * p ** int(q)
         return total % p ** window
 
+    def digits_int(w):
+        return sum(int(coeff_to_fraction(d)) * p ** k for k, d in enumerate(w.digits()))
+
     for _ in range(300):
         a_i = rng.randrange(1, p ** 4)
         b_i = rng.randrange(1, p ** 4)
@@ -404,3 +426,5 @@ def test_padic_arithmetic_crosschecks_witt():
         wm = wa * wb
         assert as_int(s, window_s) == (a_i + b_i) % p ** window_s
         assert as_int(m, window_m) == (a_i * b_i) % p ** window_m
+        assert digits_int(ws) == (a_i + b_i) % p ** N
+        assert digits_int(wm) == (a_i * b_i) % p ** N
