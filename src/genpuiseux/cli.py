@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import FieldTower, WittRing
-from .embed import expand
+from .embed import MPoly, expand, monomial_embedding
 from .errors import EngineError, ParseError
 from .groups import INF, GroupDescriptor, cmp
 from .keypoly import ValPoly, derivative_min_check, group_text
@@ -129,16 +129,19 @@ def _parse_weight(text, lineno):
 
 
 def build_ring(spec):
-    if spec.mode == "mixed":
-        if spec.p < 2:
-            raise ParseError("mixed mode needs a prime p")
-        desc = GroupDescriptor(spec.weights, char_exponent=spec.p,
+    """The series ring of a spec; weights the value group rejects are a ParseError."""
+    if spec.mode == "mixed" and spec.p < 2:
+        raise ParseError("mixed mode needs a prime p")
+    char_exponent = spec.p if spec.mode == "mixed" else max(spec.char, 1)
+    try:
+        desc = GroupDescriptor(spec.weights, char_exponent=char_exponent,
                                sqrt_disc=spec.sqrt_disc)
+    except ValueError as exc:
+        raise ParseError(f"bad weights: {exc}") from exc
+    if spec.mode == "mixed":
         witt = WittRing(FieldTower.prime_field(spec.p), spec.witt_prec)
         return SeriesRing.mixed(desc, witt, var=spec.uniformizer())
     char = spec.char
-    desc = GroupDescriptor(spec.weights, char_exponent=max(char, 1),
-                           sqrt_disc=spec.sqrt_disc)
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing.equichar(desc, tower, var=spec.uniformizer())
 
@@ -239,26 +242,17 @@ def parse_poly(text, variables, lineno=None):
 
 def build_valpoly(spec, ring):
     """The defining polynomial as a ValPoly over the lower embeddings."""
-    uvar = spec.uniformizer()
-    lower = [uvar] + list(spec.lower_vars)
+    lower = [spec.uniformizer()] + list(spec.lower_vars)
     variables = lower + [spec.var]
     raw = parse_poly(spec.poly_text, variables)
-    from .embed import monomial_embedding
-
     emb = monomial_embedding(ring, lower)
-    coeffs = {}
-    mi = len(variables) - 1
-    for exps, q in raw.items():
-        k = exps[mi]
-        part = ring.const(_coeff_from_fraction(ring, q))
-        for j, e in enumerate(exps[:-1]):
-            if e:
-                part = part * (emb[variables[j]] ** e)
-        coeffs[k] = coeffs.get(k, ring.zero()) + part
-    top = max(coeffs)
-    F = ValPoly(ring, [coeffs.get(k, ring.zero()) for k in range(top + 1)], spec.var)
+    F = MPoly(variables, {e: _coeff_from_fraction(ring, q) for e, q in raw.items()}
+              ).to_valpoly(ring, emb)
     if not F.is_monic():
         raise ParseError("the defining polynomial must be monic in the main variable")
+    if F.degree() < 1:
+        raise ParseError("the defining polynomial must have degree >= 1 "
+                         "in the main variable")
     return F, emb
 
 
@@ -549,6 +543,7 @@ def _eval_series_expr(ring, env, text, lineno):
         if ch.isdigit():
             q = sc.number()
             return ring.const(_coeff_from_fraction(ring, q))
+        col = sc.pos
         name = sc.ident()
         if sc.peek() == "(":
             sc.take("(")
@@ -557,7 +552,7 @@ def _eval_series_expr(ring, env, text, lineno):
                 sc.take(",")
                 args.append(addexpr_or_number())
             sc.take(")")
-            return _apply_func(ring, name, args, sc)
+            return _apply_func(ring, name, args, sc, col)
         if name == ring.var:
             return ring.uniformizer()
         if name in env:
@@ -631,23 +626,43 @@ def _eval_series_expr(ring, env, text, lineno):
     return out
 
 
-def _apply_func(ring, name, args, sc):
-    def as_exp(q):
-        return ring.descriptor.from_rational(q) if isinstance(q, Fraction) \
-            else q
+# name -> its argument signatures: "s" a series, "e" an exponent number
+_FUNC_SIGNATURES = {
+    "inv": ("s", "se"),
+    "trunc_open": ("se",),
+    "trunc_closed": ("se",),
+    "slice": ("see",),
+    "normalize": ("s",),
+}
+_KIND_NAMES = {"s": "series", "e": "exponent"}
 
+
+def _apply_func(ring, name, args, sc, col):
+    """A function call of the arith grammar; misuse is a ParseError at col."""
+    sigs = _FUNC_SIGNATURES.get(name)
+    if sigs is None:
+        sc.error(f"unknown function {name!r}", col)
+    kinds = "".join("e" if isinstance(a, Fraction) else "s" for a in args)
+    if kinds not in sigs:
+        def text(sig):
+            return "(" + ", ".join(_KIND_NAMES[k] for k in sig) + ")"
+        sc.error(f"{name} takes {' or '.join(text(sig) for sig in sigs)}, "
+                 f"not {text(kinds)}", col)
+    s = args[0]
+    exps = [ring.descriptor.from_rational(q) for q in args[1:]]
     if name == "inv":
-        prec = as_exp(args[1]) if len(args) > 1 else None
-        return args[0].inv(prec)
+        if not exps and s.prec is INF:
+            sc.error("inv of an exact series needs a precision", col)
+        return s.inv(*exps)
     if name == "trunc_open":
-        return args[0].truncate_open(as_exp(args[1]))
+        return s.truncate_open(*exps)
     if name == "trunc_closed":
-        return args[0].truncate_closed(as_exp(args[1]))
+        return s.truncate_closed(*exps)
     if name == "slice":
-        return args[0].slice(as_exp(args[1]), as_exp(args[2]))
-    if name == "normalize":
-        return args[0].normalize()
-    sc.error(f"unknown function {name!r}")
+        if args[1] >= args[2]:
+            sc.error("slice needs its first exponent below its second", col)
+        return s.slice(*exps)
+    return s.normalize()
 
 
 # -- entry point ------------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .keypoly import (
     extend_chain,
     group_text,
     initial_chain,
+    level_and_ties,
     taylor_at,
 )
 from .series import GenSeries
@@ -333,24 +334,10 @@ def residual_equation(state):
     if sol is None:
         raise MembershipFailed("exponent outside the current rational span")
 
-    taylor = {l: ev for l, ev in enumerate(state.taylor_vector())
-              if not ev.is_exact_zero()}
-
-    level = None
-    vals = {}
-    for l, ev in taylor.items():
-        v = ev.val()
-        tot = v + beta.scale_unchecked(l)
-        vals[l] = tot
-        if level is None or cmp(tot, level) < 0:
-            level = tot
-    ties = sorted(l for l, v in vals.items() if cmp(v, level) == 0)
-
+    level, ties = mu_beta_val(state.F, state)
+    taylor = state.taylor_vector()
     tower = ring.tower
-    eq = {}
-    for l in ties:
-        lead = taylor[l].leading_term()[1]
-        eq[l] = ring.c_residue(lead)
+    eq = {l: ring.c_residue(taylor[l].leading_term()[1]) for l in ties}
     top = max(eq)
     coeffs = [eq.get(l, CoeffElem.zero(tower)) for l in range(top + 1)]
 
@@ -680,18 +667,10 @@ def mu_beta_val(f, state):
         emb = dict(state.lower)
         f = f.to_valpoly(state.ring, emb)
     beta = state.beta
-    best = None
-    attain = []
     vec = state.taylor_vector() if f == state.F else taylor_at(f, state.partial)
-    for k, ev in enumerate(vec):
-        if ev.is_exact_zero():
-            continue
-        tot = ev.val() + beta.scale_unchecked(k)
-        if best is None or cmp(tot, best) < 0:
-            best = tot
-            attain = [k]
-        elif cmp(tot, best) == 0:
-            attain.append(k)
+    best, attain = level_and_ties((k, ev.val() + beta.scale_unchecked(k))
+                                  for k, ev in enumerate(vec)
+                                  if not ev.is_exact_zero())
     if best is None:
         raise ZeroPolynomial("polynomial vanishes at the partial development")
     return best, attain

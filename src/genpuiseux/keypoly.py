@@ -72,14 +72,6 @@ class ValPoly:
         return ValPoly(self.ring,
                        [self.coeff(j) + other.coeff(j) for j in range(n)], self.var)
 
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ValPoly(self.ring,
-                       [self.coeff(j) - other.coeff(j) for j in range(n)], self.var)
-
-    def __neg__(self):
-        return ValPoly(self.ring, [-c for c in self.coeffs], self.var)
-
     def __mul__(self, other):
         if isinstance(other, GenSeries):
             return ValPoly(self.ring, [c * other for c in self.coeffs], self.var)
@@ -331,9 +323,8 @@ class KeyPolyChain:
         return "\n".join(lines)
 
 
-def standard_expansion(f, chain, i):
-    """Coefficients c_j of f = sum c_j Q_i^j with deg c_j < deg Q_i."""
-    q = chain.entry(i).poly
+def standard_expansion(f, q):
+    """Coefficients c_j of f = sum c_j q^j with deg c_j < deg q, for a monic q."""
     if not q.is_monic():
         raise ValueError("standard expansion needs a monic key polynomial")
     cs = []
@@ -344,9 +335,19 @@ def standard_expansion(f, chain, i):
     return cs
 
 
-def poly_value(f, chain, i):
-    """nu(f) read through stages <= i; exact for deg f below the next degree."""
-    return truncated_val(f, chain, i)[0]
+def level_and_ties(pairs):
+    """The least non-INF value over (index, value) pairs and the indices
+    attaining it, in the order given; (None, []) when every value is INF."""
+    best = None
+    ties = []
+    for j, v in pairs:
+        if v is INF:
+            continue
+        if best is None or cmp(v, best) < 0:
+            best, ties = v, [j]
+        elif cmp(v, best) == 0:
+            ties.append(j)
+    return best, ties
 
 
 def _value_below(c, chain, i):
@@ -368,33 +369,33 @@ def _value_below(c, chain, i):
     return truncated_val(c, chain, k)[0]
 
 
+def _expansion_levels(f, chain, i):
+    """The standard expansion f = sum c_j Q_i^j with its stage-i level
+    min_j (nu(c_j) + j*beta_i) and the j attaining it.
+
+    Every non-zero c_j is valued before the level is read; when beta_i is
+    INF only c_0 counts.
+    """
+    entry = chain.entry(i)
+    cs = standard_expansion(f, entry.poly)
+    pairs = []
+    for j, c in enumerate(cs):
+        v = _value_below(c, chain, i)
+        if j and v is not INF:
+            v = INF if entry.beta is INF else entry.beta.scale_unchecked(j) + v
+        pairs.append((j, v))
+    level, ties = level_and_ties(pairs)
+    return cs, level, ties
+
+
 def truncated_val(f, chain, i):
     """The stage-i truncated valuation of f and its attaining index set."""
     if f.is_zero():
         return INF, []
     if f.degree() == 0:
         return f.coeffs[0].val(), [0]
-    entry = chain.entry(i)
-    cs = standard_expansion(f, chain, i)
-    best = None
-    vals = {}
-    for j, c in enumerate(cs):
-        if c.is_zero():
-            continue
-        cv = _value_below(c, chain, i)
-        if cv is INF:
-            continue
-        if entry.beta is INF:
-            total = INF if j > 0 else cv
-        else:
-            total = entry.beta.scale_unchecked(j) + cv if j else cv
-        vals[j] = total
-        if total is not INF and (best is None or cmp(total, best) < 0):
-            best = total
-    if best is None:
-        return INF, []
-    s_set = [j for j, v in sorted(vals.items()) if v is not INF and cmp(v, best) == 0]
-    return best, s_set
+    _, level, ties = _expansion_levels(f, chain, i)
+    return (INF, []) if level is None else (level, ties)
 
 
 def first_exponent(F):
@@ -422,72 +423,40 @@ def initial_chain(ring, F, var="y"):
 
 
 def leading_standard_monomial(c, chain, i):
-    """The dominant standard monomial of c through stages <= i, as a ValPoly.
+    """The dominant standard monomial a*t^gamma * prod_k Q_k^(e_k) of c through
+    stages <= i, as ({k: e_k}, (gamma, a)) with only non-zero e_k.
 
     Ties resolve to the smallest power of the stage polynomial.
     """
     if c.is_zero():
         raise ZeroPolynomial("no leading monomial of zero")
-    if i == 0 or c.degree() == 0:
-        series = c.coeffs[0] if c.degree() == 0 else None
-        if series is None:
-            raise EngineInvariantViolation("constant expected at stage 0")
-        g, lead = series.leading_term()
-        return ValPoly.const(series.ring.monomial(g, lead), c.var)
-    entry = chain.entry(i)
-    cs = standard_expansion(c, chain, i)
-    best = None
-    best_j = None
-    for j, cj in enumerate(cs):
-        if cj.is_zero():
-            continue
-        cv = _value_below(cj, chain, i)
-        if cv is INF:
-            continue
-        total = cv if not j or entry.beta is INF else entry.beta.scale_unchecked(j) + cv
-        if best is None or cmp(total, best) < 0:
-            best = total
-            best_j = j
-    if best_j is None:
+    if c.degree() == 0:
+        return {}, c.coeffs[0].leading_term()
+    if i == 0:
+        raise EngineInvariantViolation("constant expected at stage 0")
+    cs, level, ties = _expansion_levels(c, chain, i)
+    if level is None:
         raise ValuationIndeterminate("no determinate monomial")
-    sub = leading_standard_monomial(cs[best_j], chain, i - 1)
-    return sub * (entry.poly ** best_j)
+    j = ties[0]
+    exps, lead = leading_standard_monomial(cs[j], chain, i - 1)
+    if j:
+        exps[i] = j
+    return exps, lead
 
 
 def _monomial_ratio(num, den, chain, i):
-    """num / den for leading standard monomials; den must divide num's shape."""
-    # peel common stage powers from the top down
-    num_c, den_c = num, den
-    factors = []
+    """num / den for leading standard monomials, as a ValPoly
+    a*t^gamma * prod_{k=i..1} Q_k^(e_k); den must divide num's shape."""
+    (num_e, (g_n, c_n)), (den_e, (g_d, c_d)) = num, den
+    out = ValPoly.const(chain.ring.monomial(g_n - g_d, c_n * c_d.inv()),
+                        chain.entry(i).poly.var)
     for k in range(i, 0, -1):
-        qk = chain.entry(k).poly
-        e_num = 0
-        while num_c.degree() >= qk.degree() and qk.degree() >= 1:
-            quot, rem = num_c.divmod_monic(qk)
-            if not rem.is_zero():
-                break
-            num_c = quot
-            e_num += 1
-        e_den = 0
-        while den_c.degree() >= qk.degree() and qk.degree() >= 1:
-            quot, rem = den_c.divmod_monic(qk)
-            if not rem.is_zero():
-                break
-            den_c = quot
-            e_den += 1
-        if e_num < e_den:
+        e = num_e.get(k, 0) - den_e.get(k, 0)
+        if e < 0:
             raise EngineInvariantViolation(
                 "monomial ratio outside the polynomial ring")
-        factors.append((qk, e_num - e_den))
-    ns = num_c.coeffs[0]
-    ds = den_c.coeffs[0]
-    ge_n, cn = ns.leading_term()
-    ge_d, cd = ds.leading_term()
-    diff = ge_n - ge_d
-    out = ValPoly.const(ns.ring.monomial(diff, cn * cd.inv()), num.var)
-    for qk, e in factors:
         if e:
-            out = out * (qk ** e)
+            out = out * (chain.entry(k).poly ** e)
     return out
 
 
@@ -512,23 +481,7 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         beta = INF if ev.is_exact_zero() else ev.val()
         return _append_with_invariants(chain, F, beta, alpha=1)
 
-    cs = standard_expansion(F, chain, i)
-    vals = {}
-    best = None
-    for j, c in enumerate(cs):
-        if c.is_zero():
-            continue
-        cv = _value_below(c, chain, i)
-        if cv is INF:
-            continue
-        total = cv if not j else (INF if last.beta is INF
-                                  else last.beta.scale_unchecked(j) + cv)
-        if total is INF:
-            continue
-        vals[j] = total
-        if best is None or cmp(total, best) < 0:
-            best = total
-    ties = sorted(j for j, v in vals.items() if cmp(v, best) == 0)
+    cs, _, ties = _expansion_levels(F, chain, i)
     if len(ties) < 2:
         raise ChainComplete("the truncated value of the input is already exact")
     j0, j1 = ties[0], ties[1]
@@ -556,28 +509,20 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         beta = INF if ev.is_exact_zero() else ev.val()
         return _append_with_invariants(chain, F, beta, alpha=delta)
 
-    # polygon-assigned value from the expansion of F in the new polynomial
-    cs_new = []
-    r = F
-    while not r.is_zero():
-        r, rem = r.divmod_monic(q_new)
-        cs_new.append(rem)
-    v0 = poly_value(cs_new[0], chain, i) if not cs_new[0].is_zero() else INF
-    if v0 is INF:
+    # polygon-assigned value: min over j >= 1 of (nu(c_0) - nu(c_j)) / j
+    # over the expansion of F in the new polynomial
+    cs_new = standard_expansion(F, q_new)
+    v0 = truncated_val(cs_new[0], chain, i)[0]
+    beta = None
+    if v0 is not INF:
+        def slope(j, c):
+            vj = truncated_val(c, chain, i)[0]
+            return INF if vj is INF else (v0 - vj).scale_unchecked(Fraction(1, j))
+
+        beta, _ = level_and_ties((j, slope(j, c))
+                                 for j, c in enumerate(cs_new) if j)
+    if beta is None:
         beta = INF
-    else:
-        beta = None
-        for j in range(1, len(cs_new)):
-            if cs_new[j].is_zero():
-                continue
-            vj = poly_value(cs_new[j], chain, i)
-            if vj is INF:
-                continue
-            cand = (v0 - vj).scale_unchecked(Fraction(1, j))
-            if beta is None or cmp(cand, beta) < 0:
-                beta = cand
-        if beta is None:
-            beta = INF
     if beta is not INF and last.beta is not INF:
         floor_val = last.beta.scale_unchecked(delta)
         if cmp(beta, floor_val) <= 0:

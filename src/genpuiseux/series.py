@@ -457,6 +457,18 @@ def _carry_normalize(s):
     multi-digit entries.  The series precision is clamped there (the bound
     is flagged through the precision, never silently wrapped).
     """
+    classes = {}
+    carries = False
+    for g, c in s._raw:
+        n = math.floor(g.coords[0])
+        multi = c.residue().rep != c.rep
+        carries = carries or multi
+        key = (g.coords[0] - n,) + tuple(g.coords[1:])
+        classes.setdefault(key, []).append((n, g, c, multi))
+    if not carries:
+        # every coefficient is a digit: the raw terms are the carried form
+        return s._raw, s._raw_prec, s._raw_closed
+
     ring = s.ring
     desc = ring.descriptor
     e0 = desc.basis(0)
@@ -464,57 +476,39 @@ def _carry_normalize(s):
     p = ring.witt.p
     tower, exact = ring.tower, ring.witt.exact
     height = tower.height
-    classes = {}
-    order = []
-    for g, c in s._raw:
-        n = math.floor(g.coords[0])
-        rep_coords = list(g.coords)
-        rep_coords[0] = rep_coords[0] - n
-        key = tuple(rep_coords)
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append((n, c))
-
     out = []
     prec, closed = s._raw_prec, s._raw_closed
-    for key in order:
-        entries = classes[key]
-        rep_elem = desc.element(list(key))
-        offsets = [n for n, _ in entries]
-        multi = [n for n, c in entries if c.residue().rep != c.rep]
-        if not multi and len(set(offsets)) == len(offsets):
-            for n, c in entries:
-                out.append((rep_elem + e0.scale_unchecked(n), c))
+    for key, entries in classes.items():
+        multi = [n for n, _, _, m in entries if m]
+        if not multi:
+            out.extend((g, c) for _, g, c, _ in entries)
             continue
-        n_min = min(offsets)
-        horizon = min((n + n_digits) for n in multi) if multi else None
+        rep_elem = desc.element(list(key))
+        n_min = min(n for n, _, _, _ in entries)
+        horizon = min(multi) + n_digits
         # sum_i c_i p^(n_i - n_min) with exact integer leaves, then its digits
         acc = exact.rep_zero()
-        for n, c in entries:
+        for n, _, c, _ in entries:
             f = p ** (n - n_min)
             acc = exact.rep_add(acc, map_leaves(c.rep, height, lambda x: x * f))
         m = 0
-        while not exact.rep_is_zero(acc) and (horizon is None or n_min + m < horizon):
+        while not exact.rep_is_zero(acc) and n_min + m < horizon:
             digit = map_leaves(acc, height, lambda x: x % p)
             if not tower.rep_is_zero(digit):
                 out.append((rep_elem + e0.scale_unchecked(n_min + m),
                             ring.witt.lift(CoeffElem(tower, digit))))
             acc = map_leaves(acc, height, lambda x: x // p)
             m += 1
-        if horizon is not None:
-            hbound = rep_elem + e0.scale_unchecked(horizon)
-            prec, closed = _prec_min((prec, closed), (hbound, False))
+        hbound = rep_elem + e0.scale_unchecked(horizon)
+        prec, closed = _prec_min((prec, closed), (hbound, False))
     gkey = desc.sort_key()
     out.sort(key=lambda t: gkey(t[0]))
+    # a carry clamps the precision, so prec is finite here
     keep = []
     for g, c in out:
-        if prec is INF:
+        sgn = cmp(g, prec)
+        if sgn < 0 or (sgn == 0 and closed):
             keep.append((g, c))
-        else:
-            sgn = cmp(g, prec)
-            if sgn < 0 or (sgn == 0 and closed):
-                keep.append((g, c))
     return tuple(keep), prec, closed
 
 

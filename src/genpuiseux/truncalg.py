@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ChainExhausted, PrecisionExceeded, ValuationIndeterminate
 from .groups import INF, cmp, gmin
-from .keypoly import ValPoly, truncated_val
+from .keypoly import level_and_ties, truncated_val
 from .series import GenSeries
 from .embed import mu_beta_val
 
@@ -148,21 +148,14 @@ def lambda_and_U(f, beta, state):
     i_stage = chain.index_for(beta)
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
-    lam = None
-    per_b = {}
-    for b in range(1, f.degree() + 1):
-        db = f.hasse_derivative(b)
-        if db.is_zero():
-            continue
-        vb, _ = truncated_val(db, chain, i_stage)
-        if vb is INF:
-            continue
-        tot = vb + beta.scale_unchecked(b)
-        per_b[b] = tot
-        lam = gmin(lam, tot)
+
+    def level(b):
+        vb = truncated_val(f.hasse_derivative(b), chain, i_stage)[0]
+        return INF if vb is INF else vb + beta.scale_unchecked(b)
+
+    lam, U = level_and_ties((b, level(b)) for b in range(1, f.degree() + 1))
     if lam is None:
         raise ValuationIndeterminate("no determinate derivative level")
-    U = sorted(b for b, v in per_b.items() if cmp(v, lam) == 0)
     eps_stage = chain.entry(i_stage).epsilon
     U0 = []
     for b in U:

@@ -394,6 +394,26 @@ def test_limit_step_resumes_and_completes():
         assert coeff_to_fraction(c) == 1
 
 
+def test_limit_partial_coerces_with_the_tower():
+    from genpuiseux.coeff import adjoin_root
+    from genpuiseux.embed import LimitPartial
+
+    R = tring(2)
+    state = expand(limit_corpus_F(R), R, max_terms=12).state
+    f4, _ = adjoin_root(R.tower, [CoeffElem.from_int(R.tower, n) for n in (1, 1, 1)])
+    moved = state.with_tower(f4)
+    part = moved.partial
+    assert isinstance(part, LimitPartial)
+    assert part.ring == moved.ring and part.ring.tower == f4
+    assert part.flim == state.partial.flim.coerce(moved.ring)
+    assert (part.sup, part.next_exp) == (state.partial.sup, state.partial.next_exp)
+    assert all(c.tower == f4 for _, c in part.head_terms + part.tails)
+    assert part.as_series() == state.partial.as_series().coerce(moved.ring)
+    # evaluation through the stage polynomial commutes with the coercion
+    h = ValPoly(R, [t_pow(R, 1), R.one(), R.one()])
+    assert h.coerce(moved.ring).eval(part) == h.eval(state.partial).coerce(moved.ring)
+
+
 def test_limit_step_identity_on_finite_stream():
     R = tring()
     res = expand(classical_F(R), R, max_terms=4)
@@ -689,7 +709,7 @@ def _one_stage_val(f, chain, i):
         return f.coeffs[0].val()
     beta = chain.entry(i).beta
     best = None
-    for j, c in enumerate(standard_expansion(f, chain, i)):
+    for j, c in enumerate(standard_expansion(f, chain.entry(i).poly)):
         cv = _one_stage_val(c, chain, i - 1)
         if cv is INF:
             continue

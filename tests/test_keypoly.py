@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, adjoin_root
-from genpuiseux.errors import ChainComplete
+from genpuiseux.errors import ChainComplete, EngineInvariantViolation
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
     ChainEntry,
@@ -202,7 +202,7 @@ def test_standard_expansion_y4():
     chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(3, 2))),
                            (classical_F(R), g(R, 3)))
     y4 = poly(R, R.zero(), R.zero(), R.zero(), R.zero(), R.one())
-    cs = standard_expansion(y4, chain, 2)
+    cs = standard_expansion(y4, chain.entry(2).poly)
     # y^4 = Q^2 + 2 t^3 Q + t^6
     assert cs[0] == ValPoly.const(t_pow(R, 6))
     assert cs[1] == ValPoly.const(t_pow(R, 3, 2))
@@ -214,7 +214,7 @@ def test_standard_expansion_low_degree():
     chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(3, 2))),
                            (classical_F(R), g(R, 3)))
     y = ValPoly.variable(R)
-    cs = standard_expansion(y, chain, 2)
+    cs = standard_expansion(y, chain.entry(2).poly)
     assert len(cs) == 1 and cs[0] == y
 
 
@@ -230,7 +230,7 @@ def test_standard_expansion_reassembly():
                           for _ in range(rng.randint(1, 6))])
             if f.is_zero():
                 continue
-            cs = standard_expansion(f, chain, i)
+            cs = standard_expansion(f, q)
             acc = ValPoly(R, [])
             for j, c in enumerate(cs):
                 assert c.degree() < q.degree() or c.is_zero()
@@ -349,6 +349,92 @@ def test_extend_chain_artin_schreier_sequence():
     assert chain.entry(4).poly == F
     assert chain.entry(4).beta == g(R, Fraction(15, 8))
     assert chain.entry(4).epsilon == g(R, Fraction(15, 16))
+
+
+def _multiply_out(mono, chain, i, var):
+    """A leading standard monomial ({k: e_k}, (gamma, a)) as a ValPoly."""
+    exps, (gamma, a) = mono
+    out = ValPoly.const(chain.ring.monomial(gamma, a), var)
+    for k in range(1, i + 1):
+        out = out * (chain.entry(k).poly ** exps.get(k, 0))
+    return out
+
+
+def _trial_division_ratio(num, den, chain, i):
+    """num / den as the trial-division algorithm forms it: multiply both
+    monomials out, peel the stage powers off with divmod_monic from the top
+    stage down, then divide the leading terms of what is left."""
+    var = chain.entry(1).poly.var
+    num_c = _multiply_out(num, chain, i, var)
+    den_c = _multiply_out(den, chain, i, var)
+    factors = []
+    for k in range(i, 0, -1):
+        qk = chain.entry(k).poly
+        peeled = []
+        for c in (num_c, den_c):
+            e = 0
+            while c.degree() >= qk.degree() >= 1:
+                quot, rem = c.divmod_monic(qk)
+                if not rem.is_zero():
+                    break
+                c, e = quot, e + 1
+            peeled.append((c, e))
+        (num_c, e_num), (den_c, e_den) = peeled
+        assert e_num >= e_den
+        factors.append((qk, e_num - e_den))
+    ge_n, cn = num_c.coeffs[0].leading_term()
+    ge_d, cd = den_c.coeffs[0].leading_term()
+    out = ValPoly.const(chain.ring.monomial(ge_n - ge_d, cn * cd.inv()), var)
+    for qk, e in factors:
+        if e:
+            out = out * (qk ** e)
+    return out
+
+
+@pytest.mark.parametrize("lines, budget", [
+    (["char 2", "poly y^2 + t*y + t"], 24),
+    (["char 3", "poly y^2 - 2*t - t^2"], 16),    # the residues reach F9
+    (["char 0", "poly y^3 - t - t^2"], 12),      # the residues reach Q(w)
+    (["p 5", "witt_prec 16", "poly y^2 - 1 - p"], 16),
+    (["char 0", "weights 1 0+1*sqrt(2)", "sqrt_disc 2", "lower_vars u2",
+      "poly y^2 - t - u2"], 16),
+])
+def test_monomial_ratio_matches_trial_division(monkeypatch, lines, budget):
+    from genpuiseux import cli, keypoly
+
+    seen = []
+    ratio = keypoly._monomial_ratio
+
+    def recording(num, den, chain, i):
+        out = ratio(num, den, chain, i)
+        seen.append((num, den, chain, i, out))
+        return out
+
+    monkeypatch.setattr(keypoly, "_monomial_ratio", recording)
+    cli.cmd_expand(cli.parse_problem("\n".join(lines) + "\n"), budget=budget)
+    assert seen
+    for num, den, chain, i, out in seen:
+        want = _trial_division_ratio(num, den, chain, i)
+        assert out == want
+        assert out.to_text() == want.to_text()
+
+
+def test_monomial_ratio_subtracts_exponent_vectors():
+    from genpuiseux.keypoly import _monomial_ratio
+
+    R = tring(2)
+    F = artin_schreier_F(R)
+    chain = extend_chain(initial_chain(R, F), F, t_pow(R, Fraction(1, 2)))
+    one = R.c_one()
+    # (t^(1/2) Q_1 Q_2^2) / (t^(1/4) Q_2) = t^(1/4) Q_2 Q_1
+    num = ({1: 1, 2: 2}, (g(R, Fraction(1, 2)), one))
+    den = ({2: 1}, (g(R, Fraction(1, 4)), one))
+    out = _monomial_ratio(num, den, chain, 2)
+    want = _trial_division_ratio(num, den, chain, 2)
+    assert out == want and out.to_text() == want.to_text()
+    assert out == chain.entry(2).poly * chain.entry(1).poly * t_pow(R, Fraction(1, 4))
+    with pytest.raises(EngineInvariantViolation):
+        _monomial_ratio(den, num, chain, 2)
 
 
 def test_extend_chain_linear():
