@@ -5,7 +5,6 @@ from .coeff import (
     FieldTower,
     WittElem,
     WittRing,
-    adjoin_root,
     factor_poly,
     solve_in_closure,
 )

@@ -128,10 +128,40 @@ def _parse_weight(text, lineno):
     return Fraction(text)
 
 
+# Miller-Rabin with these bases is exact below 3.3e24 (Sorenson and Webster,
+# Math. Comp. 2017); a characteristic beyond that passes if every base does.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def build_ring(spec):
-    """The series ring of a spec; weights the value group rejects are a ParseError."""
-    if spec.mode == "mixed" and spec.p < 2:
-        raise ParseError("mixed mode needs a prime p")
+    """The series ring of a spec; a characteristic that is not 0 or a prime, and
+    weights the value group rejects, are a ParseError."""
+    if spec.mode == "mixed" and not _is_prime(spec.p):
+        raise ParseError(f"p must be a prime, not {spec.p}")
+    if spec.mode != "mixed" and spec.char != 0 and not _is_prime(spec.char):
+        raise ParseError(f"char must be 0 or a prime, not {spec.char}")
     char_exponent = spec.p if spec.mode == "mixed" else max(spec.char, 1)
     try:
         desc = GroupDescriptor(spec.weights, char_exponent=char_exponent,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache, partial
 
 from .errors import (
     DivisionByZero,
@@ -31,16 +32,15 @@ from .errors import (
 class FieldTower:
     """Immutable tower of simple extensions over F_p or Q."""
 
-    def __init__(self, base, stages=(), allow_extensions=True):
+    def __init__(self, base, stages=()):
         # base: ('F', p) or ('Q',)
         self.base = base
         self.stages = tuple(stages)  # (name, minpoly full tuple incl leading 1)
-        self.allow_extensions = allow_extensions
         self.leaf_mod = base[1] if base[0] == 'F' else None
 
     def _over_leaves(self, modulus):
         """The same stages with leaves mod `modulus` (exact integers if None)."""
-        view = FieldTower(self.base, self.stages, self.allow_extensions)
+        view = FieldTower(self.base, self.stages)
         view.leaf_mod = modulus
         return view
 
@@ -49,8 +49,8 @@ class FieldTower:
         return cls(('F', int(p)))
 
     @classmethod
-    def rationals(cls, allow_extensions=True):
-        return cls(('Q',), allow_extensions=allow_extensions)
+    def rationals(cls):
+        return cls(('Q',))
 
     @property
     def char(self):
@@ -226,23 +226,21 @@ class FieldTower:
         return tuple(self.rep_key(x[i] if i < len(x) else z, level - 1)
                      for i in range(d))
 
-    def enumerate_elements(self):
-        """All elements of a finite tower, sorted by the canonical key."""
+    def enumerate_elements(self, level=None):
+        """Lazy stream of all elements of a finite tower in canonical key order.
+
+        The key compares coefficient vectors lexicographically, constant term
+        first, so the stream is the product of the level below taken with the
+        constant coefficient slowest.
+        """
         if self.base[0] != 'F':
             raise ValueError("cannot enumerate an infinite tower")
-
-        def enum(level):
-            if level == 0:
-                return list(range(self.base[1]))
-            lower = enum(level - 1)
-            d = self.stage_degree(level - 1)
-            outs = [()]
-            for _ in range(d):
-                outs = [t + (c,) for t in outs for c in lower]
-            return [tuple(_trim(list(t))) for t in outs]
-
-        seen = sorted(set(enum(self.height)), key=lambda r: self.rep_key(r))
-        return seen
+        level = self.height if level is None else level
+        if level == 0:
+            return iter(range(self.base[1]))
+        below = partial(self.enumerate_elements, level - 1)
+        return (tuple(_trim(list(v)))
+                for v in _vectors(below, self.stage_degree(level - 1)))
 
     # -- extension ---------------------------------------------------------------
 
@@ -252,8 +250,7 @@ class FieldTower:
     def adjoin(self, minpoly_full, name=None):
         """New tower with a stage for the given monic minimal polynomial."""
         name = name or self.next_gen_name()
-        return FieldTower(self.base, self.stages + ((name, tuple(minpoly_full)),),
-                          self.allow_extensions)
+        return FieldTower(self.base, self.stages + ((name, tuple(minpoly_full)),))
 
 
 # -- polynomial helpers over a tower (coefficient lists of reps, ascending) ------
@@ -264,6 +261,16 @@ def _trim(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def _vectors(stream, n):
+    """All n-tuples over stream() (a fresh iterator per call), first entry slowest."""
+    if n == 0:
+        yield ()
+        return
+    for head in stream():
+        for tail in _vectors(stream, n - 1):
+            yield (head,) + tail
 
 
 def _pmul(tower, f, g, level):
@@ -403,16 +410,11 @@ def _distinct_degree(tower, f, level):
 
 
 def _witness_candidates(tower, degree, level):
-    """Deterministic stream of nonconstant polys of degree < degree, by degree then key."""
-    elems = tower.enumerate_elements()
-    nonzero = [e for e in elems if not tower.rep_is_zero(e, level)]
+    """Lazy stream of nonconstant polys of degree < degree, by degree then key."""
     for d in range(1, degree):
-        heads = [[]]
-        for _ in range(d):
-            heads = [pl + [c] for pl in heads for c in elems]
-        for head in heads:
-            for lead in nonzero:
-                yield head + [lead]
+        for v in _vectors(partial(tower.enumerate_elements, level), d + 1):
+            if not tower.rep_is_zero(v[-1], level):
+                yield list(v)
 
 
 def _equal_degree_split(tower, f, d, level):
@@ -596,53 +598,53 @@ def _rep_monomials(tower, rep, level, exps):
 # -- roots -------------------------------------------------------------------------
 
 
+_Q = FieldTower.rationals()
+
+
 def _rational_roots(coeffs):
-    """All rational roots (with multiplicity) of a poly with Fraction coefficients."""
-    from math import gcd
+    """The distinct rational roots of a poly with Fraction coefficients, degree >= 1.
 
-    f = [Fraction(c) for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
-    if len(f) <= 1:
-        return []
-    den = 1
-    for c in f:
-        den = den * c.denominator // gcd(den, c.denominator)
-    zf = [c * den for c in f]
-    roots = []
-    while zf and zf[0] == 0:
-        roots.append(Fraction(0))
-        zf = zf[1:]
-    if len(zf) <= 1:
-        return roots
+    With the denominators cleared to integers a_0..a_n, the roots are u / (2 a_n)
+    for the integer roots u of g(u) = (2 a_n)^n f(u / (2 a_n)) / a_n.  That g is
+    monic with integer coefficients, so its rational roots are integers, and
+    even ones: g never vanishes at an odd integer.  Sturm sign counts at odd
+    integers isolate the roots by bisection, so the work grows with the bit
+    length of the coefficients, not with their size.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    a = [int(c * den) for c in coeffs]
+    n = len(a) - 1
+    g = [c * 2 ** (n - i) * a[n] ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
+    sturm = [g, [i * c for i, c in enumerate(g)][1:]]
+    while True:
+        rem = _pdivmod(_Q, sturm[-2], sturm[-1], 0)[1]
+        if not rem:
+            break
+        scale = math.lcm(*(c.denominator for c in rem))  # keeps the signs
+        sturm.append([-int(c * scale) for c in rem])
 
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.extend([d, n // d])
-            d += 1
-        return sorted(set(out))
+    def value(poly, u):
+        acc = 0
+        for c in reversed(poly):
+            acc = acc * u + c
+        return acc
 
-    def deflate(poly, c):
-        # synthetic division by (x - c); caller guarantees c is a root
-        out = []
-        acc = Fraction(0)
-        for co in reversed(poly[1:]):
-            acc = co + acc * c
-            out.append(acc)
-        return list(reversed(out))
+    @cache
+    def sign_changes(u):
+        signs = [v > 0 for v in (value(s, u) for s in sturm) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    cand = set()
-    for r in divisors(abs(int(zf[0]))):
-        for s in divisors(abs(int(zf[-1]))):
-            cand.add(Fraction(r, s))
-            cand.add(Fraction(-r, s))
-    for c in sorted(cand, key=lambda q: (q < 0, abs(q.numerator), q.denominator)):
-        while len(zf) > 1 and sum(co * c ** i for i, co in enumerate(zf)) == 0:
-            roots.append(c)
-            zf = deflate(zf, c)
+    bound = 1 + max(abs(c) for c in g[:-1])  # Cauchy: every root has |u| < bound
+    roots, cells = [], [(-bound, bound)]  # a cell [lo, hi] holds the roots 2*lo .. 2*hi
+    while cells:
+        lo, hi = cells.pop()
+        if sign_changes(2 * lo - 1) == sign_changes(2 * hi + 1):
+            continue
+        if lo < hi:
+            mid = (lo + hi) // 2
+            cells += [(lo, mid), (mid + 1, hi)]
+        elif not value(g, 2 * lo):
+            roots.append(Fraction(lo, a[n]))
     return roots
 
 
@@ -664,7 +666,7 @@ def _q_sqrt_in_tower(tower, c):
     for k, (_, mp) in enumerate(tower.stages):
         # quadratic stage X^2 - e: generator g with g^2 = e
         if len(mp) == 3 and tower.rep_is_zero(mp[1], k):
-            sub = FieldTower(tower.base, tower.stages[:k], tower.allow_extensions)
+            sub = FieldTower(tower.base, tower.stages[:k])
             e = _rep_to_fraction(sub, mp[0], k)
             if e is None:
                 continue
@@ -698,13 +700,9 @@ def coeff_to_fraction(c):
     return _rep_to_fraction(c.tower, c.rep, c.tower.height)
 
 
-def _q_roots_in_tower(tower, coeffs):
-    """Roots of a poly over a Q tower found without extending it."""
+def _q_roots_in_tower(tower, f):
+    """Distinct roots of f (reps, degree >= 2) over a Q tower found without extending it."""
     level = tower.height
-    f = _trim([c.rep for c in coeffs])
-    if len(f) == 2:
-        root = tower.rep_neg(tower.rep_mul(f[0], tower.rep_inv(f[1], level), level), level)
-        return [CoeffElem(tower, root)]
     fracs = [_rep_to_fraction(tower, c, level) for c in f]
     roots = []
     if all(q is not None for q in fracs):
@@ -736,55 +734,40 @@ def _q_roots_in_tower(tower, coeffs):
     return uniq
 
 
-_CYCLOTOMIC_SHAPES = ((1, 1, 1), (1, 0, 1))  # X^2+X+1, X^2+1
+def _split_finite(tower, f):
+    """One round over F_q: the roots of the linear factors of f, the product of
+    the other factors, and the least of those as the next stage (None if none)."""
+    _, factors = factor_poly(tower, [CoeffElem(tower, c) for c in f])
+    roots, rest, stage = [], [tower.rep_one()], None
+    for fac, m in factors:
+        if len(fac) == 2:
+            roots.append((-fac[0], m))
+            continue
+        if stage is None:
+            stage = tuple(c.rep for c in fac)
+        for _ in range(m):
+            rest = _pmul(tower, rest, [c.rep for c in fac], tower.height)
+    return roots, rest, stage
 
 
-def adjoin_root(tower, coeffs):
-    """Root of the polynomial after extending the tower if needed.
-
-    coeffs: list of CoeffElem over `tower`, ascending, non-constant.
-    Returns (new_tower, root).  Deterministic: roots already present are
-    returned least-first in the canonical element order; otherwise the
-    canonically least irreducible factor is adjoined.
-    """
+def _split_rational(tower, f):
+    """One round over a Q tower: the roots it holds, divided out of f, or else
+    the next stage if f is X^2 - c or X^2 + X + 1."""
     level = tower.height
-    f = _trim([c.rep for c in coeffs])
-    if len(f) <= 1:
-        raise ValueError("adjoin_root needs a non-constant polynomial")
-
-    if tower.base[0] == 'F':
-        unit, factors = factor_poly(tower, coeffs)
-        linear = [fac for fac, _ in factors if len(fac) == 2]
-        if linear:
-            roots = sorted((-(fac[0] / fac[1]) for fac in linear),
-                           key=lambda c: c.sort_key())
-            return tower, roots[0]
-        fac = factors[0][0]
-        mono = [c.rep for c in fac]
-        new = tower.adjoin(tuple(mono))
-        return new, CoeffElem.generator(new)
-
-    roots = _q_roots_in_tower(tower, coeffs)
+    roots = []
+    for r in _q_roots_in_tower(tower, f):
+        m = 0
+        while True:
+            q, rem = _pdivmod(tower, f, [tower.rep_neg(r.rep), tower.rep_one()], level)
+            if rem:
+                break
+            f, m = q, m + 1
+        roots.append((r, m))
     if roots:
-        return tower, roots[0]
-    if not tower.allow_extensions:
-        raise IrreducibleOverRationals(
-            "no root in the current Q tower and extensions are disabled")
-    # whitelist: X^2 - c and small cyclotomic shapes
-    fracs = [_rep_to_fraction(tower, c, level) for c in f]
-    if len(f) == 3 and all(q is not None for q in fracs):
-        a0, a1, a2 = fracs
-        if a2 == 1 and a1 == 0:
-            new = tower.adjoin((tower.rep_zero(level) if a0 == 0 else
-                                tower.rep_lift(Fraction(a0), 0, level),
-                                tower.rep_zero(level),
-                                tower.rep_one(level)))
-            return new, CoeffElem.generator(new)
-        if a2 == 1 and (a0, a1) in ((Fraction(1), Fraction(1)),):
-            new = tower.adjoin((tower.rep_lift(Fraction(1), 0, level),
-                                tower.rep_lift(Fraction(1), 0, level),
-                                tower.rep_one(level)))
-            return new, CoeffElem.generator(new)
+        return roots, f, None
+    a = [_rep_to_fraction(tower, c, level) for c in f]
+    if len(a) == 3 and None not in a and a[2] == 1 and (a[1] == 0 or a[0] == a[1] == 1):
+        return [], f, tuple(tower.rep_lift(q, 0, level) for q in a)
     raise IrreducibleOverRationals(
         "polynomial is outside the whitelisted extension shapes")
 
@@ -793,64 +776,28 @@ def solve_in_closure(tower, coeffs):
     """All roots (with multiplicity) after extending the tower as needed.
 
     Returns (new_tower, [(root, multiplicity)]), roots canonically ordered.
+    Each round takes the roots the current tower holds and adjoins one stage
+    for the rest: over F_q the least nonlinear irreducible factor, over Q a
+    whitelisted shape (IrreducibleOverRationals for any other).  A root found
+    in one round divides f over every later stage, so only the cofactor goes on.
     """
-    level = tower.height
     f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
         raise ValueError("solve_in_closure needs a non-constant polynomial")
-
-    if tower.base[0] == 'Q':
-        # strip known roots, then whitelist-extend for the remainder
-        roots = []
-        cur = [CoeffElem(tower, c) for c in f]
-        cur_t = tower
-        changed = True
-        while changed and len(cur) > 2:
-            changed = False
-            for r in _q_roots_in_tower(cur_t, cur):
-                while True:
-                    q, rem = _pdivmod(cur_t, [c.rep for c in cur],
-                                      [cur_t.rep_neg(r.rep), cur_t.rep_one()], cur_t.height)
-                    if rem:
-                        break
-                    roots.append(r)
-                    cur = [CoeffElem(cur_t, c) for c in q]
-                    changed = True
-                    if len(cur) <= 2:
-                        break
-        if len(cur) == 2:
-            roots.append(-(cur[0] / cur[1]))
-            cur = cur[:1]
-        if len(cur) > 2:
-            cur_t, g = adjoin_root(cur_t, cur)
-            roots = [CoeffElem(cur_t, cur_t.coerce_rep(r.rep, r.tower)) for r in roots]
-            sub_t, more = solve_in_closure(cur_t, [
-                CoeffElem(cur_t, cur_t.coerce_rep(c.rep, c.tower)) for c in cur])
-            cur_t = sub_t
-            roots = [CoeffElem(cur_t, cur_t.coerce_rep(r.rep, r.tower)) for r in roots]
-            roots.extend(r for r, m in more for _ in range(m))
-        out = []
-        for r in sorted(roots, key=lambda c: c.sort_key()):
-            if out and out[-1][0] == r:
-                out[-1] = (r, out[-1][1] + 1)
-            else:
-                out.append((r, 1))
-        return cur_t, out
-
-    cur_t = tower
-    cur = coeffs
-    while True:
-        unit, factors = factor_poly(cur_t, cur)
-        nonlinear = [fac for fac, _ in factors if len(fac) > 2]
-        if not nonlinear:
-            roots = []
-            for fac, m in factors:
-                roots.append((-(fac[0] / fac[1]), m))
-            roots.sort(key=lambda rm: rm[0].sort_key())
-            return cur_t, roots
-        mono = [c.rep for c in nonlinear[0]]
-        cur_t = cur_t.adjoin(tuple(mono))
-        cur = [CoeffElem(cur_t, cur_t.coerce_rep(c.rep, c.tower)) for c in cur]
+    split = _split_finite if tower.base[0] == 'F' else _split_rational
+    found = []
+    while len(f) > 1:
+        if len(f) == 2:
+            root = tower.rep_neg(tower.rep_mul(f[0], tower.rep_inv(f[1])))
+            found.append((CoeffElem(tower, root), 1))
+            break
+        roots, f, stage = split(tower, f)
+        found.extend(roots)
+        if stage is not None:
+            tower = tower.adjoin(stage)
+            f = [tower.rep_lift(c, tower.height - 1, tower.height) for c in f]
+    roots = [(CoeffElem(tower, tower.coerce_rep(r.rep, r.tower)), m) for r, m in found]
+    return tower, sorted(roots, key=lambda rm: rm[0].sort_key())
 
 
 # -- Witt-style finite-precision p-adics -------------------------------------------

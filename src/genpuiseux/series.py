@@ -702,8 +702,13 @@ def _parse_exponent_body(ring, sc):
 
 
 def _coeff_from_fraction(ring, q):
+    """The coefficient of a rational literal; one whose denominator the residue
+    characteristic divides has no value and is a ParseError."""
     if q.denominator == 1:
         return ring.c_from_int(q.numerator)
+    p = ring.witt.p if ring.mode == "p" else ring.tower.char
+    if p and q.denominator % p == 0:
+        raise ParseError(f"the literal {q} has no value when the residue characteristic is {p}")
     if ring.mode == "p":
         den = ring.witt.from_int(q.denominator)
         return ring.witt.from_int(q.numerator) * den.inv()

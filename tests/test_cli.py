@@ -1,10 +1,13 @@
+import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from genpuiseux.cli import (
+    _is_prime,
     cmd_arith,
     cmd_expand,
     cmd_verify,
@@ -195,6 +198,46 @@ def test_main_exit_codes(tmp_path):
     assert main(["expand", good]) == 0
     assert main(["expand", bad]) == 2
     assert main(["expand", str(tmp_path / "missing.spec")]) == 2
+
+
+@pytest.mark.parametrize("text, status, series", [
+    ("char 0\npoly y^2 - 1267650600228229401496703205376*t\n",  # 2^100: a huge constant
+     "COMPLETE", "1125899906842624*t^(1/2)"),
+    ("char 1000000007\npoly y^2 - 1 - t\n", "BUDGET", None),  # a huge prime field
+])
+def test_large_numbers_expand_within_a_second(tmp_path, capsys, text, status, series):
+    spec = write(tmp_path, "big.spec", text)
+    start = time.monotonic()
+    assert main(["expand", spec]) == 0
+    assert time.monotonic() - start < 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"status: {status}" in lines
+    if series is not None:
+        assert f"series: {series}" in lines
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-5, 3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # Carmichael numbers and a strong pseudoprime to the bases 2..37 are composite
+    for n in (561, 41041, 3215031751, 318665857834031151167461):
+        assert not _is_prime(n)
+    for n in (1000000007, 2 ** 61 - 1, 2 ** 89 - 1):
+        assert _is_prime(n)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("char 1", "char must be 0 or a prime, not 1"),
+    ("char 4", "char must be 0 or a prime, not 4"),
+    ("char -3", "char must be 0 or a prime, not -3"),
+    ("p 1", "p must be a prime, not 1"),
+    ("p 4", "p must be a prime, not 4"),
+])
+def test_characteristic_is_zero_or_a_prime(header, message):
+    with pytest.raises(ParseError, match=message):
+        cmd_expand(parse_problem(f"{header}\npoly y^2 + t\n"))
 
 
 def test_main_trace_file(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,8 @@ from genpuiseux.coeff import (
     WittElem,
     WittRing,
     _q_sqrt_in_tower,
-    adjoin_root,
+    _rational_roots,
+    _witness_candidates,
     coeff_to_fraction,
     factor_poly,
     solve_in_closure,
@@ -25,30 +29,40 @@ def elems(tower, *ints):
     return [CoeffElem.from_int(tower, n) for n in ints]
 
 
+def f4():
+    """F4 = F2[w] with w^2 + w + 1 = 0, and its generator w."""
+    t = fp(2).adjoin((1, 1, 1))
+    return t, CoeffElem.generator(t)
+
+
 def test_adjoin_f4():
-    # X^2 + X + 1 over F_2: new degree-2 stage, generator is a root
+    # X^2 + X + 1 over F_2: new degree-2 stage, its generator is the least root
     t = fp(2)
-    t2, root = adjoin_root(t, elems(t, 1, 1, 1))
-    assert t2.height == 1
+    t2, roots = solve_in_closure(t, elems(t, 1, 1, 1))
+    assert t2 == f4()[0]
     assert t2.stage_degree(0) == 2
+    root = roots[0][0]
+    assert root == CoeffElem.generator(t2)
     val = root * root + root + CoeffElem.one(t2)
     assert val.is_zero()
 
 
 def test_adjoin_root_in_place():
-    # X^2 - 1 over F_3 has the root 1 already
+    # X^2 - 1 over F_3 has the roots 1 and 2 already
     t = fp(3)
-    t2, root = adjoin_root(t, elems(t, -1, 0, 1))
+    t2, roots = solve_in_closure(t, elems(t, -1, 0, 1))
     assert t2 == t
-    assert root == CoeffElem.from_int(t, 1)
+    assert roots == [(CoeffElem.from_int(t, 1), 1), (CoeffElem.from_int(t, 2), 1)]
 
 
 def test_adjoin_sqrt2_over_q():
     t = FieldTower.rationals()
     coeffs = [CoeffElem(t, Fraction(-2)), CoeffElem(t, Fraction(0)), CoeffElem(t, Fraction(1))]
-    t2, root = adjoin_root(t, coeffs)
+    t2, roots = solve_in_closure(t, coeffs)
     assert t2.height == 1
-    assert (root * root) == CoeffElem.from_int(t2, 2)
+    assert [m for _, m in roots] == [1, 1]
+    for root, _ in roots:
+        assert (root * root) == CoeffElem.from_int(t2, 2)
 
 
 # a float square root overshoots K, and 10**400 overflows a float
@@ -70,26 +84,26 @@ def test_rational_sqrt_exact(q, root):
 
 def test_adjoin_determinism():
     t = fp(2)
-    a = adjoin_root(t, elems(t, 1, 1, 1))
-    b = adjoin_root(t, elems(t, 1, 1, 1))
+    a = solve_in_closure(t, elems(t, 1, 1, 1))
+    b = solve_in_closure(t, elems(t, 1, 1, 1))
     assert a[0] == b[0]
     assert a[1] == b[1]
 
 
 def test_q_extension_forbidden():
-    t = FieldTower.rationals(allow_extensions=False)
-    coeffs = [CoeffElem(t, Fraction(-2)), CoeffElem(t, Fraction(0)), CoeffElem(t, Fraction(1))]
+    # X^3 - 2 has no root in Q and is outside the whitelisted shapes
+    t = FieldTower.rationals()
     with pytest.raises(IrreducibleOverRationals):
-        adjoin_root(t, coeffs)
+        solve_in_closure(t, elems(t, -2, 0, 0, 1))
 
 
 def test_f4_multiplication_table():
-    t, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
+    t, w = f4()
     assert w * w == w + CoeffElem.one(t)
 
 
 def test_field_axioms_random():
-    t, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
+    t, w = f4()
     universe = [CoeffElem(t, r) for r in t.enumerate_elements()]
     rng = random.Random(23)
     one = CoeffElem.one(t)
@@ -152,7 +166,7 @@ def test_residue_lift_roundtrip_examples():
 
 
 def test_residue_lift_roundtrip_random():
-    t, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
+    t, w = f4()
     ring = WittRing(t, 5)
     universe = [CoeffElem(t, r) for r in t.enumerate_elements()]
     rng = random.Random(5)
@@ -206,7 +220,7 @@ def test_p_times_unit_has_zero_digit0():
 
 
 def test_witt_over_extended_tower():
-    t, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
+    t, w = f4()
     ring = WittRing(t, 3)
     lw = ring.lift(w)
     # the lifted generator satisfies the lifted minimal polynomial exactly
@@ -234,8 +248,9 @@ def test_witt_products_match_integers_mod_pN():
 
 def test_witt_residue_is_a_homomorphism_over_a_height_two_tower():
     # F2 < F4 = F2[w] < F16 = F4[w2]: residue maps Witt +, -, * onto the tower's own
-    t4, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
-    t16, w2 = adjoin_root(t4, [w, CoeffElem.one(t4), CoeffElem.one(t4)])
+    t4, w = f4()
+    t16 = t4.adjoin((w.rep, (1,), (1,)))  # X^2 + X + w, irreducible over F4
+    w2 = CoeffElem.generator(t16)
     assert t16.height == 2
     ring = WittRing(t16, 4)
     universe = [CoeffElem(t16, r) for r in t16.enumerate_elements()]
@@ -261,7 +276,7 @@ def test_witt_residue_is_a_homomorphism_over_a_height_two_tower():
     assert (lw2 * lw2 + lw2 + lw).is_zero()
 
 
-@pytest.mark.parametrize("tower", [fp(3), adjoin_root(fp(2), elems(fp(2), 1, 1, 1))[0]],
+@pytest.mark.parametrize("tower", [fp(3), f4()[0]],
                          ids=["F3", "F4"])
 def test_negative_powers_raise(tower):
     x = CoeffElem.from_int(tower, 2) if tower.char == 3 else CoeffElem.generator(tower)
@@ -273,7 +288,7 @@ def test_negative_powers_raise(tower):
 
 
 def test_coeff_text_form():
-    t, w = adjoin_root(fp(2), elems(fp(2), 1, 1, 1))
+    t, w = f4()
     assert (w + CoeffElem.one(t)).to_text() == "w^1 + 1"
     ring = WittRing(fp(2), 3)
     assert ring.from_int(6).to_text() == "[0,1,1] (mod 2^3)"
@@ -285,3 +300,166 @@ def test_canonical_root_order_prefers_positive_one():
     t2, roots = solve_in_closure(t, coeffs)
     assert coeff_to_fraction(roots[0][0]) == 1
     assert coeff_to_fraction(roots[1][0]) == -1
+
+
+def _divisor_search_roots(coeffs):
+    """The rational-root search the solver used before: every +-r/s with r | a_0 and
+    s | a_n, found by trial division up to the square root of each."""
+    f = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in f))
+    zf = [c * den for c in f]
+    roots = set()
+    while zf[0] == 0:
+        roots.add(Fraction(0))
+        zf = zf[1:]
+
+    def divisors(n):
+        return {d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+
+    def value(c):
+        acc = 0
+        for co in reversed(zf):
+            acc = acc * c + co
+        return acc
+
+    for r in divisors(abs(int(zf[0]))):
+        for s in divisors(abs(int(zf[-1]))):
+            roots.update(c for c in (Fraction(r, s), Fraction(-r, s)) if value(c) == 0)
+    return roots
+
+
+def _random_rational_poly(rng):
+    f = [Fraction(1)]
+    for _ in range(rng.randint(0, 3)):  # linear factors (s*X - r) with rational roots
+        s, r = rng.randint(1, 6), rng.randint(-12, 12)
+        f = [a - b for a, b in zip([Fraction(0)] + [s * c for c in f], [r * c for c in f] + [0])]
+    extra = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    extra[-1] = extra[-1] or Fraction(1)
+    out = [Fraction(0)] * (len(f) + len(extra) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(extra):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_roots_match_divisor_search():
+    rng = random.Random(8)
+    checked = 0
+    for _ in range(150):
+        f = _random_rational_poly(rng)
+        if len(f) < 2:
+            continue
+        got = _rational_roots(f)
+        assert len(got) == len(set(got))
+        assert set(got) == _divisor_search_roots(f), f
+        checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ([-2 ** 150, 0, 0, 1], {2 ** 50}),
+    ([-1, 0, 2 ** 80], {Fraction(1, 2 ** 40), Fraction(-1, 2 ** 40)}),
+    ([3 * 2 ** 60, 3 - 2 ** 100, -(2 ** 40)], {Fraction(3, 2 ** 40), -(2 ** 60)}),
+    ([-(2 ** 100), 0, 1], {2 ** 50, -(2 ** 50)}),
+    ([2 ** 100 + 1, 0, 1], set()),
+], ids=["cube", "tiny", "mixed", "square", "none"])
+def test_rational_roots_of_large_coefficients(coeffs, roots):
+    start = time.monotonic()
+    assert set(_rational_roots([Fraction(c) for c in coeffs])) == roots
+    assert time.monotonic() - start < 1.0
+
+
+def _sorted_elements(tower):
+    """Every element of a finite tower built at once and sorted by its key."""
+    def enum(level):
+        if level == 0:
+            return list(range(tower.base[1]))
+        lower = enum(level - 1)
+        outs = [()]
+        for _ in range(tower.stage_degree(level - 1)):
+            outs = [v + (c,) for v in outs for c in lower]
+        return [v[:max([i + 1 for i, c in enumerate(v) if c], default=0)] for v in outs]
+
+    return sorted(set(enum(tower.height)), key=tower.rep_key)
+
+
+def _listed_witnesses(tower, degree):
+    elems = _sorted_elements(tower)
+    for d in range(1, degree):
+        heads = [[]]
+        for _ in range(d):
+            heads = [h + [c] for h in heads for c in elems]
+        for head in heads:
+            for lead in elems:
+                if lead:
+                    yield head + [lead]
+
+
+F16_TOWER = f4()[0].adjoin(((0, 1), (1,), (1,)))  # X^2 + X + w over F4
+
+
+@pytest.mark.parametrize("tower", [f4()[0], fp(3).adjoin((1, 0, 1)), F16_TOWER],
+                         ids=["F4", "F9", "F16"])
+def test_lazy_witnesses_match_the_sorted_lists(tower):
+    assert list(tower.enumerate_elements()) == _sorted_elements(tower)
+    degree = 4
+    want = list(itertools.islice(_listed_witnesses(tower, degree), 400))
+    got = list(itertools.islice(_witness_candidates(tower, degree, tower.height), 400))
+    assert got == want
+
+
+def _refactoring_solve(tower, coeffs):
+    """The F_q solver before: factor the whole poly again after every extension."""
+    cur_t, cur = tower, coeffs
+    while True:
+        _, factors = factor_poly(cur_t, cur)
+        nonlinear = [fac for fac, _ in factors if len(fac) > 2]
+        if not nonlinear:
+            roots = [(-(fac[0] / fac[1]), m) for fac, m in factors]
+            return cur_t, sorted(roots, key=lambda rm: rm[0].sort_key())
+        cur_t = cur_t.adjoin(tuple(c.rep for c in nonlinear[0]))
+        cur = [CoeffElem(cur_t, cur_t.coerce_rep(c.rep, c.tower)) for c in cur]
+
+
+@pytest.mark.parametrize("tower, ints", [
+    (fp(2), (0, 1, 0, 1, 0, 1)),                # X (X^2 + X + 1)^2
+    (fp(2), (1, 0, 0, 1, 1, 1, 1)),             # (X^2 + X + 1)(X^4 + X + 1): F4, then F16
+    (fp(2), (0, 1, 0, 0, 0, 1, 1)),             # X (X^2 + X + 1)(X^3 + X + 1): F4, then F64
+    (fp(2), (0, 1, 1, 0, 1, 1, 1)),             # X times an irreducible quintic
+    (fp(3), (-1, 1, -2, 2, -1, 1)),             # (X - 1)(X^2 + 1)^2
+    (fp(3), (1, 0, 0, 0, 1)),                   # X^4 + 1: two quadratics, then F9
+    (f4()[0], (1, 0, 0, 1)),                    # X^3 + 1 splits over F4
+    (f4()[0], (1, 1, 0, 0, 1)),                 # X^4 + X + 1: two quadratics over F4
+], ids=["f2-sq", "f2-two-stages", "f2-deg3", "f2-quintic", "f3-sq", "f3-quartic",
+        "f4-cube", "f4-quartic"])
+def test_solve_in_closure_matches_refactoring_loop(tower, ints):
+    got = solve_in_closure(tower, elems(tower, *ints))
+    want = _refactoring_solve(tower, elems(tower, *ints))
+    assert got[0] == want[0]
+    assert [(r.rep, m) for r, m in got[1]] == [(r.rep, m) for r, m in want[1]]
+    assert all(r.tower == got[0] for r, _ in got[1])
+
+
+def test_solve_in_closure_linear_needs_no_factoring(monkeypatch):
+    import genpuiseux.coeff as coeff
+
+    def no_factoring(*args):
+        raise AssertionError("a linear equation was factored")
+
+    monkeypatch.setattr(coeff, "factor_poly", no_factoring)
+    for t in (fp(5), f4()[0], FieldTower.rationals()):
+        three = CoeffElem.from_int(t, 3)
+        t2, roots = solve_in_closure(t, [CoeffElem.one(t), three])  # 3X + 1
+        assert t2 == t
+        (r, m), = roots
+        assert m == 1 and (three * r + 1).is_zero()
+
+
+def test_solve_in_closure_q_strips_then_extends():
+    # (X - 1)^2 (X^2 - 8): strip 1 twice, adjoin w^2 = 8, then find +-w
+    t = FieldTower.rationals()
+    t2, roots = solve_in_closure(t, elems(t, -8, 16, -7, -2, 1))
+    assert t2 == t.adjoin((Fraction(-8), Fraction(0), Fraction(1)))
+    w = CoeffElem.generator(t2)
+    assert roots == sorted([(CoeffElem.one(t2), 2), (w, 1), (-w, 1)],
+                           key=lambda rm: rm[0].sort_key())

@@ -34,10 +34,9 @@ from genpuiseux.embed import (
 )
 
 
-def tring(char=0, allow_ext=True):
+def tring(char=0):
     desc = GroupDescriptor([1], char_exponent=max(char, 1))
-    tower = (FieldTower.prime_field(char) if char
-             else FieldTower.rationals(allow_extensions=allow_ext))
+    tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing.equichar(desc, tower)
 
 
@@ -253,15 +252,16 @@ def test_expand_square_gap():
 
 
 def test_expand_transcendental_detection():
-    R = tring(allow_ext=False)
-    F = ValPoly(R, [-2 * t_pow(R, 2), R.zero(), R.one()])  # y^2 - 2 t^2
+    # the residue equation X^3 - 2 has no rational root and no whitelisted shape
+    R = tring()
+    F = ValPoly(R, [-2 * t_pow(R, 3), R.zero(), R.zero(), R.one()])  # y^3 - 2 t^3
     res = expand(F, R, max_terms=4)
     assert res.status == COMPLETE_TRANSCENDENTAL
     assert res.trace[-1]["branch"] == "TERMINAL"
 
 
 def test_expand_adjoins_sqrt2_when_allowed():
-    R = tring(allow_ext=True)
+    R = tring()
     F = ValPoly(R, [-2 * t_pow(R, 2), R.zero(), R.one()])
     res = expand(F, R, max_terms=4)
     assert res.status == COMPLETE
@@ -395,12 +395,11 @@ def test_limit_step_resumes_and_completes():
 
 
 def test_limit_partial_coerces_with_the_tower():
-    from genpuiseux.coeff import adjoin_root
     from genpuiseux.embed import LimitPartial
 
     R = tring(2)
     state = expand(limit_corpus_F(R), R, max_terms=12).state
-    f4, _ = adjoin_root(R.tower, [CoeffElem.from_int(R.tower, n) for n in (1, 1, 1)])
+    f4 = R.tower.adjoin((1, 1, 1))  # w^2 + w + 1 = 0
     moved = state.with_tower(f4)
     part = moved.partial
     assert isinstance(part, LimitPartial)

@@ -8,6 +8,7 @@ arities and argument kinds, degenerate polynomials and dropped characters.
 """
 
 import random
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ CASES = 600
 _HEADERS = (
     ["char 0"], ["char 2"], ["char 3"], ["p 3", "witt_prec 4"], ["p 5", "witt_prec 3"],
     ["char 0", "weights 1 0+1*sqrt(2)", "sqrt_disc 2"],
+    ["char 4"], ["char 1"], ["p 4", "witt_prec 3"],
 )
 # the README's functions by argument kinds: "s" a series, "e" an exponent
 _FUNCS = {"inv": ("s", "se"), "trunc_open": ("se",), "trunc_closed": ("se",),
@@ -147,9 +149,17 @@ def test_front_doors_raise_only_typed_errors(kind):
     ("arith", "char 0\nprint inv(1 + t)\n"),
     ("arith", "char 0\nprint slice(t, 2, 1)\n"),
     ("arith", "char 0\nprint normalize(t, 1)\n"),
+    ("expand", "char 4\npoly y^2 + t*y + t\n"),
+    ("expand", "char 1\npoly y^2 + t*y + t\n"),
+    ("expand", "p 4\npoly y^2 + p*y + p\n"),
+    ("expand", "char 2\npoly y^2 - 1/2*t*y + t\n"),
+    ("expand", "p 3\npoly y^2 - 1/3*p\n"),
+    ("arith", "char 3\nprint 1/3 + t\n"),
 ])
 def test_misuse_exits_with_a_parse_error(tmp_path, capsys, kind, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
+    start = time.monotonic()
     assert main([kind, str(path)]) == 2
+    assert time.monotonic() - start < 1.0
     assert capsys.readouterr().err.startswith("parse error: ")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, adjoin_root
+from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
 from genpuiseux.errors import ChainComplete, EngineInvariantViolation
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
@@ -129,8 +129,8 @@ def test_is_monic_reads_the_lead_exactly():
 def _power_cases():
     """name -> (x, 1, x*y, x**n, the class and method that form each product)."""
     R = tring()
-    base = FieldTower.prime_field(2)
-    f4, w = adjoin_root(base, [CoeffElem.from_int(base, 1)] * 3)
+    f4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
+    w = CoeffElem.generator(f4)
     return {
         "valpoly": (poly(R, t_pow(R, 1), R.one()), ValPoly.const(R.one()),
                     ValPoly.__mul__, ValPoly.__pow__, ValPoly, "__mul__"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, adjoin_root
+from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
 from genpuiseux.errors import NonUnit, ParseError, PrecisionExceeded, ValuationIndeterminate
 from genpuiseux.groups import INF, GroupDescriptor
 from genpuiseux.series import GenSeries, SeriesRing, eval_poly, parse_series
@@ -182,8 +182,8 @@ def test_normalize_agrees_with_integer_arithmetic():
     # series must spell the integer sum of that leaf's column in base p.
     rng = random.Random(29)
     N = 6
-    t4, w = adjoin_root(FieldTower.prime_field(2), [CoeffElem.from_int(
-        FieldTower.prime_field(2), 1)] * 3)
+    t4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
+    w = CoeffElem.generator(t4)
     for p, R, rounds in ((3, pring(3, prec=N), 1000),
                          (2, SeriesRing.mixed(GroupDescriptor([1], char_exponent=2),
                                               WittRing(t4, N)), 400)):
@@ -349,10 +349,8 @@ def test_text_roundtrip_random():
 
 
 def test_text_roundtrip_tower_coefficients():
-    base = FieldTower.prime_field(2)
-    t4, w = adjoin_root(base, [CoeffElem.from_int(base, 1),
-                               CoeffElem.from_int(base, 1),
-                               CoeffElem.from_int(base, 1)])
+    t4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
+    w = CoeffElem.generator(t4)
     desc = GroupDescriptor([1], char_exponent=2)
     R = SeriesRing.equichar(desc, t4)
     f = GenSeries(R, [(g(R, Fraction(1, 2)), w),
@@ -381,8 +379,8 @@ def test_parse_series_whitespace_and_bad_numbers():
 
 
 def test_parse_generator_powers():
-    base = FieldTower.prime_field(2)
-    f4, w = adjoin_root(base, [CoeffElem.from_int(base, 1)] * 3)  # w^2 + w + 1 = 0
+    f4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
+    w = CoeffElem.generator(f4)
     R = SeriesRing.equichar(GroupDescriptor([1], char_exponent=2), f4)
     t = t_pow(R, 1)
     assert parse_series(R, "(w^0)*t") == t
