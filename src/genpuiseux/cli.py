@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .coeff import FieldTower, WittRing
@@ -342,78 +342,70 @@ def _rand_poly(ring, rng, char, max_deg=4):
     return ValPoly(ring, coeffs, "h")
 
 
-def _check_caltron(ring, rng, char, trials):
-    worst = INF
-    for _ in range(trials):
+def _identity_holds(prod, lam, tree):
+    """Whether the truncation tree, evaluated by ``tree()``, gives prod(lam);
+    None for a skipped trial: prod reaches lam, or its precision (the p-adic
+    digit-carrying horizon) ends below lam.  A tree of None fails."""
+    if cmp(prod.val(), lam) >= 0 or (prod.prec is not INF and cmp(prod.prec, lam) < 0):
+        return None
+    lhs = tree()
+    return lhs is not None and ([t for t in lhs.terms if cmp(t[0], lam) < 0]
+                                == list(prod.truncate_open(lam).terms))
+
+
+def _check_caltron(res, rng, char, trials):
+    ring = res.series.ring
+    for _ in range(2 * trials):
         g = _rand_series(ring, rng, char)
         h = _rand_series(ring, rng, char)
-        lam_q = Fraction(rng.randint(2, 16), 2)
-        lam = ring.descriptor.from_rational(lam_q)
-        if cmp(g.val() + h.val(), lam) >= 0:
-            continue
-        prod = g * h
-        if prod.prec is not INF and cmp(prod.prec, lam) < 0:
-            continue  # digit-carrying horizon fell below the read point
-        decomp = product_truncation(g, h, lam)
-        lhs = decomp.evaluate(g, h)
-        rhs = prod.truncate_open(lam)
-        la = [t for t in lhs.terms if cmp(t[0], lam) < 0]
-        rb = list(rhs.terms)
-        if la != rb:
-            return False, None
-        if cmp(decomp.lambdas[-1], lam - h.val()) > 0:
-            return False, None
-        if cmp(decomp.deltas[0], lam - g.val()) > 0:
-            return False, None
-    return True, worst
+        lam = ring.descriptor.from_rational(Fraction(rng.randint(2, 16), 2))
 
+        def sweep():
+            decomp = product_truncation(g, h, lam)
+            if (cmp(decomp.lambdas[-1], lam - h.val()) > 0
+                    or cmp(decomp.deltas[0], lam - g.val()) > 0):
+                return None
+            return decomp.evaluate(g, h)
 
-def _check_prodfini(ring, rng, char, trials):
-    for _ in range(max(1, trials // 3)):
-        fs = [_rand_series(ring, rng, char) for _ in range(3)]
-        prod = fs[0] * fs[1] * fs[2]
-        lam = ring.descriptor.from_rational(Fraction(rng.randint(4, 14), 2))
-        if cmp(prod.val(), lam) >= 0:
-            continue
-        if prod.prec is not INF and cmp(prod.prec, lam) < 0:
-            continue
-        tree = multi_product_truncation(fs, lam)
-        lhs = tree.evaluate(fs)
-        rhs = prod.truncate_open(lam)
-        if [t for t in lhs.terms if cmp(t[0], lam) < 0] != list(rhs.terms):
+        if _identity_holds(g * h, lam, sweep) is False:
             return False, None
     return True, INF
 
 
-def _check_stab(res, rng, trials):
+def _product_tree_holds(factors, lam):
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod * f
+    return _identity_holds(
+        prod, lam, lambda: multi_product_truncation(factors, lam).evaluate(factors))
+
+
+def _check_prodfini(res, rng, char, trials):
+    ring = res.series.ring
+    for _ in range(max(1, trials // 3)):
+        fs = [_rand_series(ring, rng, char) for _ in range(3)]
+        lam = ring.descriptor.from_rational(Fraction(rng.randint(4, 14), 2))
+        if _product_tree_holds(fs, lam) is False:
+            return False, None
+    return True, INF
+
+
+def _check_stab(res, rng, char, trials):
     ring = res.series.ring
     root = GenSeries(ring, list(res.series.terms))
-    tgen = ring.uniformizer()
     if not root.terms:
         return True, INF
     for _ in range(max(1, trials // 3)):
         e1, e2 = rng.randint(0, 2), rng.randint(1, 2)
-        factors = [tgen] * e1 + [root] * e2
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = prod * f
+        factors = [ring.uniformizer()] * e1 + [root] * e2
         lam = ring.descriptor.from_rational(Fraction(rng.randint(6, 14), 2))
-        if cmp(prod.val(), lam) >= 0:
-            continue
-        if prod.prec is not INF and cmp(prod.prec, lam) < 0:
-            continue
-        tree = multi_product_truncation(factors, lam)
-        lhs = tree.evaluate(factors)
-        rhs = prod.truncate_open(lam)
-        if [t for t in lhs.terms if cmp(t[0], lam) < 0] != list(rhs.terms):
+        if _product_tree_holds(factors, lam) is False:
             return False, None
     return True, INF
 
 
 def _check_min(res, rng, char, trials):
-    state = res.state
     chain = res.chain
-    root = state.partial
     stages = [i for i in range(1, len(chain) + 1)
               if chain.entry(i).epsilon is not INF][:2]
     for i in stages:
@@ -423,96 +415,70 @@ def _check_min(res, rng, char, trials):
             if h.is_zero():
                 continue
             done += 1
-            rep = derivative_min_check(h, chain, i, root)
-            if rep["nu_i"] is INF:
-                continue
-            if not rep["equal"]:
+            rep = derivative_min_check(h, chain, i, res.state.partial)
+            if rep["nu_i"] is not INF and not rep["equal"]:
                 return False, None
     return True, INF
 
 
-def _check_ent(res):
-    state = res.state
-    chain = res.chain
-    worst = INF
-    for i in range(1, len(chain) + 1):
-        eps = chain.entry(i).epsilon
-        if eps is INF:
-            continue
-        if state.beta is not INF and cmp(eps, state.beta) > 0:
+def _at_epsilons(state, read, with_beta):
+    """read(eps, state) at each finite epsilon_i below beta (or equal to it,
+    with_beta), leaving out the readings that raise an EngineError."""
+    for entry in state.chain.entries:
+        eps = entry.epsilon
+        if eps is INF or (state.beta is not INF
+                          and cmp(eps, state.beta) >= (1 if with_beta else 0)):
             continue
         try:
-            rel = integral_dependence(eps, state)
+            out = read(eps, state)
         except EngineError:
             continue
+        yield out
+
+
+def _check_ent(res, rng, char, trials):
+    worst = INF
+    for rel in _at_epsilons(res.state, integral_dependence, with_beta=True):
         # the relation's degree is max U0 and its top coefficient a unit monomial
-        if not rel.monomials or max(rel.monomials) != rel.degree:
+        if (not rel.monomials or max(rel.monomials) != rel.degree
+                or len(rel.monomials[rel.degree].terms) != 1
+                or (rel.residual_val is not INF and cmp(rel.residual_val, rel.lam) < 0)):
             return False, rel.residual_val
-        top = rel.monomials[rel.degree]
-        if len(top.terms) != 1:
-            return False, rel.residual_val
-        if rel.residual_val is not INF and cmp(rel.residual_val, rel.lam) < 0:
-            return False, rel.residual_val
-        if rel.residual_val is not INF:
-            worst = rel.residual_val if worst is INF else worst
+        if worst is INF:
+            worst = rel.residual_val
     return True, worst
 
 
-def _check_taylor(res):
-    state = res.state
-    chain = res.chain
-    F = state.F
-    for i in range(1, len(chain) + 1):
-        eps = chain.entry(i).epsilon
-        if eps is INF:
-            continue
-        if state.beta is not INF and cmp(eps, state.beta) >= 0:
-            continue
-        try:
-            form = taylor_form(F, eps, state, mode="OPEN")
-        except EngineError:
-            continue
-        acc = form.constant
-        for b, mono in form.monomials.items():
-            acc = acc + mono * (form.center ** b)
-        if not acc.is_exact_zero() and acc.terms:
-            if cmp(acc.val(), form.lam) < 0:
-                return False, acc.val()
+def _check_taylor(res, rng, char, trials):
+    def form_at(eps, state):
+        return taylor_form(state.F, eps, state, mode="OPEN")
+
+    for form in _at_epsilons(res.state, form_at, with_beta=False):
+        acc = form.relation_value()
+        if acc.terms and cmp(acc.val(), form.lam) < 0:
+            return False, acc.val()
     return True, INF
+
+
+_CHECKS = {"caltron": _check_caltron, "prodfini": _check_prodfini,
+           "stab": _check_stab, "min": _check_min, "ent": _check_ent,
+           "taylor": _check_taylor}
 
 
 def cmd_verify(spec, fmt="text", corrupt=False, budget=None, prec=None):
     res = run_expand(spec, budget, prec)
-    if corrupt:
+    if corrupt and res.series.terms:
         ring = res.series.ring
-        if res.series.terms:
-            g0, c0 = res.series.terms[0]
-            bumped = res.series + ring.monomial(g0, ring.c_one())
-            from dataclasses import replace as _rep
-            res = _rep(res, series=bumped,
-                       state=_rep(res.state, partial=bumped))
+        bumped = res.series + ring.monomial(res.series.terms[0][0], ring.c_one())
+        res = replace(res, series=bumped, state=replace(res.state, partial=bumped))
     if not spec.verify:
         return 0, ""
     rng = random.Random(spec.seed)
     char = spec.p if spec.mode == "mixed" else spec.char
-    ring = res.series.ring
     lines = []
     ok_all = True
     for name in spec.verify:
-        if name == "caltron":
-            ok, rv = _check_caltron(ring, rng, max(char, 0), spec.trials * 2)
-        elif name == "prodfini":
-            ok, rv = _check_prodfini(ring, rng, max(char, 0), spec.trials)
-        elif name == "stab":
-            ok, rv = _check_stab(res, rng, spec.trials)
-        elif name == "min":
-            ok, rv = _check_min(res, rng, char, spec.trials)
-        elif name == "ent":
-            ok, rv = _check_ent(res)
-        elif name == "taylor":
-            ok, rv = _check_taylor(res)
-        else:
-            continue
+        ok, rv = _CHECKS[name](res, rng, char, spec.trials)
         ok_all = ok_all and ok
         rv_text = "inf" if rv is INF or rv is None else group_text(rv)
         lines.append(f"check={name} status={'PASS' if ok else 'FAIL'} "

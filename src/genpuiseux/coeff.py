@@ -766,8 +766,10 @@ def _split_rational(tower, f):
     if roots:
         return roots, f, None
     a = [_rep_to_fraction(tower, c, level) for c in f]
-    if len(a) == 3 and None not in a and a[2] == 1 and (a[1] == 0 or a[0] == a[1] == 1):
-        return [], f, tuple(tower.rep_lift(q, 0, level) for q in a)
+    if len(a) == 3 and None not in a:
+        a = [q / a[2] for q in a]  # the shapes are read on the monic form
+        if a[1] == 0 or a[0] == a[1] == 1:
+            return [], f, tuple(tower.rep_lift(q, 0, level) for q in a)
     raise IrreducibleOverRationals(
         "polynomial is outside the whitelisted extension shapes")
 

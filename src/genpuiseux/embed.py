@@ -30,6 +30,7 @@ from .keypoly import (
     KeyPolyChain,
     ValPoly,
     extend_chain,
+    geometric_limit,
     group_text,
     initial_chain,
     level_and_ties,
@@ -214,6 +215,13 @@ class PuiseuxState:
         if t is None or t[0] is not self.partial or t[1] is not self.F:
             t = self.taylor = (self.partial, self.F, taylor_at(self.F, self.partial))
         return t[2]
+
+    def taylor_of(self, poly, lowest=0):
+        """((D^l poly)(partial))_l: the carried vector when poly is F, else
+        ``taylor_at`` with the entries below ``lowest`` left as None."""
+        if poly == self.F:
+            return self.taylor_vector()
+        return taylor_at(poly, self.partial, lowest)
 
     def eval_at_partial(self, poly):
         if poly == self.F:
@@ -520,10 +528,8 @@ def limit_signature(state):
     stage polynomial distinct from the defining polynomial (for the defining
     polynomial itself the accumulation IS the root and the budget governs).
     """
-    if state.status != RUNNING or len(state.emitted) < 3:
-        return None
     p = state.ring.descriptor.char_exponent
-    if p <= 1:
+    if state.status != RUNNING or len(state.emitted) < 3 or p <= 1:
         return None
     i_b = state.i_beta
     if i_b > len(state.chain):
@@ -531,12 +537,10 @@ def limit_signature(state):
     entry = state.chain.entry(i_b)
     if entry.poly == state.F:
         return None
-    exps = [e for e, _ in state.emitted]
-    d1 = exps[-2] - exps[-3]
-    d2 = exps[-1] - exps[-2]
-    if cmp(d1, d2.scale_unchecked(p)) != 0:
+    geo = geometric_limit([e for e, _ in state.emitted[-3:]], p)
+    if geo is None:
         return None
-    sup = exps[-1] + d2.scale_unchecked(Fraction(1, p - 1))
+    sup = geo[1]
     if entry.epsilon is not INF and cmp(sup, entry.epsilon) > 0:
         return None
     if state.beta is not INF and cmp(state.beta, sup) >= 0:
@@ -558,23 +562,20 @@ def limit_step(state):
         raise UnsupportedLimitPattern("too few terms to match a pattern")
     exps = [e for e, _ in state.emitted]
     coeffs = [c for _, c in state.emitted]
-    d1 = exps[-2] - exps[-3]
-    d2 = exps[-1] - exps[-2]
-    if p <= 1 or cmp(d1, d2.scale_unchecked(p)) != 0:
+    geo = geometric_limit(exps, p)
+    if geo is None:
         raise UnsupportedLimitPattern("increments are not geometric")
     if not (coeffs[-1] == coeffs[-2] == coeffs[-3]):
         raise UnsupportedLimitPattern("coefficients do not repeat")
     flim = limit_signature(state)
     if flim is None:
         return state
-    i_b = state.i_beta
-    entry = state.chain.entry(i_b)
+    entry = state.chain.entry(state.i_beta)
+    delta, sup = geo
     c_rep = coeffs[-1]
-    sup = exps[-1] + d2.scale_unchecked(Fraction(1, p - 1))
 
     # verify the stage polynomial's valuations along three extrapolated terms
     head = list(state.emitted)
-    delta = d2
     check_vals = []
     probe = state.partial
     for _ in range(3):
@@ -667,7 +668,7 @@ def mu_beta_val(f, state):
         emb = dict(state.lower)
         f = f.to_valpoly(state.ring, emb)
     beta = state.beta
-    vec = state.taylor_vector() if f == state.F else taylor_at(f, state.partial)
+    vec = state.taylor_of(f)
     best, attain = level_and_ties((k, ev.val() + beta.scale_unchecked(k))
                                   for k, ev in enumerate(vec)
                                   if not ev.is_exact_zero())

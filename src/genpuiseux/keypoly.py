@@ -174,14 +174,15 @@ class ValPoly:
         return f"ValPoly({self.to_text()})"
 
 
-def taylor_at(P, s):
+def taylor_at(P, s, lowest=0):
     """The Taylor vector ((D^l P)(s))_{l=0..deg P}, each entry by Horner.
 
     s is a series or any point with an ``eval_valpoly`` method; a vanishing
-    Hasse derivative contributes an exact zero without an evaluation.
+    Hasse derivative contributes an exact zero without an evaluation.  The
+    entries below ``lowest`` are left unevaluated, as None.
     """
-    out = [P.eval(s)]
-    for l in range(1, P.degree() + 1):
+    out = [None] * lowest if lowest else [P.eval(s)]
+    for l in range(max(lowest, 1), P.degree() + 1):
         dP = P.hasse_derivative(l)
         out.append(s.ring.zero() if dP.is_zero() else dP.eval(s))
     return out
@@ -307,12 +308,7 @@ class KeyPolyChain:
         eps = [e.epsilon for e in self.entries[-tail:]]
         if any(e is INF for e in eps):
             return False
-        p = self.ring.descriptor.char_exponent
-        if p <= 1:
-            return False
-        d1 = eps[-2] - eps[-3]
-        d2 = eps[-1] - eps[-2]
-        return cmp(d1, d2.scale_unchecked(p)) == 0
+        return geometric_limit(eps, self.ring.descriptor.char_exponent) is not None
 
     def report(self):
         lines = []
@@ -321,6 +317,18 @@ class KeyPolyChain:
                 f"{i}: Q_{i}={e.poly.to_text()} beta={group_text(e.beta)} "
                 f"b={e.b_order} eps={group_text(e.epsilon)} alpha={e.alpha}")
         return "\n".join(lines)
+
+
+def geometric_limit(xs, p):
+    """(d, sup) when the last three values of xs step by p*d and then d, so
+    that continuing the steps d/p, d/p^2, ... accumulates at
+    sup = xs[-1] + d/(p - 1); None otherwise (and for p <= 1)."""
+    if p <= 1 or len(xs) < 3:
+        return None
+    d = xs[-1] - xs[-2]
+    if cmp(xs[-2] - xs[-3], d.scale_unchecked(p)) != 0:
+        return None
+    return d, xs[-1] + d.scale_unchecked(Fraction(1, p - 1))
 
 
 def standard_expansion(f, q):
@@ -544,11 +552,11 @@ def derivative_min_check(h, chain, i, root):
     """Report on the three-way minimum identity at beta = epsilon_i.
 
     Evaluates nu_i(h) against min over derivative orders of both the true
-    (pullback) and the truncated values shifted by alpha*beta.
+    (pullback) and the truncated values shifted by alpha*beta, in one pass:
+    each derivative D^a h is formed and evaluated once, and nu_i(h) is the
+    truncated value at a = 0.
     """
-    entry = chain.entry(i)
-    beta = entry.epsilon
-    lhs, _ = truncated_val(h, chain, i)
+    beta = chain.entry(i).epsilon
 
     def true_val(ev):
         if ev.is_exact_zero():
@@ -558,18 +566,18 @@ def derivative_min_check(h, chain, i, root):
         except ValuationIndeterminate:
             return INF
 
+    lhs = truncated_val(h, chain, i)[0]
     mid = None
     rhs = None
-    at_root = taylor_at(h, root)
-    for a in range(0, h.degree() + 1):
+    for a in range(h.degree() + 1):
         da = h if a == 0 else h.hasse_derivative(a)
         if da.is_zero():
             continue
         shift = beta.scale_unchecked(a) if beta is not INF else INF
-        tv = true_val(at_root[a])
+        tv = true_val(da.eval(root))
         if tv is not INF and shift is not INF:
             mid = gmin(mid, tv + shift)
-        uv, _ = truncated_val(da, chain, i)
+        uv = lhs if a == 0 else truncated_val(da, chain, i)[0]
         if uv is not INF and shift is not INF:
             rhs = gmin(rhs, uv + shift)
     ok = (lhs is not INF and mid is not None and rhs is not None

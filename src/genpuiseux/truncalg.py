@@ -9,13 +9,13 @@ dependence relation for the partial developments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .errors import ChainExhausted, PrecisionExceeded, ValuationIndeterminate
 from .groups import INF, cmp, gmin
 from .keypoly import level_and_ties, truncated_val
 from .series import GenSeries
-from .embed import mu_beta_val
 
 
 def _exact(series):
@@ -144,30 +144,43 @@ def lambda_and_U(f, beta, state):
     f: ValPoly in the expanded variable.  The noetherian bound is replaced by
     the derivative support bound (the polynomial degree).
     """
+    return _derivative_levels(f, beta, state)[0]
+
+
+def _derivative_levels(f, beta, state):
+    """lambda_and_U's levels with what they read: the Taylor vector of f at
+    the partial (from the least order in U on) and the derivatives D^b f,
+    b >= 1, by order.
+
+    b lies in U0 when the T-graded minimum of D^b f at epsilon of the stage,
+    min over k of nu((D^k D^b f)(partial)) + k*epsilon, is attained at k = 0
+    only.  D^k D^b = C(b+k, k) D^(b+k), so that minimum is read from f's
+    own vector.
+    """
     chain = state.chain
     i_stage = chain.index_for(beta)
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
+    derivs = {b: f.hasse_derivative(b) for b in range(1, f.degree() + 1)}
 
     def level(b):
-        vb = truncated_val(f.hasse_derivative(b), chain, i_stage)[0]
+        vb = truncated_val(derivs[b], chain, i_stage)[0]
         return INF if vb is INF else vb + beta.scale_unchecked(b)
 
-    lam, U = level_and_ties((b, level(b)) for b in range(1, f.degree() + 1))
+    lam, U = level_and_ties((b, level(b)) for b in derivs)
     if lam is None:
         raise ValuationIndeterminate("no determinate derivative level")
-    eps_stage = chain.entry(i_stage).epsilon
-    U0 = []
-    for b in U:
-        db = f.hasse_derivative(b)
-        st_eps = replace(state, beta=eps_stage) if eps_stage is not INF else state
-        if eps_stage is INF:
-            U0.append(b)
-            continue
-        _, attain = mu_beta_val(db, st_eps)
-        if attain == [0]:
-            U0.append(b)
-    return DerivativeLevels(lam, U, U0, i_stage)
+    vec = state.taylor_of(f, U[0])  # no order below U is read
+    eps = chain.entry(i_stage).epsilon
+    U0 = list(U) if eps is INF else [b for b in U if _min_at_zero_only(vec, b, eps)]
+    return DerivativeLevels(lam, U, U0, i_stage), vec, derivs
+
+
+def _min_at_zero_only(vec, b, eps):
+    """Whether k = 0 alone attains min nu(C(b+k, k) vec[b+k]) + k*eps."""
+    terms = ((k, vec[b + k] * math.comb(b + k, k)) for k in range(len(vec) - b))
+    return level_and_ties((k, ev.val() + eps.scale_unchecked(k))
+                          for k, ev in terms if not ev.is_exact_zero())[1] == [0]
 
 
 # -- Taylor forms --------------------------------------------------------------------------
@@ -181,13 +194,13 @@ class TaylorForm:
     lam: object
     levels: DerivativeLevels
     mode: str
-    stage_prev: int
-    notes: tuple
 
-
-def _leading_monomial_series(series):
-    g, c = series.leading_term()
-    return GenSeries(series.ring, [(g, c)])
+    def relation_value(self):
+        """The form at its center: constant + sum of monomial_b * center^b."""
+        acc = self.constant
+        for b, mono in self.monomials.items():
+            acc = acc + mono * (self.center ** b)
+        return acc
 
 
 def taylor_form(f, beta, state, mode="OPEN"):
@@ -196,76 +209,45 @@ def taylor_form(f, beta, state, mode="OPEN"):
     mode OPEN reads the open truncation of the embedding at beta (the
     partial development); mode CLOSED reads the closed one.  The constant
     term is the residual after removing the leading derivative monomials.
+    Every value at the partial is read from the one Taylor vector of f.
     """
     chain = state.chain
-    levels = lambda_and_U(f, beta, state)
-    i_stage = levels.stage
-    notes = []
-    i0 = i_stage - 1
-    while i0 >= 1:
-        ok = True
-        for b in levels.U0:
-            db = f.hasse_derivative(b)
-            v_tr, _ = truncated_val(db, chain, i0)
-            ev = state.eval_at_partial(db)
-            if ev.is_exact_zero():
-                continue
+    closed = mode != "OPEN"
+    levels, vec, derivs = _derivative_levels(f, beta, state)
+    lam = levels.lam
+    # (D^b f)(partial) for the b in U0 where it is not zero
+    leading = {b: vec[b] for b in levels.U0 if not vec[b].is_exact_zero()}
+
+    def truncation_exact(i):
+        for b, ev in leading.items():
+            v_tr = truncated_val(derivs[b], chain, i)[0]
             if v_tr is INF or cmp(v_tr, ev.val()) != 0:
-                ok = False
-                break
-        if ok:
-            break
+                return False
+        return True
+
+    # the latest earlier stage whose truncated values of those derivatives
+    # are their values at the partial
+    i0 = levels.stage - 1
+    while i0 >= 1 and not truncation_exact(i0):
         i0 -= 1
-    if i0 == i_stage - 1:
-        notes.append("conditions (3)-(4) vacuous: immediate predecessor chosen")
-    if i0 < 1:
-        i0 = 0
 
     # truncations of the computed embedding are exactly known finite objects
-    full = state.partial_series(INF) if state.status == "COMPLETE" else \
-        state.partial_series(state.beta)
+    full = state.partial_series()
     if i0 >= 1:
         eps0 = chain.entry(i0).epsilon
         base = _exact(full.truncate_closed(eps0)) if eps0 is not INF else _exact(full)
     else:
         base = GenSeries(state.ring, [], INF, False)
-
-    if mode == "OPEN":
-        center_series = _exact(full.truncate_open(beta)) if _within(full, beta, False) \
-            else _exact(full)
-    else:
-        center_series = _exact(full.truncate_closed(beta)) if _within(full, beta, True) \
-            else _exact(full)
+    center_series = _exact(_cut(full, beta, closed))
     delta = center_series - base
-
-    ev = f.eval(center_series)
-    if mode == "OPEN":
-        trunc_ev = ev.truncate_open(levels.lam) if _within(ev, levels.lam, False) else ev
-    else:
-        trunc_ev = ev.truncate_closed(levels.lam) if _within(ev, levels.lam, True) else ev
 
     monomials = {}
     correction = state.ring.zero()
-    for b in levels.U0:
-        db = f.hasse_derivative(b)
-        emb = state.eval_at_partial(db)
-        if emb.is_exact_zero():
-            continue
-        mono = _leading_monomial_series(emb)
-        monomials[b] = mono
-        term = mono * (delta ** b)
-        if mode == "OPEN":
-            if term.prec is INF or cmp(term.prec, levels.lam) >= 0:
-                term = term.truncate_open(levels.lam)
-        else:
-            try:
-                term = term.truncate_closed(levels.lam)
-            except PrecisionExceeded:
-                pass
-        correction = correction + term
-    constant = trunc_ev - correction
-    return TaylorForm(constant, monomials, delta, levels.lam, levels, mode,
-                      i0, tuple(notes))
+    for b, ev in leading.items():
+        mono = monomials[b] = GenSeries(ev.ring, [ev.leading_term()])
+        correction = correction + _cut(mono * (delta ** b), lam, closed)
+    constant = _cut(f.eval(center_series), lam, closed) - correction
+    return TaylorForm(constant, monomials, delta, lam, levels, mode)
 
 
 def _within(series, bound, closed):
@@ -273,6 +255,14 @@ def _within(series, bound, closed):
         return True
     s = cmp(bound, series.prec)
     return s < 0 or (s == 0 and (series.closed or not closed))
+
+
+def _cut(series, bound, closed):
+    """The closed or open truncation at bound, or the series itself when
+    its precision ends first."""
+    if not _within(series, bound, closed):
+        return series
+    return series.truncate_closed(bound) if closed else series.truncate_open(bound)
 
 
 # -- the integral dependence relation ------------------------------------------------------
@@ -305,19 +295,13 @@ def integral_dependence(beta, state):
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
     q_poly = chain.entry(i_stage).poly
-    if beta is INF:
+    beta_eff = beta if beta is not INF else state.beta
+    if beta_eff is INF:
         # use the last finite threshold as the reading point
-        beta_eff = state.beta if state.beta is not INF else None
-        if beta_eff is None:
-            eps_prev = [e.epsilon for e in chain.entries if e.epsilon is not INF]
-            beta_eff = eps_prev[-1] if eps_prev else chain.entry(1).beta
-    else:
-        beta_eff = beta
+        eps_prev = [e.epsilon for e in chain.entries if e.epsilon is not INF]
+        beta_eff = eps_prev[-1] if eps_prev else chain.entry(1).beta
     form = taylor_form(q_poly, beta_eff, state, mode="OPEN")
-    acc = form.constant
-    for b, mono in form.monomials.items():
-        term = mono * (form.center ** b)
-        acc = acc + term
+    acc = form.relation_value()
     if acc.is_exact_zero():
         rv = INF
     else:

@@ -65,6 +65,14 @@ def test_adjoin_sqrt2_over_q():
         assert (root * root) == CoeffElem.from_int(t2, 2)
 
 
+@pytest.mark.parametrize("scaled, monic", [((-4, 0, 2), (-2, 0, 1)),
+                                           ((2, 2, 2), (1, 1, 1))])
+def test_q_shapes_read_on_the_monic_form(scaled, monic):
+    # 2X^2 - 4 adjoins sqrt(2) as X^2 - 2 does; 2X^2 + 2X + 2 a cube root of 1
+    t = FieldTower.rationals()
+    assert solve_in_closure(t, elems(t, *scaled)) == solve_in_closure(t, elems(t, *monic))
+
+
 # a float square root overshoots K, and 10**400 overflows a float
 K = 248289021900363196427360330
 

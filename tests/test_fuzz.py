@@ -1,4 +1,4 @@
-"""Seeded, grammar-generated fuzzing of the arith and expand front doors.
+"""Seeded, grammar-generated fuzzing of the arith, expand and verify front doors.
 
 Every generated input either succeeds or fails with a typed error: a
 ParseError or another EngineError.  Any other exception is a bug in the
@@ -9,10 +9,11 @@ arities and argument kinds, degenerate polynomials and dropped characters.
 
 import random
 import time
+from itertools import islice
 
 import pytest
 
-from genpuiseux.cli import cmd_arith, cmd_expand, main, parse_problem
+from genpuiseux.cli import cmd_arith, cmd_expand, cmd_verify, main, parse_problem
 from genpuiseux.errors import EngineError
 
 SEED = 20261018
@@ -119,17 +120,28 @@ def _generated(kind):
         yield "\n".join(_mutate(rng, ln) for ln in lines) + "\n"
 
 
+def _cases(kind):
+    """verify reads every third expand spec, with a few trials per check."""
+    if kind == "verify":
+        return islice(_generated("expand"), 0, None, 3)
+    return _generated(kind)
+
+
 def _run(kind, text):
     if kind == "arith":
         cmd_arith(text)
-    else:
+    elif kind == "expand":
         cmd_expand(parse_problem(text))
+    else:
+        spec = parse_problem(text)
+        spec.trials = 4
+        cmd_verify(spec)
 
 
-@pytest.mark.parametrize("kind", ["arith", "expand"])
+@pytest.mark.parametrize("kind", ["arith", "expand", "verify"])
 def test_front_doors_raise_only_typed_errors(kind):
     escaped = []
-    for text in _generated(kind):
+    for text in _cases(kind):
         try:
             _run(kind, text)
         except EngineError:
