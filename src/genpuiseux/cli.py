@@ -465,7 +465,7 @@ _CHECKS = {"caltron": _check_caltron, "prodfini": _check_prodfini,
            "taylor": _check_taylor}
 
 
-def cmd_verify(spec, fmt="text", corrupt=False, budget=None, prec=None):
+def cmd_verify(spec, corrupt=False, budget=None, prec=None):
     res = run_expand(spec, budget, prec)
     if corrupt and res.series.terms:
         ring = res.series.ring
@@ -674,10 +674,15 @@ def main(argv=None):
     parser.add_argument("--prec", type=str, default=None,
                         help="maximal exponent a/b")
     parser.add_argument("--trace", type=str, default=None)
-    parser.add_argument("--format", choices=["text", "records"], default="text")
+    parser.add_argument("--format", choices=["text", "records"], default=None)
     parser.add_argument("--inject-corruption", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.command != "expand":
+        for flag, value in (("--trace", args.trace), ("--format", args.format)):
+            if value is not None:
+                print(f"error: {flag} applies only to expand", file=sys.stderr)
+                return 2
 
     try:
         with open(args.path) as fh:
@@ -689,14 +694,13 @@ def main(argv=None):
     try:
         if args.command == "expand":
             spec = parse_problem(text)
-            code, out, _ = cmd_expand(spec, fmt=args.format,
+            code, out, _ = cmd_expand(spec, fmt=args.format or "text",
                                       trace_path=args.trace,
                                       budget=args.budget_terms,
                                       prec=Fraction(args.prec) if args.prec else None)
         elif args.command == "verify":
             spec = parse_problem(text)
-            code, out = cmd_verify(spec, fmt=args.format,
-                                   corrupt=args.inject_corruption,
+            code, out = cmd_verify(spec, corrupt=args.inject_corruption,
                                    budget=args.budget_terms,
                                    prec=Fraction(args.prec) if args.prec else None)
         else:

@@ -2,9 +2,10 @@
 
 A group descriptor fixes r generator weights living in the real quadratic
 field Q(sqrt(d)); elements are rational coordinate vectors over those
-weights.  All order decisions are made exactly in Q(sqrt(d)), never through
-floats.  The char exponent p tags which p-power denominators are meaningful
-(the direct limit of (1/p^i)-scaled copies of the base group).
+weights, stored as integer numerators over one common denominator.  All
+order decisions are made exactly in Q(sqrt(d)), never through floats.  The
+char exponent p tags which p-power denominators are meaningful (the direct
+limit of (1/p^i)-scaled copies of the base group).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .errors import ParseError, ScaleOutsideGroup
 
@@ -110,10 +111,13 @@ class GroupDescriptor:
                 raise ValueError("weights must be positive")
         if not self._independent():
             raise ValueError("weights are Z-linearly dependent")
-        # An element's order key is its value sum(c_j * w_j): one Fraction
-        # when every weight is rational, else the pair (a, b) of a + b*sqrt(d).
-        self._wa = tuple(w.a for w in ws)
-        self._wb = None if all(w.b == 0 for w in ws) else tuple(w.b for w in ws)
+        # The weights over one positive common denominator _wden: w_j is
+        # (_wa[j] + _wb[j]*sqrt(d)) / _wden with integers; _wb is None when
+        # every weight is rational, and then the rank is 1 (_independent).
+        self._wden = math.lcm(*(x.denominator for w in ws for x in (w.a, w.b)))
+        self._wa = tuple(int(w.a * self._wden) for w in ws)
+        self._wb = (None if all(w.b == 0 for w in ws)
+                    else tuple(int(w.b * self._wden) for w in ws))
 
     def _independent(self):
         # Sum n_j (a_j + b_j sqrt d) = 0 forces the rational and sqrt parts to
@@ -131,55 +135,60 @@ class GroupDescriptor:
             coords = [coords]
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
-        return GroupElement(self, tuple(Fraction(c) for c in coords))
+        fs = [Fraction(c) for c in coords]
+        # the lcm of lowest-terms denominators leaves gcd(den, *num) == 1
+        den = math.lcm(*(f.denominator for f in fs))
+        return GroupElement(self, tuple(f.numerator * (den // f.denominator) for f in fs),
+                            den)
 
     def zero(self):
-        return self.element([0] * self.rank)
+        return GroupElement(self, (0,) * self.rank, 1)
 
     def basis(self, j):
-        coords = [Fraction(0)] * self.rank
-        coords[j] = Fraction(1)
-        return GroupElement(self, tuple(coords))
+        num = [0] * self.rank
+        num[j] = 1
+        return GroupElement(self, tuple(num), 1)
 
     def from_rational(self, q):
         """The element q * (first weight); requires a rational first weight."""
         if not self.weights[0].is_rational():
             raise ValueError("first weight is irrational; give full coordinates")
-        coords = [Fraction(q) / self.weights[0].a] + [Fraction(0)] * (self.rank - 1)
-        return GroupElement(self, tuple(coords))
+        return self.element([Fraction(q) / self.weights[0].a] + [0] * (self.rank - 1))
 
     # -- order ----------------------------------------------------------------
 
-    def _key_of(self, coords):
-        a = sum(map(mul, coords, self._wa))
-        if self._wb is None:
-            return a
-        return a, sum(map(mul, coords, self._wb))
-
     def value_of(self, elem):
-        k = elem._order_key()
-        if self._wb is None:
-            return QuadValue(k, 0, self.sqrt_disc)
-        return QuadValue(k[0], k[1], self.sqrt_disc)
+        den = elem.den * self._wden
+        a = Fraction(sum(map(mul, elem.num, self._wa)), den)
+        b = 0 if self._wb is None else Fraction(sum(map(mul, elem.num, self._wb)), den)
+        return QuadValue(a, b, self.sqrt_disc)
 
     def compare(self, a, b):
         if a is INF:
             return 0 if b is INF else 1
         if b is INF:
             return -1
-        ka, kb = a._order_key(), b._order_key()
+        da, db = a.den, b.den
         if self._wb is None:
-            return (ka > kb) - (ka < kb)
-        return _quad_sign(ka[0] - kb[0], ka[1] - kb[1], self.sqrt_disc)
+            # rank 1 with a positive weight: the order is that of num[0] / den
+            x, y = a.num[0], b.num[0]
+            if da != db:
+                x, y = x * db, y * da
+            return (x > y) - (x < y)
+        # sign of the value of (a - b) * da * db * _wden, all in integers
+        diff = [x * db - y * da for x, y in zip(a.num, b.num)]
+        return _quad_sign(sum(map(mul, diff, self._wa)), sum(map(mul, diff, self._wb)),
+                          self.sqrt_disc)
 
     def sort_key(self):
         """Key function that sorts this descriptor's elements in exact order.
 
         Fetch it once per sort: with rational weights it returns each
-        element's cached Fraction key, otherwise it compares cached keys.
+        element's one coordinate (an int, or a Fraction when den > 1),
+        otherwise it compares elements.
         """
         if self._wb is None:
-            return GroupElement._order_key
+            return lambda e: e.num[0] if e.den == 1 else Fraction(e.num[0], e.den)
         return cmp_to_key(self.compare)
 
     def __eq__(self, other):
@@ -203,35 +212,44 @@ def _is_square(n):
     return r * r == n
 
 
+def _lowest(descriptor, num, den):
+    """The element with coordinates num[j] / den (den > 0), in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+    return GroupElement(descriptor, num, den)
+
+
 class GroupElement:
-    """Rational coordinate vector over a descriptor's weights."""
+    """Rational coordinates num[j] / den over a descriptor's weights, in lowest
+    terms (den > 0, gcd(den, *num) == 1), so one value has one stored form.
+    Build elements with GroupDescriptor.element."""
 
-    __slots__ = ("descriptor", "coords", "_key")
+    __slots__ = ("descriptor", "num", "den", "_hash")
 
-    def __init__(self, descriptor, coords):
+    def __init__(self, descriptor, num, den):
         self.descriptor = descriptor
-        self.coords = coords
-        self._key = None
+        self.num = num
+        self.den = den
+        self._hash = None
 
-    def _order_key(self):
-        """The exact order key, computed on first use and then cached."""
-        if self._key is None:
-            self._key = self.descriptor._key_of(self.coords)
-        return self._key
+    @property
+    def coords(self):
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @property
     def pdenom(self):
         """Minimal i with p^i * coords having p-free denominators (0 if p = 1)."""
         p = self.descriptor.char_exponent
-        if p == 1:
-            return 0
-        return max((_padic_val(c.denominator, p) for c in self.coords), default=0)
+        return 0 if p == 1 else _padic_val(self.den, p)
 
     def real_value(self):
         return self.descriptor.value_of(self)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def rational_value(self):
         """The exact rational value, or None if genuinely irrational."""
@@ -240,28 +258,33 @@ class GroupElement:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _check(self, other):
+    def _combine(self, other, op):
         if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:
             raise ValueError("group elements over different descriptors")
+        da, db = self.den, other.den
+        if da == db:
+            return _lowest(self.descriptor, tuple(map(op, self.num, other.num)), da)
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        return _lowest(self.descriptor,
+                       tuple(op(x * fa, y * fb) for x, y in zip(self.num, other.num)), den)
 
     def __add__(self, other):
         if other is INF:
             return INF
-        self._check(other)
-        return GroupElement(self.descriptor,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check(other)
-        return GroupElement(self.descriptor,
-                            tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return GroupElement(self.descriptor, tuple(-c for c in self.coords))
+        return GroupElement(self.descriptor, tuple(map(neg, self.num)), self.den)
 
     def scale_unchecked(self, q):
-        q = Fraction(q)
-        return GroupElement(self.descriptor, tuple(c * q for c in self.coords))
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return _lowest(self.descriptor, tuple(n * q.numerator for n in self.num),
+                       self.den * q.denominator)
 
     def scale(self, q):
         """Scale by a rational; for p > 1 the denominator must be a p-power."""
@@ -277,7 +300,7 @@ class GroupElement:
         return self.scale_unchecked(q)
 
     def __mul__(self, n):
-        return self.scale_unchecked(Fraction(n))
+        return self.scale_unchecked(n)
 
     __rmul__ = __mul__
 
@@ -307,18 +330,21 @@ class GroupElement:
         return self.cmp(other) >= 0
 
     def __eq__(self, other):
-        if other is INF:
-            return False
         # GroupDescriptor rejects Q-linearly dependent weights, so the value
-        # sum(c_j * w_j) determines the coordinates: two elements over one
-        # descriptor are equal exactly when their coordinate tuples are, which
-        # also keeps equality consistent with __hash__.
-        return (isinstance(other, GroupElement) and self.coords == other.coords
+        # sum(c_j * w_j) determines the coordinates, and the lowest-terms form
+        # determines (num, den): two elements over one descriptor are equal
+        # exactly when their (num, den) are, which also keeps equality
+        # consistent with __hash__.
+        return (isinstance(other, GroupElement) and self.num == other.num
+                and self.den == other.den
                 and (self.descriptor is other.descriptor
                      or self.descriptor == other.descriptor))
 
     def __hash__(self):
-        return hash(self.coords)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.num, self.den))
+        return h
 
     def __repr__(self):
         return f"<{self.to_text()}>"
@@ -343,9 +369,12 @@ class GroupElement:
                 raise ParseError(f"bad generator name {g!r}")
             try:
                 j = int(g[1:]) - 1
-                coords[j] = coords[j] + Fraction(q.strip())
-            except (ValueError, IndexError) as exc:
+                q = Fraction(q.strip())
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad group term {part!r}") from exc
+            if not 0 <= j < descriptor.rank:
+                raise ParseError(f"bad generator name {g!r}")
+            coords[j] += q
         return descriptor.element(coords)
 
 

@@ -193,7 +193,7 @@ def group_text(g):
     if g is INF:
         return "inf"
     q = g.rational_value()
-    if q is not None and all(c == 0 for c in g.coords[1:]):
+    if q is not None and not any(g.num[1:]):
         return str(q)
     return g.to_text()
 

@@ -9,7 +9,6 @@ form (each stored coefficient is a single-digit representative).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .coeff import CoeffElem, WittElem, WittRing, map_leaves
@@ -400,9 +399,9 @@ class GenSeries:
     def _exp_text(self, gamma):
         var = self.ring.var
         w0 = self.ring.descriptor.weights[0]
-        coords = gamma.coords
-        if w0.is_rational() and all(c == 0 for c in coords[1:]):
-            q = coords[0] * w0.a
+        num = gamma.num
+        if w0.is_rational() and not any(num[1:]):
+            q = Fraction(num[0], gamma.den) * w0.a
             if q == 0:
                 return ""
             if q == 1:
@@ -460,10 +459,11 @@ def _carry_normalize(s):
     classes = {}
     carries = False
     for g, c in s._raw:
-        n = math.floor(g.coords[0])
+        n = g.num[0] // g.den
         multi = c.residue().rep != c.rep
         carries = carries or multi
-        key = (g.coords[0] - n,) + tuple(g.coords[1:])
+        # (num, den) of g - n*e0, still in lowest terms
+        key = ((g.num[0] - n * g.den,) + g.num[1:], g.den)
         classes.setdefault(key, []).append((n, g, c, multi))
     if not carries:
         # every coefficient is a digit: the raw terms are the carried form
@@ -483,7 +483,7 @@ def _carry_normalize(s):
         if not multi:
             out.extend((g, c) for _, g, c, _ in entries)
             continue
-        rep_elem = desc.element(list(key))
+        rep_elem = GroupElement(desc, *key)
         n_min = min(n for n, _, _, _ in entries)
         horizon = min(multi) + n_digits
         # sum_i c_i p^(n_i - n_min) with exact integer leaves, then its digits

@@ -249,6 +249,23 @@ def test_main_trace_file(tmp_path, capsys):
     assert content.strip().endswith("result=t^(3/2) status=COMPLETE")
 
 
+@pytest.mark.parametrize("command, text", [("verify", ARTIN), ("arith", ARITH)],
+                         ids=["verify", "arith"])
+@pytest.mark.parametrize("flags", [["--trace", "x.trace"], ["--format", "records"],
+                                   ["--format", "text"]], ids=["trace", "records", "text"])
+def test_expand_only_flags_rejected(tmp_path, capsys, command, text, flags):
+    path = write(tmp_path, "in.txt", text)
+    trace = tmp_path / "x.trace"
+    flags = [str(trace) if f == "x.trace" else f for f in flags]
+    assert main([command, path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} applies only to expand\n"
+    assert not trace.exists()
+    # without the flag the same command runs
+    assert main([command, path]) == 0
+
+
 def test_budget_flag_overrides(tmp_path, capsys):
     good = write(tmp_path, "as.spec", ARTIN)
     assert main(["expand", good, "--budget-terms", "3", "--format", "records"]) == 0

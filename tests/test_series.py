@@ -368,6 +368,16 @@ def test_irrational_exponent_text_roundtrip():
     assert parse_series(R, text) == f
 
 
+def test_generator_index_outside_rank_is_parse_error():
+    desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2)
+    R = SeriesRing.equichar(desc, FieldTower.rationals())
+    assert parse_series(R, "t^(1*g2)") == GenSeries(R, [(desc.element([0, 1]), R.c_one())])
+    for name in ("g0", "g-1", "g3"):
+        with pytest.raises(ParseError) as err:
+            parse_series(R, f"t^(1*{name})")
+        assert f"bad generator name {name!r}" in str(err.value)
+
+
 def test_parse_series_whitespace_and_bad_numbers():
     R = tring()
     f = R.one() + t_pow(R, Fraction(1, 2), 3)

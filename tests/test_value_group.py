@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -292,3 +293,109 @@ def test_sort_key_matches_independent_oracle(data):
         lambda x, y: _reference_cmp(ref[id(x)], ref[id(y)])))
     got = sorted(elems, key=desc.sort_key())
     assert [e.coords for e in got] == [e.coords for e in want]
+
+
+# -- independent arithmetic oracle ----------------------------------------------
+#
+# Elements store integer numerators over one common denominator.  The
+# reference here is the plain tuple of Fraction coordinates, combined
+# coordinate by coordinate in the test; its order is the squaring oracle
+# above, and its p-part of the denominator is read off each coordinate.
+
+ARITH_CASES = [
+    # (weights as (a, b) pairs, char exponent, d)
+    ([(Fraction(3, 2), 0)], 1, 1),
+    ([(1, 0)], 2, 1),
+    ([(Fraction(2, 3), 0)], 3, 1),
+    ([(1, 0), (0, 1)], 1, 2),
+]
+
+
+def _p_part(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _assert_canonical(e, want):
+    assert isinstance(e.den, int) and e.den > 0
+    assert all(isinstance(n, int) for n in e.num)
+    assert math.gcd(e.den, *e.num) == 1
+    assert e.coords == tuple(want)
+    assert all(isinstance(c, Fraction) for c in e.coords)
+
+
+@st.composite
+def _arith_cases(draw):
+    weights, p, d = draw(st.sampled_from(ARITH_CASES))
+    desc = GroupDescriptor(weights, char_exponent=p, sqrt_disc=d)
+    if p == 1:
+        coord = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        scalar = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+    else:
+        coord = st.builds(lambda n, k, u: Fraction(n, p ** k * u),
+                          st.integers(-60, 60), st.integers(0, 4), st.sampled_from([1, 1, 5]))
+        scalar = st.builds(lambda n, k: Fraction(n, p ** k),
+                           st.integers(-9, 9), st.integers(0, 3))
+    vector = st.lists(coord, min_size=desc.rank, max_size=desc.rank)
+    ca = draw(vector)
+    cb = list(ca) if draw(st.booleans()) else draw(vector)
+    return (desc, weights, ca, cb, draw(st.integers(-7, 7)), draw(scalar),
+            draw(st.fractions(min_value=-6, max_value=6, max_denominator=10)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arith_cases())
+def test_arithmetic_matches_fraction_reference(case):
+    desc, weights, ca, cb, n, q, r = case
+    p, d = desc.char_exponent, desc.sqrt_disc
+    ca, cb = [Fraction(c) for c in ca], [Fraction(c) for c in cb]
+    a, b = desc.element(ca), desc.element(cb)
+    _assert_canonical(a, ca)
+    _assert_canonical(b, cb)
+    _assert_canonical(a + b, [x + y for x, y in zip(ca, cb)])
+    _assert_canonical(a - b, [x - y for x, y in zip(ca, cb)])
+    _assert_canonical(-a, [-x for x in ca])
+    _assert_canonical(a.scale_unchecked(n), [x * n for x in ca])
+    _assert_canonical(a * n, [x * n for x in ca])
+    _assert_canonical(a.scale_unchecked(r), [x * r for x in ca])
+    _assert_canonical(a.scale(n), [x * n for x in ca])
+    _assert_canonical(a.scale(q), [x * q for x in ca])
+    if p > 1 and Fraction(r).denominator != p ** _p_part(Fraction(r).denominator, p):
+        with pytest.raises(ScaleOutsideGroup):
+            a.scale(r)
+    else:
+        _assert_canonical(a.scale(r), [x * r for x in ca])
+    # order, equality and zero against the reference
+    want = _reference_cmp(_reference(weights, d, ca), _reference(weights, d, cb))
+    assert cmp(a, b) == want and cmp(b, a) == -want
+    assert (a == b) == (ca == cb) == (want == 0)
+    assert (a - b).is_zero() == (ca == cb)
+    assert a.is_zero() == all(x == 0 for x in ca)
+    want_pdenom = 0 if p == 1 else max(_p_part(x.denominator, p) for x in ca)
+    assert a.pdenom == want_pdenom
+    # one value, one hash, whatever the route that built it
+    routes = [((a + b) - b, a), (a + b, b + a),
+              (a.scale_unchecked(r) + a.scale_unchecked(1 - r), a),
+              (a + b, desc.element([x + y for x, y in zip(ca, cb)]))]
+    if n:
+        routes.append((a.scale(n).scale_unchecked(Fraction(1, n)), a))
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y) and hash(x) == hash(x)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_equal_values_by_different_routes_hash_equal():
+    d = rational_line()
+    h = d.element([Fraction(1, 2)])
+    one = d.element([1])
+    assert h + h == one and hash(h + h) == hash(one)
+    assert hash(one) == hash(one)  # the cached value is the one computed first
+    d3 = GroupDescriptor([1], char_exponent=3)
+    third = d3.element([Fraction(3, 2)]).scale(Fraction(1, 3))
+    assert third == d3.element([Fraction(1, 2)])
+    assert hash(third) == hash(d3.element([Fraction(1, 2)]))
+    assert (third.num, third.den) == ((1,), 2)
