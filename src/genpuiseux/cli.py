@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeff import FieldTower, WittRing
+from .coeff import FieldTower, WittRing, binary_power
 from .embed import MPoly, expand, monomial_embedding
 from .errors import EngineError, ParseError
 from .groups import INF, GroupDescriptor, cmp
@@ -226,15 +226,8 @@ def parse_poly(text, variables, lineno=None):
             n = sc.number()
             if n.denominator != 1 or n < 0:
                 sc.error("exponents must be non-negative integers")
-            acc = {zero: Fraction(1)}
-            b = base
-            k = int(n)
-            while k:
-                if k & 1:
-                    acc = combine(acc, b, mul=True)
-                b = combine(b, b, mul=True)
-                k >>= 1
-            base = acc
+            base = binary_power(base, int(n), {zero: Fraction(1)},
+                                lambda a, b: combine(a, b, mul=True))
         return base
 
     def product():
@@ -678,11 +671,16 @@ def main(argv=None):
     parser.add_argument("--inject-corruption", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.command != "expand":
-        for flag, value in (("--trace", args.trace), ("--format", args.format)):
-            if value is not None:
-                print(f"error: {flag} applies only to expand", file=sys.stderr)
-                return 2
+    for flag, value, commands in (
+            ("--trace", args.trace, ("expand",)),
+            ("--format", args.format, ("expand",)),
+            ("--budget-terms", args.budget_terms, ("expand", "verify")),
+            ("--prec", args.prec, ("expand", "verify")),
+            ("--inject-corruption", args.inject_corruption or None, ("verify",))):
+        if value is not None and args.command not in commands:
+            print(f"error: {flag} applies only to {' and '.join(commands)}",
+                  file=sys.stderr)
+            return 2
 
     try:
         with open(args.path) as fh:

@@ -29,6 +29,19 @@ from .errors import (
 )
 
 
+def binary_power(x, n, one, mul):
+    """x^n for n >= 0 by square-and-multiply: one product per set bit of n,
+    and a squaring only while higher bits remain."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 class FieldTower:
     """Immutable tower of simple extensions over F_p or Q."""
 
@@ -190,15 +203,8 @@ class FieldTower:
         if n < 0:
             raise ValueError("tower powers need a non-negative exponent")
         level = self.height if level is None else level
-        out = self.rep_one(level)
-        base = x
-        while n:
-            if n & 1:
-                out = self.rep_mul(out, base, level)
-            n >>= 1
-            if n:
-                base = self.rep_mul(base, base, level)
-        return out
+        return binary_power(x, n, self.rep_one(level),
+                            lambda a, b: self.rep_mul(a, b, level))
 
     def rep_lift(self, x, from_level, to_level):
         for lvl in range(from_level, to_level):
@@ -320,14 +326,9 @@ def _pgcd(tower, f, g, level):
 
 
 def _ppowmod(tower, f, n, mod, level):
-    out = [tower.rep_one(level)]
-    base = _pdivmod(tower, f, mod, level)[1]
-    while n:
-        if n & 1:
-            out = _pdivmod(tower, _pmul(tower, out, base, level), mod, level)[1]
-        base = _pdivmod(tower, _pmul(tower, base, base, level), mod, level)[1]
-        n >>= 1
-    return out
+    return binary_power(_pdivmod(tower, f, mod, level)[1], n, [tower.rep_one(level)],
+                        lambda a, b: _pdivmod(tower, _pmul(tower, a, b, level), mod,
+                                              level)[1])
 
 
 def _pderiv(tower, f, level):
@@ -952,9 +953,6 @@ class WittElem:
 
     def __hash__(self):
         return hash((self.ring, self.rep))
-
-    def sort_key(self):
-        return tuple(d.sort_key() for d in self.digits())
 
     def to_text(self):
         ds = ",".join(d.to_text() for d in self.digits())

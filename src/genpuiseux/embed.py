@@ -320,11 +320,7 @@ def gamma_generators(state):
 @dataclass
 class ResidualData:
     equation: list  # CoeffElem coefficients, ascending
-    ties: list
-    level: object
-    lam: int
-    lam_coeffs: tuple
-    d_val: object
+    lam: int  # least lambda with lambda*beta in the lattice of the weights
     z: object
     tower: object
 
@@ -333,23 +329,23 @@ def residual_equation(state):
     """Residue equation for the next coefficient, from the Taylor ties.
 
     Raises MembershipFailed when the current exponent leaves the rational
-    span (the caller's terminal branch).
+    span (the caller's terminal branch).  Beta lies in the span of the lower
+    weights unless one of its coordinates past them is non-zero; only then
+    are the earlier betas solved against.
     """
     ring = state.ring
     beta = state.beta
-    gens = gamma_generators(state)
-    sol = membership(beta, gens)
-    if sol is None:
+    lower = ring.descriptor.rank if state.lower_rank is None else state.lower_rank
+    if any(beta.num[lower:]) and membership(beta, gamma_generators(state)) is None:
         raise MembershipFailed("exponent outside the current rational span")
 
-    level, ties = mu_beta_val(state.F, state)
+    _, ties = mu_beta_val(state.F, state)
     taylor = state.taylor_vector()
     tower = ring.tower
     eq = {l: ring.c_residue(taylor[l].leading_term()[1]) for l in ties}
     top = max(eq)
     coeffs = [eq.get(l, CoeffElem.zero(tower)) for l in range(top + 1)]
 
-    lam, lam_coeffs, d_val = _relation_decoration(state, sol, gens)
     z = CoeffElem.zero(tower)
     i_b = state.i_beta
     at_eps = (i_b <= len(state.chain)
@@ -358,19 +354,7 @@ def residual_equation(state):
     if at_eps and 0 in eq:
         lc = coeffs[-1]
         z = -(eq[0] * lc.inv())
-    return ResidualData(coeffs, ties, level, lam, lam_coeffs, d_val, z, tower)
-
-
-def _relation_decoration(state, sol, gens):
-    """Integer relation lambda*beta-level = sum(lambda_j beta_j) + nu(d)."""
-    lam = math.lcm(*(q.denominator for q in sol))
-    desc = state.ring.descriptor
-    lam_coeffs = tuple(int(q * lam) for q in sol[desc.rank:])
-    d_val = None
-    for j in range(desc.rank):
-        piece = desc.basis(j).scale_unchecked(sol[j] * lam)
-        d_val = piece if d_val is None else d_val + piece
-    return lam, lam_coeffs, d_val
+    return ResidualData(coeffs, beta.den, z, tower)
 
 
 # -- partial development predicate ------------------------------------------------------

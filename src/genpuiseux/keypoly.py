@@ -13,9 +13,11 @@ polynomial and cross-checked against evaluation whenever it is determinate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coeff import binary_power
 from .errors import (
     ChainComplete,
     EngineInvariantViolation,
@@ -86,15 +88,8 @@ class ValPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("polynomial powers need a non-negative exponent")
-        out = ValPoly(self.ring, [self.ring.one()], self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return binary_power(self, n, ValPoly(self.ring, [self.ring.one()], self.var),
+                            operator.mul)
 
     def scale(self, c):
         return ValPoly(self.ring, [a * c if isinstance(c, int) else a.scale(c)
@@ -413,15 +408,12 @@ def first_exponent(F):
         raise ValueError("need a monic, non-constant polynomial")
     if F.coeff(0).is_exact_zero():
         return INF  # 0 is an exact root
-    best = None
-    for j in range(d):
+
+    def slope(j):
         c = F.coeff(j)
-        if not c.terms and c.prec is INF:
-            continue
-        slope = c.val().scale_unchecked(Fraction(1, d - j))
-        if best is None or cmp(slope, best) < 0:
-            best = slope
-    return best
+        return INF if c.is_exact_zero() else c.val().scale_unchecked(Fraction(1, d - j))
+
+    return level_and_ties((j, slope(j)) for j in range(d))[0]
 
 
 def initial_chain(ring, F, var="y"):
@@ -484,35 +476,33 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         raise ChainComplete("the chain ends with an exact divisor of the input")
 
     if last.poly == F:
-        # refresh the defining-polynomial entry against the longer partial
-        ev = F.eval(partial) if f_at_partial is None else f_at_partial
-        beta = INF if ev.is_exact_zero() else ev.val()
-        return _append_with_invariants(chain, F, beta, alpha=1)
+        q_new, delta = F, 1
+    else:
+        cs, _, ties = _expansion_levels(F, chain, i)
+        if len(ties) < 2:
+            raise ChainComplete("the truncated value of the input is already exact")
+        j0, j1 = ties[0], ties[1]
+        delta = j1 - j0
 
-    cs, _, ties = _expansion_levels(F, chain, i)
-    if len(ties) < 2:
-        raise ChainComplete("the truncated value of the input is already exact")
-    j0, j1 = ties[0], ties[1]
-    delta = j1 - j0
+        lsm0 = leading_standard_monomial(cs[j0], chain, i)
+        lsm1 = leading_standard_monomial(cs[j1], chain, i)
+        ratio = _monomial_ratio(lsm0, lsm1, chain, i)
 
-    lsm0 = leading_standard_monomial(cs[j0], chain, i)
-    lsm1 = leading_standard_monomial(cs[j1], chain, i)
-    ratio = _monomial_ratio(lsm0, lsm1, chain, i)
-
-    # pinned data: leading coefficients of the stage and ratio at the partial
-    q_eval = last.poly.eval(partial)
-    r_eval = ratio.eval(partial)
-    if not q_eval.terms or not r_eval.terms:
-        raise ValuationIndeterminate("stage data not pinned by the partial root")
-    ell = q_eval.leading_term()[1]
-    rbar = r_eval.leading_term()[1]
-    res_ell = ring.c_residue(ell)
-    res_rbar = ring.c_residue(rbar)
-    coeff = -(res_ell ** delta) * res_rbar.inv()
-    lifted = ring.c_lift(coeff)
-    q_new = (last.poly ** delta) + ratio * ring.const(lifted)
+        # pinned data: leading coefficients of the stage and ratio at the partial
+        q_eval = last.poly.eval(partial)
+        r_eval = ratio.eval(partial)
+        if not q_eval.terms or not r_eval.terms:
+            raise ValuationIndeterminate("stage data not pinned by the partial root")
+        ell = q_eval.leading_term()[1]
+        rbar = r_eval.leading_term()[1]
+        res_ell = ring.c_residue(ell)
+        res_rbar = ring.c_residue(rbar)
+        coeff = -(res_ell ** delta) * res_rbar.inv()
+        lifted = ring.c_lift(coeff)
+        q_new = (last.poly ** delta) + ratio * ring.const(lifted)
 
     if q_new == F:
+        # refresh the defining-polynomial entry against the longer partial
         ev = F.eval(partial) if f_at_partial is None else f_at_partial
         beta = INF if ev.is_exact_zero() else ev.val()
         return _append_with_invariants(chain, F, beta, alpha=delta)

@@ -9,9 +9,10 @@ form (each stored coefficient is a single-digit representative).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .coeff import CoeffElem, WittElem, WittRing, map_leaves
+from .coeff import CoeffElem, WittElem, WittRing, binary_power, map_leaves
 from .errors import (
     NonUnit,
     ParseError,
@@ -300,15 +301,7 @@ class GenSeries:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("series powers need a non-negative exponent")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return binary_power(self, n, self.ring.one(), operator.mul)
 
     def inv(self, prec=None):
         """Inverse of a unit (valuation 0), to the requested precision."""

@@ -266,6 +266,23 @@ def test_expand_only_flags_rejected(tmp_path, capsys, command, text, flags):
     assert main([command, path]) == 0
 
 
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("arith", ARITH, ["--budget-terms", "3"], "--budget-terms applies only to expand and verify"),
+    ("arith", ARITH, ["--prec", "2"], "--prec applies only to expand and verify"),
+    ("arith", ARITH, ["--inject-corruption"], "--inject-corruption applies only to verify"),
+    ("expand", ARTIN, ["--inject-corruption"], "--inject-corruption applies only to verify"),
+], ids=["arith-budget", "arith-prec", "arith-corruption", "expand-corruption"])
+def test_flags_rejected_outside_their_commands(tmp_path, capsys, command, text, flags,
+                                               message):
+    path = write(tmp_path, "in.txt", text)
+    assert main([command, path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    # without the flag the same command runs
+    assert main([command, path]) == 0
+
+
 def test_budget_flag_overrides(tmp_path, capsys):
     good = write(tmp_path, "as.spec", ARTIN)
     assert main(["expand", good, "--budget-terms", "3", "--format", "records"]) == 0

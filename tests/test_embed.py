@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -5,13 +6,18 @@ from functools import cmp_to_key
 
 import pytest
 
-from genpuiseux import cli, embed
+from genpuiseux import cli, embed, groups
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, coeff_to_fraction
-from genpuiseux.errors import UnsupportedLimitPattern
+from genpuiseux.errors import (
+    MembershipFailed,
+    UnsupportedLimitPattern,
+    ValuationIndeterminate,
+)
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
     KeyPolyChain,
     ValPoly,
+    chain_entry,
     standard_expansion,
     taylor_at,
     truncated_val,
@@ -589,6 +595,91 @@ def test_taylor_shift_only_on_exact_t_adic_data():
     R = tring(0)
     inexact = GenSeries(R, [(g(R, 1), CoeffElem.from_int(R.tower, -1))], g(R, 4))
     assert not init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R).shifts_taylor()
+
+
+def _spanning_residual(state):
+    """The residue equation as formed with the exact span solve: beta over the
+    lower weights plus every earlier beta, lambda the lcm of the solution's
+    denominators.  Returns (equation, z, lam)."""
+    sol = groups.membership(state.beta, embed.gamma_generators(state))
+    if sol is None:
+        raise MembershipFailed("exponent outside the current rational span")
+    lam = math.lcm(*(q.denominator for q in sol))
+    _, ties = mu_beta_val(state.F, state)
+    tower = state.ring.tower
+    eq = {l: state.ring.c_residue(state.taylor_vector()[l].leading_term()[1])
+          for l in ties}
+    coeffs = [eq.get(l, CoeffElem.zero(tower)) for l in range(max(eq) + 1)]
+    z = CoeffElem.zero(tower)
+    i_b = state.i_beta
+    if (i_b <= len(state.chain) and state.chain.entry(i_b).epsilon is not INF
+            and cmp(state.beta, state.chain.entry(i_b).epsilon) == 0 and 0 in eq):
+        z = -(eq[0] * coeffs[-1].inv())
+    return coeffs, z, lam
+
+
+FULL_RANK_RUNS = {
+    "as-f2": ("char 2\npoly y^2 + t*y + t\n", 24),
+    "sq-q": ("char 0\npoly y^2 - 1 - t\n", 16),
+    "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n", 16),  # moves into F9
+    "p5": ("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n", 16),
+    "r2-q": (CARRIED["r2-q"][0], 16),  # rank 2
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RANK_RUNS))
+def test_residual_equation_reads_beta_without_a_span_solve(name, monkeypatch):
+    text, budget = FULL_RANK_RUNS[name]
+    solves = []
+    plain = embed.membership
+
+    def counted(*args):
+        solves.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(embed, "membership", counted)
+    state = _spec_state(text)
+    compared = 0
+    while state.status == RUNNING and len(state.emitted) < budget:
+        if embed.limit_signature(state) is not None:
+            state = limit_step(state)
+            continue
+        try:
+            want = _spanning_residual(state)
+        except ValuationIndeterminate:
+            with pytest.raises(ValuationIndeterminate):
+                residual_equation(state)
+            break
+        data = residual_equation(state)
+        assert (data.equation, data.z, data.lam) == want
+        assert data.lam == state.beta.den
+        compared += 1
+        try:
+            state = step(state)
+        except ValuationIndeterminate:
+            break  # below the p-adic working precision, where expand stops too
+    assert compared >= budget // 2
+    assert solves == []
+
+
+def test_residual_equation_solves_the_span_below_full_rank(monkeypatch):
+    # lower rank 1 of 2: beta = sqrt(2) has a coordinate past the lower weight
+    desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2, char_exponent=1)
+    R = SeriesRing.equichar(desc, FieldTower.rationals())
+    y = ValPoly.variable(R)
+    chain = KeyPolyChain(R, [chain_entry(KeyPolyChain(R), y, desc.basis(1), 1)])
+    F = ValPoly(R, [-1 * R.monomial(desc.element([0, 2])), R.zero(), R.one()])
+    solves = []
+    plain = embed.membership
+    monkeypatch.setattr(embed, "membership",
+                        lambda *args: solves.append(args) or plain(*args))
+    with pytest.raises(MembershipFailed):
+        residual_equation(init_state(F, R, chain=chain, lower_rank=1))
+    assert len(solves) == 1
+    # at full rank the same beta is in the span of the weights, with no solve
+    data = residual_equation(init_state(F, R, chain=chain))
+    assert len(solves) == 1
+    assert data.lam == 1 and [c.to_text() for c in data.equation] == ["-1", "0", "1"]
 
 
 def test_replaced_chain_or_beta_never_reads_a_stale_stage(monkeypatch):

@@ -9,8 +9,12 @@ code and check lines must equal ``bench/goldens/verify.json``; the known
 ``check=min status=FAIL`` lines of that set are part of the golden.  This
 keeps the whole expand output contract and a slice of the verify contract
 in the fast suite; the other verify seeds are left to the benchmark.
+
+The bench budgets stop at 24 terms, so four problems are also pinned at 64
+terms by the SHA-256 digest of their ``--format records`` output.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -64,3 +68,24 @@ def test_expand_matches_golden(name, op):
 def test_verify_matches_golden(op):
     code, out = cli.cmd_verify(cli.parse_problem(op.text))
     assert {"code": code, "out": out} == _golden("verify", op.key)
+
+
+LONG_RUNS = {
+    "as-f2": ("char 2\npoly y^2 + t*y + t\n",
+              "f4bd608a66495b1a3958e34de7875db1115bd4781dae88dff2f82614cb7873cd"),
+    "sq-q": ("char 0\npoly y^2 - 1 - t\n",
+             "c7fd5ad8e1447732e8bf1b3f6eaaf6ecbb224c260f34550817c93349c96c7162"),
+    "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n",
+              "2c5937fee6b41d26d2cea4ae73560550b51c2dc86467e69cffa3137db40820f6"),
+    "r2-q": ("char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
+             "poly y^2 - t - u2\n",
+             "664422d1702fae9b1a8513c526d36b2ac1669804c00c9ea104c397307c00209e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUNS))
+def test_records_digest_at_64_terms(name):
+    text, digest = LONG_RUNS[name]
+    code, out, _ = cli.cmd_expand(cli.parse_problem(text), fmt="records", budget=64)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
