@@ -14,7 +14,6 @@ from .embed import (
     COMPLETE_TRANSCENDENTAL,
     ExpandResult,
     LimitPartial,
-    MPoly,
     PuiseuxState,
     expand,
     init_state,

@@ -13,12 +13,12 @@ import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeff import FieldTower, WittRing, binary_power
-from .embed import MPoly, expand, monomial_embedding
+from .coeff import FieldTower, WittRing
+from .embed import expand, monomial_embedding
 from .errors import EngineError, ParseError
-from .groups import INF, GroupDescriptor, cmp
+from .groups import INF, GroupDescriptor, QuadValue, cmp
 from .keypoly import ValPoly, derivative_min_check, group_text
-from .series import GenSeries, SeriesRing, _coeff_from_fraction, _Scanner
+from .series import GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, read_expr
 from .truncalg import (
     integral_dependence,
     multi_product_truncation,
@@ -27,6 +27,8 @@ from .truncalg import (
 )
 
 ALL_CHECKS = ("caltron", "prodfini", "stab", "min", "ent", "taylor")
+# the largest p-adic working precision a spec may ask for
+MAX_WITT_PREC = 1024
 
 
 @dataclass
@@ -93,6 +95,9 @@ def parse_problem(text):
                 spec.max_prec = Fraction(value)
             elif key == "witt_prec":
                 spec.witt_prec = int(value)
+                if spec.witt_prec > MAX_WITT_PREC:
+                    raise ParseError(f"witt_prec {spec.witt_prec} is above the limit "
+                                     f"{MAX_WITT_PREC}", line=lineno)
             elif key == "verify":
                 if value == "off":
                     spec.verify = ()
@@ -118,13 +123,13 @@ def parse_problem(text):
 
 
 def _parse_weight(text, lineno):
-    # a/b or a/b+c/d*sqrt(D)
+    """a/b, or a/b+c/d*sqrt(D) as a QuadValue that keeps its D."""
     if "sqrt" in text:
         head, tail = text.split("+", 1) if "+" in text else ("0", text)
         c, rest = tail.split("*", 1)
         if not rest.startswith("sqrt(") or not rest.endswith(")"):
             raise ParseError(f"bad weight {text!r}", line=lineno)
-        return (Fraction(head), Fraction(c))
+        return QuadValue(Fraction(head), Fraction(c), int(rest[5:-1]))
     return Fraction(text)
 
 
@@ -156,12 +161,17 @@ def _is_prime(n):
 
 
 def build_ring(spec):
-    """The series ring of a spec; a characteristic that is not 0 or a prime, and
-    weights the value group rejects, are a ParseError."""
+    """The series ring of a spec; a characteristic that is not 0 or a prime, a
+    sqrt(D) weight whose D is not sqrt_disc, and weights the value group
+    rejects, are a ParseError."""
     if spec.mode == "mixed" and not _is_prime(spec.p):
         raise ParseError(f"p must be a prime, not {spec.p}")
     if spec.mode != "mixed" and spec.char != 0 and not _is_prime(spec.char):
         raise ParseError(f"char must be 0 or a prime, not {spec.char}")
+    for w in spec.weights:
+        if isinstance(w, QuadValue) and w.d != spec.sqrt_disc:
+            raise ParseError(f"the weight {w!r} reads sqrt({w.d}), "
+                             f"but sqrt_disc is {spec.sqrt_disc}")
     char_exponent = spec.p if spec.mode == "mixed" else max(spec.char, 1)
     try:
         desc = GroupDescriptor(spec.weights, char_exponent=char_exponent,
@@ -176,107 +186,68 @@ def build_ring(spec):
     return SeriesRing.equichar(desc, tower, var=spec.uniformizer())
 
 
-# -- polynomial expression parsing ----------------------------------------------------
+# -- polynomial expressions -----------------------------------------------------------
+
+# the largest degree in the main variable that a `poly` line may reach
+MAX_DEGREE = 128
 
 
-def parse_poly(text, variables, lineno=None):
-    """Multivariate polynomial expression over named variables.
+def read_poly(ring, text, values, var):
+    """The polynomial in ``var`` that a ``poly`` line writes, as a ValPoly.
 
-    Grammar: sum of products of powers; +, -, *, ^, parentheses, rational
-    literals.  Returns a dict exps -> Fraction.
+    The vocabulary of read_expr: rational literals, the names in ``values``
+    (each its series), ``var``, and ``^`` with a non-negative integer.  A
+    power whose degree would pass MAX_DEGREE is a ParseError before it is
+    formed.
     """
-    sc = _Scanner(text, lineno)
-    zero = tuple([0] * len(variables))
+    sc = _Scanner(text)
 
-    def combine(a, b, mul=False):
-        out = {}
-        if not mul:
-            for d in (a, b):
-                for e, c in d.items():
-                    out[e] = out.get(e, Fraction(0)) + c
-        else:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return {e: c for e, c in out.items() if c != 0}
-
-    def atom():
+    def atom(read):
         ch = sc.peek()
-        if ch == "(":
-            sc.take("(")
-            v = expr()
-            sc.take(")")
-            return v
         if ch.isdigit():
-            return {zero: sc.number()}
-        if ch.isalpha() or ch == "_":
-            name = sc.ident()
-            if name not in variables:
-                sc.error(f"unknown variable {name!r}")
-            e = list(zero)
-            e[variables.index(name)] = 1
-            return {tuple(e): Fraction(1)}
-        sc.error("expected a term")
+            return ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())), var)
+        if not (ch.isalpha() or ch == "_"):
+            sc.error("expected a term")
+        name = sc.ident()
+        if name == var:
+            return ValPoly.variable(ring, var)
+        if name not in values:
+            sc.error(f"unknown variable {name!r}")
+        return ValPoly.const(values[name], var)
 
-    def power():
-        base = atom()
-        while sc.peek() == "^":
-            sc.take("^")
-            n = sc.number()
-            if n.denominator != 1 or n < 0:
-                sc.error("exponents must be non-negative integers")
-            base = binary_power(base, int(n), {zero: Fraction(1)},
-                                lambda a, b: combine(a, b, mul=True))
-        return base
+    def power(base):
+        n = sc.number()
+        if n.denominator != 1 or n < 0:
+            sc.error("exponents must be non-negative integers")
+        if base.degree() * n > MAX_DEGREE:
+            sc.error(f"degree {base.degree() * n} in {var} is above the limit {MAX_DEGREE}")
+        return base ** int(n)
 
-    def product():
-        acc = power()
-        while sc.peek() == "*":
-            sc.take("*")
-            acc = combine(acc, power(), mul=True)
-        return acc
-
-    def expr():
-        first = sc.peek()
-        neg = False
-        if first == "-":
-            sc.take("-")
-            neg = True
-        elif first == "+":
-            sc.take("+")
-        acc = product()
-        if neg:
-            acc = {e: -c for e, c in acc.items()}
-        while sc.peek() in ("+", "-"):
-            op = sc.peek()
-            sc.take(op)
-            nxt = product()
-            if op == "-":
-                nxt = {e: -c for e, c in nxt.items()}
-            acc = combine(acc, nxt)
-        return acc
-
-    out = expr()
-    if not sc.at_end():
-        sc.error("trailing input")
-    return out
+    return read_expr(sc, atom, power)
 
 
 def build_valpoly(spec, ring):
-    """The defining polynomial as a ValPoly over the lower embeddings."""
-    lower = [spec.uniformizer()] + list(spec.lower_vars)
-    variables = lower + [spec.var]
-    raw = parse_poly(spec.poly_text, variables)
-    emb = monomial_embedding(ring, lower)
-    F = MPoly(variables, {e: _coeff_from_fraction(ring, q) for e, q in raw.items()}
-              ).to_valpoly(ring, emb)
+    """The defining polynomial as a ValPoly; the series variable and the
+    lower variables read as their weight monomials."""
+    names = [spec.uniformizer()] + list(spec.lower_vars)
+    if len(set(names + [spec.var])) < len(names) + 1:
+        raise ParseError("the series, lower and main variable names must be distinct, "
+                         f"not {' '.join(names + [spec.var])}")
+    try:
+        values = monomial_embedding(ring, names)
+    except ValueError as exc:
+        raise ParseError(f"series and lower variables {' '.join(names)}: {exc} "
+                         f"({ring.descriptor.rank})") from exc
+    F = read_poly(ring, spec.poly_text, values, spec.var)
+    if F.degree() > MAX_DEGREE:
+        raise ParseError(f"the defining polynomial has degree {F.degree()} in {spec.var}, "
+                         f"above the limit {MAX_DEGREE}")
     if not F.is_monic():
         raise ParseError("the defining polynomial must be monic in the main variable")
     if F.degree() < 1:
         raise ParseError("the defining polynomial must have degree >= 1 "
                          "in the main variable")
-    return F, emb
+    return F
 
 
 # -- expand ------------------------------------------------------------------------------
@@ -284,13 +255,13 @@ def build_valpoly(spec, ring):
 
 def run_expand(spec, budget_override=None, prec_override=None):
     ring = build_ring(spec)
-    F, emb = build_valpoly(spec, ring)
+    F = build_valpoly(spec, ring)
     max_terms = budget_override or spec.budget_terms
     max_prec = None
     prec_q = prec_override if prec_override is not None else spec.max_prec
     if prec_q is not None:
         max_prec = ring.descriptor.from_rational(prec_q)
-    return expand(F, ring, max_terms=max_terms, max_prec=max_prec, lower=emb)
+    return expand(F, ring, max_terms=max_terms, max_prec=max_prec)
 
 
 def cmd_expand(spec, fmt="text", trace_path=None, budget=None, prec=None):
@@ -520,26 +491,23 @@ def cmd_arith(text):
 
 
 def _eval_series_expr(ring, env, text, lineno):
+    """One arith expression.  The vocabulary of read_expr: rational literals,
+    the uniformizer, let names and function calls, whose bare numbers are
+    exponents; ``^`` takes a non-negative integer, or a rational for a
+    monomial with coefficient 1."""
     sc = _Scanner(text, lineno)
 
-    def atom():
-        ch = sc.peek()
-        if ch == "(":
-            sc.take("(")
-            v = addexpr()
-            sc.take(")")
-            return v
-        if ch.isdigit():
-            q = sc.number()
-            return ring.const(_coeff_from_fraction(ring, q))
+    def atom(read):
+        if sc.peek().isdigit():
+            return ring.const(_coeff_from_fraction(ring, sc.number()))
         col = sc.pos
         name = sc.ident()
         if sc.peek() == "(":
             sc.take("(")
-            args = [addexpr_or_number()]
+            args = [argument(read)]
             while sc.peek() == ",":
                 sc.take(",")
-                args.append(addexpr_or_number())
+                args.append(argument(read))
             sc.take(")")
             return _apply_func(ring, name, args, sc, col)
         if name == ring.var:
@@ -548,8 +516,8 @@ def _eval_series_expr(ring, env, text, lineno):
             return env[name]
         sc.error(f"unknown name {name!r}")
 
-    def addexpr_or_number():
-        # numbers in argument position mean exponents
+    def argument(read):
+        # a signed number alone in argument position is an exponent
         save = sc.pos
         neg = sc.peek() == "-"
         if neg:
@@ -559,60 +527,28 @@ def _eval_series_expr(ring, env, text, lineno):
             if sc.peek() in (",", ")"):
                 return -q if neg else q
         sc.pos = save
-        return addexpr()
+        return read()
 
-    def power():
-        base = atom()
-        while sc.peek() == "^":
-            sc.take("^")
-            if sc.peek() == "(":
-                sc.take("(")
-                n = sc.number()
-                sc.take(")")
-            else:
-                n = sc.number()
-            if n < 0:
-                sc.error("powers must be non-negative")
-            if n.denominator == 1:
-                base = base ** int(n)
-            else:
-                # fractional power of a single unit monomial
-                if len(base.terms) != 1:
-                    sc.error("fractional powers need a single monomial")
-                gam, c = base.terms[0]
-                if not c == ring.c_one():
-                    sc.error("fractional powers need a unit coefficient")
-                base = ring.monomial(gam.scale_unchecked(n))
-        return base
+    def power(base):
+        if sc.peek() == "(":
+            sc.take("(")
+            n = sc.number()
+            sc.take(")")
+        else:
+            n = sc.number()
+        if n < 0:
+            sc.error("powers must be non-negative")
+        if n.denominator == 1:
+            return base ** int(n)
+        # fractional power of a single unit monomial
+        if len(base.terms) != 1:
+            sc.error("fractional powers need a single monomial")
+        gam, c = base.terms[0]
+        if not c == ring.c_one():
+            sc.error("fractional powers need a unit coefficient")
+        return ring.monomial(gam.scale_unchecked(n))
 
-    def product():
-        acc = power()
-        while sc.peek() == "*":
-            sc.take("*")
-            acc = acc * power()
-        return acc
-
-    def addexpr():
-        neg = False
-        if sc.peek() == "-":
-            sc.take("-")
-            neg = True
-        elif sc.peek() == "+":
-            sc.take("+")
-        acc = product()
-        if neg:
-            acc = -acc
-        while sc.peek() in ("+", "-"):
-            op = sc.peek()
-            sc.take(op)
-            nxt = product()
-            acc = acc - nxt if op == "-" else acc + nxt
-        return acc
-
-    out = addexpr()
-    if not sc.at_end():
-        sc.error("trailing input")
-    return out
+    return read_expr(sc, atom, power)
 
 
 # name -> its argument signatures: "s" a series, "e" an exponent number

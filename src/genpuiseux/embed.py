@@ -44,60 +44,7 @@ BUDGET = "BUDGET"
 COMPLETE_TRANSCENDENTAL = "COMPLETE_TRANSCENDENTAL"
 
 
-# -- multivariate stand-ins for ring elements --------------------------------------
-
-
-class MPoly:
-    """Multivariate polynomial over the coefficient domain, main variable last."""
-
-    def __init__(self, variables, terms):
-        self.variables = tuple(variables)
-        cleaned = {}
-        for exps, c in terms.items():
-            if isinstance(c, int) and c == 0:
-                continue
-            if not isinstance(c, int) and hasattr(c, "is_zero") and c.is_zero():
-                continue
-            cleaned[tuple(exps)] = c
-        self.terms = dict(cleaned)
-
-    def monomial_val(self, values):
-        """Least weighted degree over the support; values: one per variable."""
-        if not self.terms:
-            raise ZeroPolynomial("monomial valuation of the zero polynomial")
-        best = None
-        for exps in self.terms:
-            total = None
-            for e, v in zip(exps, values):
-                if e:
-                    piece = v.scale_unchecked(e)
-                    total = piece if total is None else total + piece
-            if total is None:
-                total = values[0].descriptor.zero()
-            if best is None or cmp(total, best) < 0:
-                best = total
-        return best
-
-    def to_valpoly(self, ring, embeddings, main_var=None):
-        """Collapse to a univariate polynomial in the main variable.
-
-        Lower-variable monomials are evaluated at their embedded series.
-        """
-        main = main_var or self.variables[-1]
-        mi = self.variables.index(main)
-        coeffs = {}
-        for exps, c in self.terms.items():
-            k = exps[mi]
-            acc = ring.const(ring.c_from_int(c) if isinstance(c, int)
-                             else ring.coerce_coeff(c))
-            for j, e in enumerate(exps):
-                if j == mi or not e:
-                    continue
-                acc = acc * (embeddings[self.variables[j]] ** e)
-            coeffs[k] = coeffs.get(k, ring.zero()) + acc
-        top = max(coeffs) if coeffs else 0
-        return ValPoly(ring, [coeffs.get(k, ring.zero()) for k in range(top + 1)],
-                       main)
+# -- the base-case embedding --------------------------------------------------------
 
 
 def monomial_embedding(ring, names):
@@ -179,7 +126,6 @@ class PuiseuxState:
     status: str = RUNNING
     trace: tuple = ()
     emitted: tuple = ()  # (exponent, coefficient) pairs actually added
-    lower: dict = field(default_factory=dict)
     lower_rank: int = None  # weights spanned by the lower stage (default all)
     note: str = ""
     # (partial, F, [(D^l F)(partial)]); read only while both objects match
@@ -258,11 +204,10 @@ class PuiseuxState:
         chain2 = KeyPolyChain(ring2, [
             replace(e, poly=e.poly.coerce(ring2)) for e in self.chain.entries])
         part2 = self.partial.coerce(ring2)
-        lower2 = {k: v.coerce(ring2) for k, v in self.lower.items()}
         F2 = self.F.coerce(ring2)
         taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])
         return replace(self, ring=ring2, F=F2, chain=chain2, partial=part2,
-                       lower=lower2, taylor=taylor2)
+                       taylor=taylor2)
 
 
 def _shift_taylor(vec, ring, beta, a):
@@ -290,13 +235,12 @@ def _shift_taylor(vec, ring, beta, a):
     return out
 
 
-def init_state(F, ring, lower=None, chain=None, lower_rank=None):
+def init_state(F, ring, chain=None, lower_rank=None):
     """Start of the recursion: zero partial at the polygon's first exponent."""
     chain = chain or initial_chain(ring, F, F.var)
     e1 = chain.entry(1)
     state = PuiseuxState(ring=ring, F=F, chain=chain, partial=ring.zero(),
-                         beta=e1.beta, lower=dict(lower or {}),
-                         lower_rank=lower_rank)
+                         beta=e1.beta, lower_rank=lower_rank)
     if e1.beta is INF:
         # zero is an exact root
         return replace(state, status=COMPLETE)
@@ -610,9 +554,9 @@ class ExpandResult:
         return lines
 
 
-def expand(F, ring, max_terms=16, max_prec=None, lower=None, chain=None):
+def expand(F, ring, max_terms=16, max_prec=None, chain=None):
     """Drive the recursion to completion or budget exhaustion."""
-    state = init_state(F, ring, lower=lower, chain=chain)
+    state = init_state(F, ring, chain=chain)
     guard = 0
     while state.status == RUNNING:
         guard += 1
@@ -645,12 +589,8 @@ def expand(F, ring, max_terms=16, max_prec=None, lower=None, chain=None):
 def mu_beta_val(f, state):
     """Substitute the main variable by partial + T and read the T-graded min.
 
-    Returns (value, attaining T-degrees).  f may be a ValPoly over the ring
-    or an MPoly over the state's variables.
+    Returns (value, attaining T-degrees) for a ValPoly f over the ring.
     """
-    if isinstance(f, MPoly):
-        emb = dict(state.lower)
-        f = f.to_valpoly(state.ring, emb)
     beta = state.beta
     vec = state.taylor_of(f)
     best, attain = level_and_ties((k, ev.val() + beta.scale_unchecked(k))

@@ -74,6 +74,12 @@ class ValPoly:
         return ValPoly(self.ring,
                        [self.coeff(j) + other.coeff(j) for j in range(n)], self.var)
 
+    def __neg__(self):
+        return ValPoly(self.ring, [-c for c in self.coeffs], self.var)
+
+    def __sub__(self, other):
+        return self + (-other)
+
     def __mul__(self, other):
         if isinstance(other, GenSeries):
             return ValPoly(self.ring, [c * other for c in self.coeffs], self.var)

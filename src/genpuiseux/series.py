@@ -518,7 +518,7 @@ def eval_poly(coeffs, s):
 
 
 class _Scanner:
-    """Tokens of the series, polynomial and expression grammars."""
+    """Tokens of the one expression grammar that ``read_expr`` reads."""
 
     def __init__(self, text, lineno=None):
         self.text = text
@@ -576,122 +576,112 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
-def parse_series(ring, text):
-    """Parse the canonical printed form back into a GenSeries (bit-exact)."""
-    sc = _Scanner(text.strip())
-    if sc.text == "0":
-        return ring.zero()
-    terms = []
-    prec, closed = INF, False
-    sign = 1
-    first = True
-    while not sc.at_end():
-        if not first:
-            ch = sc.peek()
-            if ch == "+":
-                sc.take("+")
-                sign = 1
-            elif ch == "-":
-                sc.take("-")
-                sign = -1
-            else:
-                sc.error("expected + or -")
+def read_expr(sc, atom, power):
+    """Read all of sc's text as a signed sum of products of powers.
+
+    Parentheses group.  A text kind supplies only its vocabulary:
+    ``atom(read)`` reads any other atom (``read()`` reads a nested sum, say
+    a function argument), and ``power(base)`` reads what follows a ``^`` and
+    returns base raised to it.  The values need +, -, unary minus and *.
+    """
+
+    def read():
+        sign = sc.peek()
+        if sign in ("+", "-"):
+            sc.take(sign)
+        acc = product()
+        if sign == "-":
+            acc = -acc
+        while sc.peek() in ("+", "-"):
+            op = sc.peek()
+            sc.take(op)
+            acc = acc - product() if op == "-" else acc + product()
+        return acc
+
+    def product():
+        acc = factor()
+        while sc.peek() == "*":
+            sc.take("*")
+            acc = acc * factor()
+        return acc
+
+    def factor():
+        if sc.peek() == "(":
+            sc.take("(")
+            base = read()
+            sc.take(")")
         else:
-            sign = 1
-            if sc.peek() == "-":
-                sc.take("-")
-                sign = -1
-            first = False
-        if sc.peek() == "O":
-            sc.take("O")
-            opener = sc.peek()
-            closer = {"(": ")", "[": "]"}.get(opener)
-            if closer is None:
-                sc.error("expected ( or [ after O")
-            sc.take(opener)
-            prec = _parse_exponent_body(ring, sc)
-            sc.take(closer)
-            closed = opener == "["
-            break
-        coeff, gamma = _parse_term(ring, sc)
-        if sign < 0:
-            coeff = -coeff
-        terms.append((gamma, coeff))
+            base = atom(read)
+        while sc.peek() == "^":
+            sc.take("^")
+            base = power(base)
+        return base
+
+    out = read()
     if not sc.at_end():
         sc.error("trailing input")
-    return GenSeries(ring, terms, prec, closed)
+    return out
 
 
-def _parse_term(ring, sc):
-    coeff = None
-    ch = sc.peek()
-    if ch.isdigit() or ch == "-":
-        coeff = _coeff_from_fraction(ring, sc.number())
-        if sc.peek() == "*":
-            sc.take("*")
-    elif ch == "(":
-        sc.take("(")
-        coeff = _parse_coeff_expr(ring, sc)
-        sc.take(")")
-        if sc.peek() == "*":
-            sc.take("*")
-    if sc.peek() and sc.peek().isalpha() and sc.text.startswith(ring.var, sc.pos):
-        nxt = sc.pos + len(ring.var)
-        boundary = nxt >= len(sc.text) or not (sc.text[nxt].isalnum() or sc.text[nxt] == "_")
-        if boundary:
-            sc.take(ring.var)
-            gamma = _parse_power(ring, sc)
-            if coeff is None:
-                coeff = ring.c_one()
-            return coeff, gamma
-    if coeff is None:
-        # bare tower-element coefficient (e.g. generator name)
-        coeff = _parse_coeff_expr(ring, sc)
-        if sc.peek() == "*":
-            sc.take("*")
-            sc.take(ring.var)
-            gamma = _parse_power(ring, sc)
-            return coeff, gamma
-    return coeff, ring.descriptor.zero()
+def parse_series(ring, text):
+    """Parse the canonical printed form back into a GenSeries (bit-exact).
+
+    The vocabulary: rational literals, with a leading minus as the printer
+    writes ``w^1 + -3``; tower generators, whose powers are non-negative
+    integers; ``t^e``, the monomial of value e; and the bounds ``O(t^e)``
+    (open) and ``O[t^e]`` (closed).
+    """
+    sc = _Scanner(text)
+    gens = {name: k for k, (name, _) in enumerate(ring.tower.stages)}
+
+    def atom(read):
+        ch = sc.peek()
+        if ch.isdigit() or ch == "-":
+            return ring.const(_coeff_from_fraction(ring, sc.number()))
+        name = sc.ident()
+        if name == "O" and sc.peek() in ("(", "["):
+            opener = sc.peek()
+            sc.take(opener)
+            if sc.ident() != ring.var:
+                sc.error(f"expected {ring.var!r}")
+            bound = _exponent(ring, sc)
+            sc.take(")" if opener == "(" else "]")
+            return ring.zero(bound, opener == "[")
+        if name == ring.var:
+            return ring.monomial(_exponent(ring, sc))
+        if name not in gens:
+            sc.error(f"unknown generator {name!r}")
+        return ring.const(ring.c_lift(CoeffElem.generator(ring.tower, gens[name])))
+
+    def power(base):
+        start = sc.pos
+        n = sc.number()
+        if n < 0 or n.denominator != 1:
+            sc.error("generator powers must be non-negative integers", col=start)
+        return base ** int(n)
+
+    return read_expr(sc, atom, power)
 
 
-def _parse_power(ring, sc):
+def _exponent(ring, sc):
+    """The e of ``t^e`` (1 when no ``^`` follows): a rational, or in
+    parentheses a rational or the g-coordinates of GroupElement.parse."""
+    desc = ring.descriptor
     if sc.peek() != "^":
-        return ring.descriptor.from_rational(1)
+        return desc.from_rational(1)
     sc.take("^")
-    if sc.peek() == "(":
-        sc.take("(")
-        gamma = _parse_exponent_body(ring, sc)
-        sc.take(")")
-        return gamma
-    q = sc.number()
-    return ring.descriptor.from_rational(q)
-
-
-def _parse_exponent_body(ring, sc):
-    start = sc.pos
-    depth = 0
-    while sc.pos < len(sc.text):
-        ch = sc.text[sc.pos]
-        if ch == "(":
-            depth += 1
-        elif ch == ")" or ch == "]":
-            if depth == 0:
-                break
-            depth -= 1
-        sc.pos += 1
-    body = sc.text[start:sc.pos].strip()
-    if body.startswith(ring.var):
-        body = body[len(ring.var):].strip()
-        if body == "":
-            return ring.descriptor.from_rational(1)
-        if body.startswith("^"):
-            body = body[1:].strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1].strip()
-    if "g" in body:
-        return GroupElement.parse(ring.descriptor, body)
-    return ring.descriptor.from_rational(Fraction(body))
+    if sc.peek() != "(":
+        return desc.from_rational(sc.number())
+    sc.take("(")
+    end = sc.text.find(")", sc.pos)
+    end = len(sc.text) if end < 0 else end
+    if "g" in sc.text[sc.pos:end]:
+        gamma = GroupElement.parse(desc, sc.text[sc.pos:end])
+        sc.pos = end
+    else:
+        gamma = desc.from_rational(sc.number())
+    sc.take(")")
+    return gamma
 
 
 def _coeff_from_fraction(ring, q):
@@ -708,55 +698,3 @@ def _coeff_from_fraction(ring, q):
     num = CoeffElem.from_int(ring.tower, q.numerator)
     den = CoeffElem.from_int(ring.tower, q.denominator)
     return num * den.inv()
-
-
-def _parse_coeff_expr(ring, sc):
-    """Sums of products of generator powers and numbers, used inside parens."""
-    acc = None
-    while True:
-        term = _parse_coeff_factor(ring, sc)
-        while sc.peek() == "*":
-            save = sc.pos
-            sc.take("*")
-            if sc.text.startswith(ring.var, sc.pos):
-                sc.pos = save
-                break
-            term = term * _parse_coeff_factor(ring, sc)
-        acc = term if acc is None else acc + term
-        if sc.peek() == "+":
-            sc.take("+")
-            continue
-        if sc.peek() == "-":
-            # handled by caller sign logic only at top level; inside parens consume
-            sc.take("-")
-            nxt = _parse_coeff_factor(ring, sc)
-            while sc.peek() == "*":
-                sc.take("*")
-                nxt = nxt * _parse_coeff_factor(ring, sc)
-            acc = acc - nxt
-            if sc.peek() == "+":
-                sc.take("+")
-                continue
-            if sc.peek() not in ("", ")"):
-                continue
-        return acc
-
-
-def _parse_coeff_factor(ring, sc):
-    ch = sc.peek()
-    if ch.isdigit() or ch == "-":
-        return _coeff_from_fraction(ring, sc.number())
-    name = sc.ident()
-    power = 1
-    if sc.peek() == "^":
-        sc.take("^")
-        start = sc.pos
-        power = sc.number()
-        if power < 0 or power.denominator != 1:
-            sc.error("generator powers must be non-negative integers", col=start)
-    tower = ring.tower
-    for k in range(tower.height):
-        if tower.stages[k][0] == name:
-            out = CoeffElem.generator(tower, k) ** int(power)
-            return ring.c_lift(out) if ring.mode == "p" else out
-    raise ParseError(f"unknown generator {name!r}", col=sc.pos)

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import time
@@ -6,16 +7,21 @@ from pathlib import Path
 
 import pytest
 
+import genpuiseux
 from genpuiseux.cli import (
     _is_prime,
+    build_ring,
+    build_valpoly,
     cmd_arith,
     cmd_expand,
     cmd_verify,
     main,
     parse_problem,
-    parse_poly,
+    read_poly,
 )
+from genpuiseux.embed import monomial_embedding
 from genpuiseux.errors import ParseError
+from genpuiseux.keypoly import ValPoly
 
 CLASSICAL = """\
 mode equichar
@@ -94,18 +100,32 @@ def test_parse_problem_errors_have_positions():
         parse_problem("mode equichar\n")  # missing poly
 
 
+def _read(text):
+    """read_poly over Q, with the series variable t and the main variable y."""
+    ring = build_ring(parse_problem("char 0\npoly y\n"))
+    return read_poly(ring, text, monomial_embedding(ring, ["t"]), "y")
+
+
+def _valpoly(terms):
+    """The ValPoly sum of c*t^a*y^k over {(a, k): c}, over the ring of _read."""
+    ring = build_ring(parse_problem("char 0\npoly y\n"))
+    coeffs = [ring.zero()] * (max(k for _, k in terms) + 1)
+    for (a, k), c in terms.items():
+        coeffs[k] = coeffs[k] + ring.monomial(ring.descriptor.from_rational(a), c)
+    return ValPoly(ring, coeffs)
+
+
 def test_parse_poly_expressions():
-    got = parse_poly("y^2 - t^3", ["t", "y"])
-    assert got == {(0, 2): 1, (3, 0): -1}
-    got = parse_poly("(y^2 - t^3)^2 - t^7", ["t", "y"])
-    assert got == {(0, 4): 1, (3, 2): -2, (6, 0): 1, (7, 0): -1}
-    got = parse_poly("y^2 + t*y + t", ["t", "y"])
-    assert got == {(0, 2): 1, (1, 1): 1, (1, 0): 1}
+    assert _read("y^2 - t^3") == _valpoly({(0, 2): 1, (3, 0): -1})
+    got = _read("(y^2 - t^3)^2 - t^7")
+    assert got == _valpoly({(0, 4): 1, (3, 2): -2, (6, 0): 1, (7, 0): -1})
+    got = _read("y^2 + t*y + t")
+    assert got == _valpoly({(0, 2): 1, (1, 1): 1, (1, 0): 1})
 
 
 def test_negative_exponents_are_parse_errors(tmp_path, capsys):
     with pytest.raises(ParseError, match="exponents must be non-negative integers"):
-        parse_poly("y^2 + y + t^-1", ["t", "y"])
+        _read("y^2 + y + t^-1")
     spec = write(tmp_path, "neg.spec", "char 0\npoly y^2 + y + t^-1\n")
     assert main(["expand", spec]) == 2
     assert "exponents must be non-negative integers" in capsys.readouterr().err
@@ -127,7 +147,7 @@ def test_expression_literals_and_signed_arguments():
     with pytest.raises(ParseError, match="bad number ''"):
         cmd_arith("char 0\nprint t^\n")
     with pytest.raises(ParseError, match="bad number ''"):
-        parse_poly("y^", ["t", "y"])
+        _read("y^")
 
 
 def test_cmd_expand_classical():
@@ -240,6 +260,71 @@ def test_characteristic_is_zero_or_a_prime(header, message):
         cmd_expand(parse_problem(f"{header}\npoly y^2 + t\n"))
 
 
+@pytest.mark.parametrize("header", [
+    "var t",  # the main variable is the series variable
+    "weights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars t",  # a lower variable too
+    "var u\nseries_var u",
+])
+def test_variable_names_must_be_distinct(header):
+    spec = parse_problem(f"char 0\n{header}\npoly t^2 - t\n")
+    with pytest.raises(ParseError, match="variable names must be distinct"):
+        cmd_expand(spec)
+
+
+def test_more_lower_variables_than_weights(tmp_path, capsys):
+    spec = write(tmp_path, "u2.spec", "char 0\nlower_vars u2\npoly y^2 - t - u2\n")
+    assert main(["expand", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "t u2" in err
+
+
+@pytest.mark.parametrize("header, message", [
+    ("sqrt_disc 2", r"0\+1\*sqrt\(3\) reads sqrt\(3\), but sqrt_disc is 2"),
+    ("", r"0\+1\*sqrt\(3\) reads sqrt\(3\), but sqrt_disc is 1"),
+])
+def test_weights_read_their_square_root(header, message):
+    spec = parse_problem(f"char 0\nweights 1 0+1*sqrt(3)\n{header}\n"
+                         "lower_vars u2\npoly y^2 - t - u2\n")
+    with pytest.raises(ParseError, match=message):
+        cmd_expand(spec)
+    # with D equal to sqrt_disc the weights build a rank-2 ring
+    spec = parse_problem("char 0\nweights 1 0+1*sqrt(3)\nsqrt_disc 3\npoly y - t\n")
+    assert build_ring(spec).descriptor.rank == 2
+
+
+def test_witt_prec_limit():
+    assert parse_problem("p 5\nwitt_prec 1024\npoly y^2 - 1 - p\n").witt_prec == 1024
+    with pytest.raises(ParseError, match="witt_prec 1025 is above the limit 1024 at line 2"):
+        parse_problem("p 5\nwitt_prec 1025\npoly y^2 - 1 - p\n")
+
+
+@pytest.mark.parametrize("poly, message", [
+    ("y^128 - t", None),
+    ("(y^2)^64 - t", None),
+    ("y^64*y^64 - t", None),
+    ("y^129 - t", "degree 129 in y is above the limit 128"),
+    ("(y^2)^65 - t", "degree 130 in y is above the limit 128"),
+    ("y^100000000 - t", "degree 100000000 in y is above the limit 128"),
+    ("y^64*y^65 - t", "the defining polynomial has degree 129 in y, above the limit 128"),
+])
+def test_degree_limit(poly, message):
+    spec = parse_problem(f"char 0\npoly {poly}\n")
+    ring = build_ring(spec)
+    if message is None:
+        assert build_valpoly(spec, ring).degree() == 128
+    else:
+        with pytest.raises(ParseError, match=message):
+            build_valpoly(spec, ring)
+
+
+def test_literals_are_read_as_written():
+    # each literal is converted when it is read, so a pair that cancels is
+    # still an error, and the message names the literal as written
+    for poly in ("y^2 - 1/2*t + 1/2*t - 1", "y^1 + 1/2*y"):
+        with pytest.raises(ParseError, match="the literal 1/2 has no value"):
+            cmd_expand(parse_problem(f"char 2\npoly {poly}\n"))
+
+
 def test_main_trace_file(tmp_path, capsys):
     good = write(tmp_path, "good.spec", CLASSICAL)
     trace = tmp_path / "out.trace"
@@ -303,8 +388,11 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_console_entry_point(tmp_path):
     good = write(tmp_path, "good.spec", CLASSICAL)
+    # the child imports the package from where this process found it
+    src = str(Path(genpuiseux.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "genpuiseux.cli", "expand", good],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "t^(3/2)" in proc.stdout

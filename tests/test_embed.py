@@ -28,7 +28,6 @@ from genpuiseux.embed import (
     COMPLETE,
     COMPLETE_TRANSCENDENTAL,
     RUNNING,
-    MPoly,
     expand,
     init_state,
     is_partial_development,
@@ -69,26 +68,6 @@ def artin_schreier_F(R):
 
 
 # -- monomial pieces ------------------------------------------------------------------
-
-
-def test_monomial_val_examples():
-    desc = GroupDescriptor([1])
-    one = desc.from_rational(1)
-    val_u1 = one
-    val_u2 = desc.from_rational(Fraction(3, 2))
-    f = MPoly(("u1", "u2"), {(2, 1): 1, (5, 0): 1})
-    assert f.monomial_val([val_u1, val_u2]) == desc.from_rational(Fraction(7, 2))
-    mono = MPoly(("u1", "u2"), {(3, 2): 1})
-    assert mono.monomial_val([val_u1, val_u2]) == desc.from_rational(6)
-
-
-def test_monomial_val_mixed_irrational():
-    desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2)
-    vp = desc.basis(0)
-    vu = desc.basis(1)
-    f = MPoly(("p", "u1"), {(1, 1): 1})
-    got = f.monomial_val([vp, vu])
-    assert got == desc.element([1, 1])
 
 
 def test_monomial_embedding():
@@ -497,10 +476,9 @@ def test_structural_multivariable_lower_embeddings():
     # embedded second variable (u2 -> t^(3/2)); root of u3^2 - u1*u2 is t^(5/4)
     R = tring()
     emb = {"t": R.uniformizer(), "u2": t_pow(R, Fraction(3, 2))}
-    f = MPoly(("t", "u2", "u3"), {(0, 0, 2): 1, (1, 1, 0): -1})
-    F = f.to_valpoly(R, emb, main_var="u3")
+    F = cli.read_poly(R, "u3^2 - t*u2", emb, "u3")
     assert F.degree() == 2
-    res = expand(F, R, max_terms=6, lower=emb)
+    res = expand(F, R, max_terms=6)
     assert res.status == COMPLETE
     assert res.series.to_text() == "t^(5/4)"
     assert F.eval(res.series).is_exact_zero()
@@ -560,8 +538,8 @@ CARRIED = {
 def _spec_state(text):
     spec = cli.parse_problem(text)
     ring = cli.build_ring(spec)
-    F, emb = cli.build_valpoly(spec, ring)
-    return init_state(F, ring, lower=emb)
+    F = cli.build_valpoly(spec, ring)
+    return init_state(F, ring)
 
 
 @pytest.mark.parametrize("name", sorted(CARRIED))
@@ -757,8 +735,8 @@ def test_chain_levels_match_derivatives(name):
     text, budget, height = LEVELS[name]
     spec = cli.parse_problem(text)
     ring = cli.build_ring(spec)
-    F, emb = cli.build_valpoly(spec, ring)
-    res = expand(F, ring, max_terms=budget, lower=emb)
+    F = cli.build_valpoly(spec, ring)
+    res = expand(F, ring, max_terms=budget)
     chain = res.chain
     p = ring.descriptor.char_exponent
     assert chain.ring.tower.height == height
@@ -814,8 +792,8 @@ def test_stage_selected_values_match_one_stage_recursion(name):
     text, budget, repins = STAGES[name]
     spec = cli.parse_problem(text)
     ring = cli.build_ring(spec)
-    F, emb = cli.build_valpoly(spec, ring)
-    res = expand(F, ring, max_terms=budget, lower=emb)
+    F = cli.build_valpoly(spec, ring)
+    res = expand(F, ring, max_terms=budget)
     chain, F = res.chain, res.state.F
     p = ring.descriptor.char_exponent
     entries = chain.entries

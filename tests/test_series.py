@@ -353,9 +353,30 @@ def test_text_roundtrip_tower_coefficients():
     w = CoeffElem.generator(t4)
     desc = GroupDescriptor([1], char_exponent=2)
     R = SeriesRing.equichar(desc, t4)
+    one = CoeffElem.one(t4)
     f = GenSeries(R, [(g(R, Fraction(1, 2)), w),
-                      (g(R, 2), w + CoeffElem.one(t4))])
+                      (g(R, 2), w + one)])
     assert parse_series(R, f.to_text()) == f
+    # a generator constant term, and negative exponents
+    for terms, text in (
+            ([(0, w), (1, one)], "w^1 + t"),
+            ([(0, w), (1, w + one)], "w^1 + (w^1 + 1)*t"),
+            ([(0, w), (Fraction(1, 2), w)], "w^1 + w^1*t^(1/2)"),
+            ([(-2, one), (Fraction(-1, 2), w), (0, w + one)],
+             "t^-2 + w^1*t^(-1/2) + (w^1 + 1)")):
+        f = GenSeries(R, [(g(R, e), c) for e, c in terms])
+        assert f.to_text() == text
+        assert parse_series(R, text) == f
+    # a constant term with a negative rational part over Q(sqrt 2)
+    q2 = FieldTower.rationals().adjoin((-2, 0, 1))  # w^2 - 2 = 0
+    r = CoeffElem.generator(q2)
+    R2 = SeriesRing.equichar(GroupDescriptor([1]), q2)
+    minus3 = CoeffElem.from_int(q2, -3)
+    f = GenSeries(R2, [(g(R2, -1), r + minus3), (g(R2, 0), r + minus3),
+                       (g(R2, 1), minus3)], g(R2, 2), closed=True)
+    text = f.to_text()
+    assert text == "(w^1 + -3)*t^-1 + (w^1 + -3) - 3*t + O[t^2]"
+    assert parse_series(R2, text) == f
 
 
 def test_irrational_exponent_text_roundtrip():
