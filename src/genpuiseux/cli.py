@@ -192,38 +192,65 @@ def build_ring(spec):
 MAX_DEGREE = 128
 
 
+class _Bounded:
+    """A ValPoly as read_poly combines them: a product whose degree in the
+    main variable would pass MAX_DEGREE is a ParseError before it is formed."""
+
+    __slots__ = ("poly", "sc")
+
+    def __init__(self, poly, sc):
+        self.poly, self.sc = poly, sc
+
+    def __add__(self, other):
+        return _Bounded(self.poly + other.poly, self.sc)
+
+    def __sub__(self, other):
+        return _Bounded(self.poly - other.poly, self.sc)
+
+    def __neg__(self):
+        return _Bounded(-self.poly, self.sc)
+
+    def __mul__(self, other):
+        degree = self.poly.degree() + other.poly.degree()
+        if degree > MAX_DEGREE:
+            self.sc.error(f"a product in the defining polynomial has degree {degree} "
+                          f"in {self.poly.var}, above the limit {MAX_DEGREE}")
+        return _Bounded(self.poly * other.poly, self.sc)
+
+
 def read_poly(ring, text, values, var):
     """The polynomial in ``var`` that a ``poly`` line writes, as a ValPoly.
 
     The vocabulary of read_expr: rational literals, the names in ``values``
     (each its series), ``var``, and ``^`` with a non-negative integer.  A
-    power whose degree would pass MAX_DEGREE is a ParseError before it is
-    formed.
+    power or a product whose degree would pass MAX_DEGREE is a ParseError
+    before it is formed.
     """
     sc = _Scanner(text)
 
     def atom(read):
         ch = sc.peek()
         if ch.isdigit():
-            return ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())), var)
+            return _Bounded(ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())),
+                                          var), sc)
         if not (ch.isalpha() or ch == "_"):
             sc.error("expected a term")
         name = sc.ident()
         if name == var:
-            return ValPoly.variable(ring, var)
+            return _Bounded(ValPoly.variable(ring, var), sc)
         if name not in values:
             sc.error(f"unknown variable {name!r}")
-        return ValPoly.const(values[name], var)
+        return _Bounded(ValPoly.const(values[name], var), sc)
 
     def power(base):
         n = sc.number()
         if n.denominator != 1 or n < 0:
             sc.error("exponents must be non-negative integers")
-        if base.degree() * n > MAX_DEGREE:
-            sc.error(f"degree {base.degree() * n} in {var} is above the limit {MAX_DEGREE}")
-        return base ** int(n)
+        if base.poly.degree() * n > MAX_DEGREE:
+            sc.error(f"degree {base.poly.degree() * n} in {var} is above the limit {MAX_DEGREE}")
+        return _Bounded(base.poly ** int(n), sc)
 
-    return read_expr(sc, atom, power)
+    return read_expr(sc, atom, power).poly
 
 
 def build_valpoly(spec, ring):
@@ -239,9 +266,6 @@ def build_valpoly(spec, ring):
         raise ParseError(f"series and lower variables {' '.join(names)}: {exc} "
                          f"({ring.descriptor.rank})") from exc
     F = read_poly(ring, spec.poly_text, values, spec.var)
-    if F.degree() > MAX_DEGREE:
-        raise ParseError(f"the defining polynomial has degree {F.degree()} in {spec.var}, "
-                         f"above the limit {MAX_DEGREE}")
     if not F.is_monic():
         raise ParseError("the defining polynomial must be monic in the main variable")
     if F.degree() < 1:

@@ -24,6 +24,7 @@ from functools import cache, partial
 
 from .errors import (
     DivisionByZero,
+    EngineInvariantViolation,
     IrreducibleOverRationals,
     NonUnit,
 )
@@ -92,9 +93,6 @@ class FieldTower:
     def __eq__(self, other):
         return (isinstance(other, FieldTower) and self.base == other.base
                 and self.stages == other.stages and self.leaf_mod == other.leaf_mod)
-
-    def __hash__(self):
-        return hash((self.base, self.stages))
 
     def __repr__(self):
         name = f"F{self.base[1]}" if self.base[0] == 'F' else "Q"
@@ -501,35 +499,33 @@ class CoeffElem:
         return cls(tower, tower.rep_lift(rep, k + 1, tower.height))
 
     def _pair(self, other):
+        """The rep of an int or of an element over this tower; values over two
+        towers never meet (a state moves all of its values up at once)."""
         if isinstance(other, int):
-            other = CoeffElem.from_int(self.tower, other)
-        if self.tower == other.tower:
-            return self, other
-        if self.tower.extends(other.tower):
-            return self, CoeffElem(self.tower, self.tower.coerce_rep(other.rep, other.tower))
-        if other.tower.extends(self.tower):
-            return CoeffElem(other.tower, other.tower.coerce_rep(self.rep, self.tower)), other
-        raise ValueError("incompatible towers")
+            return self.tower.rep_from_int(other)
+        if isinstance(other, CoeffElem) and (other.tower is self.tower
+                                             or other.tower == self.tower):
+            return other.rep
+        raise EngineInvariantViolation(
+            f"coefficients over two towers: {self.tower!r} and "
+            f"{getattr(other, 'tower', type(other).__name__)!r}")
 
     def is_zero(self):
         return self.tower.rep_is_zero(self.rep)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return CoeffElem(a.tower, a.tower.rep_add(a.rep, b.rep))
+        return CoeffElem(self.tower, self.tower.rep_add(self.rep, self._pair(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return CoeffElem(a.tower, a.tower.rep_sub(a.rep, b.rep))
+        return CoeffElem(self.tower, self.tower.rep_sub(self.rep, self._pair(other)))
 
     def __neg__(self):
         return CoeffElem(self.tower, self.tower.rep_neg(self.rep))
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        return CoeffElem(a.tower, a.tower.rep_mul(a.rep, b.rep))
+        return CoeffElem(self.tower, self.tower.rep_mul(self.rep, self._pair(other)))
 
     __rmul__ = __mul__
 
@@ -537,25 +533,14 @@ class CoeffElem:
         return CoeffElem(self.tower, self.tower.rep_inv(self.rep))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inv()
+        tower = self.tower
+        return CoeffElem(tower, tower.rep_mul(self.rep, tower.rep_inv(self._pair(other))))
 
     def __pow__(self, n):
         return CoeffElem(self.tower, self.tower.rep_pow(self.rep, n))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CoeffElem.from_int(self.tower, other)
-        if not isinstance(other, CoeffElem):
-            return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except ValueError:
-            return False
-        return a.rep == b.rep
-
-    def __hash__(self):
-        return hash((self.tower, self.rep))
+        return self.rep == self._pair(other)
 
     def sort_key(self):
         return self.tower.rep_key(self.rep)
@@ -568,7 +553,7 @@ class CoeffElem:
 
 
 def _rep_text(tower, rep, level):
-    terms = _rep_monomials(tower, rep, level, ())
+    terms = _rep_monomials(rep, level, ())
     if not terms:
         return "0"
     parts = []
@@ -583,17 +568,12 @@ def _rep_text(tower, rep, level):
     return " + ".join(parts)
 
 
-def _rep_monomials(tower, rep, level, exps):
+def _rep_monomials(rep, level, exps):
+    """(stage exponents, base coefficient) of each non-zero leaf; the stage
+    of each level goes in front of the exponents read above it."""
     if level == 0:
-        return [] if rep == 0 else [((exps), rep)]
-    out = []
-    for i, c in enumerate(rep):
-        out.extend(_rep_monomials(tower, c, level - 1, (i,) + exps))
-    # exps accumulated innermost-last; reorder to stage order
-    fixed = []
-    for e, base in out:
-        fixed.append((tuple(reversed(e)), base))
-    return fixed
+        return [] if rep == 0 else [(exps, rep)]
+    return [m for i, c in enumerate(rep) for m in _rep_monomials(c, level - 1, (i,) + exps)]
 
 
 # -- roots -------------------------------------------------------------------------
@@ -840,12 +820,10 @@ class WittRing:
         return WittElem(self, self.arith.rep_from_int(n))
 
     def lift(self, c):
-        """Digit-0 section of the residue map (exact)."""
-        if c.tower != self.tower:
-            if self.tower.extends(c.tower):
-                c = CoeffElem(self.tower, self.tower.coerce_rep(c.rep, c.tower))
-            else:
-                raise ValueError("residue element over an incompatible tower")
+        """Digit-0 section of the residue map (exact) of a residue over this tower."""
+        if c.tower is not self.tower and c.tower != self.tower:
+            raise EngineInvariantViolation(
+                f"a residue over {c.tower!r} lifted into {self!r}")
         return WittElem(self, c.rep)
 
     def residue(self, w):
@@ -863,8 +841,8 @@ class WittRing:
         return (isinstance(other, WittRing) and self.tower == other.tower
                 and self.precision == other.precision)
 
-    def __hash__(self):
-        return hash((self.tower, self.precision))
+    def __repr__(self):
+        return f"<Witt ring over {self.tower!r} mod {self.p}^{self.precision}>"
 
 
 class WittElem:
@@ -877,33 +855,33 @@ class WittElem:
         self.rep = rep
 
     def _pair(self, other):
+        """The rep of an int or of an element of this ring; elements of two
+        rings never meet."""
         if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if self.ring == other.ring:
-            return self, other
-        if self.ring.tower.extends(other.ring.tower):
-            return self, self.ring.coerce(other)
-        return other.ring.coerce(self), other
+            return self.ring.arith.rep_from_int(other)
+        if isinstance(other, WittElem) and (other.ring is self.ring
+                                            or other.ring == self.ring):
+            return other.rep
+        raise EngineInvariantViolation(
+            f"Witt elements of two rings: {self.ring!r} and "
+            f"{getattr(other, 'ring', type(other).__name__)!r}")
 
     def is_zero(self):
         return self.ring.tower.rep_is_zero(self.rep)
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        return WittElem(a.ring, a.ring.arith.rep_add(a.rep, b.rep))
+        return WittElem(self.ring, self.ring.arith.rep_add(self.rep, self._pair(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return WittElem(a.ring, a.ring.arith.rep_sub(a.rep, b.rep))
+        return WittElem(self.ring, self.ring.arith.rep_sub(self.rep, self._pair(other)))
 
     def __neg__(self):
         return WittElem(self.ring, self.ring.arith.rep_neg(self.rep))
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        return WittElem(a.ring, a.ring.arith.rep_mul(a.rep, b.rep))
+        return WittElem(self.ring, self.ring.arith.rep_mul(self.rep, self._pair(other)))
 
     __rmul__ = __mul__
 
@@ -941,18 +919,7 @@ class WittElem:
         return x
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, WittElem):
-            return NotImplemented
-        try:
-            a, b = self._pair(other)
-        except ValueError:
-            return False
-        return a.rep == b.rep
-
-    def __hash__(self):
-        return hash((self.ring, self.rep))
+        return self.rep == self._pair(other)
 
     def to_text(self):
         ds = ",".join(d.to_text() for d in self.digits())

@@ -198,6 +198,8 @@ class PuiseuxState:
         return replace(self, partial=partial, taylor=taylor)
 
     def with_tower(self, tower):
+        """The state over a taller residue tower: the one place where values
+        move up, so every value a state holds is over its ring's tower."""
         if tower == self.ring.tower:
             return self
         ring2 = self.ring.with_tower(tower)
@@ -206,8 +208,9 @@ class PuiseuxState:
         part2 = self.partial.coerce(ring2)
         F2 = self.F.coerce(ring2)
         taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])
+        emitted2 = tuple((g, ring2.coerce_coeff(c)) for g, c in self.emitted)
         return replace(self, ring=ring2, F=F2, chain=chain2, partial=part2,
-                       taylor=taylor2)
+                       taylor=taylor2, emitted=emitted2)
 
 
 def _shift_taylor(vec, ring, beta, a):

@@ -47,9 +47,6 @@ class QuadValue:
     def __eq__(self, other):
         return isinstance(other, QuadValue) and (self - other).is_zero()
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
     def __repr__(self):
         if self.b == 0:
             return f"{self.a}"
@@ -122,11 +119,16 @@ class GroupDescriptor:
     def _independent(self):
         # Sum n_j (a_j + b_j sqrt d) = 0 forces the rational and sqrt parts to
         # vanish separately (d non-square), so dependence is a rational kernel
-        # of the 2 x r matrix [[a_j], [b_j]].
-        if self.sqrt_disc == 1 or _is_square(self.sqrt_disc):
-            return self.rank == 1
-        rows = [[w.a for w in self.weights], [w.b for w in self.weights]]
-        return _kernel_is_trivial(rows, self.rank)
+        # of the 2 x r matrix [[a_j], [b_j]].  That kernel is trivial only for
+        # r <= 2: always for r = 1 (a weight is positive), and for r = 2
+        # exactly when the determinant is non-zero.  A square d (d = 1 too)
+        # makes every weight rational, and then only r = 1 is independent.
+        if self.rank == 1:
+            return True
+        if self.rank > 2 or _is_square(self.sqrt_disc):
+            return False
+        (a1, b1), (a2, b2) = ((w.a, w.b) for w in self.weights)
+        return a1 * b2 != a2 * b1
 
     # -- element construction ------------------------------------------------
 
@@ -150,9 +152,12 @@ class GroupDescriptor:
         return GroupElement(self, tuple(num), 1)
 
     def from_rational(self, q):
-        """The element q * (first weight); requires a rational first weight."""
+        """The element q * (first weight).  A rational exponent, as written in a
+        spec, series text or a trial draw, needs a rational first weight: with
+        an irrational one it is a ParseError."""
         if not self.weights[0].is_rational():
-            raise ValueError("first weight is irrational; give full coordinates")
+            raise ParseError(f"the rational exponent {q} needs a rational first weight, "
+                             f"not {self.weights[0]!r}; give full coordinates")
         return self.element([Fraction(q) / self.weights[0].a] + [0] * (self.rank - 1))
 
     # -- order ----------------------------------------------------------------
@@ -198,9 +203,6 @@ class GroupDescriptor:
                 and self.weights == other.weights
                 and self.char_exponent == other.char_exponent
                 and self.sqrt_disc == other.sqrt_disc)
-
-    def __hash__(self):
-        return hash((self.weights, self.char_exponent, self.sqrt_disc))
 
     def __repr__(self):
         return (f"GroupDescriptor(weights={list(self.weights)!r}, "
@@ -442,26 +444,6 @@ def gmax(*elems):
         if best is None or cmp(e, best) > 0:
             best = e
     return best
-
-
-def _kernel_is_trivial(rows, ncols):
-    """True iff the rational row-space of `rows` has full column rank ncols."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            return False
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == ncols:
-            return True
-    return rank == ncols
 
 
 def solve_rational(rows, rhs):

@@ -144,9 +144,6 @@ class ValPoly:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        return hash((self.coeffs, self.var))
-
     def to_text(self):
         if self.is_zero():
             return "0"

@@ -12,8 +12,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .coeff import CoeffElem, WittElem, WittRing, binary_power, map_leaves
+from .coeff import CoeffElem, WittRing, binary_power, map_leaves
 from .errors import (
+    EngineInvariantViolation,
     NonUnit,
     ParseError,
     PrecisionExceeded,
@@ -71,21 +72,16 @@ class SeriesRing:
         return SeriesRing(self.descriptor, tower, "t", None, self.var)
 
     def coerce_coeff(self, c):
+        """A coefficient over a prefix of this ring's tower, moved up into it;
+        in p-mode a WittElem (residues go up through c_lift)."""
         if self.mode == "p":
-            if isinstance(c, WittElem):
-                return self.witt.coerce(c) if c.ring != self.witt else c
-            return self.witt.lift(c)
-        if c.tower == self.tower:
-            return c
+            return self.witt.coerce(c)
         return CoeffElem(self.tower, self.tower.coerce_rep(c.rep, c.tower))
 
     def __eq__(self, other):
         return (isinstance(other, SeriesRing) and self.descriptor == other.descriptor
                 and self.mode == other.mode and self.tower == other.tower
                 and (self.mode == "t" or self.witt == other.witt))
-
-    def __hash__(self):
-        return hash((self.descriptor, self.mode, self.tower))
 
     # constructors
 
@@ -235,28 +231,22 @@ class GenSeries:
 
     # -- ring operations ---------------------------------------------------------
 
-    def _merge(self, other):
-        if self.ring != other.ring:
-            if self.ring.tower != other.ring.tower:
-                # coerce towards the taller tower
-                ta, tb = self.ring.tower, other.ring.tower
-                if ta.extends(tb):
-                    other = other.coerce(self.ring)
-                else:
-                    self = self.coerce(other.ring)
-            else:
-                raise ValueError("series over different rings")
-        return self, other
+    def _same_ring(self, other):
+        """Check that other is a series over this ring: series over two
+        rings never meet (a state moves all of its values up at once)."""
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise EngineInvariantViolation(
+                f"series over two towers: {self.ring.tower!r} and {other.ring.tower!r}")
 
     def coerce(self, ring):
         return GenSeries(ring, [(g, ring.coerce_coeff(c)) for g, c in self._raw],
                          self._raw_prec, self._raw_closed)
 
     def __add__(self, other):
-        a, b = self._merge(other)
-        prec, closed = _prec_min((a._raw_prec, a._raw_closed),
-                                 (b._raw_prec, b._raw_closed))
-        return GenSeries(a.ring, list(a._raw + b._raw), prec, closed)
+        self._same_ring(other)
+        prec, closed = _prec_min((self._raw_prec, self._raw_closed),
+                                 (other._raw_prec, other._raw_closed))
+        return GenSeries(self.ring, list(self._raw + other._raw), prec, closed)
 
     def __neg__(self):
         return GenSeries(self.ring, [(g, -c) for g, c in self._raw],
@@ -268,24 +258,24 @@ class GenSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        a, b = self._merge(other)
-        if not a._raw and a._raw_prec is INF:
-            return a.ring.zero()
-        if not b._raw and b._raw_prec is INF:
-            return a.ring.zero()
-        va, vb = a._vlb_raw(), b._vlb_raw()
-        prec, closed = _prec_min(_prec_shift((a._raw_prec, a._raw_closed), vb),
-                                 _prec_shift((b._raw_prec, b._raw_closed), va))
+        self._same_ring(other)
+        if not self._raw and self._raw_prec is INF:
+            return self.ring.zero()
+        if not other._raw and other._raw_prec is INF:
+            return self.ring.zero()
+        va, vb = self._vlb_raw(), other._vlb_raw()
+        prec, closed = _prec_min(_prec_shift((self._raw_prec, self._raw_closed), vb),
+                                 _prec_shift((other._raw_prec, other._raw_closed), va))
         acc = {}
-        for g1, c1 in a._raw:
-            for g2, c2 in b._raw:
+        for g1, c1 in self._raw:
+            for g2, c2 in other._raw:
                 g = g1 + g2
                 c = c1 * c2
                 if g in acc:
                     acc[g] = acc[g] + c
                 else:
                     acc[g] = c
-        return GenSeries(a.ring, list(acc.items()), prec, closed)
+        return GenSeries(self.ring, list(acc.items()), prec, closed)
 
     __rmul__ = __mul__
 
@@ -293,8 +283,6 @@ class GenSeries:
         """Multiply by an integer (or a coefficient-domain element)."""
         if isinstance(n, int):
             n = self.ring.c_from_int(n)
-        else:
-            n = self.ring.coerce_coeff(n)
         return GenSeries(self.ring, [(g, c * n) for g, c in self._raw],
                          self._raw_prec, self._raw_closed)
 
@@ -367,12 +355,7 @@ class GenSeries:
     def __eq__(self, other):
         if not isinstance(other, GenSeries):
             return NotImplemented
-        if self.ring != other.ring:
-            try:
-                a, b = self._merge(other)
-            except ValueError:
-                return False
-            return a == b
+        self._same_ring(other)
         if (self.prec is INF) != (other.prec is INF):
             return False
         if self.prec is not INF and (cmp(self.prec, other.prec) != 0
@@ -381,10 +364,6 @@ class GenSeries:
         return (len(self.terms) == len(other.terms)
                 and all(cmp(g1, g2) == 0 and c1 == c2
                         for (g1, c1), (g2, c2) in zip(self.terms, other.terms)))
-
-    def __hash__(self):
-        return hash((self.ring, self.terms, id(INF) if self.prec is INF else self.prec,
-                     self.closed))
 
     def __repr__(self):
         return f"GenSeries({self.to_text()})"

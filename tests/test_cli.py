@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import genpuiseux
+from genpuiseux import cli
 from genpuiseux.cli import (
     _is_prime,
     build_ring,
@@ -19,9 +21,10 @@ from genpuiseux.cli import (
     parse_problem,
     read_poly,
 )
-from genpuiseux.embed import monomial_embedding
+from genpuiseux.embed import expand, monomial_embedding
 from genpuiseux.errors import ParseError
 from genpuiseux.keypoly import ValPoly
+from genpuiseux.series import parse_series
 
 CLASSICAL = """\
 mode equichar
@@ -315,6 +318,79 @@ def test_degree_limit(poly, message):
     else:
         with pytest.raises(ParseError, match=message):
             build_valpoly(spec, ring)
+
+
+def test_product_degree_is_checked_before_the_product_is_formed():
+    line = "*".join(["y^128"] * 8) + " - t"
+    assert len(line) == 51
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="a product in the defining polynomial has "
+                                         "degree 256 in y, above the limit 128"):
+        _read(line)
+    assert time.perf_counter() - start < 0.1
+    # as with a power, a product that would cancel later is refused too
+    with pytest.raises(ParseError, match="degree 129 in y"):
+        _read("y^64*y^65 - y^64*y^65 + y")
+    assert _read("(y + t)*(y - t)") == _valpoly({(0, 2): 1, (2, 0): -1})
+
+
+IRRATIONAL_FIRST = "sqrt_disc 2\nweights 0+1*sqrt(2) 1\n"
+
+
+@pytest.mark.parametrize("command, text, flags", [
+    ("arith", "print trunc_open(t, 1)\n", []),
+    ("expand", "max_prec 2\npoly y^2 - t\n", []),
+    ("expand", "poly y^2 - t\n", ["--prec", "2"]),
+    ("verify", "poly y^2 - t\ntrials 4\n", []),
+], ids=["arith", "max_prec", "prec-flag", "verify"])
+def test_rational_exponents_need_a_rational_first_weight(tmp_path, capsys, command,
+                                                         text, flags):
+    path = write(tmp_path, "in.txt", IRRATIONAL_FIRST + text)
+    assert main([command, path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: the rational exponent ")
+    assert "needs a rational first weight" in captured.err
+
+
+def test_rational_exponent_in_series_text_needs_a_rational_first_weight(tmp_path, capsys):
+    ring = build_ring(parse_problem(IRRATIONAL_FIRST + "poly y - t\n"))
+    with pytest.raises(ParseError, match="needs a rational first weight"):
+        parse_series(ring, "t^2")
+    assert parse_series(ring, "t^(2*g1)") == ring.monomial(ring.descriptor.element([2, 0]))
+    # the checks that draw no rational exponent still run
+    path = write(tmp_path, "v.spec", IRRATIONAL_FIRST + "verify ent,taylor\npoly y^2 - t\n")
+    assert main(["verify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split()[:2] for l in lines] == [["check=ent", "status=PASS"],
+                                              ["check=taylor", "status=PASS"]]
+
+
+SQRT = "char 0\npoly y^2 - 1 - t\nbudget_terms 16\nverify ent\n"  # one term per step
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_max_prec_and_the_prec_flag(tmp_path, monkeypatch, capsys, command):
+    # max_prec stops with BUDGET before an exponent above it; --prec overrides it
+    runs = []
+
+    def spy(F, ring, **kwargs):
+        res = expand(F, ring, **kwargs)
+        runs.append((kwargs["max_prec"], res))
+        return res
+
+    monkeypatch.setattr(cli, "expand", spy)
+    path = write(tmp_path, "sqrt.spec", SQRT + "max_prec 5/2\n")
+    for flags, bound in (([], Fraction(5, 2)), (["--prec", "9/2"], Fraction(9, 2))):
+        assert main([command, path] + flags) == 0
+        max_prec, res = runs[-1]
+        assert max_prec.rational_value() == bound
+        assert res.status == "BUDGET"
+        assert [g.rational_value() for g, _ in res.state.emitted] == list(range(int(bound) + 1))
+    if command == "expand":
+        out = capsys.readouterr().out.splitlines()
+        assert out.count("status: BUDGET") == 2
+        assert "series: 1 + 1/2*t - 1/8*t^2 + O(t^3)" in out
 
 
 def test_literals_are_read_as_written():

@@ -379,6 +379,20 @@ def test_text_roundtrip_tower_coefficients():
     assert parse_series(R2, text) == f
 
 
+def test_text_roundtrip_height_three():
+    # Q(sqrt 2, sqrt 3, sqrt 5): each generator prints under its own stage name
+    tower = FieldTower.rationals()
+    for d in (2, 3, 5):
+        tower = tower.adjoin((tower.rep_from_int(-d), tower.rep_zero(), tower.rep_one()))
+    gens = [CoeffElem.generator(tower, k) for k in range(3)]
+    assert [c.to_text() for c in gens] == ["w^1", "w2^1", "w3^1"]
+    assert (gens[0] * gens[2] + gens[1]).to_text() == "w^1*w3^1 + w2^1"
+    R = SeriesRing.equichar(GroupDescriptor([1]), tower)
+    f = GenSeries(R, [(g(R, 1), gens[0]), (g(R, 2), gens[2])])
+    assert f.to_text() == "w^1*t + w3^1*t^2"
+    assert parse_series(R, f.to_text()) == f
+
+
 def test_irrational_exponent_text_roundtrip():
     desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2)
     R = SeriesRing.equichar(desc, FieldTower.rationals())

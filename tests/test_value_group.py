@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genpuiseux.errors import ScaleOutsideGroup
@@ -161,6 +161,58 @@ def test_weights_must_be_independent():
     with pytest.raises(ValueError):
         GroupDescriptor([(1, 0), (2, 0)], sqrt_disc=2)
     GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2)  # fine
+
+
+def _rank(rows):
+    """Rank of a rational matrix by Fraction row reduction."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(len(mat)):
+            if r != rank:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _positive(a, b, d):
+    """Whether a + b*sqrt(d) > 0, by squaring when the signs differ."""
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    return a * a > b * b * d if a > 0 else b * b * d > a * a
+
+
+_PART = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([1, 4, 9, 2, 3, 5, 12]),
+       st.lists(st.tuples(_PART, _PART), min_size=1, max_size=3))
+def test_independence_matches_row_reduction(d, parts):
+    # only positive weights reach the independence test: flip negative ones
+    parts = [(a, b) if _positive(a, b, d) else (-a, -b) for a, b in parts]
+    assume(all(_positive(a, b, d) for a, b in parts))
+    root = math.isqrt(d) if _is_square(d) else None
+    if root is not None:
+        # sqrt(d) is rational: the weights are the rationals a + b*sqrt(d)
+        rows = [[a + b * root for a, b in parts]]
+    else:
+        rows = [[a for a, _ in parts], [b for _, b in parts]]
+    independent = _rank(rows) == len(parts)
+    try:
+        GroupDescriptor(parts, sqrt_disc=d)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "weights are Z-linearly dependent"
+        accepted = False
+    assert accepted == independent
 
 
 def test_is_square_exact_on_huge_discriminants():
