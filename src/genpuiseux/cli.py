@@ -65,61 +65,65 @@ def parse_problem(text):
         if " " not in line:
             raise ParseError(f"expected 'key value'", line=lineno)
         key, value = line.split(None, 1)
-        value = value.strip()
-        try:
-            if key == "mode":
-                if value not in ("equichar", "mixed"):
-                    raise ParseError(f"unknown mode {value!r}", line=lineno)
-                spec.mode = value
-            elif key == "char":
-                spec.char = int(value)
-            elif key == "p":
-                spec.p = int(value)
-                spec.mode = "mixed"
-            elif key == "weights":
-                spec.weights = [_parse_weight(w, lineno) for w in value.split()]
-            elif key == "sqrt_disc":
-                spec.sqrt_disc = int(value)
-            elif key == "series_var":
-                spec.series_var = value
-            elif key == "var":
-                spec.var = value
-            elif key == "lower_vars":
-                spec.lower_vars = value.split()
-            elif key == "poly":
-                spec.poly_text = value
-                seen_poly = True
-            elif key == "budget_terms":
-                spec.budget_terms = int(value)
-            elif key == "max_prec":
-                spec.max_prec = Fraction(value)
-            elif key == "witt_prec":
-                spec.witt_prec = int(value)
-                if spec.witt_prec > MAX_WITT_PREC:
-                    raise ParseError(f"witt_prec {spec.witt_prec} is above the limit "
-                                     f"{MAX_WITT_PREC}", line=lineno)
-            elif key == "verify":
-                if value == "off":
-                    spec.verify = ()
-                elif value == "all":
-                    spec.verify = ALL_CHECKS
-                else:
-                    names = tuple(v.strip() for v in value.split(","))
-                    for nm in names:
-                        if nm not in ALL_CHECKS:
-                            raise ParseError(f"unknown check {nm!r}", line=lineno)
-                    spec.verify = names
-            elif key == "seed":
-                spec.seed = int(value)
-            elif key == "trials":
-                spec.trials = int(value)
-            else:
-                raise ParseError(f"unknown key {key!r}", line=lineno)
-        except ValueError as exc:
-            raise ParseError(f"bad value for {key!r}: {value!r}", line=lineno) from exc
+        _read_key(spec, key, value.strip(), lineno)
+        seen_poly = seen_poly or key == "poly"
     if not seen_poly:
         raise ParseError("missing 'poly' line")
     return spec
+
+
+def _read_key(spec, key, value, lineno):
+    """Set the field of one spec line; errors name the line."""
+    try:
+        if key == "mode":
+            if value not in ("equichar", "mixed"):
+                raise ParseError(f"unknown mode {value!r}", line=lineno)
+            spec.mode = value
+        elif key == "char":
+            spec.char = int(value)
+        elif key == "p":
+            spec.p = int(value)
+            spec.mode = "mixed"
+        elif key == "weights":
+            spec.weights = [_parse_weight(w, lineno) for w in value.split()]
+        elif key == "sqrt_disc":
+            spec.sqrt_disc = int(value)
+        elif key == "series_var":
+            spec.series_var = value
+        elif key == "var":
+            spec.var = value
+        elif key == "lower_vars":
+            spec.lower_vars = value.split()
+        elif key == "poly":
+            spec.poly_text = value
+        elif key == "budget_terms":
+            spec.budget_terms = int(value)
+        elif key == "max_prec":
+            spec.max_prec = Fraction(value)
+        elif key == "witt_prec":
+            spec.witt_prec = int(value)
+            if spec.witt_prec > MAX_WITT_PREC:
+                raise ParseError(f"witt_prec {spec.witt_prec} is above the limit "
+                                 f"{MAX_WITT_PREC}", line=lineno)
+        elif key == "verify":
+            if value == "off":
+                spec.verify = ()
+            elif value == "all":
+                spec.verify = ALL_CHECKS
+            else:
+                names = tuple(v.strip() for v in value.split(","))
+                for nm in names:
+                    if nm not in ALL_CHECKS:
+                        raise ParseError(f"unknown check {nm!r}", line=lineno)
+                spec.verify = names
+        elif key == "seed":
+            spec.seed = int(value)
+        elif key == "trials":
+            spec.trials = int(value)
+        else:
+            raise ParseError(f"unknown key {key!r}", line=lineno)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad value for {key!r}: {value!r}", line=lineno) from exc
 
 
 def _parse_weight(text, lineno):
@@ -179,11 +183,12 @@ def build_ring(spec):
     except ValueError as exc:
         raise ParseError(f"bad weights: {exc}") from exc
     if spec.mode == "mixed":
-        witt = WittRing(FieldTower.prime_field(spec.p), spec.witt_prec)
-        return SeriesRing.mixed(desc, witt, var=spec.uniformizer())
-    char = spec.char
-    tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
-    return SeriesRing.equichar(desc, tower, var=spec.uniformizer())
+        coeffs = WittRing(FieldTower.prime_field(spec.p), spec.witt_prec)
+    elif spec.char:
+        coeffs = FieldTower.prime_field(spec.char)
+    else:
+        coeffs = FieldTower.rationals()
+    return SeriesRing(desc, coeffs, spec.uniformizer())
 
 
 # -- polynomial expressions -----------------------------------------------------------
@@ -310,23 +315,30 @@ def cmd_expand(spec, fmt="text", trace_path=None, budget=None, prec=None):
 # -- verify --------------------------------------------------------------------------------
 
 
-def _rand_series(ring, rng, char):
+def _exp(ring, q):
+    """q times the first basis element: a trial exponent that every value
+    group has, whatever its first weight."""
+    return ring.descriptor.basis(0).scale_unchecked(q)
+
+
+def _rand_series(ring, rng):
+    char = ring.tower.char
     exps = rng.sample(range(0, 12), rng.randint(1, 5))
     terms = []
     for e in exps:
         c = rng.randint(1, char - 1) if char > 1 else rng.randint(1, 7)
-        terms.append((ring.descriptor.from_rational(Fraction(e, 2)),
-                      ring.c_from_int(c)))
+        terms.append((_exp(ring, Fraction(e, 2)), ring.coeffs.from_int(c)))
     return GenSeries(ring, terms)
 
 
-def _rand_poly(ring, rng, char, max_deg=4):
+def _rand_poly(ring, rng, max_deg=4):
+    char = ring.tower.char
     coeffs = []
     for _ in range(rng.randint(1, max_deg + 1)):
         c = rng.randint(0, char - 1) if char > 1 else rng.randint(-3, 3)
         n = rng.randint(0, 3)
-        coeffs.append(ring.monomial(ring.descriptor.from_rational(n),
-                                    ring.c_from_int(c)) if c else ring.zero())
+        coeffs.append(ring.monomial(_exp(ring, n), ring.coeffs.from_int(c))
+                      if c else ring.zero())
     return ValPoly(ring, coeffs, "h")
 
 
@@ -341,12 +353,12 @@ def _identity_holds(prod, lam, tree):
                                 == list(prod.truncate_open(lam).terms))
 
 
-def _check_caltron(res, rng, char, trials):
+def _check_caltron(res, rng, trials):
     ring = res.series.ring
     for _ in range(2 * trials):
-        g = _rand_series(ring, rng, char)
-        h = _rand_series(ring, rng, char)
-        lam = ring.descriptor.from_rational(Fraction(rng.randint(2, 16), 2))
+        g = _rand_series(ring, rng)
+        h = _rand_series(ring, rng)
+        lam = _exp(ring, Fraction(rng.randint(2, 16), 2))
 
         def sweep():
             decomp = product_truncation(g, h, lam)
@@ -368,17 +380,17 @@ def _product_tree_holds(factors, lam):
         prod, lam, lambda: multi_product_truncation(factors, lam).evaluate(factors))
 
 
-def _check_prodfini(res, rng, char, trials):
+def _check_prodfini(res, rng, trials):
     ring = res.series.ring
     for _ in range(max(1, trials // 3)):
-        fs = [_rand_series(ring, rng, char) for _ in range(3)]
-        lam = ring.descriptor.from_rational(Fraction(rng.randint(4, 14), 2))
+        fs = [_rand_series(ring, rng) for _ in range(3)]
+        lam = _exp(ring, Fraction(rng.randint(4, 14), 2))
         if _product_tree_holds(fs, lam) is False:
             return False, None
     return True, INF
 
 
-def _check_stab(res, rng, char, trials):
+def _check_stab(res, rng, trials):
     ring = res.series.ring
     root = GenSeries(ring, list(res.series.terms))
     if not root.terms:
@@ -386,20 +398,20 @@ def _check_stab(res, rng, char, trials):
     for _ in range(max(1, trials // 3)):
         e1, e2 = rng.randint(0, 2), rng.randint(1, 2)
         factors = [ring.uniformizer()] * e1 + [root] * e2
-        lam = ring.descriptor.from_rational(Fraction(rng.randint(6, 14), 2))
+        lam = _exp(ring, Fraction(rng.randint(6, 14), 2))
         if _product_tree_holds(factors, lam) is False:
             return False, None
     return True, INF
 
 
-def _check_min(res, rng, char, trials):
+def _check_min(res, rng, trials):
     chain = res.chain
     stages = [i for i in range(1, len(chain) + 1)
               if chain.entry(i).epsilon is not INF][:2]
     for i in stages:
         done = 0
         while done < trials:
-            h = _rand_poly(res.series.ring, rng, char)
+            h = _rand_poly(res.series.ring, rng)
             if h.is_zero():
                 continue
             done += 1
@@ -424,7 +436,7 @@ def _at_epsilons(state, read, with_beta):
         yield out
 
 
-def _check_ent(res, rng, char, trials):
+def _check_ent(res, rng, trials):
     worst = INF
     for rel in _at_epsilons(res.state, integral_dependence, with_beta=True):
         # the relation's degree is max U0 and its top coefficient a unit monomial
@@ -437,7 +449,7 @@ def _check_ent(res, rng, char, trials):
     return True, worst
 
 
-def _check_taylor(res, rng, char, trials):
+def _check_taylor(res, rng, trials):
     def form_at(eps, state):
         return taylor_form(state.F, eps, state, mode="OPEN")
 
@@ -457,16 +469,15 @@ def cmd_verify(spec, corrupt=False, budget=None, prec=None):
     res = run_expand(spec, budget, prec)
     if corrupt and res.series.terms:
         ring = res.series.ring
-        bumped = res.series + ring.monomial(res.series.terms[0][0], ring.c_one())
+        bumped = res.series + ring.monomial(res.series.terms[0][0], ring.coeffs.one())
         res = replace(res, series=bumped, state=replace(res.state, partial=bumped))
     if not spec.verify:
         return 0, ""
     rng = random.Random(spec.seed)
-    char = spec.p if spec.mode == "mixed" else spec.char
     lines = []
     ok_all = True
     for name in spec.verify:
-        ok, rv = _CHECKS[name](res, rng, char, spec.trials)
+        ok, rv = _CHECKS[name](res, rng, spec.trials)
         ok_all = ok_all and ok
         rv_text = "inf" if rv is INF or rv is None else group_text(rv)
         lines.append(f"check={name} status={'PASS' if ok else 'FAIL'} "
@@ -491,11 +502,9 @@ def cmd_arith(text):
         rest = line[len(key):].strip()
         if key in ("mode", "char", "p", "weights", "sqrt_disc", "series_var",
                    "witt_prec"):
-            # reuse the problem-spec field parsing for this one key
-            tmp = parse_problem(f"{key} {rest}\npoly 0")
-            setattr(spec, key, getattr(tmp, key))
-            if key == "p":
-                spec.mode = "mixed"
+            if not rest:
+                raise ParseError("expected 'key value'", line=lineno)
+            _read_key(spec, key, rest, lineno)
             ring = None
             continue
         if ring is None:
@@ -568,7 +577,7 @@ def _eval_series_expr(ring, env, text, lineno):
         if len(base.terms) != 1:
             sc.error("fractional powers need a single monomial")
         gam, c = base.terms[0]
-        if not c == ring.c_one():
+        if not c == ring.coeffs.one():
             sc.error("fractional powers need a unit coefficient")
         return ring.monomial(gam.scale_unchecked(n))
 
@@ -650,17 +659,21 @@ def main(argv=None):
         return 2
 
     try:
+        prec = None
+        if args.prec is not None:
+            try:
+                prec = Fraction(args.prec)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad value for --prec: {args.prec!r}") from exc
         if args.command == "expand":
             spec = parse_problem(text)
             code, out, _ = cmd_expand(spec, fmt=args.format or "text",
                                       trace_path=args.trace,
-                                      budget=args.budget_terms,
-                                      prec=Fraction(args.prec) if args.prec else None)
+                                      budget=args.budget_terms, prec=prec)
         elif args.command == "verify":
             spec = parse_problem(text)
             code, out = cmd_verify(spec, corrupt=args.inject_corruption,
-                                   budget=args.budget_terms,
-                                   prec=Fraction(args.prec) if args.prec else None)
+                                   budget=args.budget_terms, prec=prec)
         else:
             code, out = 0, cmd_arith(text)
     except ParseError as exc:

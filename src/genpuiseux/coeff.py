@@ -217,6 +217,35 @@ class FieldTower:
             raise ValueError("incompatible towers")
         return self.rep_lift(x, from_tower.height, self.height)
 
+    # -- as a series ring's coefficient domain (a WittRing is the other) -------
+    # The residue tower is the tower itself; residue and lift are the identity.
+
+    @property
+    def tower(self):
+        return self
+
+    def zero(self):
+        return CoeffElem(self, self.rep_zero())
+
+    def one(self):
+        return CoeffElem(self, self.rep_one())
+
+    def from_int(self, n):
+        return CoeffElem(self, self.rep_from_int(n))
+
+    def residue(self, c):
+        return c
+
+    def lift(self, r):
+        return r
+
+    def coerce(self, c):
+        """An element over a prefix of this tower, moved up into it."""
+        return CoeffElem(self, self.coerce_rep(c.rep, c.tower))
+
+    def over(self, tower):
+        return tower
+
     # -- canonical order and enumeration ---------------------------------------
 
     def rep_key(self, x, level=None):
@@ -481,18 +510,6 @@ class CoeffElem:
         self.rep = rep
 
     @classmethod
-    def from_int(cls, tower, n):
-        return cls(tower, tower.rep_from_int(n))
-
-    @classmethod
-    def zero(cls, tower):
-        return cls(tower, tower.rep_zero())
-
-    @classmethod
-    def one(cls, tower):
-        return cls(tower, tower.rep_one())
-
-    @classmethod
     def generator(cls, tower, k=None):
         k = tower.height - 1 if k is None else k
         rep = (tower.rep_zero(k), tower.rep_one(k))
@@ -512,6 +529,9 @@ class CoeffElem:
 
     def is_zero(self):
         return self.tower.rep_is_zero(self.rep)
+
+    def is_unit(self):
+        return not self.is_zero()
 
     def __add__(self, other):
         return CoeffElem(self.tower, self.tower.rep_add(self.rep, self._pair(other)))
@@ -836,6 +856,10 @@ class WittRing:
         if self.tower.extends(w.ring.tower) and self.precision == w.ring.precision:
             return WittElem(self, self.tower.coerce_rep(w.rep, w.ring.tower))
         raise ValueError("incompatible Witt rings")
+
+    def over(self, tower):
+        """The ring of the same precision over a taller residue tower."""
+        return WittRing(tower, self.precision)
 
     def __eq__(self, other):
         return (isinstance(other, WittRing) and self.tower == other.tower

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .coeff import CoeffElem, solve_in_closure
+from .coeff import solve_in_closure
 from .errors import (
     ChainComplete,
     EngineInvariantViolation,
@@ -90,9 +90,9 @@ class LimitPartial:
     def coerce(self, ring):
         return LimitPartial(
             ring, self.flim.coerce(ring),
-            [(g, ring.coerce_coeff(c)) for g, c in self.head_terms],
+            [(g, ring.coeffs.coerce(c)) for g, c in self.head_terms],
             self.sup, self.next_exp,
-            [(g, ring.coerce_coeff(c)) for g, c in self.tails])
+            [(g, ring.coeffs.coerce(c)) for g, c in self.tails])
 
     def eval_valpoly(self, P):
         ring = self.ring
@@ -177,13 +177,14 @@ class PuiseuxState:
     def shifts_taylor(self):
         """Whether adding a term updates the Taylor vector by monomial shifts.
 
-        Only exact t-adic data qualify: there every series is canonical, so
-        the shifted vector equals the evaluated one term for term.  p-adic
-        carries, limit partials and finite-precision F are evaluated.
+        Only exact data qualify: an exact partial and an F with exact
+        coefficients.  Then the shift and Horner build the same raw vector,
+        over the residue tower or over (Z/p^N)[t^Gamma], so the two carried
+        forms agree term for term.  Limit partials and finite-precision data,
+        a p-adic carry among them, are evaluated.
         """
-        return (self.ring.mode == "t" and isinstance(self.partial, GenSeries)
-                and self.partial.prec is INF
-                and all(c.prec is INF for c in self.F.coeffs))
+        return (all(c.prec is INF for c in self.F.coeffs)
+                and isinstance(self.partial, GenSeries) and self.partial.prec is INF)
 
     def with_term(self, a):
         """The state whose partial gained a*t^beta, with its Taylor vector."""
@@ -208,7 +209,7 @@ class PuiseuxState:
         part2 = self.partial.coerce(ring2)
         F2 = self.F.coerce(ring2)
         taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])
-        emitted2 = tuple((g, ring2.coerce_coeff(c)) for g, c in self.emitted)
+        emitted2 = tuple((g, ring2.coeffs.coerce(c)) for g, c in self.emitted)
         return replace(self, ring=ring2, F=F2, chain=chain2, partial=part2,
                        taylor=taylor2, emitted=emitted2)
 
@@ -222,14 +223,14 @@ def _shift_taylor(vec, ring, beta, a):
     """
     d = len(vec) - 1
     shifts = [beta.scale_unchecked(j) for j in range(d + 1)]
-    powers = [ring.c_one()]
+    powers = [ring.coeffs.one()]
     for _ in range(d):
         powers.append(powers[-1] * a)
     out = []
     for l in range(d + 1):
         terms = list(vec[l]._raw)
         for k in range(l + 1, d + 1):
-            c = ring.c_from_int(math.comb(k, l)) * powers[k - l]
+            c = ring.coeffs.from_int(math.comb(k, l)) * powers[k - l]
             if c.is_zero():
                 continue
             g_shift = shifts[k - l]
@@ -289,11 +290,11 @@ def residual_equation(state):
     _, ties = mu_beta_val(state.F, state)
     taylor = state.taylor_vector()
     tower = ring.tower
-    eq = {l: ring.c_residue(taylor[l].leading_term()[1]) for l in ties}
+    eq = {l: ring.coeffs.residue(taylor[l].leading_term()[1]) for l in ties}
     top = max(eq)
-    coeffs = [eq.get(l, CoeffElem.zero(tower)) for l in range(top + 1)]
+    coeffs = [eq.get(l, tower.zero()) for l in range(top + 1)]
 
-    z = CoeffElem.zero(tower)
+    z = tower.zero()
     i_b = state.i_beta
     at_eps = (i_b <= len(state.chain)
               and state.chain.entry(i_b).epsilon is not INF
@@ -372,12 +373,11 @@ def step(state):
         data = residual_equation(state)
     except MembershipFailed:
         # terminal branch: the exponent left the span, append a unit term
-        one = state.ring.c_one()
+        one = state.ring.coeffs.one()
         note = ""
         if state.chain.entries[-1].beta is not INF:
             note = "terminal-or-budget-ambiguous"
-        trace = _record(state, state.ring.c_residue(one).to_text(), INF,
-                        "TERMINAL", note)
+        trace = _record(state, "1", INF, "TERMINAL", note)
         return replace(state.with_term(one), status=COMPLETE, trace=trace,
                        emitted=state.emitted + ((state.beta, one),))
 
@@ -387,10 +387,9 @@ def step(state):
         trace = _record(state, "(no root in permitted towers)", INF, "TERMINAL")
         return replace(state, status=COMPLETE_TRANSCENDENTAL, trace=trace)
 
-    if tower2 != state.ring.tower:
-        state = state.with_tower(tower2)
+    state = state.with_tower(tower2)
     root = roots[0][0]
-    a = state.ring.c_lift(root)
+    a = state.ring.coeffs.lift(root)
 
     emitted = state.emitted
     moved = state
@@ -573,8 +572,11 @@ def expand(F, ring, max_terms=16, max_prec=None, chain=None):
             state = replace(state, status=BUDGET)
             break
         if limit_signature(state) is not None:
-            state = limit_step(state)
-            continue
+            try:
+                state = limit_step(state)
+                continue
+            except UnsupportedLimitPattern:
+                pass  # no registered closed form: step on, the budget governs
         try:
             state = step(state)
         except ValuationIndeterminate:

@@ -65,7 +65,7 @@ class ValPoly:
         # a lead written as exactly 1 needs no carried normal form
         raw = lead._raw
         if (lead._raw_prec is INF and len(raw) == 1 and raw[0][0].is_zero()
-                and raw[0][1] == self.ring.c_one()):
+                and raw[0][1] == self.ring.coeffs.one()):
             return True
         return lead == self.ring.one()
 
@@ -498,10 +498,10 @@ def extend_chain(chain, F, partial, f_at_partial=None):
             raise ValuationIndeterminate("stage data not pinned by the partial root")
         ell = q_eval.leading_term()[1]
         rbar = r_eval.leading_term()[1]
-        res_ell = ring.c_residue(ell)
-        res_rbar = ring.c_residue(rbar)
+        res_ell = ring.coeffs.residue(ell)
+        res_rbar = ring.coeffs.residue(rbar)
         coeff = -(res_ell ** delta) * res_rbar.inv()
-        lifted = ring.c_lift(coeff)
+        lifted = ring.coeffs.lift(coeff)
         q_new = (last.poly ** delta) + ratio * ring.const(lifted)
 
     if q_new == F:

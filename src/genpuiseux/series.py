@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .coeff import CoeffElem, WittRing, binary_power, map_leaves
+from .coeff import CoeffElem, binary_power, map_leaves
 from .errors import (
     EngineInvariantViolation,
     NonUnit,
@@ -24,64 +24,27 @@ from .groups import INF, GroupElement, cmp
 
 
 class SeriesRing:
-    """Bundles the exponent group, the mode and the coefficient domain."""
+    """Bundles the exponent group and the coefficient domain.
 
-    def __init__(self, descriptor, tower, mode="t", witt=None, var=None):
+    The domain is a FieldTower in equal characteristic and a WittRing over
+    its residue tower in mixed characteristic; both answer zero, one,
+    from_int, residue, lift, coerce and over.
+    """
+
+    def __init__(self, descriptor, coeffs, var=None):
         self.descriptor = descriptor
-        self.tower = tower
-        self.mode = mode  # 't' (equicharacteristic) or 'p' (mixed)
-        self.witt = witt
-        if mode == "p" and witt is None:
-            raise ValueError("p-mode needs a WittRing")
-        self.var = var or mode
-
-    @classmethod
-    def equichar(cls, descriptor, tower, var="t"):
-        return cls(descriptor, tower, "t", None, var)
-
-    @classmethod
-    def mixed(cls, descriptor, witt, var="p"):
-        return cls(descriptor, witt.tower, "p", witt, var)
-
-    # coefficient domain dispatch
-
-    def c_zero(self):
-        return self.witt.zero() if self.mode == "p" else CoeffElem.zero(self.tower)
-
-    def c_one(self):
-        return self.witt.one() if self.mode == "p" else CoeffElem.one(self.tower)
-
-    def c_from_int(self, n):
-        return self.witt.from_int(n) if self.mode == "p" else CoeffElem.from_int(self.tower, n)
-
-    def c_residue(self, c):
-        """The residue-field image of a coefficient."""
-        return c.residue() if self.mode == "p" else c
-
-    def c_lift(self, r):
-        """Canonical lift of a residue element into the coefficient domain."""
-        return self.witt.lift(r) if self.mode == "p" else r
+        self.coeffs = coeffs
+        self.tower = coeffs.tower  # the residue tower
+        self.mode = "t" if coeffs is self.tower else "p"  # read by the carried form
+        self.var = var or self.mode
 
     def with_tower(self, tower):
         """The same ring over an extended residue tower."""
-        if tower == self.tower:
-            return self
-        if self.mode == "p":
-            return SeriesRing(self.descriptor, tower, "p",
-                              WittRing(tower, self.witt.precision), self.var)
-        return SeriesRing(self.descriptor, tower, "t", None, self.var)
-
-    def coerce_coeff(self, c):
-        """A coefficient over a prefix of this ring's tower, moved up into it;
-        in p-mode a WittElem (residues go up through c_lift)."""
-        if self.mode == "p":
-            return self.witt.coerce(c)
-        return CoeffElem(self.tower, self.tower.coerce_rep(c.rep, c.tower))
+        return SeriesRing(self.descriptor, self.coeffs.over(tower), self.var)
 
     def __eq__(self, other):
         return (isinstance(other, SeriesRing) and self.descriptor == other.descriptor
-                and self.mode == other.mode and self.tower == other.tower
-                and (self.mode == "t" or self.witt == other.witt))
+                and self.coeffs == other.coeffs)
 
     # constructors
 
@@ -89,20 +52,20 @@ class SeriesRing:
         return GenSeries(self, [], prec, closed)
 
     def one(self):
-        return self.const(self.c_one())
+        return self.const(self.coeffs.one())
 
     def const(self, c):
         if isinstance(c, int):
-            c = self.c_from_int(c)
+            c = self.coeffs.from_int(c)
         return GenSeries(self, [(self.descriptor.zero(), c)], INF, False)
 
     def monomial(self, gamma, c=1):
         if isinstance(c, int):
-            c = self.c_from_int(c)
+            c = self.coeffs.from_int(c)
         return GenSeries(self, [(gamma, c)], INF, False)
 
     def uniformizer(self):
-        return self.monomial(self.descriptor.basis(0), self.c_one())
+        return self.monomial(self.descriptor.basis(0), self.coeffs.one())
 
 
 def _prec_lt(b1, c1, b2, c2):
@@ -227,7 +190,7 @@ class GenSeries:
                 break
         if not self._known(gamma):
             raise PrecisionExceeded("coefficient at an exponent beyond precision")
-        return self.ring.c_zero()
+        return self.ring.coeffs.zero()
 
     # -- ring operations ---------------------------------------------------------
 
@@ -239,7 +202,7 @@ class GenSeries:
                 f"series over two towers: {self.ring.tower!r} and {other.ring.tower!r}")
 
     def coerce(self, ring):
-        return GenSeries(ring, [(g, ring.coerce_coeff(c)) for g, c in self._raw],
+        return GenSeries(ring, [(g, ring.coeffs.coerce(c)) for g, c in self._raw],
                          self._raw_prec, self._raw_closed)
 
     def __add__(self, other):
@@ -282,7 +245,7 @@ class GenSeries:
     def scale(self, n):
         """Multiply by an integer (or a coefficient-domain element)."""
         if isinstance(n, int):
-            n = self.ring.c_from_int(n)
+            n = self.ring.coeffs.from_int(n)
         return GenSeries(self.ring, [(g, c * n) for g, c in self._raw],
                          self._raw_prec, self._raw_closed)
 
@@ -297,7 +260,7 @@ class GenSeries:
         if not v.is_zero():
             raise NonUnit("inverse only defined for valuation-0 units")
         lead = self.terms[0][1]
-        if self.ring.mode == "p" and not lead.is_unit():
+        if not lead.is_unit():
             raise NonUnit("leading coefficient is not a unit")
         if prec is None:
             if self.prec is INF:
@@ -369,13 +332,13 @@ class GenSeries:
         return f"GenSeries({self.to_text()})"
 
     def _exp_text(self, gamma):
+        if gamma.is_zero():
+            return ""
         var = self.ring.var
         w0 = self.ring.descriptor.weights[0]
         num = gamma.num
         if w0.is_rational() and not any(num[1:]):
             q = Fraction(num[0], gamma.den) * w0.a
-            if q == 0:
-                return ""
             if q == 1:
                 return var
             if q.denominator == 1:
@@ -384,10 +347,8 @@ class GenSeries:
         return f"{var}^({gamma.to_text()})"
 
     def _coeff_text(self, c):
-        if self.ring.mode == "p":
-            c = self.ring.c_residue(c)
-        txt = c.to_text()
-        if ("+" in txt or "*" in txt) and not txt.startswith("["):
+        txt = self.ring.coeffs.residue(c).to_text()
+        if "+" in txt or "*" in txt:
             return f"({txt})"
         return txt
 
@@ -444,9 +405,10 @@ def _carry_normalize(s):
     ring = s.ring
     desc = ring.descriptor
     e0 = desc.basis(0)
-    n_digits = ring.witt.precision
-    p = ring.witt.p
-    tower, exact = ring.tower, ring.witt.exact
+    witt = ring.coeffs
+    n_digits = witt.precision
+    p = witt.p
+    tower, exact = ring.tower, witt.exact
     height = tower.height
     out = []
     prec, closed = s._raw_prec, s._raw_closed
@@ -468,7 +430,7 @@ def _carry_normalize(s):
             digit = map_leaves(acc, height, lambda x: x % p)
             if not tower.rep_is_zero(digit):
                 out.append((rep_elem + e0.scale_unchecked(n_min + m),
-                            ring.witt.lift(CoeffElem(tower, digit))))
+                            witt.lift(CoeffElem(tower, digit))))
             acc = map_leaves(acc, height, lambda x: x // p)
             m += 1
         hbound = rep_elem + e0.scale_unchecked(horizon)
@@ -630,7 +592,7 @@ def parse_series(ring, text):
             return ring.monomial(_exponent(ring, sc))
         if name not in gens:
             sc.error(f"unknown generator {name!r}")
-        return ring.const(ring.c_lift(CoeffElem.generator(ring.tower, gens[name])))
+        return ring.const(ring.coeffs.lift(CoeffElem.generator(ring.tower, gens[name])))
 
     def power(base):
         start = sc.pos
@@ -666,14 +628,10 @@ def _exponent(ring, sc):
 def _coeff_from_fraction(ring, q):
     """The coefficient of a rational literal; one whose denominator the residue
     characteristic divides has no value and is a ParseError."""
+    num = ring.coeffs.from_int(q.numerator)
     if q.denominator == 1:
-        return ring.c_from_int(q.numerator)
-    p = ring.witt.p if ring.mode == "p" else ring.tower.char
+        return num
+    p = ring.tower.char
     if p and q.denominator % p == 0:
         raise ParseError(f"the literal {q} has no value when the residue characteristic is {p}")
-    if ring.mode == "p":
-        den = ring.witt.from_int(q.denominator)
-        return ring.witt.from_int(q.numerator) * den.inv()
-    num = CoeffElem.from_int(ring.tower, q.numerator)
-    den = CoeffElem.from_int(ring.tower, q.denominator)
-    return num * den.inv()
+    return num * ring.coeffs.from_int(q.denominator).inv()

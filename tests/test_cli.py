@@ -11,6 +11,7 @@ import pytest
 import genpuiseux
 from genpuiseux import cli
 from genpuiseux.cli import (
+    ALL_CHECKS,
     _is_prime,
     build_ring,
     build_valpoly,
@@ -101,6 +102,8 @@ def test_parse_problem_errors_have_positions():
     assert "line 2" in str(err.value)
     with pytest.raises(ParseError):
         parse_problem("mode equichar\n")  # missing poly
+    with pytest.raises(ParseError, match="bad value for 'max_prec': '1/0' at line 2$"):
+        parse_problem("char 0\nmax_prec 1/0\npoly y - t\n")
 
 
 def _read(text):
@@ -346,8 +349,17 @@ IRRATIONAL_FIRST = "sqrt_disc 2\nweights 0+1*sqrt(2) 1\n"
 def test_rational_exponents_need_a_rational_first_weight(tmp_path, capsys, command,
                                                          text, flags):
     path = write(tmp_path, "in.txt", IRRATIONAL_FIRST + text)
-    assert main([command, path] + flags) == 2
+    code = main([command, path] + flags)
     captured = capsys.readouterr()
+    if command == "verify":
+        # verify draws its trials as multiples of the first basis element,
+        # not as rational exponents, so all six checks run
+        assert code == 0 and captured.err == ""
+        assert [ln.split()[0] for ln in captured.out.splitlines()] == [
+            f"check={name}" for name in ALL_CHECKS]
+        assert all(" status=PASS " in ln for ln in captured.out.splitlines())
+        return
+    assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("parse error: the rational exponent ")
     assert "needs a rational first weight" in captured.err
@@ -391,6 +403,34 @@ def test_max_prec_and_the_prec_flag(tmp_path, monkeypatch, capsys, command):
         out = capsys.readouterr().out.splitlines()
         assert out.count("status: BUDGET") == 2
         assert "series: 1 + 1/2*t - 1/8*t^2 + O(t^3)" in out
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+@pytest.mark.parametrize("prec", ["abc", "1/0", ""])
+def test_bad_prec_flag_is_a_parse_error(tmp_path, capsys, command, prec):
+    path = write(tmp_path, "sqrt.spec", SQRT)
+    assert main([command, path, "--prec", prec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: bad value for --prec: {prec!r}\n"
+
+
+def test_arith_header_errors_name_their_line():
+    with pytest.raises(ParseError, match="bad value for 'char': 'x' at line 3$"):
+        cmd_arith("char 0\nprint t\nchar x\n")
+    with pytest.raises(ParseError, match="unknown mode 'odd' at line 2$"):
+        cmd_arith("# header\nmode odd\n")
+    with pytest.raises(ParseError, match="witt_prec 2000 is above the limit 1024 at line 4$"):
+        cmd_arith("p 3\n\nprint p\nwitt_prec 2000\n")
+
+
+def test_irrational_first_weight_prints_no_zero_exponent(tmp_path, capsys):
+    path = write(tmp_path, "irr.spec", IRRATIONAL_FIRST + "poly y^2 - t\n")
+    assert main(["expand", path]) == 0
+    out = capsys.readouterr().out
+    assert "0*g1 + 0*g2" not in out
+    assert "  1: Q_1=y beta=1/2*g1 + 0*g2 " in out
+    assert "  2: Q_2=y^2 - t^(1*g1 + 0*g2) beta=inf " in out
 
 
 def test_literals_are_read_as_written():

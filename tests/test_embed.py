@@ -42,13 +42,13 @@ from genpuiseux.embed import (
 def tring(char=0):
     desc = GroupDescriptor([1], char_exponent=max(char, 1))
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
-    return SeriesRing.equichar(desc, tower)
+    return SeriesRing(desc, tower)
 
 
 def pring(p, prec=6):
     desc = GroupDescriptor([1], char_exponent=p)
     ring = WittRing(FieldTower.prime_field(p), prec)
-    return SeriesRing.mixed(desc, ring)
+    return SeriesRing(desc, ring)
 
 
 def g(R, q):
@@ -75,7 +75,7 @@ def test_monomial_embedding():
     emb = monomial_embedding(R, ["t"])
     assert emb["t"] == t_pow(R, 1)
     desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2)
-    R2 = SeriesRing.equichar(desc, FieldTower.rationals())
+    R2 = SeriesRing(desc, FieldTower.rationals())
     emb2 = monomial_embedding(R2, ["u1", "u2"])
     assert emb2["u1"].leading_term()[0] == desc.basis(0)
     assert emb2["u2"].leading_term()[0] == desc.basis(1)
@@ -177,7 +177,7 @@ def test_expand_artin_schreier_budget():
     exps = [e.rational_value() for e, _ in res.series.terms]
     assert exps == [1 - Fraction(1, 2 ** i) for i in range(1, 9)]
     # all coefficients 1
-    assert all(c == CoeffElem.one(R.tower) for _, c in res.series.terms)
+    assert all(c == R.tower.one() for _, c in res.series.terms)
     # precision bound: strictly above the last emitted exponent
     assert res.series.prec is not INF
     assert res.series.prec.rational_value() == 1 - Fraction(1, 2 ** 9)
@@ -252,13 +252,13 @@ def test_expand_adjoins_sqrt2_when_allowed():
     assert res.status == COMPLETE
     (e, c), = res.series.terms
     assert e.rational_value() == 1
-    assert c * c == CoeffElem.from_int(c.tower, 2)  # the adjoined sqrt(2)
+    assert c * c == c.tower.from_int(2)  # the adjoined sqrt(2)
 
 
 def test_terminal_branch_outside_span():
     # rank-2 group; an explicit chain pins beta at the irrational weight
     desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2, char_exponent=1)
-    R = SeriesRing.equichar(desc, FieldTower.rationals())
+    R = SeriesRing(desc, FieldTower.rationals())
     y = ValPoly.variable(R)
     sqrt2 = desc.basis(1)
     from genpuiseux.keypoly import KeyPolyChain, chain_entry
@@ -271,7 +271,7 @@ def test_terminal_branch_outside_span():
     assert st2.status == COMPLETE
     assert st2.trace[-1]["branch"] == "TERMINAL"
     (e, c), = st2.partial.terms
-    assert e == sqrt2 and c == CoeffElem.one(R.tower)
+    assert e == sqrt2 and c == R.tower.one()
 
 
 # -- step invariants ----------------------------------------------------------------------
@@ -418,11 +418,33 @@ def test_limit_step_unregistered_pattern():
     assert limit_signature(st) is not None
     # increments not geometric: no registered pattern matches
     irregular = replace(st, emitted=tuple(
-        [(g(R, Fraction(1, 2)), R.c_from_int(1)),
-         (g(R, Fraction(3, 4)), R.c_from_int(1)),
-         (g(R, Fraction(15, 16)), R.c_from_int(1))]))
+        [(g(R, Fraction(1, 2)), R.coeffs.from_int(1)),
+         (g(R, Fraction(3, 4)), R.coeffs.from_int(1)),
+         (g(R, Fraction(15, 16)), R.coeffs.from_int(1))]))
     with pytest.raises(UnsupportedLimitPattern):
         limit_step(irregular)
+
+
+def test_unregistered_pattern_is_stepped_through():
+    # exponents 1/3, 2/3, 7/9 are geometric, but the coefficients 1, 1, 2 do
+    # not repeat: no registered pattern matches, and expand steps on
+    spec = cli.parse_problem("p 3\nwitt_prec 12\npoly y^3 - p - p^2\n")
+    ring = cli.build_ring(spec)
+    F = cli.build_valpoly(spec, ring)
+    for budget in (8, 12):
+        res = expand(F, ring, max_terms=budget)
+        assert res.status == BUDGET and len(res.state.emitted) == budget
+        assert {r["branch"] for r in res.trace} == {"STEP"}
+    assert [(e.rational_value(), c.residue().to_text())
+            for e, c in res.state.emitted[:4]] == [
+        (Fraction(1, 3), "1"), (Fraction(2, 3), "1"), (Fraction(7, 9), "2"),
+        (Fraction(22, 27), "1")]
+    # limit_step called on such a state still refuses it
+    st = init_state(F, ring)
+    while embed.limit_signature(st) is None:
+        st = step(st)
+    with pytest.raises(UnsupportedLimitPattern, match="coefficients do not repeat"):
+        limit_step(st)
 
 
 # -- valuation preservation (the embedding contract) --------------------------------------------
@@ -532,6 +554,10 @@ CARRIED = {
     "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n", 16, 1),  # moves into F9
     "r2-q": ("char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
              "poly y^2 - t - u2\n", 16, 0),
+    # mixed characteristic, F with single-digit coefficients: no carry clamps
+    "p3": ("p 3\nwitt_prec 8\npoly y^2 + p*y + p\n", 16, 1),  # moves into W(F9)
+    "p5": ("p 5\nwitt_prec 6\npoly y^3 + p^2*y + p\n", 9, 1),
+    "p2": ("p 2\nwitt_prec 10\npoly y^2 + p*y + p + p^3\n", 16, 0),
 }
 
 
@@ -569,9 +595,11 @@ def test_carried_taylor_vector_matches_horner(name, monkeypatch):
 
 def test_taylor_shift_only_on_exact_t_adic_data():
     assert _spec_state(CARRIED["as-f2"][0]).shifts_taylor()
+    assert _spec_state(CARRIED["p3"][0]).shifts_taylor()
+    # -1 is a multi-digit p-adic coefficient: its carry clamps F's precision
     assert not _spec_state("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n").shifts_taylor()
     R = tring(0)
-    inexact = GenSeries(R, [(g(R, 1), CoeffElem.from_int(R.tower, -1))], g(R, 4))
+    inexact = GenSeries(R, [(g(R, 1), R.tower.from_int(-1))], g(R, 4))
     assert not init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R).shifts_taylor()
 
 
@@ -585,10 +613,10 @@ def _spanning_residual(state):
     lam = math.lcm(*(q.denominator for q in sol))
     _, ties = mu_beta_val(state.F, state)
     tower = state.ring.tower
-    eq = {l: state.ring.c_residue(state.taylor_vector()[l].leading_term()[1])
+    eq = {l: state.ring.coeffs.residue(state.taylor_vector()[l].leading_term()[1])
           for l in ties}
-    coeffs = [eq.get(l, CoeffElem.zero(tower)) for l in range(max(eq) + 1)]
-    z = CoeffElem.zero(tower)
+    coeffs = [eq.get(l, tower.zero()) for l in range(max(eq) + 1)]
+    z = tower.zero()
     i_b = state.i_beta
     if (i_b <= len(state.chain) and state.chain.entry(i_b).epsilon is not INF
             and cmp(state.beta, state.chain.entry(i_b).epsilon) == 0 and 0 in eq):
@@ -643,7 +671,7 @@ def test_residual_equation_reads_beta_without_a_span_solve(name, monkeypatch):
 def test_residual_equation_solves_the_span_below_full_rank(monkeypatch):
     # lower rank 1 of 2: beta = sqrt(2) has a coordinate past the lower weight
     desc = GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2, char_exponent=1)
-    R = SeriesRing.equichar(desc, FieldTower.rationals())
+    R = SeriesRing(desc, FieldTower.rationals())
     y = ValPoly.variable(R)
     chain = KeyPolyChain(R, [chain_entry(KeyPolyChain(R), y, desc.basis(1), 1)])
     F = ValPoly(R, [-1 * R.monomial(desc.element([0, 2])), R.zero(), R.one()])

@@ -25,7 +25,7 @@ from genpuiseux.series import GenSeries, SeriesRing
 def tring(char=0):
     desc = GroupDescriptor([1], char_exponent=max(char, 1))
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
-    return SeriesRing.equichar(desc, tower)
+    return SeriesRing(desc, tower)
 
 
 def g(R, q):
@@ -115,13 +115,13 @@ def test_is_monic_reads_the_lead_exactly():
     one = R.one()
     assert poly(R, t_pow(R, 1), one).is_monic()
     for lead in (t_pow(R, 1), R.const(2),
-                 GenSeries(R, [(g(R, 0), R.c_one())], g(R, 3))):
+                 GenSeries(R, [(g(R, 0), R.coeffs.one())], g(R, 3))):
         assert not poly(R, one, lead).is_monic(), lead
     # over Z_5 with 6 digits: 6 is 1 + 5, and 6 - p carries to 1 + O(p^6)
     desc = GroupDescriptor([1], char_exponent=5)
-    P = SeriesRing.mixed(desc, WittRing(FieldTower.prime_field(5), 6))
+    P = SeriesRing(desc, WittRing(FieldTower.prime_field(5), 6))
     assert poly(P, P.const(6), P.const(1 + 5 ** 6)).is_monic()
-    carried = GenSeries(P, [(g(P, 0), P.witt.from_int(6)), (g(P, 1), P.witt.from_int(-1))])
+    carried = GenSeries(P, [(g(P, 0), P.coeffs.from_int(6)), (g(P, 1), P.coeffs.from_int(-1))])
     for lead in (P.const(6), carried):
         assert not poly(P, P.one(), lead).is_monic(), lead
 
@@ -425,7 +425,7 @@ def test_monomial_ratio_subtracts_exponent_vectors():
     R = tring(2)
     F = artin_schreier_F(R)
     chain = extend_chain(initial_chain(R, F), F, t_pow(R, Fraction(1, 2)))
-    one = R.c_one()
+    one = R.coeffs.one()
     # (t^(1/2) Q_1 Q_2^2) / (t^(1/4) Q_2) = t^(1/4) Q_2 Q_1
     num = ({1: 1, 2: 2}, (g(R, Fraction(1, 2)), one))
     den = ({2: 1}, (g(R, Fraction(1, 4)), one))

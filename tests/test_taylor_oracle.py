@@ -193,11 +193,10 @@ def _epsilons(state):
 
 def _polys(spec, state, count):
     """F, then seeded polynomials of degree 2 to 4."""
-    char = spec.p if spec.mode == "mixed" else spec.char
     rng = random.Random(f"forms-{spec.poly_text}")
     out = [state.F]
     while len(out) <= count:
-        f = _rand_poly(state.ring, rng, char)
+        f = _rand_poly(state.ring, rng)
         if f.degree() >= 2:
             out.append(f)
     return out
@@ -241,13 +240,12 @@ def test_vector_readers_match_the_per_derivative_oracle(name):
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_derivative_min_check_matches_its_two_pass_form(name):
     spec, state = _solved(name)
-    char = spec.p if spec.mode == "mixed" else spec.char
     chain = state.chain
     rng = random.Random(f"min-{name}")
     stages = [i for i, e in enumerate(chain.entries, start=1) if e.epsilon is not INF]
     assert stages
     for i in stages:
         for _ in range(20):
-            h = _rand_poly(state.ring, rng, char)
+            h = _rand_poly(state.ring, rng)
             assert derivative_min_check(h, chain, i, state.partial) \
                 == oracle_min_check(h, chain, i, state.partial)

@@ -20,7 +20,7 @@ from genpuiseux.truncalg import (
 def tring(char=0):
     desc = GroupDescriptor([1], char_exponent=max(char, 1))
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
-    return SeriesRing.equichar(desc, tower)
+    return SeriesRing(desc, tower)
 
 
 def g(R, q):
@@ -83,7 +83,7 @@ def test_product_truncation_sweep_bounds():
         def rand_series():
             exps = rng.sample(range(0, 14), rng.randint(1, 6))
             return GenSeries(R, [(g(R, Fraction(e, 2)),
-                                  R.c_from_int(rng.randint(1, 9)))
+                                  R.coeffs.from_int(rng.randint(1, 9)))
                                  for e in exps])
 
         gg, h = rand_series(), rand_series()
@@ -109,7 +109,7 @@ def test_product_truncation_char2_series():
     for _ in range(300):
         def rand_series():
             exps = rng.sample(range(0, 12), rng.randint(1, 5))
-            return GenSeries(R, [(g(R, Fraction(e, 4)), R.c_from_int(1))
+            return GenSeries(R, [(g(R, Fraction(e, 4)), R.coeffs.from_int(1))
                                  for e in exps])
 
         gg, h = rand_series(), rand_series()
@@ -136,7 +136,7 @@ def test_multi_product_three_factors():
         for _ in range(3):
             exps = rng.sample(range(0, 8), rng.randint(1, 4))
             factors.append(GenSeries(R, [(g(R, Fraction(e, 2)),
-                                          R.c_from_int(rng.randint(1, 5)))
+                                          R.coeffs.from_int(rng.randint(1, 5)))
                                          for e in exps]))
         lam = g(R, Fraction(rng.randint(4, 14), 2))
         prod = factors[0] * factors[1] * factors[2]
@@ -154,11 +154,11 @@ def test_multi_product_strictness_clause():
     R = tring()
     for _ in range(60):
         factors = [
-            GenSeries(R, [(g(R, 1), R.c_from_int(rng.randint(1, 3))),
-                          (g(R, 2), R.c_from_int(1))]),
-            GenSeries(R, [(g(R, 0), R.c_from_int(1)),
-                          (g(R, Fraction(3, 2)), R.c_from_int(2))]),
-            GenSeries(R, [(g(R, 1), R.c_from_int(2))]),
+            GenSeries(R, [(g(R, 1), R.coeffs.from_int(rng.randint(1, 3))),
+                          (g(R, 2), R.coeffs.from_int(1))]),
+            GenSeries(R, [(g(R, 0), R.coeffs.from_int(1)),
+                          (g(R, Fraction(3, 2)), R.coeffs.from_int(2))]),
+            GenSeries(R, [(g(R, 1), R.coeffs.from_int(2))]),
         ]
         lam = g(R, Fraction(rng.randint(6, 12), 2))
         prod = factors[0] * factors[1] * factors[2]
