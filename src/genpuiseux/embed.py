@@ -490,19 +490,17 @@ def limit_step(state):
     p = ring.descriptor.char_exponent
     if len(state.emitted) < 3:
         raise UnsupportedLimitPattern("too few terms to match a pattern")
-    exps = [e for e, _ in state.emitted]
-    coeffs = [c for _, c in state.emitted]
-    geo = geometric_limit(exps, p)
+    (e1, c1), (e2, c2), (e3, c_rep) = state.emitted[-3:]
+    geo = geometric_limit((e1, e2, e3), p)
     if geo is None:
         raise UnsupportedLimitPattern("increments are not geometric")
-    if not (coeffs[-1] == coeffs[-2] == coeffs[-3]):
+    if not (c_rep == c2 == c1):
         raise UnsupportedLimitPattern("coefficients do not repeat")
     flim = limit_signature(state)
     if flim is None:
         return state
     entry = state.chain.entry(state.i_beta)
     delta, sup = geo
-    c_rep = coeffs[-1]
 
     # verify the stage polynomial's valuations along three extrapolated terms
     head = list(state.emitted)

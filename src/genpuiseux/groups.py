@@ -274,6 +274,8 @@ class GroupElement:
     def __add__(self, other):
         if other is INF:
             return INF
+        if self.den == 1 == other.den and self.descriptor is other.descriptor:
+            return GroupElement(self.descriptor, tuple(map(add, self.num, other.num)), 1)
         return self._combine(other, add)
 
     def __sub__(self, other):

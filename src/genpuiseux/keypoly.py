@@ -87,8 +87,11 @@ class ValPoly:
             return ValPoly(self.ring, [], self.var)
         out = [self.ring.zero()] * (self.degree() + other.degree() + 1)
         for i, a in enumerate(self.coeffs):
+            if not a._raw and a._raw_prec is INF:
+                continue  # an exact zero adds nothing
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+                if b._raw or b._raw_prec is not INF:
+                    out[i + j] = out[i + j] + a * b
         return ValPoly(self.ring, out, self.var)
 
     def __pow__(self, n):

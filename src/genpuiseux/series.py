@@ -49,20 +49,18 @@ class SeriesRing:
     # constructors
 
     def zero(self, prec=INF, closed=False):
-        return GenSeries(self, [], prec, closed)
+        return GenSeries._sorted(self, (), prec, bool(closed) and prec is not INF)
 
     def one(self):
         return self.const(self.coeffs.one())
 
     def const(self, c):
-        if isinstance(c, int):
-            c = self.coeffs.from_int(c)
-        return GenSeries(self, [(self.descriptor.zero(), c)], INF, False)
+        return self.monomial(self.descriptor.zero(), c)
 
     def monomial(self, gamma, c=1):
         if isinstance(c, int):
             c = self.coeffs.from_int(c)
-        return GenSeries(self, [(gamma, c)], INF, False)
+        return GenSeries._sorted(self, () if c.is_zero() else ((gamma, c),))
 
     def uniformizer(self):
         return self.monomial(self.descriptor.basis(0), self.coeffs.one())
@@ -89,6 +87,16 @@ def _prec_shift(p, gamma):
     return (bound + gamma, closed)
 
 
+def _cut(terms, prec, closed):
+    """How many of the sorted terms have exponents known at (prec, closed)."""
+    n = len(terms)
+    if prec is not INF:
+        compare, keep = prec.descriptor.compare, (1 if closed else 0)
+        while n and compare(terms[n - 1][0], prec) >= keep:
+            n -= 1
+    return n
+
+
 class GenSeries:
     """Finite truncation of a generalized power series.
 
@@ -96,29 +104,32 @@ class GenSeries:
     be multi-digit), which preserves exact cancellation in arithmetic; the
     public accessors (terms, prec, val, text, equality) present the carried
     normal form, computed lazily.
+
+    Raw exponents strictly increase, raw coefficients are non-zero and every
+    raw exponent is within the raw precision: this constructor establishes
+    that for any term list, and the operations keep it through ``_sorted``.
     """
 
     __slots__ = ("ring", "_raw", "_raw_prec", "_raw_closed", "_norm")
 
     def __init__(self, ring, terms, prec=INF, closed=False):
-        self.ring = ring
-        self._raw_prec = prec
-        self._raw_closed = bool(closed) if prec is not INF else False
         merged = {}
         for g, c in terms:
             merged[g] = merged[g] + c if g in merged else c
         cleaned = [(g, c) for (g, c) in merged.items() if not c.is_zero()]
         gkey = ring.descriptor.sort_key()
         cleaned.sort(key=lambda t: gkey(t[0]))
-        cleaned = [t for t in cleaned if self._raw_known(t[0])]
-        self._raw = tuple(cleaned)
+        closed = bool(closed) and prec is not INF
+        raw = tuple(cleaned[:_cut(cleaned, prec, closed)])
+        self.ring, self._raw, self._raw_prec, self._raw_closed = ring, raw, prec, closed
         self._norm = None
 
-    def _raw_known(self, gamma):
-        if self._raw_prec is INF:
-            return True
-        s = cmp(gamma, self._raw_prec)
-        return s < 0 or (s == 0 and self._raw_closed)
+    @classmethod
+    def _sorted(cls, ring, raw, prec=INF, closed=False):
+        """A series from a raw tuple that already keeps the invariant."""
+        s = cls.__new__(cls)
+        s.ring, s._raw, s._raw_prec, s._raw_closed, s._norm = ring, raw, prec, closed, None
+        return s
 
     def _normalized(self):
         if self._norm is None:
@@ -141,11 +152,7 @@ class GenSeries:
         return self._normalized()[2]
 
     def _known(self, gamma):
-        prec, closed = self._normalized()[1], self._normalized()[2]
-        if prec is INF:
-            return True
-        s = cmp(gamma, prec)
-        return s < 0 or (s == 0 and closed)
+        return _cut(((gamma, None),), self.prec, self.closed) == 1
 
     # -- inspectors -------------------------------------------------------------
 
@@ -169,11 +176,6 @@ class GenSeries:
         if terms:
             return terms[0][0]
         return prec  # INF for exact zero
-
-    def _vlb_raw(self):
-        if self._raw:
-            return self._raw[0][0]
-        return self._raw_prec
 
     def leading_term(self):
         terms, _, _ = self._normalized()
@@ -206,32 +208,75 @@ class GenSeries:
                          self._raw_prec, self._raw_closed)
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _merge(self, other, negate):
+        """self + other (self - other when negate) as one linear merge of the raw
+        terms, dropping exact cancellations and cutting the tail past the precision."""
         self._same_ring(other)
         prec, closed = _prec_min((self._raw_prec, self._raw_closed),
                                  (other._raw_prec, other._raw_closed))
-        return GenSeries(self.ring, list(self._raw + other._raw), prec, closed)
+        compare = self.ring.descriptor.compare
+        a, b = self._raw, other._raw
+        if negate:
+            b = tuple((g, -c) for g, c in b)
+        if not a or not b or compare(a[-1][0], b[0][0]) < 0:
+            out = a + b
+        elif compare(b[-1][0], a[0][0]) < 0:
+            out = b + a
+        else:
+            out, i, j = [], 0, 0
+            while i < len(a) and j < len(b):
+                s = compare(a[i][0], b[j][0])
+                if s < 0:
+                    out.append(a[i])
+                elif s > 0:
+                    out.append(b[j])
+                elif not (c := a[i][1] + b[j][1]).is_zero():
+                    out.append((a[i][0], c))
+                i += s <= 0
+                j += s >= 0
+            out = tuple(out) + a[i:] + b[j:]
+        return GenSeries._sorted(self.ring, out[:_cut(out, prec, closed)], prec, closed)
 
     def __neg__(self):
-        return GenSeries(self.ring, [(g, -c) for g, c in self._raw],
-                         self._raw_prec, self._raw_closed)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return GenSeries._sorted(self.ring, tuple((g, -c) for g, c in self._raw),
+                                 self._raw_prec, self._raw_closed)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._same_ring(other)
-        if not self._raw and self._raw_prec is INF:
+        a, b = self._raw, other._raw
+        if not a and self._raw_prec is INF or not b and other._raw_prec is INF:
             return self.ring.zero()
-        if not other._raw and other._raw_prec is INF:
-            return self.ring.zero()
-        va, vb = self._vlb_raw(), other._vlb_raw()
-        prec, closed = _prec_min(_prec_shift((self._raw_prec, self._raw_closed), vb),
-                                 _prec_shift((other._raw_prec, other._raw_closed), va))
-        acc = {}
-        for g1, c1 in self._raw:
-            for g2, c2 in other._raw:
+        prec, closed = _prec_min(_prec_shift((self._raw_prec, self._raw_closed),
+                                             b[0][0] if b else other._raw_prec),
+                                 _prec_shift((other._raw_prec, other._raw_closed),
+                                             a[0][0] if a else self._raw_prec))
+
+        def within(g0, terms):
+            """The prefix of sorted terms whose exponents plus g0 are known."""
+            return terms if prec is INF else terms[:_cut(terms, prec - g0, closed)]
+
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a shift: the products arrive sorted, with distinct exponents
+            (g2, c2), = b
+            raw = tuple((g, c) for g, c in ((g1 + g2, c1 * c2) for g1, c1 in within(g2, a))
+                        if not c.is_zero())
+            return GenSeries._sorted(self.ring, raw, prec, closed)
+        acc, row = {}, b
+        for g1, c1 in a:
+            # a's exponents rise, so each row's known prefix is one of the last row's
+            row = within(g1, row)
+            if not row:
+                break
+            for g2, c2 in row:
                 g = g1 + g2
                 c = c1 * c2
                 if g in acc:
@@ -246,8 +291,8 @@ class GenSeries:
         """Multiply by an integer (or a coefficient-domain element)."""
         if isinstance(n, int):
             n = self.ring.coeffs.from_int(n)
-        return GenSeries(self.ring, [(g, c * n) for g, c in self._raw],
-                         self._raw_prec, self._raw_closed)
+        raw = tuple((g, c) for g, c in ((g, c * n) for g, c in self._raw) if not c.is_zero())
+        return GenSeries._sorted(self.ring, raw, self._raw_prec, self._raw_closed)
 
     def __pow__(self, n):
         if n < 0:
@@ -286,8 +331,8 @@ class GenSeries:
         """Terms strictly below beta; precision becomes beta (open)."""
         if self.prec is not INF and cmp(beta, self.prec) > 0:
             raise PrecisionExceeded("open truncation beyond stored precision")
-        terms = [(g, c) for g, c in self.terms if cmp(g, beta) < 0]
-        return GenSeries(self.ring, terms, beta, False)
+        terms = self.terms
+        return GenSeries._sorted(self.ring, terms[:_cut(terms, beta, False)], beta, False)
 
     def truncate_closed(self, beta):
         """Terms up to and including beta; precision beta, closed flag set."""
@@ -295,8 +340,9 @@ class GenSeries:
             s = cmp(beta, self.prec)
             if s > 0 or (s == 0 and not self.closed):
                 raise PrecisionExceeded("closed truncation needs the boundary term")
-        terms = [(g, c) for g, c in self.terms if cmp(g, beta) <= 0]
-        return GenSeries(self.ring, terms, beta, True)
+        terms = self.terms
+        return GenSeries._sorted(self.ring, terms[:_cut(terms, beta, True)], beta,
+                                 beta is not INF)
 
     def slice(self, beta, beta2):
         """The window [beta, beta2): open truncation difference."""
@@ -304,14 +350,13 @@ class GenSeries:
             raise ValueError("slice needs beta < beta2")
         if self.prec is not INF and cmp(beta2, self.prec) > 0:
             raise PrecisionExceeded("slice beyond stored precision")
-        terms = [(g, c) for g, c in self.terms
-                 if cmp(g, beta) >= 0 and cmp(g, beta2) < 0]
-        return GenSeries(self.ring, terms, beta2, False)
+        terms = self.terms
+        return GenSeries._sorted(self.ring, terms[_cut(terms, beta, False):
+                                                  _cut(terms, beta2, False)], beta2, False)
 
     def normalize(self):
         """Carried normal form (p-mode); identity in t-mode.  Idempotent."""
-        terms, prec, closed = self._normalized()
-        return GenSeries(self.ring, list(terms), prec, closed)
+        return GenSeries._sorted(self.ring, *self._normalized())
 
     # -- comparisons / text -----------------------------------------------------------
 
@@ -437,20 +482,13 @@ def _carry_normalize(s):
         prec, closed = _prec_min((prec, closed), (hbound, False))
     gkey = desc.sort_key()
     out.sort(key=lambda t: gkey(t[0]))
-    # a carry clamps the precision, so prec is finite here
-    keep = []
-    for g, c in out:
-        sgn = cmp(g, prec)
-        if sgn < 0 or (sgn == 0 and closed):
-            keep.append((g, c))
-    return tuple(keep), prec, closed
+    return tuple(out[:_cut(out, prec, closed)]), prec, closed
 
 
 def eval_poly(coeffs, s):
     """Horner evaluation of a polynomial with GenSeries coefficients at s."""
-    ring = s.ring
-    acc = ring.zero()
-    for c in reversed(coeffs):
+    acc = coeffs[-1] if coeffs else s.ring.zero()
+    for c in reversed(coeffs[:-1]):
         acc = acc * s + c
     return acc
 

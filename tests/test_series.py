@@ -1,7 +1,11 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
 from genpuiseux.errors import NonUnit, ParseError, PrecisionExceeded, ValuationIndeterminate
@@ -471,3 +475,223 @@ def test_padic_arithmetic_crosschecks_witt():
         assert as_int(m, window_m) == (a_i * b_i) % p ** window_m
         assert digits_int(ws) == (a_i + b_i) % p ** N
         assert digits_int(wm) == (a_i * b_i) % p ** N
+
+
+# -- the sorted-term fast paths against the general constructor -----------------------
+#
+# Every operation builds its raw terms without re-sorting them.  The oracle
+# below is the general construction (merge equal exponents, drop zero
+# coefficients, sort, keep what the precision knows) applied to the plain
+# formulas of each operation on (raw, prec, closed) triples.
+
+
+def _build(ring, terms, prec, closed):
+    compare = ring.descriptor.compare
+    keep = 1 if closed else 0
+    merged = {}
+    for e, c in terms:
+        merged[e] = merged[e] + c if e in merged else c
+    raw = [(e, c) for e, c in merged.items()
+           if not c.is_zero() and (prec is INF or compare(e, prec) < keep)]
+    raw.sort(key=cmp_to_key(lambda x, y: compare(x[0], y[0])))
+    return tuple(raw), prec, bool(closed) and prec is not INF
+
+
+def _triple(f):
+    return f._raw, f._raw_prec, f._raw_closed
+
+
+def _weaker(ring, p1, p2):
+    """The weaker of two (bound, closed) precisions."""
+    if p1[0] is INF or p2[0] is INF:
+        return p2 if p1[0] is INF else p1
+    s = ring.descriptor.compare(p1[0], p2[0])
+    return p1 if s < 0 or (s == 0 and not p1[1]) else p2
+
+
+def _o_add(ring, x, y):
+    return _build(ring, x[0] + y[0], *_weaker(ring, x[1:], y[1:]))
+
+
+def _o_neg(ring, x):
+    return _build(ring, [(e, -c) for e, c in x[0]], *x[1:])
+
+
+def _o_mul_prec(ring, x, y):
+    def shifted(p, v):
+        return (INF, False) if p[0] is INF or v is INF else (p[0] + v, p[1])
+
+    vx = x[0][0][0] if x[0] else x[1]
+    vy = y[0][0][0] if y[0] else y[1]
+    return _weaker(ring, shifted(x[1:], vy), shifted(y[1:], vx))
+
+
+def _o_mul(ring, x, y):
+    if not x[0] and x[1] is INF or not y[0] and y[1] is INF:
+        return (), INF, False
+    products = [(e1 + e2, c1 * c2) for e1, c1 in x[0] for e2, c2 in y[0]]
+    return _build(ring, products, *_o_mul_prec(ring, x, y))
+
+
+def _assert_raw(f, expected):
+    """f keeps the raw invariant and its raw triple equals expected."""
+    compare = f.ring.descriptor.compare
+    raw, prec, closed = _triple(f)
+    assert isinstance(raw, tuple)
+    assert all(compare(x[0], y[0]) < 0 for x, y in zip(raw, raw[1:]))
+    assert not any(c.is_zero() for _, c in raw)
+    keep = 1 if closed else 0
+    assert prec is not INF or not closed
+    assert prec is INF or all(compare(e, prec) < keep for e, _ in raw)
+    eraw, eprec, eclosed = expected
+    assert len(raw) == len(eraw)
+    assert all(x[0] == y[0] and x[1] == y[1] for x, y in zip(raw, eraw))
+    assert (prec is INF) == (eprec is INF)
+    assert prec is INF or compare(prec, eprec) == 0
+    assert closed == eclosed
+
+
+def _qw_ring():
+    return SeriesRing(GroupDescriptor([1]), FieldTower.rationals().adjoin((-2, 0, 1)))
+
+
+def _sqrt2_ring():
+    return SeriesRing(GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2), FieldTower.rationals())
+
+
+# F2, Q, Q(w) with w^2 = 2, W(F5) mod 25 (so 5*5 wraps to zero), and the
+# rank-2 group with weights 1 and sqrt(2).
+_RINGS = {"F2": tring(2), "Q": tring(), "Q(w)": _qw_ring(), "W(F5)": pring(5, prec=2),
+          "sqrt2": _sqrt2_ring()}
+
+
+def _exponent(draw, ring):
+    desc = ring.descriptor
+    if desc.rank == 2:
+        return desc.element([Fraction(draw(st.integers(-2, 6)), 2), draw(st.integers(-1, 2))])
+    return desc.from_rational(Fraction(draw(st.integers(-2, 8)), draw(st.sampled_from([1, 2]))))
+
+
+def _coeff(draw, ring):
+    cs = ring.coeffs
+    c = cs.from_int(draw(st.sampled_from([1, -1, 2, 3, -4, 5, 10, -15])))
+    if ring.tower.height:
+        c = c + cs.lift(CoeffElem.generator(ring.tower)) * cs.from_int(draw(st.integers(-2, 2)))
+    return c
+
+
+def _terms(draw, ring, max_size=5):
+    return [(_exponent(draw, ring), _coeff(draw, ring))
+            for _ in range(draw(st.integers(0, max_size)))]
+
+
+def _prec(draw, ring):
+    if draw(st.booleans()):
+        return INF, False
+    return _exponent(draw, ring), draw(st.booleans())
+
+
+def _series(draw, ring, terms=None):
+    terms = _terms(draw, ring) if terms is None else terms
+    return GenSeries(ring, terms, *_prec(draw, ring))
+
+
+@st.composite
+def _ring_and_pair(draw):
+    """Two series over one ring; the second often cancels terms of the first."""
+    ring = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+    first = _terms(draw, ring)
+    second = _terms(draw, ring) + [(e, -c) for e, c in first if draw(st.booleans())]
+    return ring, _series(draw, ring, first), _series(draw, ring, second)
+
+
+@contextmanager
+def _counting_products(ring):
+    """Count the coefficient products formed inside the block."""
+    cls = type(ring.coeffs.one())
+    original = cls.__mul__
+    count = [0]
+
+    def counted(x, y):
+        count[0] += 1
+        return original(x, y)
+
+    cls.__mul__ = counted
+    try:
+        yield count
+    finally:
+        cls.__mul__ = original
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_pair())
+def test_merge_matches_the_general_constructor(case):
+    ring, a, b = case
+    x, y = _triple(a), _triple(b)
+    _assert_raw(a + b, _o_add(ring, x, y))
+    _assert_raw(a - b, _o_add(ring, x, _o_neg(ring, y)))
+    _assert_raw(b + a, _o_add(ring, y, x))
+    _assert_raw(-a, _o_neg(ring, x))
+    # full cancellation leaves no term and keeps the precision
+    _assert_raw(a - a, ((), *x[1:]))
+    _assert_raw(a + (-a), ((), *x[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_pair(), st.sampled_from([0, 1, -1, 2, 5, 10]))
+def test_product_and_scale_match_the_general_constructor(case, n):
+    ring, a, b = case
+    x, y = _triple(a), _triple(b)
+    expected = _o_mul(ring, x, y)
+    if a.is_exact_zero() or b.is_exact_zero():
+        within = 0
+    else:
+        prec, closed = _o_mul_prec(ring, x, y)
+        keep = 1 if closed else 0
+        within = sum(1 for e1, _ in x[0] for e2, _ in y[0]
+                     if prec is INF or ring.descriptor.compare(e1 + e2, prec) < keep)
+    with _counting_products(ring) as count:
+        product = a * b
+    _assert_raw(product, expected)
+    # rows are sorted, so no product beyond the precision is formed
+    assert count[0] == within
+    _assert_raw(b * a, _o_mul(ring, y, x))
+    _assert_raw(a.scale(n), _build(ring, [(e, c * n) for e, c in x[0]], *x[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_truncations_and_slice_match_the_general_constructor(data):
+    ring = _RINGS[data.draw(st.sampled_from(sorted(_RINGS)))]
+    f = _series(data.draw, ring)
+    lo, hi = _exponent(data.draw, ring), _exponent(data.draw, ring)
+    compare = ring.descriptor.compare
+    terms, prec, closed = f.terms, f.prec, f.closed
+    _assert_raw(f.normalize(), _build(ring, terms, prec, closed))
+    open_ok = prec is INF or compare(hi, prec) <= 0
+    if open_ok:
+        _assert_raw(f.truncate_open(hi), _build(ring, terms, hi, False))
+    else:
+        with pytest.raises(PrecisionExceeded):
+            f.truncate_open(hi)
+    if prec is INF or compare(hi, prec) < 0 or (compare(hi, prec) == 0 and closed):
+        _assert_raw(f.truncate_closed(hi), _build(ring, terms, hi, True))
+    else:
+        with pytest.raises(PrecisionExceeded):
+            f.truncate_closed(hi)
+    if compare(lo, hi) < 0 and open_ok:
+        window = [(e, c) for e, c in terms if compare(e, lo) >= 0]
+        _assert_raw(f.slice(lo, hi), _build(ring, window, hi, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eval_poly_matches_horner_from_zero(data):
+    ring = _RINGS[data.draw(st.sampled_from(sorted(_RINGS)))]
+    coeffs = [_series(data.draw, ring, _terms(data.draw, ring, 3))
+              for _ in range(data.draw(st.integers(0, 4)))]
+    s = _series(data.draw, ring, _terms(data.draw, ring, 3))
+    acc = ((), INF, False)
+    for c in reversed(coeffs):
+        acc = _o_add(ring, _o_mul(ring, acc, _triple(s)), _triple(c))
+    _assert_raw(eval_poly(coeffs, s), acc)
