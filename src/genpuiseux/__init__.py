@@ -17,7 +17,6 @@ from .embed import (
     PuiseuxState,
     expand,
     init_state,
-    is_partial_development,
     limit_step,
     monomial_embedding,
     mu_beta_val,
@@ -29,7 +28,6 @@ from .errors import (
     ChainExhausted,
     EngineError,
     IrreducibleOverRationals,
-    MembershipFailed,
     NonUnit,
     ParseError,
     PrecisionExceeded,
@@ -44,7 +42,6 @@ from .groups import (
     GroupElement,
     QuadValue,
     cmp,
-    membership,
 )
 from .keypoly import (
     ChainEntry,

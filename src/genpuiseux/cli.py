@@ -97,11 +97,13 @@ def _read_key(spec, key, value, lineno):
         elif key == "poly":
             spec.poly_text = value
         elif key == "budget_terms":
-            spec.budget_terms = int(value)
+            spec.budget_terms = _count(key, int(value), lineno)
         elif key == "max_prec":
             spec.max_prec = Fraction(value)
         elif key == "witt_prec":
             spec.witt_prec = int(value)
+            if spec.witt_prec < 1:
+                raise ParseError(f"witt_prec {spec.witt_prec} is below 1", line=lineno)
             if spec.witt_prec > MAX_WITT_PREC:
                 raise ParseError(f"witt_prec {spec.witt_prec} is above the limit "
                                  f"{MAX_WITT_PREC}", line=lineno)
@@ -119,11 +121,18 @@ def _read_key(spec, key, value, lineno):
         elif key == "seed":
             spec.seed = int(value)
         elif key == "trials":
-            spec.trials = int(value)
+            spec.trials = _count(key, int(value), lineno)
         else:
             raise ParseError(f"unknown key {key!r}", line=lineno)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad value for {key!r}: {value!r}", line=lineno) from exc
+
+
+def _count(name, n, lineno=None):
+    """n, a count that a spec key or a flag gives; below 0 it is a ParseError."""
+    if n < 0:
+        raise ParseError(f"{name} must be at least 0, not {n}", line=lineno)
+    return n
 
 
 def _parse_weight(text, lineno):
@@ -285,7 +294,7 @@ def build_valpoly(spec, ring):
 def run_expand(spec, budget_override=None, prec_override=None):
     ring = build_ring(spec)
     F = build_valpoly(spec, ring)
-    max_terms = budget_override or spec.budget_terms
+    max_terms = spec.budget_terms if budget_override is None else budget_override
     max_prec = None
     prec_q = prec_override if prec_override is not None else spec.max_prec
     if prec_q is not None:
@@ -659,6 +668,8 @@ def main(argv=None):
         return 2
 
     try:
+        if args.budget_terms is not None:
+            _count("--budget-terms", args.budget_terms)
         prec = None
         if args.prec is not None:
             try:

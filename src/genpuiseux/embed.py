@@ -20,12 +20,11 @@ from .errors import (
     ChainComplete,
     EngineInvariantViolation,
     IrreducibleOverRationals,
-    MembershipFailed,
     UnsupportedLimitPattern,
     ValuationIndeterminate,
     ZeroPolynomial,
 )
-from .groups import INF, cmp, gmin, membership
+from .groups import INF, cmp, gmin
 from .keypoly import (
     KeyPolyChain,
     ValPoly,
@@ -126,7 +125,6 @@ class PuiseuxState:
     status: str = RUNNING
     trace: tuple = ()
     emitted: tuple = ()  # (exponent, coefficient) pairs actually added
-    lower_rank: int = None  # weights spanned by the lower stage (default all)
     note: str = ""
     # (partial, F, [(D^l F)(partial)]); read only while both objects match
     taylor: tuple = field(default=None, compare=False, repr=False)
@@ -239,27 +237,16 @@ def _shift_taylor(vec, ring, beta, a):
     return out
 
 
-def init_state(F, ring, chain=None, lower_rank=None):
+def init_state(F, ring):
     """Start of the recursion: zero partial at the polygon's first exponent."""
-    chain = chain or initial_chain(ring, F, F.var)
+    chain = initial_chain(ring, F, F.var)
     e1 = chain.entry(1)
     state = PuiseuxState(ring=ring, F=F, chain=chain, partial=ring.zero(),
-                         beta=e1.beta, lower_rank=lower_rank)
+                         beta=e1.beta)
     if e1.beta is INF:
         # zero is an exact root
         return replace(state, status=COMPLETE)
     return state
-
-
-def gamma_generators(state):
-    """Generators of the current rational span: lower weights plus earlier betas."""
-    desc = state.ring.descriptor
-    rank = desc.rank if state.lower_rank is None else state.lower_rank
-    gens = [desc.basis(j) for j in range(rank)]
-    for e in state.chain.entries[:state.i_beta - 1]:
-        if e.beta is not INF:
-            gens.append(e.beta)
-    return gens
 
 
 # -- the residue equation ------------------------------------------------------------
@@ -276,17 +263,11 @@ class ResidualData:
 def residual_equation(state):
     """Residue equation for the next coefficient, from the Taylor ties.
 
-    Raises MembershipFailed when the current exponent leaves the rational
-    span (the caller's terminal branch).  Beta lies in the span of the lower
-    weights unless one of its coordinates past them is non-zero; only then
-    are the earlier betas solved against.
+    The value group has its full rank, so beta always lies in the rational
+    span of the weights, and lambda is the denominator of its coordinates.
     """
     ring = state.ring
     beta = state.beta
-    lower = ring.descriptor.rank if state.lower_rank is None else state.lower_rank
-    if any(beta.num[lower:]) and membership(beta, gamma_generators(state)) is None:
-        raise MembershipFailed("exponent outside the current rational span")
-
     _, ties = mu_beta_val(state.F, state)
     taylor = state.taylor_vector()
     tower = ring.tower
@@ -303,46 +284,6 @@ def residual_equation(state):
         lc = coeffs[-1]
         z = -(eq[0] * lc.inv())
     return ResidualData(coeffs, beta.den, z, tower)
-
-
-# -- partial development predicate ------------------------------------------------------
-
-
-def is_partial_development(state):
-    """Machine check of the two defining valuation conditions.
-
-    Historical snapshots of a re-pinned stage polynomial (an entry whose
-    polynomial reappears later in the chain) record the value attained at
-    their creation time; only the latest binding per polynomial is checked.
-    """
-    report = []
-    ok = True
-    i_b = state.i_beta
-    chain = state.chain
-    for i in range(1, min(i_b - 1, len(chain)) + 1):
-        e = chain.entry(i)
-        if any(chain.entry(j).poly == e.poly
-               for j in range(i + 1, len(chain) + 1)):
-            continue
-        ev = state.eval_at_partial(e.poly)
-        if e.beta is INF:
-            good = ev.is_exact_zero()
-        else:
-            try:
-                good = cmp(ev.val(), e.beta) == 0
-            except ValuationIndeterminate:
-                good = False
-        report.append((i, "value-pinned", good))
-        ok = ok and good
-    if i_b <= len(chain) and state.beta is not INF:
-        e = chain.entry(i_b)
-        bound = e.min_level(state.beta)
-        ev = state.eval_at_partial(e.poly)
-        lb = ev.val_lower_bound()
-        good = lb is INF or cmp(lb, bound) >= 0
-        report.append((i_b, "boundary-inequality", good))
-        ok = ok and good
-    return ok, report
 
 
 # -- the recursion step -------------------------------------------------------------------
@@ -369,18 +310,7 @@ def step(state):
     if state.eval_at_partial(state.F).is_exact_zero():
         return replace(state, status=COMPLETE)
 
-    try:
-        data = residual_equation(state)
-    except MembershipFailed:
-        # terminal branch: the exponent left the span, append a unit term
-        one = state.ring.coeffs.one()
-        note = ""
-        if state.chain.entries[-1].beta is not INF:
-            note = "terminal-or-budget-ambiguous"
-        trace = _record(state, "1", INF, "TERMINAL", note)
-        return replace(state.with_term(one), status=COMPLETE, trace=trace,
-                       emitted=state.emitted + ((state.beta, one),))
-
+    data = residual_equation(state)
     try:
         tower2, roots = solve_in_closure(data.tower, data.equation)
     except IrreducibleOverRationals:
@@ -554,9 +484,9 @@ class ExpandResult:
         return lines
 
 
-def expand(F, ring, max_terms=16, max_prec=None, chain=None):
+def expand(F, ring, max_terms=16, max_prec=None):
     """Drive the recursion to completion or budget exhaustion."""
-    state = init_state(F, ring, chain=chain)
+    state = init_state(F, ring)
     guard = 0
     while state.status == RUNNING:
         guard += 1

@@ -33,10 +33,6 @@ class IrreducibleOverRationals(EngineError):
     """No root exists in a Q-base tower and extension is not whitelisted."""
 
 
-class MembershipFailed(EngineError):
-    """A group element lies outside the current rational span."""
-
-
 class ChainComplete(EngineError):
     """The key-polynomial chain already computes the valuation of the input."""
 

@@ -72,15 +72,6 @@ def _quad_sign(a, b, d):
     return 1 if b > 0 else -1
 
 
-def _padic_val(n, p):
-    """Exponent of p in the positive integer n."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 class GroupDescriptor:
     """r independent positive weights in Q(sqrt(d)) plus the char exponent p."""
 
@@ -240,12 +231,6 @@ class GroupElement:
     @property
     def coords(self):
         return tuple(Fraction(n, self.den) for n in self.num)
-
-    @property
-    def pdenom(self):
-        """Minimal i with p^i * coords having p-free denominators (0 if p = 1)."""
-        p = self.descriptor.char_exponent
-        return 0 if p == 1 else _padic_val(self.den, p)
 
     def real_value(self):
         return self.descriptor.value_of(self)
@@ -436,57 +421,3 @@ def gmin(*elems):
         if best is None or cmp(e, best) < 0:
             best = e
     return best
-
-
-def gmax(*elems):
-    best = None
-    for e in elems:
-        if e is None:
-            continue
-        if best is None or cmp(e, best) > 0:
-            best = e
-    return best
-
-
-def solve_rational(rows, rhs):
-    """One exact solution x of rows·x = rhs over Q, or None.
-
-    rows is a list of m rows of length k (m equations, k unknowns).
-    """
-    m, k = len(rows), (len(rows[0]) if rows else 0)
-    mat = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    piv_cols = []
-    rank = 0
-    for col in range(k):
-        piv = next((r for r in range(rank, m) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for r in range(m):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        piv_cols.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if mat[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(piv_cols):
-        sol[col] = mat[r][k]
-    return sol
-
-
-def membership(a, gens):
-    """Rational coefficients expressing a over gens, or None.
-
-    Solved exactly in the coordinate representation: one equation per
-    descriptor coordinate.
-    """
-    desc = a.descriptor
-    rows = [[g.coords[i] for g in gens] for i in range(desc.rank)]
-    rhs = [a.coords[i] for i in range(desc.rank)]
-    sol = solve_rational(rows, rhs)
-    return tuple(sol) if sol is not None else None

@@ -216,14 +216,6 @@ class ChainEntry:
         p = self.poly.ring.descriptor.char_exponent
         return _max_drop(self.levels, p, value)
 
-    def min_level(self, beta):
-        """min over the levels of v + p^b * beta."""
-        p = self.poly.ring.descriptor.char_exponent
-        best = None
-        for b, v in self.levels:
-            best = gmin(best, v + beta.scale_unchecked(p ** b))
-        return best
-
 
 def _max_drop(levels, p, value):
     best_b, best = None, None
@@ -278,9 +270,6 @@ class KeyPolyChain:
             raise IndexError(f"chain entries are numbered from 1, not {i}")
         return self.entries[i - 1]
 
-    def epsilons(self):
-        return [e.epsilon for e in self.entries]
-
     def index_for(self, beta):
         """Smallest 1-based i with beta <= epsilon_i, or len+1 when none."""
         for i, e in enumerate(self.entries, start=1):
@@ -290,26 +279,6 @@ class KeyPolyChain:
 
     def appended(self, entry):
         return KeyPolyChain(self.ring, self.entries + (entry,))
-
-    def stabilized_tail(self):
-        """Number of trailing entries sharing one polynomial (re-pinned)."""
-        n = 0
-        for e in reversed(self.entries):
-            if e.poly == self.entries[-1].poly:
-                n += 1
-            else:
-                break
-        return n
-
-    def limit_required(self):
-        """Degrees stabilized while epsilon increments shrink geometrically."""
-        tail = self.stabilized_tail()
-        if tail < 3:
-            return False
-        eps = [e.epsilon for e in self.entries[-tail:]]
-        if any(e is INF for e in eps):
-            return False
-        return geometric_limit(eps, self.ring.descriptor.char_exponent) is not None
 
     def report(self):
         lines = []

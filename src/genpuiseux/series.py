@@ -151,9 +151,6 @@ class GenSeries:
     def closed(self):
         return self._normalized()[2]
 
-    def _known(self, gamma):
-        return _cut(((gamma, None),), self.prec, self.closed) == 1
-
     # -- inspectors -------------------------------------------------------------
 
     def is_exact_zero(self):
@@ -171,28 +168,11 @@ class GenSeries:
             "series is 0 up to precision; valuation only bounded below",
             bound=prec)
 
-    def val_lower_bound(self):
-        terms, prec, _ = self._normalized()
-        if terms:
-            return terms[0][0]
-        return prec  # INF for exact zero
-
     def leading_term(self):
         terms, _, _ = self._normalized()
         if not terms:
             self.val()  # raises with the right diagnostics
         return terms[0]
-
-    def coeff_at(self, gamma):
-        for g, c in self.terms:
-            s = cmp(g, gamma)
-            if s == 0:
-                return c
-            if s > 0:
-                break
-        if not self._known(gamma):
-            raise PrecisionExceeded("coefficient at an exponent beyond precision")
-        return self.ring.coeffs.zero()
 
     # -- ring operations ---------------------------------------------------------
 
@@ -555,6 +535,10 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
+# the deepest nesting of parentheses and function arguments read_expr reads
+MAX_NESTING = 100
+
+
 def read_expr(sc, atom, power):
     """Read all of sc's text as a signed sum of products of powers.
 
@@ -562,9 +546,15 @@ def read_expr(sc, atom, power):
     ``atom(read)`` reads any other atom (``read()`` reads a nested sum, say
     a function argument), and ``power(base)`` reads what follows a ``^`` and
     returns base raised to it.  The values need +, -, unary minus and *.
+    Nesting deeper than MAX_NESTING is a ParseError.
     """
+    depth = -1  # the sums being read, the whole text not counted
 
     def read():
+        nonlocal depth
+        if depth == MAX_NESTING:
+            sc.error(f"expressions may nest at most {MAX_NESTING} deep")
+        depth += 1
         sign = sc.peek()
         if sign in ("+", "-"):
             sc.take(sign)
@@ -575,6 +565,7 @@ def read_expr(sc, atom, power):
             op = sc.peek()
             sc.take(op)
             acc = acc - product() if op == "-" else acc + product()
+        depth -= 1
         return acc
 
     def product():

@@ -25,7 +25,7 @@ from genpuiseux.cli import (
 from genpuiseux.embed import expand, monomial_embedding
 from genpuiseux.errors import ParseError
 from genpuiseux.keypoly import ValPoly
-from genpuiseux.series import parse_series
+from genpuiseux.series import MAX_NESTING, parse_series
 
 CLASSICAL = """\
 mode equichar
@@ -512,3 +512,75 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "t^(3/2)" in proc.stdout
+
+
+@pytest.mark.parametrize("poly", ["-t + y^2", "-(t) + y^2"])
+def test_leading_minus_in_a_poly_line(poly):
+    want = cmd_expand(parse_problem("char 0\npoly y^2 - t\n"), fmt="records")[1]
+    assert cmd_expand(parse_problem(f"char 0\npoly {poly}\n"), fmt="records")[1] == want
+
+
+def test_budget_flag_zero_is_a_budget(tmp_path, capsys):
+    path = write(tmp_path, "sq.spec", "char 0\npoly y^2 - 1 - t\n")
+    assert main(["expand", path, "--budget-terms", "0"]) == 0
+    flag = capsys.readouterr().out
+    assert flag.startswith("series: O(t^0)\nstatus: BUDGET\n")
+    key = write(tmp_path, "sq0.spec", "char 0\npoly y^2 - 1 - t\nbudget_terms 0\n")
+    assert main(["expand", key]) == 0
+    assert capsys.readouterr().out == flag
+
+
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("expand", "char 0\npoly y^2 - 1 - t\nbudget_terms -1\n", [],
+     "budget_terms must be at least 0, not -1 at line 3"),
+    ("verify", "char 0\npoly y^2 - 1 - t\nbudget_terms -1\n", [],
+     "budget_terms must be at least 0, not -1 at line 3"),
+    ("verify", "char 0\npoly y^2 - 1 - t\ntrials -1\n", [],
+     "trials must be at least 0, not -1 at line 3"),
+    ("expand", "char 0\npoly y^2 - 1 - t\n", ["--budget-terms", "-1"],
+     "--budget-terms must be at least 0, not -1"),
+    ("verify", "char 0\npoly y^2 - 1 - t\n", ["--budget-terms", "-1"],
+     "--budget-terms must be at least 0, not -1"),
+], ids=["expand-key", "verify-key", "trials", "expand-flag", "verify-flag"])
+def test_negative_counts_are_parse_errors(tmp_path, capsys, command, text, flags, message):
+    path = write(tmp_path, "neg.spec", text)
+    assert main([command, path] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("prec", [0, -3])
+def test_witt_prec_below_one(prec):
+    with pytest.raises(ParseError, match=f"witt_prec {prec} is below 1 at line 2$"):
+        parse_problem(f"p 5\nwitt_prec {prec}\npoly y^2 - 1 - p\n")
+    with pytest.raises(ParseError, match=f"witt_prec {prec} is below 1 at line 3$"):
+        cmd_arith(f"p 3\nprint p\nwitt_prec {prec}\n")
+
+
+def _nested(text, depth):
+    return "(" * depth + text + ")" * depth
+
+
+@pytest.mark.parametrize("command, text", [
+    ("expand", f"char 0\npoly {_nested('y', 5000)}^2 - t\n"),
+    ("arith", f"char 0\nlet a = {_nested('t', 5000)}\nprint a\n"),
+    ("arith", f"char 0\nprint {'normalize(' * 5000}t{')' * 5000}\n"),
+], ids=["expand", "arith-let", "arith-call"])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, command, text):
+    path = write(tmp_path, "deep.txt", text)
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expressions may nest at most {MAX_NESTING} deep" in captured.err
+
+
+def test_nesting_at_the_limit_parses():
+    deep = _nested("y", MAX_NESTING)
+    spec = parse_problem(f"char 0\npoly {deep}^2 - t\n")
+    assert build_valpoly(spec, build_ring(spec)).degree() == 2
+    assert cmd_arith(f"char 0\nlet a = {_nested('t', MAX_NESTING)}\nprint a\n") == "t"
+    ring = build_ring(parse_problem("char 0\npoly y - t\n"))
+    assert parse_series(ring, _nested("t^2", MAX_NESTING)).to_text() == "t^2"
+    with pytest.raises(ParseError, match="nest at most"):
+        parse_series(ring, _nested("t^2", MAX_NESTING + 1))

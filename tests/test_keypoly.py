@@ -15,6 +15,7 @@ from genpuiseux.keypoly import (
     derivative_min_check,
     extend_chain,
     first_exponent,
+    geometric_limit,
     initial_chain,
     standard_expansion,
     truncated_val,
@@ -304,7 +305,7 @@ def test_epsilon_monotone_on_computed_chain():
     chain = extend_chain(chain, F, partial)
     partial = partial + t_pow(R, Fraction(3, 4))
     chain = extend_chain(chain, F, partial)
-    eps = chain.epsilons()
+    eps = [e.epsilon for e in chain.entries]
     assert eps[0] == g(R, Fraction(1, 2))
     assert eps[1] == g(R, Fraction(3, 4))
     assert eps[2] == g(R, Fraction(7, 8))
@@ -468,8 +469,11 @@ def test_limit_detection_signature():
     for e in exps:
         partial = partial + t_pow(R, e)
         chain = extend_chain(chain, F, partial)
-    assert chain.stabilized_tail() >= 3
-    assert chain.limit_required()
+    # the last three entries re-pin one polynomial while their thresholds
+    # close in geometrically
+    last = chain.entries[-3:]
+    assert last[0].poly == last[1].poly == last[2].poly
+    assert geometric_limit([e.epsilon for e in last], 2) is not None
 
 
 def test_first_exponent_polygon():
