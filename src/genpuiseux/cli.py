@@ -42,6 +42,7 @@ class ProblemSpec:
     var: str = "y"
     lower_vars: list = field(default_factory=list)
     poly_text: str = ""
+    poly_line: int = None  # the line of the `poly` key, for error positions
     budget_terms: int = 16
     max_prec: Fraction = None
     witt_prec: int = 6
@@ -96,6 +97,7 @@ def _read_key(spec, key, value, lineno):
             spec.lower_vars = value.split()
         elif key == "poly":
             spec.poly_text = value
+            spec.poly_line = lineno
         elif key == "budget_terms":
             spec.budget_terms = _count(key, int(value), lineno)
         elif key == "max_prec":
@@ -232,15 +234,15 @@ class _Bounded:
         return _Bounded(self.poly * other.poly, self.sc)
 
 
-def read_poly(ring, text, values, var):
+def read_poly(ring, text, values, var, lineno=None):
     """The polynomial in ``var`` that a ``poly`` line writes, as a ValPoly.
 
     The vocabulary of read_expr: rational literals, the names in ``values``
-    (each its series), ``var``, and ``^`` with a non-negative integer.  A
-    power or a product whose degree would pass MAX_DEGREE is a ParseError
-    before it is formed.
+    (each its series), ``var``, and ``^`` with a non-negative integer, bare
+    or in parentheses.  A power or a product whose degree would pass
+    MAX_DEGREE is a ParseError before it is formed; errors name ``lineno``.
     """
-    sc = _Scanner(text)
+    sc = _Scanner(text, lineno)
 
     def atom(read):
         ch = sc.peek()
@@ -257,7 +259,7 @@ def read_poly(ring, text, values, var):
         return _Bounded(ValPoly.const(values[name], var), sc)
 
     def power(base):
-        n = sc.number()
+        n = sc.exponent()
         if n.denominator != 1 or n < 0:
             sc.error("exponents must be non-negative integers")
         if base.poly.degree() * n > MAX_DEGREE:
@@ -279,7 +281,7 @@ def build_valpoly(spec, ring):
     except ValueError as exc:
         raise ParseError(f"series and lower variables {' '.join(names)}: {exc} "
                          f"({ring.descriptor.rank})") from exc
-    F = read_poly(ring, spec.poly_text, values, spec.var)
+    F = read_poly(ring, spec.poly_text, values, spec.var, spec.poly_line)
     if not F.is_monic():
         raise ParseError("the defining polynomial must be monic in the main variable")
     if F.degree() < 1:
@@ -430,7 +432,7 @@ def _check_min(res, rng, trials):
     return True, INF
 
 
-def _at_epsilons(state, read, with_beta):
+def _stage_readings(state, read, with_beta):
     """read(eps, state) at each finite epsilon_i below beta (or equal to it,
     with_beta), leaving out the readings that raise an EngineError."""
     for entry in state.chain.entries:
@@ -447,7 +449,7 @@ def _at_epsilons(state, read, with_beta):
 
 def _check_ent(res, rng, trials):
     worst = INF
-    for rel in _at_epsilons(res.state, integral_dependence, with_beta=True):
+    for rel in _stage_readings(res.state, integral_dependence, with_beta=True):
         # the relation's degree is max U0 and its top coefficient a unit monomial
         if (not rel.monomials or max(rel.monomials) != rel.degree
                 or len(rel.monomials[rel.degree].terms) != 1
@@ -462,7 +464,7 @@ def _check_taylor(res, rng, trials):
     def form_at(eps, state):
         return taylor_form(state.F, eps, state, mode="OPEN")
 
-    for form in _at_epsilons(res.state, form_at, with_beta=False):
+    for form in _stage_readings(res.state, form_at, with_beta=False):
         acc = form.relation_value()
         if acc.terms and cmp(acc.val(), form.lam) < 0:
             return False, acc.val()
@@ -521,9 +523,13 @@ def cmd_arith(text):
         if key == "let":
             if "=" not in rest:
                 raise ParseError("expected 'let name = expr'", line=lineno)
-            name, expr_text = rest.split("=", 1)
-            env[name.strip()] = _eval_series_expr(ring, env, expr_text.strip(),
-                                                  lineno)
+            name, expr_text = (part.strip() for part in rest.split("=", 1))
+            # a name an expression reads back: one identifier, not the variable
+            if (not name or name[0].isdigit() or name == ring.var
+                    or not all(ch.isalnum() or ch == "_" for ch in name)):
+                raise ParseError(f"let binds one name other than {ring.var!r}, "
+                                 f"not {name!r}", line=lineno)
+            env[name] = _eval_series_expr(ring, env, expr_text, lineno)
         elif key == "print":
             val = _eval_series_expr(ring, env, rest, lineno)
             lines_out.append(val.to_text())
@@ -572,12 +578,7 @@ def _eval_series_expr(ring, env, text, lineno):
         return read()
 
     def power(base):
-        if sc.peek() == "(":
-            sc.take("(")
-            n = sc.number()
-            sc.take(")")
-        else:
-            n = sc.number()
+        n = sc.exponent()
         if n < 0:
             sc.error("powers must be non-negative")
         if n.denominator == 1:
@@ -663,11 +664,6 @@ def main(argv=None):
     try:
         with open(args.path) as fh:
             text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.budget_terms is not None:
             _count("--budget-terms", args.budget_terms)
         prec = None
@@ -687,6 +683,9 @@ def main(argv=None):
                                    budget=args.budget_terms, prec=prec)
         else:
             code, out = 0, cmd_arith(text)
+    except OSError as exc:  # the spec cannot be read or the trace written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -64,11 +64,10 @@ class LimitPartial:
     (exact by construction) and Taylor-expands in the tail.
     """
 
-    def __init__(self, ring, flim, head_terms, sup, next_exp, tails=()):
+    def __init__(self, ring, flim, head_terms, next_exp, tails=()):
         self.ring = ring
         self.flim = flim
         self.head_terms = tuple(head_terms)
-        self.sup = sup          # accumulation point of the head support
         self.next_exp = next_exp  # first unmaterialized head exponent
         self.tails = tuple(tails)
 
@@ -79,8 +78,8 @@ class LimitPartial:
         return GenSeries(self.ring, list(self.tails))
 
     def add_term(self, gamma, c):
-        return LimitPartial(self.ring, self.flim, self.head_terms, self.sup,
-                            self.next_exp, self.tails + ((gamma, c),))
+        return LimitPartial(self.ring, self.flim, self.head_terms, self.next_exp,
+                            self.tails + ((gamma, c),))
 
     def as_series(self, prec=INF, closed=False):
         return GenSeries(self.ring, list(self.head_terms) + list(self.tails),
@@ -90,7 +89,7 @@ class LimitPartial:
         return LimitPartial(
             ring, self.flim.coerce(ring),
             [(g, ring.coeffs.coerce(c)) for g, c in self.head_terms],
-            self.sup, self.next_exp,
+            self.next_exp,
             [(g, ring.coeffs.coerce(c)) for g, c in self.tails])
 
     def eval_valpoly(self, P):
@@ -252,38 +251,14 @@ def init_state(F, ring):
 # -- the residue equation ------------------------------------------------------------
 
 
-@dataclass
-class ResidualData:
-    equation: list  # CoeffElem coefficients, ascending
-    lam: int  # least lambda with lambda*beta in the lattice of the weights
-    z: object
-    tower: object
-
-
 def residual_equation(state):
-    """Residue equation for the next coefficient, from the Taylor ties.
-
-    The value group has its full rank, so beta always lies in the rational
-    span of the weights, and lambda is the denominator of its coordinates.
-    """
-    ring = state.ring
-    beta = state.beta
+    """Residue equation for the next coefficient, from the Taylor ties: its
+    coefficients over the residue tower, ascending."""
     _, ties = mu_beta_val(state.F, state)
     taylor = state.taylor_vector()
-    tower = ring.tower
-    eq = {l: ring.coeffs.residue(taylor[l].leading_term()[1]) for l in ties}
-    top = max(eq)
-    coeffs = [eq.get(l, tower.zero()) for l in range(top + 1)]
-
-    z = tower.zero()
-    i_b = state.i_beta
-    at_eps = (i_b <= len(state.chain)
-              and state.chain.entry(i_b).epsilon is not INF
-              and cmp(beta, state.chain.entry(i_b).epsilon) == 0)
-    if at_eps and 0 in eq:
-        lc = coeffs[-1]
-        z = -(eq[0] * lc.inv())
-    return ResidualData(coeffs, beta.den, z, tower)
+    coeffs = state.ring.coeffs
+    eq = {l: coeffs.residue(taylor[l].leading_term()[1]) for l in ties}
+    return [eq.get(l, state.ring.tower.zero()) for l in range(max(eq) + 1)]
 
 
 # -- the recursion step -------------------------------------------------------------------
@@ -310,9 +285,8 @@ def step(state):
     if state.eval_at_partial(state.F).is_exact_zero():
         return replace(state, status=COMPLETE)
 
-    data = residual_equation(state)
     try:
-        tower2, roots = solve_in_closure(data.tower, data.equation)
+        tower2, roots = solve_in_closure(state.ring.tower, residual_equation(state))
     except IrreducibleOverRationals:
         trace = _record(state, "(no root in permitted towers)", INF, "TERMINAL")
         return replace(state, status=COMPLETE_TRANSCENDENTAL, trace=trace)
@@ -330,10 +304,8 @@ def step(state):
     coeff_text = root.to_text()
     i_b = state.i_beta
     chain = state.chain
-    entry = chain.entry(i_b) if i_b <= len(chain) else None
-    boundary = (entry is not None and entry.epsilon is not INF
-                and cmp(state.beta, entry.epsilon) == 0)
-
+    boundary = (i_b <= len(chain) and chain.entry(i_b).epsilon is not INF
+                and cmp(state.beta, chain.entry(i_b).epsilon) == 0)
     if boundary:
         try:
             chain = extend_chain(chain, state.F, moved.partial,
@@ -343,23 +315,16 @@ def step(state):
             trace = _record(state, coeff_text, state.beta, "STEP",
                             note="stage-data-exhausted-at-precision")
             return replace(moved, status=BUDGET, trace=trace, emitted=emitted)
-        new_entry = chain.entry(len(chain))
-        # the advance is capped by the new threshold but driven by the value
-        # the new stage polynomial actually attains at the current partial
-        q_eval = moved.eval_at_partial(new_entry.poly)
-        beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
-        eps_tilde = new_entry.epsilon_for(beta_tilde)[1]
-        beta_plus = gmin(eps_tilde, new_entry.epsilon)
+    # the advance is capped by the stage threshold but driven by the value the
+    # stage polynomial (at a boundary, the new one) attains at the moved partial
+    entry = chain.entry(len(chain) if boundary else i_b)
+    q_eval = moved.eval_at_partial(entry.poly)
+    beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
+    eps_tilde = entry.epsilon_for(beta_tilde)[1]
+    if beta_tilde is INF and not boundary:
+        beta_plus = INF  # the stage polynomial vanishes exactly at the partial
     else:
-        q_eval = moved.eval_at_partial(chain.entry(i_b).poly)
-        beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
-        if beta_tilde is INF:
-            eps_tilde = INF
-            beta_plus = INF
-        else:
-            eps_tilde = chain.entry(i_b).epsilon_for(beta_tilde)[1]
-            cap = chain.entry(i_b).epsilon
-            beta_plus = gmin(eps_tilde, cap)
+        beta_plus = gmin(eps_tilde, entry.epsilon)
 
     if eps_tilde is not INF and cmp(eps_tilde, state.beta) < 0:
         raise EngineInvariantViolation(
@@ -414,23 +379,16 @@ def limit_step(state):
     The only registered family is the constant-coefficient geometric pattern
     (exponents A - B p^-k).  Identity on states with no detected limit.
     """
-    if state.status != RUNNING:
-        return state
-    ring = state.ring
-    p = ring.descriptor.char_exponent
-    if len(state.emitted) < 3:
-        raise UnsupportedLimitPattern("too few terms to match a pattern")
-    (e1, c1), (e2, c2), (e3, c_rep) = state.emitted[-3:]
-    geo = geometric_limit((e1, e2, e3), p)
-    if geo is None:
-        raise UnsupportedLimitPattern("increments are not geometric")
-    if not (c_rep == c2 == c1):
-        raise UnsupportedLimitPattern("coefficients do not repeat")
     flim = limit_signature(state)
     if flim is None:
         return state
-    entry = state.chain.entry(state.i_beta)
-    delta, sup = geo
+    ring = state.ring
+    p = ring.descriptor.char_exponent
+    last = state.emitted[-3:]
+    c_rep = last[-1][1]
+    if not all(c == c_rep for _, c in last):
+        raise UnsupportedLimitPattern("coefficients do not repeat")
+    delta = geometric_limit([e for e, _ in last], p)[0]
 
     # verify the stage polynomial's valuations along three extrapolated terms
     head = list(state.emitted)
@@ -453,10 +411,10 @@ def limit_step(state):
             raise UnsupportedLimitPattern(
                 "stage valuations do not follow the geometric law")
 
-    lp = LimitPartial(ring, flim, head, sup,
+    lp = LimitPartial(ring, flim, head,
                       head[-1][0] + delta.scale_unchecked(Fraction(1, p)))
     # past the accumulation the stage is exactly killed; resume at its threshold
-    beta_plus = entry.epsilon
+    beta_plus = state.chain.entry(state.i_beta).epsilon
     trace = _record(state, "(limit)", beta_plus, "LIMIT")
     return replace(state, partial=lp, beta=beta_plus, trace=trace)
 

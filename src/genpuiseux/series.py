@@ -524,6 +524,15 @@ class _Scanner:
         except (ValueError, ZeroDivisionError):
             self.error(f"bad number {frag!r}", col=start)
 
+    def exponent(self):
+        """The operand of a ``^``: a signed rational, bare or in parentheses."""
+        if self.peek() != "(":
+            return self.number()
+        self.take("(")
+        n = self.number()
+        self.take(")")
+        return n
+
     def ident(self):
         self.skip_ws()
         start = self.pos
@@ -625,7 +634,7 @@ def parse_series(ring, text):
 
     def power(base):
         start = sc.pos
-        n = sc.number()
+        n = sc.exponent()
         if n < 0 or n.denominator != 1:
             sc.error("generator powers must be non-negative integers", col=start)
         return base ** int(n)

@@ -156,6 +156,41 @@ def test_expression_literals_and_signed_arguments():
         _read("y^")
 
 
+def test_parenthesized_powers_in_a_poly_line(tmp_path, capsys):
+    assert _read("y^(3) - t^(2)") == _read("y^3 - t^2")
+    assert _read("y^(2) + t^( 3/1 )") == _read("y^2 + t^3")
+    with pytest.raises(ParseError, match="exponents must be non-negative integers"):
+        _read("y^2 - t^(1/2)")
+    outs = []
+    for poly in ("y^3 - t^(2)", "y^3 - t^2"):
+        spec = write(tmp_path, "p.spec", f"char 0\n\npoly {poly}\n")
+        assert main(["expand", spec]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_poly_line_errors_name_their_position(tmp_path, capsys):
+    with pytest.raises(ParseError, match="bad number '' at line 3, col 9"):
+        cmd_expand(parse_problem("char 0\n# the curve\npoly y^3 - t^x\n"))
+    with pytest.raises(ParseError, match="unknown variable 'x' at line 2, col 8"):
+        cmd_expand(parse_problem("char 0\npoly y^3 - x\n"))
+    spec = write(tmp_path, "bad.spec", "char 0\nbudget_terms 4\npoly y^3 - t^x\n")
+    assert main(["expand", spec]) == 2
+    assert capsys.readouterr().err == "parse error: bad number '' at line 3, col 9\n"
+
+
+def test_let_binds_one_name_other_than_the_variable():
+    for statement in ("let t = 1 + t", "let a b = t^2", "let = t", "let 2a = t",
+                      "let a-b = t", "let a(1) = t"):
+        with pytest.raises(ParseError,
+                           match="let binds one name other than 't'.* at line 2$"):
+            cmd_arith(f"char 0\n{statement}\nprint t\n")
+    # every name an expression reads back binds, the old variable's name too
+    out = cmd_arith("char 0\nlet a_1 = t^2\nlet B2 = a_1 + 1\nprint B2\n"
+                    "series_var u\nlet t = u^(1/2)\nprint t * t\n")
+    assert out.splitlines() == ["1 + t^2", "u"]
+
+
 def test_cmd_expand_classical():
     spec = parse_problem(CLASSICAL)
     code, out, res = cmd_expand(spec)
@@ -448,6 +483,16 @@ def test_main_trace_file(tmp_path, capsys):
     capsys.readouterr()
     content = trace.read_text()
     assert content.strip().endswith("result=t^(3/2) status=COMPLETE")
+
+
+def test_unwritable_trace_path_is_an_error(tmp_path, capsys):
+    good = write(tmp_path, "good.spec", CLASSICAL)
+    trace = tmp_path / "missing" / "t.txt"
+    assert main(["expand", good, "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+    assert str(trace) in captured.err
 
 
 @pytest.mark.parametrize("command, text", [("verify", ARTIN), ("arith", ARITH)],

@@ -64,9 +64,9 @@ def oracle_levels(f, beta, state):
     if lam is None:
         raise ValuationIndeterminate("no determinate derivative level")
     eps = chain.entry(i_stage).epsilon
-    at_eps = replace(state, beta=eps)
+    at_threshold = replace(state, beta=eps)
     U0 = [b for b in U
-          if eps is INF or _graded_min(f.hasse_derivative(b), at_eps) == [0]]
+          if eps is INF or _graded_min(f.hasse_derivative(b), at_threshold) == [0]]
     return lam, U, U0, i_stage
 
 
