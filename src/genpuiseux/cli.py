@@ -251,11 +251,12 @@ def read_poly(ring, text, values, var, lineno=None):
                                           var), sc)
         if not (ch.isalpha() or ch == "_"):
             sc.error("expected a term")
+        col = sc.pos
         name = sc.ident()
         if name == var:
             return _Bounded(ValPoly.variable(ring, var), sc)
         if name not in values:
-            sc.error(f"unknown variable {name!r}")
+            sc.error(f"unknown variable {name!r}", col=col)
         return _Bounded(ValPoly.const(values[name], var), sc)
 
     def power(base):
@@ -562,7 +563,7 @@ def _eval_series_expr(ring, env, text, lineno):
             return ring.uniformizer()
         if name in env:
             return env[name]
-        sc.error(f"unknown name {name!r}")
+        sc.error(f"unknown name {name!r}", col=col)
 
     def argument(read):
         # a signed number alone in argument position is an exponent

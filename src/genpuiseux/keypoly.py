@@ -37,7 +37,7 @@ class ValPoly:
         self.ring = ring
         self.var = var
         cs = list(coeffs)
-        while cs and not cs[-1].terms and cs[-1].prec is INF:
+        while cs and cs[-1].is_exact_zero():
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -87,10 +87,10 @@ class ValPoly:
             return ValPoly(self.ring, [], self.var)
         out = [self.ring.zero()] * (self.degree() + other.degree() + 1)
         for i, a in enumerate(self.coeffs):
-            if not a._raw and a._raw_prec is INF:
-                continue  # an exact zero adds nothing
+            if a.is_exact_zero():
+                continue
             for j, b in enumerate(other.coeffs):
-                if b._raw or b._raw_prec is not INF:
+                if not b.is_exact_zero():
                     out[i + j] = out[i + j] + a * b
         return ValPoly(self.ring, out, self.var)
 
@@ -110,14 +110,13 @@ class ValPoly:
             raise ValueError("division only by monic polynomials")
         d = q.degree()
         rem = list(self.coeffs)
-        quot = [self.ring.zero()] * max(0, len(rem) - d)
+        quot = [None] * max(0, len(rem) - d)
         while len(rem) > d:
-            lead = rem[-1]
-            k = len(rem) - 1 - d
-            quot[k] = quot[k] + lead
-            for i in range(d + 1):
+            lead = rem.pop()
+            k = len(rem) - d
+            quot[k] = lead
+            for i in range(d):
                 rem[k + i] = rem[k + i] - lead * q.coeff(i)
-            rem.pop()
         return ValPoly(self.ring, quot, self.var), ValPoly(self.ring, rem, self.var)
 
     def hasse_derivative(self, m):
@@ -153,7 +152,7 @@ class ValPoly:
         parts = []
         for j in range(self.degree(), -1, -1):
             c = self.coeff(j)
-            if not c.terms and c.prec is INF:
+            if c.is_exact_zero():
                 continue
             ct = c.to_text()
             if j == 0:
@@ -176,7 +175,7 @@ class ValPoly:
 
 
 def taylor_at(P, s, lowest=0):
-    """The Taylor vector ((D^l P)(s))_{l=0..deg P}, each entry by Horner.
+    """The Taylor vector ((D^l P)(s))_{l=0..deg P}, each entry by eval_poly.
 
     s is a series or any point with an ``eval_valpoly`` method; a vanishing
     Hasse derivative contributes an exact zero without an evaluation.  The

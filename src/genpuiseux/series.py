@@ -110,7 +110,7 @@ class GenSeries:
     that for any term list, and the operations keep it through ``_sorted``.
     """
 
-    __slots__ = ("ring", "_raw", "_raw_prec", "_raw_closed", "_norm")
+    __slots__ = ("ring", "_raw", "_raw_prec", "_raw_closed", "_norm", "_powers")
 
     def __init__(self, ring, terms, prec=INF, closed=False):
         merged = {}
@@ -122,13 +122,14 @@ class GenSeries:
         closed = bool(closed) and prec is not INF
         raw = tuple(cleaned[:_cut(cleaned, prec, closed)])
         self.ring, self._raw, self._raw_prec, self._raw_closed = ring, raw, prec, closed
-        self._norm = None
+        self._norm = self._powers = None
 
     @classmethod
     def _sorted(cls, ring, raw, prec=INF, closed=False):
         """A series from a raw tuple that already keeps the invariant."""
         s = cls.__new__(cls)
-        s.ring, s._raw, s._raw_prec, s._raw_closed, s._norm = ring, raw, prec, closed, None
+        s.ring, s._raw, s._raw_prec, s._raw_closed = ring, raw, prec, closed
+        s._norm = s._powers = None
         return s
 
     def _normalized(self):
@@ -154,8 +155,8 @@ class GenSeries:
     # -- inspectors -------------------------------------------------------------
 
     def is_exact_zero(self):
-        terms, prec, _ = self._normalized()
-        return not terms and prec is INF
+        # carrying keeps a raw term as a term or a finite precision
+        return not self._raw and self._raw_prec is INF
 
     def val(self):
         """Least exponent of the support; raises when only bounded below."""
@@ -466,10 +467,27 @@ def _carry_normalize(s):
 
 
 def eval_poly(coeffs, s):
-    """Horner evaluation of a polynomial with GenSeries coefficients at s."""
-    acc = coeffs[-1] if coeffs else s.ring.zero()
-    for c in reversed(coeffs[:-1]):
-        acc = acc * s + c
+    """sum c_j s^j for GenSeries coefficients c_j (ascending).
+
+    When s and every c_j have raw precision INF, the powers of s are formed
+    once per series and kept on it (a series never changes), and each c_j
+    meets its power.  Otherwise Horner's rule: with finite precisions the
+    two orders can keep different precisions, and Horner's is the one used.
+    """
+    if not coeffs:
+        return s.ring.zero()
+    if s._raw_prec is not INF or any(c._raw_prec is not INF for c in coeffs):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * s + c
+        return acc
+    powers = s._powers = s._powers or [s]
+    while len(powers) < len(coeffs) - 1:
+        powers.append(powers[-1] * s)
+    acc = coeffs[0]
+    for c, power in zip(coeffs[1:], powers):
+        if c._raw:
+            acc = acc + c * power
     return acc
 
 

@@ -172,11 +172,20 @@ def test_parenthesized_powers_in_a_poly_line(tmp_path, capsys):
 def test_poly_line_errors_name_their_position(tmp_path, capsys):
     with pytest.raises(ParseError, match="bad number '' at line 3, col 9"):
         cmd_expand(parse_problem("char 0\n# the curve\npoly y^3 - t^x\n"))
-    with pytest.raises(ParseError, match="unknown variable 'x' at line 2, col 8"):
+    with pytest.raises(ParseError, match="unknown variable 'x' at line 2, col 7"):
         cmd_expand(parse_problem("char 0\npoly y^3 - x\n"))
     spec = write(tmp_path, "bad.spec", "char 0\nbudget_terms 4\npoly y^3 - t^x\n")
     assert main(["expand", spec]) == 2
     assert capsys.readouterr().err == "parse error: bad number '' at line 3, col 9\n"
+
+
+def test_unknown_names_are_reported_at_their_first_column():
+    with pytest.raises(ParseError, match="unknown variable 'zz' at line 3, col 9$"):
+        cmd_expand(parse_problem("char 0\n\npoly y^2 + t*zz\n"))
+    with pytest.raises(ParseError, match="unknown name 'zz' at line 2, col 5$"):
+        cmd_arith("char 0\nprint 1 + zz\n")
+    with pytest.raises(ParseError, match="unknown name 'b' at line 3, col 4$"):
+        cmd_arith("char 0\nlet a = t\nprint a*(b + 1)\n")
 
 
 def test_let_binds_one_name_other_than_the_variable():

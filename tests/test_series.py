@@ -684,14 +684,84 @@ def test_truncations_and_slice_match_the_general_constructor(data):
         _assert_raw(f.slice(lo, hi), _build(ring, window, hi, False))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_eval_poly_matches_horner_from_zero(data):
-    ring = _RINGS[data.draw(st.sampled_from(sorted(_RINGS)))]
-    coeffs = [_series(data.draw, ring, _terms(data.draw, ring, 3))
-              for _ in range(data.draw(st.integers(0, 4)))]
-    s = _series(data.draw, ring, _terms(data.draw, ring, 3))
+# The rings above plus F3 -> F9 and W(F5) mod 5^4, where a coefficient drawn
+# times 25 is a zero divisor (25*25 = 0) and a multi-digit one carries.
+_EVAL_RINGS = dict(_RINGS, **{
+    "F9": SeriesRing(GroupDescriptor([1], char_exponent=3),
+                     FieldTower.prime_field(3).adjoin((1, 0, 1))),
+    "W(F5)/5^4": pring(5, prec=4)})
+
+
+def _eval_series(draw, ring, exact):
+    terms = [(e, c * ring.coeffs.from_int(draw(st.sampled_from([1, 5, 25]))))
+             for e, c in _terms(draw, ring, 3)]
+    return GenSeries(ring, terms, *((INF, False) if exact else _prec(draw, ring)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_eval_poly_matches_horner_from_zero(data, exact):
+    ring = _EVAL_RINGS[data.draw(st.sampled_from(sorted(_EVAL_RINGS)))]
+    coeffs = [_eval_series(data.draw, ring, exact)
+              for _ in range(data.draw(st.integers(0, 5)))]
+    s = _eval_series(data.draw, ring, exact)
     acc = ((), INF, False)
     for c in reversed(coeffs):
         acc = _o_add(ring, _o_mul(ring, acc, _triple(s)), _triple(c))
     _assert_raw(eval_poly(coeffs, s), acc)
+    # a second evaluation reads the kept powers and gives the same bytes
+    _assert_raw(eval_poly(coeffs, s), acc)
+    if any(f._raw_prec is not INF for f in [s] + coeffs):
+        assert s._powers is None  # finite precision: Horner, no power table
+    elif len(coeffs) > 2:
+        assert len(s._powers) == len(coeffs) - 1
+
+
+def test_eval_poly_forms_the_powers_of_a_point_once(monkeypatch):
+    R = tring()
+    s = t_pow(R, Fraction(1, 2)) + t_pow(R, 1, 3) + t_pow(R, 2, -1)
+    # five polynomials of degree <= 4 with one-term coefficients, some zero
+    polys = [[t_pow(R, j, j + k) if (j + k) % 3 else R.zero() for j in range(k + 1)]
+             for k in (4, 2, 3, 4, 1)]
+    expected = []
+    for coeffs in polys:
+        acc = ((), INF, False)
+        for c in reversed(coeffs):
+            acc = _o_add(R, _o_mul(R, acc, _triple(s)), _triple(c))
+        expected.append(acc)
+    original = GenSeries.__mul__
+    general = []
+
+    def counted(a, b):
+        if len(a._raw) > 1 and len(b._raw) > 1:
+            general.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(GenSeries, "__mul__", counted)
+    for _ in range(2):
+        for coeffs, acc in zip(polys, expected):
+            _assert_raw(eval_poly(coeffs, s), acc)
+    # s*s, s^2*s and s^3*s, once for all ten evaluations; the rest are shifts
+    assert len(general) == 3 and all(b is s for _, b in general)
+
+
+@st.composite
+def _pseries(draw):
+    """A p-mode series, often with classes whose multi-digit sums cancel:
+    u*5^k at e next to -u at e + k carries to nothing below the horizon."""
+    ring = pring(5, prec=draw(st.sampled_from([2, 4])))
+    terms = _terms(draw, ring)
+    for _ in range(draw(st.integers(0, 2))):
+        e, k = _exponent(draw, ring), draw(st.integers(1, 2))
+        u = draw(st.sampled_from([1, -1, 2, -4]))
+        terms += [(e, ring.coeffs.from_int(u * 5 ** k)),
+                  (e + ring.descriptor.from_rational(k), ring.coeffs.from_int(-u))]
+    return ring, _series(draw, ring, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pseries())
+def test_exact_zero_is_read_from_the_raw_terms(case):
+    ring, f = case
+    for x in (f, f - f, f * f, f + ring.zero()):
+        assert x.is_exact_zero() == (not x.terms and x.prec is INF)
