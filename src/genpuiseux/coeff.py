@@ -828,7 +828,6 @@ class WittRing:
         self.precision = int(precision)
         self.modulus = self.p ** self.precision
         self.arith = tower._over_leaves(self.modulus)
-        self.exact = tower._over_leaves(None)  # exact integer leaves, for carrying
 
     def zero(self):
         return WittElem(self, self.tower.rep_zero())

@@ -176,16 +176,19 @@ class GroupDescriptor:
         return _quad_sign(sum(map(mul, diff, self._wa)), sum(map(mul, diff, self._wb)),
                           self.sqrt_disc)
 
-    def sort_key(self):
-        """Key function that sorts this descriptor's elements in exact order.
+    def sort_terms(self, terms):
+        """Sort a list of (element, value) pairs in place, in exact element order.
 
-        Fetch it once per sort: with rational weights it returns each
-        element's one coordinate (an int, or a Fraction when den > 1),
-        otherwise it compares elements.
+        At rank 1 the one weight is positive, so the order is that of
+        num[0] / den: the key is the integer num[0] * (L // den) over the lcm L
+        of the list's denominators.  At rank 2 the elements are compared.
         """
-        if self._wb is None:
-            return lambda e: e.num[0] if e.den == 1 else Fraction(e.num[0], e.den)
-        return cmp_to_key(self.compare)
+        if self.rank == 1:
+            lcm = math.lcm(*{g.den for g, _ in terms})
+            terms.sort(key=lambda t: t[0].num[0] * (lcm // t[0].den))
+        else:
+            key = cmp_to_key(self.compare)
+            terms.sort(key=lambda t: key(t[0]))
 
     def __eq__(self, other):
         if self is other:

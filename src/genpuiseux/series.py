@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .coeff import CoeffElem, binary_power, map_leaves
+from .coeff import CoeffElem, WittElem, binary_power
 from .errors import (
     EngineInvariantViolation,
     NonUnit,
@@ -117,8 +117,7 @@ class GenSeries:
         for g, c in terms:
             merged[g] = merged[g] + c if g in merged else c
         cleaned = [(g, c) for (g, c) in merged.items() if not c.is_zero()]
-        gkey = ring.descriptor.sort_key()
-        cleaned.sort(key=lambda t: gkey(t[0]))
+        ring.descriptor.sort_terms(cleaned)
         closed = bool(closed) and prec is not INF
         raw = tuple(cleaned[:_cut(cleaned, prec, closed)])
         self.ring, self._raw, self._raw_prec, self._raw_closed = ring, raw, prec, closed
@@ -414,56 +413,79 @@ def _carry_normalize(s):
     class the class is only known below offset min(n_i + N) over the
     multi-digit entries.  The series precision is clamped there (the bound
     is flagged through the precision, never silently wrapped).
+
+    Each coefficient is read as its integer leaves, zero-padded to one
+    length (one leaf at height 0): a class sums them as integers and reads
+    its digits with one divmod per leaf per position.
     """
-    classes = {}
-    carries = False
-    for g, c in s._raw:
-        n = g.num[0] // g.den
-        multi = c.residue().rep != c.rep
-        carries = carries or multi
-        # (num, den) of g - n*e0, still in lowest terms
-        key = ((g.num[0] - n * g.den,) + g.num[1:], g.den)
-        classes.setdefault(key, []).append((n, g, c, multi))
-    if not carries:
+    witt = s.ring.coeffs
+    p, tower, height = witt.p, witt.tower, witt.tower.height
+    sizes = [1]  # sizes[k]: the leaves of a rep at level k
+    for k in range(height):
+        sizes.append(sizes[-1] * tower.stage_degree(k))
+    flat = [_leaves(c.rep, sizes, height) for _, c in s._raw]
+    if max(map(max, flat), default=0) < p:
         # every coefficient is a digit: the raw terms are the carried form
         return s._raw, s._raw_prec, s._raw_closed
-
-    ring = s.ring
-    desc = ring.descriptor
-    e0 = desc.basis(0)
-    witt = ring.coeffs
-    n_digits = witt.precision
-    p = witt.p
-    tower, exact = ring.tower, witt.exact
-    height = tower.height
+    classes = {}
+    for (g, c), leaves in zip(s._raw, flat):
+        n = g.num[0] // g.den
+        # g = n*e0 + (head, *rest) / den, the class part in lowest terms as g is
+        key = (g.num[0] - n * g.den, g.num[1:], g.den)
+        classes.setdefault(key, []).append((n, g, c, leaves))
+    desc = s.ring.descriptor
     out = []
-    prec, closed = s._raw_prec, s._raw_closed
-    for key, entries in classes.items():
-        multi = [n for n, _, _, m in entries if m]
+    low = None  # the least horizon over the carried classes
+    for (head, rest, den), entries in classes.items():
+        multi = [n for n, _, _, leaves in entries if max(leaves) >= p]
         if not multi:
             out.extend((g, c) for _, g, c, _ in entries)
             continue
-        rep_elem = GroupElement(desc, *key)
-        n_min = min(n for n, _, _, _ in entries)
-        horizon = min(multi) + n_digits
-        # sum_i c_i p^(n_i - n_min) with exact integer leaves, then its digits
-        acc = exact.rep_zero()
-        for n, _, c, _ in entries:
+        n_min, horizon = entries[0][0], min(multi) + witt.precision
+        # sum_i c_i p^(n_i - n_min) leaf by leaf, then its digits
+        acc = entries[0][3]
+        for n, _, _, leaves in entries[1:]:
             f = p ** (n - n_min)
-            acc = exact.rep_add(acc, map_leaves(c.rep, height, lambda x: x * f))
-        m = 0
-        while not exact.rep_is_zero(acc) and n_min + m < horizon:
-            digit = map_leaves(acc, height, lambda x: x % p)
-            if not tower.rep_is_zero(digit):
-                out.append((rep_elem + e0.scale_unchecked(n_min + m),
-                            witt.lift(CoeffElem(tower, digit))))
-            acc = map_leaves(acc, height, lambda x: x // p)
-            m += 1
-        hbound = rep_elem + e0.scale_unchecked(horizon)
-        prec, closed = _prec_min((prec, closed), (hbound, False))
-    gkey = desc.sort_key()
-    out.sort(key=lambda t: gkey(t[0]))
+            acc = [a + x * f for a, x in zip(acc, leaves)]
+        for n in range(n_min, horizon):
+            if not any(acc):
+                break
+            digit = []
+            for i, a in enumerate(acc):
+                acc[i], d = divmod(a, p)
+                digit.append(d)
+            if any(digit):
+                out.append((GroupElement(desc, (head + n * den,) + rest, den),
+                            WittElem(witt, _from_leaves(digit, sizes, height))))
+        bound = GroupElement(desc, (head + horizon * den,) + rest, den)
+        if low is None or desc.compare(bound, low) < 0:
+            low = bound
+    prec, closed = _prec_min((s._raw_prec, s._raw_closed), (low, False))
+    if len(classes) > 1:  # each class's terms arrive sorted
+        desc.sort_terms(out)
     return tuple(out[:_cut(out, prec, closed)]), prec, closed
+
+
+def _leaves(rep, sizes, level):
+    """The integer leaves of a level-`level` rep, zero-padded to sizes[level]."""
+    if level == 0:
+        return [rep]
+    out = []
+    for c in rep:
+        out += _leaves(c, sizes, level - 1)
+    return out + [0] * (sizes[level] - len(out))
+
+
+def _from_leaves(leaves, sizes, level, start=0):
+    """The level-`level` rep whose leaves from `start` on are `leaves` (trimmed)."""
+    if level == 0:
+        return leaves[start]
+    step = sizes[level - 1]
+    out = [_from_leaves(leaves, sizes, level - 1, start + i)
+           for i in range(0, sizes[level], step)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def eval_poly(coeffs, s):

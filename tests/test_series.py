@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
+from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, map_leaves
 from genpuiseux.errors import NonUnit, ParseError, PrecisionExceeded, ValuationIndeterminate
-from genpuiseux.groups import INF, GroupDescriptor
-from genpuiseux.series import GenSeries, SeriesRing, eval_poly, parse_series
+from genpuiseux.groups import INF, GroupDescriptor, GroupElement
+from genpuiseux.series import GenSeries, SeriesRing, _cut, _prec_min, eval_poly, parse_series
 
 
 def tring(char=0):
@@ -89,8 +89,8 @@ def test_truncation_composition_identity():
         # Def identity: the open truncation at b1 plus the [b1, b2) window
         # carries exactly the terms of the open truncation at b2 (the sum's
         # stored precision is the weaker of the two, so compare term unions).
-        lhs_terms = sorted(f.truncate_open(b1).terms + f.slice(b1, b2).terms,
-                           key=lambda t: R.descriptor.sort_key()(t[0]))
+        lhs_terms = list(f.truncate_open(b1).terms + f.slice(b1, b2).terms)
+        R.descriptor.sort_terms(lhs_terms)
         rhs = f.truncate_open(b2)
         assert lhs_terms == list(rhs.terms)
         summed = f.truncate_open(b1) + f.slice(b1, b2)
@@ -765,3 +765,101 @@ def test_exact_zero_is_read_from_the_raw_terms(case):
     ring, f = case
     for x in (f, f - f, f * f, f + ring.zero()):
         assert x.is_exact_zero() == (not x.terms and x.prec is INF)
+
+
+# -- the carried form against the residue-digit carry ---------------------------------
+#
+# The carry as it read coefficients before integer leaves: a residue() per
+# term to tell multi-digit ones, map_leaves per digit, every carried class
+# sorted with the rest.  Two lines differ from that code: the exact-leaf view
+# of the tower is built here, and the sort compares elements.
+
+
+def _o_carry(s):
+    classes = {}
+    carries = False
+    for g, c in s._raw:
+        n = g.num[0] // g.den
+        multi = c.residue().rep != c.rep
+        carries = carries or multi
+        # (num, den) of g - n*e0, still in lowest terms
+        key = ((g.num[0] - n * g.den,) + g.num[1:], g.den)
+        classes.setdefault(key, []).append((n, g, c, multi))
+    if not carries:
+        # every coefficient is a digit: the raw terms are the carried form
+        return s._raw, s._raw_prec, s._raw_closed
+
+    ring = s.ring
+    desc = ring.descriptor
+    e0 = desc.basis(0)
+    witt = ring.coeffs
+    n_digits = witt.precision
+    p = witt.p
+    tower, exact = ring.tower, ring.tower._over_leaves(None)
+    height = tower.height
+    out = []
+    prec, closed = s._raw_prec, s._raw_closed
+    for key, entries in classes.items():
+        multi = [n for n, _, _, m in entries if m]
+        if not multi:
+            out.extend((g, c) for _, g, c, _ in entries)
+            continue
+        rep_elem = GroupElement(desc, *key)
+        n_min = min(n for n, _, _, _ in entries)
+        horizon = min(multi) + n_digits
+        # sum_i c_i p^(n_i - n_min) with exact integer leaves, then its digits
+        acc = exact.rep_zero()
+        for n, _, c, _ in entries:
+            f = p ** (n - n_min)
+            acc = exact.rep_add(acc, map_leaves(c.rep, height, lambda x: x * f))
+        m = 0
+        while not exact.rep_is_zero(acc) and n_min + m < horizon:
+            digit = map_leaves(acc, height, lambda x: x % p)
+            if not tower.rep_is_zero(digit):
+                out.append((rep_elem + e0.scale_unchecked(n_min + m),
+                            witt.lift(CoeffElem(tower, digit))))
+            acc = map_leaves(acc, height, lambda x: x // p)
+            m += 1
+        hbound = rep_elem + e0.scale_unchecked(horizon)
+        prec, closed = _prec_min((prec, closed), (hbound, False))
+    out.sort(key=cmp_to_key(lambda x, y: desc.compare(x[0], y[0])))
+    return tuple(out[:_cut(out, prec, closed)]), prec, closed
+
+
+_F4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
+
+
+def _rational(draw, low, high):
+    """A rational with denominator 1, 2 or 3, so one series has several classes."""
+    return Fraction(draw(st.integers(low, high)), draw(st.sampled_from([1, 2, 3])))
+
+
+@st.composite
+def _carry_case(draw):
+    """A series over W(F3) or W(F4) mod p^N whose leaves are digits, multi-digit
+    or zero divisors (u*p^k), at raw precision INF, finite open or finite closed."""
+    tower = draw(st.sampled_from([FieldTower.prime_field(3), _F4]))
+    p, n_digits = tower.char, draw(st.integers(2, 4))
+    ring = SeriesRing(GroupDescriptor([1], char_exponent=p), WittRing(tower, n_digits))
+    basis = [ring.coeffs.one()] + [ring.coeffs.lift(CoeffElem.generator(tower))] * tower.height
+    leaf = st.one_of(st.integers(0, p - 1), st.integers(p, p ** n_digits - 1),
+                     st.builds(lambda u, k: u * p ** k, st.integers(1, p - 1),
+                               st.integers(1, n_digits - 1)))
+    terms = [(ring.descriptor.from_rational(_rational(draw, -3, 9)),
+              sum((ring.coeffs.from_int(draw(leaf)) * b for b in basis), ring.coeffs.zero()))
+             for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        return GenSeries(ring, terms)
+    bound = ring.descriptor.from_rational(_rational(draw, -2, 12))
+    return GenSeries(ring, terms, bound, draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_carry_case())
+def test_carry_matches_the_residue_digit_carry(f):
+    _assert_raw(f.normalize(), _o_carry(f))
+    # the carried form is its own carried form, also when built anew from its terms
+    once = f.normalize()
+    _assert_raw(once.normalize(), _triple(once))
+    _assert_raw(GenSeries(f.ring, once.terms, once.prec, once.closed).normalize(),
+                _triple(once))

@@ -277,18 +277,36 @@ def test_order_matches_independent_oracle(case):
     assert gmin(INF) is INF and gmin(None) is None
 
 
-@settings(max_examples=150, deadline=None)
+SORT_CASES = [
+    # rank 1 (rational weights, and sqrt(2) alone) and the rank-2 sqrt(2) plane
+    ([(Fraction(3, 2), 0)], 1, 1),
+    ([(1, 0)], 3, 1),
+    ([(0, 1)], 1, 2),
+    ([(1, 0), (0, 1)], 1, 2),
+]
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_sort_key_matches_independent_oracle(data):
-    desc, weights, vector = data.draw(_oracle_descriptor())
-    pool = data.draw(st.lists(vector, min_size=1, max_size=6))
+    # sort_terms against the squaring oracle, on lists that mix coordinate
+    # denominators 1..12 and repeat values
+    weights, p, d = data.draw(st.sampled_from(SORT_CASES))
+    desc = GroupDescriptor(weights, char_exponent=p, sqrt_disc=d)
+    coord = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+    pool = data.draw(st.lists(st.lists(coord, min_size=desc.rank, max_size=desc.rank),
+                              min_size=1, max_size=6))
     picks = data.draw(st.lists(st.sampled_from(pool), max_size=14))
     elems = [desc.element(c) for c in picks]
-    ref = {id(e): _reference(weights, desc.sqrt_disc, e.coords) for e in elems}
+    ref = {id(e): _reference(weights, d, e.coords) for e in elems}
     want = sorted(elems, key=cmp_to_key(
         lambda x, y: _reference_cmp(ref[id(x)], ref[id(y)])))
-    got = sorted(elems, key=desc.sort_key())
-    assert [e.coords for e in got] == [e.coords for e in want]
+    terms = [(e, k) for k, e in enumerate(elems)]
+    desc.sort_terms(terms)
+    assert [e.coords for e, _ in terms] == [e.coords for e in want]
+    # each element keeps its partner, and equal elements keep their order
+    assert all(elems[k] is e for e, k in terms)
+    assert all(k1 < k2 for (e1, k1), (e2, k2) in zip(terms, terms[1:]) if e1 == e2)
 
 
 # -- independent arithmetic oracle ----------------------------------------------
