@@ -63,10 +63,11 @@ def parse_problem(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if " " not in line:
-            raise ParseError(f"expected 'key value'", line=lineno)
-        key, value = line.split(None, 1)
-        _read_key(spec, key, value.strip(), lineno)
+        key = line.split(None, 1)[0]
+        value = line[len(key):].strip()
+        if not value:
+            raise ParseError("expected 'key value'", line=lineno)
+        _read_key(spec, key, value, lineno)
         seen_poly = seen_poly or key == "poly"
     if not seen_poly:
         raise ParseError("missing 'poly' line")
@@ -319,7 +320,7 @@ def cmd_expand(spec, fmt="text", trace_path=None, budget=None, prec=None):
         for ln in res.trace_lines()[:-1]:
             lines.append(f"  {ln}")
     if trace_path:
-        with open(trace_path, "w") as fh:
+        with open(trace_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(res.trace_lines()) + "\n")
     return 0, "\n".join(lines), res
 
@@ -358,7 +359,7 @@ def _identity_holds(prod, lam, tree):
     """Whether the truncation tree, evaluated by ``tree()``, gives prod(lam);
     None for a skipped trial: prod reaches lam, or its precision (the p-adic
     digit-carrying horizon) ends below lam.  A tree of None fails."""
-    if cmp(prod.val(), lam) >= 0 or (prod.prec is not INF and cmp(prod.prec, lam) < 0):
+    if cmp(prod.val(), lam) >= 0 or not prod.knows(lam):
         return None
     lhs = tree()
     return lhs is not None and ([t for t in lhs.terms if cmp(t[0], lam) < 0]
@@ -663,7 +664,7 @@ def main(argv=None):
             return 2
 
     try:
-        with open(args.path) as fh:
+        with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
         if args.budget_terms is not None:
             _count("--budget-terms", args.budget_terms)
@@ -684,7 +685,7 @@ def main(argv=None):
                                    budget=args.budget_terms, prec=prec)
         else:
             code, out = 0, cmd_arith(text)
-    except OSError as exc:  # the spec cannot be read or the trace written
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable spec or trace file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

@@ -12,8 +12,9 @@ mod p^N, the stage minimal polynomials lifted coefficientwise through the
 digit-0 section.  residue/lift are exact sections of each other.
 
 One nested arithmetic serves both: FieldTower reduces leaves mod its
-leaf_mod, which is p over F_p, None (exact) over Q, p^N in a WittRing, and
-None again for the exact integer leaves of the p-adic carry.
+leaf_mod, which is p over F_p, None (exact) over Q and p^N in a WittRing.
+FieldTower.leaves and from_leaves are the one walk between a rep and its
+flat list of leaves.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class FieldTower:
         self.base = base
         self.stages = tuple(stages)  # (name, minpoly full tuple incl leading 1)
         self.leaf_mod = base[1] if base[0] == 'F' else None
+        self.height = len(self.stages)
+        self._sizes = [1]  # _sizes[k]: the padded leaf count of a level-k rep
+        for _, mp in self.stages:
+            self._sizes.append(self._sizes[-1] * (len(mp) - 1))
 
     def _over_leaves(self, modulus):
         """The same stages with leaves mod `modulus` (exact integers if None)."""
@@ -70,20 +75,13 @@ class FieldTower:
     def char(self):
         return self.base[1] if self.base[0] == 'F' else 0
 
-    @property
-    def height(self):
-        return len(self.stages)
-
     def stage_degree(self, k):
         return len(self.stages[k][1]) - 1
 
     def cardinality(self):
         if self.base[0] != 'F':
             return None
-        e = 1
-        for k in range(self.height):
-            e *= self.stage_degree(k)
-        return self.base[1] ** e
+        return self.base[1] ** self._sizes[-1]
 
     def extends(self, other):
         """True if other's stages are a prefix of ours (same base)."""
@@ -204,6 +202,26 @@ class FieldTower:
         return binary_power(x, n, self.rep_one(level),
                             lambda a, b: self.rep_mul(a, b, level))
 
+    def leaves(self, rep, level=None):
+        """The base-field leaves of a rep, constant coefficients first, each
+        level zero-padded to its stage degree: the same count for every rep."""
+        level = self.height if level is None else level
+        if level == 0:
+            return [rep]
+        out = []
+        for c in rep:
+            out += self.leaves(c, level - 1)
+        return out + [0] * (self._sizes[level] - len(out))
+
+    def from_leaves(self, leaves, level=None, start=0):
+        """The rep whose padded leaves from `start` on are `leaves`, trimmed."""
+        level = self.height if level is None else level
+        if level == 0:
+            return leaves[start]
+        step = self._sizes[level - 1]
+        return tuple(_trim([self.from_leaves(leaves, level - 1, start + i)
+                            for i in range(0, self._sizes[level], step)]))
+
     def rep_lift(self, x, from_level, to_level):
         for lvl in range(from_level, to_level):
             x = (x,) if not self.rep_is_zero(x, lvl) else ()
@@ -248,16 +266,12 @@ class FieldTower:
 
     # -- canonical order and enumeration ---------------------------------------
 
-    def rep_key(self, x, level=None):
-        level = self.height if level is None else level
-        if level == 0:
-            if self.base[0] == 'F':
-                return (x,)
-            return (x < 0, abs(x.numerator), x.denominator)
-        d = self.stage_degree(level - 1)
-        z = self.rep_zero(level - 1)
-        return tuple(self.rep_key(x[i] if i < len(x) else z, level - 1)
-                     for i in range(d))
+    def rep_key(self, x):
+        # every level is padded to its stage degree, so the flat leaves sort
+        # as the coefficient vectors do, level by level
+        if self.base[0] == 'F':
+            return tuple(self.leaves(x))
+        return tuple((q < 0, abs(q.numerator), q.denominator) for q in self.leaves(x))
 
     def enumerate_elements(self, level=None):
         """Lazy stream of all elements of a finite tower in canonical key order.
@@ -668,7 +682,7 @@ def _q_sqrt_in_tower(tower, c):
         # quadratic stage X^2 - e: generator g with g^2 = e
         if len(mp) == 3 and tower.rep_is_zero(mp[1], k):
             sub = FieldTower(tower.base, tower.stages[:k])
-            e = _rep_to_fraction(sub, mp[0], k)
+            e = _rep_to_fraction(sub, mp[0])
             if e is None:
                 continue
             e = -e
@@ -684,35 +698,28 @@ def _q_const(tower, q):
     return CoeffElem(tower, tower.rep_lift(rep, 0, tower.height))
 
 
-def _rep_to_fraction(tower, rep, level):
+def _rep_to_fraction(tower, rep):
     """The rational value of a rep if it is a base constant, else None."""
-    while level > 0:
-        if tower.rep_is_zero(rep, level):
-            rep = tower.rep_zero(level - 1)
-        elif len(rep) == 1:
-            rep = rep[0]
-        else:
-            return None
-        level -= 1
-    return Fraction(rep)
+    first, *rest = tower.leaves(rep)
+    return None if any(rest) else Fraction(first)
 
 
 def coeff_to_fraction(c):
-    return _rep_to_fraction(c.tower, c.rep, c.tower.height)
+    return _rep_to_fraction(c.tower, c.rep)
 
 
 def _q_roots_in_tower(tower, f):
     """Distinct roots of f (reps, degree >= 2) over a Q tower found without extending it."""
     level = tower.height
-    fracs = [_rep_to_fraction(tower, c, level) for c in f]
+    fracs = [_rep_to_fraction(tower, c) for c in f]
     roots = []
     if all(q is not None for q in fracs):
         for r in _rational_roots(fracs):
             roots.append(_q_const(tower, r))
     if len(f) == 3 and tower.rep_is_zero(f[1], level):
         # X^2 = -c/a: look for a square root inside the tower
-        cq = _rep_to_fraction(tower, f[0], level)
-        aq = _rep_to_fraction(tower, f[2], level)
+        cq = _rep_to_fraction(tower, f[0])
+        aq = _rep_to_fraction(tower, f[2])
         if cq is not None and aq is not None:
             s = _q_sqrt_in_tower(tower, -cq / aq)
             if s is not None:
@@ -766,7 +773,7 @@ def _split_rational(tower, f):
         roots.append((r, m))
     if roots:
         return roots, f, None
-    a = [_rep_to_fraction(tower, c, level) for c in f]
+    a = [_rep_to_fraction(tower, c) for c in f]
     if len(a) == 3 and None not in a:
         a = [q / a[2] for q in a]  # the shapes are read on the monic form
         if a[1] == 0 or a[0] == a[1] == 1:
@@ -806,13 +813,6 @@ def solve_in_closure(tower, coeffs):
 # -- Witt-style finite-precision p-adics -------------------------------------------
 
 
-def map_leaves(rep, level, fn):
-    """The rep with fn applied to each leaf, trailing zeros trimmed."""
-    if level == 0:
-        return fn(rep)
-    return tuple(_trim([map_leaves(c, level - 1, fn) for c in rep]))
-
-
 class WittRing:
     """(Z/p^N)-realization of the complete local ring with a given residue tower.
 
@@ -846,8 +846,8 @@ class WittRing:
         return WittElem(self, c.rep)
 
     def residue(self, w):
-        p = self.p
-        return CoeffElem(self.tower, map_leaves(w.rep, self.tower.height, lambda x: x % p))
+        tower, p = self.tower, self.p
+        return CoeffElem(tower, tower.from_leaves([x % p for x in tower.leaves(w.rep)]))
 
     def coerce(self, w):
         if w.ring is self or w.ring == self:
@@ -913,11 +913,14 @@ class WittElem:
 
     def digits(self):
         """Canonical digit list [d0, ..., d_{N-1}] of residue-tower elements."""
-        ring, p, height = self.ring, self.ring.p, self.ring.tower.height
-        out, rep = [], self.rep
+        ring, p, tower = self.ring, self.ring.p, self.ring.tower
+        out, acc = [], tower.leaves(self.rep)
         for _ in range(ring.precision):
-            out.append(CoeffElem(ring.tower, map_leaves(rep, height, lambda x: x % p)))
-            rep = map_leaves(rep, height, lambda x: x // p)
+            digit = []
+            for i, a in enumerate(acc):
+                acc[i], d = divmod(a, p)
+                digit.append(d)
+            out.append(CoeffElem(tower, tower.from_leaves(digit)))
         return out
 
     @classmethod

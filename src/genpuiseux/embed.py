@@ -11,7 +11,6 @@ to a registered closed-form limit pattern and resume past it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .keypoly import (
     level_and_ties,
     taylor_at,
 )
-from .series import GenSeries
+from .series import GenSeries, eval_poly, shift_taylor
 
 RUNNING = "RUNNING"
 COMPLETE = "COMPLETE"
@@ -71,12 +70,6 @@ class LimitPartial:
         self.next_exp = next_exp  # first unmaterialized head exponent
         self.tails = tuple(tails)
 
-    def head_series(self):
-        return GenSeries(self.ring, list(self.head_terms), self.next_exp, False)
-
-    def tail_series(self):
-        return GenSeries(self.ring, list(self.tails))
-
     def add_term(self, gamma, c):
         return LimitPartial(self.ring, self.flim, self.head_terms, self.next_exp,
                             self.tails + ((gamma, c),))
@@ -93,22 +86,15 @@ class LimitPartial:
             [(g, ring.coeffs.coerce(c)) for g, c in self.tails])
 
     def eval_valpoly(self, P):
-        ring = self.ring
-        head = self.head_series()
-        if not self.tails:
-            _, rem = P.divmod_monic(self.flim)
-            return rem.eval(head)
-        tau = self.tail_series()
-        acc = ring.zero()
-        tau_pow = ring.one()
-        for l in range(0, P.degree() + 1):
+        """P at head + tail: the values (D^l P mod flim)(head), for l up to
+        deg P (only l = 0 without a tail), summed over the tail's powers."""
+        head = GenSeries(self.ring, list(self.head_terms), self.next_exp, False)
+        values = []
+        for l in range(P.degree() + 1 if self.tails else 1):
             dP = P if l == 0 else P.hasse_derivative(l)
-            if not dP.is_zero():
-                _, rem = dP.divmod_monic(self.flim)
-                part = rem.eval(head)
-                acc = acc + part * tau_pow
-            tau_pow = tau_pow * tau
-        return acc
+            values.append(self.ring.zero() if dP.is_zero()
+                          else dP.divmod_monic(self.flim)[1].eval(head))
+        return eval_poly(values, GenSeries(self.ring, list(self.tails)))
 
 
 # -- state -----------------------------------------------------------------------------
@@ -146,7 +132,7 @@ class PuiseuxState:
             return self.partial.as_series(prec)
         if prec is INF:
             return self.partial
-        return GenSeries(self.ring, list(self.partial._raw), prec, False)
+        return self.partial.truncate_open(prec)
 
     def taylor_vector(self):
         """((D^l F)(partial))_{l=0..deg F}, evaluated at most once per partial.
@@ -191,8 +177,7 @@ class PuiseuxState:
             partial = self.partial + self.ring.monomial(self.beta, a)
         taylor = None
         if self.shifts_taylor():
-            taylor = (partial, self.F, _shift_taylor(
-                self.taylor_vector(), self.ring, self.beta, a))
+            taylor = (partial, self.F, shift_taylor(self.taylor_vector(), self.beta, a))
         return replace(self, partial=partial, taylor=taylor)
 
     def with_tower(self, tower):
@@ -209,31 +194,6 @@ class PuiseuxState:
         emitted2 = tuple((g, ring2.coeffs.coerce(c)) for g, c in self.emitted)
         return replace(self, ring=ring2, F=F2, chain=chain2, partial=part2,
                        taylor=taylor2, emitted=emitted2)
-
-
-def _shift_taylor(vec, ring, beta, a):
-    """The Taylor vector at s + a*t^beta from the one at s.
-
-    (D^l F)(s + m) = sum over k >= l of C(k, l) (D^k F)(s) m^(k-l); with m
-    the monomial a*t^beta each product is an exponent shift by (k-l)*beta
-    and a coefficient scale, so no series product is formed.
-    """
-    d = len(vec) - 1
-    shifts = [beta.scale_unchecked(j) for j in range(d + 1)]
-    powers = [ring.coeffs.one()]
-    for _ in range(d):
-        powers.append(powers[-1] * a)
-    out = []
-    for l in range(d + 1):
-        terms = list(vec[l]._raw)
-        for k in range(l + 1, d + 1):
-            c = ring.coeffs.from_int(math.comb(k, l)) * powers[k - l]
-            if c.is_zero():
-                continue
-            g_shift = shifts[k - l]
-            terms.extend((g + g_shift, h * c) for g, h in vec[k]._raw)
-        out.append(GenSeries(ring, terms))
-    return out
 
 
 def init_state(F, ring):
@@ -457,12 +417,13 @@ def expand(F, ring, max_terms=16, max_prec=None):
                 and cmp(state.beta, max_prec) > 0:
             state = replace(state, status=BUDGET)
             break
-        if limit_signature(state) is not None:
-            try:
-                state = limit_step(state)
+        try:
+            limited = limit_step(state)
+            if limited is not state:
+                state = limited
                 continue
-            except UnsupportedLimitPattern:
-                pass  # no registered closed form: step on, the budget governs
+        except UnsupportedLimitPattern:
+            pass  # no registered closed form: step on, the budget governs
         try:
             state = step(state)
         except ValuationIndeterminate:

@@ -59,15 +59,7 @@ class ValPoly:
         return self.coeffs[j] if j <= self.degree() else self.ring.zero()
 
     def is_monic(self):
-        if self.is_zero():
-            return False
-        lead = self.coeffs[-1]
-        # a lead written as exactly 1 needs no carried normal form
-        raw = lead._raw
-        if (lead._raw_prec is INF and len(raw) == 1 and raw[0][0].is_zero()
-                and raw[0][1] == self.ring.coeffs.one()):
-            return True
-        return lead == self.ring.one()
+        return not self.is_zero() and self.coeffs[-1].is_exact_one()
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))

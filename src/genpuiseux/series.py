@@ -9,6 +9,7 @@ form (each stored coefficient is a single-digit representative).
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -157,6 +158,21 @@ class GenSeries:
         # carrying keeps a raw term as a term or a finite precision
         return not self._raw and self._raw_prec is INF
 
+    def is_exact_one(self):
+        """Whether the series is exactly 1; a raw form written as 1 needs no
+        carried normal form."""
+        raw = self._raw
+        if (self._raw_prec is INF and len(raw) == 1 and raw[0][0].is_zero()
+                and raw[0][1] == self.ring.coeffs.one()):
+            return True
+        return self == self.ring.one()
+
+    def knows(self, bound, closed=False):
+        """Whether the series is known below bound (open) or up to and
+        including it (closed)."""
+        _, prec, prec_closed = self._normalized()
+        return not _prec_lt(prec, prec_closed, bound, closed)
+
     def val(self):
         """Least exponent of the support; raises when only bounded below."""
         terms, prec, _ = self._normalized()
@@ -291,7 +307,7 @@ class GenSeries:
             if self.prec is INF:
                 raise ValueError("an explicit target precision is required for exact input")
             prec = self.prec
-        elif self.prec is not INF and cmp(self.prec, prec) < 0:
+        elif not self.knows(prec):
             prec = self.prec
         inv_lead = lead.inv()
         cinv = self.ring.const(inv_lead)
@@ -309,17 +325,15 @@ class GenSeries:
 
     def truncate_open(self, beta):
         """Terms strictly below beta; precision becomes beta (open)."""
-        if self.prec is not INF and cmp(beta, self.prec) > 0:
+        if not self.knows(beta):
             raise PrecisionExceeded("open truncation beyond stored precision")
         terms = self.terms
         return GenSeries._sorted(self.ring, terms[:_cut(terms, beta, False)], beta, False)
 
     def truncate_closed(self, beta):
         """Terms up to and including beta; precision beta, closed flag set."""
-        if self.prec is not INF:
-            s = cmp(beta, self.prec)
-            if s > 0 or (s == 0 and not self.closed):
-                raise PrecisionExceeded("closed truncation needs the boundary term")
+        if not self.knows(beta, True):
+            raise PrecisionExceeded("closed truncation needs the boundary term")
         terms = self.terms
         return GenSeries._sorted(self.ring, terms[:_cut(terms, beta, True)], beta,
                                  beta is not INF)
@@ -328,7 +342,7 @@ class GenSeries:
         """The window [beta, beta2): open truncation difference."""
         if cmp(beta, beta2) >= 0:
             raise ValueError("slice needs beta < beta2")
-        if self.prec is not INF and cmp(beta2, self.prec) > 0:
+        if not self.knows(beta2):
             raise PrecisionExceeded("slice beyond stored precision")
         terms = self.terms
         return GenSeries._sorted(self.ring, terms[_cut(terms, beta, False):
@@ -419,11 +433,8 @@ def _carry_normalize(s):
     its digits with one divmod per leaf per position.
     """
     witt = s.ring.coeffs
-    p, tower, height = witt.p, witt.tower, witt.tower.height
-    sizes = [1]  # sizes[k]: the leaves of a rep at level k
-    for k in range(height):
-        sizes.append(sizes[-1] * tower.stage_degree(k))
-    flat = [_leaves(c.rep, sizes, height) for _, c in s._raw]
+    p, tower = witt.p, witt.tower
+    flat = [tower.leaves(c.rep) for _, c in s._raw]
     if max(map(max, flat), default=0) < p:
         # every coefficient is a digit: the raw terms are the carried form
         return s._raw, s._raw_prec, s._raw_closed
@@ -456,7 +467,7 @@ def _carry_normalize(s):
                 digit.append(d)
             if any(digit):
                 out.append((GroupElement(desc, (head + n * den,) + rest, den),
-                            WittElem(witt, _from_leaves(digit, sizes, height))))
+                            WittElem(witt, tower.from_leaves(digit))))
         bound = GroupElement(desc, (head + horizon * den,) + rest, den)
         if low is None or desc.compare(bound, low) < 0:
             low = bound
@@ -464,28 +475,6 @@ def _carry_normalize(s):
     if len(classes) > 1:  # each class's terms arrive sorted
         desc.sort_terms(out)
     return tuple(out[:_cut(out, prec, closed)]), prec, closed
-
-
-def _leaves(rep, sizes, level):
-    """The integer leaves of a level-`level` rep, zero-padded to sizes[level]."""
-    if level == 0:
-        return [rep]
-    out = []
-    for c in rep:
-        out += _leaves(c, sizes, level - 1)
-    return out + [0] * (sizes[level] - len(out))
-
-
-def _from_leaves(leaves, sizes, level, start=0):
-    """The level-`level` rep whose leaves from `start` on are `leaves` (trimmed)."""
-    if level == 0:
-        return leaves[start]
-    step = sizes[level - 1]
-    out = [_from_leaves(leaves, sizes, level - 1, start + i)
-           for i in range(0, sizes[level], step)]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 def eval_poly(coeffs, s):
@@ -511,6 +500,32 @@ def eval_poly(coeffs, s):
         if c._raw:
             acc = acc + c * power
     return acc
+
+
+def shift_taylor(vec, beta, a):
+    """The Taylor vector at s + a*t^beta from the exact one at s.
+
+    (D^l F)(s + m) = sum over k >= l of C(k, l) (D^k F)(s) m^(k-l); with m
+    the monomial a*t^beta each product is an exponent shift by (k-l)*beta
+    and a coefficient scale, so no series product is formed.
+    """
+    ring = vec[0].ring
+    d = len(vec) - 1
+    shifts = [beta.scale_unchecked(j) for j in range(d + 1)]
+    powers = [ring.coeffs.one()]
+    for _ in range(d):
+        powers.append(powers[-1] * a)
+    out = []
+    for l in range(d + 1):
+        terms = list(vec[l]._raw)
+        for k in range(l + 1, d + 1):
+            c = ring.coeffs.from_int(math.comb(k, l)) * powers[k - l]
+            if c.is_zero():
+                continue
+            g_shift = shifts[k - l]
+            terms.extend((g + g_shift, h * c) for g, h in vec[k]._raw)
+        out.append(GenSeries(ring, terms))
+    return out
 
 
 # -- text parsing ------------------------------------------------------------------

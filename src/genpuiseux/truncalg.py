@@ -54,9 +54,9 @@ def product_truncation(g, h, lam):
     vg, vh = g.val(), h.val()
     if cmp(vg + vh, lam) >= 0:
         raise ValueError("the product valuation must lie below lambda")
-    if g.prec is not INF and cmp(g.prec, lam - vh) < 0:
+    if not g.knows(lam - vh):
         raise PrecisionExceeded("first factor is too short for the sweep")
-    if h.prec is not INF and cmp(h.prec, lam - vg) < 0:
+    if not h.knows(lam - vg):
         raise PrecisionExceeded("second factor is too short for the sweep")
 
     supp_g = [e for e, _ in g.terms]
@@ -250,17 +250,10 @@ def taylor_form(f, beta, state, mode="OPEN"):
     return TaylorForm(constant, monomials, delta, lam, levels, mode)
 
 
-def _within(series, bound, closed):
-    if series.prec is INF:
-        return True
-    s = cmp(bound, series.prec)
-    return s < 0 or (s == 0 and (series.closed or not closed))
-
-
 def _cut(series, bound, closed):
     """The closed or open truncation at bound, or the series itself when
     its precision ends first."""
-    if not _within(series, bound, closed):
+    if not series.knows(bound, closed):
         return series
     return series.truncate_closed(bound) if closed else series.truncate_open(bound)
 

@@ -556,16 +556,45 @@ def test_determinism_byte_identical(tmp_path):
     assert runs[0] == runs[1]
 
 
-def test_console_entry_point(tmp_path):
-    good = write(tmp_path, "good.spec", CLASSICAL)
+def _run_cli(args, **env):
+    """The console entry point in a child process, with env added to its environment."""
     # the child imports the package from where this process found it
     src = str(Path(genpuiseux.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "genpuiseux.cli", "expand", good],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, "-m", "genpuiseux.cli"] + args,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_console_entry_point(tmp_path):
+    proc = _run_cli(["expand", write(tmp_path, "good.spec", CLASSICAL)])
     assert proc.returncode == 0
     assert "t^(3/2)" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "arith"])
+def test_undecodable_file_is_an_error(tmp_path, command):
+    path = tmp_path / "bad.spec"
+    path.write_bytes(b"\xff\xfe")
+    proc = _run_cli([command, str(path)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
+# the C locale with its UTF-8 coercion off decodes files as ASCII by default
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_spec_separated_by_em_spaces_reads_like_its_ascii_twin(tmp_path):
+    em = tmp_path / "em.spec"
+    em.write_text(ARTIN.replace(" ", "\u2003"), encoding="utf-8")
+    outs = [_run_cli(["expand", path, "--format", "records"], **ASCII_LOCALE)
+            for path in (write(tmp_path, "ascii.spec", ARTIN), str(em))]
+    assert [proc.returncode for proc in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout != ""
 
 
 @pytest.mark.parametrize("poly", ["-t + y^2", "-(t) + y^2"])

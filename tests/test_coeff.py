@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpuiseux.coeff import (
     CoeffElem,
@@ -13,6 +15,7 @@ from genpuiseux.coeff import (
     WittRing,
     _q_sqrt_in_tower,
     _rational_roots,
+    _trim,
     _witness_candidates,
     coeff_to_fraction,
     factor_poly,
@@ -471,3 +474,106 @@ def test_solve_in_closure_q_strips_then_extends():
     w = CoeffElem.generator(t2)
     assert roots == sorted([(t2.one(), 2), (w, 1), (-w, 1)],
                            key=lambda rm: rm[0].sort_key())
+
+
+# -- the one walk over the nested format against the walks it replaced ----------------
+#
+# map_leaves, the nested rep_key and the Witt digits and residue as they were
+# written before FieldTower.leaves and from_leaves, kept here as the oracle.
+
+
+def map_leaves(rep, level, fn):
+    """The rep with fn applied to each leaf, trailing zeros trimmed."""
+    if level == 0:
+        return fn(rep)
+    return tuple(_trim([map_leaves(c, level - 1, fn) for c in rep]))
+
+
+def _o_rep_key(tower, x, level=None):
+    level = tower.height if level is None else level
+    if level == 0:
+        if tower.base[0] == 'F':
+            return (x,)
+        return (x < 0, abs(x.numerator), x.denominator)
+    d = tower.stage_degree(level - 1)
+    z = tower.rep_zero(level - 1)
+    return tuple(_o_rep_key(tower, x[i] if i < len(x) else z, level - 1)
+                 for i in range(d))
+
+
+def _o_digits(w):
+    ring, p, height = w.ring, w.ring.p, w.ring.tower.height
+    out, rep = [], w.rep
+    for _ in range(ring.precision):
+        out.append(CoeffElem(ring.tower, map_leaves(rep, height, lambda x: x % p)))
+        rep = map_leaves(rep, height, lambda x: x // p)
+    return out
+
+
+def _o_residue(ring, w):
+    p = ring.p
+    return CoeffElem(ring.tower, map_leaves(w.rep, ring.tower.height, lambda x: x % p))
+
+
+_Q2 = FieldTower.rationals().adjoin((Fraction(-2), Fraction(0), Fraction(1)))  # w^2 = 2
+_LEAF_TOWERS = {
+    "F2[w]": f4()[0], "F4[w2]": F16_TOWER, "F3[w]": fp(3).adjoin((1, 0, 1)), "Q(sqrt2)": _Q2,
+    # X^2 + X + 1 over Q(sqrt 2): a height-two tower over Q
+    "Q(sqrt2)(w)": _Q2.adjoin(((Fraction(1),), (Fraction(1),), (Fraction(1),))),
+}
+
+
+def _rep(draw, tower, leaf, level):
+    """A reduced rep: below the stage degree at every level, trailing zeros trimmed."""
+    if level == 0:
+        return draw(leaf)
+    n = draw(st.integers(0, tower.stage_degree(level - 1)))
+    return tuple(_trim([_rep(draw, tower, leaf, level - 1) for _ in range(n)]))
+
+
+@st.composite
+def _reps(draw, tower, leaf):
+    return [_rep(draw, tower, leaf, tower.height) for _ in range(draw(st.integers(1, 6)))]
+
+
+@st.composite
+def _witt_case(draw):
+    """W(F4) or W(F3) mod p^N and reps with integer leaves mod p^N."""
+    ring = WittRing(draw(st.sampled_from([f4()[0], fp(3)])), draw(st.integers(1, 5)))
+    return ring, draw(_reps(ring.tower, st.integers(0, ring.modulus - 1)))
+
+
+@st.composite
+def _tower_case(draw):
+    if draw(st.booleans()):
+        ring, reps = draw(_witt_case())
+        return ring.tower, reps
+    tower = _LEAF_TOWERS[draw(st.sampled_from(sorted(_LEAF_TOWERS)))]
+    leaf = (st.integers(0, tower.char - 1) if tower.char
+            else st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    return tower, draw(_reps(tower, leaf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tower_case())
+def test_leaves_round_trip_and_keys_sort_like_the_nested_walk(case):
+    tower, reps = case
+    count = math.prod(tower.stage_degree(k) for k in range(tower.height))
+    for x in reps:
+        assert len(tower.leaves(x)) == count
+        assert tower.from_leaves(tower.leaves(x)) == x
+    for x in reps:
+        for y in reps:
+            kx, ky = tower.rep_key(x), tower.rep_key(y)
+            ox, oy = _o_rep_key(tower, x), _o_rep_key(tower, y)
+            assert (kx < ky, kx == ky) == (ox < oy, ox == oy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_witt_case())
+def test_witt_digits_and_residue_match_map_leaves(case):
+    ring, reps = case
+    for x in reps:
+        w = WittElem(ring, x)
+        assert [d.rep for d in w.digits()] == [d.rep for d in _o_digits(w)]
+        assert ring.residue(w).rep == _o_residue(ring, w).rep

@@ -408,6 +408,63 @@ def test_limit_partial_coerces_with_the_tower():
     assert h.coerce(moved.ring).eval(part) == h.eval(state.partial).coerce(moved.ring)
 
 
+# LimitPartial.eval_valpoly as it was written before it handed its values to
+# eval_poly: a loop over the powers of the tail, kept here as the oracle.
+
+
+def _o_eval_valpoly(lp, P):
+    ring = lp.ring
+    head = GenSeries(ring, list(lp.head_terms), lp.next_exp, False)
+    if not lp.tails:
+        _, rem = P.divmod_monic(lp.flim)
+        return rem.eval(head)
+    tau = GenSeries(ring, list(lp.tails))
+    acc = ring.zero()
+    tau_pow = ring.one()
+    for l in range(0, P.degree() + 1):
+        dP = P if l == 0 else P.hasse_derivative(l)
+        if not dP.is_zero():
+            _, rem = dP.divmod_monic(lp.flim)
+            part = rem.eval(head)
+            acc = acc + part * tau_pow
+        tau_pow = tau_pow * tau
+    return acc
+
+
+def _random_valpoly(ring, rng):
+    """Degree 0..4, each coefficient a sum of up to three terms c*t^(k/4)."""
+    elems = [CoeffElem(ring.tower, r) for r in ring.tower.enumerate_elements()]
+    coeffs = []
+    for _ in range(rng.randint(1, 5)):
+        c = ring.zero()
+        for _ in range(rng.randint(0, 3)):
+            c = c + ring.monomial(g(ring, Fraction(rng.randint(0, 12), 4)), rng.choice(elems))
+        coeffs.append(c)
+    return ValPoly(ring, coeffs)
+
+
+def test_limit_partial_evaluation_matches_the_tail_power_loop():
+    from genpuiseux.embed import LimitPartial
+
+    R = tring(2)
+    state = expand(limit_corpus_F(R), R, max_terms=12).state
+    rng = random.Random(20)
+    for st in (state, state.with_tower(R.tower.adjoin((1, 1, 1)))):
+        lp = st.partial
+        assert lp.tails  # the limit state carries a tail past the accumulation
+        untailed = LimitPartial(lp.ring, lp.flim, lp.head_terms, lp.next_exp)
+        polys = ([st.F] + [e.poly for e in st.chain.entries]
+                 + [_random_valpoly(st.ring, rng) for _ in range(20)])
+        for point in (lp, untailed):
+            for P in polys:
+                got, want = P.eval(point), _o_eval_valpoly(point, P)
+                assert len(got._raw) == len(want._raw)
+                assert all(e1 == e2 and c1 == c2
+                           for (e1, c1), (e2, c2) in zip(got._raw, want._raw))
+                assert cmp(got._raw_prec, want._raw_prec) == 0
+                assert got._raw_closed == want._raw_closed
+
+
 def test_limit_step_identity_on_finite_stream():
     R = tring()
     res = expand(classical_F(R), R, max_terms=4)

@@ -15,7 +15,9 @@ terms by the SHA-256 digest of their ``--format records`` output.  A fifth
 pins mixed characteristic at 24 terms: ``p 3``, ``witt_prec 12``,
 ``poly y^3 - p - p^2``.  Its carries span many exponent classes with
 denominators 3^k, where every carry of the ``expand-p`` ops stays in one
-class.
+class.  A sixth pins the limit stage at 12 terms: ``char 2``,
+``poly y^2 + t*y + t + t^3 + t^4`` is the one spec here whose records hold
+a ``branch=LIMIT`` step.
 """
 
 import hashlib
@@ -87,6 +89,8 @@ LONG_RUNS = {
              "664422d1702fae9b1a8513c526d36b2ac1669804c00c9ea104c397307c00209e"),
     "p3-cube": ("p 3\nwitt_prec 12\npoly y^3 - p - p^2\n", 24,
                 "61bc0de28f5159dd9cf35c2d4a95de54a41e025967df558549ed6167937c5011"),
+    "limit-f2": ("char 2\npoly y^2 + t*y + t + t^3 + t^4\n", 12,
+                 "0f2a0bdc7ae31253d5de2ba1544dbaa83d1c7b07b3c434d760a8f8a1b381e96c"),
 }
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, map_leaves
+from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, _trim
 from genpuiseux.errors import NonUnit, ParseError, PrecisionExceeded, ValuationIndeterminate
-from genpuiseux.groups import INF, GroupDescriptor, GroupElement
+from genpuiseux.groups import INF, GroupDescriptor, GroupElement, cmp
 from genpuiseux.series import GenSeries, SeriesRing, _cut, _prec_min, eval_poly, parse_series
 
 
@@ -767,12 +767,64 @@ def test_exact_zero_is_read_from_the_raw_terms(case):
         assert x.is_exact_zero() == (not x.terms and x.prec is INF)
 
 
+# -- the precision rule ---------------------------------------------------------------
+#
+# The rule as the truncation algebra wrote it for itself before
+# GenSeries.knows: the series is known at a bound below its precision, and at
+# its precision when the series is closed there or the bound is open.
+
+
+def _o_within(series, bound, closed):
+    if series.prec is INF:
+        return True
+    s = cmp(bound, series.prec)
+    return s < 0 or (s == 0 and (series.closed or not closed))
+
+
+@st.composite
+def _series_and_bounds(draw):
+    """A series at precision INF, open or closed (or clamped by a carry) and two
+    bounds drawn like its precision, so they often meet it; the first may be INF."""
+    ring = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+    bound = INF if draw(st.integers(0, 5)) == 0 else _exponent(draw, ring)
+    return _series(draw, ring), bound, _exponent(draw, ring)
+
+
+def _raises_unless(known, cut, *bounds):
+    if known:
+        cut(*bounds)
+    else:
+        with pytest.raises(PrecisionExceeded):
+            cut(*bounds)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_series_and_bounds())
+def test_truncations_raise_exactly_when_the_bound_is_not_known(case):
+    f, bound, other = case
+    for closed, cut in ((False, f.truncate_open), (True, f.truncate_closed)):
+        assert f.knows(bound, closed) == _o_within(f, bound, closed)
+        _raises_unless(f.knows(bound, closed), cut, bound)
+    lo, hi = sorted((bound, other), key=cmp_to_key(cmp))
+    if cmp(lo, hi) == 0:
+        lo = lo - f.ring.descriptor.basis(0)
+    _raises_unless(f.knows(hi), f.slice, lo, hi)
+
+
 # -- the carried form against the residue-digit carry ---------------------------------
 #
 # The carry as it read coefficients before integer leaves: a residue() per
-# term to tell multi-digit ones, map_leaves per digit, every carried class
-# sorted with the rest.  Two lines differ from that code: the exact-leaf view
-# of the tower is built here, and the sort compares elements.
+# term to tell multi-digit ones, map_leaves (kept here as it was written) per
+# digit, every carried class sorted with the rest.  Two lines differ from that
+# code: the exact-leaf view of the tower is built here, and the sort compares
+# elements.
+
+
+def map_leaves(rep, level, fn):
+    """The rep with fn applied to each leaf, trailing zeros trimmed."""
+    if level == 0:
+        return fn(rep)
+    return tuple(_trim([map_leaves(c, level - 1, fn) for c in rep]))
 
 
 def _o_carry(s):
