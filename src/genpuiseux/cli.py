@@ -8,6 +8,7 @@ for machine consumption; traces can be teed to a file.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -694,8 +695,12 @@ def main(argv=None):
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return 1
-    if out:
-        print(out)
+    try:
+        if out:
+            print(out, flush=True)
+    except BrokenPipeError:  # the reader left, as `| head` does: exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from .errors import ParseError, ScaleOutsideGroup
 
@@ -189,6 +189,33 @@ class GroupDescriptor:
         else:
             key = cmp_to_key(self.compare)
             terms.sort(key=lambda t: key(t[0]))
+
+    def product_keys(self, a, b, bound):
+        """Keys that add and order as the exponents of the term lists a and b
+        and the bound (INF allowed) do, and the lcm L they are over.
+
+        At rank 1 the key is sort_terms' integer num[0] * (L // den), L the
+        lcm of all the denominators; at rank 2 it is the element, L None.
+        """
+        if self.rank != 1:
+            return [g for g, _ in a], [g for g, _ in b], bound, None
+        lcm = math.lcm(*{g.den for g, _ in a + b}, 1 if bound is INF else bound.den)
+        ka = [g.num[0] * (lcm // g.den) for g, _ in a]
+        kb = [g.num[0] * (lcm // g.den) for g, _ in b]
+        return ka, kb, (bound if bound is INF else bound.num[0] * (lcm // bound.den)), lcm
+
+    def from_keys(self, items, lcm, ordered=False):
+        """(element, value) pairs in element order from product_keys' (key,
+        value) pairs, sorted unless ordered; an integer key k becomes k / lcm
+        in lowest terms, with one gcd."""
+        if lcm is None:
+            if not ordered:
+                self.sort_terms(items)
+            return tuple(items)
+        if not ordered:
+            items.sort(key=itemgetter(0))
+        return tuple((GroupElement(self, (k // (d := math.gcd(k, lcm)),), lcm // d), c)
+                     for k, c in items)
 
     def __eq__(self, other):
         if self is other:

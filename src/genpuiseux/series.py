@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .coeff import CoeffElem, WittElem, binary_power
@@ -254,32 +255,31 @@ class GenSeries:
                                  _prec_shift((other._raw_prec, other._raw_closed),
                                              a[0][0] if a else self._raw_prec))
 
-        def within(g0, terms):
-            """The prefix of sorted terms whose exponents plus g0 are known."""
-            return terms if prec is INF else terms[:_cut(terms, prec - g0, closed)]
-
         if len(a) == 1:
             a, b = b, a
+        # exponents as keys that add and order as they do: integers over one
+        # denominator at rank 1; a row's known prefix ends below bound - key
+        desc = self.ring.descriptor
+        ka, kb, bound, lcm = desc.product_keys(a, b, prec)
+        cut = bisect_right if closed else bisect_left
         if len(b) == 1:
             # a shift: the products arrive sorted, with distinct exponents
-            (g2, c2), = b
-            raw = tuple((g, c) for g, c in ((g1 + g2, c1 * c2) for g1, c1 in within(g2, a))
-                        if not c.is_zero())
-            return GenSeries._sorted(self.ring, raw, prec, closed)
-        acc, row = {}, b
-        for g1, c1 in a:
+            (k2,), ((_, c2),) = kb, b
+            n = len(a) if bound is INF else cut(ka, bound - k2)
+            items = [(k1 + k2, c) for k1, (_, c1) in zip(ka[:n], a)
+                     if not (c := c1 * c2).is_zero()]
+            return GenSeries._sorted(self.ring, desc.from_keys(items, lcm, True), prec, closed)
+        acc, n = {}, len(b)
+        for k1, (_, c1) in zip(ka, a):
             # a's exponents rise, so each row's known prefix is one of the last row's
-            row = within(g1, row)
-            if not row:
+            if bound is not INF and not (n := cut(kb, bound - k1, 0, n)):
                 break
-            for g2, c2 in row:
-                g = g1 + g2
+            for k2, (_, c2) in zip(kb[:n], b):
+                k = k1 + k2
                 c = c1 * c2
-                if g in acc:
-                    acc[g] = acc[g] + c
-                else:
-                    acc[g] = c
-        return GenSeries(self.ring, list(acc.items()), prec, closed)
+                acc[k] = acc[k] + c if k in acc else c
+        items = [(k, c) for k, c in acc.items() if not c.is_zero()]
+        return GenSeries._sorted(self.ring, desc.from_keys(items, lcm), prec, closed)
 
     __rmul__ = __mul__
 

@@ -50,6 +50,9 @@ def product_truncation(g, h, lam):
     The sweep stops when no support pair can reach lam; if that happens
     before the lam - v(h) bound, one final slice up to the bound is added so
     the identity holds exactly.
+
+    Step q's next lambda is the first eps in supp g with eps >= lam - theta,
+    theta the largest of supp h below lam - lam_q: both indices move one way.
     """
     vg, vh = g.val(), h.val()
     if cmp(vg + vh, lam) >= 0:
@@ -64,17 +67,18 @@ def product_truncation(g, h, lam):
     bound = lam - vh
     lambdas = [vg]
     deltas = []
+    i, j = len(supp_h), 0  # supp_h[:i] lies below lam - lam_q; supp_g[j] is the eps
     while cmp(lambdas[-1], bound) < 0:
-        lam_q = lambdas[-1]
-        deltas.append(lam - lam_q)
-        b_q = [eps for eps in supp_g
-               if any(cmp(theta + lam_q, lam) < 0 and cmp(lam, theta + eps) <= 0
-                      for theta in supp_h)]
-        if not b_q:
+        deltas.append(lam - lambdas[-1])
+        while i and cmp(supp_h[i - 1], deltas[-1]) >= 0:
+            i -= 1
+        while i and j < len(supp_g) and cmp(supp_g[j], lam - supp_h[i - 1]) < 0:
+            j += 1
+        if not i or j == len(supp_g):
             # final sweep slice up to the bound keeps the identity exact
             lambdas.append(bound)
             break
-        lambdas.append(gmin(bound, *b_q))
+        lambdas.append(gmin(bound, supp_g[j]))
     return TruncationDecomposition(lambdas, deltas)
 
 

@@ -556,14 +556,27 @@ def test_determinism_byte_identical(tmp_path):
     assert runs[0] == runs[1]
 
 
-def _run_cli(args, **env):
+def _run_cli(args, stdout=subprocess.PIPE, **env):
     """The console entry point in a child process, with env added to its environment."""
     # the child imports the package from where this process found it
     src = str(Path(genpuiseux.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "genpuiseux.cli"] + args,
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env})
+        [sys.executable, "-m", "genpuiseux.cli"] + args, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_a_closed_output_pipe_ends_quietly(tmp_path):
+    # as `genpuiseux expand ... | head -1`, with the reader gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(["expand", write(tmp_path, "good.spec", CLASSICAL),
+                         "--format", "records"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_console_entry_point(tmp_path):

@@ -565,11 +565,11 @@ _RINGS = {"F2": tring(2), "Q": tring(), "Q(w)": _qw_ring(), "W(F5)": pring(5, pr
           "sqrt2": _sqrt2_ring()}
 
 
-def _exponent(draw, ring):
+def _exponent(draw, ring, dens=st.sampled_from([1, 2, 3, 4, 9])):
     desc = ring.descriptor
     if desc.rank == 2:
         return desc.element([Fraction(draw(st.integers(-2, 6)), 2), draw(st.integers(-1, 2))])
-    return desc.from_rational(Fraction(draw(st.integers(-2, 8)), draw(st.sampled_from([1, 2]))))
+    return desc.from_rational(Fraction(draw(st.integers(-2, 8)), draw(dens)))
 
 
 def _coeff(draw, ring):
@@ -588,7 +588,8 @@ def _terms(draw, ring, max_size=5):
 def _prec(draw, ring):
     if draw(st.booleans()):
         return INF, False
-    return _exponent(draw, ring), draw(st.booleans())
+    # a denominator of its own, often one that no term has
+    return _exponent(draw, ring, st.integers(1, 12)), draw(st.booleans())
 
 
 def _series(draw, ring, terms=None):

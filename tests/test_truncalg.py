@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from genpuiseux.coeff import CoeffElem, FieldTower, coeff_to_fraction
-from genpuiseux.groups import INF, GroupDescriptor, cmp
+from genpuiseux.groups import INF, GroupDescriptor, cmp, gmin
 from genpuiseux.keypoly import ValPoly
 from genpuiseux.series import GenSeries, SeriesRing
 from genpuiseux.embed import expand
 from genpuiseux.truncalg import (
+    TruncationDecomposition,
     integral_dependence,
     lambda_and_U,
     multi_product_truncation,
@@ -119,6 +120,53 @@ def test_product_truncation_char2_series():
         decomp = product_truncation(gg, h, lam)
         assert same_terms_below(decomp.evaluate(gg, h),
                                 (gg * h).truncate_open(lam), lam)
+
+
+def _quadratic_sweep(g, h, lam):
+    """The sweep of Prop caltron straight from its definition: every
+    (eps, theta) pair is tested at every step."""
+    vg, vh = g.val(), h.val()
+    supp_g = [e for e, _ in g.terms]
+    supp_h = [e for e, _ in h.terms]
+    bound = lam - vh
+    lambdas = [vg]
+    deltas = []
+    while cmp(lambdas[-1], bound) < 0:
+        lam_q = lambdas[-1]
+        deltas.append(lam - lam_q)
+        b_q = [eps for eps in supp_g
+               if any(cmp(theta + lam_q, lam) < 0 and cmp(lam, theta + eps) <= 0
+                      for theta in supp_h)]
+        if not b_q:
+            # final sweep slice up to the bound keeps the identity exact
+            lambdas.append(bound)
+            break
+        lambdas.append(gmin(bound, *b_q))
+    return TruncationDecomposition(lambdas, deltas)
+
+
+def test_product_truncation_matches_the_quadratic_sweep():
+    rng = random.Random(2107)
+    R = tring()
+
+    def rand_exponent():
+        return g(R, Fraction(rng.randint(-3, 18), rng.randint(1, 3)))
+
+    def rand_series():
+        return GenSeries(R, [(rand_exponent(), R.coeffs.from_int(rng.randint(1, 9)))
+                             for _ in range(rng.randint(1, 7))])
+
+    checked = 0
+    for _ in range(1500):
+        gg, h, lam = rand_series(), rand_series(), rand_exponent()
+        if cmp(gg.val() + h.val(), lam) >= 0:
+            continue
+        expected = _quadratic_sweep(gg, h, lam)
+        got = product_truncation(gg, h, lam)
+        assert got.lambdas == expected.lambdas
+        assert got.deltas == expected.deltas
+        checked += 1
+    assert checked > 500
 
 
 def test_multi_product_single_factor():
