@@ -59,7 +59,6 @@ from .series import GenSeries, SeriesRing, eval_poly, parse_series
 from .truncalg import (
     TruncationDecomposition,
     integral_dependence,
-    lambda_and_U,
     multi_product_truncation,
     product_truncation,
     taylor_form,

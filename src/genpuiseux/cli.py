@@ -8,6 +8,7 @@ for machine consumption; traces can be teed to a file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -208,6 +209,8 @@ def build_ring(spec):
 
 # the largest degree in the main variable that a `poly` line may reach
 MAX_DEGREE = 128
+# the most terms an integer power in an arith expression may reach
+MAX_POWER_TERMS = 512
 
 
 class _Bounded:
@@ -545,7 +548,8 @@ def _eval_series_expr(ring, env, text, lineno):
     """One arith expression.  The vocabulary of read_expr: rational literals,
     the uniformizer, let names and function calls, whose bare numbers are
     exponents; ``^`` takes a non-negative integer, or a rational for a
-    monomial with coefficient 1."""
+    monomial with coefficient 1.  An integer power whose term count may pass
+    MAX_POWER_TERMS is a ParseError at its ``^`` before it is formed."""
     sc = _Scanner(text, lineno)
 
     def atom(read):
@@ -581,11 +585,23 @@ def _eval_series_expr(ring, env, text, lineno):
         return read()
 
     def power(base):
+        col = sc.pos - 1  # the ^ that read_expr took
         n = sc.exponent()
         if n < 0:
             sc.error("powers must be non-negative")
         if n.denominator == 1:
-            return base ** int(n)
+            n, terms = int(n), base.terms
+            if n >= 2 and len(terms) >= 2:
+                # rank 1: n*e on the grid 1/L; rank 2: a term per degree-n monomial
+                if ring.descriptor.rank == 1:
+                    es = [Fraction(g.num[0], g.den) for g, _ in terms]
+                    bound = int(n * (max(es) - min(es)) * math.lcm(*(g.den for g, _ in terms))) + 1
+                else:
+                    bound = math.comb(len(terms) + n - 1, n)
+                if bound > MAX_POWER_TERMS:
+                    sc.error(f"a power of up to {bound} terms is above the limit "
+                             f"{MAX_POWER_TERMS}", col=col)
+            return base ** n
         # fractional power of a single unit monomial
         if len(base.terms) != 1:
             sc.error("fractional powers need a single monomial")

@@ -32,16 +32,17 @@ from .errors import (
 
 
 def binary_power(x, n, one, mul):
-    """x^n for n >= 0 by square-and-multiply: one product per set bit of n,
-    and a squaring only while higher bits remain."""
-    out = one
+    """x^n for n >= 0 by square-and-multiply: a product per set bit of n
+    after the first and a squaring only while higher bits remain, so x^1
+    is x itself and x^0 is ``one``."""
+    out = None
     while n:
         if n & 1:
-            out = mul(out, x)
+            out = x if out is None else mul(out, x)
         n >>= 1
         if n:
             x = mul(x, x)
-    return out
+    return one if out is None else out
 
 
 class FieldTower:
@@ -923,19 +924,15 @@ class WittElem:
             out.append(CoeffElem(tower, tower.from_leaves(digit)))
         return out
 
-    @classmethod
-    def from_digits(cls, ring, digits):
-        acc = ring.zero()
-        for m, d in enumerate(digits):
-            acc = acc + ring.lift(d) * ring.from_int(ring.p ** m)
-        return acc
-
     def is_unit(self):
         return not self.residue().is_zero()
 
     def inv(self):
         if not self.is_unit():
             raise NonUnit("Witt element with zero residue digit")
+        if not self.ring.tower.height:
+            # over Z/p^N the inverse is unique, so the modular one is Newton's
+            return WittElem(self.ring, pow(self.rep, -1, self.ring.modulus))
         x = self.ring.lift(self.residue().inv())
         # Newton iteration doubles correct digits each round
         steps = max(1, self.ring.precision).bit_length()

@@ -186,8 +186,7 @@ class PuiseuxState:
         if tower == self.ring.tower:
             return self
         ring2 = self.ring.with_tower(tower)
-        chain2 = KeyPolyChain(ring2, [
-            replace(e, poly=e.poly.coerce(ring2)) for e in self.chain.entries])
+        chain2 = self.chain.coerce(ring2)
         part2 = self.partial.coerce(ring2)
         F2 = self.F.coerce(ring2)
         taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .coeff import binary_power
@@ -200,6 +200,8 @@ class ChainEntry:
     # ((b, nu(D_{p^b} poly)), ...) over the p-power orders p^b <= deg poly
     # whose derivative is non-zero with a finite value; see chain_entry
     levels: tuple
+    # (F, (c_j), (nu(c_j))) for F = sum c_j poly^j as extend_chain formed it, or None
+    expansion: tuple = field(default=None, compare=False, repr=False)
 
     def epsilon_for(self, value):
         """(b, max over the levels of (value - v) / p^b): the first b wins ties
@@ -217,7 +219,7 @@ def _max_drop(levels, p, value):
     return best_b, best
 
 
-def chain_entry(below, poly, beta, alpha):
+def chain_entry(below, poly, beta, alpha, expansion=None):
     """The entry for key polynomial poly on top of the chain ``below``.
 
     Its levels are the values nu(D_{p^b} poly), p^b <= deg poly, read
@@ -242,7 +244,7 @@ def chain_entry(below, poly, beta, alpha):
         if not levels:
             raise ZeroPolynomial("all divided derivatives vanish")
     b, eps = _max_drop(levels, p, beta)
-    return ChainEntry(poly, beta, b, eps, alpha, tuple(levels))
+    return ChainEntry(poly, beta, b, eps, alpha, tuple(levels), expansion)
 
 
 class KeyPolyChain:
@@ -270,6 +272,11 @@ class KeyPolyChain:
 
     def appended(self, entry):
         return KeyPolyChain(self.ring, self.entries + (entry,))
+
+    def coerce(self, ring):
+        """The chain over ring; kept expansions are of the old ring's F: dropped."""
+        return KeyPolyChain(ring, [replace(e, poly=e.poly.coerce(ring), expansion=None)
+                                   for e in self.entries])
 
     def report(self):
         lines = []
@@ -343,17 +350,19 @@ def _expansion_levels(f, chain, i):
     min_j (nu(c_j) + j*beta_i) and the j attaining it.
 
     Every non-zero c_j is valued before the level is read; when beta_i is
-    INF only c_0 counts.
+    INF only c_0 counts.  Entry i's kept expansion of this very f is read
+    as it is: each c_j has degree below deg Q_i, so _value_below agrees.
     """
     entry = chain.entry(i)
-    cs = standard_expansion(f, entry.poly)
-    pairs = []
-    for j, c in enumerate(cs):
-        v = _value_below(c, chain, i)
-        if j and v is not INF:
-            v = INF if entry.beta is INF else entry.beta.scale_unchecked(j) + v
-        pairs.append((j, v))
-    level, ties = level_and_ties(pairs)
+    if entry.expansion and entry.expansion[0] is f:
+        _, cs, values = entry.expansion
+    else:
+        cs = standard_expansion(f, entry.poly)
+        values = [_value_below(c, chain, i) for c in cs]
+    beta = entry.beta
+    level, ties = level_and_ties(
+        (j, v if not j or v is INF else INF if beta is INF else beta.scale_unchecked(j) + v)
+        for j, v in enumerate(values))
     return cs, level, ties
 
 
@@ -474,29 +483,27 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         return _append_with_invariants(chain, F, beta, alpha=delta)
 
     # polygon-assigned value: min over j >= 1 of (nu(c_0) - nu(c_j)) / j
-    # over the expansion of F in the new polynomial
+    # over the expansion of F in the new polynomial, kept for the next extension
     cs_new = standard_expansion(F, q_new)
     v0 = truncated_val(cs_new[0], chain, i)[0]
-    beta = None
+    beta, expansion = None, None
     if v0 is not INF:
-        def slope(j, c):
-            vj = truncated_val(c, chain, i)[0]
-            return INF if vj is INF else (v0 - vj).scale_unchecked(Fraction(1, j))
-
-        beta, _ = level_and_ties((j, slope(j, c))
-                                 for j, c in enumerate(cs_new) if j)
-    if beta is None:
-        beta = INF
+        values = [v0] + [truncated_val(c, chain, i)[0] for c in cs_new[1:]]
+        beta, _ = level_and_ties(
+            (j, INF if vj is INF else (v0 - vj).scale_unchecked(Fraction(1, j)))
+            for j, vj in enumerate(values) if j)
+        expansion = (F, tuple(cs_new), tuple(values))
+    beta = INF if beta is None else beta
     if beta is not INF and last.beta is not INF:
         floor_val = last.beta.scale_unchecked(delta)
         if cmp(beta, floor_val) <= 0:
             raise EngineInvariantViolation(
                 "augmented value does not exceed the previous level")
-    return _append_with_invariants(chain, q_new, beta, alpha=delta)
+    return _append_with_invariants(chain, q_new, beta, alpha=delta, expansion=expansion)
 
 
-def _append_with_invariants(chain, q_new, beta, alpha):
-    entry = chain_entry(chain, q_new, beta, alpha)
+def _append_with_invariants(chain, q_new, beta, alpha, expansion=None):
+    entry = chain_entry(chain, q_new, beta, alpha, expansion)
     prev_eps = chain.entries[-1].epsilon if chain.entries else INF
     if (entry.epsilon is not INF and prev_eps is not INF
             and cmp(entry.epsilon, prev_eps) <= 0):

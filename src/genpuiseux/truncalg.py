@@ -90,9 +90,6 @@ class TruncLeaf:
     def evaluate(self, factors):
         return _exact(factors[self.index].truncate_open(self.bound))
 
-    def bounds_used(self, out):
-        out.append((self.index, self.bound, "open"))
-
 
 @dataclass
 class ProductTree:
@@ -108,11 +105,6 @@ class ProductTree:
                 continue
             acc = acc + sl * child.evaluate(factors)
         return acc
-
-    def bounds_used(self, out):
-        for lo, hi, child in self.pieces:
-            out.append((self.index, hi, "slice"))
-            child.bounds_used(out)
 
 
 def multi_product_truncation(gs, lam, _start=0):

@@ -262,6 +262,24 @@ def test_cmd_arith_padic_carrying():
     assert out.splitlines()[0].startswith("p^(1/2) + p^(3/2)")
 
 
+def test_arith_power_terms_are_bounded_before_the_power_is_formed(tmp_path, capsys):
+    spec = write(tmp_path, "power.spec", "mode equichar\nchar 0\nprint (1+t)^2000\n")
+    start = time.perf_counter()
+    assert main(["arith", spec]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert ("a power of up to 2001 terms is above the limit 512 at line 3, col 6"
+            in capsys.readouterr().err)
+    # at the limit, and a base whose exponents span 2: bound 64*2 + 1
+    for power, lead in (("(1+t)^511", "1 + 511*t + 130305*t^2"),
+                        ("(1+t+t^2)^64", "1 + 64*t + 2080*t^2")):
+        assert cmd_arith(f"mode equichar\nchar 0\nprint {power}\n").startswith(lead)
+    # rank 2: one term per monomial of degree n in the base's terms
+    rank2 = "char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nprint (1+t+t^2)^{}\n"
+    assert cmd_arith(rank2.format(30)).startswith("1 + 30*t + 465*t^2")
+    with pytest.raises(ParseError, match="a power of up to 528 terms is above the limit 512"):
+        cmd_arith(rank2.format(31))
+
+
 def test_main_exit_codes(tmp_path):
     good = write(tmp_path, "good.spec", CLASSICAL)
     bad = write(tmp_path, "bad.spec", "mode equichar\nnonsense\n")

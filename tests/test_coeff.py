@@ -32,6 +32,14 @@ def elems(tower, *ints):
     return [tower.from_int(n) for n in ints]
 
 
+def from_digits(ring, digits):
+    """The Witt element sum_m lift(d_m) p^m of a digit list."""
+    acc = ring.zero()
+    for m, d in enumerate(digits):
+        acc = acc + ring.lift(d) * ring.from_int(ring.p ** m)
+    return acc
+
+
 def f4():
     """F4 = F2[w] with w^2 + w + 1 = 0, and its generator w."""
     t = fp(2).adjoin((1, 1, 1))
@@ -170,7 +178,7 @@ def test_factor_canonical_and_multiplicity():
 def test_residue_lift_roundtrip_examples():
     t = fp(3)
     ring = WittRing(t, 4)
-    w = WittElem.from_digits(ring, elems(t, 2, 1, 0, 0))
+    w = from_digits(ring, elems(t, 2, 1, 0, 0))
     assert coeff_to_int(ring.residue(w)) == 2
     lifted = ring.lift(t.from_int(2))
     assert [coeff_to_int(d) for d in lifted.digits()] == [2, 0, 0, 0]
@@ -269,7 +277,7 @@ def test_witt_residue_is_a_homomorphism_over_a_height_two_tower():
     rng = random.Random(43)
 
     def draw():
-        return WittElem.from_digits(ring, [rng.choice(universe) for _ in range(4)])
+        return from_digits(ring, [rng.choice(universe) for _ in range(4)])
 
     for _ in range(60):
         x, y = draw(), draw()
@@ -278,13 +286,39 @@ def test_witt_residue_is_a_homomorphism_over_a_height_two_tower():
         assert (x - y).residue() == rx - ry
         assert (x * y).residue() == rx * ry
         assert (-x).residue() == -rx
-        assert WittElem.from_digits(ring, x.digits()) == x
+        assert from_digits(ring, x.digits()) == x
         if x.is_unit():
             assert x * x.inv() == ring.one()
     # the lifted generators satisfy their lifted minimal polynomials exactly
     lw, lw2 = ring.lift(CoeffElem(t16, t16.coerce_rep(w.rep, t4))), ring.lift(w2)
     assert (lw * lw + lw + 1).is_zero()
     assert (lw2 * lw2 + lw2 + lw).is_zero()
+
+
+def newton_inv(self):
+    """The inverse of a Witt unit by Newton's iteration from the lifted
+    residue inverse: the loop WittElem.inv runs over a residue extension."""
+    x = self.ring.lift(self.residue().inv())
+    # Newton iteration doubles correct digits each round
+    steps = max(1, self.ring.precision).bit_length()
+    two = self.ring.from_int(2)
+    for _ in range(steps + 1):
+        x = x * (two - self * x)
+    return x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [1, 2, 4])
+def test_witt_inverse_over_the_prime_field_is_newtons(p, N):
+    ring = WittRing(fp(p), N)
+    units = [ring.from_int(n) for n in range(p ** N) if n % p]
+    assert len(units) == (p - 1) * p ** (N - 1)
+    for x in units:
+        inv = x.inv()
+        assert inv.rep == newton_inv(x).rep
+        assert x * inv == ring.one()
+    with pytest.raises(NonUnit):
+        ring.from_int(p).inv()
 
 
 @pytest.mark.parametrize("tower", [fp(3), f4()[0]],

@@ -5,13 +5,18 @@ from functools import cmp_to_key
 
 import pytest
 
-from genpuiseux import cli, embed
+from genpuiseux import cli, embed, keypoly
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, coeff_to_fraction
-from genpuiseux.errors import UnsupportedLimitPattern, ValuationIndeterminate
+from genpuiseux.errors import (
+    ChainComplete,
+    UnsupportedLimitPattern,
+    ValuationIndeterminate,
+)
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
     KeyPolyChain,
     ValPoly,
+    extend_chain,
     standard_expansion,
     taylor_at,
     truncated_val,
@@ -866,3 +871,91 @@ def test_stage_selected_values_match_one_stage_recursion(name):
             want = _one_stage_val(h, chain, i)
             got = truncated_val(h, chain, i)[0]
             assert got is INF and want is INF or got == want, (i, h.to_text())
+
+
+# -- the expansion of F kept on a chain entry ---------------------------------------------
+
+# problem text, term budget, residue tower height reached
+KEPT = {
+    "p5": ("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n", 16, 0),  # a new polynomial each time
+    "p3-2p": ("p 3\nwitt_prec 8\npoly y^2 - 2*p\n", 10, 1),  # moves into W(F9)
+    "cube-q": ("char 0\npoly y^3 - t - t^2\n", 12, 1),  # moves into Q(w)
+    "sq-f3": ("char 3\npoly y^2 - 2*t - t^2\n", 16, 1),  # moves into F9
+    "r2-q": (CARRIED["r2-q"][0], 16, 0),  # rank 2
+}
+ENTRY_FIELDS = ("poly", "beta", "b_order", "epsilon", "alpha", "levels")
+
+
+def _expand_spec(text, budget):
+    spec = cli.parse_problem(text)
+    ring = cli.build_ring(spec)
+    return expand(cli.build_valpoly(spec, ring), ring, max_terms=budget)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_kept_expansion_extends_as_a_fresh_one(name, monkeypatch):
+    extend = embed.extend_chain
+    reads = []
+
+    def both(chain, F, partial, f_at_partial=None):
+        last = chain.entries[-1]
+        fresh = KeyPolyChain(chain.ring, chain.entries[:-1]
+                             + (replace(last, expansion=None),))
+        try:
+            want = extend(fresh, F, partial, f_at_partial)
+        except (ChainComplete, ValuationIndeterminate) as exc:
+            with pytest.raises(type(exc)):
+                extend(chain, F, partial, f_at_partial)
+            raise
+        got = extend(chain, F, partial, f_at_partial)
+        reads.append((last.poly != F, last.expansion is not None and last.expansion[0] is F))
+        a, b = got.entries[-1], want.entries[-1]
+        for field in ENTRY_FIELDS:
+            assert getattr(a, field) == getattr(b, field), field
+        return got
+
+    monkeypatch.setattr(embed, "extend_chain", both)
+    text, budget, height = KEPT[name]
+    res = _expand_spec(text, budget)
+    # every extension after the first that forms a new polynomial reads the
+    # expansion the one before it kept; a re-pinned F expands nothing
+    assert reads[0] == (True, False) and reads[1] == (True, True)
+    assert all(forms == read for forms, read in reads[1:])
+    assert res.chain.ring.tower.height == height
+
+
+def test_an_extension_after_the_first_expands_F_once(monkeypatch):
+    expand_in = keypoly.standard_expansion
+    counts = []
+
+    def counted(f, q):
+        if f is F:
+            counts[-1] += 1
+        return expand_in(f, q)
+
+    def extend(chain, *args):
+        counts.append(0)
+        return extend_chain(chain, *args)
+
+    text, budget, _ = KEPT["p5"]
+    spec = cli.parse_problem(text)
+    ring = cli.build_ring(spec)
+    F = cli.build_valpoly(spec, ring)
+    monkeypatch.setattr(keypoly, "standard_expansion", counted)
+    monkeypatch.setattr(embed, "extend_chain", extend)
+    expand(F, ring, max_terms=budget)
+    # the first extension expands F in Q_1 and in the new polynomial; every
+    # later one reads the expansion in Q_i that the extension before it kept
+    assert len(counts) > 8 and counts[0] == 2
+    assert counts[1:] == [1] * (len(counts) - 1)
+
+
+def test_coerced_chain_drops_the_kept_expansions():
+    chain = _expand_spec(*KEPT["p5"][:2]).chain
+    assert chain.entries[-1].expansion is not None
+    ring = chain.ring.with_tower(chain.ring.tower.adjoin((3, 0, 1)))  # X^2 - 2 over F_5
+    coerced = chain.coerce(ring)
+    assert coerced.ring is ring and len(coerced) == len(chain)
+    for a, b in zip(coerced.entries, chain.entries):
+        assert a.expansion is None and a.poly.ring is ring
+        assert all(getattr(a, field) == getattr(b, field) for field in ENTRY_FIELDS[1:])

@@ -161,10 +161,11 @@ def test_binary_power_squares_only_while_bits_remain(name, monkeypatch):
     for n in range(9):
         products.clear()
         assert power(P, n) == expected[n], n
-        # one product per set bit and one squaring per bit after the first
-        assert len(products) == bin(n).count("1") + max(n.bit_length() - 1, 0), n
-        if n == 1:
-            assert not any(x is P and y is P for x, y in products)
+        # one product per set bit after the first and one squaring per bit
+        # after the first; x^0 and x^1 form none
+        expected_products = bin(n).count("1") - 1 + n.bit_length() - 1 if n else 0
+        assert len(products) == expected_products, n
+    assert power(P, 1) is P
 
 
 # -- chains ------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from genpuiseux.keypoly import ValPoly
 from genpuiseux.series import GenSeries, SeriesRing
 from genpuiseux.embed import expand
 from genpuiseux.truncalg import (
+    TruncLeaf,
     TruncationDecomposition,
     integral_dependence,
     lambda_and_U,
@@ -196,6 +197,17 @@ def test_multi_product_three_factors():
         assert same_terms_below(lhs, rhs, lam)
 
 
+def bounds_used(tree, out):
+    """(factor index, bound, "open" or "slice") for every truncation the
+    tree's evaluation forms, in the order it forms them."""
+    if isinstance(tree, TruncLeaf):
+        out.append((tree.index, tree.bound, "open"))
+        return
+    for lo, hi, child in tree.pieces:
+        out.append((tree.index, hi, "slice"))
+        bounds_used(child, out)
+
+
 def test_multi_product_strictness_clause():
     # if some other factor has positive valuation, every bound stays below lam
     rng = random.Random(823)
@@ -214,7 +226,7 @@ def test_multi_product_strictness_clause():
             continue
         tree = multi_product_truncation(factors, lam)
         used = []
-        tree.bounds_used(used)
+        bounds_used(tree, used)
         positive = [j for j, f in enumerate(factors) if not f.val().is_zero()]
         for j, bound, kind in used:
             assert cmp(bound, lam) <= 0
