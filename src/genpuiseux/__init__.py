@@ -31,7 +31,6 @@ from .errors import (
     NonUnit,
     ParseError,
     PrecisionExceeded,
-    ScaleOutsideGroup,
     UnsupportedLimitPattern,
     ValuationIndeterminate,
     ZeroPolynomial,

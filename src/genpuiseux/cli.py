@@ -592,12 +592,10 @@ def _eval_series_expr(ring, env, text, lineno):
         if n.denominator == 1:
             n, terms = int(n), base.terms
             if n >= 2 and len(terms) >= 2:
-                # rank 1: n*e on the grid 1/L; rank 2: a term per degree-n monomial
-                if ring.descriptor.rank == 1:
-                    es = [Fraction(g.num[0], g.den) for g, _ in terms]
-                    bound = int(n * (max(es) - min(es)) * math.lcm(*(g.den for g, _ in terms))) + 1
-                else:
-                    bound = math.comb(len(terms) + n - 1, n)
+                # every exponent is a rational multiple of the first basis
+                # element, at any rank, so the power's lie on the grid 1/L
+                es = [Fraction(g.num[0], g.den) for g, _ in terms]
+                bound = int(n * (max(es) - min(es)) * math.lcm(*(g.den for g, _ in terms))) + 1
                 if bound > MAX_POWER_TERMS:
                     sc.error(f"a power of up to {bound} terms is above the limit "
                              f"{MAX_POWER_TERMS}", col=col)
@@ -666,15 +664,12 @@ def main(argv=None):
                         help="maximal exponent a/b")
     parser.add_argument("--trace", type=str, default=None)
     parser.add_argument("--format", choices=["text", "records"], default=None)
-    parser.add_argument("--inject-corruption", action="store_true",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     for flag, value, commands in (
             ("--trace", args.trace, ("expand",)),
             ("--format", args.format, ("expand",)),
             ("--budget-terms", args.budget_terms, ("expand", "verify")),
-            ("--prec", args.prec, ("expand", "verify")),
-            ("--inject-corruption", args.inject_corruption or None, ("verify",))):
+            ("--prec", args.prec, ("expand", "verify"))):
         if value is not None and args.command not in commands:
             print(f"error: {flag} applies only to {' and '.join(commands)}",
                   file=sys.stderr)
@@ -698,8 +693,7 @@ def main(argv=None):
                                       budget=args.budget_terms, prec=prec)
         elif args.command == "verify":
             spec = parse_problem(text)
-            code, out = cmd_verify(spec, corrupt=args.inject_corruption,
-                                   budget=args.budget_terms, prec=prec)
+            code, out = cmd_verify(spec, budget=args.budget_terms, prec=prec)
         else:
             code, out = 0, cmd_arith(text)
     except (OSError, UnicodeDecodeError) as exc:  # an unreadable spec or trace file

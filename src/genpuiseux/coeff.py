@@ -123,9 +123,6 @@ class FieldTower:
             n = Fraction(n)
         return self.rep_lift(n, 0, level)
 
-    def rep_is_zero(self, x, level=None):
-        return not x  # a zero leaf or the empty tuple, at any level
-
     def rep_add(self, x, y, level=None):
         level = self.height if level is None else level
         if level == 0:
@@ -170,14 +167,9 @@ class FieldTower:
                                              self.rep_mul(lead, mp[i], below), below)
         return tuple(_trim(coeffs))
 
-    def rep_scalar(self, x, n, level=None):
-        """Multiply by an integer scalar."""
-        level = self.height if level is None else level
-        return self.rep_mul(x, self.rep_from_int(n, level), level)
-
     def rep_inv(self, x, level=None):
         level = self.height if level is None else level
-        if self.rep_is_zero(x, level):
+        if not x:
             raise DivisionByZero("inverse of zero")
         if level == 0:
             if self.leaf_mod is None:
@@ -225,7 +217,7 @@ class FieldTower:
 
     def rep_lift(self, x, from_level, to_level):
         for lvl in range(from_level, to_level):
-            x = (x,) if not self.rep_is_zero(x, lvl) else ()
+            x = (x,) if x else ()
         return x
 
     def coerce_rep(self, x, from_tower):
@@ -374,7 +366,8 @@ def _ppowmod(tower, f, n, mod, level):
 
 
 def _pderiv(tower, f, level):
-    return _trim([tower.rep_scalar(c, i, level) for i, c in enumerate(f)][1:])
+    return _trim([tower.rep_mul(c, tower.rep_from_int(i, level), level)
+                  for i, c in enumerate(f)][1:])
 
 
 def _peval(tower, f, x, level):
@@ -456,7 +449,7 @@ def _witness_candidates(tower, degree, level):
     """Lazy stream of nonconstant polys of degree < degree, by degree then key."""
     for d in range(1, degree):
         for v in _vectors(partial(tower.enumerate_elements, level), d + 1):
-            if not tower.rep_is_zero(v[-1], level):
+            if v[-1]:
                 yield list(v)
 
 
@@ -543,7 +536,7 @@ class CoeffElem:
             f"{getattr(other, 'tower', type(other).__name__)!r}")
 
     def is_zero(self):
-        return self.tower.rep_is_zero(self.rep)
+        return not self.rep
 
     def is_unit(self):
         return not self.is_zero()
@@ -566,10 +559,6 @@ class CoeffElem:
 
     def inv(self):
         return CoeffElem(self.tower, self.tower.rep_inv(self.rep))
-
-    def __truediv__(self, other):
-        tower = self.tower
-        return CoeffElem(tower, tower.rep_mul(self.rep, tower.rep_inv(self._pair(other))))
 
     def __pow__(self, n):
         return CoeffElem(self.tower, self.tower.rep_pow(self.rep, n))
@@ -681,7 +670,7 @@ def _q_sqrt_in_tower(tower, c):
         return _q_const(tower, s)
     for k, (_, mp) in enumerate(tower.stages):
         # quadratic stage X^2 - e: generator g with g^2 = e
-        if len(mp) == 3 and tower.rep_is_zero(mp[1], k):
+        if len(mp) == 3 and not mp[1]:
             sub = FieldTower(tower.base, tower.stages[:k])
             e = _rep_to_fraction(sub, mp[0])
             if e is None:
@@ -705,10 +694,6 @@ def _rep_to_fraction(tower, rep):
     return None if any(rest) else Fraction(first)
 
 
-def coeff_to_fraction(c):
-    return _rep_to_fraction(c.tower, c.rep)
-
-
 def _q_roots_in_tower(tower, f):
     """Distinct roots of f (reps, degree >= 2) over a Q tower found without extending it."""
     level = tower.height
@@ -717,7 +702,7 @@ def _q_roots_in_tower(tower, f):
     if all(q is not None for q in fracs):
         for r in _rational_roots(fracs):
             roots.append(_q_const(tower, r))
-    if len(f) == 3 and tower.rep_is_zero(f[1], level):
+    if len(f) == 3 and not f[1]:
         # X^2 = -c/a: look for a square root inside the tower
         cq = _rep_to_fraction(tower, f[0])
         aq = _rep_to_fraction(tower, f[2])
@@ -737,8 +722,7 @@ def _q_roots_in_tower(tower, f):
         roots.extend(cands)
     uniq = []
     for r in sorted(roots, key=lambda c: c.sort_key()):
-        if tower.rep_is_zero(_peval(tower, f, r.rep, level), level) \
-                and not any(u == r for u in uniq):
+        if not _peval(tower, f, r.rep, level) and not any(u == r for u in uniq):
             uniq.append(r)
     return uniq
 
@@ -891,7 +875,7 @@ class WittElem:
             f"{getattr(other, 'ring', type(other).__name__)!r}")
 
     def is_zero(self):
-        return self.ring.tower.rep_is_zero(self.rep)
+        return not self.rep
 
     def __add__(self, other):
         return WittElem(self.ring, self.ring.arith.rep_add(self.rep, self._pair(other)))

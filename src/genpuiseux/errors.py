@@ -5,10 +5,6 @@ class EngineError(Exception):
     """Base class for all engine errors."""
 
 
-class ScaleOutsideGroup(EngineError):
-    """Scaling a group element by a rational whose denominator is not a p-power."""
-
-
 class ValuationIndeterminate(EngineError):
     """The valuation is only bounded below by the working precision."""
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from operator import add, itemgetter, mul, neg, sub
 
-from .errors import ParseError, ScaleOutsideGroup
+from .errors import ParseError
 
 
 class QuadValue:
@@ -124,8 +124,6 @@ class GroupDescriptor:
     # -- element construction ------------------------------------------------
 
     def element(self, coords):
-        if not isinstance(coords, (list, tuple)):
-            coords = [coords]
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
         fs = [Fraction(c) for c in coords]
@@ -160,10 +158,7 @@ class GroupDescriptor:
         return QuadValue(a, b, self.sqrt_disc)
 
     def compare(self, a, b):
-        if a is INF:
-            return 0 if b is INF else 1
-        if b is INF:
-            return -1
+        """Three-way order of two finite elements; groups.cmp orders INF."""
         da, db = a.den, b.den
         if self._wb is None:
             # rank 1 with a positive weight: the order is that of num[0] / den
@@ -305,48 +300,22 @@ class GroupElement:
         return _lowest(self.descriptor, tuple(n * q.numerator for n in self.num),
                        self.den * q.denominator)
 
-    def scale(self, q):
-        """Scale by a rational; for p > 1 the denominator must be a p-power."""
-        q = Fraction(q)
-        p = self.descriptor.char_exponent
-        if p > 1:
-            den = q.denominator
-            while den % p == 0:
-                den //= p
-            if den != 1:
-                raise ScaleOutsideGroup(
-                    f"scaling by {q} leaves the p-power denominator lattice (p={p})")
-        return self.scale_unchecked(q)
-
-    def __mul__(self, n):
-        return self.scale_unchecked(n)
-
-    __rmul__ = __mul__
-
     # -- order -----------------------------------------------------------------
 
     def cmp(self, other):
-        return self.descriptor.compare(self, other)
+        return cmp(self, other)
 
     def __lt__(self, other):
-        if other is INF:
-            return True
-        return self.cmp(other) < 0
+        return cmp(self, other) < 0
 
     def __le__(self, other):
-        if other is INF:
-            return True
-        return self.cmp(other) <= 0
+        return cmp(self, other) <= 0
 
     def __gt__(self, other):
-        if other is INF:
-            return False
-        return self.cmp(other) > 0
+        return cmp(self, other) > 0
 
     def __ge__(self, other):
-        if other is INF:
-            return False
-        return self.cmp(other) >= 0
+        return cmp(self, other) >= 0
 
     def __eq__(self, other):
         # GroupDescriptor rejects Q-linearly dependent weights, so the value
@@ -435,12 +404,13 @@ INF = _Infinity()
 
 
 def cmp(a, b):
-    """Exact three-way comparison; returns -1, 0 or 1."""
+    """Exact three-way comparison; returns -1, 0 or 1.  The one place INF is
+    ordered: it is above every element and equal to itself."""
     if a is INF:
         return 0 if b is INF else 1
     if b is INF:
         return -1
-    return a.cmp(b)
+    return a.descriptor.compare(a, b)
 
 
 def gmin(*elems):

@@ -92,10 +92,6 @@ class ValPoly:
         return binary_power(self, n, ValPoly(self.ring, [self.ring.one()], self.var),
                             operator.mul)
 
-    def scale(self, c):
-        return ValPoly(self.ring, [a * c if isinstance(c, int) else a.scale(c)
-                                   for a in self.coeffs], self.var)
-
     def divmod_monic(self, q):
         """Division by a monic polynomial; exact, never inverts coefficients."""
         if not q.is_monic():

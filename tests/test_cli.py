@@ -273,11 +273,14 @@ def test_arith_power_terms_are_bounded_before_the_power_is_formed(tmp_path, caps
     for power, lead in (("(1+t)^511", "1 + 511*t + 130305*t^2"),
                         ("(1+t+t^2)^64", "1 + 64*t + 2080*t^2")):
         assert cmd_arith(f"mode equichar\nchar 0\nprint {power}\n").startswith(lead)
-    # rank 2: one term per monomial of degree n in the base's terms
-    rank2 = "char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nprint (1+t+t^2)^{}\n"
-    assert cmd_arith(rank2.format(30)).startswith("1 + 30*t + 465*t^2")
-    with pytest.raises(ParseError, match="a power of up to 528 terms is above the limit 512"):
-        cmd_arith(rank2.format(31))
+    # rank 2: arith exponents are multiples of the first basis element, so
+    # the rank-1 bound holds: (1+t+t^2)^31 has 63 terms, (1+t)^512 has 513
+    rank2 = "char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nprint {}\n"
+    out = cmd_arith(rank2.format("(1+t+t^2)^31"))
+    assert out.startswith("1 + 31*t + 496*t^2") and out.endswith(" + 31*t^61 + t^62")
+    assert len(out.split(" + ")) == 63
+    with pytest.raises(ParseError, match="a power of up to 513 terms is above the limit 512"):
+        cmd_arith(rank2.format("(1+t)^512"))
 
 
 def test_main_exit_codes(tmp_path):
@@ -286,6 +289,14 @@ def test_main_exit_codes(tmp_path):
     assert main(["expand", good]) == 0
     assert main(["expand", bad]) == 2
     assert main(["expand", str(tmp_path / "missing.spec")]) == 2
+
+
+def test_main_engine_error_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "beyond.txt", "char 0\nprint trunc_open(inv(1 + t, 2), 3)\n")
+    assert main(["arith", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "engine error: open truncation beyond stored precision\n"
 
 
 @pytest.mark.parametrize("text, status, series", [
@@ -542,9 +553,7 @@ def test_expand_only_flags_rejected(tmp_path, capsys, command, text, flags):
 @pytest.mark.parametrize("command, text, flags, message", [
     ("arith", ARITH, ["--budget-terms", "3"], "--budget-terms applies only to expand and verify"),
     ("arith", ARITH, ["--prec", "2"], "--prec applies only to expand and verify"),
-    ("arith", ARITH, ["--inject-corruption"], "--inject-corruption applies only to verify"),
-    ("expand", ARTIN, ["--inject-corruption"], "--inject-corruption applies only to verify"),
-], ids=["arith-budget", "arith-prec", "arith-corruption", "expand-corruption"])
+], ids=["arith-budget", "arith-prec"])
 def test_flags_rejected_outside_their_commands(tmp_path, capsys, command, text, flags,
                                                message):
     path = write(tmp_path, "in.txt", text)
