@@ -594,8 +594,8 @@ def _eval_series_expr(ring, env, text, lineno):
             if n >= 2 and len(terms) >= 2:
                 # every exponent is a rational multiple of the first basis
                 # element, at any rank, so the power's lie on the grid 1/L
-                es = [Fraction(g.num[0], g.den) for g, _ in terms]
-                bound = int(n * (max(es) - min(es)) * math.lcm(*(g.den for g, _ in terms))) + 1
+                es = [g.coords[0] for g, _ in terms]
+                bound = int(n * (max(es) - min(es)) * math.lcm(*(e.denominator for e in es))) + 1
                 if bound > MAX_POWER_TERMS:
                     sc.error(f"a power of up to {bound} terms is above the limit "
                              f"{MAX_POWER_TERMS}", col=col)

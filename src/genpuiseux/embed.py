@@ -32,9 +32,10 @@ from .keypoly import (
     group_text,
     initial_chain,
     level_and_ties,
+    shift_taylor,
     taylor_at,
 )
-from .series import GenSeries, eval_poly, shift_taylor
+from .series import GenSeries, eval_poly
 
 RUNNING = "RUNNING"
 COMPLETE = "COMPLETE"
@@ -157,27 +158,13 @@ class PuiseuxState:
             return self.taylor_vector()[0]
         return poly.eval(self.partial)
 
-    def shifts_taylor(self):
-        """Whether adding a term updates the Taylor vector by monomial shifts.
-
-        Only exact data qualify: an exact partial and an F with exact
-        coefficients.  Then the shift and Horner build the same raw vector,
-        over the residue tower or over (Z/p^N)[t^Gamma], so the two carried
-        forms agree term for term.  Limit partials and finite-precision data,
-        a p-adic carry among them, are evaluated.
-        """
-        return (all(c.prec is INF for c in self.F.coeffs)
-                and isinstance(self.partial, GenSeries) and self.partial.prec is INF)
-
     def with_term(self, a):
         """The state whose partial gained a*t^beta, with its Taylor vector."""
         if isinstance(self.partial, LimitPartial):
-            partial = self.partial.add_term(self.beta, a)
-        else:
-            partial = self.partial + self.ring.monomial(self.beta, a)
-        taylor = None
-        if self.shifts_taylor():
-            taylor = (partial, self.F, shift_taylor(self.taylor_vector(), self.beta, a))
+            return replace(self, partial=self.partial.add_term(self.beta, a), taylor=None)
+        m = self.ring.monomial(self.beta, a)
+        partial = self.partial + m
+        taylor = (partial, self.F, shift_taylor(self.taylor_vector(), m))
         return replace(self, partial=partial, taylor=taylor)
 
     def with_tower(self, tower):

@@ -257,16 +257,18 @@ class GroupElement:
     def coords(self):
         return tuple(Fraction(n, self.den) for n in self.num)
 
-    def real_value(self):
-        return self.descriptor.value_of(self)
-
     def is_zero(self):
         return not any(self.num)
 
     def rational_value(self):
-        """The exact rational value, or None if genuinely irrational."""
-        v = self.real_value()
-        return v.a if v.is_rational() else None
+        """The value as a rational: None off the first basis element, or on it
+        with an irrational first weight (zero excepted)."""
+        if any(self.num[1:]):
+            return None
+        w0 = self.descriptor.weights[0]
+        if self.num[0] and not w0.is_rational():
+            return None
+        return Fraction(self.num[0], self.den) * w0.a
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -176,14 +176,30 @@ def taylor_at(P, s, lowest=0):
     return out
 
 
+def shift_taylor(vec, m):
+    """The Taylor vector at s + m from the one at s, for a one-term series m.
+
+    (D^l F)(s + m) = sum over k >= l of C(k, l) (D^k F)(s) m^(k-l).  The
+    binomial rides on the one-term factor, so every product is a shift and
+    every sum a linear merge.
+    """
+    powers = [None, m]  # powers[j] is m^j; m^0 is never read
+    for _ in range(len(vec) - 2):
+        powers.append(powers[-1] * m)
+    out = []
+    for l, acc in enumerate(vec):
+        for k in range(l + 1, len(vec)):
+            acc = acc + vec[k] * (powers[k - l] * math.comb(k, l))
+        out.append(acc)
+    return out
+
+
 def group_text(g):
     """Short text for chain reports: rationals bare, else the coordinate form."""
     if g is INF:
         return "inf"
     q = g.rational_value()
-    if q is not None and not any(g.num[1:]):
-        return str(q)
-    return g.to_text()
+    return g.to_text() if q is None else str(q)
 
 
 @dataclass(frozen=True)

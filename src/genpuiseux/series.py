@@ -9,7 +9,6 @@ form (each stored coefficient is a single-digit representative).
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -374,16 +373,14 @@ class GenSeries:
         if gamma.is_zero():
             return ""
         var = self.ring.var
-        w0 = self.ring.descriptor.weights[0]
-        num = gamma.num
-        if w0.is_rational() and not any(num[1:]):
-            q = Fraction(num[0], gamma.den) * w0.a
-            if q == 1:
-                return var
-            if q.denominator == 1:
-                return f"{var}^{q}"
-            return f"{var}^({q})"
-        return f"{var}^({gamma.to_text()})"
+        q = gamma.rational_value()
+        if q is None:
+            return f"{var}^({gamma.to_text()})"
+        if q == 1:
+            return var
+        if q.denominator == 1:
+            return f"{var}^{q}"
+        return f"{var}^({q})"
 
     def _coeff_text(self, c):
         txt = self.ring.coeffs.residue(c).to_text()
@@ -500,32 +497,6 @@ def eval_poly(coeffs, s):
         if c._raw:
             acc = acc + c * power
     return acc
-
-
-def shift_taylor(vec, beta, a):
-    """The Taylor vector at s + a*t^beta from the exact one at s.
-
-    (D^l F)(s + m) = sum over k >= l of C(k, l) (D^k F)(s) m^(k-l); with m
-    the monomial a*t^beta each product is an exponent shift by (k-l)*beta
-    and a coefficient scale, so no series product is formed.
-    """
-    ring = vec[0].ring
-    d = len(vec) - 1
-    shifts = [beta.scale_unchecked(j) for j in range(d + 1)]
-    powers = [ring.coeffs.one()]
-    for _ in range(d):
-        powers.append(powers[-1] * a)
-    out = []
-    for l in range(d + 1):
-        terms = list(vec[l]._raw)
-        for k in range(l + 1, d + 1):
-            c = ring.coeffs.from_int(math.comb(k, l)) * powers[k - l]
-            if c.is_zero():
-                continue
-            g_shift = shifts[k - l]
-            terms.extend((g + g_shift, h * c) for g, h in vec[k]._raw)
-        out.append(GenSeries(ring, terms))
-    return out
 
 
 # -- text parsing ------------------------------------------------------------------

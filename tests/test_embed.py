@@ -637,6 +637,11 @@ CARRIED = {
     "p3": ("p 3\nwitt_prec 8\npoly y^2 + p*y + p\n", 16, 1),  # moves into W(F9)
     "p5": ("p 5\nwitt_prec 6\npoly y^3 + p^2*y + p\n", 9, 1),
     "p2": ("p 2\nwitt_prec 10\npoly y^2 + p*y + p + p^3\n", 16, 0),
+    # multi-digit coefficients mod p^N, whose carry clamps F's precision; the
+    # 15th step of p5-carry sinks below the working precision, and the 8th of
+    # p3-2p exhausts the stage data
+    "p5-carry": ("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n", 13, 0),
+    "p3-2p": ("p 3\nwitt_prec 8\npoly y^2 - 2*p\n", 7, 1),
 }
 
 
@@ -672,14 +677,40 @@ def test_carried_taylor_vector_matches_horner(name, monkeypatch):
     assert state.ring.tower.height == height
 
 
-def test_taylor_shift_only_on_exact_t_adic_data():
-    assert _spec_state(CARRIED["as-f2"][0]).shifts_taylor()
-    assert _spec_state(CARRIED["p3"][0]).shifts_taylor()
-    # -1 is a multi-digit p-adic coefficient: its carry clamps F's precision
-    assert not _spec_state("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n").shifts_taylor()
+def test_series_partial_shifts_and_limit_partial_reevaluates(monkeypatch):
+    from genpuiseux.embed import LimitPartial
+
+    evaluations = []
+
+    def counted(P, s):
+        evaluations.append(s)
+        return taylor_at(P, s)
+
+    monkeypatch.setattr(embed, "taylor_at", counted)
     R = tring(0)
     inexact = GenSeries(R, [(g(R, 1), R.tower.from_int(-1))], g(R, 4))
-    assert not init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R).shifts_taylor()
+    # a series partial shifts on any data: t-adic, a p-adic carry (-1 is
+    # multi-digit mod p^N) and a finite-precision coefficient alike
+    for state in (_spec_state(CARRIED["as-f2"][0]),
+                  _spec_state("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n"),
+                  init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R)):
+        moved = state.with_term(state.ring.coeffs.one())
+        assert moved.taylor[0] is moved.partial
+        assert moved.taylor_vector() == taylor_at(moved.F, moved.partial)
+    assert len(evaluations) == 3 and all(s.is_exact_zero() for s in evaluations)
+
+    # a limit partial is evaluated afresh after its hand-off and every term
+    R2 = tring(2)
+    state = init_state(limit_corpus_F(R2), R2)
+    while not isinstance(state.partial, LimitPartial):
+        limited = limit_step(state)
+        state = step(state) if limited is state else limited
+    del evaluations[:]
+    assert state.taylor_vector()[0] == state.F.eval(state.partial)
+    moved = state.with_term(R2.coeffs.one())
+    assert moved.taylor is None
+    assert moved.taylor_vector()[0] == moved.F.eval(moved.partial)
+    assert [type(s) for s in evaluations] == [LimitPartial, LimitPartial]
 
 
 def _spanning_residual(state):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
 from genpuiseux.errors import ChainComplete, EngineInvariantViolation
@@ -17,7 +19,9 @@ from genpuiseux.keypoly import (
     first_exponent,
     geometric_limit,
     initial_chain,
+    shift_taylor,
     standard_expansion,
+    taylor_at,
     truncated_val,
 )
 from genpuiseux.series import GenSeries, SeriesRing
@@ -101,6 +105,73 @@ def test_hasse_composition_law():
                             c.is_exact_zero() or not c.terms for c in rhs.coeffs)
                     else:
                         assert lhs == rhs
+
+
+# -- moving the Taylor vector -------------------------------------------------
+
+# Q, F3 -> F9, W(F5) mod 25 and mod 5^4 (multi-digit coefficients carry, 25 is
+# a zero divisor) and the rank-2 group with weights 1 and sqrt(2)
+_SHIFT_RINGS = {
+    "Q": tring(),
+    "F9": SeriesRing(GroupDescriptor([1], char_exponent=3),
+                     FieldTower.prime_field(3).adjoin((1, 0, 1))),
+    "W(F5)/25": SeriesRing(GroupDescriptor([1], char_exponent=5),
+                           WittRing(FieldTower.prime_field(5), 2)),
+    "W(F5)/5^4": SeriesRing(GroupDescriptor([1], char_exponent=5),
+                            WittRing(FieldTower.prime_field(5), 4)),
+    "sqrt2": SeriesRing(GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2),
+                        FieldTower.rationals()),
+}
+
+
+def _shift_exponent(draw, R, low=0):
+    if R.descriptor.rank == 2:
+        return R.descriptor.element([Fraction(draw(st.integers(2 * low, 6)), 2),
+                                     draw(st.integers(low, 2))])
+    return g(R, Fraction(draw(st.integers(low, 8)), draw(st.sampled_from([1, 2, 3]))))
+
+
+def _shift_coeff(draw, R):
+    c = R.coeffs.from_int(draw(st.integers(-30, 30).filter(bool)))
+    if R.tower.height:
+        c = c + R.coeffs.lift(CoeffElem.generator(R.tower)) * R.coeffs.from_int(
+            draw(st.integers(-2, 2)))
+    return c
+
+
+def _shift_series(draw, R, exact=True, size=3):
+    terms = [(_shift_exponent(draw, R), _shift_coeff(draw, R))
+             for _ in range(draw(st.integers(0, size)))]
+    if exact or draw(st.booleans()):
+        return GenSeries(R, terms)
+    return GenSeries(R, terms, _shift_exponent(draw, R, 1), draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_shift_taylor_matches_taylor_at_the_moved_point(data, exact):
+    """shift_taylor(taylor_at(P, s), m) against taylor_at(P, s + m).  Exact
+    data give the same raw and text forms.  Finite-precision coefficients
+    agree below the evaluated precision, and the shift knows at least as
+    much: a binomial that vanishes in the characteristic makes its term an
+    exact zero, where evaluation keeps the coefficient's precision."""
+    R = _SHIFT_RINGS[data.draw(st.sampled_from(sorted(_SHIFT_RINGS)))]
+    P = ValPoly(R, [_shift_series(data.draw, R, exact)
+                    for _ in range(data.draw(st.integers(1, 4)))] + [R.one()])
+    s = _shift_series(data.draw, R)
+    m = R.monomial(_shift_exponent(data.draw, R), _shift_coeff(data.draw, R))
+    shifted, evaluated = shift_taylor(taylor_at(P, s), m), taylor_at(P, s + m)
+    assert len(shifted) == len(evaluated) == P.degree() + 1
+    for sh, ev in zip(shifted, evaluated):
+        if exact:
+            assert sh._raw == ev._raw and sh._raw_prec is ev._raw_prec is INF
+            assert sh.to_text() == ev.to_text()
+        elif ev.prec is INF:
+            assert sh == ev
+        else:
+            assert sh.knows(ev.prec, ev.closed)
+            cut = GenSeries.truncate_closed if ev.closed else GenSeries.truncate_open
+            assert cut(sh, ev.prec) == cut(ev, ev.prec)
 
 
 def test_negative_polynomial_power_raises():
