@@ -2,26 +2,27 @@
 
 A FieldTower is a prime field F_p or Q extended by a finite chain of simple
 algebraic extensions, each given by a monic minimal polynomial over the
-previous stage.  Elements are nested coefficient tuples with base-field
-leaves, kept in reduced canonical form (degree in each generator below the
-degree of its minimal polynomial, trailing zeros trimmed).
+previous stage.  Elements are nested coefficient tuples with integer leaves,
+kept in reduced canonical form (degree in each generator below the degree of
+its minimal polynomial, trailing zeros trimmed); over Q (a RationalTower) over
+one positive denominator.
 
 WittRing realizes the complete local ring with residue field a finite tower
 at working precision N: the same nested representation with integer leaves
 mod p^N, the stage minimal polynomials lifted coefficientwise through the
 digit-0 section.  residue/lift are exact sections of each other.
 
-One nested arithmetic serves both: FieldTower reduces leaves mod its
-leaf_mod, which is p over F_p, None (exact) over Q and p^N in a WittRing.
+One nested arithmetic serves all three: FieldTower reduces leaves mod its
+leaf_mod, which is p over F_p, None over Q and p^N in a WittRing.
 FieldTower.leaves and from_leaves are the one walk between a rep and its
-flat list of leaves.
+flat list of leaves, which are Fractions over Q.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 
 from .errors import (
     DivisionByZero,
@@ -54,9 +55,12 @@ class FieldTower:
         self.stages = tuple(stages)  # (name, minpoly full tuple incl leading 1)
         self.leaf_mod = base[1] if base[0] == 'F' else None
         self.height = len(self.stages)
-        self._sizes = [1]  # _sizes[k]: the padded leaf count of a level-k rep
+        # _sizes[k]: the padded leaf count of a level-k rep; _exps[j]: the stage
+        # exponents of leaf j, lowest stage first
+        self._sizes, self._exps = [1], [()]
         for _, mp in self.stages:
             self._sizes.append(self._sizes[-1] * (len(mp) - 1))
+            self._exps = [e + (i,) for i in range(len(mp) - 1) for e in self._exps]
 
     def _over_leaves(self, modulus):
         """The same stages with leaves mod `modulus` (exact integers if None)."""
@@ -68,9 +72,9 @@ class FieldTower:
     def prime_field(cls, p):
         return cls(('F', int(p)))
 
-    @classmethod
-    def rationals(cls):
-        return cls(('Q',))
+    @staticmethod
+    def rationals():
+        return RationalTower(('Q',))
 
     @property
     def char(self):
@@ -108,9 +112,7 @@ class FieldTower:
 
     def rep_zero(self, level=None):
         level = self.height if level is None else level
-        if level == 0:
-            return 0 if self.base[0] == 'F' else Fraction(0)
-        return ()
+        return 0 if level == 0 else ()
 
     def rep_one(self, level=None):
         return self.rep_from_int(1, level)
@@ -119,8 +121,6 @@ class FieldTower:
         level = self.height if level is None else level
         if self.leaf_mod is not None:
             n %= self.leaf_mod
-        elif self.base[0] == 'Q':
-            n = Fraction(n)
         return self.rep_lift(n, 0, level)
 
     def rep_add(self, x, y, level=None):
@@ -172,8 +172,6 @@ class FieldTower:
         if not x:
             raise DivisionByZero("inverse of zero")
         if level == 0:
-            if self.leaf_mod is None:
-                return Fraction(1) / x
             return pow(x, -1, self.leaf_mod)
         # extended Euclid of x against the stage minimal polynomial
         r0, r1 = self.stages[level - 1][1], x
@@ -262,8 +260,6 @@ class FieldTower:
     def rep_key(self, x):
         # every level is padded to its stage degree, so the flat leaves sort
         # as the coefficient vectors do, level by level
-        if self.base[0] == 'F':
-            return tuple(self.leaves(x))
         return tuple((q < 0, abs(q.numerator), q.denominator) for q in self.leaves(x))
 
     def enumerate_elements(self, level=None):
@@ -290,7 +286,75 @@ class FieldTower:
     def adjoin(self, minpoly_full, name=None):
         """New tower with a stage for the given monic minimal polynomial."""
         name = name or self.next_gen_name()
-        return FieldTower(self.base, self.stages + ((name, tuple(minpoly_full)),))
+        return type(self)(self.base, self.stages + ((name, tuple(minpoly_full)),))
+
+
+class RationalTower(FieldTower):
+    """A tower over Q by quadratic stages.  A non-zero rep is (num, den): num a rep
+    of `arith`, over Z with each generator scaled by the least D that makes its stage
+    integral, and den > 0 prime to the leaves of num; zero is ().  So equality is
+    structural.  leaves and from_leaves give and take Fractions, unscaled."""
+
+    def __init__(self, base, stages=()):
+        super().__init__(base, stages)
+        self.arith, self._scales = FieldTower(base), [1]  # _scales: D^e per leaf
+        for name, mp in self.stages:
+            if len(mp) != 3:
+                raise ValueError("the stages of a tower over Q are quadratic")
+            D = math.lcm(*(c[1] for c in mp if c))
+            self.arith = self.arith.adjoin(tuple(
+                _scale(c[0], D ** (2 - i) // c[1]) if c else self.arith.rep_zero()
+                for i, c in enumerate(mp)), name)
+            self._scales += [s * D for s in self._scales]
+
+    def rep_zero(self, level=None):
+        return ()
+
+    def rep_from_int(self, n, level=None):
+        return (self.arith.rep_from_int(n, level), 1) if n else ()
+
+    def rep_add(self, x, y, level=None):
+        if not x or not y:
+            return x or y
+        (a, da), (b, db) = x, y
+        if da != db:
+            a, b, da = _scale(a, db), _scale(b, da), da * db
+        return _normal(self.arith.rep_add(a, b, level), da)
+
+    def rep_neg(self, x, level=None):
+        return (self.arith.rep_neg(x[0], level), x[1]) if x else ()
+
+    def rep_mul(self, x, y, level=None):
+        if not x or not y:
+            return ()
+        return _normal(self.arith.rep_mul(x[0], y[0], level), x[1] * y[1])
+
+    def rep_inv(self, x, level=None):
+        level = self.height if level is None else level
+        if not x:
+            raise DivisionByZero("inverse of zero")
+        (num, den), ar, below = x, self.arith, level - 1
+        if level == 0:
+            return (den, num) if num > 0 else (-den, -num)
+        # stage X^2 + bX + c: num + conj(num) = 2 a0 - b a1, and num conj(num) lies below
+        a0, a1 = (num + (ar.rep_zero(below),))[:2]
+        tr = ar.rep_sub(_scale(a0, 2), ar.rep_mul(a1, ar.stages[below][1][1], below), below)
+        conj = (ar.rep_sub(ar.rep_lift(tr, below, level), num, level), 1)
+        (norm,), n_den = self.rep_mul(x, conj, level)
+        return self.rep_mul(conj, self.rep_lift(self.rep_inv((norm, n_den), below),
+                                                below, level), level)
+
+    def leaves(self, rep, level=None):
+        num, den = rep or (self.arith.rep_zero(level), 1)
+        return [Fraction(n * s, den) for n, s in zip(self.arith.leaves(num, level), self._scales)]
+
+    def from_leaves(self, leaves, level=None):
+        vals = [Fraction(q) / s for q, s in zip(leaves, self._scales)]
+        den = math.lcm(*(v.denominator for v in vals))
+        return _normal(self.arith.from_leaves([int(v * den) for v in vals], level), den)
+
+    def rep_lift(self, x, from_level, to_level):
+        return (self.arith.rep_lift(x[0], from_level, to_level), x[1]) if x else ()
 
 
 # -- polynomial helpers over a tower (coefficient lists of reps, ascending) ------
@@ -301,6 +365,26 @@ def _trim(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def _scale(rep, c, exact=False):
+    """An integer rep times c, or divided by c if `exact` (c divides every leaf)."""
+    if isinstance(rep, int):
+        return rep // c if exact else rep * c
+    return tuple(_scale(x, c, exact) for x in rep)
+
+
+def _content(rep):
+    """The gcd of the integer leaves of a rep."""
+    return rep if isinstance(rep, int) else math.gcd(*map(_content, rep))
+
+
+def _normal(num, den):
+    """The Q rep of num / den: lowest terms by one gcd over den and the leaves of num."""
+    if not num:
+        return ()
+    g = 1 if den == 1 else math.gcd(den, _content(num))
+    return (num, den) if g == 1 else (_scale(num, g, exact=True), den // g)
 
 
 def _vectors(stream, n):
@@ -462,11 +546,7 @@ def _equal_degree_split(tower, f, d, level):
     for h in _witness_candidates(tower, len(f) - 1, level):
         if p == 2:
             # trace map sum h^(2^i) over the degree-d extension
-            e = 0
-            qq = q
-            while qq > 1:
-                qq //= 2
-                e += 1
+            e = q.bit_length() - 1  # q = 2^e
             t = list(h)
             acc = list(h)
             for _ in range(e * d - 1):
@@ -520,8 +600,8 @@ class CoeffElem:
     @classmethod
     def generator(cls, tower, k=None):
         k = tower.height - 1 if k is None else k
-        rep = (tower.rep_zero(k), tower.rep_one(k))
-        return cls(tower, tower.rep_lift(rep, k + 1, tower.height))
+        leaves = [int(j == tower._sizes[k]) for j in range(tower._sizes[-1])]
+        return cls(tower, tower.from_leaves(leaves))
 
     def _pair(self, other):
         """The rep of an int or of an element over this tower; values over two
@@ -573,37 +653,15 @@ class CoeffElem:
         return f"CoeffElem({self.to_text()})"
 
     def to_text(self):
-        return _rep_text(self.tower, self.rep, self.tower.height)
-
-
-def _rep_text(tower, rep, level):
-    terms = _rep_monomials(rep, level, ())
-    if not terms:
-        return "0"
-    parts = []
-    for exps, base in sorted(terms, key=lambda t: t[0], reverse=True):
-        gens = [f"{tower.stages[k][0]}^{e}" for k, e in enumerate(exps) if e > 0]
-        if not gens:
-            parts.append(str(base))
-        elif base == 1:
-            parts.append("*".join(gens))
-        else:
-            parts.append("*".join([str(base)] + gens))
-    return " + ".join(parts)
-
-
-def _rep_monomials(rep, level, exps):
-    """(stage exponents, base coefficient) of each non-zero leaf; the stage
-    of each level goes in front of the exponents read above it."""
-    if level == 0:
-        return [] if rep == 0 else [(exps, rep)]
-    return [m for i, c in enumerate(rep) for m in _rep_monomials(c, level - 1, (i,) + exps)]
+        tower, parts = self.tower, []
+        terms = [(exps, base) for exps, base in zip(tower._exps, tower.leaves(self.rep)) if base]
+        for exps, base in sorted(terms, key=lambda t: t[0], reverse=True):
+            gens = [f"{tower.stages[k][0]}^{e}" for k, e in enumerate(exps) if e > 0]
+            parts.append("*".join(([str(base)] if base != 1 or not gens else []) + gens))
+        return " + ".join(parts) or "0"
 
 
 # -- roots -------------------------------------------------------------------------
-
-
-_Q = FieldTower.rationals()
 
 
 def _rational_roots(coeffs):
@@ -622,17 +680,18 @@ def _rational_roots(coeffs):
     g = [c * 2 ** (n - i) * a[n] ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
     sturm = [g, [i * c for i, c in enumerate(g)][1:]]
     while True:
-        rem = _pdivmod(_Q, sturm[-2], sturm[-1], 0)[1]
-        if not rem:
+        # -(h[-1]^e r mod h) over its content, h's lead made positive: -rem, rescaled
+        r, h = list(sturm[-2]), sturm[-1] if sturm[-1][-1] > 0 else [-x for x in sturm[-1]]
+        while len(r) >= len(h):
+            c, k = r[-1], len(r) - len(h)
+            r = _trim([h[-1] * x - (c * h[i - k] if i >= k else 0) for i, x in enumerate(r)])
+        if not r:
             break
-        scale = math.lcm(*(c.denominator for c in rem))  # keeps the signs
-        sturm.append([-int(c * scale) for c in rem])
+        content = math.gcd(*r)
+        sturm.append([-x // content for x in r])
 
     def value(poly, u):
-        acc = 0
-        for c in reversed(poly):
-            acc = acc * u + c
-        return acc
+        return reduce(lambda acc, c: acc * u + c, reversed(poly), 0)
 
     @cache
     def sign_changes(u):
@@ -657,35 +716,24 @@ def _q_sqrt_in_tower(tower, c):
     """sqrt of rational c inside a Q tower with quadratic stages, or None."""
 
     def rat_sqrt(q):
-        if q < 0:
-            return None
-        num, den = q.numerator, q.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            return Fraction(rn, rd)
-        return None
+        if q >= 0:
+            root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+            return root if root * root == q else None
 
     s = rat_sqrt(c)
     if s is not None:
         return _q_const(tower, s)
-    for k, (_, mp) in enumerate(tower.stages):
-        # quadratic stage X^2 - e: generator g with g^2 = e
-        if len(mp) == 3 and not mp[1]:
-            sub = FieldTower(tower.base, tower.stages[:k])
-            e = _rep_to_fraction(sub, mp[0])
-            if e is None:
-                continue
-            e = -e
-            ratio = rat_sqrt(c / e) if e != 0 else None
-            if ratio is not None:
-                g = CoeffElem.generator(tower, k)
-                return _q_const(tower, ratio) * g
+    for k, (_, (m0, m1, _)) in enumerate(tower.stages):
+        # stage X^2 + m0: generator g with g^2 = -m0
+        q = None if m1 else _rep_to_fraction(tower, tower.rep_lift(m0, k, tower.height))
+        ratio = rat_sqrt(c / -q) if q else None
+        if ratio is not None:
+            return _q_const(tower, ratio) * CoeffElem.generator(tower, k)
     return None
 
 
 def _q_const(tower, q):
-    rep = Fraction(q)
-    return CoeffElem(tower, tower.rep_lift(rep, 0, tower.height))
+    return CoeffElem(tower, tower.rep_lift(tower.from_leaves([q], 0), 0, tower.height))
 
 
 def _rep_to_fraction(tower, rep):
@@ -696,33 +744,21 @@ def _rep_to_fraction(tower, rep):
 
 def _q_roots_in_tower(tower, f):
     """Distinct roots of f (reps, degree >= 2) over a Q tower found without extending it."""
-    level = tower.height
     fracs = [_rep_to_fraction(tower, c) for c in f]
-    roots = []
-    if all(q is not None for q in fracs):
-        for r in _rational_roots(fracs):
-            roots.append(_q_const(tower, r))
-    if len(f) == 3 and not f[1]:
+    roots = [_q_const(tower, r) for r in _rational_roots(fracs)] if None not in fracs else []
+    if len(f) == 3 and not f[1] and None not in (fracs[0], fracs[2]):
         # X^2 = -c/a: look for a square root inside the tower
-        cq = _rep_to_fraction(tower, f[0])
-        aq = _rep_to_fraction(tower, f[2])
-        if cq is not None and aq is not None:
-            s = _q_sqrt_in_tower(tower, -cq / aq)
-            if s is not None:
-                roots.extend([s, -s] if not s.is_zero() else [s])
-    # stage generators and their cheap conjugates are candidate roots too
+        s = _q_sqrt_in_tower(tower, -fracs[0] / fracs[2])
+        if s is not None:
+            roots.extend([s, -s] if not s.is_zero() else [s])
+    # stage generators g and their conjugates -b - g (stage X^2 + bX + c) are candidates too
     for k in range(tower.height):
         g = CoeffElem.generator(tower, k)
-        mp = tower.stages[k][1]
-        cands = [g, -g]
-        if len(mp) == 3:
-            # other root of X^2 + b X + c is -b - g
-            b = CoeffElem(tower, tower.rep_lift(mp[1], k, tower.height))
-            cands.append(-b - g)
-        roots.extend(cands)
+        b = CoeffElem(tower, tower.rep_lift(tower.stages[k][1][1], k, tower.height))
+        roots.extend([g, -g, -b - g])
     uniq = []
     for r in sorted(roots, key=lambda c: c.sort_key()):
-        if not _peval(tower, f, r.rep, level) and not any(u == r for u in uniq):
+        if not _peval(tower, f, r.rep, tower.height) and not any(u == r for u in uniq):
             uniq.append(r)
     return uniq
 
@@ -746,12 +782,11 @@ def _split_finite(tower, f):
 def _split_rational(tower, f):
     """One round over a Q tower: the roots it holds, divided out of f, or else
     the next stage if f is X^2 - c or X^2 + X + 1."""
-    level = tower.height
     roots = []
     for r in _q_roots_in_tower(tower, f):
         m = 0
         while True:
-            q, rem = _pdivmod(tower, f, [tower.rep_neg(r.rep), tower.rep_one()], level)
+            q, rem = _pdivmod(tower, f, [tower.rep_neg(r.rep), tower.rep_one()], tower.height)
             if rem:
                 break
             f, m = q, m + 1
@@ -762,7 +797,7 @@ def _split_rational(tower, f):
     if len(a) == 3 and None not in a:
         a = [q / a[2] for q in a]  # the shapes are read on the monic form
         if a[1] == 0 or a[0] == a[1] == 1:
-            return [], f, tuple(tower.rep_lift(q, 0, level) for q in a)
+            return [], f, tuple(_q_const(tower, q).rep for q in a)
     raise IrreducibleOverRationals(
         "polynomial is outside the whitelisted extension shapes")
 
@@ -773,8 +808,9 @@ def solve_in_closure(tower, coeffs):
     Returns (new_tower, [(root, multiplicity)]), roots canonically ordered.
     Each round takes the roots the current tower holds and adjoins one stage
     for the rest: over F_q the least nonlinear irreducible factor, over Q a
-    whitelisted shape (IrreducibleOverRationals for any other).  A root found
-    in one round divides f over every later stage, so only the cofactor goes on.
+    whitelisted shape (IrreducibleOverRationals for any other, unless an
+    earlier round found roots: those are returned).  A root found in one round
+    divides f over every later stage, so only the cofactor goes on.
     """
     f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
@@ -786,7 +822,12 @@ def solve_in_closure(tower, coeffs):
             root = tower.rep_neg(tower.rep_mul(f[0], tower.rep_inv(f[1])))
             found.append((CoeffElem(tower, root), 1))
             break
-        roots, f, stage = split(tower, f)
+        try:
+            roots, f, stage = split(tower, f)
+        except IrreducibleOverRationals:
+            if not found:
+                raise
+            break
         found.extend(roots)
         if stage is not None:
             tower = tower.adjoin(stage)
@@ -829,6 +870,10 @@ class WittRing:
             raise EngineInvariantViolation(
                 f"a residue over {c.tower!r} lifted into {self!r}")
         return WittElem(self, c.rep)
+
+    def leaves(self, elems):
+        """The integer leaves (FieldTower.leaves) of each element of `elems`."""
+        return [self.tower.leaves(w.rep) for w in elems]
 
     def residue(self, w):
         tower, p = self.tower, self.p

@@ -431,7 +431,7 @@ def _carry_normalize(s):
     """
     witt = s.ring.coeffs
     p, tower = witt.p, witt.tower
-    flat = [tower.leaves(c.rep) for _, c in s._raw]
+    flat = witt.leaves([c for _, c in s._raw])
     if max(map(max, flat), default=0) < p:
         # every coefficient is a digit: the raw terms are the carried form
         return s._raw, s._raw_prec, s._raw_closed

@@ -234,6 +234,29 @@ def test_cmd_verify_all_pass():
             assert "status=PASS" in line
 
 
+def _binomial(a, k):
+    return math.prod((a - j for j in range(k)), start=Fraction(1)) / math.factorial(k)
+
+
+@pytest.mark.parametrize("poly, coeffs", [
+    ("y^6 - t", [1]),
+    # t^(1/6) (1 + t)^(1/6): the binomial coefficients of exponent 1/6
+    ("y^6 - t - t^2", [_binomial(Fraction(1, 6), k) for k in range(6)]),
+], ids=["pure", "binomial"])
+def test_rational_root_kept_when_the_cofactor_is_outside_the_shapes(poly, coeffs):
+    # X^6 - 1 has the roots 1 and -1; its cofactor X^4 + X^2 + 1 has no
+    # whitelisted shape, and the roots found before it still count
+    spec = parse_problem(f"char 0\npoly {poly}\nverify all\n")
+    code, out, _ = cmd_expand(spec, fmt="records", budget=6)
+    assert code == 0
+    steps = [line for line in out.splitlines() if line.startswith("beta=")]
+    assert [line.split()[1] for line in steps] == [f"coeff={c}" for c in coeffs]
+    assert all(line.endswith("branch=STEP") for line in steps)
+    assert ("status=COMPLETE" if len(coeffs) == 1 else "status=BUDGET") in out
+    code, out = cmd_verify(spec)
+    assert code == 0 and out.count("status=PASS") == 6
+
+
 def test_cmd_verify_corruption_fails():
     spec = parse_problem(ARTIN)
     code, out = cmd_verify(spec, corrupt=True)

@@ -17,10 +17,11 @@ from genpuiseux.coeff import (
     _rational_roots,
     _trim,
     _witness_candidates,
+    binary_power,
     factor_poly,
     solve_in_closure,
 )
-from genpuiseux.errors import IrreducibleOverRationals, NonUnit
+from genpuiseux.errors import DivisionByZero, IrreducibleOverRationals, NonUnit
 
 
 def fp(p):
@@ -67,8 +68,7 @@ def test_adjoin_root_in_place():
 
 def test_adjoin_sqrt2_over_q():
     t = FieldTower.rationals()
-    coeffs = [CoeffElem(t, Fraction(-2)), CoeffElem(t, Fraction(0)), CoeffElem(t, Fraction(1))]
-    t2, roots = solve_in_closure(t, coeffs)
+    t2, roots = solve_in_closure(t, elems(t, -2, 0, 1))
     assert t2.height == 1
     assert [m for _, m in roots] == [1, 1]
     for root, _ in roots:
@@ -96,7 +96,7 @@ K = 248289021900363196427360330
          "huge-non-square", "two", "negative"])
 def test_rational_sqrt_exact(q, root):
     t = FieldTower.rationals()
-    expected = None if root is None else CoeffElem(t, Fraction(root))
+    expected = None if root is None else CoeffElem(t, t.from_leaves([Fraction(root)]))
     assert _q_sqrt_in_tower(t, q) == expected
 
 
@@ -346,8 +346,7 @@ def test_coeff_text_form():
 
 def test_canonical_root_order_prefers_positive_one():
     t = FieldTower.rationals()
-    coeffs = [CoeffElem(t, Fraction(-1)), CoeffElem(t, Fraction(0)), CoeffElem(t, Fraction(1))]
-    t2, roots = solve_in_closure(t, coeffs)
+    t2, roots = solve_in_closure(t, elems(t, -1, 0, 1))
     assert _fraction(roots[0][0]) == 1
     assert _fraction(roots[1][0]) == -1
 
@@ -509,10 +508,221 @@ def test_solve_in_closure_q_strips_then_extends():
     # (X - 1)^2 (X^2 - 8): strip 1 twice, adjoin w^2 = 8, then find +-w
     t = FieldTower.rationals()
     t2, roots = solve_in_closure(t, elems(t, -8, 16, -7, -2, 1))
-    assert t2 == t.adjoin((Fraction(-8), Fraction(0), Fraction(1)))
+    assert t2 == t.adjoin(((-8, 1), (), (1, 1)))  # numerator and denominator pairs
     w = CoeffElem.generator(t2)
     assert roots == sorted([(t2.one(), 2), (w, 1), (-w, 1)],
                            key=lambda rm: rm[0].sort_key())
+
+
+# -- Q-tower arithmetic against the nested Fraction arithmetic it replaced -----------
+#
+# _NestedFractions is FieldTower's arithmetic over Q as it was when every leaf was
+# a Fraction, copied verbatim (with the polynomial helpers it calls and the text
+# form), and kept here as the oracle.  Elements meet the engine only through the
+# flat walk: FieldTower.from_leaves takes Fraction leaves and leaves gives them.
+
+
+class _NestedFractions:
+    def __init__(self, stages):
+        self.base, self.leaf_mod = ('Q',), None
+        self.stages = tuple(('w', mp) for mp in stages)
+        self.height = len(self.stages)
+        self._sizes = [1]
+        for _, mp in self.stages:
+            self._sizes.append(self._sizes[-1] * (len(mp) - 1))
+
+    def stage_degree(self, k):
+        return len(self.stages[k][1]) - 1
+
+    def rep_zero(self, level=None):
+        level = self.height if level is None else level
+        if level == 0:
+            return 0 if self.base[0] == 'F' else Fraction(0)
+        return ()
+
+    def rep_one(self, level=None):
+        return self.rep_from_int(1, level)
+
+    def rep_from_int(self, n, level=None):
+        level = self.height if level is None else level
+        if self.leaf_mod is not None:
+            n %= self.leaf_mod
+        elif self.base[0] == 'Q':
+            n = Fraction(n)
+        return self.rep_lift(n, 0, level)
+
+    def rep_add(self, x, y, level=None):
+        level = self.height if level is None else level
+        if level == 0:
+            m = self.leaf_mod
+            return x + y if m is None else (x + y) % m
+        if len(x) < len(y):
+            x, y = y, x
+        out = [self.rep_add(a, b, level - 1) for a, b in zip(x, y)]
+        out.extend(x[len(y):])
+        return tuple(_trim(out))
+
+    def rep_neg(self, x, level=None):
+        level = self.height if level is None else level
+        if level == 0:
+            m = self.leaf_mod
+            return -x if m is None else -x % m
+        return tuple(self.rep_neg(c, level - 1) for c in x)
+
+    def rep_sub(self, x, y, level=None):
+        level = self.height if level is None else level
+        return self.rep_add(x, self.rep_neg(y, level), level)
+
+    def rep_mul(self, x, y, level=None):
+        level = self.height if level is None else level
+        if level == 0:
+            m = self.leaf_mod
+            return x * y if m is None else x * y % m
+        return self._reduce(_o_pmul(self, x, y, level - 1), level)
+
+    def _reduce(self, coeffs, level):
+        mp = self.stages[level - 1][1]
+        d = len(mp) - 1
+        below = level - 1
+        while len(coeffs) > d:
+            lead = coeffs.pop()
+            if not lead:
+                continue
+            k = len(coeffs) - d
+            for i in range(d):
+                coeffs[k + i] = self.rep_sub(coeffs[k + i],
+                                             self.rep_mul(lead, mp[i], below), below)
+        return tuple(_trim(coeffs))
+
+    def rep_inv(self, x, level=None):
+        level = self.height if level is None else level
+        if not x:
+            raise DivisionByZero("inverse of zero")
+        if level == 0:
+            if self.leaf_mod is None:
+                return Fraction(1) / x
+            return pow(x, -1, self.leaf_mod)
+        r0, r1 = self.stages[level - 1][1], x
+        s0, s1 = (), (self.rep_one(level - 1),)
+        while len(r1) > 1:
+            q, r = _o_pdivmod(self, r0, r1, level - 1)
+            r0, r1 = r1, r
+            s0, s1 = s1, self.rep_sub(s0, _o_pmul(self, q, s1, level - 1), level)
+        if not r1:
+            raise DivisionByZero("element not invertible (non-trivial gcd)")
+        c = self.rep_inv(r1[0], level - 1)
+        out = [self.rep_mul(c, s, level - 1) for s in s1]
+        return self._reduce(out, level)
+
+    def rep_pow(self, x, n, level=None):
+        if n < 0:
+            raise ValueError("tower powers need a non-negative exponent")
+        level = self.height if level is None else level
+        return binary_power(x, n, self.rep_one(level),
+                            lambda a, b: self.rep_mul(a, b, level))
+
+    def leaves(self, rep, level=None):
+        level = self.height if level is None else level
+        if level == 0:
+            return [rep]
+        out = []
+        for c in rep:
+            out += self.leaves(c, level - 1)
+        return out + [0] * (self._sizes[level] - len(out))
+
+    def from_leaves(self, leaves, level=None, start=0):
+        level = self.height if level is None else level
+        if level == 0:
+            return leaves[start]
+        step = self._sizes[level - 1]
+        return tuple(_trim([self.from_leaves(leaves, level - 1, start + i)
+                            for i in range(0, self._sizes[level], step)]))
+
+    def rep_lift(self, x, from_level, to_level):
+        for lvl in range(from_level, to_level):
+            x = (x,) if x else ()
+        return x
+
+    def rep_key(self, x):
+        if self.base[0] == 'F':
+            return tuple(self.leaves(x))
+        return tuple((q < 0, abs(q.numerator), q.denominator) for q in self.leaves(x))
+
+
+def _o_pmul(tower, f, g, level):
+    if not f or not g:
+        return []
+    out = [tower.rep_zero(level)] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if not fi:
+            continue
+        for j, gj in enumerate(g):
+            out[i + j] = tower.rep_add(out[i + j], tower.rep_mul(fi, gj, level), level)
+    return _trim(out)
+
+
+def _o_pdivmod(tower, f, g, level):
+    g = _trim(list(g))
+    if not g:
+        raise DivisionByZero("polynomial division by zero")
+    inv_lead = tower.rep_inv(g[-1], level)
+    q = [tower.rep_zero(level)] * max(0, len(f) - len(g) + 1)
+    r = _trim(list(f))
+    while len(r) >= len(g):
+        c = tower.rep_mul(r[-1], inv_lead, level)
+        k = len(r) - len(g)
+        q[k] = tower.rep_add(q[k], c, level)
+        for i, gi in enumerate(g):
+            r[k + i] = tower.rep_sub(r[k + i], tower.rep_mul(c, gi, level), level)
+        r.pop()
+        _trim(r)
+    return _trim(q), r
+
+
+def _o_rep_text(tower, rep, level):
+    terms = _o_rep_monomials(rep, level, ())
+    if not terms:
+        return "0"
+    parts = []
+    for exps, base in sorted(terms, key=lambda t: t[0], reverse=True):
+        gens = [f"{tower.stages[k][0]}^{e}" for k, e in enumerate(exps) if e > 0]
+        if not gens:
+            parts.append(str(base))
+        elif base == 1:
+            parts.append("*".join(gens))
+        else:
+            parts.append("*".join([str(base)] + gens))
+    return " + ".join(parts)
+
+
+def _o_rep_monomials(rep, level, exps):
+    if level == 0:
+        return [] if rep == 0 else [(exps, rep)]
+    return [m for i, c in enumerate(rep) for m in _o_rep_monomials(c, level - 1, (i,) + exps)]
+
+
+_F = Fraction
+# each tower by its stages in the nested Fraction form
+_Q_TOWERS = {
+    "Q": (),
+    "Q(sqrt2)": ((_F(-2), _F(0), _F(1)),),
+    "Q(w)": ((_F(1), _F(1), _F(1)),),
+    "Q(sqrt2)(w)": ((_F(-2), _F(0), _F(1)), ((_F(1),), (_F(1),), (_F(1),))),
+    "Q(sqrt(1/3))": ((_F(-1, 3), _F(0), _F(1)),),
+}
+
+
+def _q_tower_pair(stages):
+    """The engine's tower and the oracle for the same stages, the engine's
+    stages passed in through its own from_leaves."""
+    tower = FieldTower.rationals()
+    for k, mp in enumerate(stages):
+        below = _NestedFractions(stages[:k])
+        tower = tower.adjoin(tuple(tower.from_leaves(below.leaves(c)) for c in mp))
+    oracle = _NestedFractions(stages)
+    # the generator names are the engine's
+    oracle.stages = tuple((name, mp) for (name, _), (_, mp) in zip(tower.stages, oracle.stages))
+    return tower, oracle
 
 
 # -- the one walk over the nested format against the walks it replaced ----------------
@@ -554,11 +764,11 @@ def _o_residue(ring, w):
     return CoeffElem(ring.tower, map_leaves(w.rep, ring.tower.height, lambda x: x % p))
 
 
-_Q2 = FieldTower.rationals().adjoin((Fraction(-2), Fraction(0), Fraction(1)))  # w^2 = 2
 _LEAF_TOWERS = {
-    "F2[w]": f4()[0], "F4[w2]": F16_TOWER, "F3[w]": fp(3).adjoin((1, 0, 1)), "Q(sqrt2)": _Q2,
-    # X^2 + X + 1 over Q(sqrt 2): a height-two tower over Q
-    "Q(sqrt2)(w)": _Q2.adjoin(((Fraction(1),), (Fraction(1),), (Fraction(1),))),
+    "F2[w]": f4()[0], "F4[w2]": F16_TOWER, "F3[w]": fp(3).adjoin((1, 0, 1)),
+    # w^2 = 2, then X^2 + X + 1 over Q(sqrt 2): a height-two tower over Q
+    "Q(sqrt2)": _q_tower_pair(_Q_TOWERS["Q(sqrt2)"])[0],
+    "Q(sqrt2)(w)": _q_tower_pair(_Q_TOWERS["Q(sqrt2)(w)"])[0],
 }
 
 
@@ -584,27 +794,33 @@ def _witt_case(draw):
 
 @st.composite
 def _tower_case(draw):
+    """A tower, the walk of the oracle key, and reps with their nested forms: a
+    Q rep is drawn in the nested Fraction form and goes in through from_leaves."""
     if draw(st.booleans()):
         ring, reps = draw(_witt_case())
-        return ring.tower, reps
-    tower = _LEAF_TOWERS[draw(st.sampled_from(sorted(_LEAF_TOWERS)))]
-    leaf = (st.integers(0, tower.char - 1) if tower.char
-            else st.fractions(min_value=-9, max_value=9, max_denominator=6))
-    return tower, draw(_reps(tower, leaf))
+        return ring.tower, ring.tower, [(x, x) for x in reps]
+    name = draw(st.sampled_from(sorted(_LEAF_TOWERS)))
+    tower = _LEAF_TOWERS[name]
+    if tower.char:
+        return tower, tower, [(x, x) for x in draw(_reps(tower, st.integers(0, tower.char - 1)))]
+    walk = _NestedFractions(_Q_TOWERS[name])
+    reps = draw(_reps(walk, st.fractions(min_value=-9, max_value=9, max_denominator=6)))
+    return tower, walk, [(tower.from_leaves(walk.leaves(x)), x) for x in reps]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_tower_case())
 def test_leaves_round_trip_and_keys_sort_like_the_nested_walk(case):
-    tower, reps = case
+    tower, walk, reps = case
     count = math.prod(tower.stage_degree(k) for k in range(tower.height))
-    for x in reps:
+    for x, nested in reps:
         assert len(tower.leaves(x)) == count
         assert tower.from_leaves(tower.leaves(x)) == x
-    for x in reps:
-        for y in reps:
+        assert tower.leaves(x) == walk.leaves(nested)
+    for x, nx in reps:
+        for y, ny in reps:
             kx, ky = tower.rep_key(x), tower.rep_key(y)
-            ox, oy = _o_rep_key(tower, x), _o_rep_key(tower, y)
+            ox, oy = _o_rep_key(walk, nx), _o_rep_key(walk, ny)
             assert (kx < ky, kx == ky) == (ox < oy, ox == oy)
 
 
@@ -616,3 +832,44 @@ def test_witt_digits_and_residue_match_map_leaves(case):
         w = WittElem(ring, x)
         assert [d.rep for d in w.digits()] == [d.rep for d in _o_digits(w)]
         assert ring.residue(w).rep == _o_residue(ring, w).rep
+
+
+@st.composite
+def _q_case(draw):
+    name = draw(st.sampled_from(sorted(_Q_TOWERS)))
+    tower, oracle = _q_tower_pair(_Q_TOWERS[name])
+    leaf = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    sparse = st.one_of(st.just(Fraction(0)), leaf)
+    vectors = st.lists(sparse, min_size=oracle._sizes[-1], max_size=oracle._sizes[-1])
+    return tower, oracle, draw(st.lists(vectors, min_size=2, max_size=4)), draw(
+        st.integers(-6, 6))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_q_case())
+def test_q_tower_arithmetic_matches_nested_fractions(case):
+    tower, o, vectors, n = case
+    elems_ = [(CoeffElem(tower, tower.from_leaves(v)), o.from_leaves(v)) for v in vectors]
+
+    def same(got, want):
+        assert tower.leaves(got.rep) == o.leaves(want)
+        assert got.to_text() == _o_rep_text(o, want, o.height)
+
+    for a, oa in elems_:
+        same(-a, o.rep_neg(oa))
+        same(a + n, o.rep_add(oa, o.rep_from_int(n)))
+        same(a * n, o.rep_mul(oa, o.rep_from_int(n)))
+        for k in range(4):
+            same(a ** k, o.rep_pow(oa, k))
+        if oa:
+            same(a.inv(), o.rep_inv(oa))
+        else:
+            with pytest.raises(DivisionByZero):
+                a.inv()
+        for b, ob in elems_:
+            same(a + b, o.rep_add(oa, ob))
+            same(a - b, o.rep_sub(oa, ob))
+            same(a * b, o.rep_mul(oa, ob))
+            assert (a == b) == (oa == ob)
+            ka, kb, oka, okb = a.sort_key(), b.sort_key(), o.rep_key(oa), o.rep_key(ob)
+            assert (ka < kb, ka == kb) == (oka < okb, oka == okb)

@@ -17,7 +17,10 @@ pins mixed characteristic at 24 terms: ``p 3``, ``witt_prec 12``,
 denominators 3^k, where every carry of the ``expand-p`` ops stays in one
 class.  A sixth pins the limit stage at 12 terms: ``char 2``,
 ``poly y^2 + t*y + t + t^3 + t^4`` is the one spec here whose records hold
-a ``branch=LIMIT`` step.
+a ``branch=LIMIT`` step.  Two more pin Q towers past the bench budgets:
+``poly y^3 - t - t^2`` at 32 terms, over Q(w) with denominators 3^k, and
+``poly y^2 - 1/3 - t`` at 24 terms, over the stage X^2 - 1/3, whose minimal
+polynomial is not integral.
 """
 
 import functools
@@ -91,6 +94,10 @@ LONG_RUNS = {
                 "61bc0de28f5159dd9cf35c2d4a95de54a41e025967df558549ed6167937c5011"),
     "limit-f2": ("char 2\npoly y^2 + t*y + t + t^3 + t^4\n", 12,
                  "0f2a0bdc7ae31253d5de2ba1544dbaa83d1c7b07b3c434d760a8f8a1b381e96c"),
+    "cube-q": ("char 0\npoly y^3 - t - t^2\n", 32,
+               "e46fee06b5071ad540b5f016a5f6d2c68a8d7dedde748cf98138ed202d9c0f8d"),
+    "third-q": ("char 0\npoly y^2 - 1/3 - t\n", 24,
+                "6b30d0b77af05ee1f98ad4867aadf7f5ae723d70b9e8181022e871cf6dc82ec8"),
 }
 
 

@@ -378,7 +378,7 @@ def test_text_roundtrip_tower_coefficients():
         assert f.to_text() == text
         assert parse_series(R, text) == f
     # a constant term with a negative rational part over Q(sqrt 2)
-    q2 = FieldTower.rationals().adjoin((-2, 0, 1))  # w^2 - 2 = 0
+    q2 = FieldTower.rationals().adjoin(((-2, 1), (), (1, 1)))  # w^2 - 2 = 0
     r = CoeffElem.generator(q2)
     R2 = SeriesRing(GroupDescriptor([1]), q2)
     minus3 = q2.from_int(-3)
@@ -556,7 +556,7 @@ def _assert_raw(f, expected):
 
 
 def _qw_ring():
-    return SeriesRing(GroupDescriptor([1]), FieldTower.rationals().adjoin((-2, 0, 1)))
+    return SeriesRing(GroupDescriptor([1]), FieldTower.rationals().adjoin(((-2, 1), (), (1, 1))))
 
 
 def _sqrt2_ring():
