@@ -61,6 +61,7 @@ class FieldTower:
         for _, mp in self.stages:
             self._sizes.append(self._sizes[-1] * (len(mp) - 1))
             self._exps = [e + (i,) for i in range(len(mp) - 1) for e in self._exps]
+        self._solved = {}  # solve_in_closure's results over this tower, by equation
 
     def _over_leaves(self, modulus):
         """The same stages with leaves mod `modulus` (exact integers if None)."""
@@ -530,11 +531,12 @@ def _distinct_degree(tower, f, level):
 
 
 def _witness_candidates(tower, degree, level):
-    """Lazy stream of nonconstant polys of degree < degree, by degree then key."""
+    """Lazy stream of nonconstant polys of degree < degree, by degree; in each
+    degree the monic ones first (X + a for degree 1), then the rest, each by key."""
+    one, elements = tower.rep_one(level), partial(tower.enumerate_elements, level)
     for d in range(1, degree):
-        for v in _vectors(partial(tower.enumerate_elements, level), d + 1):
-            if v[-1]:
-                yield list(v)
+        yield from ([*v, one] for v in _vectors(elements, d))
+        yield from (list(v) for v in _vectors(elements, d + 1) if v[-1] and v[-1] != one)
 
 
 def _equal_degree_split(tower, f, d, level):
@@ -811,10 +813,21 @@ def solve_in_closure(tower, coeffs):
     whitelisted shape (IrreducibleOverRationals for any other, unless an
     earlier round found roots: those are returned).  A root found in one round
     divides f over every later stage, so only the cofactor goes on.
+
+    The result is kept on `tower`, keyed by the coefficient reps, since a
+    t-adic tail meets one equation at every step; each call gets a fresh list.
     """
     f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
         raise ValueError("solve_in_closure needs a non-constant polynomial")
+    key = tuple(f)
+    if key not in tower._solved:
+        tower._solved[key] = _solve(tower, f)
+    tower2, roots = tower._solved[key]
+    return tower2, list(roots)
+
+
+def _solve(tower, f):
     split = _split_finite if tower.base[0] == 'F' else _split_rational
     found = []
     while len(f) > 1:

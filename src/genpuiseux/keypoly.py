@@ -259,6 +259,13 @@ def chain_entry(below, poly, beta, alpha, expansion=None):
     return ChainEntry(poly, beta, b, eps, alpha, tuple(levels), expansion)
 
 
+def _per_poly(entries, fn):
+    """fn of each distinct polynomial object among the entries, keyed by id: a
+    re-pinned F is one object in many entries."""
+    polys = {id(e.poly): e.poly for e in entries}
+    return {k: fn(q) for k, q in polys.items()}
+
+
 class KeyPolyChain:
     """Immutable snapshot of the computed key-polynomial chain."""
 
@@ -286,17 +293,18 @@ class KeyPolyChain:
         return KeyPolyChain(self.ring, self.entries + (entry,))
 
     def coerce(self, ring):
-        """The chain over ring; kept expansions are of the old ring's F: dropped."""
-        return KeyPolyChain(ring, [replace(e, poly=e.poly.coerce(ring), expansion=None)
+        """The chain over ring; kept expansions are of the old ring's F: dropped.
+        Entries that share a polynomial (a re-pinned F) still share it."""
+        polys = _per_poly(self.entries, lambda q: q.coerce(ring))
+        return KeyPolyChain(ring, [replace(e, poly=polys[id(e.poly)], expansion=None)
                                    for e in self.entries])
 
     def report(self):
-        lines = []
-        for i, e in enumerate(self.entries, start=1):
-            lines.append(
-                f"{i}: Q_{i}={e.poly.to_text()} beta={group_text(e.beta)} "
-                f"b={e.b_order} eps={group_text(e.epsilon)} alpha={e.alpha}")
-        return "\n".join(lines)
+        texts = _per_poly(self.entries, ValPoly.to_text)
+        return "\n".join(
+            f"{i}: Q_{i}={texts[id(e.poly)]} beta={group_text(e.beta)} "
+            f"b={e.b_order} eps={group_text(e.epsilon)} alpha={e.alpha}"
+            for i, e in enumerate(self.entries, start=1))
 
 
 def geometric_limit(xs, p):

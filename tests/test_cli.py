@@ -21,6 +21,7 @@ from genpuiseux.cli import (
     main,
     parse_problem,
     read_poly,
+    run_expand,
 )
 from genpuiseux.embed import expand, monomial_embedding
 from genpuiseux.errors import ParseError
@@ -216,6 +217,22 @@ def test_cmd_expand_records_format():
     assert lines[0].startswith("beta=1/2 coeff=1 i_beta=1 beta_plus=3/4 branch=STEP")
     assert any(l.startswith("result=") and "status=BUDGET" in l for l in lines)
     assert any(l.startswith("chain 1: Q_1=y") for l in lines)
+
+
+def test_each_expansion_solves_its_own_first_equation(monkeypatch):
+    """A solve is kept on the tower it ran over, and every spec builds fresh
+    towers, so a second expansion of one spec factors its equations again."""
+    import genpuiseux.coeff as coeff
+
+    calls, real = [], coeff.factor_poly
+    monkeypatch.setattr(coeff, "factor_poly", lambda *args: calls.append(args) or real(*args))
+    spec = parse_problem(ARTIN)
+    first = run_expand(spec).series.to_text()
+    n = len(calls)
+    assert n >= 1 and run_expand(spec).series.to_text() == first
+    assert len(calls) == 2 * n
+    (t0, eq0), (t1, eq1) = calls[0], calls[n]
+    assert t1 == t0 and t1 is not t0 and [c.rep for c in eq1] == [c.rep for c in eq0]
 
 
 def test_cmd_expand_mixed():

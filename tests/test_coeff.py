@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -433,14 +434,16 @@ def _sorted_elements(tower):
 
 
 def _listed_witnesses(tower, degree):
-    elems = _sorted_elements(tower)
+    """Each degree's monic polys, then its other nonconstant ones, each by key."""
+    elems, one = _sorted_elements(tower), tower.rep_one()
     for d in range(1, degree):
         heads = [[]]
         for _ in range(d):
             heads = [h + [c] for h in heads for c in elems]
+        yield from (head + [one] for head in heads)
         for head in heads:
             for lead in elems:
-                if lead:
+                if lead and lead != one:
                     yield head + [lead]
 
 
@@ -512,6 +515,112 @@ def test_solve_in_closure_q_strips_then_extends():
     w = CoeffElem.generator(t2)
     assert roots == sorted([(t2.one(), 2), (w, 1), (-w, 1)],
                            key=lambda rm: rm[0].sort_key())
+
+
+def _counting_factor_poly(monkeypatch):
+    """Count factor_poly calls from here on; returns the list that grows per call."""
+    import genpuiseux.coeff as coeff
+
+    calls, real = [], coeff.factor_poly
+    monkeypatch.setattr(coeff, "factor_poly", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_solve_in_closure_is_kept_on_its_tower(monkeypatch):
+    calls = _counting_factor_poly(monkeypatch)
+    for ints in ((1, 0, 1), (1, 1, 1)):  # (X + 1)^2, the as-f2 tail's; X^2 + X + 1 adjoins w
+        t, before = fp(2), len(calls)
+        first = solve_in_closure(t, elems(t, *ints))
+        n = len(calls) - before
+        assert n >= 1
+        again = solve_in_closure(t, elems(t, *ints))
+        assert again == first and again[0] is first[0] and len(calls) == before + n
+        fresh = fp(2)  # an equal tower, but not the one the result is kept on
+        assert fresh == t and solve_in_closure(fresh, elems(fresh, *ints)) == first
+        assert len(calls) == before + 2 * n
+
+
+def test_solve_in_closure_returns_a_fresh_list(monkeypatch):
+    calls = _counting_factor_poly(monkeypatch)
+    t = fp(3)
+    eq = elems(t, 0, -1, 0, 1)  # X^3 - X
+    _, roots = solve_in_closure(t, eq)
+    want = list(roots)
+    roots.clear()
+    _, again = solve_in_closure(t, eq)
+    assert again == want and len(want) == 3 and len(calls) == 1
+    again.append(None)
+    assert solve_in_closure(t, eq)[1] == want
+
+
+# F4, F9, F16 (height two), F25 = F5[X]/(X^2 - 2), F27 = F3[X]/(X^3 - X - 1)
+_FACTOR_TOWERS = {"F4": f4()[0], "F9": fp(3).adjoin((1, 0, 1)), "F16": F16_TOWER,
+                  "F25": fp(5).adjoin((3, 0, 1)), "F27": fp(3).adjoin((2, 2, 0, 1))}
+
+
+@functools.cache
+def _field_tables(name):
+    """The elements of a finite tower and its +, * and - as tables over their indices
+    (index 0 is zero): polynomials over it become lists of small ints."""
+    tower = _FACTOR_TOWERS[name]
+    els = list(tower.enumerate_elements())
+    index = {r: i for i, r in enumerate(els)}
+    add = [[index[tower.rep_add(a, b)] for b in els] for a in els]
+    mul = [[index[tower.rep_mul(a, b)] for b in els] for a in els]
+    return index, add, mul, [index[tower.rep_neg(a)] for a in els]
+
+
+def _idx_mul(f, g, add, mul):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = add[out[i + j]][mul[a][b]]
+    return out
+
+
+def _idx_divides(g, f, add, mul, neg):
+    """Whether the monic g divides f, by long division over the tables."""
+    r, k = list(f), len(g) - 1
+    for top in range(len(r) - 1, k - 1, -1):
+        if c := r[top]:
+            for i, gi in enumerate(g):
+                r[top - k + i] = add[r[top - k + i]][neg[mul[c][gi]]]
+    return not any(r[:k])
+
+
+@st.composite
+def _factor_case(draw):
+    """A tower and a product of drawn powers of drawn polys, degree 1..6."""
+    name = draw(st.sampled_from(sorted(_FACTOR_TOWERS)))
+    q = _FACTOR_TOWERS[name].cardinality()
+    _, add, mul, _ = _field_tables(name)
+    f, room = [draw(st.integers(1, q - 1))], 6
+    while room and (not f[1:] or draw(st.booleans())):
+        d = draw(st.integers(1, room))
+        piece = [draw(st.integers(0, q - 1)) for _ in range(d)] + [draw(st.integers(1, q - 1))]
+        for _ in range(draw(st.integers(1, room // d))):
+            f, room = _idx_mul(f, piece, add, mul), room - d
+    return name, f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factor_case())
+def test_factor_poly_factors_are_monic_irreducible_and_multiply_back(case):
+    name, f = case
+    tower = _FACTOR_TOWERS[name]
+    index, add, mul, neg = _field_tables(name)
+    els, one = list(tower.enumerate_elements()), index[tower.rep_one()]
+    unit, factors = factor_poly(tower, [CoeffElem(tower, els[i]) for i in f])
+    product = [index[unit.rep]]
+    for fac, m in factors:
+        g = [index[c.rep] for c in fac]
+        assert g[-1] == one and len(g) > 1 and m >= 1
+        for _ in range(m):
+            product = _idx_mul(product, g, add, mul)
+        for k in range(1, (len(g) - 1) // 2 + 1):
+            for head in itertools.product(range(len(els)), repeat=k):
+                assert not _idx_divides([*head, one], g, add, mul, neg), (fac, head)
+    assert product == f
 
 
 # -- Q-tower arithmetic against the nested Fraction arithmetic it replaced -----------

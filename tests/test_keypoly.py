@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
@@ -147,31 +147,66 @@ def _shift_series(draw, R, exact=True, size=3):
     return GenSeries(R, terms, _shift_exponent(draw, R, 1), draw(st.booleans()))
 
 
+def _completed(draw, R, c):
+    """c with its O(.) bound replaced by drawn exact terms at or above it (above
+    it when closed): one exact series that the finite data describe."""
+    if c._raw_prec is INF:
+        return c
+    extra = [(c._raw_prec + _shift_exponent(draw, R, int(c._raw_closed)), _shift_coeff(draw, R))
+             for _ in range(draw(st.integers(0, 2)))]
+    return GenSeries(R, list(c._raw) + extra)
+
+
+@st.composite
+def _shift_cases(draw):
+    """(exact, P, s, m, completion of P) for the shift property."""
+    R = _SHIFT_RINGS[draw(st.sampled_from(sorted(_SHIFT_RINGS)))]
+    exact = draw(st.booleans())
+    P = ValPoly(R, [_shift_series(draw, R, exact)
+                    for _ in range(draw(st.integers(1, 4)))] + [R.one()])
+    s = _shift_series(draw, R)
+    m = R.monomial(_shift_exponent(draw, R), _shift_coeff(draw, R))
+    return exact, P, s, m, ValPoly(R, [_completed(draw, R, c) for c in P.coeffs])
+
+
+def _agree_below(a, b, bound, closed):
+    if bound is INF:
+        return a == b
+    cut = GenSeries.truncate_closed if closed else GenSeries.truncate_open
+    return cut(a, bound) == cut(b, bound)
+
+
+# over F9, P = y^3 + O(t) y^2 + O(t) with s = 1 and m = 2: at s + m = 0 evaluation
+# reads the first Hasse derivative as an exact 0, where the shift keeps O(t)
+_F9 = _SHIFT_RINGS["F9"]
+_F9_CASE = (False, poly(_F9, _F9.zero(g(_F9, 1)), _F9.zero(), _F9.zero(g(_F9, 1)), _F9.one()),
+            _F9.one(), _F9.const(_F9.coeffs.from_int(2)),
+            poly(_F9, t_pow(_F9, 1), _F9.zero(), t_pow(_F9, 1), _F9.one()))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.booleans())
-def test_shift_taylor_matches_taylor_at_the_moved_point(data, exact):
+@given(_shift_cases())
+@example(_F9_CASE)
+def test_shift_taylor_matches_taylor_at_the_moved_point(case):
     """shift_taylor(taylor_at(P, s), m) against taylor_at(P, s + m).  Exact
-    data give the same raw and text forms.  Finite-precision coefficients
-    agree below the evaluated precision, and the shift knows at least as
-    much: a binomial that vanishes in the characteristic makes its term an
-    exact zero, where evaluation keeps the coefficient's precision."""
-    R = _SHIFT_RINGS[data.draw(st.sampled_from(sorted(_SHIFT_RINGS)))]
-    P = ValPoly(R, [_shift_series(data.draw, R, exact)
-                    for _ in range(data.draw(st.integers(1, 4)))] + [R.one()])
-    s = _shift_series(data.draw, R)
-    m = R.monomial(_shift_exponent(data.draw, R), _shift_coeff(data.draw, R))
+    data give the same raw and text forms.  On finite-precision coefficients
+    neither knows more in general (a binomial that vanishes in the
+    characteristic makes the shift's term exact; evaluation at an exact point
+    can make a term exact too), so the two agree below the lesser of their
+    precisions, and each agrees below its own with the Taylor vector of P
+    completed to exact data, which the finite data describe."""
+    exact, P, s, m, full = case
     shifted, evaluated = shift_taylor(taylor_at(P, s), m), taylor_at(P, s + m)
     assert len(shifted) == len(evaluated) == P.degree() + 1
-    for sh, ev in zip(shifted, evaluated):
+    for sh, ev, want in zip(shifted, evaluated, taylor_at(full, s + m)):
         if exact:
             assert sh._raw == ev._raw and sh._raw_prec is ev._raw_prec is INF
             assert sh.to_text() == ev.to_text()
-        elif ev.prec is INF:
-            assert sh == ev
-        else:
-            assert sh.knows(ev.prec, ev.closed)
-            cut = GenSeries.truncate_closed if ev.closed else GenSeries.truncate_open
-            assert cut(sh, ev.prec) == cut(ev, ev.prec)
+            continue
+        low = ev if sh.knows(ev.prec, ev.closed) else sh
+        assert _agree_below(sh, ev, low.prec, low.closed)
+        for x in (sh, ev):
+            assert _agree_below(x, want, x.prec, x.closed)
 
 
 def test_negative_polynomial_power_raises():
