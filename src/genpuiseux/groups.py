@@ -100,12 +100,11 @@ class GroupDescriptor:
         if not self._independent():
             raise ValueError("weights are Z-linearly dependent")
         # The weights over one positive common denominator _wden: w_j is
-        # (_wa[j] + _wb[j]*sqrt(d)) / _wden with integers; _wb is None when
-        # every weight is rational, and then the rank is 1 (_independent).
+        # (_wa[j] + _wb[j]*sqrt(d)) / _wden with integers; compare reads them
+        # at rank 2.
         self._wden = math.lcm(*(x.denominator for w in ws for x in (w.a, w.b)))
         self._wa = tuple(int(w.a * self._wden) for w in ws)
-        self._wb = (None if all(w.b == 0 for w in ws)
-                    else tuple(int(w.b * self._wden) for w in ws))
+        self._wb = tuple(int(w.b * self._wden) for w in ws)
 
     def _independent(self):
         # Sum n_j (a_j + b_j sqrt d) = 0 forces the rational and sqrt parts to
@@ -151,17 +150,11 @@ class GroupDescriptor:
 
     # -- order ----------------------------------------------------------------
 
-    def value_of(self, elem):
-        den = elem.den * self._wden
-        a = Fraction(sum(map(mul, elem.num, self._wa)), den)
-        b = 0 if self._wb is None else Fraction(sum(map(mul, elem.num, self._wb)), den)
-        return QuadValue(a, b, self.sqrt_disc)
-
     def compare(self, a, b):
         """Three-way order of two finite elements; groups.cmp orders INF."""
         da, db = a.den, b.den
-        if self._wb is None:
-            # rank 1 with a positive weight: the order is that of num[0] / den
+        if self.rank == 1:
+            # one positive weight: the order is that of num[0] / den
             x, y = a.num[0], b.num[0]
             if da != db:
                 x, y = x * db, y * da
@@ -211,6 +204,19 @@ class GroupDescriptor:
             items.sort(key=itemgetter(0))
         return tuple((GroupElement(self, (k // (d := math.gcd(k, lcm)),), lcm // d), c)
                      for k, c in items)
+
+    def integer_classes(self, terms):
+        """The exponents of (element, value) pairs by class modulo the first
+        basis element: [(class, [(i, n), ...]), ...] in order of appearance,
+        terms[i]'s exponent class.shifts([n])[0], n an integer and the class
+        in [0, 1) there.  num[0] - n*den keeps the class in lowest terms."""
+        classes = {}
+        for i, (g, _) in enumerate(terms):
+            num, den = g.num, g.den
+            n = num[0] // den
+            classes.setdefault((num[0] - n * den, num[1:], den), []).append((i, n))
+        return [(GroupElement(self, (head,) + rest, den), members)
+                for (head, rest, den), members in classes.items()]
 
     def __eq__(self, other):
         if self is other:
@@ -302,10 +308,13 @@ class GroupElement:
         return _lowest(self.descriptor, tuple(n * q.numerator for n in self.num),
                        self.den * q.denominator)
 
-    # -- order -----------------------------------------------------------------
+    def shifts(self, ns):
+        """[self + n*(first basis element) for n in ns], integers n, each in
+        lowest terms as self is."""
+        head, rest, den = self.num[0], self.num[1:], self.den
+        return [GroupElement(self.descriptor, (head + n * den,) + rest, den) for n in ns]
 
-    def cmp(self, other):
-        return cmp(self, other)
+    # -- order -----------------------------------------------------------------
 
     def __lt__(self, other):
         return cmp(self, other) < 0
@@ -369,7 +378,8 @@ class GroupElement:
 
 
 class _Infinity:
-    """Order-topped sentinel used for exact roots and unbounded precision."""
+    """Order-topped sentinel used for exact roots and unbounded precision.
+    It defines no comparison: groups.cmp orders it."""
 
     _instance = None
 
@@ -377,18 +387,6 @@ class _Infinity:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INF
-
-    def __gt__(self, other):
-        return other is not INF
-
-    def __ge__(self, other):
-        return True
 
     def __add__(self, other):
         return INF

@@ -435,26 +435,22 @@ def _carry_normalize(s):
     if max(map(max, flat), default=0) < p:
         # every coefficient is a digit: the raw terms are the carried form
         return s._raw, s._raw_prec, s._raw_closed
-    classes = {}
-    for (g, c), leaves in zip(s._raw, flat):
-        n = g.num[0] // g.den
-        # g = n*e0 + (head, *rest) / den, the class part in lowest terms as g is
-        key = (g.num[0] - n * g.den, g.num[1:], g.den)
-        classes.setdefault(key, []).append((n, g, c, leaves))
     desc = s.ring.descriptor
+    classes = desc.integer_classes(s._raw)
     out = []
     low = None  # the least horizon over the carried classes
-    for (head, rest, den), entries in classes.items():
-        multi = [n for n, _, _, leaves in entries if max(leaves) >= p]
+    for cls, members in classes:
+        multi = [n for i, n in members if max(flat[i]) >= p]
         if not multi:
-            out.extend((g, c) for _, g, c, _ in entries)
+            out.extend(s._raw[i] for i, _ in members)
             continue
-        n_min, horizon = entries[0][0], min(multi) + witt.precision
+        (first, n_min), horizon = members[0], min(multi) + witt.precision
         # sum_i c_i p^(n_i - n_min) leaf by leaf, then its digits
-        acc = entries[0][3]
-        for n, _, _, leaves in entries[1:]:
+        acc = flat[first]
+        for i, n in members[1:]:
             f = p ** (n - n_min)
-            acc = [a + x * f for a, x in zip(acc, leaves)]
+            acc = [a + x * f for a, x in zip(acc, flat[i])]
+        ns, digits = [], []
         for n in range(n_min, horizon):
             if not any(acc):
                 break
@@ -463,9 +459,10 @@ def _carry_normalize(s):
                 acc[i], d = divmod(a, p)
                 digit.append(d)
             if any(digit):
-                out.append((GroupElement(desc, (head + n * den,) + rest, den),
-                            WittElem(witt, tower.from_leaves(digit))))
-        bound = GroupElement(desc, (head + horizon * den,) + rest, den)
+                ns.append(n)
+                digits.append(WittElem(witt, tower.from_leaves(digit)))
+        *exps, bound = cls.shifts(ns + [horizon])
+        out.extend(zip(exps, digits))
         if low is None or desc.compare(bound, low) < 0:
             low = bound
     prec, closed = _prec_min((s._raw_prec, s._raw_closed), (low, False))

@@ -134,19 +134,13 @@ class DerivativeLevels:
     stage: int
 
 
-def lambda_and_U(f, beta, state):
-    """The derivative level min over b >= 1 with its argmin and the T-free part.
-
-    f: ValPoly in the expanded variable.  The noetherian bound is replaced by
-    the derivative support bound (the polynomial degree).
-    """
-    return _derivative_levels(f, beta, state)[0]
-
-
 def _derivative_levels(f, beta, state):
-    """lambda_and_U's levels with what they read: the Taylor vector of f at
-    the partial (from the least order in U on) and the derivatives D^b f,
-    b >= 1, by order.
+    """The derivative level lambda = min over b >= 1 of nu_i(D^b f) + b*beta,
+    its argmin U and the T-free part U0, with what they read: the Taylor
+    vector of f at the partial (from the least order in U on) and the
+    derivatives D^b f, b >= 1, by order.  f is a ValPoly in the expanded
+    variable; the noetherian bound is replaced by the derivative support
+    bound (the polynomial degree).
 
     b lies in U0 when the T-graded minimum of D^b f at epsilon of the stage,
     min over k of nu((D^k D^b f)(partial)) + k*epsilon, is attained at k = 0

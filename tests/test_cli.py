@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import genpuiseux
-from genpuiseux import cli
+from genpuiseux import cli, truncalg
 from genpuiseux.cli import (
     ALL_CHECKS,
     _is_prime,
@@ -274,11 +275,53 @@ def test_rational_root_kept_when_the_cofactor_is_outside_the_shapes(poly, coeffs
     assert code == 0 and out.count("status=PASS") == 6
 
 
-def test_cmd_verify_corruption_fails():
+def test_cmd_verify_corruption_fails(monkeypatch):
+    # the development with its first coefficient bumped by one is no root
+    def corrupted(spec, budget=None, prec=None):
+        res = run_expand(spec, budget, prec)
+        ring = res.series.ring
+        bumped = res.series + ring.monomial(res.series.terms[0][0], ring.coeffs.one())
+        return replace(res, series=bumped, state=replace(res.state, partial=bumped))
+
+    monkeypatch.setattr(cli, "run_expand", corrupted)
     spec = parse_problem(ARTIN)
-    code, out = cmd_verify(spec, corrupt=True)
+    code, out = cmd_verify(spec)
     assert code == 1
     assert any("status=FAIL" in line for line in out.splitlines())
+
+
+def _zero_sweep(g, h, lam):
+    """A sweep whose one slice of g meets h cut below its value: it sums to 0."""
+    return truncalg.TruncationDecomposition([g.val(), lam - h.val()], [h.val()])
+
+
+def _empty_tree(gs, lam):
+    """A product tree with no pieces: it evaluates to 0."""
+    return truncalg.ProductTree(0, [])
+
+
+def _offset_form(f, beta, state, mode="OPEN"):
+    """taylor_form's form with 1 added to its constant term."""
+    form = truncalg.taylor_form(f, beta, state, mode)
+    return replace(form, constant=form.constant + state.ring.one())
+
+
+@pytest.mark.parametrize("check, name, wrong", [
+    ("caltron", "product_truncation", _zero_sweep),
+    ("prodfini", "multi_product_truncation", _empty_tree),
+    ("stab", "multi_product_truncation", _empty_tree),
+    ("taylor", "taylor_form", _offset_form),
+])
+def test_each_verify_check_fails_on_a_wrong_tree_or_form(monkeypatch, check, name, wrong):
+    # every check's failing branch is reachable: what it reads from truncalg
+    # gives a tree that evaluates to zero, or a form off by 1 below lambda
+    spec = parse_problem(ARTIN.replace("verify caltron,min,ent", f"verify {check}"))
+    code, out = cmd_verify(spec)
+    assert (code, out.split()[:2]) == (0, [f"check={check}", "status=PASS"])
+    monkeypatch.setattr(cli, name, wrong)
+    code, out = cmd_verify(spec)
+    assert code == 1
+    assert out.startswith(f"check={check} status=FAIL ")
 
 
 def test_cmd_verify_off_is_empty():

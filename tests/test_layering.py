@@ -4,7 +4,9 @@ A GenSeries stores raw, uncarried terms and a raw precision; only the
 ``series`` module reads them (``_raw``, ``_raw_prec``, ``_raw_closed``).
 Every other module goes through the carried accessors or a series method.
 A coefficient's ``rep`` (nested integer tuples, over Q with a denominator)
-is read only in ``coeff``; other modules use its methods.
+is read only in ``coeff``; other modules use its methods.  A value-group
+element's exponent form (``num`` over ``den``) is read and built only in
+``groups``; other modules use the element's and the descriptor's methods.
 A ``functools`` cache lives only inside a call: one at module level would
 share results between expansions, and between the ops of one bench process.
 """
@@ -31,6 +33,15 @@ def test_only_coeff_reads_a_coefficient_rep():
                for path in sorted(package.glob("*.py")) if path.name != "coeff.py"
                for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                if re.search(r"\.rep\b", line)]
+    assert readers == []
+
+
+def test_only_groups_reads_an_exponent_form():
+    package = Path(genpuiseux.__file__).parent
+    readers = [f"{path.name}:{lineno}"
+               for path in sorted(package.glob("*.py")) if path.name != "groups.py"
+               for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+               if re.search(r"\.num\b|\.den\b|GroupElement\(", line)]
     assert readers == []
 
 

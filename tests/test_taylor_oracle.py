@@ -1,6 +1,6 @@
 """The Taylor-vector readers of truncalg against a per-derivative oracle.
 
-``lambda_and_U``, ``taylor_form`` and ``integral_dependence`` read every
+``_derivative_levels``, ``taylor_form`` and ``integral_dependence`` read every
 value at the partial from the one Taylor vector of f, through
 D^k D^b = C(b+k, k) D^(b+k).  The oracle below reads them the direct way:
 it forms each Hasse derivative D^b f, evaluates its own Taylor vector and
@@ -27,7 +27,7 @@ from genpuiseux.keypoly import (
     truncated_val,
 )
 from genpuiseux.series import GenSeries
-from genpuiseux.truncalg import integral_dependence, lambda_and_U, taylor_form
+from genpuiseux.truncalg import _derivative_levels, integral_dependence, taylor_form
 
 PROBLEMS = {
     "as-f2": (["char 2", "poly y^2 + t*y + t"], 8),
@@ -219,7 +219,8 @@ def test_vector_readers_match_the_per_derivative_oracle(name):
     readings = 0
     for eps in _epsilons(state):
         for f in polys + [_tie(state, eps)]:
-            levels = _outcome(lambda_and_U, f, eps, state)
+            levels = _outcome(lambda f, eps, state: _derivative_levels(f, eps, state)[0],
+                              f, eps, state)
             want = _outcome(oracle_levels, f, eps, state)
             got = levels if isinstance(levels, str) else \
                 (levels.lam, levels.U, levels.U0, levels.stage)
@@ -249,3 +250,27 @@ def test_derivative_min_check_matches_its_two_pass_form(name):
             h = _rand_poly(state.ring, rng)
             assert derivative_min_check(h, chain, i, state.partial) \
                 == oracle_min_check(h, chain, i, state.partial)
+
+
+def test_form_steps_below_an_inexact_stage(monkeypatch):
+    # sq-q's chain is y, y^2 - 1, y^2 - 1 - t, ... with epsilon_i = i - 1.  For
+    # f = -y^2 + 2y + 3t at beta = epsilon_3 = 2, U0 = [1], and
+    # D^1 f = 2 - 2y has value 1 at the partial but truncated value 0 at
+    # stages 2 and 1: taylor_form's i0 steps down from stage 2 to 0, and the
+    # form is the oracle's, whose center then has no base to subtract.
+    from genpuiseux import truncalg
+
+    spec, state = _solved("sq-q")
+    ring = state.ring
+    f = ValPoly(ring, [ring.uniformizer() * 3, ring.one() * 2, -ring.one()])
+    beta = ring.descriptor.from_rational(2)
+    stages = []
+    reader = truncalg.truncated_val
+    monkeypatch.setattr(truncalg, "truncated_val",
+                        lambda g, chain, i: stages.append(i) or reader(g, chain, i))
+    form = taylor_form(f, beta, state)
+    assert form.levels.stage == 3 and form.levels.U0 == [1]
+    # two readings at stage 3 for the levels, then stage 2 and stage 1 for i0
+    assert stages == [3, 3, 2, 1]
+    assert _form_text(form) == tuple(map(_text, oracle_form(f, beta, state, False)))
+    assert form.center.terms == state.partial_series().truncate_open(beta).terms

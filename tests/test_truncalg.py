@@ -12,7 +12,7 @@ from genpuiseux.truncalg import (
     TruncLeaf,
     TruncationDecomposition,
     integral_dependence,
-    lambda_and_U,
+    _derivative_levels,
     multi_product_truncation,
     product_truncation,
     taylor_form,
@@ -277,7 +277,7 @@ def test_lambda_and_U_key_polynomial():
     res = expand(F, R, max_terms=6)
     st = res.state
     beta = g(R, Fraction(7, 8))
-    levels = lambda_and_U(F, beta, st)
+    levels = _derivative_levels(F, beta, st)[0]
     # derivative data: d_1 F = t (value 1), d_2 F = 1 (value 0)
     # level = min(1 + 7/8, 0 + 7/4) = 7/4 attained at b = 2 only
     assert levels.lam == g(R, Fraction(7, 4))
@@ -290,7 +290,7 @@ def test_lambda_and_U_linear():
     R = tring()
     F = ValPoly(R, [-1 * t_pow(R, 1), R.one()])
     res = expand(F, R, max_terms=4)
-    levels = lambda_and_U(F, g(R, 1), res.state)
+    levels = _derivative_levels(F, g(R, 1), res.state)[0]
     assert levels.U == [1]
 
 
@@ -300,7 +300,7 @@ def test_lambda_and_U_square_char0():
     st = res.state
     beta = g(R, Fraction(3, 2))
     f = ValPoly(R, [R.zero(), R.zero(), R.one()])  # u^2
-    levels = lambda_and_U(f, beta, st)
+    levels = _derivative_levels(f, beta, st)[0]
     # min(nu(2u) + beta, nu(1) + 2 beta) = min(3, 3): both attain
     assert levels.lam == g(R, 3)
     assert levels.U == [1, 2]
