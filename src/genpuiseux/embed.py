@@ -27,6 +27,7 @@ from .groups import INF, cmp, gmin
 from .keypoly import (
     KeyPolyChain,
     ValPoly,
+    constant_gap,
     extend_chain,
     geometric_limit,
     group_text,
@@ -153,9 +154,16 @@ class PuiseuxState:
             return self.taylor_vector()
         return taylor_at(poly, self.partial, lowest)
 
-    def eval_at_partial(self, poly):
+    def eval_at_partial(self, poly, entry=None):
+        """poly at the partial: F as the Taylor head, and the key polynomial of
+        an entry that keeps F = D + poly (``constant_gap``) as that head less D."""
         if poly == self.F:
             return self.taylor_vector()[0]
+        if entry is not None:
+            f_at = self.taylor_vector()[0]
+            gap = constant_gap(entry, self.F, self.partial, f_at)
+            if gap is not None:
+                return f_at - gap
         return poly.eval(self.partial)
 
     def with_term(self, a):
@@ -264,7 +272,7 @@ def step(state):
     # the advance is capped by the stage threshold but driven by the value the
     # stage polynomial (at a boundary, the new one) attains at the moved partial
     entry = chain.entry(len(chain) if boundary else i_b)
-    q_eval = moved.eval_at_partial(entry.poly)
+    q_eval = moved.eval_at_partial(entry.poly, entry)
     beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
     eps_tilde = entry.epsilon_for(beta_tilde)[1]
     if beta_tilde is INF and not boundary:

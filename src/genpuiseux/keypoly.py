@@ -239,9 +239,10 @@ def chain_entry(below, poly, beta, alpha, expansion=None):
     drop (beta - level) / p^b over them.
     """
     p = below.ring.descriptor.char_exponent
-    if below.entries and poly == below.entries[-1].poly:
-        # a re-pinned polynomial: its derivatives have degree below deg poly,
-        # so they are read at the same stages as for the entry it repeats
+    if below.entries and poly.coeffs[1:] == below.entries[-1].poly.coeffs[1:]:
+        # a re-pin or a constant refinement: the derivatives are those of the
+        # entry below, of degree below deg poly, so they are read at the same
+        # stages (a tuple compare tries identity first, so a re-pin is cheap)
         levels = below.entries[-1].levels
     else:
         levels = []
@@ -455,6 +456,21 @@ def _monomial_ratio(num, den, chain, i):
     return out
 
 
+def constant_gap(entry, F, partial, f_at_partial):
+    """D with F = D + entry.poly, from the entry's kept expansion (F, (D, 1), ...),
+    when entry.poly at the partial may be read as f_at_partial - D: a series
+    partial, D and f_at_partial of raw precision INF, where both readings are
+    one exact sum of the same raw terms.  None otherwise (evaluate instead),
+    also for F = D + c_1*entry.poly with c_1 != 1, as for a reducible F."""
+    exp = entry.expansion
+    if (exp is None or exp[0] is not F or len(exp[1]) != 2 or exp[1][0].degree()
+            or exp[1][1].degree() or not exp[1][1].is_monic()
+            or f_at_partial is None or not isinstance(partial, GenSeries)):
+        return None
+    D = exp[1][0].coeffs[0]
+    return D if D.raw_exact() and f_at_partial.raw_exact() and partial.raw_exact() else None
+
+
 def extend_chain(chain, F, partial, f_at_partial=None):
     """MacLane-style augmentation of the chain from the defining polynomial.
 
@@ -462,6 +478,9 @@ def extend_chain(chain, F, partial, f_at_partial=None):
     through which pinned leading coefficients are read; f_at_partial, when
     given, is F evaluated there.  Returns the new chain; raises
     ChainComplete when the chain already computes nu(F).
+    With F = D + Q_i kept (``constant_gap``), Q_i is read as f_at_partial - D
+    and F's expansion in q_new = Q_i + c*r, for delta 1 and a constant ratio r,
+    is (D - c*r, 1).
     """
     ring = chain.ring
     i = len(chain)
@@ -470,6 +489,8 @@ def extend_chain(chain, F, partial, f_at_partial=None):
     if last.beta is INF:
         raise ChainComplete("the chain ends with an exact divisor of the input")
 
+    gap = constant_gap(last, F, partial, f_at_partial)
+    cs_new = None
     if last.poly == F:
         q_new, delta = F, 1
     else:
@@ -484,7 +505,7 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         ratio = _monomial_ratio(lsm0, lsm1, chain, i)
 
         # pinned data: leading coefficients of the stage and ratio at the partial
-        q_eval = last.poly.eval(partial)
+        q_eval = last.poly.eval(partial) if gap is None else f_at_partial - gap
         r_eval = ratio.eval(partial)
         if not q_eval.terms or not r_eval.terms:
             raise ValuationIndeterminate("stage data not pinned by the partial root")
@@ -493,8 +514,12 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         res_ell = ring.coeffs.residue(ell)
         res_rbar = ring.coeffs.residue(rbar)
         coeff = -(res_ell ** delta) * res_rbar.inv()
-        lifted = ring.coeffs.lift(coeff)
-        q_new = (last.poly ** delta) + ratio * ring.const(lifted)
+        lifted = ring.const(ring.coeffs.lift(coeff))
+        q_new = (last.poly ** delta) + ratio * lifted
+        if gap is not None and delta == 1 and not ratio.degree():
+            # a constant refinement: F = (D - c*r) + q_new, with no division
+            cs_new = [ValPoly.const(gap - ratio.coeffs[0] * lifted, F.var),
+                      last.expansion[1][1]]
 
     if q_new == F:
         # refresh the defining-polynomial entry against the longer partial
@@ -504,7 +529,7 @@ def extend_chain(chain, F, partial, f_at_partial=None):
 
     # polygon-assigned value: min over j >= 1 of (nu(c_0) - nu(c_j)) / j
     # over the expansion of F in the new polynomial, kept for the next extension
-    cs_new = standard_expansion(F, q_new)
+    cs_new = cs_new or standard_expansion(F, q_new)
     v0 = truncated_val(cs_new[0], chain, i)[0]
     beta, expansion = None, None
     if v0 is not INF:

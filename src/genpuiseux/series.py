@@ -167,6 +167,11 @@ class GenSeries:
             return True
         return self == self.ring.one()
 
+    def raw_exact(self):
+        """Whether the raw precision is INF: sums and products of such series
+        are exact on the raw terms, before any carry."""
+        return self._raw_prec is INF
+
     def knows(self, bound, closed=False):
         """Whether the series is known below bound (open) or up to and
         including it (closed)."""

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from genpuiseux.coeff import CoeffElem, FieldTower, WittRing
+from genpuiseux.coeff import FieldTower, WittRing
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
     ValPoly,

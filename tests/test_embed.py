@@ -961,18 +961,26 @@ def test_kept_expansion_extends_as_a_fresh_one(name, monkeypatch):
     assert res.chain.ring.tower.height == height
 
 
-def test_an_extension_after_the_first_expands_F_once(monkeypatch):
+def _is_constant_refinement(last, new, F):
+    """Whether the new entry's polynomial is the last one's plus a constant."""
+    return (last.poly != F and new.poly != F and new.poly.degree() == last.poly.degree()
+            and (new.poly - last.poly).degree() == 0)
+
+
+def test_an_extension_expands_F_only_for_a_non_constant_refinement(monkeypatch):
     expand_in = keypoly.standard_expansion
     counts = []
 
     def counted(f, q):
         if f is F:
-            counts[-1] += 1
+            counts[-1][1] += 1
         return expand_in(f, q)
 
     def extend(chain, *args):
-        counts.append(0)
-        return extend_chain(chain, *args)
+        counts.append([None, 0])
+        out = extend_chain(chain, *args)
+        counts[-1][0] = _is_constant_refinement(chain.entries[-1], out.entries[-1], F)
+        return out
 
     text, budget, _ = KEPT["p5"]
     spec = cli.parse_problem(text)
@@ -981,10 +989,92 @@ def test_an_extension_after_the_first_expands_F_once(monkeypatch):
     monkeypatch.setattr(keypoly, "standard_expansion", counted)
     monkeypatch.setattr(embed, "extend_chain", extend)
     expand(F, ring, max_terms=budget)
-    # the first extension expands F in Q_1 and in the new polynomial; every
-    # later one reads the expansion in Q_i that the extension before it kept
-    assert len(counts) > 8 and counts[0] == 2
-    assert counts[1:] == [1] * (len(counts) - 1)
+    # the first extension expands F in Q_1 and in the new polynomial; a later
+    # one reads the expansion in Q_i that the extension before it kept, and
+    # expands F in the new polynomial only when it is not Q_i plus a constant,
+    # whose expansion (D_i - c*r, 1) it writes down
+    assert len(counts) > 8 and counts[0] == [False, 2]
+    assert sum(constant for constant, _ in counts) >= 8
+    assert all(n == (0 if constant else 1) for constant, n in counts[1:])
+
+
+def _raw(s):
+    return s._raw, s._raw_prec, s._raw_closed
+
+
+CONSTANT_REFINEMENTS = {
+    "p5@3": ("p 5\nwitt_prec 3\npoly y^2 - 1 - p\n", 16),
+    "p5@8": ("p 5\nwitt_prec 8\npoly y^2 - 1 - p\n", 16),
+    "p5@16": ("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n", 16),
+    "p3-2p": ("p 3\nwitt_prec 8\npoly y^2 - 2*p\n", 10),
+    "p5-4": ("p 5\npoly y^2 - 4 - p\n", 16),
+    "p3-cube": ("p 3\nwitt_prec 12\npoly y^3 - p - p^2\n", 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_REFINEMENTS))
+def test_constant_refinement_closed_forms_equal_the_generic_path(name, monkeypatch):
+    """Oracle for the F = D + Q rule: at every extension whose new polynomial
+    is the last one plus a constant, the readings F(partial) - D of Q_i and of
+    q_new have the raw terms and precision of evaluating them, the written
+    expansion (D_i - c*r, 1) has those of dividing F by q_new, the shared
+    level table is the one the Hasse derivatives give, and the chain a fresh
+    (unkept) entry extends to has the same q_new."""
+    seen = []
+
+    def checked(chain, F, partial, f_at_partial=None):
+        out = extend_chain(chain, F, partial, f_at_partial)
+        last, new = chain.entries[-1], out.entries[-1]
+        if not _is_constant_refinement(last, new, F):
+            return out
+        gap = keypoly.constant_gap(last, F, partial, f_at_partial)
+        assert gap is not None
+        assert _raw(f_at_partial - gap) == _raw(last.poly.eval(partial))
+        new_gap = keypoly.constant_gap(new, F, partial, f_at_partial)
+        assert new_gap is not None
+        assert _raw(f_at_partial - new_gap) == _raw(new.poly.eval(partial))
+        kept, divided = new.expansion[1], standard_expansion(F, new.poly)
+        assert len(kept) == len(divided) == 2
+        for a, b in zip(kept, divided):
+            assert [_raw(c) for c in a.coeffs] == [_raw(c) for c in b.coeffs]
+        p = out.ring.descriptor.char_exponent
+        assert p > 1  # mixed characteristic: the orders p^b <= deg are b < deg
+        levels = [(b, keypoly._value_below(new.poly.hasse_derivative(p ** b), chain,
+                                           len(chain) + 1))
+                  for b in range(new.poly.degree()) if p ** b <= new.poly.degree()]
+        assert new.levels == tuple((b, v) for b, v in levels if v is not INF)
+        fresh = KeyPolyChain(chain.ring, chain.entries[:-1]
+                             + (replace(last, expansion=None),))
+        generic = extend_chain(fresh, F, partial, f_at_partial).entries[-1]
+        assert [_raw(c) for c in new.poly.coeffs] == [_raw(c) for c in generic.poly.coeffs]
+        assert new == generic
+        seen.append(name)
+        return out
+
+    monkeypatch.setattr(embed, "extend_chain", checked)
+    _expand_spec(*CONSTANT_REFINEMENTS[name])
+    assert seen
+
+
+# reducible F: a kept expansion (D, c_1) with c_1 of positive degree, as
+# y^3 - t*y + t^5 = t^5 + y*(y^2 - t), must not be read as F = D + Q
+REDUCIBLE = {
+    "t-cubic": "char 0\npoly y^3 - t*y + t^5\n",
+    "t-cubic-4": "char 0\npoly y^3 - 4*t*y + t^5\n",
+    "p-cubic": "p 5\npoly y^3 - p*y + p^5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCIBLE))
+def test_reducible_input_expands_as_without_the_constant_gap_rule(name, monkeypatch):
+    def outputs():
+        res = _expand_spec(REDUCIBLE[name], 12)
+        return res.series.to_text(), res.status, res.chain.report(), res.trace_lines()
+
+    with_rule = outputs()
+    monkeypatch.setattr(keypoly, "constant_gap", lambda *args: None)
+    monkeypatch.setattr(embed, "constant_gap", lambda *args: None)
+    assert outputs() == with_rule
 
 
 def test_coerced_chain_drops_the_kept_expansions():

@@ -14,6 +14,7 @@ from genpuiseux.keypoly import (
     KeyPolyChain,
     ValPoly,
     chain_entry,
+    constant_gap,
     derivative_min_check,
     extend_chain,
     first_exponent,
@@ -458,6 +459,25 @@ def test_extend_chain_artin_schreier_sequence():
     assert chain.entry(4).poly == F
     assert chain.entry(4).beta == g(R, Fraction(15, 8))
     assert chain.entry(4).epsilon == g(R, Fraction(15, 16))
+
+
+def test_constant_gap_reads_only_F_as_a_constant_plus_the_key_polynomial():
+    R = tring()
+    partial = t_pow(R, Fraction(1, 2), 2)
+    # y^2 - 4t + t^5 = t^5 + Q_2 and y^3 - 4t*y + t^5 = t^5 + y*Q_2 (reducible),
+    # with Q_2 = y^2 - 4t: only in the first is Q_2 at the partial F there less t^5
+    for F, c1, gap in [(poly(R, t_pow(R, 5) - 4 * t_pow(R, 1), R.zero(), R.one()),
+                        "1", t_pow(R, 5)),
+                       (poly(R, t_pow(R, 5), -4 * t_pow(R, 1), R.zero(), R.one()),
+                        "y", None)]:
+        f_at = F.eval(partial)
+        entry = extend_chain(initial_chain(R, F), F, partial, f_at).entries[-1]
+        assert entry.poly == poly(R, -4 * t_pow(R, 1), R.zero(), R.one())
+        assert [c.to_text() for c in entry.expansion[1]] == ["t^5", c1]
+        assert constant_gap(entry, F, partial, f_at) == gap
+        assert constant_gap(entry, F, partial, None) is None
+        if gap is not None:
+            assert f_at - gap == entry.poly.eval(partial)
 
 
 def _multiply_out(mono, chain, i, var):

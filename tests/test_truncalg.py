@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from genpuiseux.coeff import CoeffElem, FieldTower
+from genpuiseux.coeff import FieldTower
 from genpuiseux.groups import INF, GroupDescriptor, cmp, gmin
 from genpuiseux.keypoly import ValPoly
 from genpuiseux.series import GenSeries, SeriesRing
