@@ -18,7 +18,7 @@ from fractions import Fraction
 from .coeff import FieldTower, WittRing
 from .embed import expand, monomial_embedding
 from .errors import EngineError, ParseError
-from .groups import INF, GroupDescriptor, QuadValue, cmp
+from .groups import INF, GroupDescriptor, cmp, weight_text
 from .keypoly import ValPoly, derivative_min_check, group_text
 from .series import GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, read_expr
 from .truncalg import (
@@ -141,13 +141,13 @@ def _count(name, n, lineno=None):
 
 
 def _parse_weight(text, lineno):
-    """a/b, or a/b+c/d*sqrt(D) as a QuadValue that keeps its D."""
+    """a/b, or a/b+c/d*sqrt(D) as the triple (a/b, c/d, D)."""
     if "sqrt" in text:
         head, tail = text.split("+", 1) if "+" in text else ("0", text)
         c, rest = tail.split("*", 1)
         if not rest.startswith("sqrt(") or not rest.endswith(")"):
             raise ParseError(f"bad weight {text!r}", line=lineno)
-        return QuadValue(Fraction(head), Fraction(c), int(rest[5:-1]))
+        return Fraction(head), Fraction(c), int(rest[5:-1])
     return Fraction(text)
 
 
@@ -187,13 +187,13 @@ def build_ring(spec):
     if spec.mode != "mixed" and spec.char != 0 and not _is_prime(spec.char):
         raise ParseError(f"char must be 0 or a prime, not {spec.char}")
     for w in spec.weights:
-        if isinstance(w, QuadValue) and w.d != spec.sqrt_disc:
-            raise ParseError(f"the weight {w!r} reads sqrt({w.d}), "
+        if isinstance(w, tuple) and w[2] != spec.sqrt_disc:
+            raise ParseError(f"the weight {weight_text(*w)} reads sqrt({w[2]}), "
                              f"but sqrt_disc is {spec.sqrt_disc}")
     char_exponent = spec.p if spec.mode == "mixed" else max(spec.char, 1)
     try:
-        desc = GroupDescriptor(spec.weights, char_exponent=char_exponent,
-                               sqrt_disc=spec.sqrt_disc)
+        desc = GroupDescriptor([w[:2] if isinstance(w, tuple) else w for w in spec.weights],
+                               char_exponent=char_exponent, sqrt_disc=spec.sqrt_disc)
     except ValueError as exc:
         raise ParseError(f"bad weights: {exc}") from exc
     if spec.mode == "mixed":
@@ -409,7 +409,7 @@ def _check_prodfini(res, rng, trials):
 
 def _check_stab(res, rng, trials):
     ring = res.series.ring
-    root = GenSeries(ring, list(res.series.terms))
+    root = res.series.exact()
     if not root.terms:
         return True, INF
     for _ in range(max(1, trials // 3)):

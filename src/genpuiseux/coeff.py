@@ -455,13 +455,6 @@ def _pderiv(tower, f, level):
                   for i, c in enumerate(f)][1:])
 
 
-def _peval(tower, f, x, level):
-    acc = tower.rep_zero(level)
-    for c in reversed(f):
-        acc = tower.rep_add(tower.rep_mul(acc, x, level), c, level)
-    return acc
-
-
 def _poly_key(tower, f):
     return (len(f), tuple(tower.rep_key(c) for c in f))
 
@@ -745,7 +738,8 @@ def _rep_to_fraction(tower, rep):
 
 
 def _q_roots_in_tower(tower, f):
-    """Distinct roots of f (reps, degree >= 2) over a Q tower found without extending it."""
+    """Candidate roots of f (reps, degree >= 2) over a Q tower, in key order:
+    the roots found without extending it, among other elements."""
     fracs = [_rep_to_fraction(tower, c) for c in f]
     roots = [_q_const(tower, r) for r in _rational_roots(fracs)] if None not in fracs else []
     if len(f) == 3 and not f[1] and None not in (fracs[0], fracs[2]):
@@ -758,11 +752,7 @@ def _q_roots_in_tower(tower, f):
         g = CoeffElem.generator(tower, k)
         b = CoeffElem(tower, tower.rep_lift(tower.stages[k][1][1], k, tower.height))
         roots.extend([g, -g, -b - g])
-    uniq = []
-    for r in sorted(roots, key=lambda c: c.sort_key()):
-        if not _peval(tower, f, r.rep, tower.height) and not any(u == r for u in uniq):
-            uniq.append(r)
-    return uniq
+    return sorted(roots, key=lambda c: c.sort_key())
 
 
 def _split_finite(tower, f):
@@ -783,7 +773,9 @@ def _split_finite(tower, f):
 
 def _split_rational(tower, f):
     """One round over a Q tower: the roots it holds, divided out of f, or else
-    the next stage if f is X^2 - c or X^2 + X + 1."""
+    the next stage if f is X^2 - c or X^2 + X + 1.  A candidate is a root
+    when X - r divides what is left of f; once divided out, a repeated
+    candidate no longer divides it."""
     roots = []
     for r in _q_roots_in_tower(tower, f):
         m = 0
@@ -792,7 +784,8 @@ def _split_rational(tower, f):
             if rem:
                 break
             f, m = q, m + 1
-        roots.append((r, m))
+        if m:
+            roots.append((r, m))
     if roots:
         return roots, f, None
     a = [_rep_to_fraction(tower, c) for c in f]

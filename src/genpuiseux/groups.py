@@ -18,41 +18,6 @@ from operator import add, itemgetter, mul, neg, sub
 from .errors import ParseError
 
 
-class QuadValue:
-    """Exact element a + b*sqrt(d) of a fixed real quadratic field."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b=0, d=1):
-        a = Fraction(a)
-        b = Fraction(b)
-        if d == 1:
-            a, b = a + b, Fraction(0)
-        self.a = a
-        self.b = b
-        self.d = int(d)
-
-    def __sub__(self, other):
-        return QuadValue(self.a - other.a, self.b - other.b, max(self.d, other.d))
-
-    def sign(self):
-        return _quad_sign(self.a, self.b, self.d)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def is_rational(self):
-        return self.b == 0
-
-    def __eq__(self, other):
-        return isinstance(other, QuadValue) and (self - other).is_zero()
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}*sqrt({self.d})"
-
-
 def _quad_sign(a, b, d):
     """Exact sign of a + b*sqrt(d) for rationals a, b and a positive integer d."""
     if b == 0:
@@ -76,35 +41,29 @@ class GroupDescriptor:
     """r independent positive weights in Q(sqrt(d)) plus the char exponent p."""
 
     def __init__(self, weights, char_exponent=1, sqrt_disc=1):
-        self.sqrt_disc = int(sqrt_disc)
-        if self.sqrt_disc < 1:
+        d = self.sqrt_disc = int(sqrt_disc)
+        if d < 1:
             raise ValueError("sqrt_disc must be a positive integer")
-        ws = []
-        for w in weights:
-            if isinstance(w, QuadValue):
-                ws.append(QuadValue(w.a, w.b, self.sqrt_disc))
-            elif isinstance(w, tuple):
-                ws.append(QuadValue(w[0], w[1], self.sqrt_disc))
-            else:
-                ws.append(QuadValue(w, 0, self.sqrt_disc))
-        self.weights = tuple(ws)
+        # a weight is a rational or an (a, b) pair for a + b*sqrt(d); d = 1 folds a + b
+        ws = [(Fraction(w[0]), Fraction(w[1])) if isinstance(w, tuple) else (Fraction(w), 0)
+              for w in weights]
+        if d == 1:
+            ws = [(a + b, 0) for a, b in ws]
+        # The weights, stored once over one positive common denominator _wden:
+        # w_j is (_wa[j] + _wb[j]*sqrt(d)) / _wden with integers.
+        self._wden = math.lcm(*(x.denominator for w in ws for x in w))
+        self._wa = tuple(int(a * self._wden) for a, _ in ws)
+        self._wb = tuple(int(b * self._wden) for _, b in ws)
         self.rank = len(ws)
         self.char_exponent = int(char_exponent)
         if self.rank < 1:
             raise ValueError("descriptor needs at least one weight")
         if self.char_exponent < 1:
             raise ValueError("char exponent must be a positive integer")
-        for w in ws:
-            if w.sign() <= 0:
-                raise ValueError("weights must be positive")
+        if any(_quad_sign(a, b, d) <= 0 for a, b in zip(self._wa, self._wb)):
+            raise ValueError("weights must be positive")
         if not self._independent():
             raise ValueError("weights are Z-linearly dependent")
-        # The weights over one positive common denominator _wden: w_j is
-        # (_wa[j] + _wb[j]*sqrt(d)) / _wden with integers; compare reads them
-        # at rank 2.
-        self._wden = math.lcm(*(x.denominator for w in ws for x in (w.a, w.b)))
-        self._wa = tuple(int(w.a * self._wden) for w in ws)
-        self._wb = tuple(int(w.b * self._wden) for w in ws)
 
     def _independent(self):
         # Sum n_j (a_j + b_j sqrt d) = 0 forces the rational and sqrt parts to
@@ -117,8 +76,12 @@ class GroupDescriptor:
             return True
         if self.rank > 2 or _is_square(self.sqrt_disc):
             return False
-        (a1, b1), (a2, b2) = ((w.a, w.b) for w in self.weights)
+        (a1, a2), (b1, b2) = self._wa, self._wb
         return a1 * b2 != a2 * b1
+
+    def _weight_text(self, j):
+        return weight_text(Fraction(self._wa[j], self._wden), Fraction(self._wb[j], self._wden),
+                           self.sqrt_disc)
 
     # -- element construction ------------------------------------------------
 
@@ -140,13 +103,14 @@ class GroupDescriptor:
         return GroupElement(self, tuple(num), 1)
 
     def from_rational(self, q):
-        """The element q * (first weight).  A rational exponent, as written in a
-        spec, series text or a trial draw, needs a rational first weight: with
-        an irrational one it is a ParseError."""
-        if not self.weights[0].is_rational():
+        """The element of value q: q / (first weight) times the first basis
+        element, so a rational exponent, as written in a spec, series text or
+        a trial draw, is the value itself.  It needs a rational first weight:
+        with an irrational one it is a ParseError."""
+        if self._wb[0]:
             raise ParseError(f"the rational exponent {q} needs a rational first weight, "
-                             f"not {self.weights[0]!r}; give full coordinates")
-        return self.element([Fraction(q) / self.weights[0].a] + [0] * (self.rank - 1))
+                             f"not {self._weight_text(0)}; give full coordinates")
+        return self.element([Fraction(q) * self._wden / self._wa[0]] + [0] * (self.rank - 1))
 
     # -- order ----------------------------------------------------------------
 
@@ -222,13 +186,20 @@ class GroupDescriptor:
         if self is other:
             return True
         return (isinstance(other, GroupDescriptor)
-                and self.weights == other.weights
+                and (self._wa, self._wb, self._wden) == (other._wa, other._wb, other._wden)
                 and self.char_exponent == other.char_exponent
                 and self.sqrt_disc == other.sqrt_disc)
 
     def __repr__(self):
-        return (f"GroupDescriptor(weights={list(self.weights)!r}, "
-                f"p={self.char_exponent}, d={self.sqrt_disc})")
+        texts = ", ".join(map(self._weight_text, range(self.rank)))
+        return f"GroupDescriptor(weights=[{texts}], p={self.char_exponent}, d={self.sqrt_disc})"
+
+
+def weight_text(a, b, d):
+    """The weight a + b*sqrt(d) as a spec writes it; d = 1 folds it to a + b."""
+    if d == 1:
+        a, b = a + b, 0
+    return f"{a}+{b}*sqrt({d})" if b else f"{a}"
 
 
 def _is_square(n):
@@ -269,12 +240,10 @@ class GroupElement:
     def rational_value(self):
         """The value as a rational: None off the first basis element, or on it
         with an irrational first weight (zero excepted)."""
-        if any(self.num[1:]):
+        desc = self.descriptor
+        if any(self.num[1:]) or self.num[0] and desc._wb[0]:
             return None
-        w0 = self.descriptor.weights[0]
-        if self.num[0] and not w0.is_rational():
-            return None
-        return Fraction(self.num[0], self.den) * w0.a
+        return Fraction(self.num[0] * desc._wa[0], self.den * desc._wden)
 
     # -- arithmetic ------------------------------------------------------------
 

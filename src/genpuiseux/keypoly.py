@@ -248,7 +248,7 @@ def chain_entry(below, poly, beta, alpha, expansion=None):
         levels = []
         b = 0
         while p ** b <= poly.degree():
-            v = _value_below(poly.hasse_derivative(p ** b), below, len(below) + 1)
+            v = truncated_val(poly.hasse_derivative(p ** b), below, len(below))[0]
             if v is not INF:
                 levels.append((b, v))
             if p == 1:
@@ -347,39 +347,21 @@ def level_and_ties(pairs):
     return best, ties
 
 
-def _value_below(c, chain, i):
-    """Value of an expansion coefficient (degree < deg Q_i).
-
-    A stage whose polynomial has degree above deg c expands c as [c] and
-    passes its value down unchanged, so the value is read at the highest
-    stage k < i with deg Q_k <= deg c; with none, ``chain.entry(0)`` raises
-    IndexError.
-    """
-    if c.is_zero():
-        return INF
-    d = c.degree()
-    if d == 0:
-        return c.coeffs[0].val()
-    k = i - 1
-    while k >= 1 and chain.entries[k - 1].poly.degree() > d:
-        k -= 1
-    return truncated_val(c, chain, k)[0]
-
-
 def _expansion_levels(f, chain, i):
     """The standard expansion f = sum c_j Q_i^j with its stage-i level
     min_j (nu(c_j) + j*beta_i) and the j attaining it.
 
     Every non-zero c_j is valued before the level is read; when beta_i is
     INF only c_0 counts.  Entry i's kept expansion of this very f is read
-    as it is: each c_j has degree below deg Q_i, so _value_below agrees.
+    as it is: each c_j has degree below deg Q_i, so its value is the one
+    truncated_val(c_j, chain, i - 1) computes.
     """
     entry = chain.entry(i)
     if entry.expansion and entry.expansion[0] is f:
         _, cs, values = entry.expansion
     else:
         cs = standard_expansion(f, entry.poly)
-        values = [_value_below(c, chain, i) for c in cs]
+        values = [truncated_val(c, chain, i - 1)[0] for c in cs]
     beta = entry.beta
     level, ties = level_and_ties(
         (j, v if not j or v is INF else INF if beta is INF else beta.scale_unchecked(j) + v)
@@ -388,13 +370,23 @@ def _expansion_levels(f, chain, i):
 
 
 def truncated_val(f, chain, i):
-    """The stage-i truncated valuation of f and its attaining index set."""
+    """The stage-i truncated valuation of f and its attaining index set.
+
+    A stage whose polynomial has degree above deg f expands f as [f] and
+    passes its value down unchanged, so the value is read at the highest
+    stage k <= i with deg Q_k <= deg f, and the index set is [0] when k < i;
+    with no such stage, ``chain.entry(0)`` raises IndexError.
+    """
     if f.is_zero():
         return INF, []
-    if f.degree() == 0:
+    d = f.degree()
+    if d == 0:
         return f.coeffs[0].val(), [0]
-    _, level, ties = _expansion_levels(f, chain, i)
-    return (INF, []) if level is None else (level, ties)
+    k = i
+    while k >= 1 and chain.entries[k - 1].poly.degree() > d:
+        k -= 1
+    _, level, ties = _expansion_levels(f, chain, k)
+    return (INF, []) if level is None else (level, ties if k == i else [0])
 
 
 def first_exponent(F):

@@ -356,6 +356,10 @@ class GenSeries:
         """Carried normal form (p-mode); identity in t-mode.  Idempotent."""
         return GenSeries._sorted(self.ring, *self._normalized())
 
+    def exact(self):
+        """The carried terms as an exact finite series: precision INF."""
+        return GenSeries._sorted(self.ring, self.terms)
+
     # -- comparisons / text -----------------------------------------------------------
 
     def __eq__(self, other):

@@ -18,11 +18,6 @@ from .keypoly import level_and_ties, truncated_val
 from .series import GenSeries
 
 
-def _exact(series):
-    """The truncation viewed as an exact finite object (for identity checks)."""
-    return GenSeries(series.ring, list(series.terms))
-
-
 @dataclass
 class TruncationDecomposition:
     lambdas: list  # lambda_0 < ... < lambda_l
@@ -36,10 +31,10 @@ class TruncationDecomposition:
         ring = g.ring
         acc = ring.zero()
         for i in range(1, self.length + 1):
-            piece = _exact(g.slice(self.lambdas[i - 1], self.lambdas[i]))
+            piece = g.slice(self.lambdas[i - 1], self.lambdas[i]).exact()
             if not piece.terms:
                 continue
-            acc = acc + piece * _exact(h.truncate_open(self.deltas[i - 1]))
+            acc = acc + piece * h.truncate_open(self.deltas[i - 1]).exact()
         return acc
 
 
@@ -88,7 +83,7 @@ class TruncLeaf:
     bound: object
 
     def evaluate(self, factors):
-        return _exact(factors[self.index].truncate_open(self.bound))
+        return factors[self.index].truncate_open(self.bound).exact()
 
 
 @dataclass
@@ -100,7 +95,7 @@ class ProductTree:
         ring = factors[self.index].ring
         acc = ring.zero()
         for lo, hi, child in self.pieces:
-            sl = _exact(factors[self.index].slice(lo, hi))
+            sl = factors[self.index].slice(lo, hi).exact()
             if not sl.terms:
                 continue
             acc = acc + sl * child.evaluate(factors)
@@ -225,16 +220,16 @@ def taylor_form(f, beta, state, mode="OPEN"):
     full = state.partial_series()
     if i0 >= 1:
         eps0 = chain.entry(i0).epsilon
-        base = _exact(full.truncate_closed(eps0)) if eps0 is not INF else _exact(full)
+        base = full.truncate_closed(eps0).exact() if eps0 is not INF else full.exact()
     else:
-        base = GenSeries(state.ring, [], INF, False)
-    center_series = _exact(_cut(full, beta, closed))
+        base = state.ring.zero()
+    center_series = _cut(full, beta, closed).exact()
     delta = center_series - base
 
     monomials = {}
     correction = state.ring.zero()
     for b, ev in leading.items():
-        mono = monomials[b] = GenSeries(ev.ring, [ev.leading_term()])
+        mono = monomials[b] = ev.ring.monomial(*ev.leading_term())
         correction = correction + _cut(mono * (delta ** b), lam, closed)
     constant = _cut(f.eval(center_series), lam, closed) - correction
     return TaylorForm(constant, monomials, delta, lam, levels, mode)

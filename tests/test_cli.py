@@ -534,6 +534,32 @@ def test_rational_exponent_in_series_text_needs_a_rational_first_weight(tmp_path
                                               ["check=taylor", "status=PASS"]]
 
 
+def test_weight_texts_in_spec_errors(tmp_path, capsys):
+    # d = 1 folds a + b*sqrt(1) to the rational weight a + b
+    ring = build_ring(parse_problem("char 0\nweights 1+1*sqrt(1)\npoly y - t\n"))
+    assert repr(ring.descriptor) == "GroupDescriptor(weights=[2], p=1, d=1)"
+    with pytest.raises(ParseError) as exc:
+        build_ring(parse_problem("char 0\nweights 1 1+1*sqrt(1)\nsqrt_disc 2\npoly y - t\n"))
+    assert str(exc.value) == "the weight 2 reads sqrt(1), but sqrt_disc is 2"
+    path = write(tmp_path, "in.txt", IRRATIONAL_FIRST + "print trunc_open(t, 1)\n")
+    assert main(["arith", path]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: the rational exponent 1 needs a rational first weight, "
+        "not 0+1*sqrt(2); give full coordinates\n")
+
+
+def test_a_rational_exponent_is_a_value_whatever_the_first_weight():
+    # under weights 1/2 the uniformizer has value 1/2, and t^(1/2) in series
+    # text is that value, not 1/2 times the first weight
+    spec = parse_problem("char 0\nweights 1/2\npoly y^2 - t\n")
+    ring = build_ring(spec)
+    assert ring.descriptor.from_rational(Fraction(1, 2)).coords == (1,)
+    assert parse_series(ring, "t^(1/2)") == ring.uniformizer()
+    # the poly line's t is the uniformizer, so the root has value 1/4
+    code, out, res = cmd_expand(spec)
+    assert code == 0 and out.startswith("series: t^(1/4)\nstatus: COMPLETE\n")
+
+
 SQRT = "char 0\npoly y^2 - 1 - t\nbudget_terms 16\nverify ent\n"  # one term per step
 
 

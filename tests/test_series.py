@@ -687,6 +687,39 @@ def test_truncations_and_slice_match_the_general_constructor(data):
     if compare(lo, hi) < 0 and open_ok:
         window = [(e, c) for e, c in terms if compare(e, lo) >= 0]
         _assert_raw(f.slice(lo, hi), _build(ring, window, hi, False))
+    _assert_raw(f.exact(), _build(ring, terms, INF, False))
+
+
+def _assert_exact_cut(s):
+    """s.exact() keeps s's carried terms at precision INF, as the general
+    constructor builds them."""
+    cut = s.exact()
+    assert cut.prec is INF and not cut.closed
+    assert len(cut.terms) == len(s.terms)
+    assert all(x[0] == y[0] and x[1] == y[1] for x, y in zip(cut.terms, s.terms))
+    general = GenSeries(s.ring, list(s.terms))
+    assert cut == general
+    _assert_raw(cut, _triple(general))
+
+
+def test_exact_cut_keeps_the_carried_terms():
+    # W(F5) mod 25 with multi-digit raw terms: 7 = 2 + 1*5 and 13 = 3 + 2*5
+    # carry, and the carry clamps the precision; the cut is exact
+    w5 = pring(5, prec=2)
+    s = GenSeries(w5, [(g(w5, 0), w5.coeffs.from_int(7)),
+                       (g(w5, Fraction(1, 2)), w5.coeffs.from_int(13))])
+    assert s.prec is not INF and len(s.terms) == 4
+    _assert_exact_cut(s)
+    # the rank-2 group with weights 1 and sqrt(2)
+    r2 = _sqrt2_ring()
+    d, one = r2.descriptor, r2.coeffs.one()
+    _assert_exact_cut(GenSeries(r2, [(d.element([0, 1]), one), (d.element([1, 0]), -one),
+                                     (d.element([Fraction(1, 2), 0]), one)]))
+    # a finite precision is dropped
+    q = tring()
+    s = GenSeries(q, [(g(q, 1), q.coeffs.from_int(2)), (g(q, 2), q.coeffs.one())], g(q, 3), True)
+    assert s.prec is not INF
+    _assert_exact_cut(s)
 
 
 # The rings above plus F3 -> F9 and W(F5) mod 5^4, where a coefficient drawn

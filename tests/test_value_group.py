@@ -141,6 +141,20 @@ def test_independence_matches_row_reduction(d, parts):
     assert accepted == independent
 
 
+def test_weight_forms_equality_and_repr():
+    # d = 1 folds an (a, b) pair to the rational a + b
+    assert GroupDescriptor([(1, 1)]) == GroupDescriptor([2])
+    assert repr(GroupDescriptor([(1, 1)])) == "GroupDescriptor(weights=[2], p=1, d=1)"
+    assert GroupDescriptor([Fraction(1, 2), (0, Fraction(3, 4))], sqrt_disc=2) == \
+        GroupDescriptor([(Fraction(2, 4), 0), (0, Fraction(3, 4))], sqrt_disc=2)
+    assert GroupDescriptor([1, (0, 1)], sqrt_disc=2) != GroupDescriptor([1, (0, 2)], sqrt_disc=2)
+    assert (repr(GroupDescriptor([1, (0, 1)], sqrt_disc=2))
+            == "GroupDescriptor(weights=[1, 0+1*sqrt(2)], p=1, d=2)")
+    assert (repr(GroupDescriptor([Fraction(1, 2), (2, Fraction(-1, 2))],
+                                 char_exponent=3, sqrt_disc=5))
+            == "GroupDescriptor(weights=[1/2, 2+-1/2*sqrt(5)], p=3, d=5)")
+
+
 def test_is_square_exact_on_huge_discriminants():
     assert _is_square(10 ** 400)
     assert not _is_square(10 ** 400 + 1)
