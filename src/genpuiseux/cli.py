@@ -8,7 +8,6 @@ for machine consumption; traces can be teed to a file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import random
 import sys
@@ -20,7 +19,8 @@ from .embed import expand, monomial_embedding
 from .errors import EngineError, ParseError
 from .groups import INF, GroupDescriptor, cmp, weight_text
 from .keypoly import ValPoly, derivative_min_check, group_text
-from .series import GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, read_expr
+from .series import (GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, bounded_power,
+                     read_expr)
 from .truncalg import (
     integral_dependence,
     multi_product_truncation,
@@ -179,13 +179,17 @@ def _is_prime(n):
 
 
 def build_ring(spec):
-    """The series ring of a spec; a characteristic that is not 0 or a prime, a
-    sqrt(D) weight whose D is not sqrt_disc, and weights the value group
-    rejects, are a ParseError."""
+    """The series ring of a spec; a characteristic that is not 0 or a prime,
+    contradictory keys (a non-zero char, or mode equichar, with p), a sqrt(D)
+    weight whose D is not sqrt_disc, and weights the value group rejects,
+    are a ParseError."""
     if spec.mode == "mixed" and not _is_prime(spec.p):
         raise ParseError(f"p must be a prime, not {spec.p}")
     if spec.mode != "mixed" and spec.char != 0 and not _is_prime(spec.char):
         raise ParseError(f"char must be 0 or a prime, not {spec.char}")
+    if spec.p and (spec.char or spec.mode != "mixed"):
+        other = f"char {spec.char}" if spec.char else f"mode {spec.mode}"
+        raise ParseError(f"'{other}' contradicts 'p {spec.p}', which sets mode mixed")
     for w in spec.weights:
         if isinstance(w, tuple) and w[2] != spec.sqrt_disc:
             raise ParseError(f"the weight {weight_text(*w)} reads sqrt({w[2]}), "
@@ -209,8 +213,6 @@ def build_ring(spec):
 
 # the largest degree in the main variable that a `poly` line may reach
 MAX_DEGREE = 128
-# the most terms an integer power in an arith expression may reach
-MAX_POWER_TERMS = 512
 
 
 class _Bounded:
@@ -545,7 +547,7 @@ def _eval_series_expr(ring, env, text, lineno):
     the uniformizer, let names and function calls, whose bare numbers are
     exponents; ``^`` takes a non-negative integer, or a rational for a
     monomial with coefficient 1.  An integer power whose term count may pass
-    MAX_POWER_TERMS is a ParseError at its ``^`` before it is formed."""
+    series.MAX_POWER_TERMS is a ParseError at its ``^`` (``bounded_power``)."""
     sc = _Scanner(text, lineno)
 
     def atom(read):
@@ -586,16 +588,7 @@ def _eval_series_expr(ring, env, text, lineno):
         if n < 0:
             sc.error("powers must be non-negative")
         if n.denominator == 1:
-            n, terms = int(n), base.terms
-            if n >= 2 and len(terms) >= 2:
-                # every exponent is a rational multiple of the first basis
-                # element, at any rank, so the power's lie on the grid 1/L
-                es = [g.coords[0] for g, _ in terms]
-                bound = int(n * (max(es) - min(es)) * math.lcm(*(e.denominator for e in es))) + 1
-                if bound > MAX_POWER_TERMS:
-                    sc.error(f"a power of up to {bound} terms is above the limit "
-                             f"{MAX_POWER_TERMS}", col=col)
-            return base ** n
+            return bounded_power(sc, base, int(n), col)
         # fractional power of a single unit monomial
         if len(base.terms) != 1:
             sc.error("fractional powers need a single monomial")

@@ -32,9 +32,9 @@ from .keypoly import (
     geometric_limit,
     group_text,
     initial_chain,
-    level_and_ties,
     shift_taylor,
     taylor_at,
+    taylor_min,
 )
 from .series import GenSeries, eval_poly
 
@@ -91,11 +91,8 @@ class LimitPartial:
         """P at head + tail: the values (D^l P mod flim)(head), for l up to
         deg P (only l = 0 without a tail), summed over the tail's powers."""
         head = GenSeries(self.ring, list(self.head_terms), self.next_exp, False)
-        values = []
-        for l in range(P.degree() + 1 if self.tails else 1):
-            dP = P if l == 0 else P.hasse_derivative(l)
-            values.append(self.ring.zero() if dP.is_zero()
-                          else dP.divmod_monic(self.flim)[1].eval(head))
+        values = [self.ring.zero() if dP.is_zero() else dP.divmod_monic(self.flim)[1].eval(head)
+                  for dP in map(P.hasse_derivative, range(P.degree() + 1 if self.tails else 1))]
         return eval_poly(values, GenSeries(self.ring, list(self.tails)))
 
 
@@ -437,11 +434,7 @@ def mu_beta_val(f, state):
 
     Returns (value, attaining T-degrees) for a ValPoly f over the ring.
     """
-    beta = state.beta
-    vec = state.taylor_of(f)
-    best, attain = level_and_ties((k, ev.val() + beta.scale_unchecked(k))
-                                  for k, ev in enumerate(vec)
-                                  if not ev.is_exact_zero())
+    best, attain = taylor_min(state.taylor_of(f), state.beta)
     if best is None:
         raise ZeroPolynomial("polynomial vanishes at the partial development")
     return best, attain

@@ -320,30 +320,8 @@ class GroupElement:
     # -- text form ---------------------------------------------------------------
 
     def to_text(self):
+        """q1*g1 + q2*g2 + ...; series text reads it back as ``t^(...)``."""
         return " + ".join(f"{c}*g{j + 1}" for j, c in enumerate(self.coords))
-
-    @classmethod
-    def parse(cls, descriptor, text):
-        coords = [Fraction(0)] * descriptor.rank
-        for part in text.split("+"):
-            part = part.strip()
-            if not part:
-                raise ParseError("empty group term")
-            if "*" not in part:
-                raise ParseError(f"bad group term {part!r}")
-            q, g = part.split("*", 1)
-            g = g.strip()
-            if not g.startswith("g"):
-                raise ParseError(f"bad generator name {g!r}")
-            try:
-                j = int(g[1:]) - 1
-                q = Fraction(q.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad group term {part!r}") from exc
-            if not 0 <= j < descriptor.rank:
-                raise ParseError(f"bad generator name {g!r}")
-            coords[j] += q
-        return descriptor.element(coords)
 
 
 class _Infinity:

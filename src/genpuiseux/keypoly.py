@@ -29,9 +29,10 @@ from .series import GenSeries, eval_poly
 
 
 class ValPoly:
-    """Univariate polynomial with GenSeries coefficients (ascending order)."""
+    """Univariate polynomial with GenSeries coefficients (ascending order);
+    ``_derivs`` keeps its Hasse derivatives by order as they are formed."""
 
-    __slots__ = ("ring", "coeffs", "var")
+    __slots__ = ("ring", "coeffs", "var", "_derivs")
 
     def __init__(self, ring, coeffs, var="y"):
         self.ring = ring
@@ -40,6 +41,7 @@ class ValPoly:
         while cs and cs[-1].is_exact_zero():
             cs.pop()
         self.coeffs = tuple(cs)
+        self._derivs = None
 
     @classmethod
     def variable(cls, ring, var="y"):
@@ -108,13 +110,18 @@ class ValPoly:
         return ValPoly(self.ring, quot, self.var), ValPoly(self.ring, rem, self.var)
 
     def hasse_derivative(self, m):
-        """Divided-power derivative: sum C(k, m) a_k x^(k-m)."""
-        if m < 1:
-            raise ValueError("derivative order must be >= 1")
-        out = []
-        for k in range(m, self.degree() + 1):
-            out.append(self.coeffs[k] * math.comb(k, m))
-        return ValPoly(self.ring, out, self.var)
+        """Divided-power derivative: sum C(k, m) a_k x^(k-m), formed once per
+        order and kept, as a series keeps its powers (a polynomial never
+        changes); order 0 is the polynomial itself."""
+        if m < 0:
+            raise ValueError("derivative order must be >= 0")
+        if m == 0:
+            return self
+        derivs = self._derivs = self._derivs or {}
+        if m not in derivs:
+            derivs[m] = ValPoly(self.ring, [self.coeffs[k] * math.comb(k, m)
+                                            for k in range(m, self.degree() + 1)], self.var)
+        return derivs[m]
 
     def eval(self, s):
         if hasattr(s, "eval_valpoly"):
@@ -163,17 +170,25 @@ class ValPoly:
 
 
 def taylor_at(P, s, lowest=0):
-    """The Taylor vector ((D^l P)(s))_{l=0..deg P}, each entry by eval_poly.
+    """The Taylor vector ((D^l P)(s))_{l=0..deg P}: P's kept derivatives
+    (``hasse_derivative``; D^0 P is P) each evaluated at s.
 
-    s is a series or any point with an ``eval_valpoly`` method; a vanishing
-    Hasse derivative contributes an exact zero without an evaluation.  The
-    entries below ``lowest`` are left unevaluated, as None.
+    s is a series, read by eval_poly, or any point with an ``eval_valpoly``
+    method; a vanishing derivative contributes an exact zero without an
+    evaluation.  The entries below ``lowest`` are left unevaluated, as None.
     """
-    out = [None] * lowest if lowest else [P.eval(s)]
-    for l in range(max(lowest, 1), P.degree() + 1):
+    out = [None] * lowest
+    for l in range(lowest, P.degree() + 1):
         dP = P.hasse_derivative(l)
         out.append(s.ring.zero() if dP.is_zero() else dP.eval(s))
     return out
+
+
+def taylor_min(vec, beta):
+    """The T-graded minimum of a Taylor vector at beta: the least
+    nu(vec[k]) + k*beta over its non-zero entries, and the k attaining it."""
+    return level_and_ties((k, ev.val() + beta.scale_unchecked(k))
+                          for k, ev in enumerate(vec) if not ev.is_exact_zero())
 
 
 def shift_taylor(vec, m):
@@ -551,35 +566,29 @@ def _append_with_invariants(chain, q_new, beta, alpha, expansion=None):
 def derivative_min_check(h, chain, i, root):
     """Report on the three-way minimum identity at beta = epsilon_i.
 
-    Evaluates nu_i(h) against min over derivative orders of both the true
-    (pullback) and the truncated values shifted by alpha*beta, in one pass:
-    each derivative D^a h is formed and evaluated once, and nu_i(h) is the
+    Evaluates nu_i(h) against min over derivative orders a of both the true
+    (pullback) and the truncated values of D^a h shifted by a*beta.  The
+    true values are h's Taylor vector at the root (``taylor_at``), the
+    truncated ones are read from h's kept derivatives, and nu_i(h) is the
     truncated value at a = 0.
     """
     beta = chain.entry(i).epsilon
 
     def true_val(ev):
-        if ev.is_exact_zero():
-            return INF
         try:
-            return ev.val()
+            return INF if ev.is_exact_zero() else ev.val()
         except ValuationIndeterminate:
             return INF
 
+    def shifted(v, a):  # v + a*beta, or None when either is INF
+        return None if v is INF or beta is INF else v + beta.scale_unchecked(a)
+
     lhs = truncated_val(h, chain, i)[0]
-    mid = None
-    rhs = None
-    for a in range(h.degree() + 1):
-        da = h if a == 0 else h.hasse_derivative(a)
-        if da.is_zero():
-            continue
-        shift = beta.scale_unchecked(a) if beta is not INF else INF
-        tv = true_val(da.eval(root))
-        if tv is not INF and shift is not INF:
-            mid = gmin(mid, tv + shift)
-        uv = lhs if a == 0 else truncated_val(da, chain, i)[0]
-        if uv is not INF and shift is not INF:
-            rhs = gmin(rhs, uv + shift)
+    mid = rhs = None
+    for a, ev in enumerate(taylor_at(h, root)):
+        uv = lhs if a == 0 else truncated_val(h.hasse_derivative(a), chain, i)[0]
+        mid = gmin(mid, shifted(true_val(ev), a))
+        rhs = gmin(rhs, shifted(uv, a))
     ok = (lhs is not INF and mid is not None and rhs is not None
           and cmp(lhs, mid) == 0 and cmp(lhs, rhs) == 0)
     return {

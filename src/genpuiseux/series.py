@@ -9,6 +9,7 @@ form (each stored coefficient is a single-digit representative).
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .errors import (
     PrecisionExceeded,
     ValuationIndeterminate,
 )
-from .groups import INF, GroupElement, cmp
+from .groups import INF, cmp
 
 
 class SeriesRing:
@@ -578,6 +579,24 @@ class _Scanner:
 
 # the deepest nesting of parentheses and function arguments read_expr reads
 MAX_NESTING = 100
+# the most terms an integer power in series or arith text may reach
+MAX_POWER_TERMS = 512
+
+
+def bounded_power(sc, base, n, col):
+    """base ** n for an integer n >= 0 whose ``^`` text has at col.  Each
+    coordinate of the power's exponents takes at most n*(max - min)*L + 1
+    values, L the lcm of base's denominators there; with m >= 2 terms and
+    n >= 2, a product of these above MAX_POWER_TERMS is a ParseError first."""
+    terms = base.terms
+    if n >= 2 and len(terms) >= 2:
+        bound = 1
+        for es in zip(*(g.coords for g, _ in terms)):
+            bound *= int(n * (max(es) - min(es)) * math.lcm(*(e.denominator for e in es))) + 1
+        if bound > MAX_POWER_TERMS:
+            sc.error(f"a power of up to {bound} terms is above the limit "
+                     f"{MAX_POWER_TERMS}", col=col)
+    return base ** n
 
 
 def read_expr(sc, atom, power):
@@ -669,14 +688,16 @@ def parse_series(ring, text):
         n = sc.exponent()
         if n < 0 or n.denominator != 1:
             sc.error("generator powers must be non-negative integers", col=start)
-        return base ** int(n)
+        return bounded_power(sc, base, int(n), start - 1)
 
     return read_expr(sc, atom, power)
 
 
 def _exponent(ring, sc):
-    """The e of ``t^e`` (1 when no ``^`` follows): a rational, or in
-    parentheses a rational or the g-coordinates of GroupElement.parse."""
+    """The e of ``t^e`` (1 when no ``^`` follows), read on the scanner: a
+    signed rational, bare or in parentheses, or in parentheses the
+    g-coordinates ``q1*g1 + q2*g2`` that ``GroupElement.to_text`` prints,
+    each qj a signed rational and each gj a generator of the group."""
     desc = ring.descriptor
     if sc.peek() != "^":
         return desc.from_rational(1)
@@ -684,15 +705,24 @@ def _exponent(ring, sc):
     if sc.peek() != "(":
         return desc.from_rational(sc.number())
     sc.take("(")
-    end = sc.text.find(")", sc.pos)
-    end = len(sc.text) if end < 0 else end
-    if "g" in sc.text[sc.pos:end]:
-        gamma = GroupElement.parse(desc, sc.text[sc.pos:end])
-        sc.pos = end
-    else:
-        gamma = desc.from_rational(sc.number())
-    sc.take(")")
-    return gamma
+    q = sc.number()
+    if sc.peek() != "*":
+        sc.take(")")
+        return desc.from_rational(q)
+    coords = [Fraction(0)] * desc.rank
+    while True:
+        sc.take("*")
+        sc.take("g")
+        start = sc.pos - 1
+        j = sc.number()
+        if j.denominator != 1 or not 1 <= j <= desc.rank:
+            sc.error(f"bad generator name {sc.text[start:sc.pos]!r}", col=start)
+        coords[int(j) - 1] += q
+        if sc.peek() != "+":
+            sc.take(")")
+            return desc.element(coords)
+        sc.take("+")
+        q = sc.number()
 
 
 def _coeff_from_fraction(ring, q):

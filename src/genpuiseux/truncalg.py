@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ChainExhausted, PrecisionExceeded, ValuationIndeterminate
 from .groups import INF, cmp, gmin
-from .keypoly import level_and_ties, truncated_val
+from .keypoly import level_and_ties, taylor_min, truncated_val
 from .series import GenSeries
 
 
@@ -27,15 +27,15 @@ class TruncationDecomposition:
     def length(self):
         return len(self.deltas)
 
+    def tree(self, index, child):
+        """The ProductTree over factor ``index`` whose i-th slice meets
+        ``child(delta_i)``."""
+        return ProductTree(index, [(lo, hi, child(delta)) for lo, hi, delta
+                                   in zip(self.lambdas, self.lambdas[1:], self.deltas)])
+
     def evaluate(self, g, h):
-        ring = g.ring
-        acc = ring.zero()
-        for i in range(1, self.length + 1):
-            piece = g.slice(self.lambdas[i - 1], self.lambdas[i]).exact()
-            if not piece.terms:
-                continue
-            acc = acc + piece * h.truncate_open(self.deltas[i - 1]).exact()
-        return acc
+        """(gh)(lambda): the two-factor tree whose slices of g meet truncations of h."""
+        return self.tree(0, lambda delta: TruncLeaf(1, delta)).evaluate([g, h])
 
 
 def product_truncation(g, h, lam):
@@ -110,12 +110,8 @@ def multi_product_truncation(gs, lam, _start=0):
     rest = gs[_start + 1]
     for f in gs[_start + 2:]:
         rest = rest * f
-    decomp = product_truncation(head, rest, lam)
-    pieces = []
-    for i in range(1, decomp.length + 1):
-        child = multi_product_truncation(gs, decomp.deltas[i - 1], _start + 1)
-        pieces.append((decomp.lambdas[i - 1], decomp.lambdas[i], child))
-    return ProductTree(_start, pieces)
+    return product_truncation(head, rest, lam).tree(
+        _start, lambda delta: multi_product_truncation(gs, delta, _start + 1))
 
 
 # -- lambda, U and U0 --------------------------------------------------------------------
@@ -132,10 +128,10 @@ class DerivativeLevels:
 def _derivative_levels(f, beta, state):
     """The derivative level lambda = min over b >= 1 of nu_i(D^b f) + b*beta,
     its argmin U and the T-free part U0, with what they read: the Taylor
-    vector of f at the partial (from the least order in U on) and the
-    derivatives D^b f, b >= 1, by order.  f is a ValPoly in the expanded
-    variable; the noetherian bound is replaced by the derivative support
-    bound (the polynomial degree).
+    vector of f at the partial (from the least order in U on).  f is a
+    ValPoly in the expanded variable, whose kept derivatives D^b f are read;
+    the noetherian bound is replaced by the derivative support bound (the
+    polynomial degree).
 
     b lies in U0 when the T-graded minimum of D^b f at epsilon of the stage,
     min over k of nu((D^k D^b f)(partial)) + k*epsilon, is attained at k = 0
@@ -146,26 +142,24 @@ def _derivative_levels(f, beta, state):
     i_stage = chain.index_for(beta)
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
-    derivs = {b: f.hasse_derivative(b) for b in range(1, f.degree() + 1)}
 
     def level(b):
-        vb = truncated_val(derivs[b], chain, i_stage)[0]
+        vb = truncated_val(f.hasse_derivative(b), chain, i_stage)[0]
         return INF if vb is INF else vb + beta.scale_unchecked(b)
 
-    lam, U = level_and_ties((b, level(b)) for b in derivs)
+    lam, U = level_and_ties((b, level(b)) for b in range(1, f.degree() + 1))
     if lam is None:
         raise ValuationIndeterminate("no determinate derivative level")
     vec = state.taylor_of(f, U[0])  # no order below U is read
     eps = chain.entry(i_stage).epsilon
     U0 = list(U) if eps is INF else [b for b in U if _min_at_zero_only(vec, b, eps)]
-    return DerivativeLevels(lam, U, U0, i_stage), vec, derivs
+    return DerivativeLevels(lam, U, U0, i_stage), vec
 
 
 def _min_at_zero_only(vec, b, eps):
     """Whether k = 0 alone attains min nu(C(b+k, k) vec[b+k]) + k*eps."""
-    terms = ((k, vec[b + k] * math.comb(b + k, k)) for k in range(len(vec) - b))
-    return level_and_ties((k, ev.val() + eps.scale_unchecked(k))
-                          for k, ev in terms if not ev.is_exact_zero())[1] == [0]
+    return taylor_min([vec[b + k] * math.comb(b + k, k) for k in range(len(vec) - b)],
+                      eps)[1] == [0]
 
 
 # -- Taylor forms --------------------------------------------------------------------------
@@ -196,16 +190,18 @@ def taylor_form(f, beta, state, mode="OPEN"):
     term is the residual after removing the leading derivative monomials.
     Every value at the partial is read from the one Taylor vector of f.
     """
+    if mode not in ("OPEN", "CLOSED"):
+        raise ValueError(f"mode must be OPEN or CLOSED, not {mode!r}")
     chain = state.chain
-    closed = mode != "OPEN"
-    levels, vec, derivs = _derivative_levels(f, beta, state)
+    closed = mode == "CLOSED"
+    levels, vec = _derivative_levels(f, beta, state)
     lam = levels.lam
     # (D^b f)(partial) for the b in U0 where it is not zero
     leading = {b: vec[b] for b in levels.U0 if not vec[b].is_exact_zero()}
 
     def truncation_exact(i):
         for b, ev in leading.items():
-            v_tr = truncated_val(derivs[b], chain, i)[0]
+            v_tr = truncated_val(f.hasse_derivative(b), chain, i)[0]
             if v_tr is INF or cmp(v_tr, ev.val()) != 0:
                 return False
         return True

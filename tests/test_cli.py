@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -422,6 +423,18 @@ def test_characteristic_is_zero_or_a_prime(header, message):
         cmd_expand(parse_problem(f"{header}\npoly y^2 + t\n"))
 
 
+@pytest.mark.parametrize("spec, keys", [
+    # both were read without complaint: the first expanded over Q, the
+    # second over W(F5) with char left unread
+    ("p 5\nmode equichar\npoly y^2 - 1 - t\n", ("'mode equichar'", "'p 5'")),
+    ("char 3\np 5\npoly y^2 - 1 - p\n", ("'char 3'", "'p 5'")),
+])
+def test_contradictory_characteristic_keys_are_a_parse_error(tmp_path, capsys, spec, keys):
+    assert main(["expand", write(tmp_path, "both.spec", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and all(key in err for key in keys)
+
+
 @pytest.mark.parametrize("header", [
     "var t",  # the main variable is the series variable
     "weights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars t",  # a lower variable too
@@ -692,13 +705,14 @@ def test_determinism_byte_identical(tmp_path):
     assert runs[0] == runs[1]
 
 
-def _run_cli(args, stdout=subprocess.PIPE, **env):
-    """The console entry point in a child process, with env added to its environment."""
+def _run_cli(args, stdout=subprocess.PIPE, flags=(), **env):
+    """The console entry point in a child process, its interpreter given
+    flags, with env added to its environment."""
     # the child imports the package from where this process found it
     src = str(Path(genpuiseux.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "genpuiseux.cli"] + args, stdout=stdout,
+        [sys.executable, *flags, "-m", "genpuiseux.cli"] + args, stdout=stdout,
         stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path, **env})
 
 
@@ -719,6 +733,40 @@ def test_console_entry_point(tmp_path):
     proc = _run_cli(["expand", write(tmp_path, "good.spec", CLASSICAL)])
     assert proc.returncode == 0
     assert "t^(3/2)" in proc.stdout
+
+
+def _readme_arith_session():
+    """The README's arithmetic session, and the text its print lines' comments give."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    match = re.search(r"^### Arithmetic sessions\n+```\n(.*?)^```",
+                      readme.read_text(encoding="utf-8"), re.S | re.M)
+    session = match.group(1)
+    return session, [line.split("#", 1)[1].strip() for line in session.splitlines()
+                     if line.startswith("print")]
+
+
+def _lines_matching(pattern, expected):
+    return lambda lines: sum(bool(re.fullmatch(pattern, ln)) for ln in lines) == expected
+
+
+_RANK2 = "char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\npoly y^2 - t - u2\n"
+_ONE_BUDGET_RESULT = _lines_matching(r"result=.* status=BUDGET", 1)
+_README_ARITH, _README_PRINTS = _readme_arith_session()
+
+
+@pytest.mark.parametrize("args, text, check", [
+    (["verify"], "char 2\npoly y^2 + t*y + t\n", _lines_matching(r".* status=PASS .*", 6)),
+    (["expand", "--format", "records"], "p 5\nwitt_prec 16\npoly y^2 - 1 - p\n",
+     _ONE_BUDGET_RESULT),
+    (["expand", "--format", "records"], _RANK2, _ONE_BUDGET_RESULT),
+    (["arith"], _README_ARITH, lambda lines: lines == _README_PRINTS != []),
+], ids=["verify-artin", "expand-p5", "expand-rank2", "readme-arith"])
+def test_no_warning_under_python_dev_mode(tmp_path, args, text, check):
+    """python -X dev -W error: the development mode checks on, every warning an error."""
+    proc = _run_cli([args[0], write(tmp_path, "case.spec", text), *args[1:]],
+                    flags=("-X", "dev", "-W", "error"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert check(proc.stdout.splitlines()), proc.stdout
 
 
 @pytest.mark.parametrize("command", ["expand", "verify", "arith"])

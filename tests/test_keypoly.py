@@ -87,6 +87,41 @@ def test_hasse_diagonal_is_one():
             assert xm.hasse_derivative(m) == poly(R, R.one())
 
 
+def test_hasse_derivative_is_kept_per_order():
+    R = tring(3)
+    f = poly(R, t_pow(R, 1), R.one(), t_pow(R, 2), R.one())  # y^3 + t^2 y^2 + y + t
+    assert f.hasse_derivative(0) is f
+    d1 = f.hasse_derivative(1)
+    assert d1 == poly(R, R.one(), t_pow(R, 2, 2))  # 3y^2 = 0 in characteristic 3
+    assert f.hasse_derivative(1) is d1
+    assert f.hasse_derivative(3) == poly(R, R.one()) and f.hasse_derivative(4).is_zero()
+    with pytest.raises(ValueError):
+        f.hasse_derivative(-1)
+
+
+def test_each_hasse_derivative_is_formed_once_per_verify_op(monkeypatch):
+    """Every reader takes D^m P from P's table: over one verify op, each
+    (polynomial object, order) pair yields one derivative object."""
+    from genpuiseux.cli import cmd_verify, parse_problem
+
+    formed = {}  # (id(P), m) -> (P, D^m P); P is held, so its id stays its own
+    calls = [0]
+    original = ValPoly.hasse_derivative
+
+    def recorded(P, m):
+        calls[0] += 1
+        d = original(P, m)
+        assert formed.setdefault((id(P), m), (P, d))[1] is d
+        return d
+
+    monkeypatch.setattr(ValPoly, "hasse_derivative", recorded)
+    spec = parse_problem("char 3\npoly y^3 - t*y - t\nbudget_terms 6\n"
+                         "verify all\nseed 7\ntrials 4\n")
+    assert cmd_verify(spec)[1].count("status=") == 6
+    # the table is read again and again: far more reads than formations
+    assert calls[0] > 2 * len(formed) > 0
+
+
 def test_hasse_composition_law():
     rng = random.Random(77)
     for char in (0, 2, 3, 5):

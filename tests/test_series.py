@@ -1,4 +1,5 @@
 import random
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
@@ -608,6 +609,51 @@ def _ring_and_pair(draw):
     first = _terms(draw, ring)
     second = _terms(draw, ring) + [(e, -c) for e, c in first if draw(st.booleans())]
     return ring, _series(draw, ring, first), _series(draw, ring, second)
+
+
+@st.composite
+def _ring_and_series(draw):
+    ring = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+    return ring, _series(draw, ring)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_series())
+def test_text_roundtrip_random_over_every_ring(case):
+    """test_text_roundtrip_random's property over each ring above, the
+    rank-2 group's g-coordinate exponents and bounds included."""
+    ring, s = case
+    assert parse_series(ring, s.to_text()) == s
+
+
+def test_one_character_deletions_of_rank_2_text_parse_or_are_parse_errors():
+    ring = _RINGS["sqrt2"]
+    d, cs = ring.descriptor, ring.coeffs
+    s = GenSeries(ring, [(d.element([Fraction(-1, 2), 1]), cs.from_int(3)),
+                         (d.element([2, Fraction(-1, 3)]), cs.from_int(-1)),
+                         (d.element([0, 2]), cs.one())], d.element([5, Fraction(1, 2)]), True)
+    text = s.to_text()
+    assert text.count("*g2") == 4 and text.endswith("]")
+    parsed = 0
+    for i in range(len(text)):
+        try:
+            parse_series(ring, text[:i] + text[i + 1:])
+            parsed += 1
+        except ParseError:
+            pass
+    assert 0 < parsed < len(text)
+
+
+def test_series_text_powers_are_bounded_before_they_are_formed():
+    # the rule arith applies at its ^, counted over every coordinate
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="a power of up to 3001 terms is above the limit 512"):
+        parse_series(tring(), "(1 + t^(1/1000))^3000")
+    assert time.perf_counter() - start < 1.0
+    ring = _RINGS["sqrt2"]
+    with pytest.raises(ParseError, match="a power of up to 601 terms"):
+        parse_series(ring, "(1 + t^(1*g2))^600")
+    assert len(parse_series(ring, "(1 + t^(1*g2))^511").terms) == 512
 
 
 @contextmanager

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from genpuiseux.coeff import FieldTower
 from genpuiseux.groups import INF, GroupDescriptor, cmp, gmin
 from genpuiseux.keypoly import ValPoly
@@ -352,6 +354,21 @@ def test_taylor_closed_reconstruction():
     cut = gmin_local(lhs.prec, rhs.prec, form.lam)
     assert [t for t in lhs.terms if cmp(t[0], cut) <= 0] \
         == [t for t in rhs.terms if cmp(t[0], cut) <= 0]
+
+
+def test_taylor_form_mode_is_open_or_closed():
+    # any mode but OPEN was read as CLOSED, "open" and typos included
+    R = tring(2)
+    F = artin_schreier_F(R)
+    st = expand(F, R, max_terms=6).state
+    beta = g(R, Fraction(7, 8))
+    for mode in ("open", "closed", "OPNE", ""):
+        with pytest.raises(ValueError, match="mode must be OPEN or CLOSED"):
+            taylor_form(F, beta, st, mode)
+    # the levels come with the one Taylor vector they read, and nothing else
+    levels, vec = _derivative_levels(F, beta, st)
+    assert taylor_form(F, beta, st, "CLOSED").levels == levels
+    assert len(vec) == F.degree() + 1
 
 
 def gmin_local(*vals):
