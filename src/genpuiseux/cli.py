@@ -7,7 +7,6 @@ for machine consumption; traces can be teed to a file.
 
 from __future__ import annotations
 
-import argparse
 import os
 import random
 import sys
@@ -36,6 +35,7 @@ MAX_WITT_PREC = 1024
 @dataclass
 class ProblemSpec:
     mode: str = "equichar"
+    stated_mode: str = None  # the value of a `mode` line, which a `p` line does not change
     char: int = 0
     p: int = 0
     weights: list = field(default_factory=lambda: [Fraction(1)])
@@ -82,7 +82,7 @@ def _read_key(spec, key, value, lineno):
         if key == "mode":
             if value not in ("equichar", "mixed"):
                 raise ParseError(f"unknown mode {value!r}", line=lineno)
-            spec.mode = value
+            spec.mode = spec.stated_mode = value
         elif key == "char":
             spec.char = int(value)
         elif key == "p":
@@ -187,8 +187,8 @@ def build_ring(spec):
         raise ParseError(f"p must be a prime, not {spec.p}")
     if spec.mode != "mixed" and spec.char != 0 and not _is_prime(spec.char):
         raise ParseError(f"char must be 0 or a prime, not {spec.char}")
-    if spec.p and (spec.char or spec.mode != "mixed"):
-        other = f"char {spec.char}" if spec.char else f"mode {spec.mode}"
+    if spec.p and (spec.char or spec.stated_mode == "equichar"):
+        other = f"char {spec.char}" if spec.char else "mode equichar"
         raise ParseError(f"'{other}' contradicts 'p {spec.p}', which sets mode mixed")
     for w in spec.weights:
         if isinstance(w, tuple) and w[2] != spec.sqrt_disc:
@@ -643,6 +643,7 @@ def _apply_func(ring, name, args, sc, col):
 
 
 def main(argv=None):
+    import argparse  # only the entry point pays for argparse: library callers import cli too
     parser = argparse.ArgumentParser(
         prog="genpuiseux",
         description="Exact generalized Puiseux expansions with verification")

@@ -156,16 +156,14 @@ class GroupDescriptor:
         kb = [g.num[0] * (lcm // g.den) for g, _ in b]
         return ka, kb, (bound if bound is INF else bound.num[0] * (lcm // bound.den)), lcm
 
-    def from_keys(self, items, lcm, ordered=False):
+    def from_keys(self, items, lcm):
         """(element, value) pairs in element order from product_keys' (key,
-        value) pairs, sorted unless ordered; an integer key k becomes k / lcm
-        in lowest terms, with one gcd."""
+        value) pairs, sorted here; an integer key k becomes k / lcm in
+        lowest terms, with one gcd."""
         if lcm is None:
-            if not ordered:
-                self.sort_terms(items)
+            self.sort_terms(items)
             return tuple(items)
-        if not ordered:
-            items.sort(key=itemgetter(0))
+        items.sort(key=itemgetter(0))
         return tuple((GroupElement(self, (k // (d := math.gcd(k, lcm)),), lcm // d), c)
                      for k, c in items)
 

@@ -194,18 +194,14 @@ def taylor_min(vec, beta):
 def shift_taylor(vec, m):
     """The Taylor vector at s + m from the one at s, for a one-term series m.
 
-    (D^l F)(s + m) = sum over k >= l of C(k, l) (D^k F)(s) m^(k-l).  The
-    binomial rides on the one-term factor, so every product is a shift and
-    every sum a linear merge.
+    The entries are the coefficients of G(x) = sum (D^k F)(s) x^k, and the
+    vector at s + m is that of G(x + m).  Horner's rule forms it: deg F
+    rounds of out[k] += out[k+1]*m, each one ``add_mul``, a linear merge.
     """
-    powers = [None, m]  # powers[j] is m^j; m^0 is never read
-    for _ in range(len(vec) - 2):
-        powers.append(powers[-1] * m)
-    out = []
-    for l, acc in enumerate(vec):
-        for k in range(l + 1, len(vec)):
-            acc = acc + vec[k] * (powers[k - l] * math.comb(k, l))
-        out.append(acc)
+    out = list(vec)
+    for low in range(len(out) - 1):
+        for k in range(len(out) - 2, low - 1, -1):
+            out[k] = out[k].add_mul(out[k + 1], m)
     return out
 
 

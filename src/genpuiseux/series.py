@@ -248,32 +248,65 @@ class GenSeries:
         return GenSeries._sorted(self.ring, tuple((g, -c) for g, c in self._raw),
                                  self._raw_prec, self._raw_closed)
 
+    def add_mul(self, other, m):
+        """self + other*m for a series m of at most one term: the raw terms,
+        precision and closedness of ``self + other * m``, formed as one linear
+        merge of self's terms with other's shifted by m, with no product
+        series and no coefficient product past the precision."""
+        self._same_ring(other)
+        self._same_ring(m)
+        a, b, mt = self._raw, other._raw, m._raw
+        if self._raw_prec is other._raw_prec is m._raw_prec is INF:
+            prec, closed = INF, False
+        else:
+            prec, closed = _prec_min((self._raw_prec, self._raw_closed), _prec_min(
+                _prec_shift((other._raw_prec, other._raw_closed),
+                            mt[0][0] if mt else m._raw_prec),
+                _prec_shift((m._raw_prec, m._raw_closed), b[0][0] if b else other._raw_prec)))
+        if not b or not mt:
+            return GenSeries._sorted(self.ring, a[:_cut(a, prec, closed)], prec, closed)
+        # exponents as keys that add and order as they do: integers over one
+        # denominator at rank 1; the known terms end below bound
+        desc = self.ring.descriptor
+        ka, kb, bound, lcm = desc.product_keys(a + mt, b, prec)
+        km, (gm, cm) = ka.pop(), mt[0]
+        cut = bisect_right if closed else bisect_left
+        na, nb = (len(a), len(b)) if bound is INF else (cut(ka, bound), cut(kb, bound - km))
+        out, i = [], 0
+        for k, (g, c) in zip(kb[:nb], b):
+            if (c := c * cm).is_zero():
+                continue
+            k += km
+            while i < na and ka[i] < k:  # self's terms below k go out as they are
+                out.append(a[i])
+                i += 1
+            if i < na and ka[i] == k:
+                g, c = a[i][0], a[i][1] + c
+                i += 1
+            else:
+                g = g + gm if lcm else k  # at rank 2 the key is the element
+            if not c.is_zero():
+                out.append((g, c))
+        return GenSeries._sorted(self.ring, tuple(out) + a[i:na], prec, closed)
+
     def __mul__(self, other):
+        """The product; with a one-term factor, add_mul onto the zero series."""
         if isinstance(other, int):
             return self.scale(other)
         self._same_ring(other)
         a, b = self._raw, other._raw
         if not a and self._raw_prec is INF or not b and other._raw_prec is INF:
             return self.ring.zero()
+        if len(b) == 1 or len(a) == 1:
+            return self.ring.zero().add_mul(*((self, other) if len(b) == 1 else (other, self)))
         prec, closed = _prec_min(_prec_shift((self._raw_prec, self._raw_closed),
                                              b[0][0] if b else other._raw_prec),
                                  _prec_shift((other._raw_prec, other._raw_closed),
                                              a[0][0] if a else self._raw_prec))
-
-        if len(a) == 1:
-            a, b = b, a
-        # exponents as keys that add and order as they do: integers over one
-        # denominator at rank 1; a row's known prefix ends below bound - key
+        # keys as in add_mul; a row's known prefix ends below bound - key
         desc = self.ring.descriptor
         ka, kb, bound, lcm = desc.product_keys(a, b, prec)
         cut = bisect_right if closed else bisect_left
-        if len(b) == 1:
-            # a shift: the products arrive sorted, with distinct exponents
-            (k2,), ((_, c2),) = kb, b
-            n = len(a) if bound is INF else cut(ka, bound - k2)
-            items = [(k1 + k2, c) for k1, (_, c1) in zip(ka[:n], a)
-                     if not (c := c1 * c2).is_zero()]
-            return GenSeries._sorted(self.ring, desc.from_keys(items, lcm, True), prec, closed)
         acc, n = {}, len(b)
         for k1, (_, c1) in zip(ka, a):
             # a's exponents rise, so each row's known prefix is one of the last row's
@@ -486,8 +519,9 @@ def eval_poly(coeffs, s):
 
     When s and every c_j have raw precision INF, the powers of s are formed
     once per series and kept on it (a series never changes), and each c_j
-    meets its power.  Otherwise Horner's rule: with finite precisions the
-    two orders can keep different precisions, and Horner's is the one used.
+    meets its power: a one-term c_j by ``add_mul``, one merge into the sum.
+    Otherwise Horner's rule: with finite precisions the two orders can keep
+    different precisions, and Horner's is the one used.
     """
     if not coeffs:
         return s.ring.zero()
@@ -501,7 +535,9 @@ def eval_poly(coeffs, s):
         powers.append(powers[-1] * s)
     acc = coeffs[0]
     for c, power in zip(coeffs[1:], powers):
-        if c._raw:
+        if len(c._raw) == 1:
+            acc = acc.add_mul(power, c)
+        elif c._raw:
             acc = acc + c * power
     return acc
 

@@ -428,11 +428,19 @@ def test_characteristic_is_zero_or_a_prime(header, message):
     # second over W(F5) with char left unread
     ("p 5\nmode equichar\npoly y^2 - 1 - t\n", ("'mode equichar'", "'p 5'")),
     ("char 3\np 5\npoly y^2 - 1 - p\n", ("'char 3'", "'p 5'")),
+    # expanded over W(F5): the p line overwrote the stated mode
+    ("mode equichar\np 5\npoly y^2 - 1 - p\n", ("'mode equichar'", "'p 5'")),
 ])
 def test_contradictory_characteristic_keys_are_a_parse_error(tmp_path, capsys, spec, keys):
     assert main(["expand", write(tmp_path, "both.spec", spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and all(key in err for key in keys)
+
+
+@pytest.mark.parametrize("header", ["p 5", "mode mixed\np 5", "p 5\nmode mixed"])
+def test_p_alone_or_with_mode_mixed_is_mixed(header):
+    spec = parse_problem(f"{header}\npoly y^2 - 1 - p\n")
+    assert spec.mode == "mixed" and build_ring(spec).mode == "p"
 
 
 @pytest.mark.parametrize("header", [
@@ -714,6 +722,15 @@ def _run_cli(args, stdout=subprocess.PIPE, flags=(), **env):
     return subprocess.run(
         [sys.executable, *flags, "-m", "genpuiseux.cli"] + args, stdout=stdout,
         stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_importing_the_cli_leaves_argparse_unimported():
+    # library callers and bench/setup_probe.py import cli but never call main
+    src = str(Path(genpuiseux.__file__).parents[1])
+    code = "import sys, genpuiseux.cli; print('argparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_a_closed_output_pipe_ends_quietly(tmp_path):

@@ -710,6 +710,37 @@ def test_product_and_scale_match_the_general_constructor(case, n):
     _assert_raw(a.scale(n), _build(ring, [(e, c * n) for e, c in x[0]], *x[1:]))
 
 
+@settings(max_examples=400, deadline=None)
+@given(_ring_and_pair(), st.data())
+def test_add_mul_matches_the_sum_of_the_product(case, data):
+    """a.add_mul(b, m) for a one-term m, exact or of finite precision, zero,
+    negative or one: the raw terms, precision and closedness of a + b*m, with no
+    coefficient product past the precision."""
+    ring, a, b = case
+    e, c = _exponent(data.draw, ring), _coeff(data.draw, ring)
+    kind = data.draw(st.sampled_from(["exact", "negative", "finite", "zero", "one"]))
+    if kind == "one":  # b's negated terms of a cancel
+        m = ring.one()
+    elif kind == "zero":
+        m = ring.monomial(e, 0)
+        assert m.is_exact_zero()
+    elif kind == "finite":
+        m = GenSeries(ring, [(e, c)], *_prec(data.draw, ring))
+    else:
+        m = ring.monomial(e, -c if kind == "negative" else c)
+    x, y, z = _triple(a), _triple(b), _triple(m)
+    expected = _o_add(ring, x, _o_mul(ring, y, z))
+    _, prec, closed = expected
+    keep = 1 if closed else 0
+    within = sum(1 for e1, _ in y[0] for e2, _ in z[0]
+                 if prec is INF or ring.descriptor.compare(e1 + e2, prec) < keep)
+    with _counting_products(ring) as count:
+        fused = a.add_mul(b, m)
+    _assert_raw(fused, expected)
+    _assert_raw(fused, _triple(a + b * m))
+    assert count[0] == within
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_truncations_and_slice_match_the_general_constructor(data):
