@@ -12,6 +12,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .coeff import FieldTower, WittRing
 from .embed import expand, monomial_embedding
@@ -19,7 +21,7 @@ from .errors import EngineError, ParseError
 from .groups import INF, GroupDescriptor, cmp, weight_text
 from .keypoly import ValPoly, derivative_min_check, group_text
 from .series import (GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, bounded_power,
-                     read_expr)
+                     bounded_product, check_terms, read_expr)
 from .truncalg import (
     integral_dependence,
     multi_product_truncation,
@@ -58,17 +60,20 @@ class ProblemSpec:
         return "p" if self.mode == "mixed" else "t"
 
 
+def _lines(text):
+    """(lineno, key, value) for each line of a spec or arith text that is not
+    blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key = line.split(None, 1)[0]
+            yield lineno, key, line[len(key):].strip()
+
+
 def parse_problem(text):
     spec = ProblemSpec()
     seen_poly = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key = line.split(None, 1)[0]
-        value = line[len(key):].strip()
-        if not value:
-            raise ParseError("expected 'key value'", line=lineno)
+    for lineno, key, value in _lines(text):
         _read_key(spec, key, value, lineno)
         seen_poly = seen_poly or key == "poly"
     if not seen_poly:
@@ -78,6 +83,8 @@ def parse_problem(text):
 
 def _read_key(spec, key, value, lineno):
     """Set the field of one spec line; errors name the line."""
+    if not value:
+        raise ParseError("expected 'key value'", line=lineno)
     try:
         if key == "mode":
             if value not in ("equichar", "mixed"):
@@ -215,66 +222,52 @@ def build_ring(spec):
 MAX_DEGREE = 128
 
 
-class _Bounded:
-    """A ValPoly as read_poly combines them: a product whose degree in the
-    main variable would pass MAX_DEGREE is a ParseError before it is formed."""
-
-    __slots__ = ("poly", "sc")
-
-    def __init__(self, poly, sc):
-        self.poly, self.sc = poly, sc
-
-    def __add__(self, other):
-        return _Bounded(self.poly + other.poly, self.sc)
-
-    def __sub__(self, other):
-        return _Bounded(self.poly - other.poly, self.sc)
-
-    def __neg__(self):
-        return _Bounded(-self.poly, self.sc)
-
-    def __mul__(self, other):
-        degree = self.poly.degree() + other.poly.degree()
-        if degree > MAX_DEGREE:
-            self.sc.error(f"a product in the defining polynomial has degree {degree} "
-                          f"in {self.poly.var}, above the limit {MAX_DEGREE}")
-        return _Bounded(self.poly * other.poly, self.sc)
-
-
 def read_poly(ring, text, values, var, lineno=None):
     """The polynomial in ``var`` that a ``poly`` line writes, as a ValPoly.
 
     The vocabulary of read_expr: rational literals, the names in ``values``
     (each its series), ``var``, and ``^`` with a non-negative integer, bare
     or in parentheses.  A power or a product whose degree would pass
-    MAX_DEGREE is a ParseError before it is formed; errors name ``lineno``.
+    MAX_DEGREE, or whose coefficients' terms together fail ``check_terms``,
+    is a ParseError before it is formed; errors name ``lineno``.
     """
     sc = _Scanner(text, lineno)
 
     def atom(read):
         ch = sc.peek()
         if ch.isdigit():
-            return _Bounded(ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())),
-                                          var), sc)
+            return ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())), var)
         if not (ch.isalpha() or ch == "_"):
             sc.error("expected a term")
         col = sc.pos
         name = sc.ident()
         if name == var:
-            return _Bounded(ValPoly.variable(ring, var), sc)
+            return ValPoly.variable(ring, var)
         if name not in values:
             sc.error(f"unknown variable {name!r}", col=col)
-        return _Bounded(ValPoly.const(values[name], var), sc)
+        return ValPoly.const(values[name], var)
+
+    def terms(poly):
+        return [term for c in poly.coeffs for term in c.terms]
 
     def power(base):
         n = sc.exponent()
         if n.denominator != 1 or n < 0:
             sc.error("exponents must be non-negative integers")
-        if base.poly.degree() * n > MAX_DEGREE:
-            sc.error(f"degree {base.poly.degree() * n} in {var} is above the limit {MAX_DEGREE}")
-        return _Bounded(base.poly ** int(n), sc)
+        if base.degree() * n > MAX_DEGREE:
+            sc.error(f"degree {base.degree() * n} in {var} is above the limit {MAX_DEGREE}")
+        check_terms(sc, "power", [(terms(base), int(n))])
+        return base ** int(n)
 
-    return read_expr(sc, atom, power).poly
+    def times(a, b):
+        degree = a.degree() + b.degree()
+        if degree > MAX_DEGREE:
+            sc.error(f"a product in the defining polynomial has degree {degree} "
+                     f"in {var}, above the limit {MAX_DEGREE}")
+        check_terms(sc, "product", [(terms(a), 1), (terms(b), 1)])
+        return a * b
+
+    return read_expr(sc, atom, power, times)
 
 
 def build_valpoly(spec, ring):
@@ -305,26 +298,20 @@ def run_expand(spec, budget_override=None, prec_override=None):
     ring = build_ring(spec)
     F = build_valpoly(spec, ring)
     max_terms = spec.budget_terms if budget_override is None else budget_override
-    max_prec = None
     prec_q = prec_override if prec_override is not None else spec.max_prec
-    if prec_q is not None:
-        max_prec = ring.descriptor.from_rational(prec_q)
+    max_prec = None if prec_q is None else ring.descriptor.from_rational(prec_q)
     return expand(F, ring, max_terms=max_terms, max_prec=max_prec)
 
 
 def cmd_expand(spec, fmt="text", trace_path=None, budget=None, prec=None):
     res = run_expand(spec, budget, prec)
+    chain = res.chain.report().splitlines()
     if fmt == "records":
-        lines = res.trace_lines()
-        for ln in res.chain.report().splitlines():
-            lines.append(f"chain {ln}")
+        lines = res.trace_lines() + [f"chain {ln}" for ln in chain]
     else:
-        lines = [f"series: {res.series.to_text()}", f"status: {res.status}", "chain:"]
-        for ln in res.chain.report().splitlines():
-            lines.append(f"  {ln}")
-        lines.append("trace:")
-        for ln in res.trace_lines()[:-1]:
-            lines.append(f"  {ln}")
+        lines = ([f"series: {res.series.to_text()}", f"status: {res.status}", "chain:"]
+                 + [f"  {ln}" for ln in chain] + ["trace:"]
+                 + [f"  {ln}" for ln in res.trace_lines()[:-1]])
     if trace_path:
         with open(trace_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(res.trace_lines()) + "\n")
@@ -387,16 +374,13 @@ def _check_caltron(res, rng, trials):
             return decomp.evaluate(g, h)
 
         if _identity_holds(g * h, lam, sweep) is False:
-            return False, None
+            return False, INF
     return True, INF
 
 
 def _product_tree_holds(factors, lam):
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = prod * f
-    return _identity_holds(
-        prod, lam, lambda: multi_product_truncation(factors, lam).evaluate(factors))
+    return _identity_holds(reduce(mul, factors), lam,
+                           lambda: multi_product_truncation(factors, lam).evaluate(factors))
 
 
 def _check_prodfini(res, rng, trials):
@@ -405,7 +389,7 @@ def _check_prodfini(res, rng, trials):
         fs = [_rand_series(ring, rng) for _ in range(3)]
         lam = _exp(ring, Fraction(rng.randint(4, 14), 2))
         if _product_tree_holds(fs, lam) is False:
-            return False, None
+            return False, INF
     return True, INF
 
 
@@ -419,7 +403,7 @@ def _check_stab(res, rng, trials):
         factors = [ring.uniformizer()] * e1 + [root] * e2
         lam = _exp(ring, Fraction(rng.randint(6, 14), 2))
         if _product_tree_holds(factors, lam) is False:
-            return False, None
+            return False, INF
     return True, INF
 
 
@@ -436,7 +420,7 @@ def _check_min(res, rng, trials):
             done += 1
             rep = derivative_min_check(h, chain, i, res.state.partial)
             if rep["nu_i"] is not INF and not rep["equal"]:
-                return False, None
+                return False, INF
     return True, INF
 
 
@@ -489,15 +473,10 @@ def cmd_verify(spec, budget=None, prec=None):
     if not spec.verify:
         return 0, ""
     rng = random.Random(spec.seed)
-    lines = []
-    ok_all = True
-    for name in spec.verify:
-        ok, rv = _CHECKS[name](res, rng, spec.trials)
-        ok_all = ok_all and ok
-        rv_text = "inf" if rv is INF or rv is None else group_text(rv)
-        lines.append(f"check={name} status={'PASS' if ok else 'FAIL'} "
-                     f"residual_val={rv_text}")
-    return (0 if ok_all else 1), "\n".join(lines)
+    results = [(name, *_CHECKS[name](res, rng, spec.trials)) for name in spec.verify]
+    return (0 if all(ok for _, ok, _ in results) else 1), "\n".join(
+        f"check={name} status={'PASS' if ok else 'FAIL'} residual_val={group_text(rv)}"
+        for name, ok, rv in results)
 
 
 # -- arith -----------------------------------------------------------------------------------
@@ -509,16 +488,9 @@ def cmd_arith(text):
     ring = None
     spec = ProblemSpec()
     env = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key = line.split(None, 1)[0]
-        rest = line[len(key):].strip()
+    for lineno, key, rest in _lines(text):
         if key in ("mode", "char", "p", "weights", "sqrt_disc", "series_var",
                    "witt_prec"):
-            if not rest:
-                raise ParseError("expected 'key value'", line=lineno)
             _read_key(spec, key, rest, lineno)
             ring = None
             continue
@@ -546,8 +518,8 @@ def _eval_series_expr(ring, env, text, lineno):
     """One arith expression.  The vocabulary of read_expr: rational literals,
     the uniformizer, let names and function calls, whose bare numbers are
     exponents; ``^`` takes a non-negative integer, or a rational for a
-    monomial with coefficient 1.  An integer power whose term count may pass
-    series.MAX_POWER_TERMS is a ParseError at its ``^`` (``bounded_power``)."""
+    monomial with coefficient 1.  An integer power or a product whose term
+    count may pass series.MAX_POWER_TERMS is a ParseError (``check_terms``)."""
     sc = _Scanner(text, lineno)
 
     def atom(read):
@@ -597,7 +569,7 @@ def _eval_series_expr(ring, env, text, lineno):
             sc.error("fractional powers need a unit coefficient")
         return ring.monomial(gam.scale_unchecked(n))
 
-    return read_expr(sc, atom, power)
+    return read_expr(sc, atom, power, lambda a, b: bounded_product(sc, a, b))
 
 
 # name -> its argument signatures: "s" a series, "e" an exponent number

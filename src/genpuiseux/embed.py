@@ -220,7 +220,7 @@ def _record(state, coeff_text, beta_plus, branch, note=""):
         "beta": group_text(state.beta),
         "coeff": coeff_text,
         "i_beta": state.i_beta,
-        "beta_plus": group_text(beta_plus) if beta_plus is not INF else "inf",
+        "beta_plus": group_text(beta_plus),
         "branch": branch,
     }
     if note:

@@ -151,10 +151,15 @@ class GroupDescriptor:
         """
         if self.rank != 1:
             return [g for g, _ in a], [g for g, _ in b], bound, None
-        lcm = math.lcm(*{g.den for g, _ in a + b}, 1 if bound is INF else bound.den)
-        ka = [g.num[0] * (lcm // g.den) for g, _ in a]
-        kb = [g.num[0] * (lcm // g.den) for g, _ in b]
-        return ka, kb, (bound if bound is INF else bound.num[0] * (lcm // bound.den)), lcm
+        (ka, kb, kc), lcm = self.integer_keys((a, b, () if bound is INF else ((bound, 0),)))
+        return ka, kb, (kc[0] if kc else INF), lcm
+
+    def integer_keys(self, lists, j=0):
+        """Coordinate j of the exponents in each list of (element, value) pairs
+        as the integers num[j] * (L // den), L the lcm of all the denominators;
+        and L.  At rank 1 they add and order as the elements do."""
+        lcm = math.lcm(*{g.den for terms in lists for g, _ in terms})
+        return [[g.num[j] * (lcm // g.den) for g, _ in terms] for terms in lists], lcm
 
     def from_keys(self, items, lcm):
         """(element, value) pairs in element order from product_keys' (key,

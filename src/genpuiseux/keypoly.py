@@ -156,7 +156,7 @@ class ValPoly:
             v = self.var if j == 1 else f"{self.var}^{j}"
             if ct == "1":
                 parts.append(v)
-            elif ct == "-1" and "O" not in ct:
+            elif ct == "-1":
                 parts.append(f"-{v}")
             else:
                 if "+" in ct or " - " in ct or ct.startswith("O"):

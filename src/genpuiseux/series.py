@@ -89,6 +89,16 @@ def _prec_shift(p, gamma):
     return (bound + gamma, closed)
 
 
+def _product_prec(a, b):
+    """The raw precision and closedness of a*b: each factor's shifted by the
+    other's least exponent, or by its precision when it has no terms."""
+    if a._raw_prec is b._raw_prec is INF:
+        return INF, False
+    return _prec_min(
+        _prec_shift((a._raw_prec, a._raw_closed), b._raw[0][0] if b._raw else b._raw_prec),
+        _prec_shift((b._raw_prec, b._raw_closed), a._raw[0][0] if a._raw else a._raw_prec))
+
+
 def _cut(terms, prec, closed):
     """How many of the sorted terms have exponents known at (prec, closed)."""
     n = len(terms)
@@ -206,25 +216,18 @@ class GenSeries:
                 f"series over two towers: {self.ring.tower!r} and {other.ring.tower!r}")
 
     def coerce(self, ring):
-        return GenSeries(ring, [(g, ring.coeffs.coerce(c)) for g, c in self._raw],
-                         self._raw_prec, self._raw_closed)
+        # coercion is injective: the raw terms stay sorted and non-zero
+        return GenSeries._sorted(ring, tuple((g, ring.coeffs.coerce(c)) for g, c in self._raw),
+                                 self._raw_prec, self._raw_closed)
 
     def __add__(self, other):
-        return self._merge(other, False)
-
-    def __sub__(self, other):
-        return self._merge(other, True)
-
-    def _merge(self, other, negate):
-        """self + other (self - other when negate) as one linear merge of the raw
-        terms, dropping exact cancellations and cutting the tail past the precision."""
+        """One linear merge of the raw terms, dropping exact cancellations and
+        cutting the tail past the precision."""
         self._same_ring(other)
         prec, closed = _prec_min((self._raw_prec, self._raw_closed),
                                  (other._raw_prec, other._raw_closed))
         compare = self.ring.descriptor.compare
         a, b = self._raw, other._raw
-        if negate:
-            b = tuple((g, -c) for g, c in b)
         if not a or not b or compare(a[-1][0], b[0][0]) < 0:
             out = a + b
         elif compare(b[-1][0], a[0][0]) < 0:
@@ -248,6 +251,9 @@ class GenSeries:
         return GenSeries._sorted(self.ring, tuple((g, -c) for g, c in self._raw),
                                  self._raw_prec, self._raw_closed)
 
+    def __sub__(self, other):
+        return self + -other
+
     def add_mul(self, other, m):
         """self + other*m for a series m of at most one term: the raw terms,
         precision and closedness of ``self + other * m``, formed as one linear
@@ -256,13 +262,7 @@ class GenSeries:
         self._same_ring(other)
         self._same_ring(m)
         a, b, mt = self._raw, other._raw, m._raw
-        if self._raw_prec is other._raw_prec is m._raw_prec is INF:
-            prec, closed = INF, False
-        else:
-            prec, closed = _prec_min((self._raw_prec, self._raw_closed), _prec_min(
-                _prec_shift((other._raw_prec, other._raw_closed),
-                            mt[0][0] if mt else m._raw_prec),
-                _prec_shift((m._raw_prec, m._raw_closed), b[0][0] if b else other._raw_prec)))
+        prec, closed = _prec_min((self._raw_prec, self._raw_closed), _product_prec(other, m))
         if not b or not mt:
             return GenSeries._sorted(self.ring, a[:_cut(a, prec, closed)], prec, closed)
         # exponents as keys that add and order as they do: integers over one
@@ -299,10 +299,7 @@ class GenSeries:
             return self.ring.zero()
         if len(b) == 1 or len(a) == 1:
             return self.ring.zero().add_mul(*((self, other) if len(b) == 1 else (other, self)))
-        prec, closed = _prec_min(_prec_shift((self._raw_prec, self._raw_closed),
-                                             b[0][0] if b else other._raw_prec),
-                                 _prec_shift((other._raw_prec, other._raw_closed),
-                                             a[0][0] if a else self._raw_prec))
+        prec, closed = _product_prec(self, other)
         # keys as in add_mul; a row's known prefix ends below bound - key
         desc = self.ring.descriptor
         ka, kb, bound, lcm = desc.product_keys(a, b, prec)
@@ -615,34 +612,53 @@ class _Scanner:
 
 # the deepest nesting of parentheses and function arguments read_expr reads
 MAX_NESTING = 100
-# the most terms an integer power in series or arith text may reach
+# the most terms a power or a product in series, arith or poly text may reach
 MAX_POWER_TERMS = 512
 
 
+def check_terms(sc, kind, factors, col=None):
+    """A ParseError at col, naming the kind, when the product of the (terms, n)
+    factors, each terms' series to its n, may pass MAX_POWER_TERMS terms: the
+    lesser of the ways to pick terms, C(m + n - 1, n) for m terms to the n, and
+    the exponents' lattice, sum n*(max - min)/g + 1 values in each coordinate, g
+    the gcd of the differences there.  Only two or more factors of 2+ terms count."""
+    factors = [(terms, n) for terms, n in factors if len(terms) >= 2]
+    picks = math.prod(math.comb(len(terms) + n - 1, n) for terms, n in factors)
+    if sum(n for _, n in factors) < 2 or picks <= MAX_POWER_TERMS:
+        return
+    desc = factors[0][0][0][0].descriptor
+    lattice = 1
+    for j in range(desc.rank):
+        keyed, _ = desc.integer_keys([terms for terms, _ in factors], j)
+        span = sum(n * (max(ks) - min(ks)) for ks, (_, n) in zip(keyed, factors))
+        gcd = math.gcd(*(k - ks[0] for ks in keyed for k in ks))
+        lattice *= span // gcd + 1 if gcd else 1
+    if (bound := min(picks, lattice)) > MAX_POWER_TERMS:
+        sc.error(f"a {kind} of up to {bound} terms is above the limit {MAX_POWER_TERMS}", col)
+
+
 def bounded_power(sc, base, n, col):
-    """base ** n for an integer n >= 0 whose ``^`` text has at col.  Each
-    coordinate of the power's exponents takes at most n*(max - min)*L + 1
-    values, L the lcm of base's denominators there; with m >= 2 terms and
-    n >= 2, a product of these above MAX_POWER_TERMS is a ParseError first."""
-    terms = base.terms
-    if n >= 2 and len(terms) >= 2:
-        bound = 1
-        for es in zip(*(g.coords for g, _ in terms)):
-            bound *= int(n * (max(es) - min(es)) * math.lcm(*(e.denominator for e in es))) + 1
-        if bound > MAX_POWER_TERMS:
-            sc.error(f"a power of up to {bound} terms is above the limit "
-                     f"{MAX_POWER_TERMS}", col=col)
+    """base ** n, n >= 0 an integer whose ``^`` is at col, if check_terms passes it."""
+    check_terms(sc, "power", [(base.terms, n)], col)
     return base ** n
 
 
-def read_expr(sc, atom, power):
+def bounded_product(sc, a, b):
+    """a * b, if check_terms passes it."""
+    check_terms(sc, "product", [(a.terms, 1), (b.terms, 1)])
+    return a * b
+
+
+def read_expr(sc, atom, power, times):
     """Read all of sc's text as a signed sum of products of powers.
 
     Parentheses group.  A text kind supplies only its vocabulary:
     ``atom(read)`` reads any other atom (``read()`` reads a nested sum, say
-    a function argument), and ``power(base)`` reads what follows a ``^`` and
-    returns base raised to it.  The values need +, -, unary minus and *.
-    Nesting deeper than MAX_NESTING is a ParseError.
+    a function argument), ``power(base)`` reads what follows a ``^`` and
+    returns base raised to it, and ``times(a, b)`` returns the product of
+    two factors, each hook free to refuse with a ParseError.  The values
+    need +, - and unary minus.  Nesting deeper than MAX_NESTING is a
+    ParseError.
     """
     depth = -1  # the sums being read, the whole text not counted
 
@@ -668,7 +684,7 @@ def read_expr(sc, atom, power):
         acc = factor()
         while sc.peek() == "*":
             sc.take("*")
-            acc = acc * factor()
+            acc = times(acc, factor())
         return acc
 
     def factor():
@@ -726,7 +742,7 @@ def parse_series(ring, text):
             sc.error("generator powers must be non-negative integers", col=start)
         return bounded_power(sc, base, int(n), start - 1)
 
-    return read_expr(sc, atom, power)
+    return read_expr(sc, atom, power, lambda a, b: bounded_product(sc, a, b))
 
 
 def _exponent(ring, sc):

@@ -23,10 +23,6 @@ class TruncationDecomposition:
     lambdas: list  # lambda_0 < ... < lambda_l
     deltas: list   # delta_1 > ... > delta_l
 
-    @property
-    def length(self):
-        return len(self.deltas)
-
     def tree(self, index, child):
         """The ProductTree over factor ``index`` whose i-th slice meets
         ``child(delta_i)``."""

@@ -107,6 +107,8 @@ def test_parse_problem_errors_have_positions():
         parse_problem("mode equichar\n")  # missing poly
     with pytest.raises(ParseError, match="bad value for 'max_prec': '1/0' at line 2$"):
         parse_problem("char 0\nmax_prec 1/0\npoly y - t\n")
+    with pytest.raises(ParseError, match="^expected 'key value' at line 2$"):
+        parse_problem("char 0\nbudget_terms  # no value\npoly y - t\n")
 
 
 def _read(text):
@@ -367,6 +369,36 @@ def test_arith_power_terms_are_bounded_before_the_power_is_formed(tmp_path, caps
         cmd_arith(rank2.format("(1+t)^512"))
 
 
+@pytest.mark.parametrize("command, text, col", [
+    ("expand", "char 0\npoly y - {}\n", 4100),
+    ("arith", "char 0\nprint {}\n", 4096),
+])
+def test_long_products_end_at_the_term_limit(tmp_path, capsys, command, text, col):
+    # the 512th factor of (1 + t) would make 513 terms: refused before it is formed
+    spec = write(tmp_path, "chain.txt", text.format("*".join(["(1 + t)"] * 1600)))
+    start = time.perf_counter()
+    assert main([command, spec]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == ("parse error: a product of up to 513 terms is above "
+                                       f"the limit 512 at line 2, col {col}\n")
+
+
+def test_sparse_poly_products_pass_the_term_limit():
+    # each count is the lesser of the ways to pick terms and the exponents'
+    # lattice: 4 and 129 picks here, though the lattices span 601 and 641
+    assert _read("(y - t^300)*(y + t^300)") == _valpoly({(0, 2): 1, (600, 0): -1})
+    assert _read("(y - 1)*(y - t^600)") == _valpoly({(0, 2): 1, (600, 1): -1, (0, 1): -1,
+                                                     (600, 0): 1})
+    got = _read("(y - t^5)^128")
+    assert got == _valpoly({(5 * (128 - k), k): (-1) ** (128 - k) * math.comb(128, k)
+                            for k in range(129)})
+    # ten factors (1 + t^(100*2^i)) would make 1024 terms, the lattice's count too
+    chain = "*".join(f"(1 + t^{100 * 2 ** i})" for i in range(10))
+    with pytest.raises(ParseError, match="a product of up to 1024 terms is above the limit"):
+        _read(f"y - {chain}")
+    assert len(_read(f"y - {chain[:chain.rindex('*')]}").coeffs[0].terms) == 512
+
+
 def test_main_exit_codes(tmp_path):
     good = write(tmp_path, "good.spec", CLASSICAL)
     bad = write(tmp_path, "bad.spec", "mode equichar\nnonsense\n")
@@ -625,6 +657,11 @@ def test_arith_header_errors_name_their_line():
         cmd_arith("# header\nmode odd\n")
     with pytest.raises(ParseError, match="witt_prec 2000 is above the limit 1024 at line 4$"):
         cmd_arith("p 3\n\nprint p\nwitt_prec 2000\n")
+    with pytest.raises(ParseError, match="^expected 'key value' at line 2$"):
+        cmd_arith("char 0\nwitt_prec\nprint t\n")
+    # a statement reads its expression even when it is empty
+    with pytest.raises(ParseError, match="^expected a name at line 2, col 1$"):
+        cmd_arith("char 0\nprint\n")
 
 
 def test_irrational_first_weight_prints_no_zero_exponent(tmp_path, capsys):

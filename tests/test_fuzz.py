@@ -151,6 +151,10 @@ def test_front_doors_raise_only_typed_errors(kind):
     assert not escaped, "\n".join(escaped[:10])
 
 
+# ten factors (1 + t^(100*2^i)): 1024 terms, refused at the tenth
+_SPARSE_CHAIN = "*".join(f"(1 + t^{100 * 2 ** i})" for i in range(10))
+
+
 @pytest.mark.parametrize("kind, text", [
     ("expand", "char 0\npoly y - y\n"),
     ("expand", "char 0\npoly (0/1)^2\n"),
@@ -167,6 +171,10 @@ def test_front_doors_raise_only_typed_errors(kind):
     ("expand", "char 2\npoly y^2 - 1/2*t*y + t\n"),
     ("expand", "p 3\npoly y^2 - 1/3*p\n"),
     ("arith", "char 3\nprint 1/3 + t\n"),
+    ("expand", "char 0\npoly y - " + _SPARSE_CHAIN + "\n"),
+    ("verify", "char 0\npoly y - " + _SPARSE_CHAIN + "\n"),
+    ("arith", "char 0\nprint " + _SPARSE_CHAIN + "\n"),
+    ("expand", "char 0\npoly y - (1 + t)^600\n"),
 ])
 def test_misuse_exits_with_a_parse_error(tmp_path, capsys, kind, text):
     path = tmp_path / "input.txt"

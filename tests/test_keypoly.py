@@ -226,11 +226,13 @@ _F9_CASE = (False, poly(_F9, _F9.zero(g(_F9, 1)), _F9.zero(), _F9.zero(g(_F9, 1)
 def test_shift_taylor_matches_taylor_at_the_moved_point(case):
     """shift_taylor(taylor_at(P, s), m) against taylor_at(P, s + m).  Exact
     data give the same raw and text forms.  On finite-precision coefficients
-    neither knows more in general (a binomial that vanishes in the
-    characteristic makes the shift's term exact; evaluation at an exact point
-    can make a term exact too), so the two agree below the lesser of their
-    precisions, and each agrees below its own with the Taylor vector of P
-    completed to exact data, which the finite data describe."""
+    neither knows more in general: the shift's rounds of out[k] += out[k+1]*m
+    keep in each entry the least precision of what it adds, moved by m's
+    exponent, while evaluation keeps what its own Horner sums at s + m reach
+    (at an exact point, say s + m = 0, a term can become exact).  So the two
+    agree below the lesser of their precisions, and each agrees below its own
+    with the Taylor vector of P completed to exact data, which the finite
+    data describe."""
     exact, P, s, m, full = case
     shifted, evaluated = shift_taylor(taylor_at(P, s), m), taylor_at(P, s + m)
     assert len(shifted) == len(evaluated) == P.degree() + 1

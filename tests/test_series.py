@@ -656,6 +656,25 @@ def test_series_text_powers_are_bounded_before_they_are_formed():
     assert len(parse_series(ring, "(1 + t^(1*g2))^511").terms) == 512
 
 
+def test_series_text_products_are_bounded_before_they_are_formed():
+    # the rule arith and poly lines apply at a *: 511 factors of (1 + t) make
+    # 512 terms, the 512th would make 513
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="a product of up to 513 terms is above the limit 512"):
+        parse_series(tring(), "*".join(["(1 + t)"] * 1600))
+    assert time.perf_counter() - start < 2.0
+    # sparse exponents: the count is the lesser of the ways to pick terms
+    # and the exponents' lattice, whose spacing is the gcd of the differences
+    with pytest.raises(ParseError, match="a product of up to 1024 terms is above the limit 512"):
+        parse_series(tring(), "*".join(f"(1 + t^{100 * 2 ** i})" for i in range(10)))
+    assert len(parse_series(tring(), "*".join(["(1 + t^100)"] * 8)).terms) == 9
+    assert len(parse_series(tring(), "(1 + t^1000)*t^1000*(1 + t^1000)").terms) == 3
+    assert len(parse_series(tring(), "(1 + t^1000)^2").terms) == 3
+    assert len(parse_series(tring(), "(1 + t^2 + t^4)^128").terms) == 257
+    # a one-term factor grows no product, whatever its exponent
+    assert len(parse_series(tring(), "(1 + t^1000)*t^1000*3").terms) == 2
+
+
 @contextmanager
 def _counting_products(ring):
     """Count the coefficient products formed inside the block."""
@@ -811,6 +830,28 @@ def _eval_series(draw, ring, exact):
     terms = [(e, c * ring.coeffs.from_int(draw(st.sampled_from([1, 5, 25]))))
              for e, c in _terms(draw, ring, 3)]
     return GenSeries(ring, terms, *((INF, False) if exact else _prec(draw, ring)))
+
+
+# F9 under F81 = F9[v]/(v^2 - (1 + w)), 1 + w a generator of F9*, and W(F3)
+# mod 27 under W(F9) of the same precision
+_F9 = _EVAL_RINGS["F9"].tower
+_F81 = _F9.adjoin(((-(_F9.one() + CoeffElem.generator(_F9))).rep, _F9.zero().rep,
+                   _F9.one().rep))
+_COERCIONS = {"F9 -> F81": (_EVAL_RINGS["F9"], _F81), "W(F3) -> W(F9)": (pring(3, prec=3), _F9)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_COERCIONS)), st.data())
+def test_coerce_matches_the_general_constructor(name, data):
+    """Coercion into a taller tower is injective: coerce keeps the raw terms,
+    precision and closedness that the general constructor builds from them."""
+    ring, tall = _COERCIONS[name]
+    up = ring.with_tower(tall)
+    s = _series(data.draw, ring)
+    general = GenSeries(up, [(e, up.coeffs.coerce(c)) for e, c in s._raw],
+                        s._raw_prec, s._raw_closed)
+    _assert_raw(s.coerce(up), _triple(general))
+    assert s.coerce(up).ring is up and len(s.coerce(up)._raw) == len(s._raw)
 
 
 @settings(max_examples=300, deadline=None)

@@ -77,7 +77,7 @@ def test_product_truncation_monomial_factor():
     h = R.one() + t_pow(R, 1) + t_pow(R, 3)
     lam = g(R, 4)
     decomp = product_truncation(gg, h, lam)
-    assert decomp.length == 1
+    assert len(decomp.deltas) == 1
     assert decomp.deltas[0] == lam - a
     assert same_terms_below(decomp.evaluate(gg, h),
                             (gg * h).truncate_open(lam), lam)
