@@ -36,10 +36,8 @@ MAX_WITT_PREC = 1024
 
 @dataclass
 class ProblemSpec:
-    mode: str = "equichar"
-    stated_mode: str = None  # the value of a `mode` line, which a `p` line does not change
     char: int = 0
-    p: int = 0
+    p: int = None  # a `p` line states mixed characteristic
     weights: list = field(default_factory=lambda: [Fraction(1)])
     sqrt_disc: int = 1
     series_var: str = ""
@@ -57,7 +55,7 @@ class ProblemSpec:
     def uniformizer(self):
         if self.series_var:
             return self.series_var
-        return "p" if self.mode == "mixed" else "t"
+        return "t" if self.p is None else "p"
 
 
 def _lines(text):
@@ -86,15 +84,10 @@ def _read_key(spec, key, value, lineno):
     if not value:
         raise ParseError("expected 'key value'", line=lineno)
     try:
-        if key == "mode":
-            if value not in ("equichar", "mixed"):
-                raise ParseError(f"unknown mode {value!r}", line=lineno)
-            spec.mode = spec.stated_mode = value
-        elif key == "char":
+        if key == "char":
             spec.char = int(value)
         elif key == "p":
             spec.p = int(value)
-            spec.mode = "mixed"
         elif key == "weights":
             spec.weights = [_parse_weight(w, lineno) for w in value.split()]
         elif key == "sqrt_disc":
@@ -187,27 +180,26 @@ def _is_prime(n):
 
 def build_ring(spec):
     """The series ring of a spec; a characteristic that is not 0 or a prime,
-    contradictory keys (a non-zero char, or mode equichar, with p), a sqrt(D)
-    weight whose D is not sqrt_disc, and weights the value group rejects,
-    are a ParseError."""
-    if spec.mode == "mixed" and not _is_prime(spec.p):
+    a non-zero char with p, a sqrt(D) weight whose D is not sqrt_disc, and
+    weights the value group rejects, are a ParseError."""
+    mixed = spec.p is not None
+    if mixed and not _is_prime(spec.p):
         raise ParseError(f"p must be a prime, not {spec.p}")
-    if spec.mode != "mixed" and spec.char != 0 and not _is_prime(spec.char):
+    if not mixed and spec.char != 0 and not _is_prime(spec.char):
         raise ParseError(f"char must be 0 or a prime, not {spec.char}")
-    if spec.p and (spec.char or spec.stated_mode == "equichar"):
-        other = f"char {spec.char}" if spec.char else "mode equichar"
-        raise ParseError(f"'{other}' contradicts 'p {spec.p}', which sets mode mixed")
+    if mixed and spec.char:
+        raise ParseError(f"'char {spec.char}' contradicts 'p {spec.p}', "
+                         "which sets mixed characteristic")
     for w in spec.weights:
         if isinstance(w, tuple) and w[2] != spec.sqrt_disc:
             raise ParseError(f"the weight {weight_text(*w)} reads sqrt({w[2]}), "
                              f"but sqrt_disc is {spec.sqrt_disc}")
-    char_exponent = spec.p if spec.mode == "mixed" else max(spec.char, 1)
     try:
         desc = GroupDescriptor([w[:2] if isinstance(w, tuple) else w for w in spec.weights],
-                               char_exponent=char_exponent, sqrt_disc=spec.sqrt_disc)
+                               sqrt_disc=spec.sqrt_disc)
     except ValueError as exc:
         raise ParseError(f"bad weights: {exc}") from exc
-    if spec.mode == "mixed":
+    if mixed:
         coeffs = WittRing(FieldTower.prime_field(spec.p), spec.witt_prec)
     elif spec.char:
         coeffs = FieldTower.prime_field(spec.char)
@@ -337,10 +329,10 @@ def _rand_series(ring, rng):
     return GenSeries(ring, terms)
 
 
-def _rand_poly(ring, rng, max_deg=4):
+def _rand_poly(ring, rng):
     char = ring.tower.char
     coeffs = []
-    for _ in range(rng.randint(1, max_deg + 1)):
+    for _ in range(rng.randint(1, 5)):  # degree at most 4
         c = rng.randint(0, char - 1) if char > 1 else rng.randint(-3, 3)
         n = rng.randint(0, 3)
         coeffs.append(ring.monomial(_exp(ring, n), ring.coeffs.from_int(c))
@@ -489,8 +481,7 @@ def cmd_arith(text):
     spec = ProblemSpec()
     env = {}
     for lineno, key, rest in _lines(text):
-        if key in ("mode", "char", "p", "weights", "sqrt_disc", "series_var",
-                   "witt_prec"):
+        if key in ("char", "p", "weights", "sqrt_disc", "series_var", "witt_prec"):
             _read_key(spec, key, rest, lineno)
             ring = None
             continue

@@ -707,26 +707,6 @@ def _rational_roots(coeffs):
     return roots
 
 
-def _q_sqrt_in_tower(tower, c):
-    """sqrt of rational c inside a Q tower with quadratic stages, or None."""
-
-    def rat_sqrt(q):
-        if q >= 0:
-            root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-            return root if root * root == q else None
-
-    s = rat_sqrt(c)
-    if s is not None:
-        return _q_const(tower, s)
-    for k, (_, (m0, m1, _)) in enumerate(tower.stages):
-        # stage X^2 + m0: generator g with g^2 = -m0
-        q = None if m1 else _rep_to_fraction(tower, tower.rep_lift(m0, k, tower.height))
-        ratio = rat_sqrt(c / -q) if q else None
-        if ratio is not None:
-            return _q_const(tower, ratio) * CoeffElem.generator(tower, k)
-    return None
-
-
 def _q_const(tower, q):
     return CoeffElem(tower, tower.rep_lift(tower.from_leaves([q], 0), 0, tower.height))
 
@@ -742,11 +722,15 @@ def _q_roots_in_tower(tower, f):
     the roots found without extending it, among other elements."""
     fracs = [_rep_to_fraction(tower, c) for c in f]
     roots = [_q_const(tower, r) for r in _rational_roots(fracs)] if None not in fracs else []
-    if len(f) == 3 and not f[1] and None not in (fracs[0], fracs[2]):
-        # X^2 = -c/a: look for a square root inside the tower
-        s = _q_sqrt_in_tower(tower, -fracs[0] / fracs[2])
-        if s is not None:
-            roots.extend([s, -s] if not s.is_zero() else [s])
+    if len(f) == 3 and not f[1] and None not in fracs:
+        # X^2 = -c/a, rational roots found above: at a stage X^2 + m0, whose
+        # generator g has g^2 = -m0, the roots r*g with r^2 = (c/a)/m0
+        for k, (_, (m0, m1, _)) in enumerate(tower.stages):
+            q = None if m1 else _rep_to_fraction(tower, tower.rep_lift(m0, k, tower.height))
+            if q:
+                g = CoeffElem.generator(tower, k)
+                roots += [_q_const(tower, r) * g
+                          for r in _rational_roots([-fracs[0] / fracs[2] / q, 0, 1])]
     # stage generators g and their conjugates -b - g (stage X^2 + bX + c) are candidates too
     for k in range(tower.height):
         g = CoeffElem.generator(tower, k)

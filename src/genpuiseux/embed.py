@@ -76,9 +76,8 @@ class LimitPartial:
         return LimitPartial(self.ring, self.flim, self.head_terms, self.next_exp,
                             self.tails + ((gamma, c),))
 
-    def as_series(self, prec=INF, closed=False):
-        return GenSeries(self.ring, list(self.head_terms) + list(self.tails),
-                         prec, closed)
+    def as_series(self, prec=INF):
+        return GenSeries(self.ring, list(self.head_terms) + list(self.tails), prec)
 
     def coerce(self, ring):
         return LimitPartial(
@@ -123,10 +122,8 @@ class PuiseuxState:
             s = self.stage = (self.chain, self.beta, self.chain.index_for(self.beta))
         return s[2]
 
-    def partial_series(self, prec=None):
-        prec = self.beta if prec is None else prec
-        if self.status == COMPLETE:
-            prec = INF
+    def partial_series(self):
+        prec = INF if self.status == COMPLETE else self.beta
         if isinstance(self.partial, LimitPartial):
             return self.partial.as_series(prec)
         if prec is INF:
@@ -304,7 +301,7 @@ def limit_signature(state):
     stage polynomial distinct from the defining polynomial (for the defining
     polynomial itself the accumulation IS the root and the budget governs).
     """
-    p = state.ring.descriptor.char_exponent
+    p = state.ring.char_exponent
     if state.status != RUNNING or len(state.emitted) < 3 or p <= 1:
         return None
     i_b = state.i_beta
@@ -334,7 +331,7 @@ def limit_step(state):
     if flim is None:
         return state
     ring = state.ring
-    p = ring.descriptor.char_exponent
+    p = ring.char_exponent
     last = state.emitted[-3:]
     c_rep = last[-1][1]
     if not all(c == c_rep for _, c in last):

@@ -3,9 +3,7 @@
 A group descriptor fixes r generator weights living in the real quadratic
 field Q(sqrt(d)); elements are rational coordinate vectors over those
 weights, stored as integer numerators over one common denominator.  All
-order decisions are made exactly in Q(sqrt(d)), never through floats.  The
-char exponent p tags which p-power denominators are meaningful (the direct
-limit of (1/p^i)-scaled copies of the base group).
+order decisions are made exactly in Q(sqrt(d)), never through floats.
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ def _quad_sign(a, b, d):
 
 
 class GroupDescriptor:
-    """r independent positive weights in Q(sqrt(d)) plus the char exponent p."""
+    """r independent positive weights in Q(sqrt(d))."""
 
-    def __init__(self, weights, char_exponent=1, sqrt_disc=1):
+    def __init__(self, weights, sqrt_disc=1):
         d = self.sqrt_disc = int(sqrt_disc)
         if d < 1:
             raise ValueError("sqrt_disc must be a positive integer")
@@ -55,11 +53,8 @@ class GroupDescriptor:
         self._wa = tuple(int(a * self._wden) for a, _ in ws)
         self._wb = tuple(int(b * self._wden) for _, b in ws)
         self.rank = len(ws)
-        self.char_exponent = int(char_exponent)
         if self.rank < 1:
             raise ValueError("descriptor needs at least one weight")
-        if self.char_exponent < 1:
-            raise ValueError("char exponent must be a positive integer")
         if any(_quad_sign(a, b, d) <= 0 for a, b in zip(self._wa, self._wb)):
             raise ValueError("weights must be positive")
         if not self._independent():
@@ -190,12 +185,11 @@ class GroupDescriptor:
             return True
         return (isinstance(other, GroupDescriptor)
                 and (self._wa, self._wb, self._wden) == (other._wa, other._wb, other._wden)
-                and self.char_exponent == other.char_exponent
                 and self.sqrt_disc == other.sqrt_disc)
 
     def __repr__(self):
         texts = ", ".join(map(self._weight_text, range(self.rank)))
-        return f"GroupDescriptor(weights=[{texts}], p={self.char_exponent}, d={self.sqrt_disc})"
+        return f"GroupDescriptor(weights=[{texts}], d={self.sqrt_disc})"
 
 
 def weight_text(a, b, d):

@@ -229,7 +229,7 @@ class ChainEntry:
     def epsilon_for(self, value):
         """(b, max over the levels of (value - v) / p^b): the first b wins ties
         and an INF value gives (first b, INF)."""
-        p = self.poly.ring.descriptor.char_exponent
+        p = self.poly.ring.char_exponent
         return _max_drop(self.levels, p, value)
 
 
@@ -249,7 +249,7 @@ def chain_entry(below, poly, beta, alpha, expansion=None):
     through the stages of ``below``; b_order and epsilon are the largest
     drop (beta - level) / p^b over them.
     """
-    p = below.ring.descriptor.char_exponent
+    p = below.ring.char_exponent
     if below.entries and poly.coeffs[1:] == below.entries[-1].poly.coeffs[1:]:
         # a re-pin or a constant refinement: the derivatives are those of the
         # entry below, of degree below deg poly, so they are read at the same

@@ -30,13 +30,15 @@ class SeriesRing:
 
     The domain is a FieldTower in equal characteristic and a WittRing over
     its residue tower in mixed characteristic; both answer zero, one,
-    from_int, residue, lift, coerce and over.
+    from_int, residue, lift, coerce and over.  The characteristic exponent
+    is read from it: the residue characteristic p, or 1 over Q.
     """
 
     def __init__(self, descriptor, coeffs, var=None):
         self.descriptor = descriptor
         self.coeffs = coeffs
         self.tower = coeffs.tower  # the residue tower
+        self.char_exponent = self.tower.char or 1
         self.mode = "t" if coeffs is self.tower else "p"  # read by the carried form
         self.var = var or self.mode
 

@@ -168,7 +168,6 @@ class TaylorForm:
     center: GenSeries
     lam: object
     levels: DerivativeLevels
-    mode: str
 
     def relation_value(self):
         """The form at its center: constant + sum of monomial_b * center^b."""
@@ -224,7 +223,7 @@ def taylor_form(f, beta, state, mode="OPEN"):
         mono = monomials[b] = ev.ring.monomial(*ev.leading_term())
         correction = correction + _cut(mono * (delta ** b), lam, closed)
     constant = _cut(f.eval(center_series), lam, closed) - correction
-    return TaylorForm(constant, monomials, delta, lam, levels, mode)
+    return TaylorForm(constant, monomials, delta, lam, levels)
 
 
 def _cut(series, bound, closed):

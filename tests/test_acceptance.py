@@ -23,13 +23,13 @@ from genpuiseux.cli import cmd_expand, cmd_verify, parse_problem
 
 
 def tring(char=0):
-    desc = GroupDescriptor([1], char_exponent=max(char, 1))
+    desc = GroupDescriptor([1])
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing(desc, tower)
 
 
 def pring(p, prec=6):
-    desc = GroupDescriptor([1], char_exponent=p)
+    desc = GroupDescriptor([1])
     return SeriesRing(desc, WittRing(FieldTower.prime_field(p), prec))
 
 
@@ -341,7 +341,6 @@ def test_criterion_9_pseries_normal_form():
 
 def test_criterion_10_determinism():
     artin = """\
-mode equichar
 char 2
 weights 1
 var y

@@ -26,12 +26,12 @@ from genpuiseux.cli import (
     run_expand,
 )
 from genpuiseux.embed import expand, monomial_embedding
-from genpuiseux.errors import ParseError
+from genpuiseux.errors import ParseError, ValuationIndeterminate
 from genpuiseux.keypoly import ValPoly
 from genpuiseux.series import MAX_NESTING, parse_series
+from genpuiseux.truncalg import integral_dependence
 
 CLASSICAL = """\
-mode equichar
 char 0
 weights 1
 var y
@@ -43,7 +43,6 @@ trials 30
 """
 
 ARTIN = """\
-mode equichar
 char 2
 weights 1
 var y
@@ -65,7 +64,6 @@ verify off
 """
 
 ARITH = """\
-mode equichar
 char 0
 weights 1
 let f = 1 + t
@@ -92,7 +90,7 @@ def write(tmp_path, name, text):
 
 def test_parse_problem_roundtrip_fields():
     spec = parse_problem(CLASSICAL)
-    assert spec.mode == "equichar"
+    assert spec.p is None
     assert spec.char == 0
     assert spec.poly_text == "y^2 - t^3"
     assert spec.budget_terms == 10
@@ -101,10 +99,10 @@ def test_parse_problem_roundtrip_fields():
 
 def test_parse_problem_errors_have_positions():
     with pytest.raises(ParseError) as err:
-        parse_problem("mode equichar\nbogus_key 1\npoly y - t\n")
+        parse_problem("char 0\nbogus_key 1\npoly y - t\n")
     assert "line 2" in str(err.value)
     with pytest.raises(ParseError):
-        parse_problem("mode equichar\n")  # missing poly
+        parse_problem("char 0\n")  # missing poly
     with pytest.raises(ParseError, match="bad value for 'max_prec': '1/0' at line 2$"):
         parse_problem("char 0\nmax_prec 1/0\npoly y - t\n")
     with pytest.raises(ParseError, match="^expected 'key value' at line 2$"):
@@ -327,6 +325,22 @@ def test_each_verify_check_fails_on_a_wrong_tree_or_form(monkeypatch, check, nam
     assert out.startswith(f"check={check} status=FAIL ")
 
 
+def test_verify_leaves_out_a_stage_reading_that_raises():
+    # the last threshold equals beta (1); the relation read there finds the
+    # series zero to the 3-adic working precision, so ent reads only the two
+    # thresholds below it and passes
+    spec = parse_problem("p 3\nwitt_prec 4\npoly y^3 - p*y - p\nbudget_terms 6\n"
+                         "verify ent\ntrials 6\n")
+    res = run_expand(spec)
+    eps = [e.epsilon for e in res.chain.entries]
+    assert [e.rational_value() for e in eps] == [Fraction(1, 3), Fraction(4, 9), 1]
+    with pytest.raises(ValuationIndeterminate):
+        integral_dependence(eps[-1], res.state)
+    read = list(cli._stage_readings(res.state, integral_dependence, with_beta=True))
+    assert [r.lam for r in read] == [integral_dependence(e, res.state).lam for e in eps[:2]]
+    assert cmd_verify(spec) == (0, "check=ent status=PASS residual_val=1/3")
+
+
 def test_cmd_verify_off_is_empty():
     spec = parse_problem(MIXED)
     code, out = cmd_verify(spec)
@@ -349,7 +363,7 @@ def test_cmd_arith_padic_carrying():
 
 
 def test_arith_power_terms_are_bounded_before_the_power_is_formed(tmp_path, capsys):
-    spec = write(tmp_path, "power.spec", "mode equichar\nchar 0\nprint (1+t)^2000\n")
+    spec = write(tmp_path, "power.spec", "weights 1\nchar 0\nprint (1+t)^2000\n")
     start = time.perf_counter()
     assert main(["arith", spec]) == 2
     assert time.perf_counter() - start < 1.0
@@ -358,7 +372,7 @@ def test_arith_power_terms_are_bounded_before_the_power_is_formed(tmp_path, caps
     # at the limit, and a base whose exponents span 2: bound 64*2 + 1
     for power, lead in (("(1+t)^511", "1 + 511*t + 130305*t^2"),
                         ("(1+t+t^2)^64", "1 + 64*t + 2080*t^2")):
-        assert cmd_arith(f"mode equichar\nchar 0\nprint {power}\n").startswith(lead)
+        assert cmd_arith(f"char 0\nprint {power}\n").startswith(lead)
     # rank 2: arith exponents are multiples of the first basis element, so
     # the rank-1 bound holds: (1+t+t^2)^31 has 63 terms, (1+t)^512 has 513
     rank2 = "char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nprint {}\n"
@@ -401,7 +415,7 @@ def test_sparse_poly_products_pass_the_term_limit():
 
 def test_main_exit_codes(tmp_path):
     good = write(tmp_path, "good.spec", CLASSICAL)
-    bad = write(tmp_path, "bad.spec", "mode equichar\nnonsense\n")
+    bad = write(tmp_path, "bad.spec", "char 0\nnonsense\n")
     assert main(["expand", good]) == 0
     assert main(["expand", bad]) == 2
     assert main(["expand", str(tmp_path / "missing.spec")]) == 2
@@ -447,6 +461,7 @@ def test_is_prime_matches_trial_division():
     ("char 1", "char must be 0 or a prime, not 1"),
     ("char 4", "char must be 0 or a prime, not 4"),
     ("char -3", "char must be 0 or a prime, not -3"),
+    ("p 0", "p must be a prime, not 0"),
     ("p 1", "p must be a prime, not 1"),
     ("p 4", "p must be a prime, not 4"),
 ])
@@ -456,12 +471,9 @@ def test_characteristic_is_zero_or_a_prime(header, message):
 
 
 @pytest.mark.parametrize("spec, keys", [
-    # both were read without complaint: the first expanded over Q, the
-    # second over W(F5) with char left unread
-    ("p 5\nmode equichar\npoly y^2 - 1 - t\n", ("'mode equichar'", "'p 5'")),
+    # once read without complaint: expanded over W(F5) with char left unread
     ("char 3\np 5\npoly y^2 - 1 - p\n", ("'char 3'", "'p 5'")),
-    # expanded over W(F5): the p line overwrote the stated mode
-    ("mode equichar\np 5\npoly y^2 - 1 - p\n", ("'mode equichar'", "'p 5'")),
+    ("p 5\nchar 3\npoly y^2 - 1 - p\n", ("'char 3'", "'p 5'")),
 ])
 def test_contradictory_characteristic_keys_are_a_parse_error(tmp_path, capsys, spec, keys):
     assert main(["expand", write(tmp_path, "both.spec", spec)]) == 2
@@ -469,10 +481,20 @@ def test_contradictory_characteristic_keys_are_a_parse_error(tmp_path, capsys, s
     assert err.startswith("parse error: ") and all(key in err for key in keys)
 
 
-@pytest.mark.parametrize("header", ["p 5", "mode mixed\np 5", "p 5\nmode mixed"])
+@pytest.mark.parametrize("header", ["p 5"])
 def test_p_alone_or_with_mode_mixed_is_mixed(header):
-    spec = parse_problem(f"{header}\npoly y^2 - 1 - p\n")
-    assert spec.mode == "mixed" and build_ring(spec).mode == "p"
+    # a p line alone states mixed characteristic: W(F5), uniformizer p
+    ring = build_ring(parse_problem(f"{header}\npoly y^2 - 1 - p\n"))
+    assert ring.mode == "p" and ring.var == "p" and ring.coeffs.p == 5
+    assert ring.uniformizer().to_text() == "p"
+
+
+def test_a_mode_line_is_refused_at_its_line(tmp_path, capsys):
+    # the characteristic is stated by char or p alone, so mode is no key; an
+    # arith session refuses it as a statement (test_arith_header_errors_*)
+    path = write(tmp_path, "mode.spec", "p 5\nmode mixed\npoly y^2 - p\n")
+    assert main(["expand", path]) == 2
+    assert capsys.readouterr().err == "parse error: unknown key 'mode' at line 2\n"
 
 
 @pytest.mark.parametrize("header", [
@@ -590,7 +612,7 @@ def test_rational_exponent_in_series_text_needs_a_rational_first_weight(tmp_path
 def test_weight_texts_in_spec_errors(tmp_path, capsys):
     # d = 1 folds a + b*sqrt(1) to the rational weight a + b
     ring = build_ring(parse_problem("char 0\nweights 1+1*sqrt(1)\npoly y - t\n"))
-    assert repr(ring.descriptor) == "GroupDescriptor(weights=[2], p=1, d=1)"
+    assert repr(ring.descriptor) == "GroupDescriptor(weights=[2], d=1)"
     with pytest.raises(ParseError) as exc:
         build_ring(parse_problem("char 0\nweights 1 1+1*sqrt(1)\nsqrt_disc 2\npoly y - t\n"))
     assert str(exc.value) == "the weight 2 reads sqrt(1), but sqrt_disc is 2"
@@ -653,8 +675,8 @@ def test_bad_prec_flag_is_a_parse_error(tmp_path, capsys, command, prec):
 def test_arith_header_errors_name_their_line():
     with pytest.raises(ParseError, match="bad value for 'char': 'x' at line 3$"):
         cmd_arith("char 0\nprint t\nchar x\n")
-    with pytest.raises(ParseError, match="unknown mode 'odd' at line 2$"):
-        cmd_arith("# header\nmode odd\n")
+    with pytest.raises(ParseError, match="^unknown statement 'mode' at line 2$"):
+        cmd_arith("# header\nmode mixed\n")
     with pytest.raises(ParseError, match="witt_prec 2000 is above the limit 1024 at line 4$"):
         cmd_arith("p 3\n\nprint p\nwitt_prec 2000\n")
     with pytest.raises(ParseError, match="^expected 'key value' at line 2$"):

@@ -38,13 +38,13 @@ from genpuiseux.embed import (
 
 
 def tring(char=0):
-    desc = GroupDescriptor([1], char_exponent=max(char, 1))
+    desc = GroupDescriptor([1])
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing(desc, tower)
 
 
 def pring(p, prec=6):
-    desc = GroupDescriptor([1], char_exponent=p)
+    desc = GroupDescriptor([1])
     ring = WittRing(FieldTower.prime_field(p), prec)
     return SeriesRing(desc, ring)
 
@@ -100,7 +100,7 @@ def is_partial_development(state):
         ok = ok and good
     if i_b <= len(chain) and state.beta is not INF:
         e = chain.entry(i_b)
-        p = state.ring.descriptor.char_exponent
+        p = state.ring.char_exponent
         # the least level v + p^b * beta the stage polynomial may reach
         bound = min((v + state.beta.scale_unchecked(p ** b) for b, v in e.levels),
                     key=cmp_to_key(cmp))
@@ -808,7 +808,7 @@ LEVELS = {
 def _levels_by_hand(chain, i):
     """(b, nu(D_{p^b} Q_i)) from the Hasse derivatives, read through stage i - 1."""
     q = chain.entry(i).poly
-    p = chain.ring.descriptor.char_exponent
+    p = chain.ring.char_exponent
     orders = [1] if p == 1 else [p ** b for b in range(q.degree()) if p ** b <= q.degree()]
     out = []
     for b, m in enumerate(orders):
@@ -836,7 +836,7 @@ def test_chain_levels_match_derivatives(name):
     F = cli.build_valpoly(spec, ring)
     res = expand(F, ring, max_terms=budget)
     chain = res.chain
-    p = ring.descriptor.char_exponent
+    p = ring.char_exponent
     assert chain.ring.tower.height == height
     assert len(chain) >= 3
     for i, e in enumerate(chain.entries, start=1):
@@ -890,7 +890,7 @@ def test_stage_selected_values_match_one_stage_recursion(name):
     F = cli.build_valpoly(spec, ring)
     res = expand(F, ring, max_terms=budget)
     chain, F = res.chain, res.state.F
-    p = ring.descriptor.char_exponent
+    p = ring.char_exponent
     entries = chain.entries
     assert any(b.poly == a.poly for a, b in zip(entries, entries[1:])) == repins
     for i, e in enumerate(entries, start=1):
@@ -1037,7 +1037,7 @@ def test_constant_refinement_closed_forms_equal_the_generic_path(name, monkeypat
         assert len(kept) == len(divided) == 2
         for a, b in zip(kept, divided):
             assert [_raw(c) for c in a.coeffs] == [_raw(c) for c in b.coeffs]
-        p = out.ring.descriptor.char_exponent
+        p = out.ring.char_exponent
         assert p > 1  # mixed characteristic: the orders p^b <= deg are b < deg
         levels = [(b, truncated_val(new.poly.hasse_derivative(p ** b), chain, len(chain))[0])
                   for b in range(new.poly.degree()) if p ** b <= new.poly.degree()]

@@ -175,6 +175,7 @@ _SPARSE_CHAIN = "*".join(f"(1 + t^{100 * 2 ** i})" for i in range(10))
     ("verify", "char 0\npoly y - " + _SPARSE_CHAIN + "\n"),
     ("arith", "char 0\nprint " + _SPARSE_CHAIN + "\n"),
     ("expand", "char 0\npoly y - (1 + t)^600\n"),
+    ("expand", "p 5\nmode mixed\npoly y^2 - p\n"),
 ])
 def test_misuse_exits_with_a_parse_error(tmp_path, capsys, kind, text):
     path = tmp_path / "input.txt"

@@ -29,7 +29,7 @@ from genpuiseux.series import GenSeries, SeriesRing
 
 
 def tring(char=0):
-    desc = GroupDescriptor([1], char_exponent=max(char, 1))
+    desc = GroupDescriptor([1])
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing(desc, tower)
 
@@ -149,11 +149,11 @@ def test_hasse_composition_law():
 # a zero divisor) and the rank-2 group with weights 1 and sqrt(2)
 _SHIFT_RINGS = {
     "Q": tring(),
-    "F9": SeriesRing(GroupDescriptor([1], char_exponent=3),
+    "F9": SeriesRing(GroupDescriptor([1]),
                      FieldTower.prime_field(3).adjoin((1, 0, 1))),
-    "W(F5)/25": SeriesRing(GroupDescriptor([1], char_exponent=5),
+    "W(F5)/25": SeriesRing(GroupDescriptor([1]),
                            WittRing(FieldTower.prime_field(5), 2)),
-    "W(F5)/5^4": SeriesRing(GroupDescriptor([1], char_exponent=5),
+    "W(F5)/5^4": SeriesRing(GroupDescriptor([1]),
                             WittRing(FieldTower.prime_field(5), 4)),
     "sqrt2": SeriesRing(GroupDescriptor([(1, 0), (0, 1)], sqrt_disc=2),
                         FieldTower.rationals()),
@@ -264,7 +264,7 @@ def test_is_monic_reads_the_lead_exactly():
                  GenSeries(R, [(g(R, 0), R.coeffs.one())], g(R, 3))):
         assert not poly(R, one, lead).is_monic(), lead
     # over Z_5 with 6 digits: 6 is 1 + 5, and 6 - p carries to 1 + O(p^6)
-    desc = GroupDescriptor([1], char_exponent=5)
+    desc = GroupDescriptor([1])
     P = SeriesRing(desc, WittRing(FieldTower.prime_field(5), 6))
     assert poly(P, P.const(6), P.const(1 + 5 ** 6)).is_monic()
     carried = GenSeries(P, [(g(P, 0), P.coeffs.from_int(6)), (g(P, 1), P.coeffs.from_int(-1))])

@@ -45,7 +45,7 @@ def witt_pair():
 
 def series_pair():
     f2, f4 = f2_f4()
-    desc = GroupDescriptor([1], char_exponent=2)
+    desc = GroupDescriptor([1])
     r2, r4 = SeriesRing(desc, f2), SeriesRing(desc, f4)
     return r2.uniformizer(), r4.const(CoeffElem.generator(f4)) + r4.uniformizer()
 

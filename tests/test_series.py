@@ -15,13 +15,13 @@ from genpuiseux.series import GenSeries, SeriesRing, _cut, _prec_min, eval_poly,
 
 
 def tring(char=0):
-    desc = GroupDescriptor([1], char_exponent=max(char, 1))
+    desc = GroupDescriptor([1])
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing(desc, tower)
 
 
 def pring(p, prec=6):
-    desc = GroupDescriptor([1], char_exponent=p)
+    desc = GroupDescriptor([1])
     ring = WittRing(FieldTower.prime_field(p), prec)
     return SeriesRing(desc, ring)
 
@@ -38,6 +38,20 @@ def _fraction(c):
     """The rational value of a base-constant coefficient, else None."""
     first, *rest = c.tower.leaves(c.rep)
     return None if any(rest) else Fraction(first)
+
+
+@pytest.mark.parametrize("ring, p", [
+    (tring(), 1),
+    (tring(3), 3),
+    (SeriesRing(GroupDescriptor([1]), FieldTower.prime_field(3).adjoin((1, 0, 1))), 3),
+    (pring(5), 5),
+], ids=["Q", "F3", "F9", "W(F5)"])
+def test_char_exponent_is_read_from_the_coefficient_domain(ring, p):
+    # the characteristic is held once, by the coefficient domain; the value
+    # group's descriptor takes none
+    assert ring.char_exponent == p
+    with pytest.raises(TypeError):
+        GroupDescriptor([1], char_exponent=p)
 
 
 def test_val_simple():
@@ -196,7 +210,7 @@ def test_normalize_agrees_with_integer_arithmetic():
     t4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
     w = CoeffElem.generator(t4)
     for p, R, rounds in ((3, pring(3, prec=N), 1000),
-                         (2, SeriesRing(GroupDescriptor([1], char_exponent=2),
+                         (2, SeriesRing(GroupDescriptor([1]),
                                               WittRing(t4, N)), 400)):
         basis = [R.coeffs.one()] if R.tower.height == 0 else [R.coeffs.one(), R.coeffs.lift(w)]
         width = len(basis)
@@ -362,7 +376,7 @@ def test_text_roundtrip_random():
 def test_text_roundtrip_tower_coefficients():
     t4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
     w = CoeffElem.generator(t4)
-    desc = GroupDescriptor([1], char_exponent=2)
+    desc = GroupDescriptor([1])
     R = SeriesRing(desc, t4)
     one = t4.one()
     f = GenSeries(R, [(g(R, Fraction(1, 2)), w),
@@ -437,7 +451,7 @@ def test_parse_series_whitespace_and_bad_numbers():
 def test_parse_generator_powers():
     f4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
     w = CoeffElem.generator(f4)
-    R = SeriesRing(GroupDescriptor([1], char_exponent=2), f4)
+    R = SeriesRing(GroupDescriptor([1]), f4)
     t = t_pow(R, 1)
     assert parse_series(R, "(w^0)*t") == t
     assert parse_series(R, "(w^1)*t") == t.scale(w)
@@ -821,7 +835,7 @@ def test_exact_cut_keeps_the_carried_terms():
 # The rings above plus F3 -> F9 and W(F5) mod 5^4, where a coefficient drawn
 # times 25 is a zero divisor (25*25 = 0) and a multi-digit one carries.
 _EVAL_RINGS = dict(_RINGS, **{
-    "F9": SeriesRing(GroupDescriptor([1], char_exponent=3),
+    "F9": SeriesRing(GroupDescriptor([1]),
                      FieldTower.prime_field(3).adjoin((1, 0, 1))),
     "W(F5)/5^4": pring(5, prec=4)})
 
@@ -1048,7 +1062,7 @@ def _carry_case(draw):
     or zero divisors (u*p^k), at raw precision INF, finite open or finite closed."""
     tower = draw(st.sampled_from([FieldTower.prime_field(3), _F4]))
     p, n_digits = tower.char, draw(st.integers(2, 4))
-    ring = SeriesRing(GroupDescriptor([1], char_exponent=p), WittRing(tower, n_digits))
+    ring = SeriesRing(GroupDescriptor([1]), WittRing(tower, n_digits))
     basis = [ring.coeffs.one()] + [ring.coeffs.lift(CoeffElem.generator(tower))] * tower.height
     leaf = st.one_of(st.integers(0, p - 1), st.integers(p, p ** n_digits - 1),
                      st.builds(lambda u, k: u * p ** k, st.integers(1, p - 1),

@@ -213,7 +213,7 @@ def _tie(state, eps):
     """y^q + t^((q-1) eps)*y, q = max(p, 2): at beta = eps the orders 1 and q
     tie in U, and C(q, q-1) = q vanishes in characteristic p, so U0 hangs on
     the binomial."""
-    q = max(state.ring.descriptor.char_exponent, 2)
+    q = max(state.ring.char_exponent, 2)
     ring = state.ring
     return ValPoly(ring, [ring.zero(), ring.monomial(eps.scale_unchecked(q - 1))]
                    + [ring.zero()] * (q - 2) + [ring.one()])

@@ -20,7 +20,7 @@ from genpuiseux.truncalg import (
 
 
 def tring(char=0):
-    desc = GroupDescriptor([1], char_exponent=max(char, 1))
+    desc = GroupDescriptor([1])
     tower = FieldTower.prime_field(char) if char else FieldTower.rationals()
     return SeriesRing(desc, tower)
 
@@ -344,7 +344,7 @@ def test_taylor_closed_reconstruction():
     st = res.state
     beta = g(R, Fraction(15, 16))
     form = taylor_form(F, beta, st, mode="CLOSED")
-    full = st.partial_series(st.beta)
+    full = st.partial_series()
     center = full.truncate_closed(beta)
     ev = F.eval(center)
     lhs = ev.truncate_closed(form.lam) if cmp(form.lam, ev.prec) < 0 else ev
@@ -404,6 +404,17 @@ def test_integral_dependence_artin_schreier():
     assert rel.residual_val is INF or cmp(rel.residual_val, rel.lam) >= 0
 
 
+def test_integral_dependence_at_inf_reads_the_stage_of_beta():
+    # a budget stop leaves a finite last threshold: the relation at INF is
+    # the one at the state's beta (511/512), on the stage beta lies in
+    R = tring(2)
+    st = expand(artin_schreier_F(R), R, max_terms=8).state
+    assert st.chain.entries[-1].epsilon is not INF and st.i_beta == len(st.chain)
+    at_inf, at_beta = integral_dependence(INF, st), integral_dependence(st.beta, st)
+    assert at_inf == at_beta and at_inf.degree == 2
+    assert cmp(at_inf.residual_val, at_inf.lam) >= 0
+
+
 def test_integral_dependence_monic_leading_unit():
     R = tring(2)
     F = artin_schreier_F(R)
@@ -423,7 +434,7 @@ def test_transcendence_sanity_bounded_search():
     res = expand(F, R, max_terms=6)
     root = res.series
     tgen = R.uniformizer()
-    full = res.state.partial_series(res.state.beta)
+    full = res.state.partial_series()
     truncs = [full.truncate_open(g(R, Fraction(1, 2))),
               full.truncate_open(g(R, Fraction(3, 4))),
               full.truncate_open(g(R, Fraction(7, 8)))]

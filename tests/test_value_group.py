@@ -75,7 +75,7 @@ def test_total_order_compatible_with_add():
 
 def test_canonical_form_idempotent():
     rng = random.Random(13)
-    d = GroupDescriptor([1], char_exponent=2)
+    d = GroupDescriptor([1])
     for _ in range(100):
         q = Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 5) * rng.choice([1, 3, 5]))
         a = d.element([q])
@@ -145,15 +145,14 @@ def test_independence_matches_row_reduction(d, parts):
 def test_weight_forms_equality_and_repr():
     # d = 1 folds an (a, b) pair to the rational a + b
     assert GroupDescriptor([(1, 1)]) == GroupDescriptor([2])
-    assert repr(GroupDescriptor([(1, 1)])) == "GroupDescriptor(weights=[2], p=1, d=1)"
+    assert repr(GroupDescriptor([(1, 1)])) == "GroupDescriptor(weights=[2], d=1)"
     assert GroupDescriptor([Fraction(1, 2), (0, Fraction(3, 4))], sqrt_disc=2) == \
         GroupDescriptor([(Fraction(2, 4), 0), (0, Fraction(3, 4))], sqrt_disc=2)
     assert GroupDescriptor([1, (0, 1)], sqrt_disc=2) != GroupDescriptor([1, (0, 2)], sqrt_disc=2)
     assert (repr(GroupDescriptor([1, (0, 1)], sqrt_disc=2))
-            == "GroupDescriptor(weights=[1, 0+1*sqrt(2)], p=1, d=2)")
-    assert (repr(GroupDescriptor([Fraction(1, 2), (2, Fraction(-1, 2))],
-                                 char_exponent=3, sqrt_disc=5))
-            == "GroupDescriptor(weights=[1/2, 2+-1/2*sqrt(5)], p=3, d=5)")
+            == "GroupDescriptor(weights=[1, 0+1*sqrt(2)], d=2)")
+    assert (repr(GroupDescriptor([Fraction(1, 2), (2, Fraction(-1, 2))], sqrt_disc=5))
+            == "GroupDescriptor(weights=[1/2, 2+-1/2*sqrt(5)], d=5)")
 
 
 def test_is_square_exact_on_huge_discriminants():
@@ -204,7 +203,8 @@ def test_text_roundtrip():
 # here by squaring.  The reference never calls into the engine's order code.
 
 ORACLE_CASES = [
-    # (weights as (a, b) pairs meaning a + b*sqrt(d), char exponent, d)
+    # (weights as (a, b) pairs meaning a + b*sqrt(d), p of the coordinate
+    # denominators p^k (1: any denominator), d)
     ([(Fraction(3, 2), 0)], 1, 1),
     ([(Fraction(2, 3), 0)], 2, 1),
     ([(1, 0)], 3, 1),
@@ -237,7 +237,7 @@ def _reference_cmp(x, y):
 @st.composite
 def _oracle_descriptor(draw):
     weights, p, d = draw(st.sampled_from(ORACLE_CASES))
-    desc = GroupDescriptor(weights, char_exponent=p, sqrt_disc=d)
+    desc = GroupDescriptor(weights, sqrt_disc=d)
     if p == 1:
         coord = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     else:
@@ -262,7 +262,7 @@ def test_order_matches_independent_oracle(case):
     d = desc.sqrt_disc
     ra, rb = _reference(weights, d, ca), _reference(weights, d, cb)
     # a twin descriptor: equal to desc but a different object
-    twin = GroupDescriptor(weights, char_exponent=desc.char_exponent, sqrt_disc=d)
+    twin = GroupDescriptor(weights, sqrt_disc=d)
     a, b = desc.element(ca), twin.element(cb)
     want = _reference_cmp(ra, rb)
     assert cmp(a, b) == want
@@ -294,7 +294,7 @@ def test_sort_key_matches_independent_oracle(data):
     # sort_terms against the squaring oracle, on lists that mix coordinate
     # denominators 1..12 and repeat values
     weights, p, d = data.draw(st.sampled_from(SORT_CASES))
-    desc = GroupDescriptor(weights, char_exponent=p, sqrt_disc=d)
+    desc = GroupDescriptor(weights, sqrt_disc=d)
     coord = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
     pool = data.draw(st.lists(st.lists(coord, min_size=desc.rank, max_size=desc.rank),
                               min_size=1, max_size=6))
@@ -319,7 +319,7 @@ def test_sort_key_matches_independent_oracle(data):
 # above, and its p-part of the denominator is read off each coordinate.
 
 ARITH_CASES = [
-    # (weights as (a, b) pairs, char exponent, d)
+    # (weights as (a, b) pairs, p of the coordinate denominators, d)
     ([(Fraction(3, 2), 0)], 1, 1),
     ([(1, 0)], 2, 1),
     ([(Fraction(2, 3), 0)], 3, 1),
@@ -338,7 +338,7 @@ def _assert_canonical(e, want):
 @st.composite
 def _arith_cases(draw):
     weights, p, d = draw(st.sampled_from(ARITH_CASES))
-    desc = GroupDescriptor(weights, char_exponent=p, sqrt_disc=d)
+    desc = GroupDescriptor(weights, sqrt_disc=d)
     if p == 1:
         coord = st.fractions(min_value=-20, max_value=20, max_denominator=12)
         scalar = st.fractions(min_value=-6, max_value=6, max_denominator=9)
@@ -358,7 +358,7 @@ def _arith_cases(draw):
 @given(_arith_cases())
 def test_arithmetic_matches_fraction_reference(case):
     desc, weights, ca, cb, n, q, r = case
-    p, d = desc.char_exponent, desc.sqrt_disc
+    d = desc.sqrt_disc
     ca, cb = [Fraction(c) for c in ca], [Fraction(c) for c in cb]
     a, b = desc.element(ca), desc.element(cb)
     _assert_canonical(a, ca)
@@ -393,7 +393,7 @@ def test_equal_values_by_different_routes_hash_equal():
     one = d.element([1])
     assert h + h == one and hash(h + h) == hash(one)
     assert hash(one) == hash(one)  # the cached value is the one computed first
-    d3 = GroupDescriptor([1], char_exponent=3)
+    d3 = GroupDescriptor([1])
     third = d3.element([Fraction(3, 2)]).scale_unchecked(Fraction(1, 3))
     assert third == d3.element([Fraction(1, 2)])
     assert hash(third) == hash(d3.element([Fraction(1, 2)]))
