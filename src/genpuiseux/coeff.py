@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, partial, reduce
+from itertools import zip_longest
 
 from .errors import (
     DivisionByZero,
@@ -129,21 +130,24 @@ class FieldTower:
         if level == 0:
             m = self.leaf_mod
             return x + y if m is None else (x + y) % m
-        if len(x) < len(y):
-            x, y = y, x
-        out = [self.rep_add(a, b, level - 1) for a, b in zip(x, y)]
-        out.extend(x[len(y):])
-        return tuple(_trim(out))
+        if level == 1:
+            return self._flat([a + b for a, b in zip_longest(x, y, fillvalue=0)])
+        pairs = zip_longest(x, y, fillvalue=self.rep_zero(level - 1))
+        return tuple(_trim([self.rep_add(a, b, level - 1) for a, b in pairs]))
 
     def rep_neg(self, x, level=None):
         level = self.height if level is None else level
         if level == 0:
             m = self.leaf_mod
             return -x if m is None else -x % m
+        if level == 1:
+            return self._flat([-c for c in x])
         return tuple(self.rep_neg(c, level - 1) for c in x)
 
     def rep_sub(self, x, y, level=None):
         level = self.height if level is None else level
+        if level == 1:
+            return self._flat([a - b for a, b in zip_longest(x, y, fillvalue=0)])
         return self.rep_add(x, self.rep_neg(y, level), level)
 
     def rep_mul(self, x, y, level=None):
@@ -151,7 +155,26 @@ class FieldTower:
         if level == 0:
             m = self.leaf_mod
             return x * y if m is None else x * y % m
-        return self._reduce(_pmul(self, x, y, level - 1), level)
+        if level > 1:
+            return self._reduce(_pmul(self, x, y, level - 1), level)
+        # one schoolbook product, reduced by the monic stage polynomial, then leaf_mod once
+        out, mp = [0] * (len(x) + len(y) - 1), self.stages[0][1]
+        for i, a in enumerate(x):
+            for j, b in enumerate(y, i):
+                out[j] += a * b
+        for k in range(len(out) - len(mp), -1, -1):
+            if lead := out.pop():
+                for i, c in enumerate(mp[:-1], k):
+                    out[i] -= lead * c
+        return self._flat(out)
+
+    def rep_add_mul(self, x, y, z, level=None):
+        """x + y*z, the one fused operation."""
+        return self.rep_add(x, self.rep_mul(y, z, level), level)
+
+    def _flat(self, leaves):
+        """The level-1 rep of a list of integer leaves (consumed): each mod leaf_mod, trimmed."""
+        return tuple(_trim(leaves if (m := self.leaf_mod) is None else [c % m for c in leaves]))
 
     def _reduce(self, coeffs, level):
         """Reduce a coefficient list (consumed) modulo the stage-level minimal polynomial."""
@@ -184,8 +207,7 @@ class FieldTower:
         if not r1:
             raise DivisionByZero("element not invertible (non-trivial gcd)")
         c = self.rep_inv(r1[0], level - 1)
-        out = [self.rep_mul(c, s, level - 1) for s in s1]
-        return self._reduce(out, level)
+        return self.rep_mul(self.rep_lift(c, level - 1, level), s1, level)
 
     def rep_pow(self, x, n, level=None):
         if n < 0:
@@ -302,9 +324,9 @@ class RationalTower(FieldTower):
         for name, mp in self.stages:
             if len(mp) != 3:
                 raise ValueError("the stages of a tower over Q are quadratic")
-            D = math.lcm(*(c[1] for c in mp if c))
+            D, below = math.lcm(*(c[1] for c in mp if c)), self.arith.height
             self.arith = self.arith.adjoin(tuple(
-                _scale(c[0], D ** (2 - i) // c[1]) if c else self.arith.rep_zero()
+                _scale(c[0], D ** (2 - i) // c[1], below) if c else self.arith.rep_zero()
                 for i, c in enumerate(mp)), name)
             self._scales += [s * D for s in self._scales]
 
@@ -315,20 +337,31 @@ class RationalTower(FieldTower):
         return (self.arith.rep_from_int(n, level), 1) if n else ()
 
     def rep_add(self, x, y, level=None):
+        """x + y; for a non-zero x, y may be any (num, den) pair, not only one in lowest terms."""
         if not x or not y:
             return x or y
-        (a, da), (b, db) = x, y
+        (a, da), (b, db), level = x, y, self.height if level is None else level
         if da != db:
-            a, b, da = _scale(a, db), _scale(b, da), da * db
-        return _normal(self.arith.rep_add(a, b, level), da)
+            a, b, da = _scale(a, db, level), _scale(b, da, level), da * db
+        return _normal(self.arith.rep_add(a, b, level), da, level)
+
+    def rep_add_mul(self, x, y, z, level=None):
+        """x + y*z with one normalization: rep_add takes the product's pair unreduced."""
+        if not x or not y or not z:
+            return self.rep_add(x, self.rep_mul(y, z, level), level)
+        return self.rep_add(x, (self.arith.rep_mul(y[0], z[0], level), y[1] * z[1]), level)
 
     def rep_neg(self, x, level=None):
         return (self.arith.rep_neg(x[0], level), x[1]) if x else ()
 
+    def rep_sub(self, x, y, level=None):
+        return self.rep_add(x, self.rep_neg(y, level), level)
+
     def rep_mul(self, x, y, level=None):
         if not x or not y:
             return ()
-        return _normal(self.arith.rep_mul(x[0], y[0], level), x[1] * y[1])
+        level = self.height if level is None else level
+        return _normal(self.arith.rep_mul(x[0], y[0], level), x[1] * y[1], level)
 
     def rep_inv(self, x, level=None):
         level = self.height if level is None else level
@@ -339,7 +372,7 @@ class RationalTower(FieldTower):
             return (den, num) if num > 0 else (-den, -num)
         # stage X^2 + bX + c: num + conj(num) = 2 a0 - b a1, and num conj(num) lies below
         a0, a1 = (num + (ar.rep_zero(below),))[:2]
-        tr = ar.rep_sub(_scale(a0, 2), ar.rep_mul(a1, ar.stages[below][1][1], below), below)
+        tr = ar.rep_sub(_scale(a0, 2, below), ar.rep_mul(a1, ar.stages[below][1][1], below), below)
         conj = (ar.rep_sub(ar.rep_lift(tr, below, level), num, level), 1)
         (norm,), n_den = self.rep_mul(x, conj, level)
         return self.rep_mul(conj, self.rep_lift(self.rep_inv((norm, n_den), below),
@@ -350,9 +383,10 @@ class RationalTower(FieldTower):
         return [Fraction(n * s, den) for n, s in zip(self.arith.leaves(num, level), self._scales)]
 
     def from_leaves(self, leaves, level=None):
+        level = self.height if level is None else level
         vals = [Fraction(q) / s for q, s in zip(leaves, self._scales)]
         den = math.lcm(*(v.denominator for v in vals))
-        return _normal(self.arith.from_leaves([int(v * den) for v in vals], level), den)
+        return _normal(self.arith.from_leaves([int(v * den) for v in vals], level), den, level)
 
     def rep_lift(self, x, from_level, to_level):
         return (self.arith.rep_lift(x[0], from_level, to_level), x[1]) if x else ()
@@ -368,24 +402,28 @@ def _trim(coeffs):
     return coeffs
 
 
-def _scale(rep, c, exact=False):
-    """An integer rep times c, or divided by c if `exact` (c divides every leaf)."""
-    if isinstance(rep, int):
+def _scale(rep, c, level, exact=False):
+    """An integer rep of `level` times c, or divided by c if `exact` (c divides every leaf)."""
+    if level == 0:
         return rep // c if exact else rep * c
-    return tuple(_scale(x, c, exact) for x in rep)
+    if level == 1:
+        return tuple([x // c for x in rep] if exact else [x * c for x in rep])
+    return tuple([_scale(x, c, level - 1, exact) for x in rep])
 
 
-def _content(rep):
-    """The gcd of the integer leaves of a rep."""
-    return rep if isinstance(rep, int) else math.gcd(*map(_content, rep))
+def _content(rep, level):
+    """The gcd of the integer leaves of a rep of `level`."""
+    if level < 2:
+        return math.gcd(*rep) if level else rep
+    return math.gcd(*(_content(x, level - 1) for x in rep))
 
 
-def _normal(num, den):
+def _normal(num, den, level):
     """The Q rep of num / den: lowest terms by one gcd over den and the leaves of num."""
     if not num:
         return ()
-    g = 1 if den == 1 else math.gcd(den, _content(num))
-    return (num, den) if g == 1 else (_scale(num, g, exact=True), den // g)
+    g = 1 if den == 1 else math.gcd(den, _content(num, level))
+    return (num, den) if g == 1 else (_scale(num, g, level, exact=True), den // g)
 
 
 def _vectors(stream, n):
@@ -601,11 +639,11 @@ class CoeffElem:
     def _pair(self, other):
         """The rep of an int or of an element over this tower; values over two
         towers never meet (a state moves all of its values up at once)."""
-        if isinstance(other, int):
-            return self.tower.rep_from_int(other)
         if isinstance(other, CoeffElem) and (other.tower is self.tower
                                              or other.tower == self.tower):
             return other.rep
+        if isinstance(other, int):
+            return self.tower.rep_from_int(other)
         raise EngineInvariantViolation(
             f"coefficients over two towers: {self.tower!r} and "
             f"{getattr(other, 'tower', type(other).__name__)!r}")
@@ -631,6 +669,11 @@ class CoeffElem:
         return CoeffElem(self.tower, self.tower.rep_mul(self.rep, self._pair(other)))
 
     __rmul__ = __mul__
+
+    def add_mul(self, b, c):
+        """self + b*c as one operation (FieldTower.rep_add_mul)."""
+        tower = self.tower
+        return CoeffElem(tower, tower.rep_add_mul(self.rep, self._pair(b), self._pair(c)))
 
     def inv(self):
         return CoeffElem(self.tower, self.tower.rep_inv(self.rep))
@@ -900,11 +943,11 @@ class WittElem:
     def _pair(self, other):
         """The rep of an int or of an element of this ring; elements of two
         rings never meet."""
-        if isinstance(other, int):
-            return self.ring.arith.rep_from_int(other)
         if isinstance(other, WittElem) and (other.ring is self.ring
                                             or other.ring == self.ring):
             return other.rep
+        if isinstance(other, int):
+            return self.ring.arith.rep_from_int(other)
         raise EngineInvariantViolation(
             f"Witt elements of two rings: {self.ring!r} and "
             f"{getattr(other, 'ring', type(other).__name__)!r}")
@@ -927,6 +970,11 @@ class WittElem:
         return WittElem(self.ring, self.ring.arith.rep_mul(self.rep, self._pair(other)))
 
     __rmul__ = __mul__
+
+    def add_mul(self, b, c):
+        """self + b*c as one operation (FieldTower.rep_add_mul)."""
+        ring = self.ring
+        return WittElem(ring, ring.arith.rep_add_mul(self.rep, self._pair(b), self._pair(c)))
 
     def residue(self):
         return self.ring.residue(self)

@@ -233,8 +233,11 @@ def step(state):
     if state.eval_at_partial(state.F).is_exact_zero():
         return replace(state, status=COMPLETE)
 
+    if len(eq := residual_equation(state)) == 1:  # no root to take: a typed end
+        raise EngineInvariantViolation("constant residue equation at beta="
+                                       + group_text(state.beta))
     try:
-        tower2, roots = solve_in_closure(state.ring.tower, residual_equation(state))
+        tower2, roots = solve_in_closure(state.ring.tower, eq)
     except IrreducibleOverRationals:
         trace = _record(state, "(no root in permitted towers)", INF, "TERMINAL")
         return replace(state, status=COMPLETE_TRANSCENDENTAL, trace=trace)

@@ -274,19 +274,20 @@ class GenSeries:
         km, (gm, cm) = ka.pop(), mt[0]
         cut = bisect_right if closed else bisect_left
         na, nb = (len(a), len(b)) if bound is INF else (cut(ka, bound), cut(kb, bound - km))
-        out, i = [], 0
-        for k, (g, c) in zip(kb[:nb], b):
-            if (c := c * cm).is_zero():
-                continue
-            k += km
-            while i < na and ka[i] < k:  # self's terms below k go out as they are
+        # other's shifted keys; one compare finds them all above self's terms, and
+        # an equal key is found without one (at rank 2 equality is structural)
+        ks, out, i = [k + km for k in kb[:nb]], [], 0
+        if na and ks and ka[na - 1] < ks[0]:
+            out, i = list(a[:na]), na
+        for k, (g, c) in zip(ks, b):
+            while i < na and ka[i] != k and ka[i] < k:  # self's terms below k go out
                 out.append(a[i])
                 i += 1
             if i < na and ka[i] == k:
-                g, c = a[i][0], a[i][1] + c
+                g, c = a[i][0], a[i][1].add_mul(c, cm)
                 i += 1
             else:
-                g = g + gm if lcm else k  # at rank 2 the key is the element
+                g, c = g + gm if lcm else k, c * cm  # at rank 2 the key is the element
             if not c.is_zero():
                 out.append((g, c))
         return GenSeries._sorted(self.ring, tuple(out) + a[i:na], prec, closed)
@@ -313,8 +314,7 @@ class GenSeries:
                 break
             for k2, (_, c2) in zip(kb[:n], b):
                 k = k1 + k2
-                c = c1 * c2
-                acc[k] = acc[k] + c if k in acc else c
+                acc[k] = acc[k].add_mul(c1, c2) if k in acc else c1 * c2
         items = [(k, c) for k, c in acc.items() if not c.is_zero()]
         return GenSeries._sorted(self.ring, desc.from_keys(items, lcm), prec, closed)
 

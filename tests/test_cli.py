@@ -429,6 +429,25 @@ def test_main_engine_error_exits_1(tmp_path, capsys):
     assert captured.err == "engine error: open truncation beyond stored precision\n"
 
 
+@pytest.mark.parametrize("text, beta", [
+    ("p 2\npoly (y - p)^2 - p^4*y\n", "3"),
+    ("p 2\nwitt_prec 8\npoly (y - 1)^2 - p^3*y\n", "2"),
+])
+def test_a_constant_residue_equation_is_an_engine_error(tmp_path, capsys, text, beta):
+    # the step passes the Newton slope of a double root in Z_2, and only T^0
+    # ties: no root to take, a typed end rather than a bare ValueError
+    start = time.monotonic()
+    assert main(["expand", write(tmp_path, "p2.spec", text)]) == 1
+    assert time.monotonic() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.err == f"engine error: constant residue equation at beta={beta}\n"
+
+
+def test_the_equal_characteristic_analogue_still_expands(tmp_path, capsys):
+    assert main(["expand", write(tmp_path, "t2.spec", "char 2\npoly (y - t)^2 - t^4*y\n")]) == 0
+    assert "status: BUDGET" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("text, status, series", [
     ("char 0\npoly y^2 - 1267650600228229401496703205376*t\n",  # 2^100: a huge constant
      "COMPLETE", "1125899906842624*t^(1/2)"),

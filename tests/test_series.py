@@ -691,20 +691,25 @@ def test_series_text_products_are_bounded_before_they_are_formed():
 
 @contextmanager
 def _counting_products(ring):
-    """Count the coefficient products formed inside the block."""
+    """Count the coefficient products formed inside the block: each ``__mul__``
+    and each fused ``add_mul``."""
     cls = type(ring.coeffs.one())
-    original = cls.__mul__
+    originals = {name: getattr(cls, name) for name in ("__mul__", "add_mul")}
     count = [0]
 
-    def counted(x, y):
-        count[0] += 1
-        return original(x, y)
+    def counting(original):
+        def counted(x, *args):
+            count[0] += 1
+            return original(x, *args)
+        return counted
 
-    cls.__mul__ = counted
+    for name, original in originals.items():
+        setattr(cls, name, counting(original))
     try:
         yield count
     finally:
-        cls.__mul__ = original
+        for name, original in originals.items():
+            setattr(cls, name, original)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,175 @@
+"""Alternating parent/change runs of the benchmark, written as a BENCH file.
+
+Usage, from anywhere:
+
+    python3 tools/ab.py PARENT CHANGE --seeds 3601-3610 --out BENCH_36.json \
+        --what "what the change does" [--workloads expand-t,verify] \
+        [--seconds 16] [--claim expand-t:wall_s]
+
+PARENT and CHANGE are two checkouts of the repository.  For each seed, and
+for each workload within it, ``bench/run.py --trace 0`` runs once in each
+checkout, one run at a time: odd seeds run the change first, even seeds the
+parent first.  Every ``__pycache__`` under a checkout is removed before each
+of its runs, so each run compiles the sources it measures.  The file is
+rewritten after every pair, so a cut session leaves the pairs it finished.
+
+The summary gives, per workload and end-to-end metric, the median and the
+interquartile range of each side and the change of the medians; ``--claim``
+adds, for one workload and metric, the count of pairs where the change was
+lower.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("expand-t", "expand-p", "expand-sqrt2", "verify")
+METRICS = ("setup_s", "wall_s", "op_s.p50", "op_s.tail", "growth_slope", "peak_rss_mb")
+
+
+def parse_seeds(text):
+    """'3601-3610' or '5,7,9' as a list of ints."""
+    if "-" in text:
+        lo, hi = map(int, text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def order(seed):
+    """The sides in the order they run on a seed: the change first on odd seeds."""
+    return ("change", "parent") if seed % 2 else ("parent", "change")
+
+
+def _median_iqr(values):
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return round(statistics.median(values), 6), round(q3 - q1, 6)
+
+
+def _delta(parent, change):
+    return f"{(change / parent - 1) * 100:+.1f} %"
+
+
+def summarize(runs):
+    """Per workload: median and IQR of each side, and the delta of the medians,
+    for every end-to-end metric; the failed ops of each side; and whether every
+    run was correct."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        entry = {}
+        for metric in METRICS:
+            sides = {side: [r["metrics"][metric]["value"] for r in mine if r["side"] == side]
+                     for side in ("parent", "change")}
+            if min(map(len, sides.values())) < 2:
+                continue
+            (pm, pq), (cm, cq) = _median_iqr(sides["parent"]), _median_iqr(sides["change"])
+            entry[metric] = {"parent_median": pm, "parent_iqr": pq, "change_median": cm,
+                             "change_iqr": cq, "delta": _delta(statistics.median(sides["parent"]),
+                                                               statistics.median(sides["change"]))}
+        entry["failed"] = {side: sum(r["failed"] for r in mine if r["side"] == side)
+                           for side in ("parent", "change")}
+        entry["correct"] = all(r["correct"] for r in mine)
+        out[workload] = entry
+    return out
+
+
+def claim(runs, workload, metric):
+    """The pairs of one workload (by seed) and how many the change ran lower in;
+    None below two pairs."""
+    by_seed = {}
+    for r in runs:
+        if r["workload"] == workload:
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r["metrics"][metric]["value"]
+    pairs = [p for p in by_seed.values() if len(p) == 2]
+    if len(pairs) < 2:
+        return None
+    parent = [p["parent"] for p in pairs]
+    change = [p["change"] for p in pairs]
+    pm, pq = _median_iqr(parent)
+    return {"workload": workload, "metric": metric, "pairs": len(pairs),
+            "change_lower_in": sum(p["change"] < p["parent"] for p in pairs),
+            "parent_median": pm, "parent_iqr": pq, "change_median": _median_iqr(change)[0],
+            "delta": _delta(statistics.median(parent), statistics.median(change))}
+
+
+def _clean(checkout):
+    for root, dirs, _ in os.walk(checkout):
+        if "__pycache__" in dirs:
+            shutil.rmtree(os.path.join(root, "__pycache__"))
+            dirs.remove("__pycache__")
+        dirs[:] = [d for d in dirs if d != ".git"]
+
+
+def run_one(checkout, workload, seed, seconds):
+    """One untraced bench run in a checkout: the JSON of its last line."""
+    _clean(checkout)
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
+                           str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"bench/run.py failed in {checkout} ({workload}, seed {seed}):\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _revision(checkout):
+    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--seeds", required=True, type=parse_seeds)
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--what", required=True)
+    ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--seconds", type=float, default=16)
+    ap.add_argument("--claim", default=None, help="workload:metric")
+    args = ap.parse_args(argv)
+    seconds = f"{args.seconds:g}"
+    workloads = args.workloads.split(",")
+    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    doc = {
+        "what": args.what,
+        "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
+                   f"--seconds {seconds} --trace 0",
+        "parent": _revision(checkouts["parent"]),
+        "machine": {"cpu": platform.machine(), "vcpus": os.cpu_count(),
+                    "os": platform.platform()},
+        "python": platform.python_version(),
+        "order": f"for each seed, each of {', '.join(workloads)}; odd seeds ran the change "
+                 "first and even seeds the parent first; one run at a time, each in its own "
+                 "checkout with __pycache__ removed before the run (tools/ab.py)",
+        "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
+        "claim": None,
+        "summary": {},
+        "runs": [],
+    }
+    for seed in args.seeds:
+        for workload in workloads:
+            for side in order(seed):
+                result = run_one(checkouts[side], workload, seed, seconds)
+                doc["runs"].append({**result, "side": side, "workload": workload, "seed": seed})
+                print(f"{workload} seed {seed} {side}: wall_s "
+                      f"{result['metrics']['wall_s']['value']:.5f}", flush=True)
+            doc["summary"] = summarize(doc["runs"])
+            if args.claim:
+                doc["claim"] = claim(doc["runs"], *args.claim.split(":"))
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=1)
+                fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
