@@ -7,13 +7,13 @@ kept in reduced canonical form (degree in each generator below the degree of
 its minimal polynomial, trailing zeros trimmed); over Q (a RationalTower) over
 one positive denominator.
 
-WittRing realizes the complete local ring with residue field a finite tower
-at working precision N: the same nested representation with integer leaves
-mod p^N, the stage minimal polynomials lifted coefficientwise through the
-digit-0 section.  residue/lift are exact sections of each other.
+A WittRing, the coefficient ring in mixed characteristic (Cohen), is the
+complete local ring with residue field a finite tower at working precision
+N: the residue tower's stages over Z/p^N.  residue/lift are exact sections.
 
-One nested arithmetic serves all three: FieldTower reduces leaves mod its
-leaf_mod, which is p over F_p, None over Q and p^N in a WittRing.
+One nested arithmetic serves all three, FieldTower and its two subclasses:
+it reduces leaves mod leaf_mod, which is p over F_p, None over Q and p^N in
+a WittRing, whose elements are WittElems, a subclass of CoeffElem.
 FieldTower.leaves and from_leaves are the one walk between a rep and its
 flat list of leaves, which are Fractions over Q.
 """
@@ -64,12 +64,6 @@ class FieldTower:
             self._exps = [e + (i,) for i in range(len(mp) - 1) for e in self._exps]
         self._solved = {}  # solve_in_closure's results over this tower, by equation
 
-    def _over_leaves(self, modulus):
-        """The same stages with leaves mod `modulus` (exact integers if None)."""
-        view = FieldTower(self.base, self.stages)
-        view.leaf_mod = modulus
-        return view
-
     @classmethod
     def prime_field(cls, p):
         return cls(('F', int(p)))
@@ -91,12 +85,13 @@ class FieldTower:
         return self.base[1] ** self._sizes[-1]
 
     def extends(self, other):
-        """True if other's stages are a prefix of ours (same base)."""
-        return (self.base == other.base
-                and self.stages[:other.height] == other.stages)
+        """True if other's stages are a prefix of ours (same kind, base and leaf_mod)."""
+        return (type(other) is type(self) and self.base == other.base
+                and self.leaf_mod == other.leaf_mod and self.stages[:other.height] == other.stages)
 
     def __eq__(self, other):
-        return (isinstance(other, FieldTower) and self.base == other.base
+        # the type check keeps WittRing(F_p, 1), whose leaf_mod is also p, apart from F_p
+        return (type(other) is type(self) and self.base == other.base
                 and self.stages == other.stages and self.leaf_mod == other.leaf_mod)
 
     def __repr__(self):
@@ -249,7 +244,7 @@ class FieldTower:
             raise ValueError("incompatible towers")
         return self.rep_lift(x, from_tower.height, self.height)
 
-    # -- as a series ring's coefficient domain (a WittRing is the other) -------
+    # -- as a series ring's coefficient domain (a WittRing overrides these) ---
     # The residue tower is the tower itself; residue and lift are the identity.
 
     @property
@@ -257,13 +252,13 @@ class FieldTower:
         return self
 
     def zero(self):
-        return CoeffElem(self, self.rep_zero())
+        return self.element(self, self.rep_zero())
 
     def one(self):
-        return CoeffElem(self, self.rep_one())
+        return self.element(self, self.rep_one())
 
     def from_int(self, n):
-        return CoeffElem(self, self.rep_from_int(n))
+        return self.element(self, self.rep_from_int(n))
 
     def residue(self, c):
         return c
@@ -273,7 +268,7 @@ class FieldTower:
 
     def coerce(self, c):
         """An element over a prefix of this tower, moved up into it."""
-        return CoeffElem(self, self.coerce_rep(c.rep, c.tower))
+        return self.element(self, self.coerce_rep(c.rep, c.tower))
 
     def over(self, tower):
         return tower
@@ -341,8 +336,10 @@ class RationalTower(FieldTower):
         if not x or not y:
             return x or y
         (a, da), (b, db), level = x, y, self.height if level is None else level
-        if da != db:
-            a, b, da = _scale(a, db, level), _scale(b, da, level), da * db
+        if da != db:  # each side scaled to the lcm, a side already there left as it is
+            den = math.lcm(da, db)
+            a, b, da = (a if den == da else _scale(a, den // da, level),
+                        b if den == db else _scale(b, den // db, level), den)
         return _normal(self.arith.rep_add(a, b, level), da, level)
 
     def rep_add_mul(self, x, y, z, level=None):
@@ -637,8 +634,8 @@ class CoeffElem:
         return cls(tower, tower.from_leaves(leaves))
 
     def _pair(self, other):
-        """The rep of an int or of an element over this tower; values over two
-        towers never meet (a state moves all of its values up at once)."""
+        """The rep of an int or of an element over this tower (or Witt ring);
+        values over two never meet (a state moves all of its values up at once)."""
         if isinstance(other, CoeffElem) and (other.tower is self.tower
                                              or other.tower == self.tower):
             return other.rep
@@ -654,32 +651,36 @@ class CoeffElem:
     def is_unit(self):
         return not self.is_zero()
 
+    def leaves(self):
+        """The leaves of the rep (FieldTower.leaves): integers, Fractions over Q."""
+        return self.tower.leaves(self.rep)
+
     def __add__(self, other):
-        return CoeffElem(self.tower, self.tower.rep_add(self.rep, self._pair(other)))
+        return type(self)(self.tower, self.tower.rep_add(self.rep, self._pair(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return CoeffElem(self.tower, self.tower.rep_sub(self.rep, self._pair(other)))
+        return type(self)(self.tower, self.tower.rep_sub(self.rep, self._pair(other)))
 
     def __neg__(self):
-        return CoeffElem(self.tower, self.tower.rep_neg(self.rep))
+        return type(self)(self.tower, self.tower.rep_neg(self.rep))
 
     def __mul__(self, other):
-        return CoeffElem(self.tower, self.tower.rep_mul(self.rep, self._pair(other)))
+        return type(self)(self.tower, self.tower.rep_mul(self.rep, self._pair(other)))
 
     __rmul__ = __mul__
 
     def add_mul(self, b, c):
         """self + b*c as one operation (FieldTower.rep_add_mul)."""
         tower = self.tower
-        return CoeffElem(tower, tower.rep_add_mul(self.rep, self._pair(b), self._pair(c)))
+        return type(self)(tower, tower.rep_add_mul(self.rep, self._pair(b), self._pair(c)))
 
     def inv(self):
-        return CoeffElem(self.tower, self.tower.rep_inv(self.rep))
+        return type(self)(self.tower, self.tower.rep_inv(self.rep))
 
     def __pow__(self, n):
-        return CoeffElem(self.tower, self.tower.rep_pow(self.rep, n))
+        return type(self)(self.tower, self.tower.rep_pow(self.rep, n))
 
     def __eq__(self, other):
         return self.rep == self._pair(other)
@@ -697,6 +698,19 @@ class CoeffElem:
             gens = [f"{tower.stages[k][0]}^{e}" for k, e in enumerate(exps) if e > 0]
             parts.append("*".join(([str(base)] if base != 1 or not gens else []) + gens))
         return " + ".join(parts) or "0"
+
+
+FieldTower.element = CoeffElem  # the class of a tower's elements; a WittRing's is WittElem
+
+
+def next_digit(leaves, p):
+    """The next base-p digit of integer leaves: each leaf is replaced by its
+    quotient, in place, and the list of remainders returned."""
+    digit = []
+    for i, a in enumerate(leaves):
+        leaves[i], d = divmod(a, p)
+        digit.append(d)
+    return digit
 
 
 # -- roots -------------------------------------------------------------------------
@@ -872,30 +886,74 @@ def _solve(tower, f):
 # -- Witt-style finite-precision p-adics -------------------------------------------
 
 
-class WittRing:
-    """(Z/p^N)-realization of the complete local ring with a given residue tower.
+class WittElem(CoeffElem):
+    """Finite-precision p-adic element over a residue tower: a CoeffElem of its WittRing."""
 
-    Elements use the tower's reps with integer leaves mod p^N; the stage
-    minimal polynomials are read as lifted through the digit-0 section.
-    """
+    __slots__ = ()
+
+    @property
+    def ring(self):
+        """The Witt ring: the tower of the element's reps."""
+        return self.tower
+
+    # bench/tracer.py hooks coeff:WittElem.__mul__ by qualname
+    def __mul__(self, other):
+        return WittElem(self.tower, self.tower.rep_mul(self.rep, self._pair(other)))
+
+    __rmul__ = __mul__
+
+    def residue(self):
+        return self.tower.residue(self)
+
+    def digits(self):
+        """Canonical digit list [d0, ..., d_{N-1}] of residue-tower elements."""
+        ring, acc = self.tower, self.leaves()
+        return [CoeffElem(ring.tower, ring.from_leaves(next_digit(acc, ring.p)))
+                for _ in range(ring.precision)]
+
+    def is_unit(self):
+        return not self.residue().is_zero()
+
+    def to_text(self):
+        ds = ",".join(d.to_text() for d in self.digits())
+        return f"[{ds}] (mod {self.ring.p}^{self.ring.precision})"
+
+    def __repr__(self):
+        return f"WittElem({self.to_text()})"
+
+
+class WittRing(FieldTower):
+    """(Z/p^N)-realization of the complete local ring with a given residue tower:
+    the tower's stages, read as lifted through the digit-0 section, with
+    integer leaves mod p^N."""
+
+    element = WittElem
 
     def __init__(self, tower, precision):
         if tower.base[0] != 'F':
             raise ValueError("Witt coefficients need a finite residue tower")
-        self.tower = tower
-        self.p = tower.base[1]
-        self.precision = int(precision)
-        self.modulus = self.p ** self.precision
-        self.arith = tower._over_leaves(self.modulus)
+        super().__init__(tower.base, tower.stages)
+        self._residue_tower, self.p, self.precision = tower, tower.base[1], int(precision)
+        self.modulus = self.leaf_mod = self.p ** self.precision
 
-    def zero(self):
-        return WittElem(self, self.tower.rep_zero())
+    @property
+    def tower(self):
+        """The residue tower."""
+        return self._residue_tower
 
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n):
-        return WittElem(self, self.arith.rep_from_int(n))
+    def rep_inv(self, x):
+        """The inverse of a unit: modular at height 0, else Newton's iteration
+        from the lifted residue inverse, which doubles the correct digits each round."""
+        tower = self.tower
+        residue = tower.from_leaves([a % self.p for a in self.leaves(x)])
+        if not residue:
+            raise NonUnit("Witt element with zero residue digit")
+        if not self.height:
+            return pow(x, -1, self.modulus)
+        y, two = tower.rep_inv(residue), self.rep_from_int(2)
+        for _ in range(max(1, self.precision).bit_length() + 1):
+            y = self.rep_mul(y, self.rep_sub(two, self.rep_mul(x, y)))
+        return y
 
     def lift(self, c):
         """Digit-0 section of the residue map (exact) of a residue over this tower."""
@@ -904,116 +962,12 @@ class WittRing:
                 f"a residue over {c.tower!r} lifted into {self!r}")
         return WittElem(self, c.rep)
 
-    def leaves(self, elems):
-        """The integer leaves (FieldTower.leaves) of each element of `elems`."""
-        return [self.tower.leaves(w.rep) for w in elems]
-
     def residue(self, w):
-        tower, p = self.tower, self.p
-        return CoeffElem(tower, tower.from_leaves([x % p for x in tower.leaves(w.rep)]))
-
-    def coerce(self, w):
-        if w.ring is self or w.ring == self:
-            return w
-        if self.tower.extends(w.ring.tower) and self.precision == w.ring.precision:
-            return WittElem(self, self.tower.coerce_rep(w.rep, w.ring.tower))
-        raise ValueError("incompatible Witt rings")
+        return CoeffElem(self.tower, self.from_leaves([x % self.p for x in w.leaves()]))
 
     def over(self, tower):
         """The ring of the same precision over a taller residue tower."""
         return WittRing(tower, self.precision)
 
-    def __eq__(self, other):
-        return (isinstance(other, WittRing) and self.tower == other.tower
-                and self.precision == other.precision)
-
     def __repr__(self):
         return f"<Witt ring over {self.tower!r} mod {self.p}^{self.precision}>"
-
-
-class WittElem:
-    """Finite-precision p-adic element over a residue tower."""
-
-    __slots__ = ("ring", "rep")
-
-    def __init__(self, ring, rep):
-        self.ring = ring
-        self.rep = rep
-
-    def _pair(self, other):
-        """The rep of an int or of an element of this ring; elements of two
-        rings never meet."""
-        if isinstance(other, WittElem) and (other.ring is self.ring
-                                            or other.ring == self.ring):
-            return other.rep
-        if isinstance(other, int):
-            return self.ring.arith.rep_from_int(other)
-        raise EngineInvariantViolation(
-            f"Witt elements of two rings: {self.ring!r} and "
-            f"{getattr(other, 'ring', type(other).__name__)!r}")
-
-    def is_zero(self):
-        return not self.rep
-
-    def __add__(self, other):
-        return WittElem(self.ring, self.ring.arith.rep_add(self.rep, self._pair(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return WittElem(self.ring, self.ring.arith.rep_sub(self.rep, self._pair(other)))
-
-    def __neg__(self):
-        return WittElem(self.ring, self.ring.arith.rep_neg(self.rep))
-
-    def __mul__(self, other):
-        return WittElem(self.ring, self.ring.arith.rep_mul(self.rep, self._pair(other)))
-
-    __rmul__ = __mul__
-
-    def add_mul(self, b, c):
-        """self + b*c as one operation (FieldTower.rep_add_mul)."""
-        ring = self.ring
-        return WittElem(ring, ring.arith.rep_add_mul(self.rep, self._pair(b), self._pair(c)))
-
-    def residue(self):
-        return self.ring.residue(self)
-
-    def digits(self):
-        """Canonical digit list [d0, ..., d_{N-1}] of residue-tower elements."""
-        ring, p, tower = self.ring, self.ring.p, self.ring.tower
-        out, acc = [], tower.leaves(self.rep)
-        for _ in range(ring.precision):
-            digit = []
-            for i, a in enumerate(acc):
-                acc[i], d = divmod(a, p)
-                digit.append(d)
-            out.append(CoeffElem(tower, tower.from_leaves(digit)))
-        return out
-
-    def is_unit(self):
-        return not self.residue().is_zero()
-
-    def inv(self):
-        if not self.is_unit():
-            raise NonUnit("Witt element with zero residue digit")
-        if not self.ring.tower.height:
-            # over Z/p^N the inverse is unique, so the modular one is Newton's
-            return WittElem(self.ring, pow(self.rep, -1, self.ring.modulus))
-        x = self.ring.lift(self.residue().inv())
-        # Newton iteration doubles correct digits each round
-        steps = max(1, self.ring.precision).bit_length()
-        two = self.ring.from_int(2)
-        for _ in range(steps + 1):
-            x = x * (two - self * x)
-        return x
-
-    def __eq__(self, other):
-        return self.rep == self._pair(other)
-
-    def to_text(self):
-        ds = ",".join(d.to_text() for d in self.digits())
-        return f"[{ds}] (mod {self.ring.p}^{self.ring.precision})"
-
-    def __repr__(self):
-        return f"WittElem({self.to_text()})"

@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .coeff import CoeffElem, WittElem, binary_power
+from .coeff import CoeffElem, WittElem, binary_power, next_digit
 from .errors import (
     EngineInvariantViolation,
     NonUnit,
@@ -472,8 +472,8 @@ def _carry_normalize(s):
     its digits with one divmod per leaf per position.
     """
     witt = s.ring.coeffs
-    p, tower = witt.p, witt.tower
-    flat = witt.leaves([c for _, c in s._raw])
+    p = witt.p
+    flat = [c.leaves() for _, c in s._raw]
     if max(map(max, flat), default=0) < p:
         # every coefficient is a digit: the raw terms are the carried form
         return s._raw, s._raw_prec, s._raw_closed
@@ -496,13 +496,10 @@ def _carry_normalize(s):
         for n in range(n_min, horizon):
             if not any(acc):
                 break
-            digit = []
-            for i, a in enumerate(acc):
-                acc[i], d = divmod(a, p)
-                digit.append(d)
+            digit = next_digit(acc, p)
             if any(digit):
                 ns.append(n)
-                digits.append(WittElem(witt, tower.from_leaves(digit)))
+                digits.append(WittElem(witt, witt.from_leaves(digit)))
         *exps, bound = cls.shifts(ns + [horizon])
         out.extend(zip(exps, digits))
         if low is None or desc.compare(bound, low) < 0:

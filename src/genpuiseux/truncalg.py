@@ -91,10 +91,7 @@ class ProductTree:
         ring = factors[self.index].ring
         acc = ring.zero()
         for lo, hi, child in self.pieces:
-            sl = factors[self.index].slice(lo, hi).exact()
-            if not sl.terms:
-                continue
-            acc = acc + sl * child.evaluate(factors)
+            acc = acc + factors[self.index].slice(lo, hi).exact() * child.evaluate(factors)
         return acc
 
 

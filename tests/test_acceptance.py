@@ -174,8 +174,8 @@ def test_criterion_5_product_truncation_identity():
         lhs = decomp.evaluate(gg, h)
         rhs = (gg * h).truncate_open(lam)
         assert [t for t in lhs.terms if cmp(t[0], lam) < 0] == list(rhs.terms)
-        assert cmp(decomp.lambdas[-1], lam - h.val()) <= 0
-        assert cmp(decomp.deltas[0], lam - gg.val()) <= 0
+        assert cmp(decomp.lambdas[-1], lam - h.val()) == 0
+        assert cmp(decomp.deltas[0], lam - gg.val()) == 0
         done += 1
     ok(5, "product truncation identity bit-exact on 1000 random triples with bounds")
 

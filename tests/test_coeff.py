@@ -222,6 +222,16 @@ def test_witt_nonunit_rejected():
         ring.from_int(3).inv()
 
 
+@pytest.mark.parametrize("height", [0, 1])
+def test_witt_p_times_a_unit_has_no_inverse(height):
+    tower = fp(3).adjoin((1, 0, 1)) if height else fp(3)  # F9 = F3[w], w^2 = -1
+    ring = WittRing(tower, 4)
+    unit = ring.lift(CoeffElem.generator(tower)) + 1 if height else ring.from_int(2)
+    assert unit * unit.inv() == ring.one()
+    with pytest.raises(NonUnit, match="zero residue digit"):
+        (unit * 3).inv()
+
+
 def test_witt_ring_axioms_mod_pN():
     ring = WittRing(fp(3), 3)
     rng = random.Random(9)

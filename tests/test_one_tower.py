@@ -83,6 +83,27 @@ def test_witt_lift_rejects_a_residue_over_another_tower():
     assert w9.lift(CoeffElem.generator(twin)).residue() == CoeffElem.generator(f9)
 
 
+def test_a_witt_ring_of_precision_one_is_not_its_residue_field():
+    # both read their leaves mod 3, yet a value of one never meets a value of the other
+    f3 = FieldTower.prime_field(3)
+    w = WittRing(f3, 1)
+    assert w.leaf_mod == f3.leaf_mod and w != f3 and f3 != w
+    assert w == WittRing(FieldTower.prime_field(3), 1)
+    for op in OPERATORS:
+        for a, b in ((w.one(), f3.one()), (f3.one(), w.one())):
+            with pytest.raises(EngineInvariantViolation, match="two towers"):
+                op(a, b)
+
+
+def test_witt_coercion_refuses_another_precision_and_a_residue():
+    f3, f9 = f3_f9()
+    w3 = WittRing(f3, 4)
+    assert WittRing(f9, 4).coerce(w3.from_int(5)) == WittRing(f9, 4).from_int(5)
+    for ring, x in ((WittRing(f9, 5), w3.from_int(5)), (WittRing(f9, 1), f3.one())):
+        with pytest.raises(ValueError, match="incompatible towers"):
+            ring.coerce(x)
+
+
 @pytest.mark.parametrize("text, stage", [
     ("char 2\npoly y^2 + t*y + t\n", (1, 1, 1)),     # as-f2, into F4
     ("p 5\nwitt_prec 8\npoly y^2 - 1 - p\n", (3, 0, 1)),  # W(F5), into W(F25)
@@ -129,6 +150,6 @@ def test_one_coercion_site_and_one_hashable_class():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "extends"):
                     extends_callers.add(name)
-    assert extends_callers == {"FieldTower.coerce_rep", "WittRing.coerce"}
+    assert extends_callers == {"FieldTower.coerce_rep"}
     # GroupElement is the one dict key (the exponents of a series)
     assert hashed == {"GroupElement.__hash__"}

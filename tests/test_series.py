@@ -1022,7 +1022,9 @@ def _o_carry(s):
     witt = ring.coeffs
     n_digits = witt.precision
     p = witt.p
-    tower, exact = ring.tower, ring.tower._over_leaves(None)
+    tower = ring.tower
+    exact = FieldTower(tower.base, tower.stages)
+    exact.leaf_mod = None  # the same stages over Z: exact integer leaves
     height = tower.height
     out = []
     prec, closed = s._raw_prec, s._raw_closed

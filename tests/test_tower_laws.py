@@ -87,8 +87,8 @@ def _domain(name):
         return (Dense(p, stages), lambda v: CoeffElem(tower, tower.from_leaves(v)),
                 lambda x: list(tower.leaves(x.rep)))
     ring = WittRing(tower, precision)
-    return (Dense(p ** precision, stages), lambda v: WittElem(ring, ring.arith.from_leaves(v)),
-            lambda x: list(ring.arith.leaves(x.rep)))
+    return (Dense(p ** precision, stages), lambda v: WittElem(ring, ring.from_leaves(v)),
+            lambda x: list(ring.leaves(x.rep)))
 
 
 @st.composite

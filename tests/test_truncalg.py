@@ -9,6 +9,7 @@ from genpuiseux.keypoly import ValPoly
 from genpuiseux.series import GenSeries, SeriesRing
 from genpuiseux.embed import expand
 from genpuiseux.truncalg import (
+    ProductTree,
     TruncLeaf,
     TruncationDecomposition,
     integral_dependence,
@@ -100,8 +101,8 @@ def test_product_truncation_sweep_bounds():
         if cmp(gg.val() + h.val(), lam) >= 0:
             continue
         decomp = product_truncation(gg, h, lam)
-        assert cmp(decomp.lambdas[-1], lam - h.val()) <= 0
-        assert cmp(decomp.deltas[0], lam - gg.val()) <= 0
+        assert cmp(decomp.lambdas[-1], lam - h.val()) == 0
+        assert cmp(decomp.deltas[0], lam - gg.val()) == 0
         for a, b in zip(decomp.lambdas, decomp.lambdas[1:]):
             assert cmp(a, b) < 0
         for a, b in zip(decomp.deltas, decomp.deltas[1:]):
@@ -109,6 +110,19 @@ def test_product_truncation_sweep_bounds():
         lhs = decomp.evaluate(gg, h)
         rhs = (gg * h).truncate_open(lam)
         assert same_terms_below(lhs, rhs, lam)
+
+
+def test_an_empty_slice_adds_nothing_to_a_tree():
+    # g has no term in [1, 3): that piece is the exact zero times h(1)
+    R = tring()
+    gg, h = t_pow(R, 0) + t_pow(R, 3), t_pow(R, 0) + t_pow(R, 1) + t_pow(R, 2)
+    pieces = [(g(R, 0), g(R, 1), TruncLeaf(1, g(R, 2))),
+              (g(R, 1), g(R, 3), TruncLeaf(1, g(R, 1))),
+              (g(R, 3), g(R, 4), TruncLeaf(1, g(R, 1)))]
+    assert not gg.slice(g(R, 1), g(R, 3)).terms
+    value = ProductTree(0, pieces).evaluate([gg, h])
+    assert value == ProductTree(0, pieces[::2]).evaluate([gg, h])
+    assert value == t_pow(R, 0) + t_pow(R, 1) + t_pow(R, 3) and value.prec is INF
 
 
 def test_product_truncation_char2_series():
