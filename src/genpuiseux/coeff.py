@@ -9,13 +9,14 @@ one positive denominator.
 
 A WittRing, the coefficient ring in mixed characteristic (Cohen), is the
 complete local ring with residue field a finite tower at working precision
-N: the residue tower's stages over Z/p^N.  residue/lift are exact sections.
+N: the residue tower's stages over Z/p^N (its char).  residue/lift are exact.
 
 One nested arithmetic serves all three, FieldTower and its two subclasses:
 it reduces leaves mod leaf_mod, which is p over F_p, None over Q and p^N in
 a WittRing, whose elements are WittElems, a subclass of CoeffElem.
 FieldTower.leaves and from_leaves are the one walk between a rep and its
-flat list of leaves, which are Fractions over Q.
+flat list of leaves, which are Fractions over Q.  At height 0, where a rep is
+one integer, WittRing.carry, multi_digit, residue and F_p text read it as it is.
 """
 
 from __future__ import annotations
@@ -74,15 +75,13 @@ class FieldTower:
 
     @property
     def char(self):
-        return self.base[1] if self.base[0] == 'F' else 0
+        return self.leaf_mod or 0
 
     def stage_degree(self, k):
         return len(self.stages[k][1]) - 1
 
     def cardinality(self):
-        if self.base[0] != 'F':
-            return None
-        return self.base[1] ** self._sizes[-1]
+        return None if self.leaf_mod is None else self.leaf_mod ** self._sizes[-1]
 
     def extends(self, other):
         """True if other's stages are a prefix of ours (same kind, base and leaf_mod)."""
@@ -287,8 +286,8 @@ class FieldTower:
         first, so the stream is the product of the level below taken with the
         constant coefficient slowest.
         """
-        if self.base[0] != 'F':
-            raise ValueError("cannot enumerate an infinite tower")
+        if self.leaf_mod != self.base[-1]:  # over Q, or Z/p^N with N > 1
+            raise ValueError(f"cannot enumerate {self!r}: not a finite field")
         level = self.height if level is None else level
         if level == 0:
             return iter(range(self.base[1]))
@@ -651,10 +650,6 @@ class CoeffElem:
     def is_unit(self):
         return not self.is_zero()
 
-    def leaves(self):
-        """The leaves of the rep (FieldTower.leaves): integers, Fractions over Q."""
-        return self.tower.leaves(self.rep)
-
     def __add__(self, other):
         return type(self)(self.tower, self.tower.rep_add(self.rep, self._pair(other)))
 
@@ -693,6 +688,8 @@ class CoeffElem:
 
     def to_text(self):
         tower, parts = self.tower, []
+        if not tower.height and tower.leaf_mod:  # over F_p the rep is the digit
+            return str(self.rep)
         terms = [(exps, base) for exps, base in zip(tower._exps, tower.leaves(self.rep)) if base]
         for exps, base in sorted(terms, key=lambda t: t[0], reverse=True):
             gens = [f"{tower.stages[k][0]}^{e}" for k, e in enumerate(exps) if e > 0]
@@ -701,16 +698,6 @@ class CoeffElem:
 
 
 FieldTower.element = CoeffElem  # the class of a tower's elements; a WittRing's is WittElem
-
-
-def next_digit(leaves, p):
-    """The next base-p digit of integer leaves: each leaf is replaced by its
-    quotient, in place, and the list of remainders returned."""
-    digit = []
-    for i, a in enumerate(leaves):
-        leaves[i], d = divmod(a, p)
-        digit.append(d)
-    return digit
 
 
 # -- roots -------------------------------------------------------------------------
@@ -907,9 +894,11 @@ class WittElem(CoeffElem):
 
     def digits(self):
         """Canonical digit list [d0, ..., d_{N-1}] of residue-tower elements."""
-        ring, acc = self.tower, self.leaves()
-        return [CoeffElem(ring.tower, ring.from_leaves(next_digit(acc, ring.p)))
-                for _ in range(ring.precision)]
+        ring = self.tower
+        out = [ring.tower.zero()] * ring.precision
+        for k, d in ring.carry([(0, self)], ring.precision):
+            out[k] = CoeffElem(ring.tower, d.rep)
+        return out
 
     def is_unit(self):
         return not self.residue().is_zero()
@@ -944,8 +933,7 @@ class WittRing(FieldTower):
     def rep_inv(self, x):
         """The inverse of a unit: modular at height 0, else Newton's iteration
         from the lifted residue inverse, which doubles the correct digits each round."""
-        tower = self.tower
-        residue = tower.from_leaves([a % self.p for a in self.leaves(x)])
+        tower, residue = self.tower, self.residue(WittElem(self, x)).rep
         if not residue:
             raise NonUnit("Witt element with zero residue digit")
         if not self.height:
@@ -963,11 +951,53 @@ class WittRing(FieldTower):
         return WittElem(self, c.rep)
 
     def residue(self, w):
-        return CoeffElem(self.tower, self.from_leaves([x % self.p for x in w.leaves()]))
+        if not self.height:
+            return CoeffElem(self.tower, w.rep % self.p)
+        return CoeffElem(self.tower, self.from_leaves([x % self.p for x in self.leaves(w.rep)]))
+
+    def multi_digit(self, elems):
+        """Whether each element has a leaf >= p, so is no digit-0 lift."""
+        p = self.p
+        if not self.height:
+            return [c.rep >= p for c in elems]
+        return [max(self.leaves(c.rep)) >= p for c in elems]
+
+    def carry(self, terms, count):
+        """The non-zero base-p digits at offsets k < count of the sum of c * p^k
+        over the (k, c) in terms, as (k, digit) pairs; above height 0 the sum is
+        a vector of integer leaves."""
+        p, out = self.p, []
+        if not self.height:
+            acc = sum(c.rep * p ** k for k, c in terms)
+            for k in range(count):
+                if not acc:
+                    break
+                acc, d = divmod(acc, p)
+                if d:
+                    out.append((k, WittElem(self, d)))
+            return out
+        acc = [0] * self._sizes[-1]
+        for k, c in terms:
+            f = p ** k
+            acc = [a + x * f for a, x in zip(acc, self.leaves(c.rep))]
+        for k in range(count):
+            if not any(acc):
+                break
+            digit = []
+            for i, a in enumerate(acc):
+                acc[i], d = divmod(a, p)
+                digit.append(d)
+            if any(digit):
+                out.append((k, WittElem(self, self.from_leaves(digit))))
+        return out
 
     def over(self, tower):
         """The ring of the same precision over a taller residue tower."""
         return WittRing(tower, self.precision)
+
+    def adjoin(self, minpoly_full, name=None):
+        """The ring of the same precision over the residue tower with one more stage."""
+        return self.over(self.tower.adjoin(minpoly_full, name))
 
     def __repr__(self):
         return f"<Witt ring over {self.tower!r} mod {self.p}^{self.precision}>"

@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .coeff import CoeffElem, WittElem, binary_power, next_digit
+from .coeff import CoeffElem, binary_power
 from .errors import (
     EngineInvariantViolation,
     NonUnit,
@@ -467,14 +467,13 @@ def _carry_normalize(s):
     multi-digit entries.  The series precision is clamped there (the bound
     is flagged through the precision, never silently wrapped).
 
-    Each coefficient is read as its integer leaves, zero-padded to one
-    length (one leaf at height 0): a class sums them as integers and reads
-    its digits with one divmod per leaf per position.
+    One WittRing.multi_digit call per series finds the multi-digit
+    coefficients, and one WittRing.carry call per carried class sums its
+    c_i p^(n_i - n_min) exactly and reads the digits below the horizon.
     """
     witt = s.ring.coeffs
-    p = witt.p
-    flat = [c.leaves() for _, c in s._raw]
-    if max(map(max, flat), default=0) < p:
+    multi = witt.multi_digit([c for _, c in s._raw])
+    if not any(multi):
         # every coefficient is a digit: the raw terms are the carried form
         return s._raw, s._raw_prec, s._raw_closed
     desc = s.ring.descriptor
@@ -482,26 +481,14 @@ def _carry_normalize(s):
     out = []
     low = None  # the least horizon over the carried classes
     for cls, members in classes:
-        multi = [n for i, n in members if max(flat[i]) >= p]
-        if not multi:
+        ns = [n for i, n in members if multi[i]]
+        if not ns:
             out.extend(s._raw[i] for i, _ in members)
             continue
-        (first, n_min), horizon = members[0], min(multi) + witt.precision
-        # sum_i c_i p^(n_i - n_min) leaf by leaf, then its digits
-        acc = flat[first]
-        for i, n in members[1:]:
-            f = p ** (n - n_min)
-            acc = [a + x * f for a, x in zip(acc, flat[i])]
-        ns, digits = [], []
-        for n in range(n_min, horizon):
-            if not any(acc):
-                break
-            digit = next_digit(acc, p)
-            if any(digit):
-                ns.append(n)
-                digits.append(WittElem(witt, witt.from_leaves(digit)))
-        *exps, bound = cls.shifts(ns + [horizon])
-        out.extend(zip(exps, digits))
+        n_min, horizon = members[0][1], min(ns) + witt.precision
+        carried = witt.carry([(n - n_min, s._raw[i][1]) for i, n in members], horizon - n_min)
+        *exps, bound = cls.shifts([n_min + k for k, _ in carried] + [horizon])
+        out.extend(zip(exps, [d for _, d in carried]))
         if low is None or desc.compare(bound, low) < 0:
             low = bound
     prec, closed = _prec_min((s._raw_prec, s._raw_closed), (low, False))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +48,47 @@ def test_summary_median_iqr_and_delta_of_canned_runs():
 def test_summary_reproduces_a_committed_bench_file():
     doc = json.loads((ROOT / "BENCH_35.json").read_text())
     assert ab.summarize(doc["runs"]) == doc["summary"]
+
+
+# the tail of a bench/run.py report: metric lines, row lines, then the JSON line
+_REPORT = """workload expand-p: 12 passes, 480 ops, closed loop, one caller
+wall_s 0.0178 s
+growth_slope 0.789 log2
+row p3-2p@10 median 0.00262 s (n=12)
+row p5@16 median 0.00481 s (n=12)
+row p5@8 median 0.00285 s (n=12)
+problem none
+{"correct": true, "attempted": 480, "failed": 0, "metrics": {}}
+"""
+
+
+def test_row_medians_are_parsed_from_the_report():
+    assert ab.parse_rows(_REPORT) == {"p3-2p@10": 0.00262, "p5@16": 0.00481, "p5@8": 0.00285}
+    assert ab.parse_rows("wall_s 0.0178 s\n") == {}
+
+
+def test_run_one_keeps_the_row_medians(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs["cwd"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=_REPORT, stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    record = ab.run_one(str(tmp_path), "expand-p", 7, "16")
+    assert record == {"correct": True, "attempted": 480, "failed": 0, "metrics": {},
+                      "rows": {"p3-2p@10": 0.00262, "p5@16": 0.00481, "p5@8": 0.00285}}
+    assert calls == [([ab.sys.executable, "bench/run.py", "--workload", "expand-p", "--seed",
+                       "7", "--seconds", "16", "--trace", "0"], str(tmp_path))]
+
+
+def test_summary_gives_each_row_its_medians_and_delta():
+    runs = []
+    for seed, (p8, c8) in enumerate([(0.0030, 0.0027), (0.0029, 0.0026), (0.0031, 0.0028)]):
+        runs.append({**_run("parent", seed, 0.018, "expand-p"), "rows": {"p5@8": p8, "p5@16": 0.005}})
+        runs.append({**_run("change", seed, 0.016, "expand-p"), "rows": {"p5@8": c8}})
+    rows = ab.summarize(runs)["expand-p"]["rows"]
+    # a row that only one side ran is left out
+    assert rows == {"p5@8": {"parent_median": 0.003, "change_median": 0.0027, "delta": "-10.0 %"}}
+    # runs without row medians (files written before they were kept) give no rows
+    assert "rows" not in ab.summarize([_run("parent", 0, 0.01), _run("change", 0, 0.01)])["expand-t"]

@@ -952,6 +952,31 @@ def test_witt_digits_and_residue_match_map_leaves(case):
         assert ring.residue(w).rep == _o_residue(ring, w).rep
 
 
+_QUADRATIC = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1)}  # an irreducible X^2 + bX + c mod p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(-10 ** 12, 10 ** 12), st.integers(1, 16))
+def test_height_zero_text_and_residue_match_the_leaf_list_path(p, n, N):
+    # at height 0 the text and the residue read the integer rep; moved one
+    # stage up, the same value goes through the leaf list
+    f = fp(p)
+    c = f.from_int(n)
+    assert c.to_text() == f.adjoin(_QUADRATIC[p]).coerce(c).to_text() == str(n % p)
+    witt, witt_up = WittRing(fp(5), N), WittRing(fp(5).adjoin(_QUADRATIC[5]), N)
+    w = witt.from_int(n)
+    assert w.to_text() == witt_up.coerce(w).to_text()
+    r = witt.residue(w)
+    assert r.tower is witt.tower and r.rep == _o_residue(witt, w).rep
+    assert witt_up.tower.coerce(r) == witt_up.residue(witt_up.coerce(w))
+
+
+@given(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+def test_rational_text_at_height_zero_is_the_fraction(q):
+    tower = FieldTower.rationals()
+    assert CoeffElem(tower, tower.from_leaves([q])).to_text() == (str(q) if q else "0")
+
+
 @st.composite
 def _q_case(draw):
     name = draw(st.sampled_from(sorted(_Q_TOWERS)))

@@ -95,6 +95,24 @@ def test_a_witt_ring_of_precision_one_is_not_its_residue_field():
                 op(a, b)
 
 
+def test_a_witt_ring_answers_for_z_mod_p_to_the_n():
+    # the ring is Z/3^4 over its residue tower, not that tower
+    f3, f9 = f3_f9()
+    w3, w9 = WittRing(f3, 4), WittRing(f9, 4)
+    assert (w3.char, w3.cardinality(), w9.char, w9.cardinality()) == (81, 81, 81, 81 ** 2)
+    assert (f3.char, f3.cardinality(), f9.char, f9.cardinality()) == (3, 3, 3, 9)
+    q = FieldTower.rationals()
+    assert (q.char, q.cardinality()) == (0, None)
+    grown = w3.adjoin((1, 0, 1))
+    assert grown == w9 and grown.tower == f9 and grown.precision == 4
+    for ring in (w3, w9, q):
+        with pytest.raises(ValueError, match="not a finite field"):
+            ring.enumerate_elements()
+    # mod p^1 the ring is its residue field's size, and lists its elements
+    assert list(WittRing(f3, 1).enumerate_elements()) == list(f3.enumerate_elements()) == [0, 1, 2]
+    assert len(list(f9.enumerate_elements())) == 9
+
+
 def test_witt_coercion_refuses_another_precision_and_a_residue():
     f3, f9 = f3_f9()
     w3 = WittRing(f3, 4)

@@ -1056,6 +1056,12 @@ def _o_carry(s):
 
 
 _F4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
+_F16 = _F4.adjoin(((0, 1), (1,), (1,)))  # X^2 + X + w over F4: height two
+_F9 = FieldTower.prime_field(3).adjoin((1, 0, 1))  # w^2 + 1 = 0
+# (residue tower, largest precision drawn): the bench's W(F5) mod 5^16 and
+# W(F9) mod 3^8 among them
+_CARRY_RINGS = [(FieldTower.prime_field(3), 4), (_F4, 4), (FieldTower.prime_field(5), 16),
+                (_F9, 8), (_F16, 4)]
 
 
 def _rational(draw, low, high):
@@ -1065,18 +1071,20 @@ def _rational(draw, low, high):
 
 @st.composite
 def _carry_case(draw):
-    """A series over W(F3) or W(F4) mod p^N whose leaves are digits, multi-digit
-    or zero divisors (u*p^k), at raw precision INF, finite open or finite closed."""
-    tower = draw(st.sampled_from([FieldTower.prime_field(3), _F4]))
-    p, n_digits = tower.char, draw(st.integers(2, 4))
+    """A series of up to 16 terms over W(F3), W(F4), W(F5), W(F9) or W(F16) mod p^N
+    whose leaves are digits, multi-digit or zero divisors (u*p^k), at raw
+    precision INF, finite open or finite closed."""
+    tower, top = draw(st.sampled_from(_CARRY_RINGS))
+    p, n_digits = tower.char, draw(st.integers(2, top))
     ring = SeriesRing(GroupDescriptor([1]), WittRing(tower, n_digits))
-    basis = [ring.coeffs.one()] + [ring.coeffs.lift(CoeffElem.generator(tower))] * tower.height
+    basis = [ring.coeffs.one()] + [ring.coeffs.lift(CoeffElem.generator(tower, k))
+                                   for k in range(tower.height)]
     leaf = st.one_of(st.integers(0, p - 1), st.integers(p, p ** n_digits - 1),
                      st.builds(lambda u, k: u * p ** k, st.integers(1, p - 1),
                                st.integers(1, n_digits - 1)))
     terms = [(ring.descriptor.from_rational(_rational(draw, -3, 9)),
               sum((ring.coeffs.from_int(draw(leaf)) * b for b in basis), ring.coeffs.zero()))
-             for _ in range(draw(st.integers(0, 8)))]
+             for _ in range(draw(st.integers(0, 16)))]
     if draw(st.booleans()):
         return GenSeries(ring, terms)
     bound = ring.descriptor.from_rational(_rational(draw, -2, 12))

@@ -14,9 +14,11 @@ of its runs, so each run compiles the sources it measures.  The file is
 rewritten after every pair, so a cut session leaves the pairs it finished.
 
 The summary gives, per workload and end-to-end metric, the median and the
-interquartile range of each side and the change of the medians; ``--claim``
-adds, for one workload and metric, the count of pairs where the change was
-lower.
+interquartile range of each side and the change of the medians, and per
+``row <problem>@<n>`` of the bench report (the rows ``growth_slope`` is
+computed from) the median of each side's row medians and their change;
+``--claim`` adds, for one workload and metric, the count of pairs where the
+change was lower.  Each run record keeps its row medians under ``rows``.
 """
 
 from __future__ import annotations
@@ -56,10 +58,34 @@ def _delta(parent, change):
     return f"{(change / parent - 1) * 100:+.1f} %"
 
 
+def parse_rows(report):
+    """The ``row <problem>@<n> median <s> s (n=<k>)`` lines of a bench report
+    as {row: median seconds}."""
+    rows = {}
+    for line in report.splitlines():
+        if line.startswith("row "):
+            _, row, _, value, *_ = line.split()
+            rows[row] = float(value)
+    return rows
+
+
+def _row_summary(runs):
+    """Per row: the median of each side's row medians and their change."""
+    out = {}
+    for row in sorted({row for r in runs for row in r.get("rows", ())}):
+        parent, change = ([r["rows"][row] for r in runs if r["side"] == side
+                           and row in r.get("rows", ())] for side in ("parent", "change"))
+        if parent and change:
+            pm, cm = statistics.median(parent), statistics.median(change)
+            out[row] = {"parent_median": float(f"{pm:.6g}"),
+                        "change_median": float(f"{cm:.6g}"), "delta": _delta(pm, cm)}
+    return out
+
+
 def summarize(runs):
     """Per workload: median and IQR of each side, and the delta of the medians,
-    for every end-to-end metric; the failed ops of each side; and whether every
-    run was correct."""
+    for every end-to-end metric; the failed ops of each side; whether every
+    run was correct; and, when the runs kept them, the row medians."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -76,6 +102,8 @@ def summarize(runs):
         entry["failed"] = {side: sum(r["failed"] for r in mine if r["side"] == side)
                            for side in ("parent", "change")}
         entry["correct"] = all(r["correct"] for r in mine)
+        if rows := _row_summary(mine):
+            entry["rows"] = rows
         out[workload] = entry
     return out
 
@@ -108,7 +136,8 @@ def _clean(checkout):
 
 
 def run_one(checkout, workload, seed, seconds):
-    """One untraced bench run in a checkout: the JSON of its last line."""
+    """One untraced bench run in a checkout: the JSON of its last line, with
+    the row medians of its report under ``rows``."""
     _clean(checkout)
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
                            str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -116,7 +145,7 @@ def run_one(checkout, workload, seed, seconds):
     if proc.returncode:
         raise SystemExit(f"bench/run.py failed in {checkout} ({workload}, seed {seed}):\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return {**json.loads(proc.stdout.strip().splitlines()[-1]), "rows": parse_rows(proc.stdout)}
 
 
 def _revision(checkout):
