@@ -2,10 +2,11 @@
 
 A FieldTower is a prime field F_p or Q extended by a finite chain of simple
 algebraic extensions, each given by a monic minimal polynomial over the
-previous stage.  Elements are nested coefficient tuples with integer leaves,
-kept in reduced canonical form (degree in each generator below the degree of
-its minimal polynomial, trailing zeros trimmed); over Q (a RationalTower) over
-one positive denominator.
+tower below it (`below`, None at height 0).  A rep is the coefficient tuple,
+over `below`, of a polynomial in the top generator: a nested tuple with
+integer leaves, kept in reduced canonical form (degree in each generator
+below the degree of its minimal polynomial, trailing zeros trimmed); over Q
+(a RationalTower) over one positive denominator.
 
 A WittRing, the coefficient ring in mixed characteristic (Cohen), is the
 complete local ring with residue field a finite tower at working precision
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import zip_longest
 
 from .errors import (
@@ -57,13 +58,15 @@ class FieldTower:
         self.stages = tuple(stages)  # (name, minpoly full tuple incl leading 1)
         self.leaf_mod = base[1] if base[0] == 'F' else None
         self.height = len(self.stages)
-        # _sizes[k]: the padded leaf count of a level-k rep; _exps[j]: the stage
+        # _sizes[k]: the padded leaf count of a height-k rep; _exps[j]: the stage
         # exponents of leaf j, lowest stage first
         self._sizes, self._exps = [1], [()]
         for _, mp in self.stages:
             self._sizes.append(self._sizes[-1] * (len(mp) - 1))
             self._exps = [e + (i,) for i in range(len(mp) - 1) for e in self._exps]
         self._solved = {}  # solve_in_closure's results over this tower, by equation
+        # a plain attribute, not a cached property: CPython reads it at the speed of `height`
+        self.below = self._lower() if self.stages else None
 
     @classmethod
     def prime_field(cls, p):
@@ -99,58 +102,54 @@ class FieldTower:
             name += f"[{nm}]"
         return f"<tower {name}>"
 
-    # -- representations -------------------------------------------------------
-    #
-    # A rep at level L > 0 is the coefficient tuple, over level L - 1, of a
-    # polynomial in the stage-L generator; a polynomial over level L is thus a
-    # rep at level L + 1 before reduction, and rep_add / rep_sub at level
-    # L + 1 are polynomial sum and difference (they never read a stage).
+    def _lower(self):
+        """`below`: the tower of the first height - 1 stages, of the same kind."""
+        return type(self)(self.base, self.stages[:-1])
 
-    def rep_zero(self, level=None):
-        level = self.height if level is None else level
-        return 0 if level == 0 else ()
+    # -- representations: a polynomial over `below` is a rep before reduction --
 
-    def rep_one(self, level=None):
-        return self.rep_from_int(1, level)
+    def rep_zero(self):
+        return () if self.height else 0
 
-    def rep_from_int(self, n, level=None):
-        level = self.height if level is None else level
+    def rep_one(self):
+        return self.rep_from_int(1)
+
+    def rep_from_int(self, n):
         if self.leaf_mod is not None:
             n %= self.leaf_mod
-        return self.rep_lift(n, 0, level)
+        return self.rep_lift(n, 0)
 
-    def rep_add(self, x, y, level=None):
-        level = self.height if level is None else level
-        if level == 0:
+    def rep_add(self, x, y):
+        h = self.height
+        if h == 0:
             m = self.leaf_mod
             return x + y if m is None else (x + y) % m
-        if level == 1:
+        if h == 1:
             return self._flat([a + b for a, b in zip_longest(x, y, fillvalue=0)])
-        pairs = zip_longest(x, y, fillvalue=self.rep_zero(level - 1))
-        return tuple(_trim([self.rep_add(a, b, level - 1) for a, b in pairs]))
+        below = self.below
+        return tuple(_trim([below.rep_add(a, b) for a, b in zip_longest(x, y, fillvalue=())]))
 
-    def rep_neg(self, x, level=None):
-        level = self.height if level is None else level
-        if level == 0:
+    def rep_neg(self, x):
+        h = self.height
+        if h == 0:
             m = self.leaf_mod
             return -x if m is None else -x % m
-        if level == 1:
+        if h == 1:
             return self._flat([-c for c in x])
-        return tuple(self.rep_neg(c, level - 1) for c in x)
+        return tuple(map(self.below.rep_neg, x))
 
-    def rep_sub(self, x, y, level=None):
-        level = self.height if level is None else level
-        if level == 1:
+    def rep_sub(self, x, y):
+        if self.height == 1:
             return self._flat([a - b for a, b in zip_longest(x, y, fillvalue=0)])
-        return self.rep_add(x, self.rep_neg(y, level), level)
+        return self.rep_add(x, self.rep_neg(y))
 
-    def rep_mul(self, x, y, level=None):
-        level = self.height if level is None else level
-        if level == 0:
+    def rep_mul(self, x, y):
+        h = self.height
+        if h == 0:
             m = self.leaf_mod
             return x * y if m is None else x * y % m
-        if level > 1:
-            return self._reduce(_pmul(self, x, y, level - 1), level)
+        if h > 1:
+            return self._reduce(_pmul(self.below, x, y))
         # one schoolbook product, reduced by the monic stage polynomial, then leaf_mod once
         out, mp = [0] * (len(x) + len(y) - 1), self.stages[0][1]
         for i, a in enumerate(x):
@@ -162,76 +161,69 @@ class FieldTower:
                     out[i] -= lead * c
         return self._flat(out)
 
-    def rep_add_mul(self, x, y, z, level=None):
+    def rep_add_mul(self, x, y, z):
         """x + y*z, the one fused operation."""
-        return self.rep_add(x, self.rep_mul(y, z, level), level)
+        return self.rep_add(x, self.rep_mul(y, z))
 
     def _flat(self, leaves):
-        """The level-1 rep of a list of integer leaves (consumed): each mod leaf_mod, trimmed."""
+        """The height-1 rep of a list of integer leaves (consumed): each mod leaf_mod, trimmed."""
         return tuple(_trim(leaves if (m := self.leaf_mod) is None else [c % m for c in leaves]))
 
-    def _reduce(self, coeffs, level):
-        """Reduce a coefficient list (consumed) modulo the stage-level minimal polynomial."""
-        mp = self.stages[level - 1][1]
+    def _reduce(self, coeffs):
+        """Reduce a coefficient list (consumed) modulo the top stage's minimal polynomial."""
+        mp, below = self.stages[-1][1], self.below
         d = len(mp) - 1
-        below = level - 1
         while len(coeffs) > d:
             lead = coeffs.pop()
             if not lead:
                 continue
             k = len(coeffs) - d
             for i in range(d):
-                coeffs[k + i] = self.rep_sub(coeffs[k + i],
-                                             self.rep_mul(lead, mp[i], below), below)
+                coeffs[k + i] = below.rep_sub(coeffs[k + i], below.rep_mul(lead, mp[i]))
         return tuple(_trim(coeffs))
 
-    def rep_inv(self, x, level=None):
-        level = self.height if level is None else level
+    def rep_inv(self, x):
         if not x:
             raise DivisionByZero("inverse of zero")
-        if level == 0:
+        if self.height == 0:
             return pow(x, -1, self.leaf_mod)
-        # extended Euclid of x against the stage minimal polynomial
-        r0, r1 = self.stages[level - 1][1], x
-        s0, s1 = (), (self.rep_one(level - 1),)
+        # extended Euclid of x against the top stage's minimal polynomial
+        below, r0, r1 = self.below, self.stages[-1][1], x
+        s0, s1 = (), (below.rep_one(),)
         while len(r1) > 1:
-            q, r = _pdivmod(self, r0, r1, level - 1)
+            q, r = _pdivmod(below, r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, self.rep_sub(s0, _pmul(self, q, s1, level - 1), level)
+            s0, s1 = s1, self.rep_sub(s0, _pmul(below, q, s1))
         if not r1:
             raise DivisionByZero("element not invertible (non-trivial gcd)")
-        c = self.rep_inv(r1[0], level - 1)
-        return self.rep_mul(self.rep_lift(c, level - 1, level), s1, level)
+        return self.rep_mul(self.rep_lift(below.rep_inv(r1[0]), self.height - 1), s1)
 
-    def rep_pow(self, x, n, level=None):
+    def rep_pow(self, x, n):
         if n < 0:
             raise ValueError("tower powers need a non-negative exponent")
-        level = self.height if level is None else level
-        return binary_power(x, n, self.rep_one(level),
-                            lambda a, b: self.rep_mul(a, b, level))
+        return binary_power(x, n, self.rep_one(), self.rep_mul)
 
-    def leaves(self, rep, level=None):
+    def leaves(self, rep):
         """The base-field leaves of a rep, constant coefficients first, each
         level zero-padded to its stage degree: the same count for every rep."""
-        level = self.height if level is None else level
-        if level == 0:
+        if self.height == 0:
             return [rep]
         out = []
         for c in rep:
-            out += self.leaves(c, level - 1)
-        return out + [0] * (self._sizes[level] - len(out))
+            out += self.below.leaves(c)
+        return out + [0] * (self._sizes[-1] - len(out))
 
-    def from_leaves(self, leaves, level=None, start=0):
+    def from_leaves(self, leaves, start=0):
         """The rep whose padded leaves from `start` on are `leaves`, trimmed."""
-        level = self.height if level is None else level
-        if level == 0:
+        if self.height == 0:
             return leaves[start]
-        step = self._sizes[level - 1]
-        return tuple(_trim([self.from_leaves(leaves, level - 1, start + i)
-                            for i in range(0, self._sizes[level], step)]))
+        below, step = self.below, self._sizes[-2]
+        return tuple(_trim([below.from_leaves(leaves, start + i)
+                            for i in range(0, self._sizes[-1], step)]))
 
-    def rep_lift(self, x, from_level, to_level):
-        for lvl in range(from_level, to_level):
+    def rep_lift(self, x, height):
+        """A rep of the tower of the given height under this one, lifted into this one."""
+        for _ in range(height, self.height):
             x = (x,) if x else ()
         return x
 
@@ -241,7 +233,7 @@ class FieldTower:
             return x
         if not self.extends(from_tower):
             raise ValueError("incompatible towers")
-        return self.rep_lift(x, from_tower.height, self.height)
+        return self.rep_lift(x, from_tower.height)
 
     # -- as a series ring's coefficient domain (a WittRing overrides these) ---
     # The residue tower is the tower itself; residue and lift are the identity.
@@ -279,21 +271,19 @@ class FieldTower:
         # as the coefficient vectors do, level by level
         return tuple((q < 0, abs(q.numerator), q.denominator) for q in self.leaves(x))
 
-    def enumerate_elements(self, level=None):
+    def enumerate_elements(self):
         """Lazy stream of all elements of a finite tower in canonical key order.
 
         The key compares coefficient vectors lexicographically, constant term
-        first, so the stream is the product of the level below taken with the
+        first, so the stream is the product of `below`'s stream taken with the
         constant coefficient slowest.
         """
         if self.leaf_mod != self.base[-1]:  # over Q, or Z/p^N with N > 1
             raise ValueError(f"cannot enumerate {self!r}: not a finite field")
-        level = self.height if level is None else level
-        if level == 0:
+        if self.height == 0:
             return iter(range(self.base[1]))
-        below = partial(self.enumerate_elements, level - 1)
         return (tuple(_trim(list(v)))
-                for v in _vectors(below, self.stage_degree(level - 1)))
+                for v in _vectors(self.below.enumerate_elements, self.stage_degree(-1)))
 
     # -- extension ---------------------------------------------------------------
 
@@ -324,68 +314,65 @@ class RationalTower(FieldTower):
                 for i, c in enumerate(mp)), name)
             self._scales += [s * D for s in self._scales]
 
-    def rep_zero(self, level=None):
+    def rep_zero(self):
         return ()
 
-    def rep_from_int(self, n, level=None):
-        return (self.arith.rep_from_int(n, level), 1) if n else ()
+    def rep_from_int(self, n):
+        return (self.arith.rep_from_int(n), 1) if n else ()
 
-    def rep_add(self, x, y, level=None):
+    def rep_add(self, x, y):
         """x + y; for a non-zero x, y may be any (num, den) pair, not only one in lowest terms."""
         if not x or not y:
             return x or y
-        (a, da), (b, db), level = x, y, self.height if level is None else level
+        (a, da), (b, db), h = x, y, self.height
         if da != db:  # each side scaled to the lcm, a side already there left as it is
             den = math.lcm(da, db)
-            a, b, da = (a if den == da else _scale(a, den // da, level),
-                        b if den == db else _scale(b, den // db, level), den)
-        return _normal(self.arith.rep_add(a, b, level), da, level)
+            a, b, da = (a if den == da else _scale(a, den // da, h),
+                        b if den == db else _scale(b, den // db, h), den)
+        return _normal(self.arith.rep_add(a, b), da, h)
 
-    def rep_add_mul(self, x, y, z, level=None):
+    def rep_add_mul(self, x, y, z):
         """x + y*z with one normalization: rep_add takes the product's pair unreduced."""
         if not x or not y or not z:
-            return self.rep_add(x, self.rep_mul(y, z, level), level)
-        return self.rep_add(x, (self.arith.rep_mul(y[0], z[0], level), y[1] * z[1]), level)
+            return self.rep_add(x, self.rep_mul(y, z))
+        return self.rep_add(x, (self.arith.rep_mul(y[0], z[0]), y[1] * z[1]))
 
-    def rep_neg(self, x, level=None):
-        return (self.arith.rep_neg(x[0], level), x[1]) if x else ()
+    def rep_neg(self, x):
+        return (self.arith.rep_neg(x[0]), x[1]) if x else ()
 
-    def rep_sub(self, x, y, level=None):
-        return self.rep_add(x, self.rep_neg(y, level), level)
+    def rep_sub(self, x, y):
+        return self.rep_add(x, self.rep_neg(y))
 
-    def rep_mul(self, x, y, level=None):
+    def rep_mul(self, x, y):
         if not x or not y:
             return ()
-        level = self.height if level is None else level
-        return _normal(self.arith.rep_mul(x[0], y[0], level), x[1] * y[1], level)
+        return _normal(self.arith.rep_mul(x[0], y[0]), x[1] * y[1], self.height)
 
-    def rep_inv(self, x, level=None):
-        level = self.height if level is None else level
+    def rep_inv(self, x):
         if not x:
             raise DivisionByZero("inverse of zero")
-        (num, den), ar, below = x, self.arith, level - 1
-        if level == 0:
+        (num, den), h = x, self.height
+        if h == 0:
             return (den, num) if num > 0 else (-den, -num)
         # stage X^2 + bX + c: num + conj(num) = 2 a0 - b a1, and num conj(num) lies below
-        a0, a1 = (num + (ar.rep_zero(below),))[:2]
-        tr = ar.rep_sub(_scale(a0, 2, below), ar.rep_mul(a1, ar.stages[below][1][1], below), below)
-        conj = (ar.rep_sub(ar.rep_lift(tr, below, level), num, level), 1)
-        (norm,), n_den = self.rep_mul(x, conj, level)
-        return self.rep_mul(conj, self.rep_lift(self.rep_inv((norm, n_den), below),
-                                                below, level), level)
+        ar, lower = self.arith, self.arith.below
+        a0, a1 = (num + (lower.rep_zero(),))[:2]
+        tr = lower.rep_sub(_scale(a0, 2, h - 1), lower.rep_mul(a1, ar.stages[-1][1][1]))
+        conj = (ar.rep_sub(ar.rep_lift(tr, h - 1), num), 1)
+        (norm,), n_den = self.rep_mul(x, conj)
+        return self.rep_mul(conj, self.rep_lift(self.below.rep_inv((norm, n_den)), h - 1))
 
-    def leaves(self, rep, level=None):
-        num, den = rep or (self.arith.rep_zero(level), 1)
-        return [Fraction(n * s, den) for n, s in zip(self.arith.leaves(num, level), self._scales)]
+    def leaves(self, rep):
+        num, den = rep or (self.arith.rep_zero(), 1)
+        return [Fraction(n * s, den) for n, s in zip(self.arith.leaves(num), self._scales)]
 
-    def from_leaves(self, leaves, level=None):
-        level = self.height if level is None else level
+    def from_leaves(self, leaves):
         vals = [Fraction(q) / s for q, s in zip(leaves, self._scales)]
         den = math.lcm(*(v.denominator for v in vals))
-        return _normal(self.arith.from_leaves([int(v * den) for v in vals], level), den, level)
+        return _normal(self.arith.from_leaves([int(v * den) for v in vals]), den, self.height)
 
-    def rep_lift(self, x, from_level, to_level):
-        return (self.arith.rep_lift(x[0], from_level, to_level), x[1]) if x else ()
+    def rep_lift(self, x, height):
+        return (self.arith.rep_lift(x[0], height), x[1]) if x else ()
 
 
 # -- polynomial helpers over a tower (coefficient lists of reps, ascending) ------
@@ -432,61 +419,64 @@ def _vectors(stream, n):
             yield (head,) + tail
 
 
-def _pmul(tower, f, g, level):
-    """Product of polynomials over `level`: a level + 1 product before reduction."""
+def _padd(tower, f, g):
+    """Sum of polynomials over `tower`."""
+    return _trim([tower.rep_add(a, b) for a, b in zip_longest(f, g, fillvalue=tower.rep_zero())])
+
+
+def _pmul(tower, f, g):
+    """Product of polynomials over `tower`: a product one level up before reduction."""
     if not f or not g:
         return []
-    out = [tower.rep_zero(level)] * (len(f) + len(g) - 1)
+    out = [tower.rep_zero()] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         if not fi:
             continue
         for j, gj in enumerate(g):
-            out[i + j] = tower.rep_add(out[i + j], tower.rep_mul(fi, gj, level), level)
+            out[i + j] = tower.rep_add(out[i + j], tower.rep_mul(fi, gj))
     return _trim(out)
 
 
-def _pdivmod(tower, f, g, level):
+def _pdivmod(tower, f, g):
     g = _trim(list(g))
     if not g:
         raise DivisionByZero("polynomial division by zero")
-    inv_lead = tower.rep_inv(g[-1], level)
-    q = [tower.rep_zero(level)] * max(0, len(f) - len(g) + 1)
+    inv_lead = tower.rep_inv(g[-1])
+    q = [tower.rep_zero()] * max(0, len(f) - len(g) + 1)
     r = _trim(list(f))
     while len(r) >= len(g):
-        c = tower.rep_mul(r[-1], inv_lead, level)
+        c = tower.rep_mul(r[-1], inv_lead)
         k = len(r) - len(g)
-        q[k] = tower.rep_add(q[k], c, level)
+        q[k] = tower.rep_add(q[k], c)
         for i, gi in enumerate(g):
-            r[k + i] = tower.rep_sub(r[k + i], tower.rep_mul(c, gi, level), level)
+            r[k + i] = tower.rep_sub(r[k + i], tower.rep_mul(c, gi))
         r.pop()
         _trim(r)
     return _trim(q), r
 
 
-def _pmonic(tower, f, level):
+def _pmonic(tower, f):
     f = _trim(list(f))
     if not f:
         return f
-    inv = tower.rep_inv(f[-1], level)
-    return [tower.rep_mul(c, inv, level) for c in f]
+    inv = tower.rep_inv(f[-1])
+    return [tower.rep_mul(c, inv) for c in f]
 
 
-def _pgcd(tower, f, g, level):
+def _pgcd(tower, f, g):
     f, g = _trim(list(f)), _trim(list(g))
     while g:
-        f, g = g, _pdivmod(tower, f, g, level)[1]
-    return _pmonic(tower, f, level)
+        f, g = g, _pdivmod(tower, f, g)[1]
+    return _pmonic(tower, f)
 
 
-def _ppowmod(tower, f, n, mod, level):
-    return binary_power(_pdivmod(tower, f, mod, level)[1], n, [tower.rep_one(level)],
-                        lambda a, b: _pdivmod(tower, _pmul(tower, a, b, level), mod,
-                                              level)[1])
+def _ppowmod(tower, f, n, mod):
+    return binary_power(_pdivmod(tower, f, mod)[1], n, [tower.rep_one()],
+                        lambda a, b: _pdivmod(tower, _pmul(tower, a, b), mod)[1])
 
 
-def _pderiv(tower, f, level):
-    return _trim([tower.rep_mul(c, tower.rep_from_int(i, level), level)
-                  for i, c in enumerate(f)][1:])
+def _pderiv(tower, f):
+    return _trim([tower.rep_mul(c, tower.rep_from_int(i)) for i, c in enumerate(f)][1:])
 
 
 def _poly_key(tower, f):
@@ -496,32 +486,32 @@ def _poly_key(tower, f):
 # -- factorization over finite towers ------------------------------------------
 
 
-def _squarefree_parts(tower, f, level):
+def _squarefree_parts(tower, f):
     """[(g_i, i)] with f = prod g_i^i, g_i squarefree monic, char-p aware."""
     p = tower.base[1]
-    f = _pmonic(tower, f, level)
+    f = _pmonic(tower, f)
     out = []
 
     def rec(f, mult):
         if len(f) <= 1:
             return
-        df = _pderiv(tower, f, level)
+        df = _pderiv(tower, f)
         if not df:
             # f = g(x^p): take p-th roots of coefficients
             q = tower.cardinality()
-            g = [tower.rep_pow(f[i], q // p, level) for i in range(0, len(f), p)]
+            g = [tower.rep_pow(f[i], q // p) for i in range(0, len(f), p)]
             rec(g, mult * p)
             return
-        c = _pgcd(tower, f, df, level)
-        w = _pdivmod(tower, f, c, level)[0]
+        c = _pgcd(tower, f, df)
+        w = _pdivmod(tower, f, c)[0]
         i = 1
         while len(w) > 1:
-            y = _pgcd(tower, w, c, level)
-            z = _pdivmod(tower, w, y, level)[0]
+            y = _pgcd(tower, w, c)
+            z = _pdivmod(tower, w, y)[0]
             if len(z) > 1:
                 out.append((z, mult * i))
             w = y
-            c = _pdivmod(tower, c, y, level)[0]
+            c = _pdivmod(tower, c, y)[0]
             i += 1
         if len(c) > 1:
             rec(c, mult)
@@ -536,58 +526,58 @@ def _squarefree_parts(tower, f, level):
                                             key=lambda km: _poly_key(tower, list(km[0])))]
 
 
-def _distinct_degree(tower, f, level):
+def _distinct_degree(tower, f):
     """[(product-of-irreducibles-of-degree-d, d)] for squarefree f."""
     q = tower.cardinality()
     out = []
-    x = [tower.rep_zero(level), tower.rep_one(level)]
-    h = list(x)
+    h = [tower.rep_zero(), tower.rep_one()]
+    minus_x = [tower.rep_zero(), tower.rep_from_int(-1)]
     d = 0
     f = list(f)
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = _ppowmod(tower, h, q, f, level)
-        g = _pgcd(tower, tower.rep_sub(h, x, level + 1), f, level)
+        h = _ppowmod(tower, h, q, f)
+        g = _pgcd(tower, _padd(tower, h, minus_x), f)
         if len(g) > 1:
             out.append((g, d))
-            f = _pdivmod(tower, f, g, level)[0]
-            h = _pdivmod(tower, h, f, level)[1]
+            f = _pdivmod(tower, f, g)[0]
+            h = _pdivmod(tower, h, f)[1]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
 
 
-def _witness_candidates(tower, degree, level):
+def _witness_candidates(tower, degree):
     """Lazy stream of nonconstant polys of degree < degree, by degree; in each
     degree the monic ones first (X + a for degree 1), then the rest, each by key."""
-    one, elements = tower.rep_one(level), partial(tower.enumerate_elements, level)
+    one, elements = tower.rep_one(), tower.enumerate_elements
     for d in range(1, degree):
         yield from ([*v, one] for v in _vectors(elements, d))
         yield from (list(v) for v in _vectors(elements, d + 1) if v[-1] and v[-1] != one)
 
 
-def _equal_degree_split(tower, f, d, level):
+def _equal_degree_split(tower, f, d):
     """Factor squarefree f = product of irreducibles of equal degree d."""
     if len(f) - 1 == d:
         return [f]
     q = tower.cardinality()
     p = tower.base[1]
-    for h in _witness_candidates(tower, len(f) - 1, level):
+    for h in _witness_candidates(tower, len(f) - 1):
         if p == 2:
             # trace map sum h^(2^i) over the degree-d extension
             e = q.bit_length() - 1  # q = 2^e
             t = list(h)
             acc = list(h)
             for _ in range(e * d - 1):
-                t = _ppowmod(tower, t, 2, f, level)
-                acc = tower.rep_add(acc, t, level + 1)
-            g = _pgcd(tower, acc, f, level)
+                t = _ppowmod(tower, t, 2, f)
+                acc = _padd(tower, acc, t)
+            g = _pgcd(tower, acc, f)
         else:
-            w = _ppowmod(tower, h, (q ** d - 1) // 2, f, level)
-            g = _pgcd(tower, tower.rep_sub(w, [tower.rep_one(level)], level + 1), f, level)
+            w = _ppowmod(tower, h, (q ** d - 1) // 2, f)
+            g = _pgcd(tower, _padd(tower, w, [tower.rep_from_int(-1)]), f)
         if 0 < len(g) - 1 < len(f) - 1:
-            left = _equal_degree_split(tower, g, d, level)
-            right = _equal_degree_split(tower, _pdivmod(tower, f, g, level)[0], d, level)
+            left = _equal_degree_split(tower, g, d)
+            right = _equal_degree_split(tower, _pdivmod(tower, f, g)[0], d)
             return left + right
     raise RuntimeError("equal-degree split found no separating witness")
 
@@ -598,16 +588,14 @@ def factor_poly(tower, coeffs):
     coeffs: list of CoeffElem (ascending).  Returns (unit, [(poly, mult)])
     with polys as CoeffElem lists, canonically sorted.
     """
-    level = tower.height
-    f = [c.rep for c in coeffs]
-    f = _trim(f)
+    f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
         raise ValueError("cannot factor a constant")
     unit = CoeffElem(tower, f[-1])
     out = []
-    for g, m in _squarefree_parts(tower, f, level):
-        for h, d in _distinct_degree(tower, g, level):
-            for irr in _equal_degree_split(tower, h, d, level):
+    for g, m in _squarefree_parts(tower, f):
+        for h, d in _distinct_degree(tower, g):
+            for irr in _equal_degree_split(tower, h, d):
                 out.append((irr, m))
     out.sort(key=lambda fm: _poly_key(tower, fm[0]))
     wrapped = [([CoeffElem(tower, c) for c in g], m) for g, m in out]
@@ -752,7 +740,7 @@ def _rational_roots(coeffs):
 
 
 def _q_const(tower, q):
-    return CoeffElem(tower, tower.rep_lift(tower.from_leaves([q], 0), 0, tower.height))
+    return CoeffElem(tower, tower.from_leaves([q] + [0] * (tower._sizes[-1] - 1)))
 
 
 def _rep_to_fraction(tower, rep):
@@ -770,7 +758,7 @@ def _q_roots_in_tower(tower, f):
         # X^2 = -c/a, rational roots found above: at a stage X^2 + m0, whose
         # generator g has g^2 = -m0, the roots r*g with r^2 = (c/a)/m0
         for k, (_, (m0, m1, _)) in enumerate(tower.stages):
-            q = None if m1 else _rep_to_fraction(tower, tower.rep_lift(m0, k, tower.height))
+            q = None if m1 else _rep_to_fraction(tower, tower.rep_lift(m0, k))
             if q:
                 g = CoeffElem.generator(tower, k)
                 roots += [_q_const(tower, r) * g
@@ -778,7 +766,7 @@ def _q_roots_in_tower(tower, f):
     # stage generators g and their conjugates -b - g (stage X^2 + bX + c) are candidates too
     for k in range(tower.height):
         g = CoeffElem.generator(tower, k)
-        b = CoeffElem(tower, tower.rep_lift(tower.stages[k][1][1], k, tower.height))
+        b = CoeffElem(tower, tower.rep_lift(tower.stages[k][1][1], k))
         roots.extend([g, -g, -b - g])
     return sorted(roots, key=lambda c: c.sort_key())
 
@@ -795,7 +783,7 @@ def _split_finite(tower, f):
         if stage is None:
             stage = tuple(c.rep for c in fac)
         for _ in range(m):
-            rest = _pmul(tower, rest, [c.rep for c in fac], tower.height)
+            rest = _pmul(tower, rest, [c.rep for c in fac])
     return roots, rest, stage
 
 
@@ -808,7 +796,7 @@ def _split_rational(tower, f):
     for r in _q_roots_in_tower(tower, f):
         m = 0
         while True:
-            q, rem = _pdivmod(tower, f, [tower.rep_neg(r.rep), tower.rep_one()], tower.height)
+            q, rem = _pdivmod(tower, f, [tower.rep_neg(r.rep), tower.rep_one()])
             if rem:
                 break
             f, m = q, m + 1
@@ -865,7 +853,7 @@ def _solve(tower, f):
         found.extend(roots)
         if stage is not None:
             tower = tower.adjoin(stage)
-            f = [tower.rep_lift(c, tower.height - 1, tower.height) for c in f]
+            f = [tower.rep_lift(c, tower.height - 1) for c in f]
     roots = [(CoeffElem(tower, tower.coerce_rep(r.rep, r.tower)), m) for r, m in found]
     return tower, sorted(roots, key=lambda rm: rm[0].sort_key())
 
@@ -921,14 +909,18 @@ class WittRing(FieldTower):
     def __init__(self, tower, precision):
         if tower.base[0] != 'F':
             raise ValueError("Witt coefficients need a finite residue tower")
-        super().__init__(tower.base, tower.stages)
         self._residue_tower, self.p, self.precision = tower, tower.base[1], int(precision)
+        super().__init__(tower.base, tower.stages)  # which reads them in _lower
         self.modulus = self.leaf_mod = self.p ** self.precision
 
     @property
     def tower(self):
         """The residue tower."""
         return self._residue_tower
+
+    def _lower(self):
+        """The ring of the same precision, mod p^N, over the residue tower's `below`."""
+        return self.over(self.tower.below)
 
     def rep_inv(self, x):
         """The inverse of a unit: modular at height 0, else Newton's iteration

@@ -25,6 +25,24 @@ def test_seeds_and_the_alternating_order():
     assert ab.order(3602) == ("parent", "change")
 
 
+def test_main_records_the_seeds_as_given(monkeypatch, tmp_path):
+    ran = []
+
+    def fake_run_one(checkout, workload, seed, seconds):
+        ran.append(seed)
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m: {"value": 0.01, "unit": "s"} for m in ab.METRICS}}
+
+    monkeypatch.setattr(ab, "run_one", fake_run_one)
+    monkeypatch.setattr(ab, "_revision", lambda checkout: None)
+    out = tmp_path / "bench.json"
+    ab.main([str(tmp_path), str(tmp_path), "--seeds", "5,7,9", "--out", str(out),
+             "--what", "seeds", "--workloads", "expand-t"])
+    # a list of seeds is recorded as it was given, not as the range 5-9
+    assert json.loads(out.read_text())["seeds"] == "5,7,9"
+    assert ran == [5, 5, 7, 7, 9, 9]
+
+
 def test_summary_median_iqr_and_delta_of_canned_runs():
     parent = [0.030, 0.031, 0.029, 0.032, 0.028]
     change = [0.027, 0.028, 0.026, 0.029, 0.025]

@@ -1023,8 +1023,7 @@ def _o_carry(s):
     n_digits = witt.precision
     p = witt.p
     tower = ring.tower
-    exact = FieldTower(tower.base, tower.stages)
-    exact.leaf_mod = None  # the same stages over Z: exact integer leaves
+    exact = FieldTower(('Q',), tower.stages)  # the same stages over Z: exact integer leaves
     height = tower.height
     out = []
     prec, closed = s._raw_prec, s._raw_closed

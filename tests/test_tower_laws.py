@@ -73,6 +73,9 @@ _DOMAINS = {
                               _stage([0, 1], [1, 0], [1, 0]))),  # X^2 + X + w
     "W(F5)": (5, 3, ()),
     "W(F9)": (3, 3, (_stage([1], [0], [1]),)),
+    # the stages of "F16 over F4" mod 2^4: a product reduces mod 16 at both levels
+    "W(F16 over F4)": (2, 4, (_stage([1], [1], [1]),
+                              _stage([0, 1], [1, 0], [1, 0]))),
 }
 
 
@@ -82,7 +85,7 @@ def _domain(name):
     p, precision, stages = _DOMAINS[name]
     tower = FieldTower.rationals() if p is None else FieldTower.prime_field(p)
     for k, mp in enumerate(stages):
-        tower = tower.adjoin(tuple(tower.from_leaves(c, k) for c in mp))
+        tower = tower.adjoin(tuple(tower.from_leaves(c) for c in mp))
     if precision is None:
         return (Dense(p, stages), lambda v: CoeffElem(tower, tower.from_leaves(v)),
                 lambda x: list(tower.leaves(x.rep)))

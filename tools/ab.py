@@ -158,13 +158,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--seeds", required=True, type=parse_seeds)
+    ap.add_argument("--seeds", required=True, help="3601-3610 or 5,7,9, recorded as given")
     ap.add_argument("--out", required=True)
     ap.add_argument("--what", required=True)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--seconds", type=float, default=16)
     ap.add_argument("--claim", default=None, help="workload:metric")
     args = ap.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError:
+        ap.error(f"argument --seeds: invalid value {args.seeds!r}")
     seconds = f"{args.seconds:g}"
     workloads = args.workloads.split(",")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -179,12 +183,12 @@ def main(argv=None):
         "order": f"for each seed, each of {', '.join(workloads)}; odd seeds ran the change "
                  "first and even seeds the parent first; one run at a time, each in its own "
                  "checkout with __pycache__ removed before the run (tools/ab.py)",
-        "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
+        "seeds": args.seeds,
         "claim": None,
         "summary": {},
         "runs": [],
     }
-    for seed in args.seeds:
+    for seed in seeds:
         for workload in workloads:
             for side in order(seed):
                 result = run_one(checkouts[side], workload, seed, seconds)
