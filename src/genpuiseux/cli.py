@@ -19,7 +19,7 @@ from .coeff import FieldTower, WittRing
 from .embed import expand, monomial_embedding
 from .errors import EngineError, ParseError
 from .groups import INF, GroupDescriptor, cmp, weight_text
-from .keypoly import ValPoly, derivative_min_check, group_text
+from .keypoly import ValPoly, derivative_min_check
 from .series import (GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, bounded_power,
                      bounded_product, check_terms, read_expr)
 from .truncalg import (
@@ -413,8 +413,7 @@ def _stage_readings(state, read, with_beta):
     with_beta), leaving out the readings that raise an EngineError."""
     for entry in state.chain.entries:
         eps = entry.epsilon
-        if eps is INF or (state.beta is not INF
-                          and cmp(eps, state.beta) >= (1 if with_beta else 0)):
+        if eps is INF or cmp(eps, state.beta) >= (1 if with_beta else 0):
             continue
         try:
             out = read(eps, state)
@@ -429,7 +428,7 @@ def _check_ent(res, rng, trials):
         # the relation's degree is max U0 and its top coefficient a unit monomial
         if (not rel.monomials or max(rel.monomials) != rel.degree
                 or len(rel.monomials[rel.degree].terms) != 1
-                or (rel.residual_val is not INF and cmp(rel.residual_val, rel.lam) < 0)):
+                or cmp(rel.residual_val, rel.lam) < 0):
             return False, rel.residual_val
         if worst is INF:
             worst = rel.residual_val
@@ -459,7 +458,7 @@ def cmd_verify(spec, budget=None, prec=None):
     rng = random.Random(spec.seed)
     results = [(name, *_CHECKS[name](res, rng, spec.trials)) for name in spec.verify]
     return (0 if all(ok for _, ok, _ in results) else 1), "\n".join(
-        f"check={name} status={'PASS' if ok else 'FAIL'} residual_val={group_text(rv)}"
+        f"check={name} status={'PASS' if ok else 'FAIL'} residual_val={rv}"
         for name, ok, rv in results)
 
 

@@ -911,7 +911,7 @@ class WittRing(FieldTower):
             raise ValueError("Witt coefficients need a finite residue tower")
         self._residue_tower, self.p, self.precision = tower, tower.base[1], int(precision)
         super().__init__(tower.base, tower.stages)  # which reads them in _lower
-        self.modulus = self.leaf_mod = self.p ** self.precision
+        self.leaf_mod = self.p ** self.precision
 
     @property
     def tower(self):
@@ -929,7 +929,7 @@ class WittRing(FieldTower):
         if not residue:
             raise NonUnit("Witt element with zero residue digit")
         if not self.height:
-            return pow(x, -1, self.modulus)
+            return pow(x, -1, self.leaf_mod)
         y, two = tower.rep_inv(residue), self.rep_from_int(2)
         for _ in range(max(1, self.precision).bit_length() + 1):
             y = self.rep_mul(y, self.rep_sub(two, self.rep_mul(x, y)))

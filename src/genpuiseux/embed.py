@@ -30,7 +30,6 @@ from .keypoly import (
     constant_gap,
     extend_chain,
     geometric_limit,
-    group_text,
     initial_chain,
     shift_taylor,
     taylor_at,
@@ -214,10 +213,10 @@ def residual_equation(state):
 
 def _record(state, coeff_text, beta_plus, branch, note=""):
     rec = {
-        "beta": group_text(state.beta),
+        "beta": str(state.beta),
         "coeff": coeff_text,
         "i_beta": state.i_beta,
-        "beta_plus": group_text(beta_plus),
+        "beta_plus": str(beta_plus),
         "branch": branch,
     }
     if note:
@@ -234,8 +233,7 @@ def step(state):
         return replace(state, status=COMPLETE)
 
     if len(eq := residual_equation(state)) == 1:  # no root to take: a typed end
-        raise EngineInvariantViolation("constant residue equation at beta="
-                                       + group_text(state.beta))
+        raise EngineInvariantViolation(f"constant residue equation at beta={state.beta}")
     try:
         tower2, roots = solve_in_closure(state.ring.tower, eq)
     except IrreducibleOverRationals:
@@ -270,21 +268,17 @@ def step(state):
     # stage polynomial (at a boundary, the new one) attains at the moved partial
     entry = chain.entry(len(chain) if boundary else i_b)
     q_eval = moved.eval_at_partial(entry.poly, entry)
-    beta_tilde = INF if q_eval.is_exact_zero() else q_eval.val()
+    beta_tilde = q_eval.val()
     eps_tilde = entry.epsilon_for(beta_tilde)[1]
     if beta_tilde is INF and not boundary:
         beta_plus = INF  # the stage polynomial vanishes exactly at the partial
     else:
         beta_plus = gmin(eps_tilde, entry.epsilon)
 
-    if eps_tilde is not INF and cmp(eps_tilde, state.beta) < 0:
-        raise EngineInvariantViolation(
-            f"epsilon-tilde {group_text(eps_tilde)} fell below beta "
-            f"{group_text(state.beta)}")
-    if beta_plus is not INF and cmp(beta_plus, state.beta) <= 0:
-        raise EngineInvariantViolation(
-            f"no progress: beta_plus {group_text(beta_plus)} <= beta "
-            f"{group_text(state.beta)}")
+    if cmp(eps_tilde, state.beta) < 0:
+        raise EngineInvariantViolation(f"epsilon-tilde {eps_tilde} fell below beta {state.beta}")
+    if cmp(beta_plus, state.beta) <= 0:
+        raise EngineInvariantViolation(f"no progress: beta_plus {beta_plus} <= beta {state.beta}")
 
     trace = _record(state, coeff_text, beta_plus, "STEP")
     new_state = replace(moved, beta=beta_plus, chain=chain, trace=trace,
@@ -317,9 +311,9 @@ def limit_signature(state):
     if geo is None:
         return None
     sup = geo[1]
-    if entry.epsilon is not INF and cmp(sup, entry.epsilon) > 0:
+    if cmp(sup, entry.epsilon) > 0:
         return None
-    if state.beta is not INF and cmp(state.beta, sup) >= 0:
+    if cmp(state.beta, sup) >= 0:
         return None  # the accumulation point is already behind us
     return entry.poly
 
@@ -350,12 +344,10 @@ def limit_step(state):
         nxt = head[-1][0] + delta
         head.append((nxt, c_rep))
         probe = probe + ring.monomial(nxt, c_rep)
-        evv = flim.eval(probe)
-        if evv.is_exact_zero():
-            check_vals.append(INF)
+        check_vals.append(flim.eval(probe).val())
+        if check_vals[-1] is INF:
             break
-        check_vals.append(evv.val())
-    if len(check_vals) >= 3 and check_vals[-1] is not INF:
+    else:
         inc1 = check_vals[1] - check_vals[0]
         inc2 = check_vals[2] - check_vals[1]
         if cmp(inc1, inc2.scale_unchecked(p)) != 0:

@@ -320,10 +320,17 @@ class GroupElement:
         """q1*g1 + q2*g2 + ...; series text reads it back as ``t^(...)``."""
         return " + ".join(f"{c}*g{j + 1}" for j, c in enumerate(self.coords))
 
+    def __str__(self):
+        """The short form of reports: the rational value bare, else to_text."""
+        q = self.rational_value()
+        return self.to_text() if q is None else str(q)
+
 
 class _Infinity:
-    """Order-topped sentinel used for exact roots and unbounded precision.
-    It defines no comparison: groups.cmp orders it."""
+    """The top value: v(0), exact roots and unbounded precision.  It defines
+    no comparison (groups.cmp orders it); it absorbs what is added to it or
+    taken from it and a scale by q > 0, while inf - inf, -inf and a scale
+    by q <= 0 raise."""
 
     _instance = None
 
@@ -337,8 +344,18 @@ class _Infinity:
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        if other is INF:
+            raise ArithmeticError("inf - inf is undefined")
+        return INF
+
     def __neg__(self):
         raise ArithmeticError("cannot negate infinity")
+
+    def scale_unchecked(self, q):
+        if q > 0:
+            return INF
+        raise ArithmeticError(f"cannot scale infinity by {q}")
 
     def __repr__(self):
         return "inf"
@@ -357,11 +374,9 @@ def cmp(a, b):
     return a.descriptor.compare(a, b)
 
 
-def gmin(*elems):
-    best = None
+def gmin(best, *elems):
+    """The least of the values (INF allowed), the first of equal ones."""
     for e in elems:
-        if e is None:
-            continue
-        if best is None or cmp(e, best) < 0:
+        if cmp(e, best) < 0:
             best = e
     return best

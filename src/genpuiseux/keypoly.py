@@ -24,7 +24,7 @@ from .errors import (
     ValuationIndeterminate,
     ZeroPolynomial,
 )
-from .groups import INF, cmp, gmin
+from .groups import INF, cmp
 from .series import GenSeries, eval_poly
 
 
@@ -187,8 +187,7 @@ def taylor_at(P, s, lowest=0):
 def taylor_min(vec, beta):
     """The T-graded minimum of a Taylor vector at beta: the least
     nu(vec[k]) + k*beta over its non-zero entries, and the k attaining it."""
-    return level_and_ties((k, ev.val() + beta.scale_unchecked(k))
-                          for k, ev in enumerate(vec) if not ev.is_exact_zero())
+    return level_and_ties((k, ev.val() + beta.scale_unchecked(k)) for k, ev in enumerate(vec))
 
 
 def shift_taylor(vec, m):
@@ -203,14 +202,6 @@ def shift_taylor(vec, m):
         for k in range(len(out) - 2, low - 1, -1):
             out[k] = out[k].add_mul(out[k + 1], m)
     return out
-
-
-def group_text(g):
-    """Short text for chain reports: rationals bare, else the coordinate form."""
-    if g is INF:
-        return "inf"
-    q = g.rational_value()
-    return g.to_text() if q is None else str(q)
 
 
 @dataclass(frozen=True)
@@ -236,7 +227,7 @@ class ChainEntry:
 def _max_drop(levels, p, value):
     best_b, best = None, None
     for b, v in levels:
-        cand = INF if value is INF else (value - v).scale_unchecked(Fraction(1, p ** b))
+        cand = (value - v).scale_unchecked(Fraction(1, p ** b))
         if best is None or cmp(cand, best) > 0:
             best_b, best = b, cand
     return best_b, best
@@ -297,7 +288,7 @@ class KeyPolyChain:
     def index_for(self, beta):
         """Smallest 1-based i with beta <= epsilon_i, or len+1 when none."""
         for i, e in enumerate(self.entries, start=1):
-            if e.epsilon is INF or cmp(beta, e.epsilon) <= 0:
+            if cmp(beta, e.epsilon) <= 0:
                 return i
         return len(self.entries) + 1
 
@@ -314,8 +305,8 @@ class KeyPolyChain:
     def report(self):
         texts = _per_poly(self.entries, ValPoly.to_text)
         return "\n".join(
-            f"{i}: Q_{i}={texts[id(e.poly)]} beta={group_text(e.beta)} "
-            f"b={e.b_order} eps={group_text(e.epsilon)} alpha={e.alpha}"
+            f"{i}: Q_{i}={texts[id(e.poly)]} beta={e.beta} "
+            f"b={e.b_order} eps={e.epsilon} alpha={e.alpha}"
             for i, e in enumerate(self.entries, start=1))
 
 
@@ -375,8 +366,7 @@ def _expansion_levels(f, chain, i):
         values = [truncated_val(c, chain, i - 1)[0] for c in cs]
     beta = entry.beta
     level, ties = level_and_ties(
-        (j, v if not j or v is INF else INF if beta is INF else beta.scale_unchecked(j) + v)
-        for j, v in enumerate(values))
+        (j, beta.scale_unchecked(j) + v if j else v) for j, v in enumerate(values))
     return cs, level, ties
 
 
@@ -408,11 +398,8 @@ def first_exponent(F):
     if F.coeff(0).is_exact_zero():
         return INF  # 0 is an exact root
 
-    def slope(j):
-        c = F.coeff(j)
-        return INF if c.is_exact_zero() else c.val().scale_unchecked(Fraction(1, d - j))
-
-    return level_and_ties((j, slope(j)) for j in range(d))[0]
+    return level_and_ties((j, F.coeff(j).val().scale_unchecked(Fraction(1, d - j)))
+                          for j in range(d))[0]
 
 
 def initial_chain(ring, F, var="y"):
@@ -527,8 +514,7 @@ def extend_chain(chain, F, partial, f_at_partial=None):
     if q_new == F:
         # refresh the defining-polynomial entry against the longer partial
         ev = F.eval(partial) if f_at_partial is None else f_at_partial
-        beta = INF if ev.is_exact_zero() else ev.val()
-        return _append_with_invariants(chain, F, beta, alpha=delta)
+        return _append_with_invariants(chain, F, ev.val(), alpha=delta)
 
     # polygon-assigned value: min over j >= 1 of (nu(c_0) - nu(c_j)) / j
     # over the expansion of F in the new polynomial, kept for the next extension
@@ -542,19 +528,14 @@ def extend_chain(chain, F, partial, f_at_partial=None):
             for j, vj in enumerate(values) if j)
         expansion = (F, tuple(cs_new), tuple(values))
     beta = INF if beta is None else beta
-    if beta is not INF and last.beta is not INF:
-        floor_val = last.beta.scale_unchecked(delta)
-        if cmp(beta, floor_val) <= 0:
-            raise EngineInvariantViolation(
-                "augmented value does not exceed the previous level")
+    if cmp(beta, last.beta.scale_unchecked(delta)) <= 0:  # last.beta is finite
+        raise EngineInvariantViolation("augmented value does not exceed the previous level")
     return _append_with_invariants(chain, q_new, beta, alpha=delta, expansion=expansion)
 
 
 def _append_with_invariants(chain, q_new, beta, alpha, expansion=None):
     entry = chain_entry(chain, q_new, beta, alpha, expansion)
-    prev_eps = chain.entries[-1].epsilon if chain.entries else INF
-    if (entry.epsilon is not INF and prev_eps is not INF
-            and cmp(entry.epsilon, prev_eps) <= 0):
+    if chain.entries and cmp(entry.epsilon, chain.entries[-1].epsilon) <= 0:
         raise EngineInvariantViolation("epsilon sequence failed to increase strictly")
     return chain.appended(entry)
 
@@ -566,27 +547,26 @@ def derivative_min_check(h, chain, i, root):
     (pullback) and the truncated values of D^a h shifted by a*beta.  The
     true values are h's Taylor vector at the root (``taylor_at``), the
     truncated ones are read from h's kept derivatives, and nu_i(h) is the
-    truncated value at a = 0.
+    truncated value at a = 0.  Both minima are read as ``taylor_min`` reads
+    its vector, over the finite values; a minimum with none is None.
+    epsilon_i must be finite.
     """
     beta = chain.entry(i).epsilon
 
     def true_val(ev):
         try:
-            return INF if ev.is_exact_zero() else ev.val()
+            return ev.val()
         except ValuationIndeterminate:
             return INF
 
-    def shifted(v, a):  # v + a*beta, or None when either is INF
-        return None if v is INF or beta is INF else v + beta.scale_unchecked(a)
+    def least(values):  # min over a of values[a] + a*beta
+        return level_and_ties((a, v + beta.scale_unchecked(a)) for a, v in enumerate(values))[0]
 
     lhs = truncated_val(h, chain, i)[0]
-    mid = rhs = None
-    for a, ev in enumerate(taylor_at(h, root)):
-        uv = lhs if a == 0 else truncated_val(h.hasse_derivative(a), chain, i)[0]
-        mid = gmin(mid, shifted(true_val(ev), a))
-        rhs = gmin(rhs, shifted(uv, a))
-    ok = (lhs is not INF and mid is not None and rhs is not None
-          and cmp(lhs, mid) == 0 and cmp(lhs, rhs) == 0)
+    mid = least(map(true_val, taylor_at(h, root)))
+    rhs = least([lhs] + [truncated_val(h.hasse_derivative(a), chain, i)[0]
+                         for a in range(1, h.degree() + 1)])
+    ok = mid is not None and rhs is not None and cmp(lhs, mid) == 0 == cmp(lhs, rhs)
     return {
         "nu_i": lhs,
         "min_true": mid,

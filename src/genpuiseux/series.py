@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .coeff import CoeffElem, binary_power
 from .errors import (
+    DivisionByZero,
     EngineInvariantViolation,
     NonUnit,
     ParseError,
@@ -192,20 +193,24 @@ class GenSeries:
         return not _prec_lt(prec, prec_closed, bound, closed)
 
     def val(self):
-        """Least exponent of the support; raises when only bounded below."""
+        """Least exponent of the support, INF for the exact zero; raises when
+        only bounded below."""
         terms, prec, _ = self._normalized()
         if terms:
             return terms[0][0]
         if prec is INF:
-            raise ValuationIndeterminate("valuation of the zero series is undefined")
+            return INF
         raise ValuationIndeterminate(
             "series is 0 up to precision; valuation only bounded below",
             bound=prec)
 
     def leading_term(self):
+        """The least (exponent, coefficient) pair; the exact zero has none."""
         terms, _, _ = self._normalized()
         if not terms:
-            self.val()  # raises with the right diagnostics
+            if self.is_exact_zero():
+                raise ValuationIndeterminate("the zero series has no leading term")
+            self.val()  # raises with the precision bound
         return terms[0]
 
     # -- ring operations ---------------------------------------------------------
@@ -335,6 +340,8 @@ class GenSeries:
     def inv(self, prec=None):
         """Inverse of a unit (valuation 0), to the requested precision."""
         v = self.val()  # raises if indeterminate
+        if v is INF:
+            raise DivisionByZero("inverse of the zero series")
         if not v.is_zero():
             raise NonUnit("inverse only defined for valuation-0 units")
         lead = self.terms[0][1]

@@ -136,11 +136,9 @@ def _derivative_levels(f, beta, state):
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
 
-    def level(b):
-        vb = truncated_val(f.hasse_derivative(b), chain, i_stage)[0]
-        return INF if vb is INF else vb + beta.scale_unchecked(b)
-
-    lam, U = level_and_ties((b, level(b)) for b in range(1, f.degree() + 1))
+    lam, U = level_and_ties(
+        (b, truncated_val(f.hasse_derivative(b), chain, i_stage)[0] + beta.scale_unchecked(b))
+        for b in range(1, f.degree() + 1))
     if lam is None:
         raise ValuationIndeterminate("no determinate derivative level")
     vec = state.taylor_of(f, U[0])  # no order below U is read
@@ -193,8 +191,7 @@ def taylor_form(f, beta, state, mode="OPEN"):
 
     def truncation_exact(i):
         for b, ev in leading.items():
-            v_tr = truncated_val(f.hasse_derivative(b), chain, i)[0]
-            if v_tr is INF or cmp(v_tr, ev.val()) != 0:
+            if cmp(truncated_val(f.hasse_derivative(b), chain, i)[0], ev.val()) != 0:
                 return False
         return True
 
@@ -268,13 +265,10 @@ def integral_dependence(beta, state):
         beta_eff = eps_prev[-1] if eps_prev else chain.entry(1).beta
     form = taylor_form(q_poly, beta_eff, state, mode="OPEN")
     acc = form.relation_value()
-    if acc.is_exact_zero():
-        rv = INF
-    else:
-        try:
-            rv = acc.val()
-        except ValuationIndeterminate as err:
-            rv = err.bound if err.bound is not None else INF
+    try:
+        rv = acc.val()
+    except ValuationIndeterminate as err:
+        rv = err.bound
     degree = max(form.monomials) if form.monomials else 0
     return IntegralDependence(degree, form.monomials, form.constant,
                               form.center, rv, form.lam)

@@ -43,6 +43,48 @@ def test_main_records_the_seeds_as_given(monkeypatch, tmp_path):
     assert ran == [5, 5, 7, 7, 9, 9]
 
 
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_source_digest_reads_the_package_sources_of_each_tree(tmp_path):
+    files = {"src/genpuiseux/a.py": "x = 1\n", "src/genpuiseux/b.py": "y = 2\n"}
+    a = _tree(tmp_path / "a", files)
+    b = _tree(tmp_path / "b", files)
+    digest = ab.source_digest(a)
+    assert len(digest) == 64 and ab.source_digest(b) == digest
+    # files outside src/genpuiseux/*.py do not count
+    _tree(b, {"README.md": "text", "src/genpuiseux/notes.txt": "z", "tests/test_a.py": "t"})
+    assert ab.source_digest(b) == digest
+    # a changed byte, a renamed file and text moved between files each change it
+    variants = [{"src/genpuiseux/a.py": "x = 3\n", "src/genpuiseux/b.py": "y = 2\n"},
+                {"src/genpuiseux/a.py": "x = 1\n", "src/genpuiseux/c.py": "y = 2\n"},
+                {"src/genpuiseux/a.py": "x = 1\ny = 2\n", "src/genpuiseux/b.py": ""}]
+    for k, variant in enumerate(variants):
+        assert ab.source_digest(_tree(tmp_path / f"v{k}", variant)) != digest, variant
+
+
+def test_main_records_the_sources_of_both_sides(monkeypatch, tmp_path):
+    parent = _tree(tmp_path / "parent", {"src/genpuiseux/a.py": "x = 1\n"})
+    change = _tree(tmp_path / "change", {"src/genpuiseux/a.py": "x = 2\n"})
+    monkeypatch.setattr(ab, "run_one", lambda checkout, workload, seed, seconds: {
+        "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {m: {"value": 0.01, "unit": "s"} for m in ab.METRICS}})
+    monkeypatch.setattr(ab, "_revision", lambda checkout: "abc1234")
+    out = tmp_path / "bench.json"
+    ab.main([str(parent), str(change), "--seeds", "5", "--out", str(out),
+             "--what", "sources", "--workloads", "expand-t"])
+    doc = json.loads(out.read_text())
+    assert doc["parent"] == "abc1234"
+    assert doc["sources"] == {"parent": ab.source_digest(parent),
+                              "change": ab.source_digest(change)}
+    assert doc["sources"]["parent"] != doc["sources"]["change"]
+
+
 def test_summary_median_iqr_and_delta_of_canned_runs():
     parent = [0.030, 0.031, 0.029, 0.032, 0.028]
     change = [0.027, 0.028, 0.026, 0.029, 0.025]

@@ -429,6 +429,16 @@ def test_main_engine_error_exits_1(tmp_path, capsys):
     assert captured.err == "engine error: open truncation beyond stored precision\n"
 
 
+@pytest.mark.parametrize("zero", ["t - t", "z"])
+def test_inv_of_the_exact_zero_is_an_engine_error(tmp_path, capsys, zero):
+    # v(0) is inf, and the zero series has no inverse at any precision
+    path = write(tmp_path, "inv0.txt", f"char 0\nlet z = 0\nprint inv({zero}, 3)\n")
+    assert main(["arith", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "engine error: inverse of the zero series\n"
+
+
 @pytest.mark.parametrize("text, beta", [
     ("p 2\npoly (y - p)^2 - p^4*y\n", "3"),
     ("p 2\nwitt_prec 8\npoly (y - 1)^2 - p^3*y\n", "2"),

@@ -907,7 +907,7 @@ def _reps(draw, tower, leaf):
 def _witt_case(draw):
     """W(F4) or W(F3) mod p^N and reps with integer leaves mod p^N."""
     ring = WittRing(draw(st.sampled_from([f4()[0], fp(3)])), draw(st.integers(1, 5)))
-    return ring, draw(_reps(ring.tower, st.integers(0, ring.modulus - 1)))
+    return ring, draw(_reps(ring.tower, st.integers(0, ring.leaf_mod - 1)))
 
 
 @st.composite

@@ -273,22 +273,26 @@ def test_is_monic_reads_the_lead_exactly():
 
 
 def _power_cases():
-    """name -> (x, 1, x*y, x**n, the class and method that form each product)."""
+    """name -> (x, 1, x*y, x**n, the class and method that form each product,
+    and the tower whose own products count: None counts them all)."""
     R = tring()
     f4 = FieldTower.prime_field(2).adjoin((1, 1, 1))  # w^2 + w + 1 = 0
-    w = CoeffElem.generator(f4)
-    return {
+    f16 = f4.adjoin(((0, 1), (1,), (1,)))  # X^2 + X + w over F4
+    cases = {
         "valpoly": (poly(R, t_pow(R, 1), R.one()), ValPoly.const(R.one()),
-                    ValPoly.__mul__, ValPoly.__pow__, ValPoly, "__mul__"),
+                    ValPoly.__mul__, ValPoly.__pow__, ValPoly, "__mul__", None),
         "series": (R.one() + t_pow(R, Fraction(1, 2), 3), R.one(),
-                   GenSeries.__mul__, GenSeries.__pow__, GenSeries, "__mul__"),
-        "rep_pow": (w.rep, f4.rep_one(), f4.rep_mul, f4.rep_pow, FieldTower, "rep_mul"),
+                   GenSeries.__mul__, GenSeries.__pow__, GenSeries, "__mul__", None),
     }
+    for name, tower in (("rep_pow", f4), ("rep_pow_height2", f16)):
+        cases[name] = (CoeffElem.generator(tower).rep, tower.rep_one(), tower.rep_mul,
+                       tower.rep_pow, FieldTower, "rep_mul", tower)
+    return cases
 
 
-@pytest.mark.parametrize("name", ["valpoly", "series", "rep_pow"])
+@pytest.mark.parametrize("name", ["valpoly", "series", "rep_pow", "rep_pow_height2"])
 def test_binary_power_squares_only_while_bits_remain(name, monkeypatch):
-    P, one, mul, power, cls, method = _power_cases()[name]
+    P, one, mul, power, cls, method, tower = _power_cases()[name]
     expected = [one]
     for _ in range(8):
         expected.append(mul(expected[-1], P))
@@ -296,10 +300,9 @@ def test_binary_power_squares_only_while_bits_remain(name, monkeypatch):
     products = []
 
     def counted(self, *args):
-        if cls is not FieldTower:
-            products.append((self, args[0]))
-        elif len(args) < 3 or args[2] == self.height:  # deeper levels are the recursion
-            products.append(args[:2])
+        # a height-2 product multiplies over `below`, a tower object of its own
+        if tower is None or self is tower:
+            products.append(args)
         return plain(self, *args)
 
     monkeypatch.setattr(cls, method, counted)

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, _trim
-from genpuiseux.errors import NonUnit, ParseError, PrecisionExceeded, ValuationIndeterminate
+from genpuiseux.errors import (
+    DivisionByZero,
+    NonUnit,
+    ParseError,
+    PrecisionExceeded,
+    ValuationIndeterminate,
+)
 from genpuiseux.groups import INF, GroupDescriptor, GroupElement, cmp
 from genpuiseux.series import GenSeries, SeriesRing, _cut, _prec_min, eval_poly, parse_series
 
@@ -60,10 +66,15 @@ def test_val_simple():
     assert f.val() == g(R, Fraction(3, 2))
 
 
-def test_val_zero_exact_raises():
+def test_val_zero_exact_is_inf():
+    # v(0) = inf; the exact zero still has no leading term and no inverse
     R = tring()
+    assert R.zero().val() is INF
     with pytest.raises(ValuationIndeterminate):
-        R.zero().val()
+        R.zero().leading_term()
+    for prec in ((), (g(R, 3),)):
+        with pytest.raises(DivisionByZero):
+            R.zero().inv(*prec)
 
 
 def test_val_zero_bounded_raises_with_bound():

@@ -187,6 +187,41 @@ def test_infinity_ordering():
     assert cmp(INF, INF) == 0
 
 
+def test_infinity_absorbs_and_refuses():
+    # v(0) = inf: inf + x, x + inf and inf - x are inf, as is inf scaled by
+    # q > 0; inf - inf, -inf and a scale by q <= 0 have no value and raise
+    for d, coords in ((rational_line(), [Fraction(-7, 3)]), (sqrt2_plane(), [3, -2])):
+        a = d.element(coords)
+        assert INF + a is INF and a + INF is INF and INF - a is INF
+    assert INF + INF is INF
+    for q in (Fraction(1, 3), 2):
+        assert INF.scale_unchecked(q) is INF
+    with pytest.raises(ArithmeticError):
+        INF - INF
+    for q in (0, -1):
+        with pytest.raises(ArithmeticError):
+            INF.scale_unchecked(q)
+    with pytest.raises(ArithmeticError):
+        -INF
+    assert str(INF) == f"{INF}" == "inf"
+
+
+@pytest.mark.parametrize("weights, d, coords, text", [
+    ([1], 1, [Fraction(3, 2)], "3/2"),
+    ([Fraction(1, 2)], 1, [3], "3/2"),  # the value, not the coordinate
+    ([1], 1, [0], "0"),
+    ([(0, 1)], 2, [2], "2*g1"),  # an irrational first weight: coordinates
+    ([(0, 1)], 2, [0], "0"),
+    ([(1, 0), (0, 1)], 2, [Fraction(-5, 4), 0], "-5/4"),
+    ([(1, 0), (0, 1)], 2, [3, -2], "3*g1 + -2*g2"),
+    ([(1, 0), (0, 1)], 2, [0, Fraction(1, 2)], "0*g1 + 1/2*g2"),
+])
+def test_str_is_the_report_text(weights, d, coords, text):
+    # rank 1 and rank 2: the rational value bare, else the coordinate form
+    a = GroupDescriptor(weights, sqrt_disc=d).element(coords)
+    assert str(a) == f"{a}" == text
+
+
 def test_text_roundtrip():
     # an element's text is read back as the exponent of series text
     d = sqrt2_plane()
@@ -275,8 +310,8 @@ def test_order_matches_independent_oracle(case):
     assert _reference(weights, d, a.coords) == ra
     assert cmp(a, INF) == -1 and cmp(INF, a) == 1 and cmp(INF, INF) == 0
     assert gmin(a, b) is (a if want <= 0 else b)
-    assert gmin(a, INF, None) is a and gmin(INF, b) is b
-    assert gmin(INF) is INF and gmin(None) is None
+    assert gmin(a, INF) is a and gmin(INF, b) is b
+    assert gmin(INF) is INF and gmin(INF, INF) is INF
 
 
 SORT_CASES = [

@@ -19,11 +19,16 @@ interquartile range of each side and the change of the medians, and per
 computed from) the median of each side's row medians and their change;
 ``--claim`` adds, for one workload and metric, the count of pairs where the
 change was lower.  Each run record keeps its row medians under ``rows``.
+``sources`` names the trees measured: for each side, a sha256 over the
+names and contents of its ``src/genpuiseux/*.py``.  ``parent``, the git
+revision, cannot tell a checkout copied from a working tree from its HEAD.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -154,6 +159,18 @@ def _revision(checkout):
     return proc.stdout.strip() or None
 
 
+def source_digest(checkout):
+    """sha256 over the sorted names of a checkout's src/genpuiseux/*.py, each
+    with its length and contents."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "genpuiseux", "*.py"))):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(f"{os.path.basename(path)}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -177,6 +194,7 @@ def main(argv=None):
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds} --trace 0",
         "parent": _revision(checkouts["parent"]),
+        "sources": {side: source_digest(path) for side, path in checkouts.items()},
         "machine": {"cpu": platform.machine(), "vcpus": os.cpu_count(),
                     "os": platform.platform()},
         "python": platform.python_version(),
