@@ -771,37 +771,18 @@ def _q_roots_in_tower(tower, f):
     return sorted(roots, key=lambda c: c.sort_key())
 
 
-def _split_finite(tower, f):
-    """One round over F_q: the roots of the linear factors of f, the product of
-    the other factors, and the least of those as the next stage (None if none)."""
-    _, factors = factor_poly(tower, [CoeffElem(tower, c) for c in f])
-    roots, rest, stage = [], [tower.rep_one()], None
-    for fac, m in factors:
-        if len(fac) == 2:
-            roots.append((-fac[0], m))
-            continue
-        if stage is None:
-            stage = tuple(c.rep for c in fac)
-        for _ in range(m):
-            rest = _pmul(tower, rest, [c.rep for c in fac])
-    return roots, rest, stage
-
-
 def _split_rational(tower, f):
-    """One round over a Q tower: the roots it holds, divided out of f, or else
-    the next stage if f is X^2 - c or X^2 + X + 1.  A candidate is a root
-    when X - r divides what is left of f; once divided out, a repeated
-    candidate no longer divides it."""
+    """One round over a Q tower: the roots it holds, each divided out of f as
+    often as it divides, or else the next stage if f is X^2 - c or X^2 + X + 1."""
     roots = []
     for r in _q_roots_in_tower(tower, f):
-        m = 0
-        while True:
-            q, rem = _pdivmod(tower, f, [tower.rep_neg(r.rep), tower.rep_one()])
-            if rem:
-                break
-            f, m = q, m + 1
-        if m:
-            roots.append((r, m))
+        linear, degree = [tower.rep_neg(r.rep), tower.rep_one()], len(f)
+        q, rem = _pdivmod(tower, f, linear)
+        while not rem:
+            f = q
+            q, rem = _pdivmod(tower, f, linear)
+        if len(f) < degree:
+            roots.append(r)
     if roots:
         return roots, f, None
     a = [_rep_to_fraction(tower, c) for c in f]
@@ -814,17 +795,18 @@ def _split_rational(tower, f):
 
 
 def solve_in_closure(tower, coeffs):
-    """All roots (with multiplicity) after extending the tower as needed.
+    """One root of a non-constant polynomial, after extending the tower as needed.
 
-    Returns (new_tower, [(root, multiplicity)]), roots canonically ordered.
-    Each round takes the roots the current tower holds and adjoins one stage
-    for the rest: over F_q the least nonlinear irreducible factor, over Q a
-    whitelisted shape (IrreducibleOverRationals for any other, unless an
-    earlier round found roots: those are returned).  A root found in one round
-    divides f over every later stage, so only the cofactor goes on.
+    Returns (new_tower, root).  Over F_q the root is the least, by sort_key, of
+    the least field that holds one: the tower itself if f has a linear factor,
+    else the tower with its least irreducible factor adjoined, whose field
+    holds the roots of every factor of that degree.  Over Q each round takes
+    the roots the tower holds and adjoins a whitelisted shape for the rest
+    (IrreducibleOverRationals for any other, unless an earlier round found
+    roots); the root is the least of those found, over the last tower.
 
     The result is kept on `tower`, keyed by the coefficient reps, since a
-    t-adic tail meets one equation at every step; each call gets a fresh list.
+    t-adic tail meets one equation at every step.
     """
     f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
@@ -832,20 +814,24 @@ def solve_in_closure(tower, coeffs):
     key = tuple(f)
     if key not in tower._solved:
         tower._solved[key] = _solve(tower, f)
-    tower2, roots = tower._solved[key]
-    return tower2, list(roots)
+    return tower._solved[key]
 
 
 def _solve(tower, f):
-    split = _split_finite if tower.base[0] == 'F' else _split_rational
+    """solve_in_closure's (tower, root): over F_q at most two factorizations,
+    over Q the rounds; a linear f over either is solved directly."""
+    if tower.base[0] == 'F' and len(f) > 2:
+        _, factors = factor_poly(tower, [CoeffElem(tower, c) for c in f])
+        if len(factors[0][0]) > 2:  # sorted by degree: no linear factor
+            tower = tower.adjoin(tuple(c.rep for c in factors[0][0]))
+            lifted = [CoeffElem(tower, tower.rep_lift(c, tower.height - 1)) for c in f]
+            _, factors = factor_poly(tower, lifted)
+        return tower, min((-fac[0] for fac, _ in factors if len(fac) == 2),
+                          key=CoeffElem.sort_key)
     found = []
-    while len(f) > 1:
-        if len(f) == 2:
-            root = tower.rep_neg(tower.rep_mul(f[0], tower.rep_inv(f[1])))
-            found.append((CoeffElem(tower, root), 1))
-            break
+    while len(f) > 2:
         try:
-            roots, f, stage = split(tower, f)
+            roots, f, stage = _split_rational(tower, f)
         except IrreducibleOverRationals:
             if not found:
                 raise
@@ -854,8 +840,10 @@ def _solve(tower, f):
         if stage is not None:
             tower = tower.adjoin(stage)
             f = [tower.rep_lift(c, tower.height - 1) for c in f]
-    roots = [(CoeffElem(tower, tower.coerce_rep(r.rep, r.tower)), m) for r, m in found]
-    return tower, sorted(roots, key=lambda rm: rm[0].sort_key())
+    if len(f) == 2:
+        found.append(CoeffElem(tower, tower.rep_neg(tower.rep_mul(f[0], tower.rep_inv(f[1])))))
+    return tower, min((CoeffElem(tower, tower.coerce_rep(r.rep, r.tower)) for r in found),
+                      key=CoeffElem.sort_key)
 
 
 # -- Witt-style finite-precision p-adics -------------------------------------------

@@ -235,13 +235,12 @@ def step(state):
     if len(eq := residual_equation(state)) == 1:  # no root to take: a typed end
         raise EngineInvariantViolation(f"constant residue equation at beta={state.beta}")
     try:
-        tower2, roots = solve_in_closure(state.ring.tower, eq)
+        tower2, root = solve_in_closure(state.ring.tower, eq)
     except IrreducibleOverRationals:
         trace = _record(state, "(no root in permitted towers)", INF, "TERMINAL")
         return replace(state, status=COMPLETE_TRANSCENDENTAL, trace=trace)
 
     state = state.with_tower(tower2)
-    root = roots[0][0]
     a = state.ring.coeffs.lift(root)
 
     emitted = state.emitted

@@ -263,6 +263,8 @@ class GroupElement:
         return self._combine(other, add)
 
     def __sub__(self, other):
+        if other is INF:
+            raise ArithmeticError("x - inf is undefined")
         return self._combine(other, sub)
 
     def __neg__(self):
@@ -329,8 +331,8 @@ class GroupElement:
 class _Infinity:
     """The top value: v(0), exact roots and unbounded precision.  It defines
     no comparison (groups.cmp orders it); it absorbs what is added to it or
-    taken from it and a scale by q > 0, while inf - inf, -inf and a scale
-    by q <= 0 raise."""
+    taken from it and a scale by q > 0, while inf - inf, x - inf, -inf and
+    a scale by q <= 0 raise."""
 
     _instance = None
 

@@ -969,3 +969,32 @@ def test_nesting_at_the_limit_parses():
     assert parse_series(ring, _nested("t^2", MAX_NESTING)).to_text() == "t^2"
     with pytest.raises(ParseError, match="nest at most"):
         parse_series(ring, _nested("t^2", MAX_NESTING + 1))
+
+
+# Each residue root comes from the least field that holds one.  y^32 and y^64
+# have the root 1 in F_3 at every step; the solver once climbed to F_{3^8} for
+# them and took half a minute on y^32.  y^16 + t + t^2 has no root in F_3 and
+# still needs F_{3^8}.
+CLIMBS = {
+    "y32": ("poly y^32 - t - t^2", "series: t^(1/32) + 2*t^(33/32) + "),
+    "y64": ("poly y^64 - t - t^2", "series: t^(1/64) + t^(65/64) + "),
+    "y16": ("poly y^16 + t + t^2", "series: w^7*t^(1/16) + w^7*t^(17/16) + "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIMBS))
+def test_residue_roots_from_the_least_field_end_in_time(tmp_path, capsys, name):
+    poly, head = CLIMBS[name]
+    path = write(tmp_path, "climb.spec", f"char 3\nbudget_terms 8\n{poly}\n")
+    start = time.monotonic()
+    assert main(["expand", path]) == 0
+    elapsed = time.monotonic() - start
+    assert elapsed < 3.0, f"runtime {elapsed:.3f}s"
+    assert capsys.readouterr().out.startswith(head)
+
+
+def test_p_adic_root_from_the_residue_field():
+    # 2 has the cube root 3 in F_5, so y^3 - 2 - p takes it and adjoins no stage
+    code, out, res = cmd_expand(parse_problem("p 5\nwitt_prec 3\npoly y^3 - 2 - p\n"))
+    assert code == 0 and out.splitlines()[0] == "series: 3 + 3*p + O(p^2)"
+    assert res.state.ring.tower.height == 0

@@ -49,30 +49,27 @@ def f4():
 def test_adjoin_f4():
     # X^2 + X + 1 over F_2: new degree-2 stage, its generator is the least root
     t = fp(2)
-    t2, roots = solve_in_closure(t, elems(t, 1, 1, 1))
+    t2, root = solve_in_closure(t, elems(t, 1, 1, 1))
     assert t2 == f4()[0]
     assert t2.stage_degree(0) == 2
-    root = roots[0][0]
     assert root == CoeffElem.generator(t2)
     val = root * root + root + t2.one()
     assert val.is_zero()
 
 
 def test_adjoin_root_in_place():
-    # X^2 - 1 over F_3 has the roots 1 and 2 already
+    # X^2 - 1 over F_3 has the roots 1 and 2 already; 1 is the least
     t = fp(3)
-    t2, roots = solve_in_closure(t, elems(t, -1, 0, 1))
+    t2, root = solve_in_closure(t, elems(t, -1, 0, 1))
     assert t2 == t
-    assert roots == [(t.from_int(1), 1), (t.from_int(2), 1)]
+    assert root == t.from_int(1)
 
 
 def test_adjoin_sqrt2_over_q():
     t = FieldTower.rationals()
-    t2, roots = solve_in_closure(t, elems(t, -2, 0, 1))
+    t2, root = solve_in_closure(t, elems(t, -2, 0, 1))
     assert t2.height == 1
-    assert [m for _, m in roots] == [1, 1]
-    for root, _ in roots:
-        assert (root * root) == t2.from_int(2)
+    assert (root * root) == t2.from_int(2)
 
 
 @pytest.mark.parametrize("scaled, monic", [((-4, 0, 2), (-2, 0, 1)),
@@ -137,8 +134,8 @@ def test_field_axioms_random():
 
 def test_solve_in_closure_f2_split():
     t = fp(2)
-    _, roots = solve_in_closure(t, elems(t, 0, 1, 1))  # X^2 + X = X(X+1)
-    assert [(coeff_to_int(r), m) for r, m in roots] == [(0, 1), (1, 1)]
+    t2, root = solve_in_closure(t, elems(t, 0, 1, 1))  # X^2 + X = X(X+1)
+    assert t2 == t and coeff_to_int(root) == 0
 
 
 def coeff_to_int(c):
@@ -154,20 +151,16 @@ def _fraction(c):
 
 def test_solve_in_closure_extends_to_f4():
     t = fp(2)
-    t2, roots = solve_in_closure(t, elems(t, 1, 1, 1))
+    t2, r = solve_in_closure(t, elems(t, 1, 1, 1))
     assert t2.height == 1
-    assert len(roots) == 2
-    for r, m in roots:
-        assert m == 1
-        assert (r * r + r + t2.one()).is_zero()
+    assert (r * r + r + t2.one()).is_zero()
 
 
 def test_solve_in_closure_f3_brute_force_oracle():
     t = fp(3)
-    _, roots = solve_in_closure(t, elems(t, 0, -1, 0, 1))  # X^3 - X
-    got = sorted(coeff_to_int(r) for r, _ in roots)
-    oracle = sorted(x for x in range(3) if (x ** 3 - x) % 3 == 0)
-    assert got == oracle == [0, 1, 2]
+    _, root = solve_in_closure(t, elems(t, 0, -1, 0, 1))  # X^3 - X
+    oracle = [x for x in range(3) if (x ** 3 - x) % 3 == 0]
+    assert oracle == [0, 1, 2] and coeff_to_int(root) == min(oracle)
 
 
 def test_factor_canonical_and_multiplicity():
@@ -356,9 +349,8 @@ def test_coeff_text_form():
 
 def test_canonical_root_order_prefers_positive_one():
     t = FieldTower.rationals()
-    t2, roots = solve_in_closure(t, elems(t, -1, 0, 1))
-    assert _fraction(roots[0][0]) == 1
-    assert _fraction(roots[1][0]) == -1
+    _, root = solve_in_closure(t, elems(t, -1, 0, 1))
+    assert _fraction(root) == 1
 
 
 def _divisor_search_roots(coeffs):
@@ -469,17 +461,11 @@ def test_lazy_witnesses_match_the_sorted_lists(tower):
     assert got == want
 
 
-def _refactoring_solve(tower, coeffs):
-    """The F_q solver before: factor the whole poly again after every extension."""
-    cur_t, cur = tower, coeffs
-    while True:
-        _, factors = factor_poly(cur_t, cur)
-        nonlinear = [fac for fac, _ in factors if len(fac) > 2]
-        if not nonlinear:
-            roots = [(-(fac[0] * fac[1].inv()), m) for fac, m in factors]
-            return cur_t, sorted(roots, key=lambda rm: rm[0].sort_key())
-        cur_t = cur_t.adjoin(tuple(c.rep for c in nonlinear[0]))
-        cur = [CoeffElem(cur_t, cur_t.coerce_rep(c.rep, c.tower)) for c in cur]
+def _value_at(coeffs, x):
+    """f(x) by Horner, the coefficients moved onto x's tower."""
+    tower = x.tower
+    return functools.reduce(lambda acc, c: acc * x + CoeffElem(tower, tower.coerce_rep(c.rep, c.tower)),
+                            reversed(coeffs), tower.zero())
 
 
 @pytest.mark.parametrize("tower, ints", [
@@ -494,11 +480,20 @@ def _refactoring_solve(tower, coeffs):
 ], ids=["f2-sq", "f2-two-stages", "f2-deg3", "f2-quintic", "f3-sq", "f3-quartic",
         "f4-cube", "f4-quartic"])
 def test_solve_in_closure_matches_refactoring_loop(tower, ints):
-    got = solve_in_closure(tower, elems(tower, *ints))
-    want = _refactoring_solve(tower, elems(tower, *ints))
-    assert got[0] == want[0]
-    assert [(r.rep, m) for r, m in got[1]] == [(r.rep, m) for r, m in want[1]]
-    assert all(r.tower == got[0] for r, _ in got[1])
+    # the least root of the least field: a brute-force search of the field the
+    # solver reached, and over F_p that field's degree against sympy's factors
+    # (the name is kept from the loop that refactored over each new stage)
+    coeffs = elems(tower, *ints)
+    tower2, root = solve_in_closure(tower, coeffs)
+    assert root.tower == tower2 and _value_at(coeffs, root).is_zero()
+    roots = [r for r in tower2.enumerate_elements()
+             if _value_at(coeffs, CoeffElem(tower2, r)).is_zero()]
+    assert root.rep == min(roots, key=tower2.rep_key)
+    if tower.height:
+        return
+    sympy = pytest.importorskip("sympy")
+    _, factors = sympy.Poly(ints[::-1], sympy.Symbol("X"), modulus=tower.char).factor_list()
+    assert tower2.cardinality() == tower.char ** min(g.degree() for g, _ in factors)
 
 
 def test_solve_in_closure_linear_needs_no_factoring(monkeypatch):
@@ -510,20 +505,18 @@ def test_solve_in_closure_linear_needs_no_factoring(monkeypatch):
     monkeypatch.setattr(coeff, "factor_poly", no_factoring)
     for t in (fp(5), f4()[0], FieldTower.rationals()):
         three = t.from_int(3)
-        t2, roots = solve_in_closure(t, [t.one(), three])  # 3X + 1
-        assert t2 == t
-        (r, m), = roots
-        assert m == 1 and (three * r + 1).is_zero()
+        t2, r = solve_in_closure(t, [t.one(), three])  # 3X + 1
+        assert t2 == t and (three * r + 1).is_zero()
 
 
 def test_solve_in_closure_q_strips_then_extends():
-    # (X - 1)^2 (X^2 - 8): strip 1 twice, adjoin w^2 = 8, then find +-w
+    # (X - 1)^2 (X^2 - 8): strip 1 twice, adjoin w^2 = 8, then find +-w; the
+    # root is the least of 1, w and -w over Q(w)
     t = FieldTower.rationals()
-    t2, roots = solve_in_closure(t, elems(t, -8, 16, -7, -2, 1))
+    t2, root = solve_in_closure(t, elems(t, -8, 16, -7, -2, 1))
     assert t2 == t.adjoin(((-8, 1), (), (1, 1)))  # numerator and denominator pairs
     w = CoeffElem.generator(t2)
-    assert roots == sorted([(t2.one(), 2), (w, 1), (-w, 1)],
-                           key=lambda rm: rm[0].sort_key())
+    assert root == min([t2.one(), w, -w], key=CoeffElem.sort_key)
 
 
 def _counting_factor_poly(monkeypatch):
@@ -547,19 +540,6 @@ def test_solve_in_closure_is_kept_on_its_tower(monkeypatch):
         fresh = fp(2)  # an equal tower, but not the one the result is kept on
         assert fresh == t and solve_in_closure(fresh, elems(fresh, *ints)) == first
         assert len(calls) == before + 2 * n
-
-
-def test_solve_in_closure_returns_a_fresh_list(monkeypatch):
-    calls = _counting_factor_poly(monkeypatch)
-    t = fp(3)
-    eq = elems(t, 0, -1, 0, 1)  # X^3 - X
-    _, roots = solve_in_closure(t, eq)
-    want = list(roots)
-    roots.clear()
-    _, again = solve_in_closure(t, eq)
-    assert again == want and len(want) == 3 and len(calls) == 1
-    again.append(None)
-    assert solve_in_closure(t, eq)[1] == want
 
 
 # F4, F9, F16 (height two), F25 = F5[X]/(X^2 - 2), F27 = F3[X]/(X^3 - X - 1)

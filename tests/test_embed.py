@@ -635,7 +635,7 @@ CARRIED = {
              "poly y^2 - t - u2\n", 16, 0),
     # mixed characteristic, F with single-digit coefficients: no carry clamps
     "p3": ("p 3\nwitt_prec 8\npoly y^2 + p*y + p\n", 16, 1),  # moves into W(F9)
-    "p5": ("p 5\nwitt_prec 6\npoly y^3 + p^2*y + p\n", 9, 1),
+    "p5": ("p 5\nwitt_prec 6\npoly y^3 + p^2*y + p\n", 9, 0),
     "p2": ("p 2\nwitt_prec 10\npoly y^2 + p*y + p + p^3\n", 16, 0),
     # multi-digit coefficients mod p^N, whose carry clamps F's precision; the
     # 15th step of p5-carry sinks below the working precision, and the 8th of

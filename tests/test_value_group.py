@@ -189,10 +189,12 @@ def test_infinity_ordering():
 
 def test_infinity_absorbs_and_refuses():
     # v(0) = inf: inf + x, x + inf and inf - x are inf, as is inf scaled by
-    # q > 0; inf - inf, -inf and a scale by q <= 0 have no value and raise
+    # q > 0; inf - inf, x - inf, -inf and a scale by q <= 0 have no value and raise
     for d, coords in ((rational_line(), [Fraction(-7, 3)]), (sqrt2_plane(), [3, -2])):
         a = d.element(coords)
         assert INF + a is INF and a + INF is INF and INF - a is INF
+        with pytest.raises(ArithmeticError):
+            a - INF
     assert INF + INF is INF
     for q in (Fraction(1, 3), 2):
         assert INF.scale_unchecked(q) is INF
