@@ -534,7 +534,7 @@ def test_solve_in_closure_is_kept_on_its_tower(monkeypatch):
         t, before = fp(2), len(calls)
         first = solve_in_closure(t, elems(t, *ints))
         n = len(calls) - before
-        assert n >= 1
+        assert 1 <= n <= 2  # once, and again over an adjoined stage
         again = solve_in_closure(t, elems(t, *ints))
         assert again == first and again[0] is first[0] and len(calls) == before + n
         fresh = fp(2)  # an equal tower, but not the one the result is kept on
