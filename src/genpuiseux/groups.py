@@ -35,6 +35,16 @@ def _quad_sign(a, b, d):
     return 1 if b > 0 else -1
 
 
+def _exact(x):
+    """x as an exact rational: an int or a Fraction as given, else Fraction(x).
+    A float is refused, since its binary value would enter every decision."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"value groups take exact rationals, not the float {x!r}")
+    return Fraction(x)
+
+
 class GroupDescriptor:
     """r independent positive weights in Q(sqrt(d))."""
 
@@ -43,7 +53,7 @@ class GroupDescriptor:
         if d < 1:
             raise ValueError("sqrt_disc must be a positive integer")
         # a weight is a rational or an (a, b) pair for a + b*sqrt(d); d = 1 folds a + b
-        ws = [(Fraction(w[0]), Fraction(w[1])) if isinstance(w, tuple) else (Fraction(w), 0)
+        ws = [(_exact(w[0]), _exact(w[1])) if isinstance(w, tuple) else (_exact(w), 0)
               for w in weights]
         if d == 1:
             ws = [(a + b, 0) for a, b in ws]
@@ -83,7 +93,7 @@ class GroupDescriptor:
     def element(self, coords):
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
-        fs = [Fraction(c) for c in coords]
+        fs = [_exact(c) for c in coords]
         # the lcm of lowest-terms denominators leaves gcd(den, *num) == 1
         den = math.lcm(*(f.denominator for f in fs))
         return GroupElement(self, tuple(f.numerator * (den // f.denominator) for f in fs),
@@ -102,10 +112,11 @@ class GroupDescriptor:
         element, so a rational exponent, as written in a spec, series text or
         a trial draw, is the value itself.  It needs a rational first weight:
         with an irrational one it is a ParseError."""
+        q = _exact(q)
         if self._wb[0]:
             raise ParseError(f"the rational exponent {q} needs a rational first weight, "
                              f"not {self._weight_text(0)}; give full coordinates")
-        return self.element([Fraction(q) * self._wden / self._wa[0]] + [0] * (self.rank - 1))
+        return self.element([Fraction(q * self._wden, self._wa[0])] + [0] * (self.rank - 1))
 
     # -- order ----------------------------------------------------------------
 
@@ -118,10 +129,10 @@ class GroupDescriptor:
             if da != db:
                 x, y = x * db, y * da
             return (x > y) - (x < y)
-        # sign of the value of (a - b) * da * db * _wden, all in integers
-        diff = [x * db - y * da for x, y in zip(a.num, b.num)]
-        return _quad_sign(sum(map(mul, diff, self._wa)), sum(map(mul, diff, self._wb)),
-                          self.sqrt_disc)
+        # sign of the value of (a - b) * da * db * _wden from the value pairs
+        xa, xb = a._pair or a.value_pair()
+        ya, yb = b._pair or b.value_pair()
+        return _quad_sign(xa * db - ya * da, xb * db - yb * da, self.sqrt_disc)
 
     def sort_terms(self, terms):
         """Sort a list of (element, value) pairs in place, in exact element order.
@@ -204,6 +215,12 @@ def _is_square(n):
     return r * r == n
 
 
+def _ratio_text(n, den):
+    """str(Fraction(n, den)) for den > 0, with one gcd."""
+    g = math.gcd(n, den)
+    return f"{n // g}" if g == den else f"{n // g}/{den // g}"
+
+
 def _lowest(descriptor, num, den):
     """The element with coordinates num[j] / den (den > 0), in lowest terms."""
     if den != 1:
@@ -219,13 +236,25 @@ class GroupElement:
     terms (den > 0, gcd(den, *num) == 1), so one value has one stored form.
     Build elements with GroupDescriptor.element."""
 
-    __slots__ = ("descriptor", "num", "den", "_hash")
+    __slots__ = ("descriptor", "num", "den", "_hash", "_pair")
 
     def __init__(self, descriptor, num, den):
         self.descriptor = descriptor
         self.num = num
         self.den = den
         self._hash = None
+        self._pair = None
+
+    def value_pair(self):
+        """The integers (A, B) of the value (A + B*sqrt(d)) / (den * D), D the
+        weights' common denominator: sum(num[j] * a_j) and sum(num[j] * b_j)
+        over the weights (a_j + b_j*sqrt(d)) / D, formed once."""
+        pair = self._pair
+        if pair is None:
+            desc = self.descriptor
+            pair = self._pair = (sum(map(mul, self.num, desc._wa)),
+                                 sum(map(mul, self.num, desc._wb)))
+        return pair
 
     @property
     def coords(self):
@@ -271,8 +300,8 @@ class GroupElement:
         return GroupElement(self.descriptor, tuple(map(neg, self.num)), self.den)
 
     def scale_unchecked(self, q):
-        if not isinstance(q, int):
-            q = Fraction(q)
+        if not isinstance(q, (int, Fraction)):
+            q = _exact(q)
         return _lowest(self.descriptor, tuple(n * q.numerator for n in self.num),
                        self.den * q.denominator)
 
@@ -320,7 +349,8 @@ class GroupElement:
 
     def to_text(self):
         """q1*g1 + q2*g2 + ...; series text reads it back as ``t^(...)``."""
-        return " + ".join(f"{c}*g{j + 1}" for j, c in enumerate(self.coords))
+        den = self.den
+        return " + ".join(f"{_ratio_text(n, den)}*g{j + 1}" for j, n in enumerate(self.num))
 
     def __str__(self):
         """The short form of reports: the rational value bare, else to_text."""
@@ -355,7 +385,7 @@ class _Infinity:
         raise ArithmeticError("cannot negate infinity")
 
     def scale_unchecked(self, q):
-        if q > 0:
+        if _exact(q) > 0:
             return INF
         raise ArithmeticError(f"cannot scale infinity by {q}")
 

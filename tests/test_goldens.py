@@ -20,7 +20,14 @@ class.  A sixth pins the limit stage at 12 terms: ``char 2``,
 a ``branch=LIMIT`` step.  Two more pin Q towers past the bench budgets:
 ``poly y^3 - t - t^2`` at 32 terms, over Q(w) with denominators 3^k, and
 ``poly y^2 - 1/3 - t`` at 24 terms, over the stage X^2 - 1/3, whose minimal
-polynomial is not integral.
+polynomial is not integral.  Three more pin the rank-2 group with a sqrt(2)
+weight beside ``r2-q``: ``r2-f2`` over F2 at 64 terms, whose denominators
+reach 2^64; ``r2-cube`` over Q at 24 terms, with Q(w) coefficients and
+negative second coordinates; and ``r2-f3`` over F3 at 32 terms, with
+denominators 3^k.
+
+The rank-2 runs also keep the budget-prefix relation: the trace records and
+the series terms at budget n are a prefix of those at budget 2n.
 """
 
 import functools
@@ -90,6 +97,18 @@ LONG_RUNS = {
     "r2-q": ("char 0\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
              "poly y^2 - t - u2\n", 64,
              "664422d1702fae9b1a8513c526d36b2ac1669804c00c9ea104c397307c00209e"),
+    # denominators reach 2^64
+    "r2-f2": ("char 2\nweights 1 0+1*sqrt(2)\nsqrt_disc 2\nlower_vars u2\n"
+              "poly y^2 + t*y + u2\n", 64,
+              "a1ce2ab1862688fa9a0bb98078ad7389d1a03dff0f44473b99a370b3e2702c49"),
+    # Q(w) coefficients and negative second coordinates (24*g1 + -22*g2)
+    "r2-cube": ("char 0\nweights 2+1*sqrt(2) 1\nsqrt_disc 2\nlower_vars u2\n"
+                "poly y^3 - t*u2 - u2^2\n", 24,
+                "73c67f561c2a23ecf605e610d6ee223f8103560749862227c1b54db97d698825"),
+    # denominators are powers of 3
+    "r2-f3": ("char 3\nweights 2+1*sqrt(2) 1\nsqrt_disc 2\nlower_vars u2\n"
+              "poly y^3 - t*y - u2\n", 32,
+              "d16d945eabe87f34d8e8cfc7625d7710014802e8239132b1a77c898e07afab0e"),
     "p3-cube": ("p 3\nwitt_prec 12\npoly y^3 - p - p^2\n", 24,
                 "61bc0de28f5159dd9cf35c2d4a95de54a41e025967df558549ed6167937c5011"),
     "limit-f2": ("char 2\npoly y^2 + t*y + t + t^3 + t^4\n", 12,
@@ -108,3 +127,20 @@ def test_records_digest_at_64_terms(name):
     code, out, _ = cli.cmd_expand(cli.parse_problem(text), fmt="records", budget=budget)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _records_and_terms(text, budget):
+    res = cli.run_expand(cli.parse_problem(text), budget)
+    residue = res.series.ring.coeffs.residue
+    return (res.trace_lines()[:-1],  # the last line is the result, with its O(...)
+            [(g.to_text(), residue(c).to_text()) for g, c in res.series.terms])
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("name", ["r2-q", "r2-f2", "r2-cube", "r2-f3"])
+def test_rank2_budget_prefix(name, n):
+    text = LONG_RUNS[name][0]
+    records, terms = _records_and_terms(text, n)
+    records2, terms2 = _records_and_terms(text, 2 * n)
+    assert len(records) == n and len(terms) == n
+    assert records2[:n] == records and terms2[:n] == terms

@@ -245,6 +245,7 @@ ORACLE_CASES = [
     ([(Fraction(3, 2), 0)], 1, 1),
     ([(Fraction(2, 3), 0)], 2, 1),
     ([(1, 0)], 3, 1),
+    ([(0, 1)], 1, 2),  # sqrt(2) alone: rank 1 with an irrational weight
     ([(1, 0), (0, 1)], 1, 2),
     ([(1, 0), (Fraction(1, 2), Fraction(1, 2))], 1, 5),  # 1 and the golden ratio
 ]
@@ -310,6 +311,11 @@ def test_order_matches_independent_oracle(case):
         assert hash(a) == hash(b)
     # the stored coordinates carry the value: sum c_j * w_j from a.coords
     assert _reference(weights, d, a.coords) == ra
+    # and so does the cached value pair (A, B): the value is (A + B*sqrt(d)) / (den * D)
+    pair = a.value_pair()
+    assert a.value_pair() is pair
+    scale = a.den * desc._wden
+    assert (Fraction(pair[0], scale), Fraction(pair[1], scale), d) == ra
     assert cmp(a, INF) == -1 and cmp(INF, a) == 1 and cmp(INF, INF) == 0
     assert gmin(a, b) is (a if want <= 0 else b)
     assert gmin(a, INF) is a and gmin(INF, b) is b
@@ -346,6 +352,64 @@ def test_sort_key_matches_independent_oracle(data):
     # each element keeps its partner, and equal elements keep their order
     assert all(elems[k] is e for e, k in terms)
     assert all(k1 < k2 for (e1, k1), (e2, k2) in zip(terms, terms[1:]) if e1 == e2)
+
+
+# -- independent text oracle ----------------------------------------------------
+#
+# The text of an element is rendered here from the drawn Fraction coordinates,
+# str(Fraction) for each, and for str() the value c_1 * w_1 when only the first
+# coordinate can be non-zero and the first weight is rational (or c_1 = 0).
+
+@st.composite
+def _text_cases(draw):
+    weights, _, d = draw(st.sampled_from(ORACLE_CASES))
+    desc = GroupDescriptor(weights, sqrt_disc=d)
+    # one shared denominator, so that some coordinates reduce and some do not
+    den = draw(st.integers(1, 72) | st.sampled_from([2 ** 64, 3 ** 33]))
+    nums = draw(st.lists(st.integers(-90, 90) | st.just(0),
+                         min_size=desc.rank, max_size=desc.rank))
+    return desc, weights, [Fraction(n, den) for n in nums]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_cases())
+def test_text_matches_fraction_rendering(case):
+    desc, weights, coords = case
+    a = desc.element(coords)
+    text = " + ".join(f"{c}*g{j + 1}" for j, c in enumerate(coords))
+    assert a.to_text() == text
+    w0 = Fraction(weights[0][0]) + (Fraction(weights[0][1]) if desc.sqrt_disc == 1 else 0)
+    first_rational = desc.sqrt_disc == 1 or weights[0][1] == 0
+    if not any(coords[1:]) and (first_rational or coords[0] == 0):
+        assert str(a) == str(coords[0] * w0)
+    else:
+        assert str(a) == text
+
+
+def test_floats_are_refused():
+    # a float would enter every decision as its binary rational: 0.1 would be
+    # the weight 3602879701896397/36028797018963968
+    plane = sqrt2_plane()
+    refusals = [
+        lambda: GroupDescriptor([0.1]),
+        lambda: GroupDescriptor([1, (0, 0.5)], sqrt_disc=2),
+        lambda: GroupDescriptor([(0.5, 0)]),
+        lambda: rational_line().element([0.1]),
+        lambda: plane.element([1, 0.5]),
+        lambda: rational_line().from_rational(0.1),
+        lambda: GroupDescriptor([(0, 1)], sqrt_disc=2).from_rational(0.5),
+        lambda: rational_line().basis(0).scale_unchecked(0.1),
+        lambda: plane.element([1, 2]).scale_unchecked(2.0),
+        lambda: INF.scale_unchecked(0.5),
+    ]
+    for refused in refusals:
+        with pytest.raises(TypeError, match=r"not the float (0\.1|0\.5|2\.0)"):
+            refused()
+    # ints and Fractions read as before
+    line = GroupDescriptor([Fraction(1, 10)])
+    assert line.element([10]) == line.from_rational(1)
+    assert str(line.basis(0).scale_unchecked(Fraction(1, 10))) == "1/100"
+    assert plane.element([1, Fraction(1, 2)]).scale_unchecked(2) == plane.element([2, 1])
 
 
 # -- independent arithmetic oracle ----------------------------------------------
