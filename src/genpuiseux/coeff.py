@@ -475,76 +475,11 @@ def _ppowmod(tower, f, n, mod):
                         lambda a, b: _pdivmod(tower, _pmul(tower, a, b), mod)[1])
 
 
-def _pderiv(tower, f):
-    return _trim([tower.rep_mul(c, tower.rep_from_int(i)) for i, c in enumerate(f)][1:])
-
-
 def _poly_key(tower, f):
     return (len(f), tuple(tower.rep_key(c) for c in f))
 
 
 # -- factorization over finite towers ------------------------------------------
-
-
-def _squarefree_parts(tower, f):
-    """[(g_i, i)] with f = prod g_i^i, g_i squarefree monic, char-p aware."""
-    p = tower.base[1]
-    f = _pmonic(tower, f)
-    out = []
-
-    def rec(f, mult):
-        if len(f) <= 1:
-            return
-        df = _pderiv(tower, f)
-        if not df:
-            # f = g(x^p): take p-th roots of coefficients
-            q = tower.cardinality()
-            g = [tower.rep_pow(f[i], q // p) for i in range(0, len(f), p)]
-            rec(g, mult * p)
-            return
-        c = _pgcd(tower, f, df)
-        w = _pdivmod(tower, f, c)[0]
-        i = 1
-        while len(w) > 1:
-            y = _pgcd(tower, w, c)
-            z = _pdivmod(tower, w, y)[0]
-            if len(z) > 1:
-                out.append((z, mult * i))
-            w = y
-            c = _pdivmod(tower, c, y)[0]
-            i += 1
-        if len(c) > 1:
-            rec(c, mult)
-
-    rec(f, 1)
-    # merge equal factors
-    merged = {}
-    for g, m in out:
-        key = tuple(g)
-        merged[key] = merged.get(key, 0) + m
-    return [(list(k), m) for k, m in sorted(merged.items(),
-                                            key=lambda km: _poly_key(tower, list(km[0])))]
-
-
-def _distinct_degree(tower, f):
-    """[(product-of-irreducibles-of-degree-d, d)] for squarefree f."""
-    q = tower.cardinality()
-    out = []
-    h = [tower.rep_zero(), tower.rep_one()]
-    minus_x = [tower.rep_zero(), tower.rep_from_int(-1)]
-    d = 0
-    f = list(f)
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _ppowmod(tower, h, q, f)
-        g = _pgcd(tower, _padd(tower, h, minus_x), f)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _pdivmod(tower, f, g)[0]
-            h = _pdivmod(tower, h, f)[1]
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
 
 
 def _witness_candidates(tower, degree):
@@ -579,24 +514,40 @@ def _equal_degree_split(tower, f, d):
             left = _equal_degree_split(tower, g, d)
             right = _equal_degree_split(tower, _pdivmod(tower, f, g)[0], d)
             return left + right
-    raise RuntimeError("equal-degree split found no separating witness")
+    raise EngineInvariantViolation("equal-degree split found no separating witness")
 
 
 def factor_poly(tower, coeffs):
     """Full monic factorization over a finite tower.
 
     coeffs: list of CoeffElem (ascending).  Returns (unit, [(poly, mult)])
-    with polys as CoeffElem lists, canonically sorted.
+    with polys as CoeffElem lists, canonically sorted.  One distinct-degree
+    loop over d = 1, 2, ... on the monic f: gcd(X^(q^d) - X, f) is the
+    product of f's irreducible factors of degree d, as those of lower degree
+    are already divided out; the equal-degree split parts it, and each factor
+    is divided out as often as it divides, which is its multiplicity.  What
+    is left once its degree is below 2(d + 1) is irreducible.
     """
     f = _trim([c.rep for c in coeffs])
     if len(f) <= 1:
         raise ValueError("cannot factor a constant")
     unit = CoeffElem(tower, f[-1])
-    out = []
-    for g, m in _squarefree_parts(tower, f):
-        for h, d in _distinct_degree(tower, g):
-            for irr in _equal_degree_split(tower, h, d):
-                out.append((irr, m))
+    f, q, out = _pmonic(tower, f), tower.cardinality(), []
+    h = [tower.rep_zero(), tower.rep_one()]
+    minus_x = [tower.rep_zero(), tower.rep_from_int(-1)]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppowmod(tower, h, q, f)
+        g = _pgcd(tower, _padd(tower, h, minus_x), f)
+        for irr in _equal_degree_split(tower, g, d) if len(g) > 1 else ():
+            m = 0
+            while not (qr := _pdivmod(tower, f, irr))[1]:
+                f, m = qr[0], m + 1
+            out.append((irr, m))
+        h = _pdivmod(tower, h, f)[1]
+    if len(f) > 1:
+        out.append((f, 1))
     out.sort(key=lambda fm: _poly_key(tower, fm[0]))
     wrapped = [([CoeffElem(tower, c) for c in g], m) for g, m in out]
     return unit, wrapped

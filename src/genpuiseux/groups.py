@@ -263,13 +263,19 @@ class GroupElement:
     def is_zero(self):
         return not any(self.num)
 
-    def rational_value(self):
-        """The value as a rational: None off the first basis element, or on it
-        with an irrational first weight (zero excepted)."""
+    def _rational_pair(self):
+        """The value as integers (n, den), den > 0, not in lowest terms: None
+        off the first basis element, or on it with an irrational first weight
+        (zero excepted)."""
         desc = self.descriptor
         if any(self.num[1:]) or self.num[0] and desc._wb[0]:
             return None
-        return Fraction(self.num[0] * desc._wa[0], self.den * desc._wden)
+        return self.num[0] * desc._wa[0], self.den * desc._wden
+
+    def rational_value(self):
+        """The value as a Fraction, or None where _rational_pair is None."""
+        pair = self._rational_pair()
+        return None if pair is None else Fraction(*pair)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -354,8 +360,8 @@ class GroupElement:
 
     def __str__(self):
         """The short form of reports: the rational value bare, else to_text."""
-        q = self.rational_value()
-        return self.to_text() if q is None else str(q)
+        pair = self._rational_pair()
+        return self.to_text() if pair is None else _ratio_text(*pair)
 
 
 class _Infinity:

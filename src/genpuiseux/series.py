@@ -421,15 +421,12 @@ class GenSeries:
     def _exp_text(self, gamma):
         if gamma.is_zero():
             return ""
-        var = self.ring.var
-        q = gamma.rational_value()
-        if q is None:
-            return f"{var}^({gamma.to_text()})"
-        if q == 1:
+        var, text = self.ring.var, str(gamma)
+        if text == "1":
             return var
-        if q.denominator == 1:
-            return f"{var}^{q}"
-        return f"{var}^({q})"
+        if text.lstrip("-").isdecimal():
+            return f"{var}^{text}"
+        return f"{var}^({text})"
 
     def _coeff_text(self, c):
         txt = self.ring.coeffs.residue(c).to_text()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import genpuiseux
-from genpuiseux import cli, truncalg
+from genpuiseux import cli, coeff, truncalg
 from genpuiseux.cli import (
     ALL_CHECKS,
     _is_prime,
@@ -427,6 +427,15 @@ def test_main_engine_error_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "engine error: open truncation beyond stored precision\n"
+
+
+def test_a_split_without_a_witness_is_an_engine_error(tmp_path, capsys, monkeypatch):
+    # the residue equation X^2 - 1 over F3 has two roots, so factor_poly must split
+    monkeypatch.setattr(coeff, "_witness_candidates", lambda tower, degree: iter(()))
+    path = write(tmp_path, "split.spec", "char 3\npoly y^2 - 1 - t\n")
+    assert main(["expand", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "engine error: equal-degree split found no separating witness\n"
 
 
 @pytest.mark.parametrize("zero", ["t - t", "z"])

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genpuiseux.coeff import (
@@ -542,8 +542,9 @@ def test_solve_in_closure_is_kept_on_its_tower(monkeypatch):
         assert len(calls) == before + 2 * n
 
 
-# F4, F9, F16 (height two), F25 = F5[X]/(X^2 - 2), F27 = F3[X]/(X^3 - X - 1)
-_FACTOR_TOWERS = {"F4": f4()[0], "F9": fp(3).adjoin((1, 0, 1)), "F16": F16_TOWER,
+# F2, F3, F5, F4, F9, F16 (height two), F25 = F5[X]/(X^2 - 2), F27 = F3[X]/(X^3 - X - 1)
+_FACTOR_TOWERS = {"F2": fp(2), "F3": fp(3), "F5": fp(5),
+                  "F4": f4()[0], "F9": fp(3).adjoin((1, 0, 1)), "F16": F16_TOWER,
                   "F25": fp(5).adjoin((3, 0, 1)), "F27": fp(3).adjoin((2, 2, 0, 1))}
 
 
@@ -592,14 +593,22 @@ def _factor_case(draw):
     return name, f
 
 
+# Polynomials as element indices: over F_p index i is i, over F4 1 is w and 2 is 1.
 @settings(max_examples=100, deadline=None)
 @given(_factor_case())
+@example(("F2", [1, 0, 1]))  # X^2 + 1 = (X + 1)^2
+@example(("F3", [1, 0, 0, 0, 0, 0, 1]))  # X^6 + 1 = (X^2 + 1)^3
+@example(("F5", [4, 0, 0, 0, 0, 1]))  # X^5 - 1 = (X - 1)^5
+@example(("F4", [1, 0, 2, 0, 2]))  # X^4 + X^2 + w = (X^2 + X + w^2)^2
 def test_factor_poly_factors_are_monic_irreducible_and_multiply_back(case):
     name, f = case
     tower = _FACTOR_TOWERS[name]
     index, add, mul, neg = _field_tables(name)
     els, one = list(tower.enumerate_elements()), index[tower.rep_one()]
     unit, factors = factor_poly(tower, [CoeffElem(tower, els[i]) for i in f])
+    # distinct and in canonical order: by degree, then by coefficient key
+    keys = [(len(fac), [c.sort_key() for c in fac]) for fac, _ in factors]
+    assert all(a < b for a, b in zip(keys, keys[1:])), keys
     product = [index[unit.rep]]
     for fac, m in factors:
         g = [index[c.rep] for c in fac]
