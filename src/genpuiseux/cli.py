@@ -351,6 +351,7 @@ def _identity_holds(prod, lam, tree):
 
 
 def _check_caltron(res, rng, trials):
+    """Product truncation of random pairs of series: reads only the ring."""
     ring = res.series.ring
     for _ in range(2 * trials):
         g = _rand_series(ring, rng)
@@ -368,6 +369,7 @@ def _product_tree_holds(factors, lam):
 
 
 def _check_prodfini(res, rng, trials):
+    """Product-truncation trees of three random series: reads only the ring."""
     ring = res.series.ring
     for _ in range(max(1, trials // 3)):
         fs = [_rand_series(ring, rng) for _ in range(3)]
@@ -378,6 +380,8 @@ def _check_prodfini(res, rng, trials):
 
 
 def _check_stab(res, rng, trials):
+    """Product-truncation trees of t and root factors: reads the root only
+    through an identity that holds for any series, so no wrong root fails it."""
     ring = res.series.ring
     root = res.series.exact()
     if not root.terms:
@@ -392,6 +396,8 @@ def _check_stab(res, rng, trials):
 
 
 def _check_min(res, rng, trials):
+    """The three-way derivative minimum of random h at the first two finite
+    epsilon_i: reads the chain and h's Taylor vector at the partial."""
     chain = res.chain
     stages = [i for i in range(1, len(chain) + 1)
               if chain.entry(i).epsilon is not INF][:2]
@@ -402,7 +408,7 @@ def _check_min(res, rng, trials):
             if h.is_zero():
                 continue
             done += 1
-            rep = derivative_min_check(h, chain, i, res.state.partial)
+            rep = derivative_min_check(h, chain, i, res.state.taylor_of(h))
             if rep["nu_i"] is not INF and not rep["equal"]:
                 return False, INF
     return True, INF
@@ -423,6 +429,7 @@ def _stage_readings(state, read, with_beta):
 
 
 def _check_ent(res, rng, trials):
+    """Integral dependence at each finite epsilon_i up to beta: reads the chain and the partial."""
     worst = INF
     for rel in _stage_readings(res.state, integral_dependence, with_beta=True):
         # the relation's degree is max U0 and its top coefficient a unit monomial
@@ -436,6 +443,8 @@ def _check_ent(res, rng, trials):
 
 
 def _check_taylor(res, rng, trials):
+    """F's Taylor form at each finite epsilon_i below beta: reads the chain and the partial."""
+
     def form_at(eps, state):
         return taylor_form(state.F, eps, state, mode="OPEN")
 

@@ -27,7 +27,6 @@ from .groups import INF, cmp, gmin
 from .keypoly import (
     KeyPolyChain,
     ValPoly,
-    constant_gap,
     extend_chain,
     geometric_limit,
     initial_chain,
@@ -148,15 +147,17 @@ class PuiseuxState:
         return taylor_at(poly, self.partial, lowest)
 
     def eval_at_partial(self, poly, entry=None):
-        """poly at the partial: F as the Taylor head, and the key polynomial of
-        an entry that keeps F = D + poly (``constant_gap``) as that head less D."""
+        """poly at the partial, the one reader of values there: F is the Taylor
+        head; the key polynomial of an entry that keeps F = D + poly
+        (``ChainEntry.kept_constant``) is that head less D when the partial and
+        the head are series of raw precision INF, where both readings are one
+        exact sum of the same raw terms; any other polynomial is evaluated."""
         if poly == self.F:
             return self.taylor_vector()[0]
-        if entry is not None:
-            f_at = self.taylor_vector()[0]
-            gap = constant_gap(entry, self.F, self.partial, f_at)
-            if gap is not None:
-                return f_at - gap
+        D = None if entry is None else entry.kept_constant(self.F)
+        if (D is not None and isinstance(self.partial, GenSeries) and self.partial.raw_exact()
+                and (head := self.taylor_vector()[0]).raw_exact()):
+            return head - D
         return poly.eval(self.partial)
 
     def with_term(self, a):
@@ -256,8 +257,7 @@ def step(state):
                 and cmp(state.beta, chain.entry(i_b).epsilon) == 0)
     if boundary:
         try:
-            chain = extend_chain(chain, state.F, moved.partial,
-                                 moved.eval_at_partial(state.F))
+            chain = extend_chain(chain, state.F, moved.eval_at_partial)
         except (ChainComplete, ValuationIndeterminate):
             # stage data exhausted at the working precision: an honest stop
             trace = _record(state, coeff_text, state.beta, "STEP",
@@ -266,8 +266,7 @@ def step(state):
     # the advance is capped by the stage threshold but driven by the value the
     # stage polynomial (at a boundary, the new one) attains at the moved partial
     entry = chain.entry(len(chain) if boundary else i_b)
-    q_eval = moved.eval_at_partial(entry.poly, entry)
-    beta_tilde = q_eval.val()
+    beta_tilde = moved.eval_at_partial(entry.poly, entry).val()
     eps_tilde = entry.epsilon_for(beta_tilde)[1]
     if beta_tilde is INF and not boundary:
         beta_plus = INF  # the stage polynomial vanishes exactly at the partial
@@ -291,7 +290,8 @@ def step(state):
 
 
 def limit_signature(state):
-    """The stage polynomial accumulated against, or None.
+    """(stage polynomial accumulated against, the last exponent step d of
+    ``geometric_limit``), or None.
 
     Detects a geometric exponent stream crawling below the threshold of a
     stage polynomial distinct from the defining polynomial (for the defining
@@ -309,12 +309,10 @@ def limit_signature(state):
     geo = geometric_limit([e for e, _ in state.emitted[-3:]], p)
     if geo is None:
         return None
-    sup = geo[1]
-    if cmp(sup, entry.epsilon) > 0:
-        return None
-    if cmp(state.beta, sup) >= 0:
-        return None  # the accumulation point is already behind us
-    return entry.poly
+    delta, sup = geo
+    if cmp(sup, entry.epsilon) > 0 or cmp(state.beta, sup) >= 0:
+        return None  # the accumulation passes the threshold, or is already behind us
+    return entry.poly, delta
 
 
 def limit_step(state):
@@ -323,16 +321,16 @@ def limit_step(state):
     The only registered family is the constant-coefficient geometric pattern
     (exponents A - B p^-k).  Identity on states with no detected limit.
     """
-    flim = limit_signature(state)
-    if flim is None:
+    sig = limit_signature(state)
+    if sig is None:
         return state
+    flim, delta = sig
     ring = state.ring
     p = ring.char_exponent
     last = state.emitted[-3:]
     c_rep = last[-1][1]
     if not all(c == c_rep for _, c in last):
         raise UnsupportedLimitPattern("coefficients do not repeat")
-    delta = geometric_limit([e for e, _ in last], p)[0]
 
     # verify the stage polynomial's valuations along three extrapolated terms
     head = list(state.emitted)

@@ -5,9 +5,10 @@ A chain entry holds a monic polynomial over the lower-stage series field
 together with its assigned value beta, the derivative order realizing the
 epsilon invariant, epsilon itself, the degree ratio to the previous entry,
 and the values of its p-power Hasse derivatives, computed once when the
-entry is built.  The valuation oracle is pullback along the partial root series being
-constructed; entry values are assigned from Newton polygons of the defining
-polynomial and cross-checked against evaluation whenever it is determinate.
+entry is built.  The valuation oracle is pullback along the partial root
+series being constructed, which this module reads only through values its
+callers pass in (a reader of the partial, a Taylor vector); entry values are
+assigned from Newton polygons of the defining polynomial.
 """
 
 from __future__ import annotations
@@ -222,6 +223,17 @@ class ChainEntry:
         and an INF value gives (first b, INF)."""
         p = self.poly.ring.char_exponent
         return _max_drop(self.levels, p, value)
+
+    def kept_constant(self, F):
+        """D when the entry keeps F = D + poly, D of raw precision INF, as the
+        expansion (D, 1) that extend_chain formed for this very F; None
+        otherwise, also for F = D + c_1*poly with c_1 != 1, as for a reducible F."""
+        exp = self.expansion
+        if (exp is None or exp[0] is not F or len(exp[1]) != 2 or exp[1][0].degree()
+                or exp[1][1].degree() or not exp[1][1].is_monic()):
+            return None
+        D = exp[1][0].coeffs[0]
+        return D if D.raw_exact() else None
 
 
 def _max_drop(levels, p, value):
@@ -446,30 +458,14 @@ def _monomial_ratio(num, den, chain, i):
     return out
 
 
-def constant_gap(entry, F, partial, f_at_partial):
-    """D with F = D + entry.poly, from the entry's kept expansion (F, (D, 1), ...),
-    when entry.poly at the partial may be read as f_at_partial - D: a series
-    partial, D and f_at_partial of raw precision INF, where both readings are
-    one exact sum of the same raw terms.  None otherwise (evaluate instead),
-    also for F = D + c_1*entry.poly with c_1 != 1, as for a reducible F."""
-    exp = entry.expansion
-    if (exp is None or exp[0] is not F or len(exp[1]) != 2 or exp[1][0].degree()
-            or exp[1][1].degree() or not exp[1][1].is_monic()
-            or f_at_partial is None or not isinstance(partial, GenSeries)):
-        return None
-    D = exp[1][0].coeffs[0]
-    return D if D.raw_exact() and f_at_partial.raw_exact() and partial.raw_exact() else None
-
-
-def extend_chain(chain, F, partial, f_at_partial=None):
+def extend_chain(chain, F, at):
     """MacLane-style augmentation of the chain from the defining polynomial.
 
-    partial: the current exact partial root (supports .eval of ValPoly)
-    through which pinned leading coefficients are read; f_at_partial, when
-    given, is F evaluated there.  Returns the new chain; raises
-    ChainComplete when the chain already computes nu(F).
-    With F = D + Q_i kept (``constant_gap``), Q_i is read as f_at_partial - D
-    and F's expansion in q_new = Q_i + c*r, for delta 1 and a constant ratio r,
+    at(poly, entry=None) reads poly at the current exact partial root
+    (``PuiseuxState.eval_at_partial``); the pinned leading coefficients are
+    read through it.  Returns the new chain; raises ChainComplete when the
+    chain already computes nu(F).  With F = D + Q_i kept (``kept_constant``),
+    F's expansion in q_new = Q_i + c*r, for delta 1 and a constant ratio r,
     is (D - c*r, 1).
     """
     ring = chain.ring
@@ -479,7 +475,6 @@ def extend_chain(chain, F, partial, f_at_partial=None):
     if last.beta is INF:
         raise ChainComplete("the chain ends with an exact divisor of the input")
 
-    gap = constant_gap(last, F, partial, f_at_partial)
     cs_new = None
     if last.poly == F:
         q_new, delta = F, 1
@@ -495,26 +490,22 @@ def extend_chain(chain, F, partial, f_at_partial=None):
         ratio = _monomial_ratio(lsm0, lsm1, chain, i)
 
         # pinned data: leading coefficients of the stage and ratio at the partial
-        q_eval = last.poly.eval(partial) if gap is None else f_at_partial - gap
-        r_eval = ratio.eval(partial)
+        q_eval = at(last.poly, last)
+        r_eval = at(ratio)
         if not q_eval.terms or not r_eval.terms:
             raise ValuationIndeterminate("stage data not pinned by the partial root")
-        ell = q_eval.leading_term()[1]
-        rbar = r_eval.leading_term()[1]
-        res_ell = ring.coeffs.residue(ell)
-        res_rbar = ring.coeffs.residue(rbar)
+        res_ell, res_rbar = (ring.coeffs.residue(v.leading_term()[1]) for v in (q_eval, r_eval))
         coeff = -(res_ell ** delta) * res_rbar.inv()
         lifted = ring.const(ring.coeffs.lift(coeff))
         q_new = (last.poly ** delta) + ratio * lifted
-        if gap is not None and delta == 1 and not ratio.degree():
+        if delta == 1 and not ratio.degree() and (gap := last.kept_constant(F)) is not None:
             # a constant refinement: F = (D - c*r) + q_new, with no division
             cs_new = [ValPoly.const(gap - ratio.coeffs[0] * lifted, F.var),
                       last.expansion[1][1]]
 
     if q_new == F:
         # refresh the defining-polynomial entry against the longer partial
-        ev = F.eval(partial) if f_at_partial is None else f_at_partial
-        return _append_with_invariants(chain, F, ev.val(), alpha=delta)
+        return _append_with_invariants(chain, F, at(F).val(), alpha=delta)
 
     # polygon-assigned value: min over j >= 1 of (nu(c_0) - nu(c_j)) / j
     # over the expansion of F in the new polynomial, kept for the next extension
@@ -540,13 +531,13 @@ def _append_with_invariants(chain, q_new, beta, alpha, expansion=None):
     return chain.appended(entry)
 
 
-def derivative_min_check(h, chain, i, root):
+def derivative_min_check(h, chain, i, vec):
     """Report on the three-way minimum identity at beta = epsilon_i.
 
     Evaluates nu_i(h) against min over derivative orders a of both the true
     (pullback) and the truncated values of D^a h shifted by a*beta.  The
-    true values are h's Taylor vector at the root (``taylor_at``), the
-    truncated ones are read from h's kept derivatives, and nu_i(h) is the
+    true values are read from vec, h's Taylor vector at the root (a state's
+    ``taylor_of``), the truncated ones from h's kept derivatives; nu_i(h) is the
     truncated value at a = 0.  Both minima are read as ``taylor_min`` reads
     its vector, over the finite values; a minimum with none is None.
     epsilon_i must be finite.
@@ -563,7 +554,7 @@ def derivative_min_check(h, chain, i, root):
         return level_and_ties((a, v + beta.scale_unchecked(a)) for a, v in enumerate(values))[0]
 
     lhs = truncated_val(h, chain, i)[0]
-    mid = least(map(true_val, taylor_at(h, root)))
+    mid = least(map(true_val, vec))
     rhs = least([lhs] + [truncated_val(h.hasse_derivative(a), chain, i)[0]
                          for a in range(1, h.degree() + 1)])
     ok = mid is not None and rhs is not None and cmp(lhs, mid) == 0 == cmp(lhs, rhs)

@@ -248,6 +248,18 @@ def test_expand_mixed_sqrt_p():
         assert sq == t_pow(R, 1)
 
 
+@pytest.mark.parametrize("witt_prec,budget,terms", [(16, 16, 12), (8, 6, 5)])
+def test_expand_notes_a_stop_below_the_working_precision(witt_prec, budget, terms):
+    # sqrt(1 + p) over W(F5): the residual sinks below the p-adic working
+    # precision before the budget is spent; the state says so, the output not yet
+    text = f"p 5\nwitt_prec {witt_prec}\npoly y^2 - 1 - p\n"
+    res = _expand_spec(text, budget)
+    assert res.status == BUDGET and len(res.state.emitted) == len(res.series.terms) == terms
+    assert res.state.note == "residual-below-working-precision"
+    spent = _expand_spec(text, terms - 1)
+    assert spent.status == BUDGET and spent.state.note == ""
+
+
 def test_expand_quartic_two_stage():
     # (y^2 - t^3)^2 - t^7: root t^(3/2) + (1/2) t^2 - (1/8) t^(5/2) + ...
     R = tring()
@@ -934,17 +946,17 @@ def test_kept_expansion_extends_as_a_fresh_one(name, monkeypatch):
     extend = embed.extend_chain
     reads = []
 
-    def both(chain, F, partial, f_at_partial=None):
+    def both(chain, F, at):
         last = chain.entries[-1]
         fresh = KeyPolyChain(chain.ring, chain.entries[:-1]
                              + (replace(last, expansion=None),))
         try:
-            want = extend(fresh, F, partial, f_at_partial)
+            want = extend(fresh, F, at)
         except (ChainComplete, ValuationIndeterminate) as exc:
             with pytest.raises(type(exc)):
-                extend(chain, F, partial, f_at_partial)
+                extend(chain, F, at)
             raise
-        got = extend(chain, F, partial, f_at_partial)
+        got = extend(chain, F, at)
         reads.append((last.poly != F, last.expansion is not None and last.expansion[0] is F))
         a, b = got.entries[-1], want.entries[-1]
         for field in ENTRY_FIELDS:
@@ -1022,15 +1034,18 @@ def test_constant_refinement_closed_forms_equal_the_generic_path(name, monkeypat
     (unkept) entry extends to has the same q_new."""
     seen = []
 
-    def checked(chain, F, partial, f_at_partial=None):
-        out = extend_chain(chain, F, partial, f_at_partial)
+    def checked(chain, F, at):
+        out = extend_chain(chain, F, at)
         last, new = chain.entries[-1], out.entries[-1]
         if not _is_constant_refinement(last, new, F):
             return out
-        gap = keypoly.constant_gap(last, F, partial, f_at_partial)
+        partial, f_at_partial = at.__self__.partial, at(F)
+        assert partial.raw_exact() and f_at_partial.raw_exact()
+        gap = last.kept_constant(F)
         assert gap is not None
+        assert _raw(at(last.poly, last)) == _raw(f_at_partial - gap)
         assert _raw(f_at_partial - gap) == _raw(last.poly.eval(partial))
-        new_gap = keypoly.constant_gap(new, F, partial, f_at_partial)
+        new_gap = new.kept_constant(F)
         assert new_gap is not None
         assert _raw(f_at_partial - new_gap) == _raw(new.poly.eval(partial))
         kept, divided = new.expansion[1], standard_expansion(F, new.poly)
@@ -1044,7 +1059,7 @@ def test_constant_refinement_closed_forms_equal_the_generic_path(name, monkeypat
         assert new.levels == tuple((b, v) for b, v in levels if v is not INF)
         fresh = KeyPolyChain(chain.ring, chain.entries[:-1]
                              + (replace(last, expansion=None),))
-        generic = extend_chain(fresh, F, partial, f_at_partial).entries[-1]
+        generic = extend_chain(fresh, F, at).entries[-1]
         assert [_raw(c) for c in new.poly.coeffs] == [_raw(c) for c in generic.poly.coeffs]
         assert new == generic
         seen.append(name)
@@ -1071,9 +1086,36 @@ def test_reducible_input_expands_as_without_the_constant_gap_rule(name, monkeypa
         return res.series.to_text(), res.status, res.chain.report(), res.trace_lines()
 
     with_rule = outputs()
-    monkeypatch.setattr(keypoly, "constant_gap", lambda *args: None)
-    monkeypatch.setattr(embed, "constant_gap", lambda *args: None)
+    monkeypatch.setattr(keypoly.ChainEntry, "kept_constant", lambda self, F: None)
     assert outputs() == with_rule
+
+
+def test_eval_at_partial_reads_a_kept_key_polynomial_as_the_head_less_D(monkeypatch):
+    R = tring()
+    # F = t^5 + Q_2 with Q_2 = y^2 - 4t, read at the partial 2t^(1/2) + t^3
+    F = ValPoly(R, [t_pow(R, 5) - 4 * t_pow(R, 1), R.zero(), R.one()])
+    state = replace(init_state(F, R), partial=t_pow(R, Fraction(1, 2), 2) + t_pow(R, 3))
+    entry = extend_chain(state.chain, F, state.eval_at_partial).entries[-1]
+    D = entry.kept_constant(F)
+    assert D == t_pow(R, 5)
+    head = state.eval_at_partial(F)
+    evaluated = []
+    plain = ValPoly.eval
+
+    def counted(self, s):
+        evaluated.append(self)
+        return plain(self, s)
+
+    monkeypatch.setattr(ValPoly, "eval", counted)
+    assert state.eval_at_partial(entry.poly, entry) == head - D
+    assert not evaluated and (head - D).terms
+    # without the entry, or at a partial of finite raw precision, Q_2 is evaluated
+    assert state.eval_at_partial(entry.poly) == head - D
+    assert evaluated == [entry.poly]
+    cut = replace(state, partial=GenSeries(R, state.partial.terms, g(R, 9)))
+    assert not cut.partial.raw_exact()
+    assert cut.eval_at_partial(entry.poly, entry) == plain(entry.poly, cut.partial)
+    assert evaluated[-2:] == [entry.poly, entry.poly]
 
 
 def test_coerced_chain_drops_the_kept_expansions():

@@ -27,7 +27,11 @@ negative second coordinates; and ``r2-f3`` over F3 at 32 terms, with
 denominators 3^k.
 
 The rank-2 runs also keep the budget-prefix relation: the trace records and
-the series terms at budget n are a prefix of those at budget 2n.
+the series terms at budget n are a prefix of those at budget 2n.  Thirteen
+more specs keep it beyond rank 2, over F2, F3, Q, Q(w), W(F2), W(F3) and
+W(F5), the limit stage included; and ten mixed-characteristic specs keep
+the Witt-precision relation: the terms printed at ``witt_prec`` 4 and 8 are
+those printed at 12, below each run's own O(p^k).
 """
 
 import functools
@@ -144,3 +148,47 @@ def test_rank2_budget_prefix(name, n):
     records2, terms2 = _records_and_terms(text, 2 * n)
     assert len(records) == n and len(terms) == n
     assert records2[:n] == records and terms2[:n] == terms
+
+
+PREFIX_RUNS = {
+    **{name: LONG_RUNS[name][0] for name in (
+        "as-f2", "sq-q", "cube-q", "sq-f3", "limit-f2", "p3-cube", "third-q")},
+    "cusp-f3": "char 3\npoly y^3 - t*y - t\n",
+    "p5": "p 5\nwitt_prec 16\npoly y^2 - 1 - p\n",
+    "p3-2p": "p 3\nwitt_prec 8\npoly y^2 - 2*p\n",
+    "p3-sqrt": "p 3\npoly y^2 - p\n",
+    "p2": "p 2\npoly y^2 - 1 - p\n",
+    # reducible: the first step takes the residue root 0 and stops
+    "cubic-q": "char 0\npoly y^3 - t^2*y + t^5\n",
+}
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("name", sorted(PREFIX_RUNS))
+def test_budget_prefix(name, n):
+    text = PREFIX_RUNS[name]
+    records, terms = _records_and_terms(text, n)
+    records2, terms2 = _records_and_terms(text, 2 * n)
+    # p-mode and limit runs do not emit n records (zero coefficients, limit
+    # steps and their head terms, precision stops): each run is read at its own length
+    assert records
+    assert records2[:len(records)] == records and terms2[:len(terms)] == terms
+
+
+WITT_RUNS = [
+    ("5", "y^2 - 1 - p"), ("5", "y^2 - 4 - p"), ("5", "y^3 - p*y + p^5"),
+    ("3", "y^2 - 2*p"), ("3", "y^2 - p"), ("3", "y^3 - p - p^2"), ("3", "y^2 + p*y + p^3"),
+    ("2", "y^2 - 1 - p"), ("2", "y^2 - 1 - p^3"), ("2", "y^2 - p^2 - p^5"),
+]
+
+
+@pytest.mark.parametrize("p,poly", WITT_RUNS, ids=[f"p{p}:{f}" for p, f in WITT_RUNS])
+def test_witt_precision_prefix(p, poly):
+    def series(witt_prec):
+        spec = cli.parse_problem(f"p {p}\nwitt_prec {witt_prec}\npoly {poly}\n")
+        return cli.run_expand(spec, 8).series
+
+    finest = series(12)
+    for witt_prec in (4, 8):
+        got = series(witt_prec)
+        assert got.to_text() == finest.truncate_open(got.prec).to_text(), witt_prec

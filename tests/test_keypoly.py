@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from genpuiseux.keypoly import (
     KeyPolyChain,
     ValPoly,
     chain_entry,
-    constant_gap,
     derivative_min_check,
     extend_chain,
     first_exponent,
@@ -53,6 +53,12 @@ def classical_F(R):
 
 def artin_schreier_F(R):
     return poly(R, t_pow(R, 1), t_pow(R, 1), R.one())  # y^2 + t y + t
+
+
+def reader(s):
+    """A reader of values at the series s, as extend_chain takes one:
+    every polynomial evaluated there."""
+    return lambda q, entry=None: q.eval(s)
 
 
 def explicit_chain(R, *spec):
@@ -322,7 +328,7 @@ def test_binary_power_squares_only_while_bits_remain(name, monkeypatch):
 def test_chain_entries_are_numbered_from_one():
     R = tring(2)
     chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(1, 2))))
-    chain = extend_chain(chain, artin_schreier_F(R), t_pow(R, Fraction(1, 2)))
+    chain = extend_chain(chain, artin_schreier_F(R), reader(t_pow(R, Fraction(1, 2))))
     assert chain.entry(1) is chain.entries[0]
     assert chain.entry(2) is chain.entries[1]
     for i in (0, -1, 3):
@@ -372,7 +378,7 @@ def test_standard_expansion_reassembly():
     rng = random.Random(55)
     R = tring(2)
     chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(1, 2))))
-    chain = extend_chain(chain, artin_schreier_F(R), t_pow(R, Fraction(1, 2)))
+    chain = extend_chain(chain, artin_schreier_F(R), reader(t_pow(R, Fraction(1, 2))))
     for i in (1, 2):
         q = chain.entry(i).poly
         for _ in range(100):
@@ -451,9 +457,9 @@ def test_epsilon_monotone_on_computed_chain():
     F = artin_schreier_F(R)
     chain = initial_chain(R, F)
     partial = t_pow(R, Fraction(1, 2))
-    chain = extend_chain(chain, F, partial)
+    chain = extend_chain(chain, F, reader(partial))
     partial = partial + t_pow(R, Fraction(3, 4))
-    chain = extend_chain(chain, F, partial)
+    chain = extend_chain(chain, F, reader(partial))
     eps = [e.epsilon for e in chain.entries]
     assert eps[0] == g(R, Fraction(1, 2))
     assert eps[1] == g(R, Fraction(3, 4))
@@ -470,12 +476,12 @@ def test_extend_chain_classical():
     F = classical_F(R)
     chain = initial_chain(R, F)
     assert chain.entry(1).beta == g(R, Fraction(3, 2))
-    chain = extend_chain(chain, F, t_pow(R, Fraction(3, 2)))
+    chain = extend_chain(chain, F, reader(t_pow(R, Fraction(3, 2))))
     assert chain.entry(2).poly == F
     assert chain.entry(2).beta is INF
     assert chain.entry(2).alpha == 2
     with pytest.raises(ChainComplete):
-        extend_chain(chain, F, t_pow(R, Fraction(3, 2)))
+        extend_chain(chain, F, reader(t_pow(R, Fraction(3, 2))))
 
 
 def test_extend_chain_artin_schreier_sequence():
@@ -483,25 +489,25 @@ def test_extend_chain_artin_schreier_sequence():
     F = artin_schreier_F(R)
     chain = initial_chain(R, F)
     assert chain.entry(1).beta == g(R, Fraction(1, 2))
-    chain = extend_chain(chain, F, t_pow(R, Fraction(1, 2)))
+    chain = extend_chain(chain, F, reader(t_pow(R, Fraction(1, 2))))
     q2 = chain.entry(2).poly
     # the intermediate key polynomial is y^2 + t
     assert q2 == ValPoly(R, [t_pow(R, 1), R.zero(), R.one()])
     assert chain.entry(2).beta == g(R, Fraction(3, 2))
     partial = t_pow(R, Fraction(1, 2)) + t_pow(R, Fraction(3, 4))
-    chain = extend_chain(chain, F, partial)
+    chain = extend_chain(chain, F, reader(partial))
     assert chain.entry(3).poly == F
     assert chain.entry(3).beta == g(R, Fraction(7, 4))
     assert chain.entry(3).epsilon == g(R, Fraction(7, 8))
     # re-pin against a longer partial
     partial = partial + t_pow(R, Fraction(7, 8))
-    chain = extend_chain(chain, F, partial)
+    chain = extend_chain(chain, F, reader(partial))
     assert chain.entry(4).poly == F
     assert chain.entry(4).beta == g(R, Fraction(15, 8))
     assert chain.entry(4).epsilon == g(R, Fraction(15, 16))
 
 
-def test_constant_gap_reads_only_F_as_a_constant_plus_the_key_polynomial():
+def test_kept_constant_reads_only_F_as_a_constant_plus_the_key_polynomial():
     R = tring()
     partial = t_pow(R, Fraction(1, 2), 2)
     # y^2 - 4t + t^5 = t^5 + Q_2 and y^3 - 4t*y + t^5 = t^5 + y*Q_2 (reducible),
@@ -510,14 +516,19 @@ def test_constant_gap_reads_only_F_as_a_constant_plus_the_key_polynomial():
                         "1", t_pow(R, 5)),
                        (poly(R, t_pow(R, 5), -4 * t_pow(R, 1), R.zero(), R.one()),
                         "y", None)]:
-        f_at = F.eval(partial)
-        entry = extend_chain(initial_chain(R, F), F, partial, f_at).entries[-1]
+        entry = extend_chain(initial_chain(R, F), F, reader(partial)).entries[-1]
         assert entry.poly == poly(R, -4 * t_pow(R, 1), R.zero(), R.one())
         assert [c.to_text() for c in entry.expansion[1]] == ["t^5", c1]
-        assert constant_gap(entry, F, partial, f_at) == gap
-        assert constant_gap(entry, F, partial, None) is None
+        assert entry.kept_constant(F) == gap
+        # the expansion is of this very F: an equal polynomial is another input
+        assert entry.kept_constant(poly(R, *F.coeffs)) is None
         if gap is not None:
-            assert f_at - gap == entry.poly.eval(partial)
+            assert F.eval(partial) - gap == entry.poly.eval(partial)
+            # a D of finite raw precision is not read as a constant
+            cut = ValPoly.const(GenSeries(R, gap.terms, g(R, 9)))
+            inexact = replace(entry, expansion=(F, (cut,) + entry.expansion[1][1:],
+                                                entry.expansion[2]))
+            assert inexact.kept_constant(F) is None
 
 
 def _multiply_out(mono, chain, i, var):
@@ -593,7 +604,7 @@ def test_monomial_ratio_subtracts_exponent_vectors():
 
     R = tring(2)
     F = artin_schreier_F(R)
-    chain = extend_chain(initial_chain(R, F), F, t_pow(R, Fraction(1, 2)))
+    chain = extend_chain(initial_chain(R, F), F, reader(t_pow(R, Fraction(1, 2))))
     one = R.coeffs.one()
     # (t^(1/2) Q_1 Q_2^2) / (t^(1/4) Q_2) = t^(1/4) Q_2 Q_1
     num = ({1: 1, 2: 2}, (g(R, Fraction(1, 2)), one))
@@ -611,7 +622,7 @@ def test_extend_chain_linear():
     F = poly(R, -1 * t_pow(R, 1), R.one())  # y - t
     chain = initial_chain(R, F)
     assert chain.entry(1).beta == g(R, 1)
-    chain = extend_chain(chain, F, t_pow(R, 1))
+    chain = extend_chain(chain, F, reader(t_pow(R, 1)))
     assert chain.entry(2).poly == F
     assert chain.entry(2).beta is INF
 
@@ -620,7 +631,7 @@ def test_degrees_multiply_along_chain():
     R = tring(2)
     F = artin_schreier_F(R)
     chain = initial_chain(R, F)
-    chain = extend_chain(chain, F, t_pow(R, Fraction(1, 2)))
+    chain = extend_chain(chain, F, reader(t_pow(R, Fraction(1, 2))))
     d_prev = 1
     for e in chain.entries:
         assert e.poly.degree() == d_prev * e.alpha
@@ -632,11 +643,11 @@ def test_limit_detection_signature():
     F = artin_schreier_F(R)
     chain = initial_chain(R, F)
     partial = t_pow(R, Fraction(1, 2))
-    chain = extend_chain(chain, F, partial)
+    chain = extend_chain(chain, F, reader(partial))
     exps = [Fraction(3, 4), Fraction(7, 8), Fraction(15, 16), Fraction(31, 32)]
     for e in exps:
         partial = partial + t_pow(R, e)
-        chain = extend_chain(chain, F, partial)
+        chain = extend_chain(chain, F, reader(partial))
     # the last three entries re-pin one polynomial while their thresholds
     # close in geometrically
     last = chain.entries[-3:]
@@ -662,11 +673,11 @@ def _as_chain_with_root(budget=6):
     F = artin_schreier_F(R)
     chain = initial_chain(R, F)
     partial = t_pow(R, Fraction(1, 2))
-    chain = extend_chain(chain, F, partial)
+    chain = extend_chain(chain, F, reader(partial))
     exp = Fraction(3, 4)
     for _ in range(budget - 1):
         partial = partial + t_pow(R, exp)
-        chain = extend_chain(chain, F, partial)
+        chain = extend_chain(chain, F, reader(partial))
         exp = 1 - (1 - exp) / 2
     return R, chain, partial
 
@@ -692,7 +703,7 @@ def test_prop_min_on_corpus():
             if h.is_zero():
                 continue
             trials += 1
-            rep = derivative_min_check(h, chain, i, root)
+            rep = derivative_min_check(h, chain, i, taylor_at(h, root))
             if rep["nu_i"] is INF:
                 continue
             assert rep["equal"], (i, h.to_text(), rep)
@@ -703,11 +714,11 @@ def test_prop_min_on_corpus():
 def test_prop_min_trivial_cases():
     R, chain, root = _as_chain_with_root()
     q1 = chain.entry(1).poly
-    rep = derivative_min_check(q1, chain, 1, root)
+    rep = derivative_min_check(q1, chain, 1, taylor_at(q1, root))
     assert rep["equal"]
     assert rep["nu_i"] == chain.entry(1).beta
     const = ValPoly.const(t_pow(R, 2, 1))
-    rep = derivative_min_check(const, chain, 1, root)
+    rep = derivative_min_check(const, chain, 1, taylor_at(const, root))
     assert rep["equal"]
     assert rep["nu_i"] == g(R, 2)
 
@@ -719,7 +730,7 @@ def test_prop_101_inequality():
         if char == 2:
             F = artin_schreier_F(R)
             chain = initial_chain(R, F)
-            chain = extend_chain(chain, F, t_pow(R, Fraction(1, 2)))
+            chain = extend_chain(chain, F, reader(t_pow(R, Fraction(1, 2))))
         else:
             chain = explicit_chain(R, (ValPoly.variable(R), g(R, Fraction(3, 2))))
         p = max(char, 1)
@@ -797,7 +808,7 @@ def test_chain_report_format():
     R = tring(2)
     F = artin_schreier_F(R)
     chain = initial_chain(R, F)
-    chain = extend_chain(chain, F, t_pow(R, Fraction(1, 2)))
+    chain = extend_chain(chain, F, reader(t_pow(R, Fraction(1, 2))))
     lines = chain.report().splitlines()
     assert lines[0] == "1: Q_1=y beta=1/2 b=0 eps=1/2 alpha=1"
     assert lines[1] == "2: Q_2=y^2 + t beta=3/2 b=1 eps=3/4 alpha=2"
