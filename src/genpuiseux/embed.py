@@ -21,18 +21,15 @@ from .errors import (
     IrreducibleOverRationals,
     UnsupportedLimitPattern,
     ValuationIndeterminate,
-    ZeroPolynomial,
 )
 from .groups import INF, cmp, gmin
 from .keypoly import (
     KeyPolyChain,
+    TaylorVector,
     ValPoly,
     extend_chain,
     geometric_limit,
     initial_chain,
-    shift_taylor,
-    taylor_at,
-    taylor_min,
 )
 from .series import GenSeries, eval_poly
 
@@ -107,8 +104,8 @@ class PuiseuxState:
     trace: tuple = ()
     emitted: tuple = ()  # (exponent, coefficient) pairs actually added
     note: str = ""
-    # (partial, F, [(D^l F)(partial)]); read only while both objects match
-    taylor: tuple = field(default=None, compare=False, repr=False)
+    # F's TaylorVector at the partial; read only while it ``is_of`` both objects
+    taylor: TaylorVector = field(default=None, compare=False, repr=False)
     # (chain, beta, chain.index_for(beta)); read only while both objects match
     stage: tuple = field(default=None, compare=False, repr=False)
 
@@ -129,22 +126,22 @@ class PuiseuxState:
         return self.partial.truncate_open(prec)
 
     def taylor_vector(self):
-        """((D^l F)(partial))_{l=0..deg F}, evaluated at most once per partial.
+        """F's ``TaylorVector`` at the partial, evaluated at most once per partial.
 
         A vector carried from another partial or F (say after a
         ``dataclasses.replace``) is never read: it is evaluated afresh.
         """
         t = self.taylor
-        if t is None or t[0] is not self.partial or t[1] is not self.F:
-            t = self.taylor = (self.partial, self.F, taylor_at(self.F, self.partial))
-        return t[2]
+        if t is None or not t.is_of(self.F, self.partial):
+            t = self.taylor = TaylorVector(self.F, self.partial)
+        return t
 
     def taylor_of(self, poly, lowest=0):
-        """((D^l poly)(partial))_l: the carried vector when poly is F, else
-        ``taylor_at`` with the entries below ``lowest`` left as None."""
+        """poly's ``TaylorVector`` at the partial: the carried one when poly is
+        F, else one with the entries below ``lowest`` left as None."""
         if poly == self.F:
             return self.taylor_vector()
-        return taylor_at(poly, self.partial, lowest)
+        return TaylorVector(poly, self.partial, lowest)
 
     def eval_at_partial(self, poly, entry=None):
         """poly at the partial, the one reader of values there: F is the Taylor
@@ -153,10 +150,10 @@ class PuiseuxState:
         the head are series of raw precision INF, where both readings are one
         exact sum of the same raw terms; any other polynomial is evaluated."""
         if poly == self.F:
-            return self.taylor_vector()[0]
+            return self.taylor_vector().entries[0]
         D = None if entry is None else entry.kept_constant(self.F)
         if (D is not None and isinstance(self.partial, GenSeries) and self.partial.raw_exact()
-                and (head := self.taylor_vector()[0]).raw_exact()):
+                and (head := self.taylor_vector().entries[0]).raw_exact()):
             return head - D
         return poly.eval(self.partial)
 
@@ -164,10 +161,8 @@ class PuiseuxState:
         """The state whose partial gained a*t^beta, with its Taylor vector."""
         if isinstance(self.partial, LimitPartial):
             return replace(self, partial=self.partial.add_term(self.beta, a), taylor=None)
-        m = self.ring.monomial(self.beta, a)
-        partial = self.partial + m
-        taylor = (partial, self.F, shift_taylor(self.taylor_vector(), m))
-        return replace(self, partial=partial, taylor=taylor)
+        taylor = self.taylor_vector().shift(self.ring.monomial(self.beta, a))
+        return replace(self, partial=taylor.point, taylor=taylor)
 
     def with_tower(self, tower):
         """The state over a taller residue tower: the one place where values
@@ -175,13 +170,10 @@ class PuiseuxState:
         if tower == self.ring.tower:
             return self
         ring2 = self.ring.with_tower(tower)
-        chain2 = self.chain.coerce(ring2)
-        part2 = self.partial.coerce(ring2)
-        F2 = self.F.coerce(ring2)
-        taylor2 = (part2, F2, [h.coerce(ring2) for h in self.taylor_vector()])
+        taylor2 = self.taylor_vector().coerce(ring2)
         emitted2 = tuple((g, ring2.coeffs.coerce(c)) for g, c in self.emitted)
-        return replace(self, ring=ring2, F=F2, chain=chain2, partial=part2,
-                       taylor=taylor2, emitted=emitted2)
+        return replace(self, ring=ring2, F=taylor2.poly, chain=self.chain.coerce(ring2),
+                       partial=taylor2.point, taylor=taylor2, emitted=emitted2)
 
 
 def init_state(F, ring):
@@ -202,10 +194,10 @@ def init_state(F, ring):
 def residual_equation(state):
     """Residue equation for the next coefficient, from the Taylor ties: its
     coefficients over the residue tower, ascending."""
-    _, ties = mu_beta_val(state.F, state)
     taylor = state.taylor_vector()
+    _, ties = taylor.min_at(state.beta)
     coeffs = state.ring.coeffs
-    eq = {l: coeffs.residue(taylor[l].leading_term()[1]) for l in ties}
+    eq = {l: coeffs.residue(taylor.entries[l].leading_term()[1]) for l in ties}
     return [eq.get(l, state.ring.tower.zero()) for l in range(max(eq) + 1)]
 
 
@@ -414,16 +406,3 @@ def expand(F, ring, max_terms=16, max_prec=None):
     series = state.partial_series()
     return ExpandResult(series, state.chain, state.trace, state.status, state)
 
-
-# -- the mu_beta valuation --------------------------------------------------------------------
-
-
-def mu_beta_val(f, state):
-    """Substitute the main variable by partial + T and read the T-graded min.
-
-    Returns (value, attaining T-degrees) for a ValPoly f over the ring.
-    """
-    best, attain = taylor_min(state.taylor_of(f), state.beta)
-    if best is None:
-        raise ZeroPolynomial("polynomial vanishes at the partial development")
-    return best, attain

@@ -7,8 +7,8 @@ epsilon invariant, epsilon itself, the degree ratio to the previous entry,
 and the values of its p-power Hasse derivatives, computed once when the
 entry is built.  The valuation oracle is pullback along the partial root
 series being constructed, which this module reads only through values its
-callers pass in (a reader of the partial, a Taylor vector); entry values are
-assigned from Newton polygons of the defining polynomial.
+callers pass in (a reader of the partial, a point's ``TaylorVector``); entry
+values are assigned from Newton polygons of the defining polynomial.
 """
 
 from __future__ import annotations
@@ -170,39 +170,62 @@ class ValPoly:
         return f"ValPoly({self.to_text()})"
 
 
-def taylor_at(P, s, lowest=0):
-    """The Taylor vector ((D^l P)(s))_{l=0..deg P}: P's kept derivatives
+class TaylorVector:
+    """The Taylor vector ((D^l P)(s))_{l=0..deg P} of ``poly`` P at ``point``
+    s, as ``entries`` indexed by order: P's kept derivatives
     (``hasse_derivative``; D^0 P is P) each evaluated at s.
 
     s is a series, read by eval_poly, or any point with an ``eval_valpoly``
     method; a vanishing derivative contributes an exact zero without an
     evaluation.  The entries below ``lowest`` are left unevaluated, as None.
+    Given ``entries``, the vector is built from them with no evaluation.
     """
-    out = [None] * lowest
-    for l in range(lowest, P.degree() + 1):
-        dP = P.hasse_derivative(l)
-        out.append(s.ring.zero() if dP.is_zero() else dP.eval(s))
-    return out
 
+    __slots__ = ("poly", "point", "entries")
 
-def taylor_min(vec, beta):
-    """The T-graded minimum of a Taylor vector at beta: the least
-    nu(vec[k]) + k*beta over its non-zero entries, and the k attaining it."""
-    return level_and_ties((k, ev.val() + beta.scale_unchecked(k)) for k, ev in enumerate(vec))
+    def __init__(self, P, s, lowest=0, entries=None):
+        self.poly, self.point = P, s
+        if entries is None:
+            entries = [None] * lowest
+            for l in range(lowest, P.degree() + 1):
+                dP = P.hasse_derivative(l)
+                entries.append(s.ring.zero() if dP.is_zero() else dP.eval(s))
+        self.entries = entries
 
+    def is_of(self, P, s):
+        """Whether this is the vector of this very P at this very s."""
+        return self.point is s and self.poly is P
 
-def shift_taylor(vec, m):
-    """The Taylor vector at s + m from the one at s, for a one-term series m.
+    def shift(self, m):
+        """The vector at point + m, for a one-term series m.
 
-    The entries are the coefficients of G(x) = sum (D^k F)(s) x^k, and the
-    vector at s + m is that of G(x + m).  Horner's rule forms it: deg F
-    rounds of out[k] += out[k+1]*m, each one ``add_mul``, a linear merge.
-    """
-    out = list(vec)
-    for low in range(len(out) - 1):
-        for k in range(len(out) - 2, low - 1, -1):
-            out[k] = out[k].add_mul(out[k + 1], m)
-    return out
+        The entries are the coefficients of G(x) = sum (D^k P)(s) x^k, and the
+        vector at s + m is that of G(x + m).  Horner's rule forms it: deg P
+        rounds of out[k] += out[k+1]*m, each one ``add_mul``, a linear merge.
+        """
+        out = list(self.entries)
+        for low in range(len(out) - 1):
+            for k in range(len(out) - 2, low - 1, -1):
+                out[k] = out[k].add_mul(out[k + 1], m)
+        return TaylorVector(self.poly, self.point + m, entries=out)
+
+    def coerce(self, ring):
+        """The vector over ring: the poly, the point and the entries moved together."""
+        return TaylorVector(self.poly.coerce(ring), self.point.coerce(ring),
+                            entries=[h.coerce(ring) for h in self.entries])
+
+    def derivative(self, b):
+        """The vector of D^b P at the point, by the law D^k D^b = C(b+k, k) D^(b+k):
+        entries C(b+k, k)*entry[b+k], read from entry b on."""
+        return TaylorVector(self.poly.hasse_derivative(b), self.point,
+                            entries=[self.entries[b + k] * math.comb(b + k, k)
+                                     for k in range(len(self.entries) - b)])
+
+    def min_at(self, beta):
+        """The T-graded minimum at beta: the least nu(entry[k]) + k*beta over
+        the non-zero entries, and the k attaining it."""
+        return level_and_ties((k, ev.val() + beta.scale_unchecked(k))
+                              for k, ev in enumerate(self.entries))
 
 
 @dataclass(frozen=True)
@@ -536,10 +559,10 @@ def derivative_min_check(h, chain, i, vec):
 
     Evaluates nu_i(h) against min over derivative orders a of both the true
     (pullback) and the truncated values of D^a h shifted by a*beta.  The
-    true values are read from vec, h's Taylor vector at the root (a state's
+    true values are read from vec, h's ``TaylorVector`` at the root (a state's
     ``taylor_of``), the truncated ones from h's kept derivatives; nu_i(h) is the
-    truncated value at a = 0.  Both minima are read as ``taylor_min`` reads
-    its vector, over the finite values; a minimum with none is None.
+    truncated value at a = 0.  Both minima are read as ``TaylorVector.min_at``
+    reads its vector, over the finite values; a minimum with none is None.
     epsilon_i must be finite.
     """
     beta = chain.entry(i).epsilon
@@ -554,7 +577,7 @@ def derivative_min_check(h, chain, i, vec):
         return level_and_ties((a, v + beta.scale_unchecked(a)) for a, v in enumerate(values))[0]
 
     lhs = truncated_val(h, chain, i)[0]
-    mid = least(map(true_val, vec))
+    mid = least(map(true_val, vec.entries))
     rhs = least([lhs] + [truncated_val(h.hasse_derivative(a), chain, i)[0]
                          for a in range(1, h.degree() + 1)])
     ok = mid is not None and rhs is not None and cmp(lhs, mid) == 0 == cmp(lhs, rhs)

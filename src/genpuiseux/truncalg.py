@@ -9,12 +9,11 @@ dependence relation for the partial developments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ChainExhausted, PrecisionExceeded, ValuationIndeterminate
 from .groups import INF, cmp, gmin
-from .keypoly import level_and_ties, taylor_min, truncated_val
+from .keypoly import level_and_ties, truncated_val
 from .series import GenSeries
 
 
@@ -129,7 +128,7 @@ def _derivative_levels(f, beta, state):
     b lies in U0 when the T-graded minimum of D^b f at epsilon of the stage,
     min over k of nu((D^k D^b f)(partial)) + k*epsilon, is attained at k = 0
     only.  D^k D^b = C(b+k, k) D^(b+k), so that minimum is read from f's
-    own vector.
+    own vector (``TaylorVector.derivative``).
     """
     chain = state.chain
     i_stage = chain.index_for(beta)
@@ -143,14 +142,8 @@ def _derivative_levels(f, beta, state):
         raise ValuationIndeterminate("no determinate derivative level")
     vec = state.taylor_of(f, U[0])  # no order below U is read
     eps = chain.entry(i_stage).epsilon
-    U0 = list(U) if eps is INF else [b for b in U if _min_at_zero_only(vec, b, eps)]
+    U0 = list(U) if eps is INF else [b for b in U if vec.derivative(b).min_at(eps)[1] == [0]]
     return DerivativeLevels(lam, U, U0, i_stage), vec
-
-
-def _min_at_zero_only(vec, b, eps):
-    """Whether k = 0 alone attains min nu(C(b+k, k) vec[b+k]) + k*eps."""
-    return taylor_min([vec[b + k] * math.comb(b + k, k) for k in range(len(vec) - b)],
-                      eps)[1] == [0]
 
 
 # -- Taylor forms --------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def taylor_form(f, beta, state, mode="OPEN"):
     levels, vec = _derivative_levels(f, beta, state)
     lam = levels.lam
     # (D^b f)(partial) for the b in U0 where it is not zero
-    leading = {b: vec[b] for b in levels.U0 if not vec[b].is_exact_zero()}
+    leading = {b: vec.entries[b] for b in levels.U0 if not vec.entries[b].is_exact_zero()}
 
     def truncation_exact(i):
         for b, ev in leading.items():

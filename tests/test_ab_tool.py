@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
@@ -34,7 +37,7 @@ def test_main_records_the_seeds_as_given(monkeypatch, tmp_path):
                 "metrics": {m: {"value": 0.01, "unit": "s"} for m in ab.METRICS}}
 
     monkeypatch.setattr(ab, "run_one", fake_run_one)
-    monkeypatch.setattr(ab, "_revision", lambda checkout: None)
+    monkeypatch.setattr(ab, "_revision", lambda checkout: "abc1234")
     out = tmp_path / "bench.json"
     ab.main([str(tmp_path), str(tmp_path), "--seeds", "5,7,9", "--out", str(out),
              "--what", "seeds", "--workloads", "expand-t"])
@@ -152,3 +155,32 @@ def test_summary_gives_each_row_its_medians_and_delta():
     assert rows == {"p5@8": {"parent_median": 0.003, "change_median": 0.0027, "delta": "-10.0 %"}}
     # runs without row medians (files written before they were kept) give no rows
     assert "rows" not in ab.summarize([_run("parent", 0, 0.01), _run("change", 0, 0.01)])["expand-t"]
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                   check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_parent_without_its_own_revision_is_refused_before_any_run(monkeypatch, tmp_path,
+                                                                     capsys):
+    monkeypatch.setattr(ab, "run_one", lambda *a: pytest.fail("a run started"))
+    repo = tmp_path / "repo"
+    _tree(repo, {"src/genpuiseux/a.py": "x = 1\n", "copy/src/genpuiseux/a.py": "x = 1\n"})
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "a")
+    outside = _tree(tmp_path / "outside", {"src/genpuiseux/a.py": "x = 1\n"})
+    # a copy outside any repository has no revision, and one inside another
+    # work tree would be named by that tree's HEAD
+    assert ab._revision(str(outside)) is None and ab._revision(str(repo / "copy")) is None
+    assert len(ab._revision(str(repo))) >= 7
+    out = tmp_path / "bench.json"
+    for parent in (outside, repo / "copy"):
+        with pytest.raises(SystemExit) as stop:
+            ab.main([str(parent), str(repo), "--seeds", "5", "--out", str(out),
+                     "--what", "refused", "--workloads", "expand-t"])
+        assert stop.value.code == 2
+        assert "not the top of a git work tree" in capsys.readouterr().err
+        assert not out.exists()

@@ -15,6 +15,7 @@ from genpuiseux.coeff import (
     WittElem,
     WittRing,
     _rational_roots,
+    _split_rational,
     _trim,
     _witness_candidates,
     binary_power,
@@ -517,6 +518,26 @@ def test_solve_in_closure_q_strips_then_extends():
     assert t2 == t.adjoin(((-8, 1), (), (1, 1)))  # numerator and denominator pairs
     w = CoeffElem.generator(t2)
     assert root == min([t2.one(), w, -w], key=CoeffElem.sort_key)
+
+
+_Q_W = FieldTower.rationals().adjoin(((1, 1), (1, 1), (1, 1)))  # w^2 + w + 1 = 0
+_Q_SQRT2 = FieldTower.rationals().adjoin(((-2, 1), (), (1, 1)))  # w^2 - 2 = 0
+
+
+@pytest.mark.parametrize("tower, coeffs, found", [
+    (_Q_W, (-3, 0, 1), 0), (_Q_W, (-2, 0, 1), 0), (_Q_W, (1, 1, 1), 2), (_Q_W, (6, -5, 1), 2),
+    (_Q_SQRT2, (-3, 0, 1), 0), (_Q_SQRT2, (-2, 0, 1), 2), (_Q_SQRT2, (1, 1, 1), 0),
+    (_Q_SQRT2, (6, -5, 1), 2)])
+def test_split_rational_returns_only_roots_of_f(tower, coeffs, found):
+    """Every root one Q round returns is a root of f, divided out of it: a
+    whitelist candidate that does not divide f (w, -w and -w - 1 for X^2 - 3
+    over Q(w)) is never among them."""
+    f = elems(tower, *coeffs)
+    roots, rest, stage = _split_rational(tower, [c.rep for c in f])
+    assert len(roots) == found and len(rest) == len(f) - found
+    assert (stage is None) == bool(found)
+    for r in roots:
+        assert sum((c * r ** j for j, c in enumerate(f)), tower.zero()).is_zero()
 
 
 def _counting_factor_poly(monkeypatch):

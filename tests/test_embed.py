@@ -15,10 +15,10 @@ from genpuiseux.errors import (
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
     KeyPolyChain,
+    TaylorVector,
     ValPoly,
     extend_chain,
     standard_expansion,
-    taylor_at,
     truncated_val,
 )
 from genpuiseux.series import GenSeries, SeriesRing
@@ -31,7 +31,6 @@ from genpuiseux.embed import (
     init_state,
     limit_step,
     monomial_embedding,
-    mu_beta_val,
     residual_equation,
     step,
 )
@@ -345,7 +344,7 @@ def test_mu_beta_of_variable():
     R = tring()
     st = init_state(classical_F(R), R)
     y = ValPoly.variable(R)
-    v, attain = mu_beta_val(y, st)
+    v, attain = st.taylor_of(y).min_at(st.beta)
     assert v == st.beta
     assert attain == [1]
 
@@ -354,7 +353,7 @@ def test_mu_beta_variable_free():
     R = tring()
     st = init_state(classical_F(R), R)
     c = ValPoly.const(t_pow(R, 2, 7))
-    v, attain = mu_beta_val(c, st)
+    v, attain = st.taylor_of(c).min_at(st.beta)
     assert v == g(R, 2)
     assert attain == [0]
 
@@ -376,7 +375,7 @@ def test_mu_beta_matches_truncated_val_at_epsilon():
             h = ValPoly(R, coeffs)
             if h.is_zero():
                 continue
-            v_mu, _ = mu_beta_val(h, st_i)
+            v_mu, _ = st_i.taylor_of(h).min_at(st_i.beta)
             v_tr, _ = truncated_val(h, res.chain, i)
             if v_tr is INF:
                 continue
@@ -664,23 +663,32 @@ def _spec_state(text):
     return init_state(F, ring)
 
 
+def _count_evaluations(monkeypatch):
+    """The points at which embed evaluates a Taylor vector afresh, counted by
+    a subclass patched in for ``embed.TaylorVector``; a shift or a coerce
+    builds its vector inside ``keypoly`` and is not counted."""
+    evaluations = []
+
+    class Counted(TaylorVector):
+        def __init__(self, P, s, lowest=0):
+            evaluations.append(s)
+            super().__init__(P, s, lowest)
+
+    monkeypatch.setattr(embed, "TaylorVector", Counted)
+    return evaluations
+
+
 @pytest.mark.parametrize("name", sorted(CARRIED))
 def test_carried_taylor_vector_matches_horner(name, monkeypatch):
     text, steps, height = CARRIED[name]
-    evaluations = []
-
-    def counted(P, s):
-        evaluations.append(s)
-        return taylor_at(P, s)
-
-    monkeypatch.setattr(embed, "taylor_at", counted)
+    evaluations = _count_evaluations(monkeypatch)
     state = _spec_state(text)
     for _ in range(steps):
         assert state.status == RUNNING
         state = step(state)
-        partial, F, carried = state.taylor
-        assert partial is state.partial and F is state.F
-        horner = taylor_at(state.F, state.partial)
+        assert state.taylor.is_of(state.F, state.partial)
+        carried = state.taylor.entries
+        horner = TaylorVector(state.F, state.partial).entries
         assert carried == horner
         assert [h.to_text() for h in carried] == [h.to_text() for h in horner]
     # only the zero partial was evaluated; every later vector is a shift
@@ -692,13 +700,7 @@ def test_carried_taylor_vector_matches_horner(name, monkeypatch):
 def test_series_partial_shifts_and_limit_partial_reevaluates(monkeypatch):
     from genpuiseux.embed import LimitPartial
 
-    evaluations = []
-
-    def counted(P, s):
-        evaluations.append(s)
-        return taylor_at(P, s)
-
-    monkeypatch.setattr(embed, "taylor_at", counted)
+    evaluations = _count_evaluations(monkeypatch)
     R = tring(0)
     inexact = GenSeries(R, [(g(R, 1), R.tower.from_int(-1))], g(R, 4))
     # a series partial shifts on any data: t-adic, a p-adic carry (-1 is
@@ -707,8 +709,8 @@ def test_series_partial_shifts_and_limit_partial_reevaluates(monkeypatch):
                   _spec_state("p 5\nwitt_prec 16\npoly y^2 - 1 - p\n"),
                   init_state(ValPoly(R, [inexact, R.zero(), R.one()]), R)):
         moved = state.with_term(state.ring.coeffs.one())
-        assert moved.taylor[0] is moved.partial
-        assert moved.taylor_vector() == taylor_at(moved.F, moved.partial)
+        assert moved.taylor.point is moved.partial
+        assert moved.taylor_vector().entries == TaylorVector(moved.F, moved.partial).entries
     assert len(evaluations) == 3 and all(s.is_exact_zero() for s in evaluations)
 
     # a limit partial is evaluated afresh after its hand-off and every term
@@ -718,10 +720,10 @@ def test_series_partial_shifts_and_limit_partial_reevaluates(monkeypatch):
         limited = limit_step(state)
         state = step(state) if limited is state else limited
     del evaluations[:]
-    assert state.taylor_vector()[0] == state.F.eval(state.partial)
+    assert state.taylor_vector().entries[0] == state.F.eval(state.partial)
     moved = state.with_term(R2.coeffs.one())
     assert moved.taylor is None
-    assert moved.taylor_vector()[0] == moved.F.eval(moved.partial)
+    assert moved.taylor_vector().entries[0] == moved.F.eval(moved.partial)
     assert [type(s) for s in evaluations] == [LimitPartial, LimitPartial]
 
 
@@ -730,9 +732,9 @@ def _spanning_residual(state):
     the weights plus every earlier beta.  At full rank the weights are the
     solve's pivot columns, so its solution is beta's own coordinates, and
     the equation reads the Taylor ties alone.  Returns the equation."""
-    _, ties = mu_beta_val(state.F, state)
+    _, ties = state.taylor_of(state.F).min_at(state.beta)
     tower = state.ring.tower
-    eq = {l: state.ring.coeffs.residue(state.taylor_vector()[l].leading_term()[1])
+    eq = {l: state.ring.coeffs.residue(state.taylor_vector().entries[l].leading_term()[1])
           for l in ties}
     return [eq.get(l, tower.zero()) for l in range(max(eq) + 1)]
 
@@ -800,8 +802,9 @@ def test_swapped_partial_never_reads_a_stale_vector():
     other = state.partial + state.ring.monomial(state.beta, 1)
     swapped = replace(state, partial=other)
     assert swapped.eval_at_partial(swapped.F) == swapped.F.eval(other)
-    assert swapped.eval_at_partial(swapped.F) != stale[0]
-    assert swapped.taylor_vector() == taylor_at(swapped.F, other)
+    assert swapped.eval_at_partial(swapped.F) != stale.entries[0]
+    assert swapped.taylor_vector().is_of(swapped.F, other)
+    assert swapped.taylor_vector().entries == TaylorVector(swapped.F, other).entries
 
 
 # -- the derivative-level table of a chain entry ------------------------------------------

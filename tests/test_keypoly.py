@@ -13,6 +13,7 @@ from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
     ChainEntry,
     KeyPolyChain,
+    TaylorVector,
     ValPoly,
     chain_entry,
     derivative_min_check,
@@ -20,9 +21,7 @@ from genpuiseux.keypoly import (
     first_exponent,
     geometric_limit,
     initial_chain,
-    shift_taylor,
     standard_expansion,
-    taylor_at,
     truncated_val,
 )
 from genpuiseux.series import GenSeries, SeriesRing
@@ -229,8 +228,8 @@ _F9_CASE = (False, poly(_F9, _F9.zero(g(_F9, 1)), _F9.zero(), _F9.zero(g(_F9, 1)
 @settings(max_examples=200, deadline=None)
 @given(_shift_cases())
 @example(_F9_CASE)
-def test_shift_taylor_matches_taylor_at_the_moved_point(case):
-    """shift_taylor(taylor_at(P, s), m) against taylor_at(P, s + m).  Exact
+def test_taylor_vector_shift_matches_the_vector_at_the_moved_point(case):
+    """TaylorVector(P, s).shift(m) against TaylorVector(P, s + m).  Exact
     data give the same raw and text forms.  On finite-precision coefficients
     neither knows more in general: the shift's rounds of out[k] += out[k+1]*m
     keep in each entry the least precision of what it adds, moved by m's
@@ -240,9 +239,11 @@ def test_shift_taylor_matches_taylor_at_the_moved_point(case):
     with the Taylor vector of P completed to exact data, which the finite
     data describe."""
     exact, P, s, m, full = case
-    shifted, evaluated = shift_taylor(taylor_at(P, s), m), taylor_at(P, s + m)
+    moved = TaylorVector(P, s).shift(m)
+    assert moved.poly is P and moved.point == s + m
+    shifted, evaluated = moved.entries, TaylorVector(P, s + m).entries
     assert len(shifted) == len(evaluated) == P.degree() + 1
-    for sh, ev, want in zip(shifted, evaluated, taylor_at(full, s + m)):
+    for sh, ev, want in zip(shifted, evaluated, TaylorVector(full, s + m).entries):
         if exact:
             assert sh._raw == ev._raw and sh._raw_prec is ev._raw_prec is INF
             assert sh.to_text() == ev.to_text()
@@ -251,6 +252,48 @@ def test_shift_taylor_matches_taylor_at_the_moved_point(case):
         assert _agree_below(sh, ev, low.prec, low.closed)
         for x in (sh, ev):
             assert _agree_below(x, want, x.prec, x.closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shift_cases())
+def test_taylor_vector_derivative_is_the_vector_of_the_derivative(case):
+    """derivative(b) reads C(b+k, k)*entry[b+k] where evaluation forms
+    (D^k D^b P)(s): on the completed (exact) P the two are equal, where the
+    read vector runs on in exact zeros past a degree that drops in
+    characteristic p; b = 0 is the vector itself, and min_at reads the
+    minimum over the non-zero entries."""
+    _, _, s, m, P = case
+    vec = TaylorVector(P, s + m)
+    assert vec.derivative(0).entries == vec.entries
+    for b in range(P.degree() + 1):
+        low = vec.derivative(b)
+        assert low.poly is P.hasse_derivative(b) and low.point is vec.point
+        want = TaylorVector(P.hasse_derivative(b), s + m).entries
+        assert len(low.entries) == P.degree() + 1 - b
+        assert low.entries[:len(want)] == want
+        assert all(ev.is_exact_zero() for ev in low.entries[len(want):])
+    beta = g(P.ring, 1) if P.ring.descriptor.rank == 1 else P.ring.descriptor.basis(0)
+    level, ties = vec.min_at(beta)
+    values = [ev.val() + beta.scale_unchecked(k) for k, ev in enumerate(vec.entries)
+              if not ev.is_exact_zero()]
+    assert values and all(cmp(level, v) <= 0 for v in values)
+    assert [k for k, ev in enumerate(vec.entries) if not ev.is_exact_zero()
+            and cmp(ev.val() + beta.scale_unchecked(k), level) == 0] == ties
+
+
+def test_taylor_vector_knows_its_poly_and_point_and_moves_them_together():
+    R = _SHIFT_RINGS["F9"]
+    R3 = tring(3)
+    P = poly(R3, t_pow(R3, 1, 2), R3.zero(), R3.one())  # y^2 + 2t
+    s = t_pow(R3, 1, 1)
+    vec = TaylorVector(P, s)
+    assert vec.is_of(P, s)
+    assert not vec.is_of(P, t_pow(R3, 1, 1)) and not vec.is_of(poly(*P.coeffs), s)
+    assert TaylorVector(P, s, lowest=2).entries == [None, None, R3.one()]
+    up = vec.coerce(R)
+    assert up.poly == P.coerce(R) and up.point == s.coerce(R)
+    assert up.entries == TaylorVector(P.coerce(R), s.coerce(R)).entries
+    assert all(h.ring == R for h in up.entries)
 
 
 def test_negative_polynomial_power_raises():
@@ -703,7 +746,7 @@ def test_prop_min_on_corpus():
             if h.is_zero():
                 continue
             trials += 1
-            rep = derivative_min_check(h, chain, i, taylor_at(h, root))
+            rep = derivative_min_check(h, chain, i, TaylorVector(h, root))
             if rep["nu_i"] is INF:
                 continue
             assert rep["equal"], (i, h.to_text(), rep)
@@ -714,11 +757,11 @@ def test_prop_min_on_corpus():
 def test_prop_min_trivial_cases():
     R, chain, root = _as_chain_with_root()
     q1 = chain.entry(1).poly
-    rep = derivative_min_check(q1, chain, 1, taylor_at(q1, root))
+    rep = derivative_min_check(q1, chain, 1, TaylorVector(q1, root))
     assert rep["equal"]
     assert rep["nu_i"] == chain.entry(1).beta
     const = ValPoly.const(t_pow(R, 2, 1))
-    rep = derivative_min_check(const, chain, 1, taylor_at(const, root))
+    rep = derivative_min_check(const, chain, 1, TaylorVector(const, root))
     assert rep["equal"]
     assert rep["nu_i"] == g(R, 2)
 

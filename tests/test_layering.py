@@ -9,6 +9,9 @@ element's exponent form (``num`` over ``den``) is read and built only in
 ``groups``; other modules use the element's and the descriptor's methods.
 A ``functools`` cache lives only inside a call: one at module level would
 share results between expansions, and between the ops of one bench process.
+Only ``keypoly`` forms or moves a ``TaylorVector``: no other module builds
+one from given entries (an ``entries=`` keyword) or calls ``add_mul`` where
+it reads ``.entries``; the others read entries only.
 """
 
 import ast
@@ -73,3 +76,33 @@ def test_no_cache_outlives_a_call():
     found = [f"{path.name}:{lineno}" for path in sorted(package.glob("*.py"))
              for lineno in _caches_outside_a_call(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def _taylor_moves(source):
+    """Lines that build a vector from given entries (an ``entries=`` keyword)
+    or call ``add_mul`` in a function that reads an ``.entries`` attribute."""
+    tree = ast.parse(source)
+    hits = [kw.value.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg == "entries"]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = list(ast.walk(fn))
+            if any(isinstance(n, ast.Attribute) and n.attr == "entries" for n in inner):
+                hits += [n.lineno for n in inner if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Attribute) and n.func.attr == "add_mul"]
+    return sorted(set(hits))
+
+
+def test_only_keypoly_forms_or_moves_a_taylor_vector():
+    assert _taylor_moves("v = TaylorVector(P, s, entries=[a])") == [1]
+    assert _taylor_moves("def f(v, m):\n    out = list(v.entries)\n"
+                         "    return out[0].add_mul(out[1], m)") == [3]
+    # reading an entry, or add_mul where no entries are read, is no move
+    assert _taylor_moves("def f(v, m):\n    return v.entries[0].leading_term()") == []
+    assert _taylor_moves("def f(a, b, m):\n    return a.add_mul(b, m)") == []
+    package = Path(genpuiseux.__file__).parent
+    found = [f"{path.name}:{lineno}" for path in sorted(package.glob("*.py"))
+             if path.name != "keypoly.py"
+             for lineno in _taylor_moves(path.read_text(encoding="utf-8"))]
+    assert found == []
+    assert _taylor_moves((package / "keypoly.py").read_text(encoding="utf-8"))

@@ -141,7 +141,8 @@ def test_with_tower_moves_every_value(text, stage):
     assert [c for _, c in moved.emitted] == [ring2.coeffs.coerce(c) for _, c in state.emitted]
     assert moved.partial.ring is ring2 and moved.F.ring is ring2
     assert all(e.poly.ring is ring2 for e in moved.chain.entries)
-    assert all(h.ring is ring2 for h in moved.taylor_vector())
+    assert moved.taylor_vector().is_of(moved.F, moved.partial)
+    assert all(h.ring is ring2 for h in moved.taylor_vector().entries)
     # the moved values meet each other: the partial gains the last emitted term
     g, c = moved.emitted[-1]
     assert (moved.partial + ring2.monomial(g, c)).ring is ring2

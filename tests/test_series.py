@@ -104,6 +104,10 @@ def test_truncations_def_examples():
     assert [e for e, _ in sl.terms] == [g(R, Fraction(1, 2)), g(R, 1)]
     sl2 = f.slice(g(R, 1), g(R, Fraction(3, 2)))
     assert [e for e, _ in sl2.terms] == [g(R, 1)]
+    # the window [beta, beta) is empty and refused, as is one running backwards
+    for lo, hi in ((1, 1), (Fraction(3, 2), 1)):
+        with pytest.raises(ValueError, match="slice needs beta < beta2"):
+            f.slice(g(R, lo), g(R, hi))
 
 
 def test_truncation_composition_identity():

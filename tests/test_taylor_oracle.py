@@ -21,10 +21,10 @@ from genpuiseux.cli import _rand_poly, parse_problem, run_expand
 from genpuiseux.errors import EngineError, ValuationIndeterminate
 from genpuiseux.groups import INF, cmp
 from genpuiseux.keypoly import (
+    TaylorVector,
     ValPoly,
     derivative_min_check,
     level_and_ties,
-    taylor_at,
     truncated_val,
 )
 from genpuiseux.series import GenSeries, eval_poly
@@ -47,7 +47,7 @@ def _solved(name):
 
 def _graded_min(f, state):
     """T-degrees attaining the minimum of f(partial + T) at state.beta."""
-    vec = taylor_at(f, state.partial)
+    vec = TaylorVector(f, state.partial).entries
     _, attain = level_and_ties((k, ev.val() + state.beta.scale_unchecked(k))
                                for k, ev in enumerate(vec) if not ev.is_exact_zero())
     return attain

@@ -382,7 +382,7 @@ def test_taylor_form_mode_is_open_or_closed():
     # the levels come with the one Taylor vector they read, and nothing else
     levels, vec = _derivative_levels(F, beta, st)
     assert taylor_form(F, beta, st, "CLOSED").levels == levels
-    assert len(vec) == F.degree() + 1
+    assert len(vec.entries) == F.degree() + 1
 
 
 def gmin_local(*vals):

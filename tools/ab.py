@@ -20,8 +20,12 @@ computed from) the median of each side's row medians and their change;
 ``--claim`` adds, for one workload and metric, the count of pairs where the
 change was lower.  Each run record keeps its row medians under ``rows``.
 ``sources`` names the trees measured: for each side, a sha256 over the
-names and contents of its ``src/genpuiseux/*.py``.  ``parent``, the git
-revision, cannot tell a checkout copied from a working tree from its HEAD.
+names and contents of its ``src/genpuiseux/*.py``.  ``parent`` is the git
+revision of PARENT, which must be the top of its own work tree (made by
+``git worktree add --detach DIR REV`` or a ``git clone`` checked out at REV):
+any other PARENT is refused before the first run, since a copy outside a
+repository has no revision and one inside another work tree would name that
+tree's HEAD.  ``parent`` cannot tell uncommitted edits in PARENT from its HEAD.
 """
 
 from __future__ import annotations
@@ -153,10 +157,19 @@ def run_one(checkout, workload, seed, seconds):
     return {**json.loads(proc.stdout.strip().splitlines()[-1]), "rows": parse_rows(proc.stdout)}
 
 
+def _git(checkout, *args):
+    return subprocess.run(["git", "-C", checkout, *args],
+                          capture_output=True, text=True).stdout.strip()
+
+
 def _revision(checkout):
-    proc = subprocess.run(["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    """The short HEAD revision of a checkout that is the top of its own git
+    work tree, else None: git walks up from a directory to an enclosing
+    repository, whose HEAD is not the checkout's."""
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    if not top or not os.path.samefile(top, checkout):
+        return None
+    return _git(checkout, "rev-parse", "--short", "HEAD") or None
 
 
 def source_digest(checkout):
@@ -189,11 +202,16 @@ def main(argv=None):
     seconds = f"{args.seconds:g}"
     workloads = args.workloads.split(",")
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    parent = _revision(checkouts["parent"])
+    if parent is None:
+        ap.error(f"PARENT {args.parent} is not the top of a git work tree, so its revision "
+                 "cannot be named; make it with 'git worktree add --detach DIR REV' or a "
+                 "'git clone' checked out at REV")
     doc = {
         "what": args.what,
         "command": f"python3 bench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds} --trace 0",
-        "parent": _revision(checkouts["parent"]),
+        "parent": parent,
         "sources": {side: source_digest(path) for side, path in checkouts.items()},
         "machine": {"cpu": platform.machine(), "vcpus": os.cpu_count(),
                     "os": platform.platform()},
