@@ -9,22 +9,24 @@ the Taylor vector the state carries is stale and must be evaluated afresh.
 All six checks then run with ``random.Random(0)`` and 4 trials.
 
 The pinned matrix: ``ent`` sees all 45 faults; ``taylor`` sees the 30 faults
-off the last term, since its forms are read at the epsilon_i below beta,
-beneath the last term's exponent; ``caltron``, ``prodfini`` and ``stab`` read
-the root at most through identities that hold for any series; ``min`` reads
-h's graded minimum at the first two finite epsilon_i, which a change of the
-root at or above epsilon_2 leaves as it is, and every fault here is there
-(the second term sits at epsilon_2 on each problem).
+off the last term, since each form reads the partial's open truncation at an
+epsilon_i below beta, and the last term sits at the largest of them;
+``caltron``, ``prodfini`` and ``stab`` read the root at most through
+identities that hold for any series; ``min`` reads h's graded minimum at the
+first two finite epsilon_i, which a change of the root at or above epsilon_2
+leaves as it is, and every fault here is there (the second term sits at
+epsilon_2 on each problem).
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from genpuiseux import cli
-from genpuiseux.groups import cmp
+from genpuiseux.groups import INF, cmp
 from genpuiseux.series import GenSeries
 
 PROBLEMS = {
@@ -76,10 +78,14 @@ def test_fault_matrix(name):
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_every_fault_is_at_or_above_the_second_epsilon(name):
-    """Why ``min`` is blind to the matrix: the second term, the first that a
+def test_the_blind_spots_sit_at_an_epsilon(name):
+    """Why the matrix reads as it does.  The second term, the first that a
     fault touches, sits at epsilon_2, the higher of the two thresholds that
-    ``min`` reads its graded minima at."""
+    ``min`` reads its graded minima at.  The last term sits at the largest
+    epsilon_i below beta, where ``taylor`` reads its last form on the open
+    truncation of the partial, which leaves that term out."""
     res = cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8)
     eps = [e.epsilon for e in res.chain.entries]
     assert cmp(res.series.terms[1][0], eps[1]) == 0 and cmp(eps[0], eps[1]) < 0
+    below = [e for e in eps if e is not INF and cmp(e, res.state.beta) < 0]
+    assert cmp(res.series.terms[-1][0], max(below, key=cmp_to_key(cmp))) == 0
