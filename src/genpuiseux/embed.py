@@ -12,7 +12,6 @@ to a registered closed-form limit pattern and resume past it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .coeff import solve_in_closure
 from .errors import (
@@ -329,7 +328,7 @@ def limit_step(state):
     check_vals = []
     probe = state.partial
     for _ in range(3):
-        delta = delta.scale_unchecked(Fraction(1, p))
+        delta = delta / p
         nxt = head[-1][0] + delta
         head.append((nxt, c_rep))
         probe = probe + ring.monomial(nxt, c_rep)
@@ -344,7 +343,7 @@ def limit_step(state):
                 "stage valuations do not follow the geometric law")
 
     lp = LimitPartial(ring, flim, head,
-                      head[-1][0] + delta.scale_unchecked(Fraction(1, p)))
+                      head[-1][0] + delta / p)
     # past the accumulation the stage is exactly killed; resume at its threshold
     beta_plus = state.chain.entry(state.i_beta).epsilon
     trace = _record(state, "(limit)", beta_plus, "LIMIT")

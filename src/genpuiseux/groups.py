@@ -223,12 +223,29 @@ def _ratio_text(n, den):
 
 def _lowest(descriptor, num, den):
     """The element with coordinates num[j] / den (den > 0), in lowest terms."""
+    if len(num) == 1:
+        return _lowest1(descriptor, num[0], den)
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
             num = tuple(n // g for n in num)
             den //= g
     return GroupElement(descriptor, num, den)
+
+
+def _lowest1(descriptor, n, den):
+    """The rank-1 element n / den (den > 0) in lowest terms, with one
+    two-argument gcd."""
+    g = math.gcd(n, den)
+    return GroupElement(descriptor, (n // g,), den // g)
+
+
+def _check_divisor(n):
+    """Refuse a divisor of a value other than a positive int."""
+    if not isinstance(n, int):
+        raise TypeError(f"values divide by a positive int, not {n!r}")
+    if n <= 0:
+        raise ArithmeticError(f"cannot divide a value by {n}")
 
 
 class GroupElement:
@@ -283,6 +300,12 @@ class GroupElement:
         if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:
             raise ValueError("group elements over different descriptors")
         da, db = self.den, other.den
+        if len(self.num) == 1:
+            # rank 1: one sum over da * db (da when equal) and one gcd
+            x, y = self.num[0], other.num[0]
+            if da == db:
+                return _lowest1(self.descriptor, op(x, y), da)
+            return _lowest1(self.descriptor, op(x * db, y * da), da * db)
         if da == db:
             return _lowest(self.descriptor, tuple(map(op, self.num, other.num)), da)
         den = math.lcm(da, db)
@@ -308,8 +331,15 @@ class GroupElement:
     def scale_unchecked(self, q):
         if not isinstance(q, (int, Fraction)):
             q = _exact(q)
+        if len(self.num) == 1:
+            return _lowest1(self.descriptor, self.num[0] * q.numerator, self.den * q.denominator)
         return _lowest(self.descriptor, tuple(n * q.numerator for n in self.num),
                        self.den * q.denominator)
+
+    def __truediv__(self, n):
+        """self / n for a positive int n, in lowest terms; any other n raises."""
+        _check_divisor(n)
+        return _lowest(self.descriptor, self.num, self.den * n)
 
     def shifts(self, ns):
         """[self + n*(first basis element) for n in ns], integers n, each in
@@ -367,8 +397,9 @@ class GroupElement:
 class _Infinity:
     """The top value: v(0), exact roots and unbounded precision.  It defines
     no comparison (groups.cmp orders it); it absorbs what is added to it or
-    taken from it and a scale by q > 0, while inf - inf, x - inf, -inf and
-    a scale by q <= 0 raise."""
+    taken from it, a scale by q > 0 and a division by an int n > 0, while
+    inf - inf, x - inf, -inf, a scale by q <= 0 and a division by anything
+    else raise."""
 
     _instance = None
 
@@ -394,6 +425,10 @@ class _Infinity:
         if _exact(q) > 0:
             return INF
         raise ArithmeticError(f"cannot scale infinity by {q}")
+
+    def __truediv__(self, n):
+        _check_divisor(n)
+        return INF
 
     def __repr__(self):
         return "inf"

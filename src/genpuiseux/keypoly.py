@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .coeff import binary_power
 from .errors import (
@@ -262,7 +261,7 @@ class ChainEntry:
 def _max_drop(levels, p, value):
     best_b, best = None, None
     for b, v in levels:
-        cand = (value - v).scale_unchecked(Fraction(1, p ** b))
+        cand = (value - v) / p ** b
         if best is None or cmp(cand, best) > 0:
             best_b, best = b, cand
     return best_b, best
@@ -354,7 +353,7 @@ def geometric_limit(xs, p):
     d = xs[-1] - xs[-2]
     if cmp(xs[-2] - xs[-3], d.scale_unchecked(p)) != 0:
         return None
-    return d, xs[-1] + d.scale_unchecked(Fraction(1, p - 1))
+    return d, xs[-1] + d / (p - 1)
 
 
 def standard_expansion(f, q):
@@ -433,7 +432,7 @@ def first_exponent(F):
     if F.coeff(0).is_exact_zero():
         return INF  # 0 is an exact root
 
-    return level_and_ties((j, F.coeff(j).val().scale_unchecked(Fraction(1, d - j)))
+    return level_and_ties((j, F.coeff(j).val() / (d - j))
                           for j in range(d))[0]
 
 
@@ -538,7 +537,7 @@ def extend_chain(chain, F, at):
     if v0 is not INF:
         values = [v0] + [truncated_val(c, chain, i)[0] for c in cs_new[1:]]
         beta, _ = level_and_ties(
-            (j, INF if vj is INF else (v0 - vj).scale_unchecked(Fraction(1, j)))
+            (j, INF if vj is INF else (v0 - vj) / j)
             for j, vj in enumerate(values) if j)
         expansion = (F, tuple(cs_new), tuple(values))
     beta = INF if beta is None else beta

@@ -103,9 +103,33 @@ def test_summary_median_iqr_and_delta_of_canned_runs():
     claim = ab.claim(runs, "expand-t", "wall_s")
     assert claim == {"workload": "expand-t", "metric": "wall_s", "pairs": 5,
                      "change_lower_in": 5, "parent_median": 0.03, "parent_iqr": 0.002,
-                     "change_median": 0.027, "delta": "-10.0 %"}
+                     "change_median": 0.027, "delta": "-10.0 %", "met": False}
     # a pair is counted only when both sides ran on its seed
     assert ab.claim(runs[:5] + runs[5:6], "expand-t", "wall_s") is None
+
+
+def test_a_claim_is_met_on_nine_tenths_of_the_pairs_past_the_parent_spread():
+    parent = [0.0320, 0.0321, 0.0322, 0.0323, 0.0324, 0.0325, 0.0326, 0.0327, 0.0328, 0.0329]
+
+    def met(change):
+        runs = [_run(side, s, v) for s, pair in enumerate(zip(parent, change))
+                for side, v in zip(("parent", "change"), pair)]
+        return ab.claim(runs, "expand-t", "wall_s")
+
+    # lower in 9 of 10 pairs, a tie in the tenth; the medians 16 % apart
+    won = met([0.0270, 0.0271, 0.0272, 0.0273, 0.0324, 0.0275, 0.0276, 0.0277, 0.0278, 0.0279])
+    assert won["change_lower_in"] == 9 and won["met"] is True
+    # lower in 8 of 10: the win count fails, whatever the medians
+    few = met([0.0270, 0.0271, 0.0272, 0.0273, 0.0330, 0.0331, 0.0276, 0.0277, 0.0278, 0.0279])
+    assert few["change_lower_in"] == 8 and few["met"] is False
+    # lower in all 10, but the medians differ by less than the parent's
+    # interquartile range (0.032675 - 0.032225)
+    close = met([v - 0.0004 for v in parent])
+    assert close["change_lower_in"] == 10 and close["parent_iqr"] == 0.00045
+    assert close["met"] is False
+    # nine pairs are too few, however they read
+    nine = met([0.0270] * 9)
+    assert nine["pairs"] == 9 and nine["met"] is False
 
 
 def test_summary_reproduces_a_committed_bench_file():

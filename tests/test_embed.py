@@ -403,12 +403,13 @@ def test_limit_step_resumes_and_completes():
     assert isinstance(res.state.partial, LimitPartial)
     assert [(e.rational_value(), _fraction(c))
             for e, c in res.state.partial.tails] == [(2, 1)]
-    # the materialized head follows the geometric law with coefficient 1
+    # the materialized head follows the geometric law with coefficient 1:
+    # t^(1 - 2^-k) for k = 1..6, and the next exponent is 1 - 2^-7
     head = res.state.partial.head_terms
-    for e, c in head:
-        q = e.rational_value()
-        assert q < 1 and (1 - q).numerator == 1
-        assert _fraction(c) == 1
+    assert [e.rational_value() for e, _ in head] == [1 - Fraction(1, 2 ** k)
+                                                     for k in range(1, 7)]
+    assert all(_fraction(c) == 1 for _, c in head)
+    assert res.state.partial.next_exp.rational_value() == Fraction(127, 128)
 
 
 def test_limit_partial_coerces_with_the_tower():

@@ -717,7 +717,8 @@ def test_limit_detection_signature():
     # close in geometrically
     last = chain.entries[-3:]
     assert last[0].poly == last[1].poly == last[2].poly
-    assert geometric_limit([e.epsilon for e in last], 2) is not None
+    # steps 1/16, 1/32 then 1/64, halving on: they accumulate at 63/64 + 1/64 = 1
+    assert geometric_limit([e.epsilon for e in last], 2) == (g(R, Fraction(1, 64)), g(R, 1))
 
 
 def test_first_exponent_polygon():

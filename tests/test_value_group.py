@@ -189,15 +189,25 @@ def test_infinity_ordering():
 
 def test_infinity_absorbs_and_refuses():
     # v(0) = inf: inf + x, x + inf and inf - x are inf, as is inf scaled by
-    # q > 0; inf - inf, x - inf, -inf and a scale by q <= 0 have no value and raise
+    # q > 0 or divided by an int n > 0; inf - inf, x - inf, -inf, a scale by
+    # q <= 0 and a division by an int n <= 0 have no value and raise, and a
+    # division by a non-int is refused
     for d, coords in ((rational_line(), [Fraction(-7, 3)]), (sqrt2_plane(), [3, -2])):
         a = d.element(coords)
         assert INF + a is INF and a + INF is INF and INF - a is INF
         with pytest.raises(ArithmeticError):
             a - INF
+        for x in (a, INF):
+            for n in (0, -1):
+                with pytest.raises(ArithmeticError):
+                    x / n
+            with pytest.raises(TypeError):
+                x / 0.5
     assert INF + INF is INF
     for q in (Fraction(1, 3), 2):
         assert INF.scale_unchecked(q) is INF
+    for n in (1, 2, 7):
+        assert INF / n is INF
     with pytest.raises(ArithmeticError):
         INF - INF
     for q in (0, -1):
@@ -470,6 +480,8 @@ def test_arithmetic_matches_fraction_reference(case):
     _assert_canonical(a.scale_unchecked(n), [x * n for x in ca])
     _assert_canonical(a.scale_unchecked(q), [x * q for x in ca])
     _assert_canonical(a.scale_unchecked(r), [x * r for x in ca])
+    for k in range(1, 8):
+        _assert_canonical(a / k, [x / k for x in ca])
     # order, equality and zero against the reference
     want = _reference_cmp(_reference(weights, d, ca), _reference(weights, d, cb))
     assert cmp(a, b) == want and cmp(b, a) == -want

@@ -18,10 +18,11 @@ interquartile range of each side and the change of the medians, and per
 ``row <problem>@<n>`` of the bench report (the rows ``growth_slope`` is
 computed from) the median of each side's row medians and their change;
 ``--claim`` adds, for one workload and metric, the count of pairs where the
-change was lower.  Each run record keeps its row medians under ``rows``.
-``sources`` names the trees measured: for each side, a sha256 over the
-names and contents of its ``src/genpuiseux/*.py``.  ``parent`` is the git
-revision of PARENT, which must be the top of its own work tree (made by
+change was lower and whether the gain is met (``claim`` gives the rule).
+Each run record keeps its row medians under ``rows``.  ``sources`` names
+the trees measured: for each side, a sha256 over the names and contents of
+its ``src/genpuiseux/*.py``.  ``parent`` is the git revision of PARENT,
+which must be the top of its own work tree (made by
 ``git worktree add --detach DIR REV`` or a ``git clone`` checked out at REV):
 any other PARENT is refused before the first run, since a copy outside a
 repository has no revision and one inside another work tree would name that
@@ -58,9 +59,13 @@ def order(seed):
     return ("change", "parent") if seed % 2 else ("parent", "change")
 
 
-def _median_iqr(values):
+def _iqr(values):
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return round(statistics.median(values), 6), round(q3 - q1, 6)
+    return q3 - q1
+
+
+def _median_iqr(values):
+    return round(statistics.median(values), 6), round(_iqr(values), 6)
 
 
 def _delta(parent, change):
@@ -118,7 +123,10 @@ def summarize(runs):
 
 
 def claim(runs, workload, metric):
-    """The pairs of one workload (by seed) and how many the change ran lower in;
+    """The pairs of one workload (by seed), how many the change ran lower in,
+    and whether the gain is ``met``: at least ten pairs, the change lower in
+    at least nine tenths of them (a tie counts for neither side), and its
+    median below the parent's by more than the parent's interquartile range.
     None below two pairs."""
     by_seed = {}
     for r in runs:
@@ -129,11 +137,14 @@ def claim(runs, workload, metric):
         return None
     parent = [p["parent"] for p in pairs]
     change = [p["change"] for p in pairs]
+    lower = sum(p["change"] < p["parent"] for p in pairs)
+    gap = statistics.median(parent) - statistics.median(change)
     pm, pq = _median_iqr(parent)
     return {"workload": workload, "metric": metric, "pairs": len(pairs),
-            "change_lower_in": sum(p["change"] < p["parent"] for p in pairs),
-            "parent_median": pm, "parent_iqr": pq, "change_median": _median_iqr(change)[0],
-            "delta": _delta(statistics.median(parent), statistics.median(change))}
+            "change_lower_in": lower, "parent_median": pm, "parent_iqr": pq,
+            "change_median": _median_iqr(change)[0],
+            "delta": _delta(statistics.median(parent), statistics.median(change)),
+            "met": len(pairs) >= 10 and lower * 10 >= 9 * len(pairs) and gap > _iqr(parent)}
 
 
 def _clean(checkout):
