@@ -22,12 +22,7 @@ from .groups import INF, GroupDescriptor, cmp, weight_text
 from .keypoly import ValPoly, derivative_min_check
 from .series import (GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, bounded_power,
                      bounded_product, check_terms, read_expr)
-from .truncalg import (
-    integral_dependence,
-    multi_product_truncation,
-    product_truncation,
-    taylor_form,
-)
+from .truncalg import integral_dependence, multi_product_truncation, taylor_form
 
 ALL_CHECKS = ("caltron", "prodfini", "stab", "min", "ent", "taylor")
 # the largest p-adic working precision a spec may ask for
@@ -340,43 +335,35 @@ def _rand_poly(ring, rng):
     return ValPoly(ring, coeffs, "h")
 
 
-def _identity_holds(prod, lam, tree):
-    """Whether the truncation tree, evaluated by ``tree()``, gives prod(lam);
-    None for a skipped trial: prod reaches lam, or its precision (the p-adic
+def _trees_hold(draws):
+    """Whether each drawn (factors, lam) has a product-truncation tree that
+    gives the product at lam, stopping at the first that does not.  A draw
+    is skipped when its product reaches lam, or its precision (the p-adic
     digit-carrying horizon) ends below lam."""
-    if cmp(prod.val(), lam) >= 0 or not prod.knows(lam):
-        return None
-    return ([t for t in tree().terms if cmp(t[0], lam) < 0]
-            == list(prod.truncate_open(lam).terms))
+    for factors, lam in draws:
+        prod = reduce(mul, factors)
+        if cmp(prod.val(), lam) >= 0 or not prod.knows(lam):
+            continue
+        tree = multi_product_truncation(factors, lam).evaluate(factors)
+        if [t for t in tree.terms if cmp(t[0], lam) < 0] != list(prod.truncate_open(lam).terms):
+            return False, INF
+    return True, INF
 
 
 def _check_caltron(res, rng, trials):
     """Product truncation of random pairs of series: reads only the ring."""
     ring = res.series.ring
-    for _ in range(2 * trials):
-        g = _rand_series(ring, rng)
-        h = _rand_series(ring, rng)
-        lam = _exp(ring, Fraction(rng.randint(2, 16), 2))
-        if _identity_holds(g * h, lam,
-                           lambda: product_truncation(g, h, lam).evaluate(g, h)) is False:
-            return False, INF
-    return True, INF
-
-
-def _product_tree_holds(factors, lam):
-    return _identity_holds(reduce(mul, factors), lam,
-                           lambda: multi_product_truncation(factors, lam).evaluate(factors))
+    return _trees_hold(([_rand_series(ring, rng), _rand_series(ring, rng)],
+                        _exp(ring, Fraction(rng.randint(2, 16), 2)))
+                       for _ in range(2 * trials))
 
 
 def _check_prodfini(res, rng, trials):
     """Product-truncation trees of three random series: reads only the ring."""
     ring = res.series.ring
-    for _ in range(max(1, trials // 3)):
-        fs = [_rand_series(ring, rng) for _ in range(3)]
-        lam = _exp(ring, Fraction(rng.randint(4, 14), 2))
-        if _product_tree_holds(fs, lam) is False:
-            return False, INF
-    return True, INF
+    return _trees_hold(([_rand_series(ring, rng) for _ in range(3)],
+                        _exp(ring, Fraction(rng.randint(4, 14), 2)))
+                       for _ in range(max(1, trials // 3)))
 
 
 def _check_stab(res, rng, trials):
@@ -386,13 +373,9 @@ def _check_stab(res, rng, trials):
     root = res.series.exact()
     if not root.terms:
         return True, INF
-    for _ in range(max(1, trials // 3)):
-        e1, e2 = rng.randint(0, 2), rng.randint(1, 2)
-        factors = [ring.uniformizer()] * e1 + [root] * e2
-        lam = _exp(ring, Fraction(rng.randint(6, 14), 2))
-        if _product_tree_holds(factors, lam) is False:
-            return False, INF
-    return True, INF
+    return _trees_hold(([ring.uniformizer()] * rng.randint(0, 2) + [root] * rng.randint(1, 2),
+                        _exp(ring, Fraction(rng.randint(6, 14), 2)))
+                       for _ in range(max(1, trials // 3)))
 
 
 def _check_min(res, rng, trials):
@@ -432,9 +415,8 @@ def _check_ent(res, rng, trials):
     """Integral dependence at each finite epsilon_i up to beta: reads the chain and the partial."""
     worst = INF
     for rel in _stage_readings(res.state, integral_dependence, with_beta=True):
-        # the relation's degree is max U0 and its top coefficient a unit monomial
-        if (not rel.monomials or max(rel.monomials) != rel.degree
-                or len(rel.monomials[rel.degree].terms) != 1
+        # the top coefficient, at degree max U0, is a unit monomial
+        if (not rel.monomials or len(rel.monomials[rel.degree].terms) != 1
                 or cmp(rel.residual_val, rel.lam) < 0):
             return False, rel.residual_val
         if worst is INF:
@@ -444,11 +426,8 @@ def _check_ent(res, rng, trials):
 
 def _check_taylor(res, rng, trials):
     """F's Taylor form at each finite epsilon_i below beta: reads the chain and the partial."""
-
-    def form_at(eps, state):
-        return taylor_form(state.F, eps, state, mode="OPEN")
-
-    for form in _stage_readings(res.state, form_at, with_beta=False):
+    for form in _stage_readings(res.state, lambda eps, state: taylor_form(state.F, eps, state),
+                                with_beta=False):
         acc = form.relation_value()
         if acc.terms and cmp(acc.val(), form.lam) < 0:
             return False, acc.val()

@@ -253,13 +253,12 @@ class GroupElement:
     terms (den > 0, gcd(den, *num) == 1), so one value has one stored form.
     Build elements with GroupDescriptor.element."""
 
-    __slots__ = ("descriptor", "num", "den", "_hash", "_pair")
+    __slots__ = ("descriptor", "num", "den", "_pair")
 
     def __init__(self, descriptor, num, den):
         self.descriptor = descriptor
         self.num = num
         self.den = den
-        self._hash = None
         self._pair = None
 
     def value_pair(self):
@@ -316,8 +315,6 @@ class GroupElement:
     def __add__(self, other):
         if other is INF:
             return INF
-        if self.den == 1 == other.den and self.descriptor is other.descriptor:
-            return GroupElement(self.descriptor, tuple(map(add, self.num, other.num)), 1)
         return self._combine(other, add)
 
     def __sub__(self, other):
@@ -373,10 +370,7 @@ class GroupElement:
                      or self.descriptor == other.descriptor))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.num, self.den))
-        return h
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"<{self.to_text()}>"

@@ -242,11 +242,8 @@ def integral_dependence(beta, state):
     from zero).
     """
     chain = state.chain
-    if beta is not INF:
-        i_stage = chain.index_for(beta)
-    elif chain.entries[-1].epsilon is INF:
-        i_stage = len(chain)
-    else:
+    i_stage = chain.index_for(beta)  # the last entry for INF, when its epsilon is INF
+    if beta is INF and i_stage > len(chain):
         i_stage = state.i_beta
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")

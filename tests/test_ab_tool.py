@@ -96,7 +96,8 @@ def test_summary_median_iqr_and_delta_of_canned_runs():
     summary = ab.summarize(runs)["expand-t"]
     # inclusive quartiles of five values are the second and fourth
     assert summary["wall_s"] == {"parent_median": 0.03, "parent_iqr": 0.002,
-                                 "change_median": 0.027, "change_iqr": 0.002, "delta": "-10.0 %"}
+                                 "change_median": 0.027, "change_iqr": 0.002, "delta": "-10.0 %",
+                                 "verdict": "within"}
     assert summary["setup_s"]["delta"] == "+0.0 %"
     assert summary["failed"] == {"parent": 0, "change": 1}
     assert summary["correct"] is True
@@ -132,9 +133,37 @@ def test_a_claim_is_met_on_nine_tenths_of_the_pairs_past_the_parent_spread():
     assert nine["pairs"] == 9 and nine["met"] is False
 
 
+def _verdict(parent, change):
+    runs = [_run("parent", s, v) for s, v in enumerate(parent)]
+    runs += [_run("change", s, v) for s, v in enumerate(change)]
+    return ab.summarize(runs)["expand-t"]["wall_s"]["verdict"]
+
+
+def test_a_verdict_reads_the_bound_of_benchmark_json():
+    assert ab.bounds()["wall_s"] == 0.25 and ab.bounds()["peak_rss_mb"] == 0.05
+    parent = [0.030, 0.031, 0.029, 0.032, 0.028]
+    # the change's median 0.0376 is above 0.03 * 1.25 = 0.0375
+    assert _verdict(parent, [0.0376, 0.0377, 0.0375, 0.0378, 0.0374]) == "worse"
+    # 0.0374 is not, and the parent's spread (0.002) is below 0.25 * 0.03
+    assert _verdict(parent, [0.0374, 0.0375, 0.0373, 0.0376, 0.0372]) == "within"
+    # a parent whose interquartile range (0.01) exceeds 0.25 * its median
+    # (0.03) cannot tell a change within the bound from one past it ...
+    wide = [0.020, 0.025, 0.030, 0.035, 0.040]
+    assert _verdict(wide, [0.029, 0.030, 0.031, 0.032, 0.033]) == "unresolved"
+    # ... unless every change run is below every parent run
+    assert _verdict(wide, [0.015, 0.016, 0.017, 0.018, 0.019]) == "within"
+    # a change median above the bound is worse, however wide the parent
+    assert _verdict(wide, [0.040, 0.041, 0.042, 0.043, 0.044]) == "worse"
+
+
 def test_summary_reproduces_a_committed_bench_file():
     doc = json.loads((ROOT / "BENCH_35.json").read_text())
-    assert ab.summarize(doc["runs"]) == doc["summary"]
+    summary = ab.summarize(doc["runs"])
+    # the file was written before the verdict was kept; all else is as committed
+    verdicts = {v.pop("verdict") for entry in summary.values() for metric, v in entry.items()
+                if metric in ab.METRICS}
+    assert summary == doc["summary"]
+    assert verdicts <= {"within", "worse", "unresolved"}
 
 
 # the tail of a bench/run.py report: metric lines, row lines, then the JSON line

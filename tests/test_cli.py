@@ -291,11 +291,6 @@ def test_cmd_verify_corruption_fails(monkeypatch):
     assert any("status=FAIL" in line for line in out.splitlines())
 
 
-def _zero_sweep(g, h, lam):
-    """A sweep whose one slice of g meets h cut below its value: it sums to 0."""
-    return truncalg.TruncationDecomposition([g.val(), lam - h.val()], [h.val()])
-
-
 def _empty_tree(gs, lam):
     """A product tree with no pieces: it evaluates to 0."""
     return truncalg.ProductTree(0, [])
@@ -308,7 +303,7 @@ def _offset_form(f, beta, state, mode="OPEN"):
 
 
 @pytest.mark.parametrize("check, name, wrong", [
-    ("caltron", "product_truncation", _zero_sweep),
+    ("caltron", "multi_product_truncation", _empty_tree),
     ("prodfini", "multi_product_truncation", _empty_tree),
     ("stab", "multi_product_truncation", _empty_tree),
     ("taylor", "taylor_form", _offset_form),

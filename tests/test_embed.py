@@ -516,6 +516,27 @@ def test_limit_step_unregistered_pattern():
     assert limit_step(irregular) is irregular
 
 
+def test_limit_step_reads_the_last_three_coefficients_over_f4():
+    # over F4 a coefficient can be other than 1: the repeat test reads the
+    # last three emitted terms, and no term before them
+    R = tring(2)
+    st = init_state(limit_corpus_F(R), R)
+    while embed.limit_signature(st) is None:
+        st = step(st)
+    assert len(st.emitted) == 3
+    moved = st.with_tower(R.tower.adjoin((1, 1, 1)))  # w^2 + w + 1 = 0
+    w = CoeffElem.generator(moved.ring.tower)
+    one = moved.emitted[-1][1]
+    assert w != one
+    # a term with coefficient w before the three still hands off
+    earlier = replace(moved, emitted=((g(R, Fraction(1, 4)), w),) + moved.emitted)
+    assert limit_step(earlier).trace[-1]["branch"] == "LIMIT"
+    # w as the last of the three is no repeat
+    last = replace(moved, emitted=moved.emitted[:-1] + ((moved.emitted[-1][0], w),))
+    with pytest.raises(UnsupportedLimitPattern, match="coefficients do not repeat"):
+        limit_step(last)
+
+
 def test_unregistered_pattern_is_stepped_through():
     # exponents 1/3, 2/3, 7/9 are geometric, but the coefficients 1, 1, 2 do
     # not repeat: no registered pattern matches, and expand steps on

@@ -14,7 +14,9 @@ of its runs, so each run compiles the sources it measures.  The file is
 rewritten after every pair, so a cut session leaves the pairs it finished.
 
 The summary gives, per workload and end-to-end metric, the median and the
-interquartile range of each side and the change of the medians, and per
+interquartile range of each side, the change of the medians and a
+``verdict`` against the metric's relative bound in ``BENCHMARK.json``
+(``verdict`` gives the rule), and per
 ``row <problem>@<n>`` of the bench report (the rows ``growth_slope`` is
 computed from) the median of each side's row medians and their change;
 ``--claim`` adds, for one workload and metric, the count of pairs where the
@@ -42,6 +44,7 @@ import statistics
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("expand-t", "expand-p", "expand-sqrt2", "verify")
 METRICS = ("setup_s", "wall_s", "op_s.p50", "op_s.tail", "growth_slope", "peak_rss_mb")
 
@@ -72,6 +75,26 @@ def _delta(parent, change):
     return f"{(change / parent - 1) * 100:+.1f} %"
 
 
+def bounds():
+    """{metric: relative bound} of the end-to-end metrics in BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(parent, change, bound):
+    """Whether a lower-is-better metric got worse by more than its relative
+    bound: ``worse`` when the change's median is above the parent's median
+    times (1 + bound); else ``unresolved`` when the parent's interquartile
+    range exceeds bound times its median, unless every change run is below
+    every parent run; else ``within``."""
+    pm = statistics.median(parent)
+    if statistics.median(change) > pm * (1 + bound):
+        return "worse"
+    if _iqr(parent) > bound * pm and not max(change) < min(parent):
+        return "unresolved"
+    return "within"
+
+
 def parse_rows(report):
     """The ``row <problem>@<n> median <s> s (n=<k>)`` lines of a bench report
     as {row: median seconds}."""
@@ -97,9 +120,11 @@ def _row_summary(runs):
 
 
 def summarize(runs):
-    """Per workload: median and IQR of each side, and the delta of the medians,
-    for every end-to-end metric; the failed ops of each side; whether every
-    run was correct; and, when the runs kept them, the row medians."""
+    """Per workload: median and IQR of each side, the delta of the medians and
+    the verdict against the metric's bound, for every end-to-end metric; the
+    failed ops of each side; whether every run was correct; and, when the
+    runs kept them, the row medians."""
+    limits = bounds()
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -112,7 +137,8 @@ def summarize(runs):
             (pm, pq), (cm, cq) = _median_iqr(sides["parent"]), _median_iqr(sides["change"])
             entry[metric] = {"parent_median": pm, "parent_iqr": pq, "change_median": cm,
                              "change_iqr": cq, "delta": _delta(statistics.median(sides["parent"]),
-                                                               statistics.median(sides["change"]))}
+                                                               statistics.median(sides["change"])),
+                             "verdict": verdict(sides["parent"], sides["change"], limits[metric])}
         entry["failed"] = {side: sum(r["failed"] for r in mine if r["side"] == side)
                            for side in ("parent", "change")}
         entry["correct"] = all(r["correct"] for r in mine)
