@@ -415,7 +415,7 @@ def _check_ent(res, rng, trials):
     """Integral dependence at each finite epsilon_i up to beta: reads the chain and the partial."""
     worst = INF
     for rel in _stage_readings(res.state, integral_dependence, with_beta=True):
-        # the top coefficient, at degree max U0, is a unit monomial
+        # the top coefficient, at degree max U0, has one term; nothing more is read of it
         if (not rel.monomials or len(rel.monomials[rel.degree].terms) != 1
                 or cmp(rel.residual_val, rel.lam) < 0):
             return False, rel.residual_val

@@ -98,15 +98,7 @@ class ValPoly:
         """Division by a monic polynomial; exact, never inverts coefficients."""
         if not q.is_monic():
             raise ValueError("division only by monic polynomials")
-        d = q.degree()
-        rem = list(self.coeffs)
-        quot = [None] * max(0, len(rem) - d)
-        while len(rem) > d:
-            lead = rem.pop()
-            k = len(rem) - d
-            quot[k] = lead
-            for i in range(d):
-                rem[k + i] = rem[k + i] - lead * q.coeff(i)
+        quot, rem = _divide(self.coeffs, q.degree(), _negated_lower(q))
         return ValPoly(self.ring, quot, self.var), ValPoly(self.ring, rem, self.var)
 
     def hasse_derivative(self, m):
@@ -356,15 +348,37 @@ def geometric_limit(xs, p):
     return d, xs[-1] + d / (p - 1)
 
 
+def _negated_lower(q):
+    """(i, -q_i) for the lower coefficients q_i of q that are not the exact
+    zero; a zero of finite precision stays, as its precision applies."""
+    return [(i, -c) for i, c in enumerate(q.coeffs[:-1]) if not c.is_exact_zero()]
+
+
+def _divide(coeffs, d, negated):
+    """Quotient and remainder coefficient lists of coeffs by the monic
+    polynomial of degree d whose lower coefficients ``_negated_lower`` gave:
+    each lead of the remainder meets each -q_i in one ``add_mul``."""
+    rem = list(coeffs)
+    quot = [None] * max(0, len(rem) - d)
+    while len(rem) > d:
+        lead = rem.pop()
+        k = len(rem) - d
+        quot[k] = lead
+        for i, c in negated:
+            rem[k + i] = rem[k + i].add_mul(lead, c)
+    return quot, rem
+
+
 def standard_expansion(f, q):
-    """Coefficients c_j of f = sum c_j q^j with deg c_j < deg q, for a monic q."""
-    if not q.is_monic():
-        raise ValueError("standard expansion needs a monic key polynomial")
-    cs = []
-    r = f
-    while not r.is_zero():
-        r, rem = r.divmod_monic(q)
-        cs.append(rem)
+    """Coefficients c_j of f = sum c_j q^j with deg c_j < deg q, for a monic q
+    of degree >= 1; each quotient is divided again as a coefficient list."""
+    if not q.is_monic() or q.degree() < 1:
+        raise ValueError("standard expansion needs a monic key polynomial of degree >= 1")
+    d, negated = q.degree(), _negated_lower(q)
+    cs, r = [], f.coeffs
+    while r:  # a quotient's top coefficient is its dividend's, never the exact zero
+        r, rem = _divide(r, d, negated)
+        cs.append(ValPoly(f.ring, rem, f.var))
     return cs
 
 

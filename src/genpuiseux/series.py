@@ -262,10 +262,13 @@ class GenSeries:
         return self + -other
 
     def add_mul(self, other, m):
-        """self + other*m for a series m of at most one term: the raw terms,
-        precision and closedness of ``self + other * m``, formed as one linear
-        merge of self's terms with other's shifted by m, with no product
-        series and no coefficient product past the precision."""
+        """self + other*m: the raw terms, precision and closedness of
+        ``self + other * m``.  For an m of at most one raw term it is one
+        linear merge of self's terms with other's shifted by m, with no
+        product series and no coefficient product past the precision; for a
+        longer m it is that sum."""
+        if len(m._raw) > 1:
+            return self + other * m
         self._same_ring(other)
         self._same_ring(m)
         a, b, mt = self._raw, other._raw, m._raw

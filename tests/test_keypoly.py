@@ -1,5 +1,8 @@
 import math
 import random
+import signal
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -457,6 +460,183 @@ def test_standard_expansion_reassembly():
                 assert c.degree() < q.degree() or c.is_zero()
                 acc = acc + c * (q ** j)
             assert acc == f
+
+
+
+@contextmanager
+def _ends_within(seconds):
+    """Fail the block when it runs past seconds: with SIGALRM where the
+    platform has it, so that a loop that never ends fails instead of hanging,
+    and by the clock after the block everywhere."""
+    alarm = getattr(signal, "SIGALRM", None)
+
+    def expired(signum, frame):
+        raise AssertionError(f"did not end within {seconds} s")
+
+    if alarm is not None:
+        previous = signal.signal(alarm, expired)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if alarm is not None:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(alarm, previous)
+    assert time.perf_counter() - start < seconds
+
+
+def test_standard_expansion_refuses_a_divisor_of_degree_zero():
+    """A monic divisor of degree 0, the constant 1, leaves f as the quotient of
+    every round, so an expansion in it never ends.  It is refused at once, as
+    a non-monic divisor is: all three refusals end within 1 s."""
+    R = tring()
+    F = poly(R, -1 * (R.one() + t_pow(R, 1)), R.zero(), R.one())  # y^2 - 1 - t
+    with _ends_within(1.0):
+        for q in (ValPoly.const(R.one()), ValPoly.const(R.const(2)), poly(R, R.one(), R.const(2))):
+            with pytest.raises(ValueError, match="monic key polynomial of degree >= 1"):
+                standard_expansion(F, q)
+    # division itself takes the constant 1: the quotient is f, the remainder 0
+    quot, rem = F.divmod_monic(ValPoly.const(R.one()))
+    assert quot == F and rem.is_zero()
+
+
+def _divmod_by_subtraction(f, q):
+    """Division by the monic q as rounds of rem[k+i] = rem[k+i] - lead*q_i over
+    every lower coefficient q_i, exact zeros included: the reference for
+    ValPoly.divmod_monic."""
+    d = q.degree()
+    rem = list(f.coeffs)
+    quot = [None] * max(0, len(rem) - d)
+    while len(rem) > d:
+        lead = rem.pop()
+        k = len(rem) - d
+        quot[k] = lead
+        for i in range(d):
+            rem[k + i] = rem[k + i] - lead * q.coeff(i)
+    return ValPoly(f.ring, quot, f.var), ValPoly(f.ring, rem, f.var)
+
+
+def _expansion_by_subtraction(f, q):
+    cs = []
+    while not f.is_zero():
+        f, rem = _divmod_by_subtraction(f, q)
+        cs.append(rem)
+    return cs
+
+
+# Q, F3, F9, W(F5) mod 5^4 and the rank-2 group with weights 1 and sqrt(2)
+_DIVISION_RINGS = dict(((name, _SHIFT_RINGS[name]) for name in ("Q", "F9", "W(F5)/5^4", "sqrt2")),
+                       F3=tring(3))
+
+
+def _divisor_coeff(draw, R):
+    """A lower coefficient of a key polynomial: the exact zero, one term,
+    several terms, or a zero that carries a finite precision."""
+    kind = draw(st.sampled_from(["zero", "one term", "terms", "zero with precision"]))
+    if kind == "zero":
+        return R.zero()
+    if kind == "zero with precision":
+        return R.zero(_shift_exponent(draw, R, 1), draw(st.booleans()))
+    terms = [(_shift_exponent(draw, R), _shift_coeff(draw, R))
+             for _ in range(1 if kind == "one term" else draw(st.integers(2, 3)))]
+    return GenSeries(R, terms)
+
+
+@st.composite
+def _division_cases(draw):
+    """(f, q): f of degree up to 6 with coefficients of finite precision among
+    them, q monic of degree 1 to 3."""
+    R = _DIVISION_RINGS[draw(st.sampled_from(sorted(_DIVISION_RINGS)))]
+    f = ValPoly(R, [_shift_series(draw, R, exact=False) for _ in range(draw(st.integers(1, 7)))])
+    q = ValPoly(R, [_divisor_coeff(draw, R) for _ in range(draw(st.integers(1, 3)))] + [R.one()])
+    return f, q
+
+
+def _value(c):
+    try:
+        return str(c.val())
+    except ValuationIndeterminate as err:
+        return f">= {err.bound}"
+
+
+def _assert_same_coefficients(got, want):
+    assert len(got.coeffs) == len(want.coeffs)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert a._raw == b._raw and a._raw_closed == b._raw_closed
+        assert (a._raw_prec is INF) == (b._raw_prec is INF)
+        assert a._raw_prec is INF or cmp(a._raw_prec, b._raw_prec) == 0
+        assert _value(a) == _value(b)
+        assert (a.prec is INF) == (b.prec is INF) and a.closed == b.closed
+        assert a.prec is INF or cmp(a.prec, b.prec) == 0
+        assert a.to_text() == b.to_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_division_cases())
+def test_division_matches_repeated_subtraction(case):
+    """divmod_monic and standard_expansion, which skip q's exact-zero lower
+    coefficients and update the remainder by one add_mul per lead and q_i,
+    against rounds of rem - lead*q_i over every q_i: each coefficient has the
+    same raw terms, value, precision, closedness and text.  The expansion's
+    coefficients have degree below deg q, and sum c_j q^j gives back f below
+    the precision of each side."""
+    f, q = case
+    for got, want in zip(f.divmod_monic(q), _divmod_by_subtraction(f, q)):
+        _assert_same_coefficients(got, want)
+    cs, want = standard_expansion(f, q), _expansion_by_subtraction(f, q)
+    assert len(cs) == len(want)
+    for c, w in zip(cs, want):
+        _assert_same_coefficients(c, w)
+        assert c.degree() < q.degree()
+    back = ValPoly(f.ring, [])
+    for j, c in enumerate(cs):
+        back = back + c * q ** j
+    assert len(back.coeffs) <= len(f.coeffs)
+    for k, a in enumerate(f.coeffs):
+        b = back.coeff(k)
+        low = b if a.knows(b.prec, b.closed) else a
+        assert _agree_below(a, b, low.prec, low.closed)
+
+
+@contextmanager
+def _counting_series_operations(monkeypatch):
+    """Count the series products, sums, negations and add_mul calls made inside
+    the block, by name."""
+    counts = dict.fromkeys(("__mul__", "__add__", "__neg__", "add_mul"), 0)
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(GenSeries, name, counting(name, getattr(GenSeries, name)))
+    yield counts
+    monkeypatch.undo()
+
+
+def test_expansions_in_key_polynomials_form_only_their_add_mul_steps(monkeypatch):
+    """Where standard expansions save their series operations: in Q_1 = y,
+    whose lower coefficient is the exact zero, the rounds form no product, sum,
+    negation or add_mul; in y^2 + t, each lead popped from the remainder meets
+    -t in exactly one add_mul, -t is formed once, and no product or sum is made
+    outside add_mul."""
+    R = tring()
+    f = poly(R, R.const(3), R.const(2) + t_pow(R, 1), R.zero(),
+             t_pow(R, Fraction(1, 2)), R.zero(), R.one() + t_pow(R, 1))
+    y = ValPoly.variable(R)
+    with _counting_series_operations(monkeypatch) as counts:
+        cs = standard_expansion(f, y)
+    assert counts == dict.fromkeys(counts, 0)
+    assert [c.coeffs for c in cs] == [(c,) if not c.is_exact_zero() else () for c in f.coeffs]
+    q = poly(R, t_pow(R, 1), R.zero(), R.one())  # y^2 + t
+    with _counting_series_operations(monkeypatch) as counts:
+        cs = standard_expansion(f, q)
+    # degree 5 over degree 2: 4 leads, then 2 of the quotient's, then none
+    assert counts == {"__mul__": 0, "__add__": 0, "__neg__": 1, "add_mul": 6}
+    assert cs == _expansion_by_subtraction(f, q)
 
 
 # -- truncated valuations -----------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genpuiseux.coeff import CoeffElem, FieldTower, WittRing, _trim
@@ -792,6 +792,29 @@ def test_add_mul_matches_the_sum_of_the_product(case, data):
     _assert_raw(fused, expected)
     _assert_raw(fused, _triple(a + b * m))
     assert count[0] == within
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ring_and_pair(), st.data())
+def test_add_mul_with_a_longer_m_is_the_sum_of_the_product(case, data):
+    """a.add_mul(b, m) for an m of two or more raw terms, exact or of finite
+    precision, over t-adic and p-adic rings, with a and b as drawn, either one
+    the exact zero or a zero of finite precision: the raw terms, precision
+    and closedness of a + b*m."""
+    ring, a, b = case
+    m = _series(data.draw, ring, _terms(data.draw, ring) + _terms(data.draw, ring))
+    assume(len(m._raw) > 1)
+    kind = data.draw(st.sampled_from(["drawn", "a zero", "b zero", "a bounded zero",
+                                      "b bounded zero"]))
+    if kind.endswith("zero"):
+        zero = ring.zero(*(_exponent(data.draw, ring), data.draw(st.booleans()))
+                         if kind.endswith("bounded zero") else ())
+        a, b = (zero, b) if kind.startswith("a") else (a, zero)
+    x, y, z = _triple(a), _triple(b), _triple(m)
+    fused = a.add_mul(b, m)
+    _assert_raw(fused, _o_add(ring, x, _o_mul(ring, y, z)))
+    _assert_raw(fused, _triple(a + b * m))
 
 
 @settings(max_examples=300, deadline=None)
