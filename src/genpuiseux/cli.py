@@ -223,16 +223,16 @@ def read_poly(ring, text, values, var, lineno=None):
     def atom(read):
         ch = sc.peek()
         if ch.isdigit():
-            return ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())), var)
+            return ValPoly.const(ring.const(_coeff_from_fraction(ring, sc.number())))
         if not (ch.isalpha() or ch == "_"):
             sc.error("expected a term")
         col = sc.pos
         name = sc.ident()
         if name == var:
-            return ValPoly.variable(ring, var)
+            return ValPoly.variable(ring)
         if name not in values:
             sc.error(f"unknown variable {name!r}", col=col)
-        return ValPoly.const(values[name], var)
+        return ValPoly.const(values[name])
 
     def terms(poly):
         return [term for c in poly.coeffs for term in c.terms]
@@ -292,7 +292,7 @@ def run_expand(spec, budget_override=None, prec_override=None):
 
 def cmd_expand(spec, fmt="text", trace_path=None, budget=None, prec=None):
     res = run_expand(spec, budget, prec)
-    chain = res.chain.report().splitlines()
+    chain = res.chain.report(spec.var).splitlines()
     if fmt == "records":
         lines = res.trace_lines() + [f"chain {ln}" for ln in chain]
     else:
@@ -332,7 +332,7 @@ def _rand_poly(ring, rng):
         n = rng.randint(0, 3)
         coeffs.append(ring.monomial(_exp(ring, n), ring.coeffs.from_int(c))
                       if c else ring.zero())
-    return ValPoly(ring, coeffs, "h")
+    return ValPoly(ring, coeffs)
 
 
 def _trees_hold(draws):

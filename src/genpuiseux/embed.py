@@ -105,16 +105,11 @@ class PuiseuxState:
     note: str = ""
     # F's TaylorVector at the partial; read only while it ``is_of`` both objects
     taylor: TaylorVector = field(default=None, compare=False, repr=False)
-    # (chain, beta, chain.index_for(beta)); read only while both objects match
-    stage: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def i_beta(self):
-        """The stage index of beta, computed at most once per chain and beta."""
-        s = self.stage
-        if s is None or s[0] is not self.chain or s[1] is not self.beta:
-            s = self.stage = (self.chain, self.beta, self.chain.index_for(self.beta))
-        return s[2]
+        """The stage index of beta, the chain's bisection on its epsilons."""
+        return self.chain.index_for(self.beta)
 
     def partial_series(self):
         prec = INF if self.status == COMPLETE else self.beta
@@ -177,7 +172,7 @@ class PuiseuxState:
 
 def init_state(F, ring):
     """Start of the recursion: zero partial at the polygon's first exponent."""
-    chain = initial_chain(ring, F, F.var)
+    chain = initial_chain(ring, F)
     e1 = chain.entry(1)
     state = PuiseuxState(ring=ring, F=F, chain=chain, partial=ring.zero(),
                          beta=e1.beta)

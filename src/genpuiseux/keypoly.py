@@ -32,11 +32,10 @@ class ValPoly:
     """Univariate polynomial with GenSeries coefficients (ascending order);
     ``_derivs`` keeps its Hasse derivatives by order as they are formed."""
 
-    __slots__ = ("ring", "coeffs", "var", "_derivs")
+    __slots__ = ("ring", "coeffs", "_derivs")
 
-    def __init__(self, ring, coeffs, var="y"):
+    def __init__(self, ring, coeffs):
         self.ring = ring
-        self.var = var
         cs = list(coeffs)
         while cs and cs[-1].is_exact_zero():
             cs.pop()
@@ -44,12 +43,12 @@ class ValPoly:
         self._derivs = None
 
     @classmethod
-    def variable(cls, ring, var="y"):
-        return cls(ring, [ring.zero(), ring.one()], var)
+    def variable(cls, ring):
+        return cls(ring, [ring.zero(), ring.one()])
 
     @classmethod
-    def const(cls, series, var="y"):
-        return cls(series.ring, [series], var)
+    def const(cls, series):
+        return cls(series.ring, [series])
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -66,19 +65,19 @@ class ValPoly:
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         return ValPoly(self.ring,
-                       [self.coeff(j) + other.coeff(j) for j in range(n)], self.var)
+                       [self.coeff(j) + other.coeff(j) for j in range(n)])
 
     def __neg__(self):
-        return ValPoly(self.ring, [-c for c in self.coeffs], self.var)
+        return ValPoly(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, GenSeries):
-            return ValPoly(self.ring, [c * other for c in self.coeffs], self.var)
+            return ValPoly(self.ring, [c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return ValPoly(self.ring, [], self.var)
+            return ValPoly(self.ring, [])
         out = [self.ring.zero()] * (self.degree() + other.degree() + 1)
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero():
@@ -86,20 +85,19 @@ class ValPoly:
             for j, b in enumerate(other.coeffs):
                 if not b.is_exact_zero():
                     out[i + j] = out[i + j] + a * b
-        return ValPoly(self.ring, out, self.var)
+        return ValPoly(self.ring, out)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("polynomial powers need a non-negative exponent")
-        return binary_power(self, n, ValPoly(self.ring, [self.ring.one()], self.var),
-                            operator.mul)
+        return binary_power(self, n, ValPoly(self.ring, [self.ring.one()]), operator.mul)
 
     def divmod_monic(self, q):
         """Division by a monic polynomial; exact, never inverts coefficients."""
         if not q.is_monic():
             raise ValueError("division only by monic polynomials")
         quot, rem = _divide(self.coeffs, q.degree(), _negated_lower(q))
-        return ValPoly(self.ring, quot, self.var), ValPoly(self.ring, rem, self.var)
+        return ValPoly(self.ring, quot), ValPoly(self.ring, rem)
 
     def hasse_derivative(self, m):
         """Divided-power derivative: sum C(k, m) a_k x^(k-m), formed once per
@@ -112,7 +110,7 @@ class ValPoly:
         derivs = self._derivs = self._derivs or {}
         if m not in derivs:
             derivs[m] = ValPoly(self.ring, [self.coeffs[k] * math.comb(k, m)
-                                            for k in range(m, self.degree() + 1)], self.var)
+                                            for k in range(m, self.degree() + 1)])
         return derivs[m]
 
     def eval(self, s):
@@ -122,7 +120,7 @@ class ValPoly:
 
     def coerce(self, ring):
         return ValPoly(ring, [c.coerce(ring) if c.ring != ring else c
-                              for c in self.coeffs], self.var)
+                              for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, ValPoly):
@@ -133,7 +131,8 @@ class ValPoly:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def to_text(self):
+    def to_text(self, var="y"):
+        """The polynomial as text in the variable named ``var``."""
         if self.is_zero():
             return "0"
         parts = []
@@ -145,7 +144,7 @@ class ValPoly:
             if j == 0:
                 parts.append(ct)
                 continue
-            v = self.var if j == 1 else f"{self.var}^{j}"
+            v = var if j == 1 else f"{var}^{j}"
             if ct == "1":
                 parts.append(v)
             elif ct == "-1":
@@ -312,11 +311,16 @@ class KeyPolyChain:
         return self.entries[i - 1]
 
     def index_for(self, beta):
-        """Smallest 1-based i with beta <= epsilon_i, or len+1 when none."""
-        for i, e in enumerate(self.entries, start=1):
-            if cmp(beta, e.epsilon) <= 0:
-                return i
-        return len(self.entries) + 1
+        """Smallest 1-based i with beta <= epsilon_i, or len+1 when none: a
+        bisection, as the epsilons never decrease (only the last can be INF)."""
+        lo, hi = 0, len(self.entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cmp(beta, self.entries[mid].epsilon) <= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo + 1
 
     def appended(self, entry):
         return KeyPolyChain(self.ring, self.entries + (entry,))
@@ -328,8 +332,9 @@ class KeyPolyChain:
         return KeyPolyChain(ring, [replace(e, poly=polys[id(e.poly)], expansion=None)
                                    for e in self.entries])
 
-    def report(self):
-        texts = _per_poly(self.entries, ValPoly.to_text)
+    def report(self, var="y"):
+        """One line per entry, its polynomial written in ``var``."""
+        texts = _per_poly(self.entries, lambda q: q.to_text(var))
         return "\n".join(
             f"{i}: Q_{i}={texts[id(e.poly)]} beta={e.beta} "
             f"b={e.b_order} eps={e.epsilon} alpha={e.alpha}"
@@ -378,7 +383,7 @@ def standard_expansion(f, q):
     cs, r = [], f.coeffs
     while r:  # a quotient's top coefficient is its dividend's, never the exact zero
         r, rem = _divide(r, d, negated)
-        cs.append(ValPoly(f.ring, rem, f.var))
+        cs.append(ValPoly(f.ring, rem))
     return cs
 
 
@@ -450,9 +455,9 @@ def first_exponent(F):
                           for j in range(d))[0]
 
 
-def initial_chain(ring, F, var="y"):
+def initial_chain(ring, F):
     """The chain start: the bare variable with the polygon's first slope."""
-    q1 = ValPoly.variable(ring, var)
+    q1 = ValPoly.variable(ring)
     return _append_with_invariants(KeyPolyChain(ring), q1, first_exponent(F), 1)
 
 
@@ -482,8 +487,7 @@ def _monomial_ratio(num, den, chain, i):
     """num / den for leading standard monomials, as a ValPoly
     a*t^gamma * prod_{k=i..1} Q_k^(e_k); den must divide num's shape."""
     (num_e, (g_n, c_n)), (den_e, (g_d, c_d)) = num, den
-    out = ValPoly.const(chain.ring.monomial(g_n - g_d, c_n * c_d.inv()),
-                        chain.entry(i).poly.var)
+    out = ValPoly.const(chain.ring.monomial(g_n - g_d, c_n * c_d.inv()))
     for k in range(i, 0, -1):
         e = num_e.get(k, 0) - den_e.get(k, 0)
         if e < 0:
@@ -536,8 +540,7 @@ def extend_chain(chain, F, at):
         q_new = (last.poly ** delta) + ratio * lifted
         if delta == 1 and not ratio.degree() and (gap := last.kept_constant(F)) is not None:
             # a constant refinement: F = (D - c*r) + q_new, with no division
-            cs_new = [ValPoly.const(gap - ratio.coeffs[0] * lifted, F.var),
-                      last.expansion[1][1]]
+            cs_new = [ValPoly.const(gap - ratio.coeffs[0] * lifted), last.expansion[1][1]]
 
     if q_new == F:
         # refresh the defining-polynomial entry against the longer partial

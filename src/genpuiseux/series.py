@@ -174,10 +174,10 @@ class GenSeries:
 
     def is_exact_one(self):
         """Whether the series is exactly 1; a raw form written as 1 needs no
-        carried normal form."""
+        carried normal form, and its lead meets the int 1 with no element built."""
         raw = self._raw
         if (self._raw_prec is INF and len(raw) == 1 and raw[0][0].is_zero()
-                and raw[0][1] == self.ring.coeffs.one()):
+                and raw[0][1] == 1):
             return True
         return self == self.ring.one()
 

@@ -221,6 +221,20 @@ def test_cmd_expand_records_format():
     assert any(l.startswith("chain 1: Q_1=y") for l in lines)
 
 
+@pytest.mark.parametrize("fmt, prefix", [("text", "  "), ("records", "chain ")])
+def test_the_var_key_names_the_variable_of_the_chain_report(fmt, prefix):
+    """The main variable's name reaches the chain report, the one output that
+    prints a polynomial; the series and the trace print none."""
+    spec = parse_problem("char 2\nvar x\npoly x^2 + t*x + t\nbudget_terms 4\n")
+    code, out, _ = cmd_expand(spec, fmt=fmt)
+    chain = [l[len(prefix):] for l in out.splitlines() if re.match(rf"{prefix}\d+: Q_", l)]
+    assert code == 0 and len(chain) == 5
+    assert chain[0] == "1: Q_1=x beta=1/2 b=0 eps=1/2 alpha=1"
+    assert chain[1] == "2: Q_2=x^2 + t beta=3/2 b=1 eps=3/4 alpha=2"
+    assert chain[2] == "3: Q_3=x^2 + t*x + t beta=7/4 b=1 eps=7/8 alpha=1"
+    assert "y" not in out
+
+
 def test_each_expansion_solves_its_own_first_equation(monkeypatch):
     """A solve is kept on the tower it ran over, and every spec builds fresh
     towers, so a second expansion of one spec factors its equations again."""

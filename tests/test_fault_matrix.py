@@ -16,6 +16,18 @@ identities that hold for any series; ``min`` reads h's graded minimum at the
 first two finite epsilon_i, which a change of the root at or above epsilon_2
 leaves as it is, and every fault here is there (the second term sits at
 epsilon_2 on each problem).
+
+The chain-fault rows: each chain takes six single faults, one at a time:
+epsilon_i or beta_i moved halfway to entry i+1's, at the second, the middle
+or the next-to-last entry, which keeps the epsilons strictly increasing.  The
+faulted chain goes into the result's chain and its state's chain.  Only
+``ent`` sees any: the moved epsilon_2 on each problem, where its relation for
+Q_2, read at the moved point, falls short of lambda.  ``taylor`` reads F's
+forms, and every entry past the second re-pins F; F's forms and relations
+hold at any reading point below the partial's precision.  Q_2 already has
+F's degree, so a beta_i with i >= 2 is read only for a polynomial of that
+degree or more: ``min``'s random h, whose stage-2 value sits at the constant
+term of its expansion in Q_2, where beta_2 does not enter.
 """
 
 import random
@@ -27,6 +39,7 @@ import pytest
 
 from genpuiseux import cli
 from genpuiseux.groups import INF, cmp
+from genpuiseux.keypoly import KeyPolyChain
 from genpuiseux.series import GenSeries
 
 PROBLEMS = {
@@ -38,6 +51,8 @@ PROBLEMS = {
 }
 PLACES = ("second", "middle", "last")
 KINDS = ("coeff+1", "drop", "exp-mid")
+ENTRIES = ("second", "middle", "next-to-last")
+FIELDS = ("epsilon", "beta")
 
 
 def faults(series):
@@ -54,6 +69,26 @@ def faults(series):
     return out
 
 
+def chain_faults(chain):
+    """{(field, place): the chain with that entry's epsilon or beta moved
+    halfway to the next entry's} for the six single faults."""
+    n = len(chain)
+    out = {}
+    for place, i in zip(ENTRIES, (1, n // 2, n - 2)):
+        entry, nxt = chain.entries[i], chain.entries[i + 1]
+        for name in FIELDS:
+            moved = (getattr(entry, name) + getattr(nxt, name)) / 2
+            entries = list(chain.entries)
+            entries[i] = replace(entry, **{name: moved})
+            out[name, place] = KeyPolyChain(chain.ring, entries)
+    return out
+
+
+def _failing(res):
+    """The checks that fail on res, each with ``random.Random(0)`` and 4 trials."""
+    return [check for check, run in cli._CHECKS.items() if not run(res, random.Random(0), 4)[0]]
+
+
 def _caught(name):
     """{(kind, place): the checks that fail on that faulted root}."""
     res = cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8)
@@ -65,8 +100,7 @@ def _caught(name):
                       state=replace(res.state, partial=GenSeries(s.ring, terms)))
         assert bad.state.taylor is not None and not bad.state.taylor.is_of(bad.state.F,
                                                                           bad.state.partial)
-        out[fault] = [check for check, run in cli._CHECKS.items()
-                      if not run(bad, random.Random(0), 4)[0]]
+        out[fault] = _failing(bad)
     return out
 
 
@@ -89,3 +123,25 @@ def test_the_blind_spots_sit_at_an_epsilon(name):
     assert cmp(res.series.terms[1][0], eps[1]) == 0 and cmp(eps[0], eps[1]) < 0
     below = [e for e in eps if e is not INF and cmp(e, res.state.beta) < 0]
     assert cmp(res.series.terms[-1][0], max(below, key=cmp_to_key(cmp))) == 0
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_chain_fault_matrix(name):
+    res = cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8)
+    caught = {}
+    for fault, chain in chain_faults(res.chain).items():
+        eps = [e.epsilon for e in chain.entries]
+        assert all(cmp(a, b) < 0 for a, b in zip(eps, eps[1:]))
+        caught[fault] = _failing(replace(res, chain=chain, state=replace(res.state, chain=chain)))
+    assert caught == {(field, place): ["ent"] if (field, place) == ("epsilon", "second") else []
+                      for field in FIELDS for place in ENTRIES}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_the_chain_blind_spots_are_re_pins_of_F(name):
+    """Why the chain rows read as they do: every entry past the second is
+    F itself, and Q_2 has F's degree."""
+    res = cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8)
+    F, polys = res.state.F, [e.poly for e in res.chain.entries]
+    assert len(polys) == 9 and polys[1] != F and polys[1].degree() == F.degree()
+    assert all(q == F for q in polys[2:])

@@ -5,6 +5,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,7 +144,7 @@ def test_hasse_composition_law():
                     lhs = f.hasse_derivative(b)
                     lhs = lhs.hasse_derivative(a) if not lhs.is_zero() else lhs
                     h = f.hasse_derivative(a + b)
-                    rhs = ValPoly(R, [c * math.comb(a + b, a) for c in h.coeffs], h.var)
+                    rhs = ValPoly(R, [c * math.comb(a + b, a) for c in h.coeffs])
                     if lhs.is_zero():
                         assert rhs.is_zero() or all(
                             c.is_exact_zero() or not c.terms for c in rhs.coeffs)
@@ -418,6 +419,72 @@ def test_values_never_read_below_stage_one():
             truncated_val(y_t, chain, n)
 
 
+def _linear_index(chain, beta):
+    """index_for's reference: the first 1-based i with beta <= epsilon_i, by
+    a scan, or len+1."""
+    return next((i for i, e in enumerate(chain.entries, start=1) if cmp(beta, e.epsilon) <= 0),
+                len(chain) + 1)
+
+
+@st.composite
+def _epsilon_chains(draw):
+    """(chain, betas) over Q or the rank-2 group of weights 1 and sqrt(2): a
+    chain whose entries differ only in epsilon (all that index_for reads), the
+    epsilons non-decreasing with equal neighbours and INF possibly last; the
+    betas below all, equal to each, between two neighbours, above all, and INF."""
+    R = _SHIFT_RINGS[draw(st.sampled_from(["Q", "sqrt2"]))]
+    distinct = sorted({_shift_exponent(draw, R) for _ in range(draw(st.integers(0, 6)))},
+                      key=cmp_to_key(cmp))
+    epsilons = [e for e in distinct for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        epsilons.append(INF)
+    y = ValPoly.variable(R)
+    chain = KeyPolyChain(R, [ChainEntry(y, eps, 0, eps, 1, ()) for eps in epsilons])
+    one = R.descriptor.basis(0)
+    betas = epsilons + [INF] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    betas += [distinct[0] - one, distinct[-1] + one] if distinct else [R.descriptor.zero()]
+    return chain, betas
+
+
+@settings(max_examples=150, deadline=None)
+@given(_epsilon_chains())
+def test_index_for_matches_a_linear_scan(case):
+    chain, betas = case
+    for beta in betas:
+        assert chain.index_for(beta) == _linear_index(chain, beta)
+
+
+def test_index_for_bisects_the_chain_of_a_long_run(monkeypatch):
+    """Over the sq-q run at budget 64, whose chain grows to 65 entries, each
+    index_for call on a chain of n entries makes at most ceil(log2(n + 1))
+    epsilon comparisons, as do the calls at each epsilon of the final chain,
+    below all, between two and at INF; a scan makes up to n."""
+    from genpuiseux import cli, keypoly
+
+    compares, calls = [0], []
+    plain_cmp, plain_index = keypoly.cmp, KeyPolyChain.index_for
+
+    def counted_cmp(a, b):
+        compares[0] += 1
+        return plain_cmp(a, b)
+
+    def counted_index(chain, beta):
+        before = compares[0]
+        i = plain_index(chain, beta)
+        calls.append((len(chain), compares[0] - before))
+        assert i == _linear_index(chain, beta)
+        return i
+
+    monkeypatch.setattr(keypoly, "cmp", counted_cmp)
+    monkeypatch.setattr(KeyPolyChain, "index_for", counted_index)
+    chain = cli.run_expand(cli.parse_problem("char 0\npoly y^2 - 1 - t\n"), 64).chain
+    eps = [e.epsilon for e in chain.entries]
+    for beta in eps + [eps[0] - g(chain.ring, 1), (eps[30] + eps[31]) / 2, INF]:
+        chain.index_for(beta)
+    assert len(chain) == 65 and len(calls) > 2 * 65
+    assert all(used <= math.ceil(math.log2(n + 1)) for n, used in calls)
+
+
 # -- standard expansions ----------------------------------------------------------
 
 
@@ -501,6 +568,18 @@ def test_standard_expansion_refuses_a_divisor_of_degree_zero():
     assert quot == F and rem.is_zero()
 
 
+@pytest.mark.parametrize("name", ["Q", "F9", "W(F5)/5^4"])
+def test_a_raw_exact_monic_polynomial_is_read_with_no_one_built(monkeypatch, name):
+    """is_monic meets the raw lead 1 of a raw-exact top coefficient with the
+    int 1, so no coefficient one is built."""
+    R = _SHIFT_RINGS[name]
+    F = poly(R, t_pow(R, 1), t_pow(R, 2, 3), R.one())
+    built, plain = [], FieldTower.one
+    monkeypatch.setattr(FieldTower, "one", lambda tower: built.append(tower) or plain(tower))
+    assert F.is_monic() and F.coeffs[-1].raw_exact()
+    assert built == []
+
+
 def _divmod_by_subtraction(f, q):
     """Division by the monic q as rounds of rem[k+i] = rem[k+i] - lead*q_i over
     every lower coefficient q_i, exact zeros included: the reference for
@@ -514,7 +593,7 @@ def _divmod_by_subtraction(f, q):
         quot[k] = lead
         for i in range(d):
             rem[k + i] = rem[k + i] - lead * q.coeff(i)
-    return ValPoly(f.ring, quot, f.var), ValPoly(f.ring, rem, f.var)
+    return ValPoly(f.ring, quot), ValPoly(f.ring, rem)
 
 
 def _expansion_by_subtraction(f, q):
@@ -776,10 +855,10 @@ def test_kept_constant_reads_only_F_as_a_constant_plus_the_key_polynomial():
             assert inexact.kept_constant(F) is None
 
 
-def _multiply_out(mono, chain, i, var):
+def _multiply_out(mono, chain, i):
     """A leading standard monomial ({k: e_k}, (gamma, a)) as a ValPoly."""
     exps, (gamma, a) = mono
-    out = ValPoly.const(chain.ring.monomial(gamma, a), var)
+    out = ValPoly.const(chain.ring.monomial(gamma, a))
     for k in range(1, i + 1):
         out = out * (chain.entry(k).poly ** exps.get(k, 0))
     return out
@@ -789,9 +868,8 @@ def _trial_division_ratio(num, den, chain, i):
     """num / den as the trial-division algorithm forms it: multiply both
     monomials out, peel the stage powers off with divmod_monic from the top
     stage down, then divide the leading terms of what is left."""
-    var = chain.entry(1).poly.var
-    num_c = _multiply_out(num, chain, i, var)
-    den_c = _multiply_out(den, chain, i, var)
+    num_c = _multiply_out(num, chain, i)
+    den_c = _multiply_out(den, chain, i)
     factors = []
     for k in range(i, 0, -1):
         qk = chain.entry(k).poly
@@ -809,7 +887,7 @@ def _trial_division_ratio(num, den, chain, i):
         factors.append((qk, e_num - e_den))
     ge_n, cn = num_c.coeffs[0].leading_term()
     ge_d, cd = den_c.coeffs[0].leading_term()
-    out = ValPoly.const(chain.ring.monomial(ge_n - ge_d, cn * cd.inv()), var)
+    out = ValPoly.const(chain.ring.monomial(ge_n - ge_d, cn * cd.inv()))
     for qk, e in factors:
         if e:
             out = out * (qk ** e)
