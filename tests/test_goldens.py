@@ -192,3 +192,47 @@ def test_witt_precision_prefix(p, poly):
     for witt_prec in (4, 8):
         got = series(witt_prec)
         assert got.to_text() == finest.truncate_open(got.prec).to_text(), witt_prec
+
+
+# spec seeds of the verify ops whose readings are pinned: each problem at both budgets
+READING_SEEDS = (0, 21, 42)
+READINGS_DIGEST = "3ca8584f3d2b7b3cb38fdbc576e39eda727dab69fd8414240ef7d8cd7c29f50f"
+
+
+def test_verify_readings_digest(monkeypatch):
+    """What the ``ent``, ``taylor`` and ``min`` checks read, not only what they
+    print: five of the six checks print ``residual_val=inf`` whatever they
+    read.  Over the bench verify ops at READING_SEEDS, each ``ent`` reading's
+    lambda and residual (its relation's valuation, or the precision bound
+    when the relation has no term), each ``taylor`` relation's text and each
+    ``min`` trial's ``nu_i`` and ``equal`` are hashed with SHA-256."""
+    from genpuiseux import truncalg
+
+    readings = []
+    ent_form, taylor_form, min_check = truncalg.taylor_form, cli.taylor_form, cli.derivative_min_check
+
+    def ent_reader(*args, **kwargs):  # the form integral_dependence reads
+        form = ent_form(*args, **kwargs)
+        rel = form.relation_value()
+        readings.append(f"ent lam={form.lam} residual={rel.val() if rel.terms else rel.prec}")
+        return form
+
+    def taylor_reader(*args):
+        form = taylor_form(*args)
+        readings.append(f"taylor {form.relation_value().to_text()}")
+        return form
+
+    def min_reader(*args):
+        rep = min_check(*args)
+        readings.append(f"min nu_i={rep['nu_i']} equal={rep['equal']}")
+        return rep
+
+    monkeypatch.setattr(truncalg, "taylor_form", ent_reader)
+    monkeypatch.setattr(cli, "taylor_form", taylor_reader)
+    monkeypatch.setattr(cli, "derivative_min_check", min_reader)
+    wl = _load_workloads()
+    for op in wl.all_ops(wl.WORKLOADS["verify"]):
+        if op.spec_seed in READING_SEEDS:
+            readings.append(op.key)
+            cli.cmd_verify(cli.parse_problem(op.text))
+    assert hashlib.sha256("\n".join(readings).encode()).hexdigest() == READINGS_DIGEST
