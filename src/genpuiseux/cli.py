@@ -17,7 +17,7 @@ from operator import mul
 
 from .coeff import FieldTower, WittRing
 from .embed import expand, monomial_embedding
-from .errors import EngineError, ParseError
+from .errors import EngineError, ParseError, ValuationIndeterminate
 from .groups import INF, GroupDescriptor, cmp, weight_text
 from .keypoly import ValPoly, derivative_min_check
 from .series import (GenSeries, SeriesRing, _coeff_from_fraction, _Scanner, bounded_power,
@@ -350,27 +350,27 @@ def _trees_hold(draws):
     return True, INF
 
 
-def _check_caltron(res, rng, trials):
+def _check_caltron(state, rng, trials):
     """Product truncation of random pairs of series: reads only the ring."""
-    ring = res.series.ring
+    ring = state.ring
     return _trees_hold(([_rand_series(ring, rng), _rand_series(ring, rng)],
                         _exp(ring, Fraction(rng.randint(2, 16), 2)))
                        for _ in range(2 * trials))
 
 
-def _check_prodfini(res, rng, trials):
+def _check_prodfini(state, rng, trials):
     """Product-truncation trees of three random series: reads only the ring."""
-    ring = res.series.ring
+    ring = state.ring
     return _trees_hold(([_rand_series(ring, rng) for _ in range(3)],
                         _exp(ring, Fraction(rng.randint(4, 14), 2)))
                        for _ in range(max(1, trials // 3)))
 
 
-def _check_stab(res, rng, trials):
+def _check_stab(state, rng, trials):
     """Product-truncation trees of t and root factors: reads the root only
     through an identity that holds for any series, so no wrong root fails it."""
-    ring = res.series.ring
-    root = res.series.exact()
+    ring = state.ring
+    root = state.partial_series().exact()
     if not root.terms:
         return True, INF
     return _trees_hold(([ring.uniformizer()] * rng.randint(0, 2) + [root] * rng.randint(1, 2),
@@ -378,20 +378,25 @@ def _check_stab(res, rng, trials):
                        for _ in range(max(1, trials // 3)))
 
 
-def _check_min(res, rng, trials):
+def _check_min(state, rng, trials):
     """The three-way derivative minimum of random h at the first two finite
-    epsilon_i: reads the chain and h's Taylor vector at the partial."""
-    chain = res.chain
+    epsilon_i: reads the chain and h's Taylor vector at the partial.  A
+    trial whose reading is zero to the working precision is drawn and left
+    out."""
+    chain = state.chain
     stages = [i for i in range(1, len(chain) + 1)
               if chain.entry(i).epsilon is not INF][:2]
     for i in stages:
         done = 0
         while done < trials:
-            h = _rand_poly(res.series.ring, rng)
+            h = _rand_poly(state.ring, rng)
             if h.is_zero():
                 continue
             done += 1
-            rep = derivative_min_check(h, chain, i, res.state.taylor_of(h))
+            try:
+                rep = derivative_min_check(h, chain, i, state.taylor_of(h))
+            except ValuationIndeterminate:
+                continue
             if rep["nu_i"] is not INF and not rep["equal"]:
                 return False, INF
     return True, INF
@@ -411,22 +416,20 @@ def _stage_readings(state, read, with_beta):
         yield out
 
 
-def _check_ent(res, rng, trials):
+def _check_ent(state, rng, trials):
     """Integral dependence at each finite epsilon_i up to beta: reads the chain and the partial."""
-    worst = INF
-    for rel in _stage_readings(res.state, integral_dependence, with_beta=True):
-        # the top coefficient, at degree max U0, has one term; nothing more is read of it
-        if (not rel.monomials or len(rel.monomials[rel.degree].terms) != 1
-                or cmp(rel.residual_val, rel.lam) < 0):
-            return False, rel.residual_val
-        if worst is INF:
-            worst = rel.residual_val
-    return True, worst
+    first_finite = INF  # the margin printed: the first residual that is finite
+    for form, residual in _stage_readings(state, integral_dependence, with_beta=True):
+        if not form.monomials or cmp(residual, form.lam) < 0:
+            return False, residual
+        if first_finite is INF:
+            first_finite = residual
+    return True, first_finite
 
 
-def _check_taylor(res, rng, trials):
+def _check_taylor(state, rng, trials):
     """F's Taylor form at each finite epsilon_i below beta: reads the chain and the partial."""
-    for form in _stage_readings(res.state, lambda eps, state: taylor_form(state.F, eps, state),
+    for form in _stage_readings(state, lambda eps, state: taylor_form(state.F, eps, state),
                                 with_beta=False):
         acc = form.relation_value()
         if acc.terms and cmp(acc.val(), form.lam) < 0:
@@ -440,11 +443,11 @@ _CHECKS = {"caltron": _check_caltron, "prodfini": _check_prodfini,
 
 
 def cmd_verify(spec, budget=None, prec=None):
-    res = run_expand(spec, budget, prec)
+    state = run_expand(spec, budget, prec).state
     if not spec.verify:
         return 0, ""
     rng = random.Random(spec.seed)
-    results = [(name, *_CHECKS[name](res, rng, spec.trials)) for name in spec.verify]
+    results = [(name, *_CHECKS[name](state, rng, spec.trials)) for name in spec.verify]
     return (0 if all(ok for _, ok, _ in results) else 1), "\n".join(
         f"check={name} status={'PASS' if ok else 'FAIL'} residual_val={rv}"
         for name, ok, rv in results)

@@ -165,18 +165,15 @@ class TaylorForm:
         return acc
 
 
-def taylor_form(f, beta, state, mode="OPEN"):
+def taylor_form(f, beta, state):
     """The truncated evaluation as a polynomial in the centered difference.
 
-    mode OPEN reads the open truncation of the embedding at beta (the
-    partial development); mode CLOSED reads the closed one.  The constant
-    term is the residual after removing the leading derivative monomials.
-    Every value at the partial is read from the one Taylor vector of f.
+    The form reads the open truncation of the embedding at beta (the
+    partial development).  The constant term is the residual after removing
+    the leading derivative monomials.  Every value at the partial is read
+    from the one Taylor vector of f.
     """
-    if mode not in ("OPEN", "CLOSED"):
-        raise ValueError(f"mode must be OPEN or CLOSED, not {mode!r}")
     chain = state.chain
-    closed = mode == "CLOSED"
     levels, vec = _derivative_levels(f, beta, state)
     lam = levels.lam
     # (D^b f)(partial) for the b in U0 where it is not zero
@@ -201,45 +198,32 @@ def taylor_form(f, beta, state, mode="OPEN"):
         base = full.truncate_closed(eps0).exact() if eps0 is not INF else full.exact()
     else:
         base = state.ring.zero()
-    center_series = _cut(full, beta, closed).exact()
+    center_series = _cut(full, beta).exact()
     delta = center_series - base
 
     monomials = {}
     correction = state.ring.zero()
     for b, ev in leading.items():
         mono = monomials[b] = ev.ring.monomial(*ev.leading_term())
-        correction = correction + _cut(mono * (delta ** b), lam, closed)
-    constant = _cut(f.eval(center_series), lam, closed) - correction
+        correction = correction + _cut(mono * (delta ** b), lam)
+    constant = _cut(f.eval(center_series), lam) - correction
     return TaylorForm(constant, monomials, delta, lam, levels)
 
 
-def _cut(series, bound, closed):
-    """The closed or open truncation at bound, or the series itself when
-    its precision ends first."""
-    if not series.knows(bound, closed):
-        return series
-    return series.truncate_closed(bound) if closed else series.truncate_open(bound)
+def _cut(series, bound):
+    """The open truncation at bound, or the series itself when its precision
+    ends first."""
+    return series.truncate_open(bound) if series.knows(bound) else series
 
 
 # -- the integral dependence relation ------------------------------------------------------
 
 
-@dataclass
-class IntegralDependence:
-    degree: int
-    monomials: dict
-    constant: GenSeries
-    center: GenSeries
-    residual_val: object  # GroupElement or INF
-    lam: object
-
-
 def integral_dependence(beta, state):
-    """The explicit monic-up-to-unit relation killing the partial development.
-
-    Evaluates the Taylor-form relation at the centered difference; the
-    residual valuation must reach the working precision (indistinguishable
-    from zero).
+    """The explicit monic-up-to-unit relation killing the partial development:
+    the Taylor form of the stage polynomial and its residual, the valuation
+    of the form at its center (the precision bound when that value has no
+    term), which must reach lambda (indistinguishable from zero).
     """
     chain = state.chain
     i_stage = chain.index_for(beta)  # the last entry for INF, when its epsilon is INF
@@ -253,12 +237,6 @@ def integral_dependence(beta, state):
         # use the last finite threshold as the reading point
         eps_prev = [e.epsilon for e in chain.entries if e.epsilon is not INF]
         beta_eff = eps_prev[-1] if eps_prev else chain.entry(1).beta
-    form = taylor_form(q_poly, beta_eff, state, mode="OPEN")
-    acc = form.relation_value()
-    try:
-        rv = acc.val()
-    except ValuationIndeterminate as err:
-        rv = err.bound
-    degree = max(form.monomials) if form.monomials else 0
-    return IntegralDependence(degree, form.monomials, form.constant,
-                              form.center, rv, form.lam)
+    form = taylor_form(q_poly, beta_eff, state)
+    rel = form.relation_value()
+    return form, rel.val() if rel.terms else rel.prec

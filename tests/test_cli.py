@@ -310,9 +310,9 @@ def _empty_tree(gs, lam):
     return truncalg.ProductTree(0, [])
 
 
-def _offset_form(f, beta, state, mode="OPEN"):
+def _offset_form(f, beta, state):
     """taylor_form's form with 1 added to its constant term."""
-    form = truncalg.taylor_form(f, beta, state, mode)
+    form = truncalg.taylor_form(f, beta, state)
     return replace(form, constant=form.constant + state.ring.one())
 
 
@@ -346,8 +346,32 @@ def test_verify_leaves_out_a_stage_reading_that_raises():
     with pytest.raises(ValuationIndeterminate):
         integral_dependence(eps[-1], res.state)
     read = list(cli._stage_readings(res.state, integral_dependence, with_beta=True))
-    assert [r.lam for r in read] == [integral_dependence(e, res.state).lam for e in eps[:2]]
+    assert [form.lam for form, _ in read] == [integral_dependence(e, res.state)[0].lam
+                                              for e in eps[:2]]
     assert cmd_verify(spec) == (0, "check=ent status=PASS residual_val=1/3")
+
+
+@pytest.mark.parametrize("text", ["p 3\npoly y - 2\n", "p 2\npoly y - p\n"],
+                         ids=["p3-two", "p2-p"])
+def test_verify_leaves_out_a_min_trial_that_is_zero_to_precision(monkeypatch, text):
+    # the exact p-adic roots 2 and p: some random h at the default seed has a
+    # truncated value that reads a coefficient zero to the working precision;
+    # that trial is drawn and left out, and verify no longer ends in an engine error
+    check, raised = cli.derivative_min_check, []
+
+    def reader(*args):
+        try:
+            return check(*args)
+        except ValuationIndeterminate:
+            raised.append(args[0])
+            raise
+
+    monkeypatch.setattr(cli, "derivative_min_check", reader)
+    spec = parse_problem(text)
+    assert run_expand(spec).status == "COMPLETE"
+    code, out = cmd_verify(spec)
+    assert raised
+    assert code == 0 and out.count("status=PASS") == 6
 
 
 def test_cmd_verify_off_is_empty():

@@ -3,10 +3,10 @@
 Five problems expand at budget 8.  Each root takes nine single faults, one at
 a time: a coefficient plus 1, a term dropped, or an exponent moved to the
 midpoint with the next one (the series' precision after the last term), each
-on the second, the middle or the last term.  The faulted root goes into the
-result's series and, by ``dataclasses.replace``, into its state's partial, so
-the Taylor vector the state carries is stale and must be evaluated afresh.
-All six checks then run with ``random.Random(0)`` and 4 trials.
+on the second, the middle or the last term.  The faulted root goes, by
+``dataclasses.replace``, into the final state's partial, so the Taylor vector
+the state carries is stale and must be evaluated afresh.  All six checks then
+run on that state with ``random.Random(0)`` and 4 trials.
 
 The pinned matrix: ``ent`` sees all 45 faults; ``taylor`` sees the 30 faults
 off the last term, since each form reads the partial's open truncation at an
@@ -20,7 +20,7 @@ epsilon_2 on each problem).
 The chain-fault rows: each chain takes six single faults, one at a time:
 epsilon_i or beta_i moved halfway to entry i+1's, at the second, the middle
 or the next-to-last entry, which keeps the epsilons strictly increasing.  The
-faulted chain goes into the result's chain and its state's chain.  Only
+faulted chain goes into the final state's chain.  Only
 ``ent`` sees any: the moved epsilon_2 on each problem, where its relation for
 Q_2, read at the moved point, falls short of lambda.  ``taylor`` reads F's
 forms, and every entry past the second re-pins F; F's forms and relations
@@ -28,6 +28,10 @@ hold at any reading point below the partial's precision.  Q_2 already has
 F's degree, so a beta_i with i >= 2 is read only for a polynomial of that
 degree or more: ``min``'s random h, whose stage-2 value sits at the constant
 term of its expansion in Q_2, where beta_2 does not enter.
+
+No ``ent`` reading of the 75 faulted states has an empty set of monomials,
+or a top derivative, at the largest order of U0, that vanishes at the
+partial: a test of either would catch no fault here.
 """
 
 import random
@@ -41,6 +45,7 @@ from genpuiseux import cli
 from genpuiseux.groups import INF, cmp
 from genpuiseux.keypoly import KeyPolyChain
 from genpuiseux.series import GenSeries
+from genpuiseux.truncalg import integral_dependence
 
 PROBLEMS = {
     "as-f2": "char 2\npoly y^2 + t*y + t\n",
@@ -84,29 +89,41 @@ def chain_faults(chain):
     return out
 
 
-def _failing(res):
-    """The checks that fail on res, each with ``random.Random(0)`` and 4 trials."""
-    return [check for check, run in cli._CHECKS.items() if not run(res, random.Random(0), 4)[0]]
+def _failing(state):
+    """The checks that fail on state, each with ``random.Random(0)`` and 4 trials."""
+    return [check for check, run in cli._CHECKS.items() if not run(state, random.Random(0), 4)[0]]
 
 
-def _caught(name):
-    """{(kind, place): the checks that fail on that faulted root}."""
-    res = cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8)
-    s = res.series
+def _solved(name):
+    return cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8).state
+
+
+def _root_faulted(name):
+    """{(kind, place): the final state with that fault in its partial}."""
+    state = _solved(name)
+    s = state.partial_series()
     assert len(s.terms) == 8
     out = {}
     for fault, terms in faults(s).items():
-        bad = replace(res, series=GenSeries(s.ring, terms, s.prec, s.closed),
-                      state=replace(res.state, partial=GenSeries(s.ring, terms)))
-        assert bad.state.taylor is not None and not bad.state.taylor.is_of(bad.state.F,
-                                                                          bad.state.partial)
-        out[fault] = _failing(bad)
+        bad = out[fault] = replace(state, partial=GenSeries(s.ring, terms))
+        assert bad.taylor is not None and not bad.taylor.is_of(bad.F, bad.partial)
+    return out
+
+
+def _chain_faulted(name):
+    """{(field, place): the final state with that fault in its chain}."""
+    state = _solved(name)
+    out = {}
+    for fault, chain in chain_faults(state.chain).items():
+        eps = [e.epsilon for e in chain.entries]
+        assert all(cmp(a, b) < 0 for a, b in zip(eps, eps[1:]))
+        out[fault] = replace(state, chain=chain)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_fault_matrix(name):
-    caught = _caught(name)
+    caught = {fault: _failing(bad) for fault, bad in _root_faulted(name).items()}
     assert caught == {(kind, place): ["ent"] if place == "last" else ["ent", "taylor"]
                       for kind in KINDS for place in PLACES}
 
@@ -127,12 +144,7 @@ def test_the_blind_spots_sit_at_an_epsilon(name):
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_chain_fault_matrix(name):
-    res = cli.run_expand(cli.parse_problem(PROBLEMS[name]), 8)
-    caught = {}
-    for fault, chain in chain_faults(res.chain).items():
-        eps = [e.epsilon for e in chain.entries]
-        assert all(cmp(a, b) < 0 for a, b in zip(eps, eps[1:]))
-        caught[fault] = _failing(replace(res, chain=chain, state=replace(res.state, chain=chain)))
+    caught = {fault: _failing(bad) for fault, bad in _chain_faulted(name).items()}
     assert caught == {(field, place): ["ent"] if (field, place) == ("epsilon", "second") else []
                       for field in FIELDS for place in ENTRIES}
 
@@ -145,3 +157,22 @@ def test_the_chain_blind_spots_are_re_pins_of_F(name):
     F, polys = res.state.F, [e.poly for e in res.chain.entries]
     assert len(polys) == 9 and polys[1] != F and polys[1].degree() == F.degree()
     assert all(q == F for q in polys[2:])
+
+
+# the ent readings of each problem's 15 faulted states, up to ent's first
+# failing one: 505 over the five problems
+ENT_READINGS = 101
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_no_ent_reading_of_a_fault_loses_its_top_derivative(name):
+    """Each ``ent`` reading of a faulted state has monomials, and its top
+    derivative, at the largest order of U0, does not vanish at the partial."""
+    readings = 0
+    for bad in [*_root_faulted(name).values(), *_chain_faulted(name).values()]:
+        for form, residual in cli._stage_readings(bad, integral_dependence, with_beta=True):
+            assert form.monomials and max(form.levels.U0) in form.monomials
+            readings += 1
+            if cmp(residual, form.lam) < 0:  # ent reads no further
+                break
+    assert readings == ENT_READINGS

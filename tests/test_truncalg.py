@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from genpuiseux.coeff import FieldTower
 from genpuiseux.groups import INF, GroupDescriptor, cmp, gmin
 from genpuiseux.keypoly import ValPoly
@@ -329,7 +327,7 @@ def test_taylor_first_case_zero_center():
     st = res.state
     y = ValPoly.variable(R)
     beta = g(R, Fraction(3, 2))  # beta <= eps_1
-    form = taylor_form(y, beta, st, mode="OPEN")
+    form = taylor_form(y, beta, st)
     assert form.center.is_exact_zero() or not form.center.terms
     assert form.constant.is_exact_zero() or not form.constant.terms
 
@@ -341,7 +339,7 @@ def test_taylor_key_polynomial_relation_is_zero():
     st = res.state
     for q in (Fraction(7, 8), Fraction(15, 16)):
         beta = g(R, q)
-        form = taylor_form(F, beta, st, mode="OPEN")
+        form = taylor_form(F, beta, st)
         acc = form.constant
         for b, mono in form.monomials.items():
             acc = acc + mono * (form.center ** b)
@@ -350,49 +348,15 @@ def test_taylor_key_polynomial_relation_is_zero():
             assert cmp(v, form.lam) >= 0
 
 
-def test_taylor_closed_reconstruction():
-    # F_beta(Delta u) reproduces the closed truncated evaluation term-for-term
-    R = tring(2)
-    F = artin_schreier_F(R)
-    res = expand(F, R, max_terms=8)
-    st = res.state
-    beta = g(R, Fraction(15, 16))
-    form = taylor_form(F, beta, st, mode="CLOSED")
-    full = st.partial_series()
-    center = full.truncate_closed(beta)
-    ev = F.eval(center)
-    lhs = ev.truncate_closed(form.lam) if cmp(form.lam, ev.prec) < 0 else ev
-    rhs = form.constant
-    for b, mono in form.monomials.items():
-        rhs = rhs + mono * (form.center ** b)
-    cut = gmin_local(lhs.prec, rhs.prec, form.lam)
-    assert [t for t in lhs.terms if cmp(t[0], cut) <= 0] \
-        == [t for t in rhs.terms if cmp(t[0], cut) <= 0]
-
-
-def test_taylor_form_mode_is_open_or_closed():
-    # any mode but OPEN was read as CLOSED, "open" and typos included
+def test_taylor_form_keeps_the_levels_of_its_one_vector():
+    # the levels come with the one Taylor vector they read, and nothing else
     R = tring(2)
     F = artin_schreier_F(R)
     st = expand(F, R, max_terms=6).state
     beta = g(R, Fraction(7, 8))
-    for mode in ("open", "closed", "OPNE", ""):
-        with pytest.raises(ValueError, match="mode must be OPEN or CLOSED"):
-            taylor_form(F, beta, st, mode)
-    # the levels come with the one Taylor vector they read, and nothing else
     levels, vec = _derivative_levels(F, beta, st)
-    assert taylor_form(F, beta, st, "CLOSED").levels == levels
+    assert taylor_form(F, beta, st).levels == levels
     assert len(vec.entries) == F.degree() + 1
-
-
-def gmin_local(*vals):
-    best = None
-    for v in vals:
-        if v is INF or v is None:
-            continue
-        if best is None or cmp(v, best) < 0:
-            best = v
-    return best
 
 
 # -- Prop ent ------------------------------------------------------------------------------------
@@ -402,9 +366,9 @@ def test_integral_dependence_classical():
     R = tring()
     res = expand(classical_F(R), R, max_terms=4)
     st = res.state
-    rel = integral_dependence(INF, st)
-    assert rel.degree == 2  # monic of degree max U0 = deg of the stage polynomial
-    assert rel.residual_val is INF or cmp(rel.residual_val, rel.lam) >= 0
+    form, residual = integral_dependence(INF, st)
+    assert max(form.monomials) == 2  # monic of degree max U0 = deg of the stage polynomial
+    assert residual is INF or cmp(residual, form.lam) >= 0
 
 
 def test_integral_dependence_artin_schreier():
@@ -412,10 +376,10 @@ def test_integral_dependence_artin_schreier():
     F = artin_schreier_F(R)
     res = expand(F, R, max_terms=8)
     st = res.state
-    rel = integral_dependence(g(R, Fraction(7, 8)), st)
-    assert rel.degree == 2
+    form, residual = integral_dependence(g(R, Fraction(7, 8)), st)
+    assert max(form.monomials) == 2
     # residual beyond the working precision (indistinguishable from zero)
-    assert rel.residual_val is INF or cmp(rel.residual_val, rel.lam) >= 0
+    assert residual is INF or cmp(residual, form.lam) >= 0
 
 
 def test_integral_dependence_at_inf_reads_the_stage_of_beta():
@@ -425,16 +389,17 @@ def test_integral_dependence_at_inf_reads_the_stage_of_beta():
     st = expand(artin_schreier_F(R), R, max_terms=8).state
     assert st.chain.entries[-1].epsilon is not INF and st.i_beta == len(st.chain)
     at_inf, at_beta = integral_dependence(INF, st), integral_dependence(st.beta, st)
-    assert at_inf == at_beta and at_inf.degree == 2
-    assert cmp(at_inf.residual_val, at_inf.lam) >= 0
+    form, residual = at_inf
+    assert at_inf == at_beta and max(form.monomials) == 2
+    assert cmp(residual, form.lam) >= 0
 
 
 def test_integral_dependence_monic_leading_unit():
     R = tring(2)
     F = artin_schreier_F(R)
     res = expand(F, R, max_terms=6)
-    rel = integral_dependence(g(R, Fraction(7, 8)), res.state)
-    lead = rel.monomials[rel.degree]
+    form, _ = integral_dependence(g(R, Fraction(7, 8)), res.state)
+    lead = form.monomials[max(form.monomials)]
     (e, c), = lead.terms
     assert _fraction(c) in (1, -1) or not c.is_zero()
 
