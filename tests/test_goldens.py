@@ -32,6 +32,10 @@ more specs keep it beyond rank 2, over F2, F3, Q, Q(w), W(F2), W(F3) and
 W(F5), the limit stage included; and ten mixed-characteristic specs keep
 the Witt-precision relation: the terms printed at ``witt_prec`` 4 and 8 are
 those printed at 12, below each run's own O(p^k).
+
+The verify goldens see little of what the checks read, since five of the
+six print ``residual_val=inf``; a SHA-256 over the readings of ``ent``,
+``taylor`` and ``min`` on a subset of the verify ops pins those too.
 """
 
 import functools

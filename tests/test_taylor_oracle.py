@@ -295,10 +295,6 @@ RELATION_PROBLEMS = {**{name: lines for name, (lines, _) in PROBLEMS.items()},
 RELATION_FORMS = {"as-f2": 17, "cube-q": 17, "cusp-f3": 17, "p5": 13, "sq-f3": 17, "sq-q": 17}
 
 
-def _open_cut(series, bound):
-    return series.truncate_open(bound) if series.knows(bound) else series
-
-
 @pytest.mark.parametrize("name", sorted(RELATION_PROBLEMS))
 def test_a_relation_is_f_at_the_open_truncation_cut_at_lambda(name):
     """What ``taylor`` and ``ent`` compare with lambda.  The form at its
@@ -321,7 +317,8 @@ def test_a_relation_is_f_at_the_open_truncation_cut_at_lambda(name):
     for read, with_beta in ((taylor_reading, False), (ent_reading, True)):
         for eps, f, form in _stage_readings(state, read, with_beta):
             got = form.relation_value()
-            want = _open_cut(f.eval(_open_cut(state.partial_series(), eps).exact()), form.lam)
+            center = _exact(_cut(state.partial_series(), eps, False))
+            want = _cut(f.eval(center), form.lam, False)
             assert (got.terms, got.prec, got.closed) == (want.terms, want.prec, want.closed)
             forms += 1
     assert forms == RELATION_FORMS[name]
