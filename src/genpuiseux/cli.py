@@ -418,22 +418,21 @@ def _stage_readings(state, read, with_beta):
 
 def _check_ent(state, rng, trials):
     """Integral dependence at each finite epsilon_i up to beta: reads the chain and the partial."""
-    first_finite = INF  # the margin printed: the first residual that is finite
+    first_residual = INF  # the margin printed
     for form, residual in _stage_readings(state, integral_dependence, with_beta=True):
-        if not form.monomials or cmp(residual, form.lam) < 0:
+        if not form.monomials or form.value.terms:
             return False, residual
-        if first_finite is INF:
-            first_finite = residual
-    return True, first_finite
+        if first_residual is INF:
+            first_residual = residual
+    return True, first_residual
 
 
 def _check_taylor(state, rng, trials):
     """F's Taylor form at each finite epsilon_i below beta: reads the chain and the partial."""
     for form in _stage_readings(state, lambda eps, state: taylor_form(state.F, eps, state),
                                 with_beta=False):
-        acc = form.relation_value()
-        if acc.terms and cmp(acc.val(), form.lam) < 0:
-            return False, acc.val()
+        if form.value.terms:
+            return False, form.value.val()
     return True, INF
 
 

@@ -156,22 +156,17 @@ class TaylorForm:
     center: GenSeries
     lam: object
     levels: DerivativeLevels
-
-    def relation_value(self):
-        """The form at its center: constant + sum of monomial_b * center^b."""
-        acc = self.constant
-        for b, mono in self.monomials.items():
-            acc = acc + mono * (self.center ** b)
-        return acc
+    value: GenSeries  # f at the open truncation, open-cut at lam: the form at its center
 
 
 def taylor_form(f, beta, state):
     """The truncated evaluation as a polynomial in the centered difference.
 
     The form reads the open truncation of the embedding at beta (the
-    partial development).  The constant term is the residual after removing
-    the leading derivative monomials.  Every value at the partial is read
-    from the one Taylor vector of f.
+    partial development), and raises PrecisionExceeded past its precision.
+    The constant term is f there, open-cut at lambda (the form's value),
+    less the leading derivative monomials.  Every value at the partial is
+    read from the one Taylor vector of f.
     """
     chain = state.chain
     levels, vec = _derivative_levels(f, beta, state)
@@ -193,27 +188,17 @@ def taylor_form(f, beta, state):
 
     # truncations of the computed embedding are exactly known finite objects
     full = state.partial_series()
-    if i0 >= 1:
-        eps0 = chain.entry(i0).epsilon
-        base = full.truncate_closed(eps0).exact() if eps0 is not INF else full.exact()
-    else:
-        base = state.ring.zero()
-    center_series = _cut(full, beta).exact()
+    base = full.truncate_closed(chain.entry(i0).epsilon).exact() if i0 else state.ring.zero()
+    center_series = full.truncate_open(beta).exact()
     delta = center_series - base
 
+    value = f.eval(center_series).truncate_open(lam)
     monomials = {}
     correction = state.ring.zero()
     for b, ev in leading.items():
         mono = monomials[b] = ev.ring.monomial(*ev.leading_term())
-        correction = correction + _cut(mono * (delta ** b), lam)
-    constant = _cut(f.eval(center_series), lam) - correction
-    return TaylorForm(constant, monomials, delta, lam, levels)
-
-
-def _cut(series, bound):
-    """The open truncation at bound, or the series itself when its precision
-    ends first."""
-    return series.truncate_open(bound) if series.knows(bound) else series
+        correction = correction + (mono * (delta ** b)).truncate_open(lam)
+    return TaylorForm(value - correction, monomials, delta, lam, levels, value)
 
 
 # -- the integral dependence relation ------------------------------------------------------
@@ -222,8 +207,8 @@ def _cut(series, bound):
 def integral_dependence(beta, state):
     """The explicit monic-up-to-unit relation killing the partial development:
     the Taylor form of the stage polynomial and its residual, the valuation
-    of the form at its center (the precision bound when that value has no
-    term), which must reach lambda (indistinguishable from zero).
+    of the form's value (lambda when that value has no term), which must
+    reach lambda (indistinguishable from zero).
     """
     chain = state.chain
     i_stage = chain.index_for(beta)  # the last entry for INF, when its epsilon is INF
@@ -238,5 +223,4 @@ def integral_dependence(beta, state):
         eps_prev = [e.epsilon for e in chain.entries if e.epsilon is not INF]
         beta_eff = eps_prev[-1] if eps_prev else chain.entry(1).beta
     form = taylor_form(q_poly, beta_eff, state)
-    rel = form.relation_value()
-    return form, rel.val() if rel.terms else rel.prec
+    return form, form.value.val() if form.value.terms else form.lam

@@ -311,9 +311,9 @@ def _empty_tree(gs, lam):
 
 
 def _offset_form(f, beta, state):
-    """taylor_form's form with 1 added to its constant term."""
+    """taylor_form's form with 1 added to its value."""
     form = truncalg.taylor_form(f, beta, state)
-    return replace(form, constant=form.constant + state.ring.one())
+    return replace(form, value=form.value + state.ring.one())
 
 
 @pytest.mark.parametrize("check, name, wrong", [

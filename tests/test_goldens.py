@@ -217,13 +217,13 @@ def test_verify_readings_digest(monkeypatch):
 
     def ent_reader(*args, **kwargs):  # the form integral_dependence reads
         form = ent_form(*args, **kwargs)
-        rel = form.relation_value()
+        rel = form.value
         readings.append(f"ent lam={form.lam} residual={rel.val() if rel.terms else rel.prec}")
         return form
 
     def taylor_reader(*args):
         form = taylor_form(*args)
-        readings.append(f"taylor {form.relation_value().to_text()}")
+        readings.append(f"taylor {form.value.to_text()}")
         return form
 
     def min_reader(*args):

@@ -298,10 +298,11 @@ RELATION_FORMS = {"as-f2": 17, "cube-q": 17, "cusp-f3": 17, "p5": 13, "sq-f3": 1
 @pytest.mark.parametrize("name", sorted(RELATION_PROBLEMS))
 def test_a_relation_is_f_at_the_open_truncation_cut_at_lambda(name):
     """What ``taylor`` and ``ent`` compare with lambda.  The form at its
-    center is f at the partial's open truncation at the reading point,
-    open-cut at lambda: terms, precision and closedness alike, since the
-    constant is that value less the correction the monomials add back.  So
-    ``taylor`` cannot see a root's term at or above its largest reading
+    center, constant + sum of monomial_b * center^b, is the form's value,
+    and that value is f at the partial's open truncation at the reading
+    point, open-cut at lambda: terms, precision and closedness alike, since
+    the constant is that value less the correction the monomials add back.
+    So ``taylor`` cannot see a root's term at or above its largest reading
     point, and F's forms hold at any reading point below the partial's
     precision, whatever the chain."""
     state = run_expand(parse_problem("\n".join(RELATION_PROBLEMS[name]) + "\n"), 8).state
@@ -313,12 +314,17 @@ def test_a_relation_is_f_at_the_open_truncation_cut_at_lambda(name):
         form = integral_dependence(eps, state)[0]
         return eps, state.chain.entry(form.levels.stage).poly, form
 
+    def shape(series):
+        return series.terms, series.prec, series.closed
+
     forms = 0
     for read, with_beta in ((taylor_reading, False), (ent_reading, True)):
         for eps, f, form in _stage_readings(state, read, with_beta):
-            got = form.relation_value()
+            summed = form.constant
+            for b, mono in form.monomials.items():
+                summed = summed + mono * (form.center ** b)
+            assert shape(summed) == shape(form.value)
             center = _exact(_cut(state.partial_series(), eps, False))
-            want = _cut(f.eval(center), form.lam, False)
-            assert (got.terms, got.prec, got.closed) == (want.terms, want.prec, want.closed)
+            assert shape(form.value) == shape(_cut(f.eval(center), form.lam, False))
             forms += 1
     assert forms == RELATION_FORMS[name]

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from genpuiseux.cli import parse_problem, run_expand
 from genpuiseux.coeff import FieldTower
+from genpuiseux.errors import ChainExhausted, PrecisionExceeded
 from genpuiseux.groups import INF, GroupDescriptor, cmp, gmin
 from genpuiseux.keypoly import ValPoly
 from genpuiseux.series import GenSeries, SeriesRing
@@ -402,6 +406,30 @@ def test_integral_dependence_monic_leading_unit():
     lead = form.monomials[max(form.monomials)]
     (e, c), = lead.terms
     assert _fraction(c) in (1, -1) or not c.is_zero()
+
+
+def test_a_reading_point_past_the_partial_precision_raises():
+    # the partial is known below beta = 13/27, and epsilon_3 = 1 lies past
+    # it: the form has no open truncation at 1 to center on
+    st = run_expand(parse_problem("p 3\nwitt_prec 4\npoly y^3 - p*y - p\n"), 2).state
+    assert [e.epsilon.rational_value() for e in st.chain.entries] == \
+        [Fraction(1, 3), Fraction(4, 9), 1]
+    assert st.beta.rational_value() == Fraction(13, 27)
+    one = g(st.ring, 1)
+    with pytest.raises(PrecisionExceeded):
+        taylor_form(st.F, one, st)
+    with pytest.raises(PrecisionExceeded):
+        integral_dependence(one, st)
+
+
+def test_a_reading_point_above_every_epsilon_exhausts_the_chain():
+    st = run_expand(parse_problem("char 0\npoly y^2 - 1 - t\n"), 4).state
+    assert [e.epsilon.rational_value() for e in st.chain.entries] == [0, 1, 2, 3, 4]
+    five = g(st.ring, 5)
+    with pytest.raises(ChainExhausted):
+        taylor_form(st.F, five, st)
+    with pytest.raises(ChainExhausted):
+        integral_dependence(five, st)
 
 
 def test_transcendence_sanity_bounded_search():
