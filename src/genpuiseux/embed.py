@@ -105,6 +105,9 @@ class PuiseuxState:
     note: str = ""
     # F's TaylorVector at the partial; read only while it ``is_of`` both objects
     taylor: TaylorVector = field(default=None, compare=False, repr=False)
+    # the Taylor forms read at this state, {(id(poly), point): (poly, form)}:
+    # made on the first read, never carried by ``replace``
+    forms: dict = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def i_beta(self):
@@ -136,6 +139,16 @@ class PuiseuxState:
         if poly == self.F:
             return self.taylor_vector()
         return TaylorVector(poly, self.partial, lowest)
+
+    def held_form(self, poly, point, form):
+        """poly's Taylor form at point, ``form(poly, point, self)`` on its first
+        read at this state.  The memo holds poly, so its id stays a key."""
+        if self.forms is None:
+            self.forms = {}
+        key = (id(poly), point)
+        if (held := self.forms.get(key)) is None:
+            held = self.forms[key] = (poly, form(poly, point, self))
+        return held[1]
 
     def eval_at_partial(self, poly, entry=None):
         """poly at the partial, the one reader of values there: F is the Taylor

@@ -9,7 +9,7 @@ dependence relation for the partial developments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ChainExhausted, PrecisionExceeded, ValuationIndeterminate
 from .groups import INF, cmp, gmin
@@ -159,7 +159,24 @@ class TaylorForm:
     value: GenSeries  # f at the open truncation, open-cut at lam: the form at its center
 
 
-def taylor_form(f, beta, state):
+def taylor_form(f, beta, state, entry=None):
+    """f's Taylor form at beta, formed at most once per state and point
+    (``PuiseuxState.held_form``).
+
+    With f's chain entry, when that entry keeps F = D + f
+    (``ChainEntry.kept_constant``), f's form is F's less D: D^b f = D^b F
+    for b >= 1, so lambda, U, U0, the center, the monomials and the levels
+    are F's, and only the constant and the value lose D open-cut at lambda.
+    """
+    D = None if entry is None else entry.kept_constant(state.F)
+    if D is None:
+        return state.held_form(f, beta, _form)
+    form = state.held_form(state.F, beta, _form)
+    cut = D.truncate_open(form.lam)
+    return replace(form, constant=form.constant - cut, value=form.value - cut)
+
+
+def _form(f, beta, state):
     """The truncated evaluation as a polynomial in the centered difference.
 
     The form reads the open truncation of the embedding at beta (the
@@ -216,11 +233,11 @@ def integral_dependence(beta, state):
         i_stage = state.i_beta
     if i_stage > len(chain):
         raise ChainExhausted("stage index beyond the computed chain")
-    q_poly = chain.entry(i_stage).poly
+    entry = chain.entry(i_stage)
     beta_eff = beta if beta is not INF else state.beta
     if beta_eff is INF:
         # use the last finite threshold as the reading point
         eps_prev = [e.epsilon for e in chain.entries if e.epsilon is not INF]
         beta_eff = eps_prev[-1] if eps_prev else chain.entry(1).beta
-    form = taylor_form(q_poly, beta_eff, state)
+    form = taylor_form(entry.poly, beta_eff, state, entry)
     return form, form.value.val() if form.value.terms else form.lam

@@ -18,3 +18,13 @@ def test_one_cell_prints_its_time_and_the_digest_of_its_records():
     # the records of sqrt(1 + t) = 1 + t/2 - t^2/8 + t^3/16 + O(t^4), its
     # four steps and five chain entries; a change to any byte moves the digest
     assert digest == "3065478ef58d"
+
+
+def test_one_verify_cell_prints_its_time_and_the_digest_of_its_check_lines():
+    cli = ladder.import_engine()
+    seconds, digest = ladder.run_verify_cell(cli, "as-f2", 8, repeat=1)
+    line = ladder.cell_line("verify:as-f2", 8, seconds, digest)
+    assert re.fullmatch(r"verify:as-f2@8 \d+\.\d{5} s [0-9a-f]{12}", line), line
+    # the six check lines of the bench's as-f2 verify spec at seed 0: five
+    # PASS with residual_val=inf and ent's PASS with residual_val=1/2
+    assert digest == "27904288b3d4"

@@ -14,8 +14,15 @@ four timed runs, and the first 12 hex digits of the sha256 of the records
 output.  Two trees that print the same digests print the same bytes past
 the 24 terms the bench goldens reach.  After a problem's cells comes the
 ratio of its times at its last two budgets, ``<problem> ×(64→128) <ratio>``.
-It writes nothing and only reads the engine sources.  A full run takes
-about 5 s (Python 3.11, one core of a 2-vCPU x86_64 VM).
+
+Then come the ``verify`` cells, ``verify:<problem>@<n>``: the bench's four
+``verify`` problems with its verify lines (``verify all``, ``seed 0``,
+``trials 4``) at budgets 8, 16 and 32, where the bench stops at 8, each
+run as ``cli.cmd_verify(cli.parse_problem(spec))`` and digested on its
+six check lines.  Those lines read the same at all three budgets of a
+problem, so a verify digest pins the verdicts and ``ent``'s margin, not
+the series; the times give ``verify``'s growth past the bench.  It writes nothing and only reads the engine sources.  A full
+run takes about 8 s (Python 3.11, one core of a 2-vCPU x86_64 VM).
 """
 
 from __future__ import annotations
@@ -39,6 +46,15 @@ PROBLEMS = {
     "r2-q": (("char 0", *_SQRT2, "poly y^2 - t - u2"), LADDER),
     "p3-cube": (("p 3", "witt_prec 12", "poly y^3 - p - p^2"), (12, 24)),
 }
+VERIFY_LADDER = (8, 16, 32)
+# the bench's verify problems: spec lines, run with VERIFY_LINES
+VERIFY_PROBLEMS = {
+    "as-f2": ("char 2", "poly y^2 + t*y + t"),
+    "cusp-f3": ("char 3", "poly y^3 - t*y - t"),
+    "sq-q": ("char 0", "poly y^2 - 1 - t"),
+    "p5": ("p 5", "witt_prec 8", "poly y^2 - 1 - p"),
+}
+VERIFY_LINES = ("verify all", "seed 0", "trials 4")
 
 
 def import_engine():
@@ -48,32 +64,50 @@ def import_engine():
     return cli
 
 
-def run_cell(cli, problem, budget, repeat=4):
-    """The best of repeat timed expands of one cell, in seconds, and the
-    first 12 hex digits of the sha256 of its records output."""
-    text = "\n".join(PROBLEMS[problem][0]) + "\n"
+def _best(run, repeat):
+    """The best of repeat timed calls of run, in seconds, and the first 12
+    hex digits of the sha256 of the text it returns."""
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
-        _, out, _ = cli.cmd_expand(cli.parse_problem(text), fmt="records", budget=budget)
+        out = run()
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, hashlib.sha256(out.encode()).hexdigest()[:12]
+
+
+def run_cell(cli, problem, budget, repeat=4):
+    """The time and digest of one expand cell, on its records output."""
+    text = "\n".join(PROBLEMS[problem][0]) + "\n"
+    return _best(lambda: cli.cmd_expand(cli.parse_problem(text), fmt="records",
+                                        budget=budget)[1], repeat)
+
+
+def run_verify_cell(cli, problem, budget, repeat=4):
+    """The time and digest of one verify cell, on its check lines."""
+    text = "\n".join((*VERIFY_PROBLEMS[problem], f"budget_terms {budget}", *VERIFY_LINES)) + "\n"
+    return _best(lambda: cli.cmd_verify(cli.parse_problem(text))[1], repeat)
 
 
 def cell_line(problem, budget, seconds, digest):
     return f"{problem}@{budget} {seconds:.5f} s {digest}"
 
 
+def _ladder(name, budgets, run):
+    times = {}
+    for n in budgets:
+        times[n], digest = run(n)
+        print(cell_line(name, n, times[n], digest), flush=True)
+    lo, hi = budgets[-2:]
+    print(f"{name} ×({lo}→{hi}) {times[hi] / times[lo]:.2f}", flush=True)
+
+
 def main():
     cli = import_engine()
     for problem, (_, budgets) in PROBLEMS.items():
-        times = {}
-        for n in budgets:
-            times[n], digest = run_cell(cli, problem, n)
-            print(cell_line(problem, n, times[n], digest), flush=True)
-        lo, hi = budgets[-2:]
-        print(f"{problem} ×({lo}→{hi}) {times[hi] / times[lo]:.2f}", flush=True)
+        _ladder(problem, budgets, lambda n: run_cell(cli, problem, n))
+    for problem in VERIFY_PROBLEMS:
+        _ladder(f"verify:{problem}", VERIFY_LADDER, lambda n: run_verify_cell(cli, problem, n))
     return 0
 
 
