@@ -380,7 +380,7 @@ def _check_stab(state, rng, trials):
 
 def _check_min(state, rng, trials):
     """The three-way derivative minimum of random h at the first two finite
-    epsilon_i: reads the chain and h's Taylor vector at the partial.  A
+    epsilon_i: reads the chain and h's values at the partial.  A
     trial whose reading is zero to the working precision is drawn and left
     out."""
     chain = state.chain
@@ -394,7 +394,7 @@ def _check_min(state, rng, trials):
                 continue
             done += 1
             try:
-                rep = derivative_min_check(h, chain, i, state.taylor_of(h))
+                rep = derivative_min_check(h, chain, i, state.partial)
             except ValuationIndeterminate:
                 continue
             if rep["nu_i"] is not INF and not rep["equal"]:

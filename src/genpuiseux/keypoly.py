@@ -570,16 +570,23 @@ def _append_with_invariants(chain, q_new, beta, alpha, expansion=None):
     return chain.appended(entry)
 
 
-def derivative_min_check(h, chain, i, vec):
+def derivative_min_check(h, chain, i, point):
     """Report on the three-way minimum identity at beta = epsilon_i.
 
     Evaluates nu_i(h) against min over derivative orders a of both the true
     (pullback) and the truncated values of D^a h shifted by a*beta.  The
-    true values are read from vec, h's ``TaylorVector`` at the root (a state's
-    ``taylor_of``), the truncated ones from h's kept derivatives; nu_i(h) is the
-    truncated value at a = 0.  Both minima are read as ``TaylorVector.min_at``
-    reads its vector, over the finite values; a minimum with none is None.
-    epsilon_i must be finite.
+    true values are read at the root ``point``, the truncated ones from h's
+    kept derivatives; nu_i(h) is the truncated value at a = 0.  Both minima
+    are read as ``TaylorVector.min_at`` reads its vector, over the finite
+    values; a minimum with none is None.  epsilon_i must be finite.
+
+    Only whether the true minimum equals nu_i(h) is decided, so at a
+    raw-exact series point each D^a h is evaluated only up to and including
+    nu_i(h) - a*beta.  An entry that reaches its level has its exact value
+    and every other lies above nu_i(h), so the minimum over the cut entries
+    is the true one when some entry reaches; when none does, or nu_i(h) is
+    INF or the point is not a raw-exact series, h's full ``TaylorVector``
+    at the point is read.
     """
     beta = chain.entry(i).epsilon
 
@@ -592,8 +599,17 @@ def derivative_min_check(h, chain, i, vec):
     def least(values):  # min over a of values[a] + a*beta
         return level_and_ties((a, v + beta.scale_unchecked(a)) for a, v in enumerate(values))[0]
 
+    def up_to_level(a):  # D^a h at the point, cut closed at nu_i(h) - a*beta
+        da = h.hasse_derivative(a)
+        return point.ring.zero() if da.is_zero() else \
+            eval_poly(list(da.coeffs), point, lhs - beta.scale_unchecked(a), True)
+
     lhs = truncated_val(h, chain, i)[0]
-    mid = least(map(true_val, vec.entries))
+    mid = None
+    if lhs is not INF and isinstance(point, GenSeries) and point.raw_exact():
+        mid = least(true_val(up_to_level(a)) for a in range(h.degree() + 1))
+    if mid is None:
+        mid = least(map(true_val, TaylorVector(h, point).entries))
     rhs = least([lhs] + [truncated_val(h.hasse_derivative(a), chain, i)[0]
                          for a in range(1, h.degree() + 1)])
     ok = mid is not None and rhs is not None and cmp(lhs, mid) == 0 == cmp(lhs, rhs)

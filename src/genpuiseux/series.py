@@ -504,26 +504,36 @@ def _carry_normalize(s):
     return tuple(out[:_cut(out, prec, closed)]), prec, closed
 
 
-def eval_poly(coeffs, s):
-    """sum c_j s^j for GenSeries coefficients c_j (ascending).
+def _cut_at(s, horizon, closed):
+    """s cut at the horizon (open, or closed): its raw terms known there, at the
+    weaker of its precision and the horizon.  A p-adic carry moves digits up
+    only, so the carried form is s's carried form cut there."""
+    prec, closed = _prec_min((s._raw_prec, s._raw_closed), (horizon, closed))
+    return GenSeries._sorted(s.ring, s._raw[:_cut(s._raw, prec, closed)], prec, closed)
+
+
+def eval_poly(coeffs, s, horizon=INF, closed=False):
+    """sum c_j s^j for GenSeries coefficients c_j (ascending), cut at the
+    horizon (open, or closed) when one is given.
 
     When s and every c_j have raw precision INF, the powers of s are formed
     once per series and kept on it (a series never changes), and each c_j
-    meets its power: a one-term c_j by ``add_mul``, one merge into the sum.
-    Otherwise Horner's rule: with finite precisions the two orders can keep
+    meets its power: a one-term c_j by ``add_mul``, one merge into the sum,
+    which forms no term at or past the horizon.  Otherwise Horner's rule,
+    its result cut: with finite precisions the two orders can keep
     different precisions, and Horner's is the one used.
     """
     if not coeffs:
-        return s.ring.zero()
+        return _cut_at(s.ring.zero(), horizon, closed)
     if s._raw_prec is not INF or any(c._raw_prec is not INF for c in coeffs):
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):
             acc = acc * s + c
-        return acc
+        return acc if horizon is INF else _cut_at(acc, horizon, closed)
     powers = s._powers = s._powers or [s]
     while len(powers) < len(coeffs) - 1:
         powers.append(powers[-1] * s)
-    acc = coeffs[0]
+    acc = coeffs[0] if horizon is INF else _cut_at(coeffs[0], horizon, closed)
     for c, power in zip(coeffs[1:], powers):
         if len(c._raw) == 1:
             acc = acc.add_mul(power, c)

@@ -9,7 +9,8 @@ dependence relation for the partial developments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, field, replace
 
 from .errors import ChainExhausted, PrecisionExceeded, ValuationIndeterminate
 from .groups import INF, cmp, gmin
@@ -151,12 +152,29 @@ def _derivative_levels(f, beta, state):
 
 @dataclass
 class TaylorForm:
-    constant: GenSeries
+    """The truncated evaluation of f as a polynomial in the centered
+    difference: the constant plus, over b in U0, monomial_b * center^b.
+
+    The value, the monomials, lambda and the levels are formed with the form.
+    The center and the constant are formed on their first read, by
+    ``centered``, which forms the center and the correction once; a form made
+    from this one by ``dataclasses.replace`` shares them.
+    """
+
+    value: GenSeries  # f at the open truncation, open-cut at lam: the form at its center
     monomials: dict  # b in U0 -> leading one-term series of the derivative
-    center: GenSeries
     lam: object
     levels: DerivativeLevels
-    value: GenSeries  # f at the open truncation, open-cut at lam: the form at its center
+    centered: object = field(repr=False, compare=False)  # () -> (center, correction), kept
+
+    @property
+    def center(self):
+        return self.centered()[0]
+
+    @property
+    def constant(self):
+        """The value less the correction the monomials add back at the center."""
+        return self.value - self.centered()[1]
 
 
 def taylor_form(f, beta, state, entry=None):
@@ -166,14 +184,14 @@ def taylor_form(f, beta, state, entry=None):
     With f's chain entry, when that entry keeps F = D + f
     (``ChainEntry.kept_constant``), f's form is F's less D: D^b f = D^b F
     for b >= 1, so lambda, U, U0, the center, the monomials and the levels
-    are F's, and only the constant and the value lose D open-cut at lambda.
+    are F's, and only the value, and so the constant, loses D open-cut at
+    lambda.
     """
     D = None if entry is None else entry.kept_constant(state.F)
     if D is None:
         return state.held_form(f, beta, _form)
     form = state.held_form(state.F, beta, _form)
-    cut = D.truncate_open(form.lam)
-    return replace(form, constant=form.constant - cut, value=form.value - cut)
+    return replace(form, value=form.value - D.truncate_open(form.lam))
 
 
 def _form(f, beta, state):
@@ -181,41 +199,49 @@ def _form(f, beta, state):
 
     The form reads the open truncation of the embedding at beta (the
     partial development), and raises PrecisionExceeded past its precision.
-    The constant term is f there, open-cut at lambda (the form's value),
-    less the leading derivative monomials.  Every value at the partial is
-    read from the one Taylor vector of f.
+    Its value is f there, open-cut at lambda; every value at the partial is
+    read from the one Taylor vector of f.  The center and the correction
+    (``_center``) are left to the first read of the form's center or
+    constant.
     """
-    chain = state.chain
     levels, vec = _derivative_levels(f, beta, state)
     lam = levels.lam
-    # (D^b f)(partial) for the b in U0 where it is not zero
-    leading = {b: vec.entries[b] for b in levels.U0 if not vec.entries[b].is_exact_zero()}
+    # truncations of the computed embedding are exactly known finite objects
+    full = state.partial_series()
+    center_series = full.truncate_open(beta).exact()
+    value = f.eval(center_series).truncate_open(lam)
+    # the leading monomial of (D^b f)(partial) for the b in U0 where it is not zero
+    monomials = {}
+    for b in levels.U0:
+        if not (ev := vec.entries[b]).is_exact_zero():
+            monomials[b] = ev.ring.monomial(*ev.leading_term())
+    return TaylorForm(value, monomials, lam, levels, functools.cache(functools.partial(
+        _center, f, state.chain, levels.stage, monomials, full, center_series, lam)))
+
+
+def _center(f, chain, stage, monomials, full, center_series, lam):
+    """The form's center, the centered difference, and its correction, the
+    sum over b of monomial_b * center^b open-cut at lambda.
+
+    The center is the open truncation less the closed truncation at epsilon
+    of i0, the latest stage before ``stage`` whose truncated values of the
+    D^b f with a monomial are their values at the partial."""
 
     def truncation_exact(i):
-        for b, ev in leading.items():
-            if cmp(truncated_val(f.hasse_derivative(b), chain, i)[0], ev.val()) != 0:
+        for b, mono in monomials.items():
+            if cmp(truncated_val(f.hasse_derivative(b), chain, i)[0], mono.val()) != 0:
                 return False
         return True
 
-    # the latest earlier stage whose truncated values of those derivatives
-    # are their values at the partial
-    i0 = levels.stage - 1
+    i0 = stage - 1
     while i0 >= 1 and not truncation_exact(i0):
         i0 -= 1
-
-    # truncations of the computed embedding are exactly known finite objects
-    full = state.partial_series()
-    base = full.truncate_closed(chain.entry(i0).epsilon).exact() if i0 else state.ring.zero()
-    center_series = full.truncate_open(beta).exact()
+    base = full.truncate_closed(chain.entry(i0).epsilon).exact() if i0 else center_series.ring.zero()
     delta = center_series - base
-
-    value = f.eval(center_series).truncate_open(lam)
-    monomials = {}
-    correction = state.ring.zero()
-    for b, ev in leading.items():
-        mono = monomials[b] = ev.ring.monomial(*ev.leading_term())
+    correction = center_series.ring.zero()
+    for b, mono in monomials.items():
         correction = correction + (mono * (delta ** b)).truncate_open(lam)
-    return TaylorForm(value - correction, monomials, delta, lam, levels, value)
+    return delta, correction
 
 
 # -- the integral dependence relation ------------------------------------------------------

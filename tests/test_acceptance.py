@@ -12,7 +12,6 @@ from fractions import Fraction
 from genpuiseux.coeff import FieldTower, WittRing
 from genpuiseux.groups import INF, GroupDescriptor, cmp
 from genpuiseux.keypoly import (
-    TaylorVector,
     ValPoly,
     derivative_min_check,
     truncated_val,
@@ -205,7 +204,7 @@ def test_criterion_6_derivative_minimum_identity():
                 if h.is_zero():
                     continue
                 done += 1
-                rep = derivative_min_check(h, ch, i, TaylorVector(h, rt))
+                rep = derivative_min_check(h, ch, i, rt)
                 if rep["nu_i"] is INF:
                     continue
                 assert rep["equal"], (i, h.to_text(), rep)

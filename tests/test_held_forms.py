@@ -5,7 +5,9 @@ most once per ``PuiseuxState``: the memo is the state's own, so a state
 made by ``dataclasses.replace`` or ``with_term`` reads fresh forms.  The
 ``ent`` reading of a stage polynomial Q whose chain entry keeps F = D + Q
 (``ChainEntry.kept_constant``) is F's form less D; the tests below compare
-it with Q's form as the uncached body ``truncalg._form`` forms it.
+it with Q's form as the uncached body ``truncalg._form`` forms it.  A
+form's center and constant are formed on their first read, which
+``verify`` never makes.
 """
 
 import importlib.util
@@ -132,10 +134,10 @@ def test_a_faulted_state_reads_fresh_forms():
     assert not taylor_form(state.F, eps, state).value.terms
 
 
-def _verify_ops():
+def _verify_ops(seeds=range(4)):
     wl = _load_workloads()
     for op in wl.all_ops(wl.WORKLOADS["verify"]):
-        if op.spec_seed in range(4):
+        if op.spec_seed in seeds:
             yield pytest.param(op.text, id=op.key)
 
 
@@ -174,3 +176,23 @@ def test_verify_forms_each_form_once(monkeypatch, row):
     monkeypatch.setattr(truncalg, "_form", lambda *args: formed.append(args) or body(*args))
     cli.cmd_verify(cli.parse_problem(op.text))
     assert len(formed) == FORMED[row]
+
+
+@pytest.mark.parametrize("text", _verify_ops(seeds=(0,)))
+def test_verify_reads_no_center_of_a_form(monkeypatch, text):
+    """``ent`` reads a form's monomials and value, ``taylor`` its value: under
+    ``verify all`` no form's i0 search, base, center or correction runs.
+    Read afterwards, each form's center and constant are those of the form
+    ``_form`` forms and reads at once."""
+    formed, centered = [], []
+    body, center = truncalg._form, truncalg._center
+    monkeypatch.setattr(truncalg, "_form",
+                        lambda *args: formed.append((args, body(*args))) or formed[-1][1])
+    monkeypatch.setattr(truncalg, "_center", lambda *args: centered.append(args) or center(*args))
+    cli.cmd_verify(cli.parse_problem(text))
+    assert formed and not centered
+    for args, form in formed:
+        assert _form_shape(form) == _form_shape(body(*args))
+    # one center for each form read here and one for each fresh form: a
+    # form's center and constant read one center between them
+    assert len(centered) == 2 * len(formed)

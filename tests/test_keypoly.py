@@ -1027,7 +1027,7 @@ def test_prop_min_on_corpus():
             if h.is_zero():
                 continue
             trials += 1
-            rep = derivative_min_check(h, chain, i, TaylorVector(h, root))
+            rep = derivative_min_check(h, chain, i, root)
             if rep["nu_i"] is INF:
                 continue
             assert rep["equal"], (i, h.to_text(), rep)
@@ -1038,11 +1038,11 @@ def test_prop_min_on_corpus():
 def test_prop_min_trivial_cases():
     R, chain, root = _as_chain_with_root()
     q1 = chain.entry(1).poly
-    rep = derivative_min_check(q1, chain, 1, TaylorVector(q1, root))
+    rep = derivative_min_check(q1, chain, 1, root)
     assert rep["equal"]
     assert rep["nu_i"] == chain.entry(1).beta
     const = ValPoly.const(t_pow(R, 2, 1))
-    rep = derivative_min_check(const, chain, 1, TaylorVector(const, root))
+    rep = derivative_min_check(const, chain, 1, root)
     assert rep["equal"]
     assert rep["nu_i"] == g(R, 2)
 

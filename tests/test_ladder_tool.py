@@ -28,3 +28,16 @@ def test_one_verify_cell_prints_its_time_and_the_digest_of_its_check_lines():
     # the six check lines of the bench's as-f2 verify spec at seed 0: five
     # PASS with residual_val=inf and ent's PASS with residual_val=1/2
     assert digest == "27904288b3d4"
+
+
+def test_a_verify_split_times_the_expand_and_each_check_as_cmd_verify_runs_them():
+    cli = ladder.import_engine()
+    seconds, results = ladder.run_verify_split(cli, "as-f2", 8, repeat=1)
+    assert list(seconds) == ["expand", *cli.ALL_CHECKS]
+    line = ladder.split_line("verify:as-f2", 8, seconds)
+    assert re.fullmatch(r"verify:as-f2@8 split expand \d+\.\d{5}"
+                        + "".join(rf" {name} \d+\.\d{{5}}" for name in cli.ALL_CHECKS), line), line
+    # the replay draws what cmd_verify draws: its six check lines, digested
+    text = "\n".join(f"check={name} status={'PASS' if ok else 'FAIL'} residual_val={rv}"
+                     for name, ok, rv in results)
+    assert ladder.hashlib.sha256(text.encode()).hexdigest()[:12] == "27904288b3d4"

@@ -930,6 +930,27 @@ def test_eval_poly_matches_horner_from_zero(data, exact):
         assert len(s._powers) == len(coeffs) - 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans(), st.booleans())
+def test_eval_poly_at_a_horizon_is_eval_poly_cut_there(data, exact, closed):
+    """With a horizon, open or closed, eval_poly gives the full evaluation cut
+    there: its carried terms known at the weaker of its precision and the
+    horizon, in terms, precision and closedness.  Raw-exact points take the
+    power table and finite-precision ones Horner's rule; a p-adic carry moves
+    digits up only, so cutting the raw sum cuts the carried one."""
+    ring = _EVAL_RINGS[data.draw(st.sampled_from(sorted(_EVAL_RINGS)))]
+    coeffs = [_eval_series(data.draw, ring, exact)
+              for _ in range(data.draw(st.integers(0, 5)))]
+    s = _eval_series(data.draw, ring, exact)
+    horizon = _exponent(data.draw, ring)
+    got = eval_poly(coeffs, s, horizon, closed)  # first, so the full one reads its powers
+    full = eval_poly(coeffs, s)
+    prec, at = _prec_min((full.prec, full.closed), (horizon, closed))
+    assert len(got.terms) == _cut(full.terms, prec, at)
+    assert all(x[0] == y[0] and x[1] == y[1] for x, y in zip(got.terms, full.terms))
+    assert got.prec is not INF and cmp(got.prec, prec) == 0 and got.closed == at
+
+
 def test_eval_poly_forms_the_powers_of_a_point_once(monkeypatch):
     R = tring()
     s = t_pow(R, Fraction(1, 2)) + t_pow(R, 1, 3) + t_pow(R, 2, -1)

@@ -7,16 +7,21 @@ it forms each Hasse derivative D^b f, evaluates its own Taylor vector and
 takes the T-graded minimum from that.  Both must agree at every finite
 epsilon_i of the bench's verify problems, and ``derivative_min_check``
 must agree with a copy of its two-pass form on seeded polynomials, which
-forms each D^a h itself and evaluates it with ``eval_poly``.
+forms each D^a h itself and evaluates it in full with ``eval_poly``, and
+on every ``min`` trial of the bench's verify ops at spec seeds 0-3.
 """
 
 import functools
+import importlib.util
 import math
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from genpuiseux import cli, keypoly
 from genpuiseux.cli import _rand_poly, _stage_readings, parse_problem, run_expand
 from genpuiseux.errors import EngineError, ValuationIndeterminate
 from genpuiseux.groups import INF, cmp
@@ -259,8 +264,53 @@ def test_derivative_min_check_matches_its_two_pass_form(name):
     for i in stages:
         for _ in range(20):
             h = _rand_poly(state.ring, rng)
-            assert derivative_min_check(h, chain, i, state.taylor_of(h)) \
+            assert derivative_min_check(h, chain, i, state.partial) \
                 == oracle_min_check(h, chain, i, state.partial)
+
+
+def _bench_verify_ops():
+    """The bench's verify ops at spec seeds 0-3: each problem at both budgets."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = wl  # dataclasses look their module up there
+    spec.loader.exec_module(wl)
+    return [pytest.param(op.key, op.text, id=op.key)
+            for op in wl.all_ops(wl.WORKLOADS["verify"]) if op.spec_seed in range(4)]
+
+
+@pytest.mark.parametrize("key, text", _bench_verify_ops())
+def test_min_reads_up_to_each_level_what_the_full_vector_reads(monkeypatch, key, text):
+    """derivative_min_check evaluates each D^a h only up to its level,
+    nu_i(h) - a*epsilon_i.  Under ``verify all``, the checks before ``min``
+    drawing from the one rng first, every ``min`` trial's report equals the
+    full-vector reading of ``oracle_min_check``.  On sq-q at budget 4, spec
+    seed 0, a trial fails: no D^a h reaches its level there, so h's full
+    ``TaylorVector`` is read."""
+    spec = parse_problem(text)
+    state = run_expand(spec).state
+    rng = random.Random(spec.seed)
+    for check in cli.ALL_CHECKS[:cli.ALL_CHECKS.index("min")]:
+        cli._CHECKS[check](state, rng, spec.trials)
+    check, vector, reports, full = keypoly.derivative_min_check, keypoly.TaylorVector, [], []
+
+    def reader(*args):
+        want = _outcome(oracle_min_check, *args)
+        try:
+            got = check(*args)
+        except ValuationIndeterminate:
+            assert want == "ValuationIndeterminate"
+            raise
+        assert got == want, args
+        reports.append(got)
+        return got
+
+    monkeypatch.setattr(cli, "derivative_min_check", reader)
+    monkeypatch.setattr(keypoly, "TaylorVector", lambda *args: full.append(args) or vector(*args))
+    ok, _ = cli._CHECKS["min"](state, rng, spec.trials)
+    assert reports
+    if key == "sq-q@4#seed0":
+        assert not ok and full
 
 
 def test_form_steps_below_an_inexact_stage(monkeypatch):
@@ -281,10 +331,11 @@ def test_form_steps_below_an_inexact_stage(monkeypatch):
                         lambda g, chain, i: stages.append(i) or reader(g, chain, i))
     form = taylor_form(f, beta, state)
     assert form.levels.stage == 3 and form.levels.U0 == [1]
-    # two readings at stage 3 for the levels, then stage 2 and stage 1 for i0
+    assert form.center.terms == state.partial_series().truncate_open(beta).terms
+    # two readings at stage 3 for the levels, then, on the first read of the
+    # center, stage 2 and stage 1 for i0
     assert stages == [3, 3, 2, 1]
     assert _form_text(form) == tuple(map(_text, oracle_form(f, beta, state, False)))
-    assert form.center.terms == state.partial_series().truncate_open(beta).terms
 
 
 # the bench's verify problems and the fault matrix's, at budget 8

@@ -21,14 +21,20 @@ Then come the ``verify`` cells, ``verify:<problem>@<n>``: the bench's four
 run as ``cli.cmd_verify(cli.parse_problem(spec))`` and digested on its
 six check lines.  Those lines read the same at all three budgets of a
 problem, so a verify digest pins the verdicts and ``ent``'s margin, not
-the series; the times give ``verify``'s growth past the bench.  It writes nothing and only reads the engine sources.  A full
-run takes about 8 s (Python 3.11, one core of a 2-vCPU x86_64 VM).
+the series; the times give ``verify``'s growth past the bench.  After
+each verify cell comes its split, ``<cell> split expand <s> caltron <s>
+... taylor <s>``: the best of four timed runs of the expand and of each
+check, replayed as ``cmd_verify`` runs them, on one state with the checks
+drawing from one seeded rng in turn.  It writes nothing and only reads the
+engine sources.  A full run takes about 12 s (Python 3.11, one core of a
+2-vCPU x86_64 VM).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
 import time
 
@@ -83,21 +89,51 @@ def run_cell(cli, problem, budget, repeat=4):
                                         budget=budget)[1], repeat)
 
 
+def _verify_spec(cli, problem, budget):
+    return cli.parse_problem(
+        "\n".join((*VERIFY_PROBLEMS[problem], f"budget_terms {budget}", *VERIFY_LINES)) + "\n")
+
+
 def run_verify_cell(cli, problem, budget, repeat=4):
     """The time and digest of one verify cell, on its check lines."""
-    text = "\n".join((*VERIFY_PROBLEMS[problem], f"budget_terms {budget}", *VERIFY_LINES)) + "\n"
-    return _best(lambda: cli.cmd_verify(cli.parse_problem(text))[1], repeat)
+    return _best(lambda: cli.cmd_verify(_verify_spec(cli, problem, budget))[1], repeat)
+
+
+def run_verify_split(cli, problem, budget, repeat=4):
+    """The best of repeat timed runs of one verify cell's expand and of each
+    of its checks, by name, replayed as ``cmd_verify`` runs them: one state,
+    the checks drawing from one rng seeded by the spec in turn.  Also the
+    (name, ok, margin) of each check in the last run."""
+    spec = _verify_spec(cli, problem, budget)
+    best = {}
+    for _ in range(repeat):
+        start = time.perf_counter()
+        state = cli.run_expand(spec).state
+        times, results = {"expand": time.perf_counter() - start}, []
+        rng = random.Random(spec.seed)
+        for name in spec.verify:
+            start = time.perf_counter()
+            results.append((name, *cli._CHECKS[name](state, rng, spec.trials)))
+            times[name] = time.perf_counter() - start
+        best = {k: min(v, best.get(k, v)) for k, v in times.items()}
+    return best, results
 
 
 def cell_line(problem, budget, seconds, digest):
     return f"{problem}@{budget} {seconds:.5f} s {digest}"
 
 
-def _ladder(name, budgets, run):
+def split_line(problem, budget, seconds):
+    return f"{problem}@{budget} split " + " ".join(f"{k} {v:.5f}" for k, v in seconds.items())
+
+
+def _ladder(name, budgets, run, split=None):
     times = {}
     for n in budgets:
         times[n], digest = run(n)
         print(cell_line(name, n, times[n], digest), flush=True)
+        if split:
+            print(split_line(name, n, split(n)), flush=True)
     lo, hi = budgets[-2:]
     print(f"{name} ×({lo}→{hi}) {times[hi] / times[lo]:.2f}", flush=True)
 
@@ -107,7 +143,8 @@ def main():
     for problem, (_, budgets) in PROBLEMS.items():
         _ladder(problem, budgets, lambda n: run_cell(cli, problem, n))
     for problem in VERIFY_PROBLEMS:
-        _ladder(f"verify:{problem}", VERIFY_LADDER, lambda n: run_verify_cell(cli, problem, n))
+        _ladder(f"verify:{problem}", VERIFY_LADDER, lambda n: run_verify_cell(cli, problem, n),
+                lambda n: run_verify_split(cli, problem, n)[0])
     return 0
 
 
